@@ -2,12 +2,12 @@
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_11_red_no_attack
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_11_red_no_attack(benchmark):
-    result = benchmark.pedantic(fig6_11_red_no_attack, rounds=1,
-                                iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_11",),
+                                rounds=1, iterations=1)
     save_series("fig6_11_red_no_attack", scenario_lines(result))
     assert result.false_positives == 0
     assert not result.detected

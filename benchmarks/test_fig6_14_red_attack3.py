@@ -2,11 +2,12 @@
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_14_red_attack3
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_14_red_attack3(benchmark):
-    result = benchmark.pedantic(fig6_14_red_attack3, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_14",),
+                                rounds=1, iterations=1)
     save_series("fig6_14_red_attack3", scenario_lines(result))
     assert result.detected
     assert result.false_positives == 0

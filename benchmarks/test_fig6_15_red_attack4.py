@@ -6,11 +6,12 @@ accumulate evidence across rounds until the z-score clears 4σ.
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_15_red_attack4
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_15_red_attack4(benchmark):
-    result = benchmark.pedantic(fig6_15_red_attack4, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_15",),
+                                rounds=1, iterations=1)
     save_series("fig6_15_red_attack4", scenario_lines(result))
     assert result.detected
     assert result.false_positives == 0

@@ -7,11 +7,12 @@ RED single-packet test fires after a couple of them.
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_16_red_attack5
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_16_red_attack5(benchmark):
-    result = benchmark.pedantic(fig6_16_red_attack5, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_16",),
+                                rounds=1, iterations=1)
     lines = scenario_lines(result)
     lines.append(f"SYN retries forced: {result.extra.get('syn_retries')}")
     save_series("fig6_16_red_attack5", lines)

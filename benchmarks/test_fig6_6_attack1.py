@@ -2,11 +2,12 @@
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_6_attack1
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_6_attack1(benchmark):
-    result = benchmark.pedantic(fig6_6_attack1, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_6",),
+                                rounds=1, iterations=1)
     lines = scenario_lines(result)
     lines.append(f"victim goodput: "
                  f"{result.extra.get('victim_goodput_pps', 0):.1f} pps")

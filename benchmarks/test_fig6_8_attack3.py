@@ -7,11 +7,12 @@ zero false positives.
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_8_attack3
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_8_attack3(benchmark):
-    result = benchmark.pedantic(fig6_8_attack3, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_8",),
+                                rounds=1, iterations=1)
     save_series("fig6_8_attack3", scenario_lines(result))
     assert result.detected
     assert result.false_positives == 0

@@ -6,11 +6,12 @@ yet χ's single-loss test pins them immediately.
 
 from conftest import save_series, scenario_lines
 
-from repro.eval.experiments import fig6_9_attack4
+from repro.eval.registry import run_experiment
 
 
 def test_fig6_9_attack4(benchmark):
-    result = benchmark.pedantic(fig6_9_attack4, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_experiment, args=("fig6_9",),
+                                rounds=1, iterations=1)
     lines = scenario_lines(result)
     lines.append(f"SYN retries forced: {result.extra.get('syn_retries')}")
     lines.append(f"mean setup time: {result.extra.get('mean_setup_time')}")

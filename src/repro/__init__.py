@@ -18,7 +18,7 @@ Package map
                      Πk+2 / χ, Fatih, the §2.3 replica detector
 ``repro.baselines``  WATCHERS, HERZBERG, PERLMAN, SecTrace, AWERBUCH,
                      HSER, StealthProbing, ZHANG, SATS
-``repro.eval``       metrics, canned scenarios, one function per figure
+``repro.eval``       metrics, scenario specs, the paper's experiments
 
 Quick start: see ``examples/quickstart.py`` or run
 ``python -m repro run fig5_7`` for the Fatih timeline.

@@ -15,9 +15,7 @@ are internal.  Reaching them through the package emits a
 names it already exports.
 """
 
-import importlib as _importlib
-import warnings as _warnings
-
+from repro._surface import narrow as _narrow
 from repro.core.summaries import (
     SummaryPolicy,
     TrafficSummary,
@@ -104,42 +102,9 @@ __all__ = [
     "validate_encoded",
 ]
 
-#: Internal implementation modules, deprecated as import targets.
-_INTERNAL_MODULES = (
-    "chi",
-    "codecs",
-    "detector",
-    "fatih",
-    "pi2",
-    "pik2",
-    "qmodel",
-    "replica",
-    "segments",
-    "static_threshold",
-    "summaries",
-    "validation",
-)
-
-# Drop the submodule bindings the re-exports above created on the
-# package, so attribute access routes through __getattr__ (PEP 562)
-# and carries a deprecation warning.
-for _name in _INTERNAL_MODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _INTERNAL_MODULES:
-        _warnings.warn(
-            f"repro.core.{name} is an internal module; import the "
-            f"supported names from the repro.core package instead "
-            f"(see repro.core.__all__)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _importlib.import_module(f"repro.core.{name}")
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_INTERNAL_MODULES))
+# Internal implementation modules stay reachable through the package,
+# with a deprecation warning.
+_narrow(globals(),
+        internal=("chi", "codecs", "detector", "fatih", "pi2", "pik2",
+                  "qmodel", "replica", "segments", "static_threshold",
+                  "summaries", "validation"))

@@ -1,10 +1,12 @@
-"""Evaluation harness: metrics, typed scenario specs, per-figure experiments.
+"""Evaluation harness: metrics, typed scenario specs, the paper's experiments.
 
-Every table/figure of the paper's evaluation maps to one function in
-:mod:`repro.eval.experiments`; benches, tests and examples all call the
-same functions so results are consistent everywhere.  Scenarios are
+Every table/figure of the paper's evaluation is an experiment in
+:mod:`repro.eval.registry`; benches, tests and examples all run the
+same ones so results are consistent everywhere.  Scenarios are
 described by the typed, serializable specs of :mod:`repro.eval.specs`
-and built with :func:`build_scenario`.
+and built with :func:`build_scenario` — an :class:`AttackScenario` on a
+routed topology, a :class:`BottleneckScenario` on the χ testbed, whose
+figures are rows of ``experiments.TESTBED_ROWS`` over one runner.
 
 The supported surface is exactly ``__all__``.  The ``experiments`` and
 ``registry`` submodules are part of that promise (they are how sweeps
@@ -14,9 +16,7 @@ but emits a :class:`DeprecationWarning`, and the ``API001`` lint rule
 flags in-repo imports that bypass the package for exported names.
 """
 
-import importlib as _importlib
-import warnings as _warnings
-
+from repro._surface import narrow as _narrow
 from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import (
     EvalResult,
@@ -41,10 +41,7 @@ from repro.eval.specs import (
 )
 from repro.eval.scenarios import (
     AttackScenario,
-    DropTailScenario,
-    REDScenario,
-    build_droptail_scenario,
-    build_red_scenario,
+    BottleneckScenario,
     build_scenario,
     droptail_spec,
     red_spec,
@@ -73,43 +70,14 @@ __all__ = [
     "topology_names",
     "transit_candidates",
     "AttackScenario",
-    "DropTailScenario",
-    "REDScenario",
-    "build_droptail_scenario",
-    "build_red_scenario",
+    "BottleneckScenario",
     "build_scenario",
     "droptail_spec",
     "red_spec",
 ]
 
-#: Public submodules — importable through the package without warning.
-_PUBLIC_MODULES = ("experiments", "registry")
-
-#: Internal implementation modules, deprecated as import targets.
-_INTERNAL_MODULES = ("metrics", "results", "scenarios", "specs")
-
-# Drop the submodule bindings the re-exports above created on the
-# package, so attribute access routes through __getattr__ (PEP 562)
-# and carries a deprecation warning for the internal modules.
-for _name in _INTERNAL_MODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _PUBLIC_MODULES:
-        return _importlib.import_module(f"repro.eval.{name}")
-    if name in _INTERNAL_MODULES:
-        _warnings.warn(
-            f"repro.eval.{name} is an internal module; import the "
-            f"supported names from the repro.eval package instead "
-            f"(see repro.eval.__all__)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _importlib.import_module(f"repro.eval.{name}")
-    raise AttributeError(f"module 'repro.eval' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_INTERNAL_MODULES))
+# Internal implementation modules stay reachable through the package,
+# with a deprecation warning; public submodules import silently.
+_narrow(globals(),
+        internal=("metrics", "results", "scenarios", "specs"),
+        public=("experiments", "registry"))

@@ -1,8 +1,13 @@
-"""One function per paper table/figure.
+"""The paper's tables and figures as runnable experiments.
 
-Benches (``benchmarks/``), tests and examples all call these; each
-returns a small result object with the series the paper plots, so the
-bench output can be read against the original figure.
+Each returns a small result object with the series the paper plots, so
+bench output can be read against the original figure.  Most figures are
+one function.  The χ evaluation (Ch. 6) is one bottleneck testbed varied
+along queue discipline, attack, load and schedule, so Figs 6.5-6.9,
+6.11-6.16 and the χ benches are rows of :data:`TESTBED_ROWS` (registry
+name, result label, :class:`~repro.eval.specs.ScenarioSpec`, exposed
+flat parameters), all run by :func:`run_testbed`.  Benches, tests and
+examples address experiments through :mod:`repro.eval.registry`.
 """
 
 from __future__ import annotations
@@ -48,21 +53,16 @@ from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import EvalResultBase, register_result_type
 from repro.eval.scenarios import (
     AttackScenario,
-    _droptail_scenario,
-    _red_scenario,
     build_scenario,
+    droptail_spec,
+    red_spec,
 )
-from repro.eval.specs import ScenarioSpec, TopologySpec
+from repro.eval.specs import AdversarySpec, ScenarioSpec, TopologySpec
 from repro.net import (
     CBRSource,
-    CombinedCompromise,
-    DropFlowAttack,
     LinkStateRouting,
     MBPS,
     Network,
-    QueueConditionalDropAttack,
-    REDAverageConditionalDropAttack,
-    SynDropAttack,
     Topology,
     abilene,
     chain,
@@ -262,8 +262,6 @@ def fig5_7_fatih(
     """Fig 5.7: OSPF convergence, attack at Kansas City, detection,
     alert flooding, SPF delay+hold, rerouting; New York <-> Sunnyvale RTT
     goes from ~50 ms to ~56 ms."""
-    from repro.net import DropFractionAttack
-
     topo = abilene(bandwidth=10 * MBPS)
     net = Network(topo, proc_jitter=0.0002)
     routing = LinkStateRouting(net, spf_delay=5.0, spf_hold=10.0,
@@ -288,8 +286,9 @@ def fig5_7_fatih(
                      stop=end_time - 5)
 
     net.run(attack_time)
-    attack = DropFractionAttack(attack_fraction, seed=11)
-    net.routers["KansasCity"].compromise = attack
+    net.routers["KansasCity"].compromise = AdversarySpec(
+        "drop", attack_fraction, targeting="all",
+        options={"seed_offset": 11}).build(net, "KansasCity", (), 0)
     net.run(end_time)
 
     detection = fatih.first_detection_time()
@@ -351,7 +350,7 @@ def fig6_2_confidence_curve(q_limit: float = 30_000.0,
 
 
 # ---------------------------------------------------------------------------
-# Droptail scenarios — Figs 6.3, 6.5-6.9 + χ vs static threshold
+# The χ testbed — Figs 6.3, 6.5-6.9, 6.11-6.16, benches, χ vs static threshold
 # ---------------------------------------------------------------------------
 
 @register_result_type
@@ -407,53 +406,53 @@ class ScenarioResult(EvalResultBase):
         )
 
 
-def _run_droptail(name: str, attack_factory, *,
-                  learning_until: float = 20.0,
-                  monitor_rounds: Tuple[int, int] = (10, 44),
-                  attack_at: float = 50.0,
-                  end: float = 110.0,
-                  with_connector: bool = False,
-                  tau: float = 2.0,
-                  n_sources: int = 3,
-                  seed: int = 0) -> ScenarioResult:
-    scenario = _droptail_scenario(tau=tau, seed=seed,
-                                  n_sources=n_sources,
-                                  with_connector=with_connector)
-    net = scenario.network
-    chi = scenario.chi
-    net.run(learning_until)
-    chi.calibrate(scenario.target)
-    chi.schedule_rounds(*monitor_rounds)
-    net.run(attack_at)
-    attack = None
-    if attack_factory is not None:
-        attack = attack_factory(scenario)
-        net.routers["r"].compromise = attack
-    net.run(end)
-    attack_first = (int(attack_at / tau) if attack_factory is not None
-                    else None)
-    metrics = score_round_findings(chi.findings, attack_first)
-    rounds = [(f.round_index, len(f.drops), f.candidate_drops,
-               f.max_single_confidence, f.alarmed) for f in chi.findings]
+def run_testbed(name: str, spec: ScenarioSpec) -> ScenarioResult:
+    """Build one bottleneck-testbed spec, play its schedule, score χ.
+
+    Droptail χ first learns its queue-error model on attack-free
+    traffic (§6.2.1), its round rows carry the largest single-loss
+    confidence and its extras report the attack's damage; RED needs no
+    learning and its rows carry the combined confidence.
+    """
+    scenario = build_scenario(spec)
+    net, chi, attack = scenario.network, scenario.chi, scenario.attack
+    schedule, tau = scenario.options, spec.tau
+    droptail = scenario.red_params is None
+    if droptail:
+        net.run(schedule["learning_until"])
+        chi.calibrate(scenario.target)
+    chi.schedule_rounds(schedule["first_round"], spec.rounds)
+    # The stop at the attack time does no work; it keeps the traced
+    # repro.net.sim.runs counter, and so the golden traces, unchanged.
+    net.run(schedule["attack_at"])
+    net.run(schedule["end"])
+    attack_first = (int(schedule["attack_at"] / tau)
+                    if attack is not None else None)
     by_round: Dict[int, int] = {}
     if attack is not None:
         for when in attack.drop_times:
             by_round[int(when / tau)] = by_round.get(int(when / tau), 0) + 1
     result = ScenarioResult(
         name=name,
-        metrics=metrics,
+        metrics=score_round_findings(chi.findings, attack_first),
         total_drops=sum(len(f.drops) for f in chi.findings),
         congestive_drops=sum(f.congestive_drops for f in chi.findings),
         malicious_drops_truth=(len(attack.dropped) if attack else 0),
         candidate_drops=sum(f.candidate_drops for f in chi.findings),
-        rounds=rounds,
+        rounds=[(f.round_index, len(f.drops), f.candidate_drops,
+                 (f.max_single_confidence if droptail
+                  else f.combined_confidence), f.alarmed)
+                for f in chi.findings],
         malicious_by_round=by_round,
     )
-    if scenario.connector is not None:
-        result.extra["syn_retries"] = float(scenario.connector.syn_retry_count())
-        setup = scenario.connector.setup_times()
-        if setup:
-            result.extra["mean_setup_time"] = sum(setup) / len(setup)
+    connector = scenario.connector
+    if connector is not None:
+        result.extra["syn_retries"] = float(connector.syn_retry_count())
+    if not droptail:
+        return result
+    setup = connector.setup_times() if connector is not None else []
+    if setup:
+        result.extra["mean_setup_time"] = sum(setup) / len(setup)
     # Attack damage, the paper's motivation: victim vs bystander goodput.
     victim = scenario.flows.get("tcp1")
     bystanders = [f for fid, f in scenario.flows.items() if fid != "tcp1"]
@@ -465,73 +464,137 @@ def _run_droptail(name: str, attack_factory, *,
     return result
 
 
-def fig6_5_no_attack(seed: int = 0, tau: float = 2.0,
-                     n_sources: int = 3) -> ScenarioResult:
-    """Fig 6.5: pure congestion — χ must stay silent."""
-    return _run_droptail("no-attack", None, seed=seed, tau=tau,
-                         n_sources=n_sources)
+#: Flat CLI parameter -> (type, its path in ``ScenarioSpec.to_dict()``).
+_FLAT_PARAMS = {
+    "seed": (int, ("seed",)),
+    "tau": (float, ("tau",)),
+    "n_sources": (int, ("traffic", "flows")),
+    "fraction": (float, ("adversary", "rate")),
+    "fill_threshold": (float, ("adversary", "options", "fill_threshold")),
+    "avg_threshold": (float, ("adversary", "options", "avg_threshold")),
+}
 
 
-def fig6_6_attack1(seed: int = 0, fraction: float = 0.2, tau: float = 2.0,
-                   n_sources: int = 3) -> ScenarioResult:
-    """Fig 6.6: drop 20% of the selected flow."""
-    return _run_droptail(
-        "attack1-drop20pct",
-        lambda s: DropFlowAttack(["tcp1"], fraction=fraction, seed=seed + 1),
-        seed=seed, tau=tau, n_sources=n_sources,
-    )
+def _holder(data: dict, path: Tuple[str, ...]) -> dict:
+    """The (nested) dict that holds ``path``'s last key."""
+    for key in path[:-1]:
+        data = data[key]
+    return data
 
 
-def chi_detection_bench(seed: int = 0, fraction: float = 0.2,
-                        tau: float = 2.0,
-                        n_sources: int = 2) -> ScenarioResult:
-    """A small, fast χ detection scenario for benchmarks and CI smoke.
+@dataclass(frozen=True)
+class TestbedRow:
+    """One χ experiment: a testbed spec plus the flat parameters it takes."""
 
-    The Fig 6.6 attack on a reduced source count (~2 s per run), sized
-    so a ``repro sweep chi --seeds 3`` with tracing and profiling fits
-    in a CI smoke job while still exercising the full attack →
-    monitor → detect pipeline.
-    """
-    return _run_droptail(
-        "chi-bench",
-        lambda s: DropFlowAttack(["tcp1"], fraction=fraction, seed=seed + 1),
-        seed=seed, tau=tau, n_sources=n_sources,
-    )
+    name: str  # registry name
+    label: str  # ScenarioResult.name
+    description: str
+    spec: ScenarioSpec
+    exposed: Tuple[str, ...]
 
+    @property
+    def params(self) -> Tuple[Tuple[str, type, object], ...]:
+        """(name, type, default read off the spec) per exposed parameter."""
+        data = self.spec.to_dict()
+        return tuple((name, kind, _holder(data, path)[path[-1]])
+                     for name in self.exposed
+                     for kind, path in [_FLAT_PARAMS[name]])
 
-def fig6_7_attack2(seed: int = 0, fill_threshold: float = 0.90,
-                   tau: float = 2.0, n_sources: int = 3) -> ScenarioResult:
-    """Fig 6.7: drop the selected flow only when the queue is 90% full."""
-    return _run_droptail(
-        "attack2-queue90",
-        lambda s: QueueConditionalDropAttack(["tcp1"],
-                                             fill_threshold=fill_threshold,
-                                             seed=seed + 1),
-        seed=seed, tau=tau, n_sources=n_sources,
-    )
+    def run(self, **flat) -> ScenarioResult:
+        data = self.spec.to_dict()
+        for name, value in flat.items():
+            path = _FLAT_PARAMS[name][1]
+            _holder(data, path)[path[-1]] = value
+        return run_testbed(self.label, ScenarioSpec.from_dict(data))
 
 
-def fig6_8_attack3(seed: int = 0, fill_threshold: float = 0.95,
-                   tau: float = 2.0, n_sources: int = 3) -> ScenarioResult:
-    """Fig 6.8: drop the selected flow only when the queue is 95% full."""
-    return _run_droptail(
-        "attack3-queue95",
-        lambda s: QueueConditionalDropAttack(["tcp1"],
-                                             fill_threshold=fill_threshold,
-                                             seed=seed + 1),
-        seed=seed, tau=tau, n_sources=n_sources,
-    )
+def _droptail(adversary: Optional[AdversarySpec] = None,
+              **load) -> ScenarioSpec:
+    """Figs 6.5-6.9: learn 20 s, monitor rounds 10-44, 110 s in all."""
+    return droptail_spec(adversary=adversary, rounds=44, **load)
 
 
-def fig6_9_attack4(seed: int = 0, tau: float = 2.0,
-                   n_sources: int = 3) -> ScenarioResult:
-    """Fig 6.9: SYN-drop a host trying to open connections."""
-    return _run_droptail(
-        "attack4-syn",
-        lambda s: SynDropAttack("vsink", seed=seed + 1),
-        with_connector=True,
-        seed=seed, tau=tau, n_sources=n_sources,
-    )
+def _red(adversary: Optional[AdversarySpec] = None, end: float = 300.0,
+         **load) -> ScenarioSpec:
+    """Figs 6.11-6.16: monitor every 5 s round from 1 until ``end``."""
+    return red_spec(adversary=adversary, rounds=int(end / 5.0) - 1, end=end,
+                    **load)
+
+
+def _attack(behavior: str, rate: float = 1.0, flows=("tcp1",),
+            **options) -> AdversarySpec:
+    """An adversary on the selected flow(s); ``tcp1`` is the convention."""
+    return AdversarySpec(behavior, rate,
+                         options=dict(options, flows=list(flows)))
+
+
+def _red_avg(avg_threshold: int, rate: float = 1.0,
+             **options) -> AdversarySpec:
+    """Figs 6.12-6.15 select two flows, dropped above a RED average."""
+    return _attack("red-avg-drop", rate, ("tcp1", "tcp2"),
+                   avg_threshold=avg_threshold, **options)
+
+
+_SYN_DROP = AdversarySpec("syn-drop", options={"victim": "vsink"})
+_LOAD = ("seed", "tau", "n_sources")
+
+TESTBED_ROWS: Tuple[TestbedRow, ...] = (
+    TestbedRow("fig6_5", "no-attack", "Fig 6.5: droptail, pure congestion",
+               _droptail(), _LOAD),
+    TestbedRow("fig6_6", "attack1-drop20pct",
+               "Fig 6.6: drop 20% of the selected flow",
+               _droptail(_attack("drop", 0.2)),
+               ("seed", "fraction", "tau", "n_sources")),
+    # Fig 6.6 on two sources (~2 s a run): a traced, profiled sweep of it
+    # fits a CI smoke job and still goes attack -> monitor -> detect.
+    TestbedRow("chi", "chi-bench",
+               "bench: small, fast χ detection scenario "
+               "(CI smoke / profiling)",
+               _droptail(_attack("drop", 0.2), n_sources=2),
+               ("seed", "fraction", "tau", "n_sources")),
+    TestbedRow("tcp_heavy", "tcp-heavy",
+               "bench: TCP-heavy droptail congestion, no attack",
+               _droptail(n_sources=6, with_connector=True),
+               ("seed", "n_sources", "tau")),
+    TestbedRow("adversary_heavy", "adversary-heavy",
+               "bench: RED with combined conditional-drop + SYN-drop "
+               "adversary",
+               _red(_red_avg(45_000, also={
+                        "behavior": "syn-drop",
+                        "options": {"victim": "vsink", "seed_offset": 2}}),
+                    end=200.0, with_connector=True),
+               ("seed", "n_sources", "avg_threshold")),
+    TestbedRow("fig6_7", "attack2-queue90",
+               "Fig 6.7: drop selected flow at queue 90%",
+               _droptail(_attack("queue-drop", fill_threshold=0.90)),
+               ("seed", "fill_threshold", "tau", "n_sources")),
+    TestbedRow("fig6_8", "attack3-queue95",
+               "Fig 6.8: drop selected flow at queue 95%",
+               _droptail(_attack("queue-drop", fill_threshold=0.95)),
+               ("seed", "fill_threshold", "tau", "n_sources")),
+    TestbedRow("fig6_9", "attack4-syn", "Fig 6.9: SYN-drop a connecting host",
+               _droptail(_SYN_DROP, with_connector=True), _LOAD),
+    TestbedRow("fig6_11", "red-no-attack", "Fig 6.11: RED, no attack",
+               _red(), _LOAD),
+    TestbedRow("fig6_12", "red-attack1-45k",
+               "Fig 6.12: RED drop above 45,000 bytes",
+               _red(_red_avg(45_000)),
+               ("seed", "avg_threshold", "n_sources")),
+    TestbedRow("fig6_13", "red-attack2-54k",
+               "Fig 6.13: RED drop above 54,000 bytes",
+               _red(_red_avg(54_000), end=600.0, n_sources=12),
+               ("seed", "avg_threshold", "n_sources")),
+    TestbedRow("fig6_14", "red-attack3-10pct",
+               "Fig 6.14: RED drop 10% above 45,000 bytes",
+               _red(_red_avg(45_000, 0.10), end=500.0),
+               ("seed", "fraction", "avg_threshold")),
+    TestbedRow("fig6_15", "red-attack4-5pct",
+               "Fig 6.15: RED drop 5% above 45,000 bytes",
+               _red(_red_avg(45_000, 0.05), end=700.0),
+               ("seed", "fraction", "avg_threshold")),
+    TestbedRow("fig6_16", "red-attack5-syn", "Fig 6.16: RED SYN-drop",
+               _red(_SYN_DROP, with_connector=True), ("seed",)),
+)
 
 
 @register_result_type
@@ -560,10 +623,9 @@ def fig6_3_ns_simulation(
     """Fig 6.3: χ detection across attack intensities (NS-style sweep)."""
     points = []
     for rate in rates:
-        factory = (None if rate == 0.0 else
-                   (lambda s, r=rate: DropFlowAttack(["tcp1"], fraction=r,
-                                                     seed=seed + 7)))
-        result = _run_droptail(f"ns-{rate}", factory, seed=seed)
+        result = run_testbed(f"ns-{rate}", _droptail(
+            _attack("drop" if rate else "none", rate, seed_offset=7),
+            seed=seed))
         points.append(NsSimPoint(
             drop_rate=rate,
             detected=result.detected,
@@ -645,14 +707,11 @@ def chi_vs_static_threshold(
     χ and per-round static loss thresholds on each."""
     attack_at, tau = 50.0, 2.0
     first_attack_round = int(attack_at / tau)
-    benign = _run_droptail("benign", None, seed=seed,
-                           attack_at=attack_at, tau=tau)
-    attack = _run_droptail(
-        "subtle",
-        lambda s: QueueConditionalDropAttack(["tcp1"], fill_threshold=0.90,
-                                             seed=seed + 1),
-        seed=seed, attack_at=attack_at, tau=tau,
-    )
+    benign = run_testbed("benign", _droptail(
+        seed=seed, tau=tau, attack_at=attack_at))
+    attack = run_testbed("subtle", _droptail(
+        _attack("queue-drop", fill_threshold=0.90),
+        seed=seed, tau=tau, attack_at=attack_at))
     benign_losses = [drops for (_r, drops, _c, _conf, _a) in benign.rounds]
     attack_losses = {r: drops for (r, drops, _c, _conf, _a) in attack.rounds}
     attack_round_losses = [d for r, d in attack_losses.items()
@@ -684,124 +743,7 @@ def chi_vs_static_threshold(
 
 
 # ---------------------------------------------------------------------------
-# RED scenarios — Figs 6.11-6.16
-# ---------------------------------------------------------------------------
-
-def _run_red(name: str, attack_factory, *,
-             monitor_rounds: Tuple[int, int] = (1, 59),
-             attack_at: float = 50.0,
-             end: float = 300.0,
-             with_connector: bool = False,
-             tau: float = 5.0,
-             n_sources: int = 8,
-             seed: int = 0) -> ScenarioResult:
-    scenario = _red_scenario(tau=tau, seed=seed, n_sources=n_sources,
-                             with_connector=with_connector)
-    net = scenario.network
-    chi = scenario.chi
-    chi.schedule_rounds(*monitor_rounds)
-    net.run(attack_at)
-    attack = None
-    if attack_factory is not None:
-        attack = attack_factory(scenario)
-        net.routers["r"].compromise = attack
-    net.run(end)
-    attack_first = (int(attack_at / tau) if attack_factory is not None
-                    else None)
-    metrics = score_round_findings(chi.findings, attack_first)
-    rounds = [(f.round_index, len(f.drops), f.candidate_drops,
-               f.combined_confidence, f.alarmed) for f in chi.findings]
-    by_round: Dict[int, int] = {}
-    if attack is not None:
-        for when in attack.drop_times:
-            by_round[int(when / tau)] = by_round.get(int(when / tau), 0) + 1
-    result = ScenarioResult(
-        name=name,
-        metrics=metrics,
-        total_drops=sum(len(f.drops) for f in chi.findings),
-        congestive_drops=sum(f.congestive_drops for f in chi.findings),
-        malicious_drops_truth=(len(attack.dropped) if attack else 0),
-        candidate_drops=sum(f.candidate_drops for f in chi.findings),
-        rounds=rounds,
-        malicious_by_round=by_round,
-    )
-    if scenario.connector is not None:
-        result.extra["syn_retries"] = float(scenario.connector.syn_retry_count())
-    return result
-
-
-def fig6_11_red_no_attack(seed: int = 0, tau: float = 5.0,
-                          n_sources: int = 8) -> ScenarioResult:
-    """Fig 6.11: RED losses only — χ must stay silent."""
-    return _run_red("red-no-attack", None, seed=seed, tau=tau,
-                    n_sources=n_sources)
-
-
-def fig6_12_red_attack1(seed: int = 0, avg_threshold: float = 45_000,
-                        n_sources: int = 8) -> ScenarioResult:
-    """Fig 6.12: drop the selected flows when avg queue > 45,000 bytes."""
-    return _run_red(
-        "red-attack1-45k",
-        lambda s: REDAverageConditionalDropAttack(["tcp1", "tcp2"],
-                                                  avg_threshold=avg_threshold,
-                                                  seed=seed + 1),
-        seed=seed, n_sources=n_sources,
-    )
-
-
-def fig6_13_red_attack2(seed: int = 0, avg_threshold: float = 54_000,
-                        n_sources: int = 12) -> ScenarioResult:
-    """Fig 6.13: drop the selected flows when avg queue > 54,000 bytes."""
-    return _run_red(
-        "red-attack2-54k",
-        lambda s: REDAverageConditionalDropAttack(["tcp1", "tcp2"],
-                                                  avg_threshold=avg_threshold,
-                                                  seed=seed + 1),
-        n_sources=n_sources, end=600.0, monitor_rounds=(1, 119),
-        seed=seed,
-    )
-
-
-def fig6_14_red_attack3(seed: int = 0, fraction: float = 0.10,
-                        avg_threshold: float = 45_000) -> ScenarioResult:
-    """Fig 6.14: drop 10% of the selected flows above 45,000 bytes."""
-    return _run_red(
-        "red-attack3-10pct",
-        lambda s: REDAverageConditionalDropAttack(["tcp1", "tcp2"],
-                                                  avg_threshold=avg_threshold,
-                                                  fraction=fraction,
-                                                  seed=seed + 1),
-        end=500.0, monitor_rounds=(1, 99),
-        seed=seed,
-    )
-
-
-def fig6_15_red_attack4(seed: int = 0, fraction: float = 0.05,
-                        avg_threshold: float = 45_000) -> ScenarioResult:
-    """Fig 6.15: drop 5% of the selected flows above 45,000 bytes."""
-    return _run_red(
-        "red-attack4-5pct",
-        lambda s: REDAverageConditionalDropAttack(["tcp1", "tcp2"],
-                                                  avg_threshold=avg_threshold,
-                                                  fraction=fraction,
-                                                  seed=seed + 1),
-        end=700.0, monitor_rounds=(1, 139),
-        seed=seed,
-    )
-
-
-def fig6_16_red_attack5(seed: int = 0) -> ScenarioResult:
-    """Fig 6.16: SYN-drop a host behind the RED bottleneck."""
-    return _run_red(
-        "red-attack5-syn",
-        lambda s: SynDropAttack("vsink", seed=seed + 1),
-        with_connector=True,
-        seed=seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Packet-plane protocol benches — Π2 / Πk+2 / tcp-heavy / adversary-heavy
+# Packet-plane protocol benches — Π2 / Πk+2
 # ---------------------------------------------------------------------------
 
 @register_result_type
@@ -868,8 +810,8 @@ def _run_protocol_bench(name: str, protocol_name: str, *,
                                 config=PiK2Config(k=1))
         max_precision = 3
     protocol.schedule_rounds(0, 3)
-    net.routers[bad_router].compromise = DropFlowAttack(
-        ["f1", "f2"], fraction=fraction, seed=seed + 1)
+    net.routers[bad_router].compromise = AdversarySpec(
+        "drop", fraction).build(net, bad_router, ["f1", "f2"], seed)
     CBRSource(net, "r1", "r6", "f1", rate_bps=rate_bps, duration=duration)
     CBRSource(net, "r6", "r1", "f2", rate_bps=rate_bps, duration=duration)
     net.run(end)
@@ -904,32 +846,6 @@ def pik2_bench(seed: int = 0, bad_router: str = "r3",
     return _run_protocol_bench("pik2-bench", "pik2", seed=seed,
                                bad_router=bad_router, fraction=fraction,
                                rate_bps=rate_bps)
-
-
-def tcp_heavy_bench(seed: int = 0, n_sources: int = 6,
-                    tau: float = 2.0) -> ScenarioResult:
-    """TCP-heavy droptail workload: many sources + connection setup,
-    congestion only — stresses queues and the χ monitor with no attack."""
-    return _run_droptail("tcp-heavy", None, seed=seed, tau=tau,
-                         n_sources=n_sources, with_connector=True)
-
-
-def adversary_heavy_bench(seed: int = 0, n_sources: int = 8,
-                          avg_threshold: float = 45_000) -> ScenarioResult:
-    """Adversary-heavy RED workload: a combined RED-conditional dropper
-    plus SYN-dropper — stresses the attack hooks on every packet."""
-    return _run_red(
-        "adversary-heavy",
-        lambda s: CombinedCompromise(
-            REDAverageConditionalDropAttack(["tcp1", "tcp2"],
-                                            avg_threshold=avg_threshold,
-                                            seed=seed + 1),
-            SynDropAttack("vsink", seed=seed + 2),
-        ),
-        with_connector=True,
-        end=200.0, monitor_rounds=(1, 39),
-        seed=seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1194,9 +1110,8 @@ def traffic_modeling_comparison(seed: int = 0) -> ModelingComparison:
     The paper verified Q's normality but found (µ, σ) predictions too
     rough for detection; this experiment quantifies the gap on our
     testbed."""
-    scenario = _droptail_scenario(n_sources=3, seed=seed)
-    net = scenario.network
-    net.run(120.0)
+    scenario = build_scenario(droptail_spec(n_sources=3, seed=seed))
+    scenario.network.run(120.0)
     queue = scenario.bottleneck_queue
     offered = queue.enqueues + queue.drops
     observed = queue.drops / offered if offered else 0.0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.chi import RoundFinding
 from repro.eval.results import EvalResultBase, register_result_type
@@ -95,8 +95,3 @@ def score_round_findings(
             if finding.alarmed:
                 metrics.false_positive_rounds += 1
     return metrics
-
-
-def mean(values: Iterable[float]) -> float:
-    values = list(values)
-    return sum(values) / len(values) if values else 0.0

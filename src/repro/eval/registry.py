@@ -277,7 +277,9 @@ class ExperimentSpec:
     ``params`` is the typed parameter table; leave it empty and it is
     derived from ``fn``'s signature (explicit entries override the
     derived ones by name, so a spec can e.g. add ``choices`` to one
-    parameter without restating the rest).
+    parameter without restating the rest; an ``fn`` taking ``**kwargs``
+    accepts whatever is declared).  ``defaults`` are folded into the
+    table, so it always shows the values a bare run uses.
     """
 
     name: str
@@ -288,16 +290,20 @@ class ExperimentSpec:
     params: Tuple[ParamSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        derived = params_from_signature(self.fn)
-        overrides = {p.name: p for p in self.params}
-        unknown = sorted(set(overrides) - {p.name for p in derived})
-        if unknown:
+        table = {p.name: p for p in params_from_signature(self.fn)}
+        unknown = sorted(p.name for p in self.params if p.name not in table)
+        if unknown and not any(
+                p.kind is p.VAR_KEYWORD
+                for p in inspect.signature(self.fn).parameters.values()):
             raise ValueError(
                 f"experiment {self.name!r} declares ParamSpec(s) "
                 f"{', '.join(unknown)} not in {self.fn.__name__}'s "
                 f"signature")
-        merged = tuple(overrides.get(p.name, p) for p in derived)
-        object.__setattr__(self, "params", merged)
+        table.update((p.name, p) for p in self.params)
+        for name, value in self.defaults:
+            if name in table:
+                table[name] = replace(table[name], default=value)
+        object.__setattr__(self, "params", tuple(table.values()))
 
     @property
     def param_names(self) -> Tuple[str, ...]:
@@ -375,6 +381,15 @@ def run_experiment(name: str, params: Mapping[str, object] = {}) -> object:
     return get(name).run(**dict(params))
 
 
+#: One spec per row of the χ testbed table: the row's bound ``run`` takes
+#: the flat parameters the row exposes and maps them onto its ScenarioSpec.
+_TESTBED = [
+    ExperimentSpec(_row.name, _row.run, report_scenario,
+                   description=_row.description,
+                   params=tuple(ParamSpec(*_param) for _param in _row.params))
+    for _row in ex.TESTBED_ROWS
+]
+
 for _spec in (
     ExperimentSpec("fig5_2", ex.fig5_2_pr_pi2, report_pr_curve,
                    defaults=(("topology", "ebone"),),
@@ -388,42 +403,12 @@ for _spec in (
                    description="Fig 5.7: Fatih attack/detect/reroute timeline"),
     ExperimentSpec("fig6_3", ex.fig6_3_ns_simulation, report_ns_points,
                    description="Fig 6.3: χ detection across attack rates"),
-    ExperimentSpec("fig6_5", ex.fig6_5_no_attack, report_scenario,
-                   description="Fig 6.5: droptail, pure congestion"),
-    ExperimentSpec("fig6_6", ex.fig6_6_attack1, report_scenario,
-                   description="Fig 6.6: drop 20% of the selected flow"),
-    ExperimentSpec("chi", ex.chi_detection_bench, report_scenario,
-                   description="bench: small, fast χ detection scenario "
-                               "(CI smoke / profiling)"),
+    *_TESTBED[:3],  # fig6_5, fig6_6, chi: `repro list` keeps its order
     ExperimentSpec("pi2_bench", ex.pi2_bench, report_protocol_bench,
                    description="bench: Π2 packet-plane run, 6-router chain"),
     ExperimentSpec("pik2_bench", ex.pik2_bench, report_protocol_bench,
                    description="bench: Πk+2 packet-plane run, 6-router chain"),
-    ExperimentSpec("tcp_heavy", ex.tcp_heavy_bench, report_scenario,
-                   description="bench: TCP-heavy droptail congestion, "
-                               "no attack"),
-    ExperimentSpec("adversary_heavy", ex.adversary_heavy_bench,
-                   report_scenario,
-                   description="bench: RED with combined conditional-drop "
-                               "+ SYN-drop adversary"),
-    ExperimentSpec("fig6_7", ex.fig6_7_attack2, report_scenario,
-                   description="Fig 6.7: drop selected flow at queue 90%"),
-    ExperimentSpec("fig6_8", ex.fig6_8_attack3, report_scenario,
-                   description="Fig 6.8: drop selected flow at queue 95%"),
-    ExperimentSpec("fig6_9", ex.fig6_9_attack4, report_scenario,
-                   description="Fig 6.9: SYN-drop a connecting host"),
-    ExperimentSpec("fig6_11", ex.fig6_11_red_no_attack, report_scenario,
-                   description="Fig 6.11: RED, no attack"),
-    ExperimentSpec("fig6_12", ex.fig6_12_red_attack1, report_scenario,
-                   description="Fig 6.12: RED drop above 45,000 bytes"),
-    ExperimentSpec("fig6_13", ex.fig6_13_red_attack2, report_scenario,
-                   description="Fig 6.13: RED drop above 54,000 bytes"),
-    ExperimentSpec("fig6_14", ex.fig6_14_red_attack3, report_scenario,
-                   description="Fig 6.14: RED drop 10% above 45,000 bytes"),
-    ExperimentSpec("fig6_15", ex.fig6_15_red_attack4, report_scenario,
-                   description="Fig 6.15: RED drop 5% above 45,000 bytes"),
-    ExperimentSpec("fig6_16", ex.fig6_16_red_attack5, report_scenario,
-                   description="Fig 6.16: RED SYN-drop"),
+    *_TESTBED[3:],
     ExperimentSpec("threshold", ex.chi_vs_static_threshold, report_threshold,
                    description="§6.4.3: χ vs static loss thresholds"),
     ExperimentSpec("response", ex.response_strategy_ablation, report_response,

@@ -13,25 +13,19 @@ stamped into it by the sweep worker.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Type
+from typing import Dict, List, Mapping, Protocol, Type, runtime_checkable
 
-try:  # Protocol is 3.8+; keep a soft fallback for exotic interpreters.
-    from typing import Protocol, runtime_checkable
+@runtime_checkable
+class EvalResult(Protocol):
+    """What every experiment result type must implement."""
 
-    @runtime_checkable
-    class EvalResult(Protocol):
-        """What every experiment result type must implement."""
+    def to_dict(self) -> dict: ...
 
-        def to_dict(self) -> dict: ...
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "EvalResult": ...
 
-        @classmethod
-        def from_dict(cls, data: Mapping) -> "EvalResult": ...
-
-        @classmethod
-        def fields(cls) -> List[str]: ...
-
-except ImportError:  # pragma: no cover
-    EvalResult = object  # type: ignore[assignment,misc]
+    @classmethod
+    def fields(cls) -> List[str]: ...
 
 
 class EvalResultBase:

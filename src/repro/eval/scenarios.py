@@ -6,10 +6,10 @@ Two families live here:
   source routers feeding one router ``r`` whose output link to ``rd`` is
   the bottleneck; TCP flows congest the bottleneck queue and a victim
   flow is what the compromised ``r`` attacks.  Spec helpers
-  :func:`droptail_spec` / :func:`red_spec` describe it; the legacy
-  positional builders :func:`build_droptail_scenario` /
-  :func:`build_red_scenario` remain as one-release deprecation shims.
-* WedgeTail-style attack matrices: :func:`build_scenario` on any
+  :func:`droptail_spec` / :func:`red_spec` describe it (queue
+  discipline, load, adversary, schedule); :func:`build_scenario` returns
+  a :class:`BottleneckScenario` with a χ detector on the bottleneck.
+* WedgeTail-style attack matrices: :func:`build_scenario` on any other
   catalogued :class:`~repro.eval.specs.ScenarioSpec` resolves adversary
   placement, routes monitored flows across the bad router and arms a
   Π2 detector over their segments, returning an :class:`AttackScenario`.
@@ -18,7 +18,6 @@ Two families live here:
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -108,114 +107,22 @@ class RepeatedConnector:
         return sum(f.syn_retries for f in self.connections)
 
 
-@dataclass
-class DropTailScenario:
-    network: Network
-    chi: ProtocolChi
-    schedule: RoundSchedule
-    oracle: PathOracle
-    flows: Dict[str, TCPFlow]
-    target: Tuple[str, str]
-    connector: Optional[RepeatedConnector] = None
-
-    @property
-    def bottleneck_queue(self):
-        router, downstream = self.target
-        return self.network.routers[router].interfaces[downstream].queue
-
-
-@dataclass
-class REDScenario:
-    network: Network
-    chi: ProtocolChi
-    schedule: RoundSchedule
-    oracle: PathOracle
-    flows: Dict[str, TCPFlow]
-    target: Tuple[str, str]
-    red_params: REDParams
-    connector: Optional[RepeatedConnector] = None
-
-    @property
-    def bottleneck_queue(self):
-        router, downstream = self.target
-        return self.network.routers[router].interfaces[downstream].queue
-
-
-def _simple_topology(n_sources: int, bottleneck_bw: float,
-                     queue_limit: int, with_victim_sink: bool) -> Topology:
+def _simple_topology(n_sources: int = 3,
+                     bottleneck_bw: float = 1.0 * MBPS,
+                     queue_limit: int = 60_000,
+                     with_victim_sink: bool = False) -> Topology:
     topo = Topology("fig6.4-simple")
-    for i in range(n_sources):
+    for i in range(int(n_sources)):
         topo.add_link(f"s{i}", "r", bandwidth=80 * MBPS, delay=0.002)
-    topo.add_link("r", "rd", bandwidth=bottleneck_bw, delay=0.005,
-                  queue_limit=queue_limit)
+    topo.add_link("r", "rd", bandwidth=float(bottleneck_bw), delay=0.005,
+                  queue_limit=int(queue_limit))
     topo.add_link("rd", "sink", bandwidth=80 * MBPS, delay=0.002)
     if with_victim_sink:
         topo.add_link("rd", "vsink", bandwidth=80 * MBPS, delay=0.002)
     return topo
 
 
-def _simple_topology_factory(n_sources: int = 3,
-                             bottleneck_bw: float = 1.0 * MBPS,
-                             queue_limit: int = 60_000,
-                             with_victim_sink: bool = False) -> Topology:
-    return _simple_topology(int(n_sources), float(bottleneck_bw),
-                            int(queue_limit), bool(with_victim_sink))
-
-
-register_topology("simple", _simple_topology_factory)
-
-
-# -- deprecation shims ------------------------------------------------------
-
-_SHIM_WARNED: set = set()
-
-
-def _warn_once(name: str, replacement: str) -> None:
-    if name in _SHIM_WARNED:
-        return
-    _SHIM_WARNED.add(name)
-    warnings.warn(
-        f"{name}() is deprecated; build a spec with {replacement} and "
-        f"pass it to build_scenario() instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def _droptail_scenario(
-    n_sources: int = 3,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 60_000,
-    tau: float = 2.0,
-    proc_jitter: float = 0.0004,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> DropTailScenario:
-    """The droptail testbed of Figs 6.5-6.9.
-
-    One long-lived TCP flow per source router toward ``sink``; the flow
-    from ``s1`` is the conventional attack victim ("selected flow").
-    With ``with_connector`` a repeated-connection host runs from ``s0``
-    toward ``vsink`` (the SYN-attack victim).
-    """
-    topo = _simple_topology(n_sources, bottleneck_bw, queue_limit,
-                            with_victim_sink=with_connector)
-    net = Network(topo, proc_jitter=proc_jitter, seed=seed)
-    paths = install_static_routes(net)
-    oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=tau)
-    chi = ProtocolChi(net, oracle, schedule, targets=[("r", "rd")],
-                      config=chi_config or ChiConfig())
-    flows = {}
-    for i in range(n_sources):
-        flow_id = f"tcp{i}"
-        flows[flow_id] = TCPFlow(net, f"s{i}", "sink", flow_id,
-                                 start=0.1 * (i + 1))
-    connector = None
-    if with_connector:
-        connector = RepeatedConnector(net, "s0", "vsink", start=0.5)
-    return DropTailScenario(network=net, chi=chi, schedule=schedule,
-                            oracle=oracle, flows=flows, target=("r", "rd"),
-                            connector=connector)
+register_topology("simple", _simple_topology)
 
 
 # RED parameters calibrated so that, under the default 8-flow load on a
@@ -225,90 +132,112 @@ DEFAULT_RED_PARAMS = REDParams(
     min_th=30_000, max_th=90_000, max_p=0.05, weight=0.002,
 )
 
+#: Where the droptail (Figs 6.5-6.9) and RED (Figs 6.11-6.16) testbeds
+#: differ unless the spec's options say otherwise: queue size, router
+#: jitter and the Ch. 6 schedule (times in seconds; only droptail
+#: validation is calibrated, so only it learns first).
+_QUEUE_DEFAULTS: Dict[str, Dict[str, object]] = {
+    "droptail": {"queue_limit": 60_000, "proc_jitter": 0.0004,
+                 "learning_until": 20.0,
+                 "first_round": 10, "attack_at": 50.0, "end": 110.0},
+    "red": {"queue_limit": 120_000, "proc_jitter": 0.0,
+            "first_round": 1, "attack_at": 50.0, "end": 300.0},
+}
 
-def _red_scenario(
-    n_sources: int = 8,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 120_000,
-    tau: float = 5.0,
-    red_params: Optional[REDParams] = None,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> REDScenario:
-    """The RED testbed of Figs 6.11-6.16."""
-    params = red_params or DEFAULT_RED_PARAMS
-    topo = _simple_topology(n_sources, bottleneck_bw, queue_limit,
-                            with_victim_sink=with_connector)
 
-    def queue_factory(link):
+@dataclass
+class BottleneckScenario:
+    """The built Fig 6.4 testbed: network, χ on the bottleneck, traffic.
+
+    ``red_params`` is None on a droptail bottleneck.  ``attack`` already
+    sits on router ``r``, dormant until ``options["attack_at"]``;
+    ``options`` is the spec's scenario options over the defaults of its
+    queue discipline (:func:`repro.eval.experiments.run_testbed` plays
+    the schedule they describe).
+    """
+
+    network: Network
+    chi: ProtocolChi
+    flows: Dict[str, TCPFlow]
+    target: Tuple[str, str]
+    red_params: Optional[REDParams]
+    connector: Optional[RepeatedConnector]
+    attack: Optional[Compromise]
+    options: Dict[str, object]
+
+    @property
+    def bottleneck_queue(self):
+        router, downstream = self.target
+        return self.network.routers[router].interfaces[downstream].queue
+
+
+def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
+    """The droptail or RED testbed, by the scenario option ``queue``.
+
+    One long-lived TCP flow per source router toward ``sink``; the flow
+    from ``s1`` is the conventional attack victim ("selected flow").
+    With the ``with_connector`` option a repeated-connection host runs
+    from ``s0`` toward ``vsink`` (the SYN-attack victim).
+    """
+    queue = str(spec.option("queue", "droptail"))
+    if queue not in _QUEUE_DEFAULTS:
+        raise ValueError(
+            f"unknown queue option {queue!r}; 'droptail' or 'red'")
+    options = dict(_QUEUE_DEFAULTS[queue], **dict(spec.options))
+    red_params = DEFAULT_RED_PARAMS if queue == "red" else None
+    with_connector = bool(options.get("with_connector", False))
+    topo = _simple_topology(
+        spec.traffic.flows,
+        spec.topology.option("bottleneck_bw", 1.0 * MBPS),
+        spec.topology.option("queue_limit", options["queue_limit"]),
+        with_victim_sink=with_connector)
+
+    def red_bottleneck(link):
         if link.src == "r" and link.dst == "rd":
-            return REDQueue(link.queue_limit, params=params,
-                            rng=random.Random(seed + 1))
+            return REDQueue(link.queue_limit, params=red_params,
+                            rng=random.Random(spec.seed + 1))
         return DropTailQueue(link.queue_limit)
 
-    net = Network(topo, queue_factory=queue_factory, proc_jitter=0.0,
-                  seed=seed)
-    paths = install_static_routes(net)
-    oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=tau)
-    config = chi_config or ChiConfig(red_params=params)
-    if config.red_params is None:
-        config.red_params = params
-    chi = ProtocolChi(net, oracle, schedule, targets=[("r", "rd")],
-                      config=config)
-    flows = {}
-    for i in range(n_sources):
-        flow_id = f"tcp{i}"
-        flows[flow_id] = TCPFlow(net, f"s{i}", "sink", flow_id,
-                                 start=0.15 * (i + 1))
-    connector = None
-    if with_connector:
-        connector = RepeatedConnector(net, "s0", "vsink", start=0.5)
-    return REDScenario(network=net, chi=chi, schedule=schedule,
-                       oracle=oracle, flows=flows, target=("r", "rd"),
-                       red_params=params, connector=connector)
-
-
-def build_droptail_scenario(
-    n_sources: int = 3,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 60_000,
-    tau: float = 2.0,
-    proc_jitter: float = 0.0004,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> DropTailScenario:
-    """Deprecated positional builder; use :func:`droptail_spec` +
-    :func:`build_scenario` (kept for one release)."""
-    _warn_once("build_droptail_scenario", "droptail_spec(...)")
-    return _droptail_scenario(
-        n_sources=n_sources, bottleneck_bw=bottleneck_bw,
-        queue_limit=queue_limit, tau=tau, proc_jitter=proc_jitter,
-        with_connector=with_connector, chi_config=chi_config, seed=seed)
-
-
-def build_red_scenario(
-    n_sources: int = 8,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 120_000,
-    tau: float = 5.0,
-    red_params: Optional[REDParams] = None,
-    with_connector: bool = False,
-    chi_config: Optional[ChiConfig] = None,
-    seed: int = 0,
-) -> REDScenario:
-    """Deprecated positional builder; use :func:`red_spec` +
-    :func:`build_scenario` (kept for one release)."""
-    _warn_once("build_red_scenario", "red_spec(...)")
-    return _red_scenario(
-        n_sources=n_sources, bottleneck_bw=bottleneck_bw,
-        queue_limit=queue_limit, tau=tau, red_params=red_params,
-        with_connector=with_connector, chi_config=chi_config, seed=seed)
+    net = Network(topo, queue_factory=red_bottleneck if red_params else None,
+                  proc_jitter=options["proc_jitter"], seed=spec.seed)
+    chi = ProtocolChi(net, PathOracle(install_static_routes(net)),
+                      RoundSchedule(tau=spec.tau), targets=[("r", "rd")],
+                      config=ChiConfig(red_params=red_params))
+    stagger = 0.15 if red_params else 0.1  # seconds between flow starts
+    flows = {f"tcp{i}": TCPFlow(net, f"s{i}", "sink", f"tcp{i}",
+                                start=stagger * (i + 1))
+             for i in range(spec.traffic.flows)}
+    connector = (RepeatedConnector(net, "s0", "vsink", start=0.5)
+                 if with_connector else None)
+    attack = spec.adversary.build(net, "r", sorted(flows), spec.seed)
+    if attack is not None:
+        attack.activate_between(options["attack_at"])
+        net.routers["r"].compromise = attack
+    return BottleneckScenario(
+        network=net, chi=chi, flows=flows, target=("r", "rd"),
+        red_params=red_params, connector=connector, attack=attack,
+        options=options)
 
 
 # -- spec constructors for the simple testbed -------------------------------
+
+def _testbed_spec(queue: str, n_sources: int, bottleneck_bw: float,
+                  queue_limit: int, tau: float, seed: int,
+                  adversary: Optional[AdversarySpec], rounds: int,
+                  options: Dict[str, object]) -> ScenarioSpec:
+    return ScenarioSpec(
+        topology=TopologySpec("simple", options={
+            "bottleneck_bw": float(bottleneck_bw),
+            "queue_limit": int(queue_limit),
+        }),
+        adversary=adversary or AdversarySpec(behavior="none"),
+        placement=PlacementSpec(strategy="fixed", router="r"),
+        traffic=TrafficSpec(kind="tcp", flows=n_sources,
+                            rate_bps=float(bottleneck_bw)),
+        tau=tau, rounds=rounds, seed=seed,
+        options=dict(options, queue=queue),
+    )
+
 
 def droptail_spec(
     n_sources: int = 3,
@@ -318,21 +247,21 @@ def droptail_spec(
     proc_jitter: float = 0.0004,
     with_connector: bool = False,
     seed: int = 0,
+    adversary: Optional[AdversarySpec] = None,
+    rounds: int = 3,
+    **schedule: float,
 ) -> ScenarioSpec:
-    """Spec form of the droptail testbed (Figs 6.5-6.9)."""
-    return ScenarioSpec(
-        topology=TopologySpec("simple", options={
-            "bottleneck_bw": float(bottleneck_bw),
-            "queue_limit": int(queue_limit),
-        }),
-        adversary=AdversarySpec(behavior="none"),
-        placement=PlacementSpec(strategy="fixed", router="r"),
-        traffic=TrafficSpec(kind="tcp", flows=n_sources,
-                            rate_bps=float(bottleneck_bw)),
-        tau=tau, seed=seed,
-        options={"queue": "droptail", "proc_jitter": float(proc_jitter),
-                 "with_connector": bool(with_connector)},
-    )
+    """Spec form of the droptail testbed (Figs 6.5-6.9).
+
+    ``adversary`` compromises router ``r``; ``rounds`` is the last
+    monitored round; ``schedule`` overrides the ``learning_until``,
+    ``first_round``, ``attack_at`` and ``end`` scenario options.
+    """
+    return _testbed_spec(
+        "droptail", n_sources, bottleneck_bw, queue_limit, tau, seed,
+        adversary, rounds,
+        dict(schedule, proc_jitter=float(proc_jitter),
+             with_connector=bool(with_connector)))
 
 
 def red_spec(
@@ -342,21 +271,16 @@ def red_spec(
     tau: float = 5.0,
     with_connector: bool = False,
     seed: int = 0,
+    adversary: Optional[AdversarySpec] = None,
+    rounds: int = 3,
+    **schedule: float,
 ) -> ScenarioSpec:
-    """Spec form of the RED testbed (Figs 6.11-6.16)."""
-    return ScenarioSpec(
-        topology=TopologySpec("simple", options={
-            "bottleneck_bw": float(bottleneck_bw),
-            "queue_limit": int(queue_limit),
-        }),
-        adversary=AdversarySpec(behavior="none"),
-        placement=PlacementSpec(strategy="fixed", router="r"),
-        traffic=TrafficSpec(kind="tcp", flows=n_sources,
-                            rate_bps=float(bottleneck_bw)),
-        tau=tau, seed=seed,
-        options={"queue": "red",
-                 "with_connector": bool(with_connector)},
-    )
+    """Spec form of the RED testbed (Figs 6.11-6.16); see
+    :func:`droptail_spec` (RED validation has no learning period)."""
+    return _testbed_spec(
+        "red", n_sources, bottleneck_bw, queue_limit, tau, seed,
+        adversary, rounds,
+        dict(schedule, with_connector=bool(with_connector)))
 
 
 # -- attack-matrix scenarios ------------------------------------------------
@@ -463,7 +387,7 @@ def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
     wrong = sorted(name for name in topo.neighbors(bad)
                    if name != next_hop)
     attack = spec.adversary.build(
-        net, bad, sorted(flow_paths), spec.seed + 1,
+        net, bad, sorted(flow_paths), spec.seed,
         wrong_neighbor=wrong[0] if wrong else None,
         inject_neighbor=next_hop,
         forged_src=first_path[0], forged_dst=first_path[-1])
@@ -499,7 +423,7 @@ def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
 
 def build_scenario(
     spec: ScenarioSpec,
-) -> Union[AttackScenario, DropTailScenario, REDScenario]:
+) -> Union[AttackScenario, BottleneckScenario]:
     """Build the scenario a spec describes.
 
     The ``simple`` topology maps onto the emulation testbed (droptail or
@@ -507,26 +431,5 @@ def build_scenario(
     other catalogued topology builds an :class:`AttackScenario`.
     """
     if spec.topology.name == "simple":
-        kwargs = dict(
-            n_sources=int(spec.traffic.flows),
-            bottleneck_bw=float(
-                spec.topology.option("bottleneck_bw", 1.0 * MBPS)),
-            tau=spec.tau,
-            with_connector=bool(spec.option("with_connector", False)),
-            seed=spec.seed,
-        )
-        queue = str(spec.option("queue", "droptail"))
-        if queue == "droptail":
-            return _droptail_scenario(
-                queue_limit=int(spec.topology.option("queue_limit",
-                                                     60_000)),
-                proc_jitter=float(spec.option("proc_jitter", 0.0004)),
-                **kwargs)
-        if queue == "red":
-            return _red_scenario(
-                queue_limit=int(spec.topology.option("queue_limit",
-                                                     120_000)),
-                **kwargs)
-        raise ValueError(
-            f"unknown queue option {queue!r}; 'droptail' or 'red'")
+        return _bottleneck_scenario(spec)
     return _attack_scenario(spec)

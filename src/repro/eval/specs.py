@@ -24,12 +24,13 @@ builds draw only from seeds handed in explicitly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
 from repro.net import (
+    CombinedCompromise,
     Compromise,
     DelayAttack,
     DropFlowAttack,
@@ -38,7 +39,10 @@ from repro.net import (
     MisrouteAttack,
     ModifyAttack,
     Network,
+    QueueConditionalDropAttack,
+    REDAverageConditionalDropAttack,
     ReorderAttack,
+    SynDropAttack,
     Topology,
     abilene,
     chain,
@@ -53,6 +57,10 @@ from repro.net import (
 BEHAVIORS = (
     "none", "drop", "modify", "reorder", "delay", "fabricate", "misroute",
 )
+
+#: The χ chapter's drops under cover (Figs 6.7-6.16): only behind a
+#: nearly full queue, only above a RED average queue, or only SYNs.
+CHI_BEHAVIORS = ("queue-drop", "red-avg-drop", "syn-drop")
 
 #: Strategies a :class:`PlacementSpec` can use to pick the bad router.
 PLACEMENT_STRATEGIES = (
@@ -182,6 +190,15 @@ class AdversarySpec:
     runs at ``rate * 100`` packets/second unless a ``rate_pps`` option
     overrides it).  ``targeting`` is ``"flows"`` (only the scenario's
     monitored flows are matched) or ``"all"`` (every packet is fair game).
+
+    The :data:`CHI_BEHAVIORS` drop at ``rate`` too, but only under cover
+    (options): ``queue-drop`` while the queue is ``fill_threshold`` full,
+    ``red-avg-drop`` while the RED average is ``avg_threshold`` bytes,
+    ``syn-drop`` only SYNs toward ``victim``.  Every behavior honours
+    ``flows`` (victim flows, instead of the scenario's monitored ones),
+    ``seed_offset`` (added to the scenario seed for the attack's RNG;
+    default 1) and ``also`` (a second adversary, in ``to_dict`` form,
+    composed behind this one).
     """
 
     behavior: str = "drop"
@@ -191,10 +208,10 @@ class AdversarySpec:
 
     def __post_init__(self) -> None:
         behavior = str(self.behavior)
-        if behavior not in BEHAVIORS:
+        if behavior not in BEHAVIORS + CHI_BEHAVIORS:
             raise ValueError(
                 f"unknown adversary behavior {behavior!r}; one of "
-                f"{', '.join(BEHAVIORS)}")
+                f"{', '.join(BEHAVIORS + CHI_BEHAVIORS)}")
         targeting = str(self.targeting)
         if targeting not in ("flows", "all"):
             raise ValueError(
@@ -225,16 +242,38 @@ class AdversarySpec:
     ) -> Optional[Compromise]:
         """Instantiate the compromise for ``router`` (None for "none").
 
-        ``wrong_neighbor`` is required for ``misroute``;
-        ``inject_neighbor``/``forged_src``/``forged_dst`` for
-        ``fabricate``.  The caller attaches the returned object to
-        ``network.routers[router].compromise`` (and calls ``start`` for
-        fabricate, which is an active behaviour).
+        ``seed`` is the scenario's seed.  ``wrong_neighbor`` is required
+        for ``misroute``; ``inject_neighbor``/``forged_src``/
+        ``forged_dst`` for ``fabricate``.  The caller attaches the
+        returned object to ``network.routers[router].compromise`` (and
+        calls ``start`` for fabricate, which is an active behaviour).
         """
-        flows = sorted(flow_ids)
+        also = self.option("also")
+        if also is not None:
+            alone = replace(self, options=[
+                pair for pair in self.options if pair[0] != "also"])
+            return CombinedCompromise(*(
+                part.build(network, router, flow_ids, seed,
+                           wrong_neighbor=wrong_neighbor,
+                           inject_neighbor=inject_neighbor,
+                           forged_src=forged_src, forged_dst=forged_dst)
+                for part in (alone, AdversarySpec.from_dict(also))))
+        flows = sorted(self.option("flows", flow_ids))
         target = flows if self.targeting == "flows" else None
+        seed += int(self.option("seed_offset", 1))
         if self.behavior == "none":
             return None
+        if self.behavior == "queue-drop":
+            return QueueConditionalDropAttack(
+                flows, float(self.option("fill_threshold", 0.9)),
+                fraction=self.rate, seed=seed)
+        if self.behavior == "red-avg-drop":
+            return REDAverageConditionalDropAttack(
+                flows, float(self.option("avg_threshold", 45_000)),
+                fraction=self.rate, seed=seed)
+        if self.behavior == "syn-drop":
+            return SynDropAttack(str(self.option("victim", "vsink")),
+                                 fraction=self.rate, seed=seed)
         if self.behavior == "drop":
             if target is None:
                 return DropFractionAttack(self.rate, seed=seed)

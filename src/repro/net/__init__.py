@@ -15,9 +15,7 @@ are internal.  Reaching them through the package (``repro.net.events``,
 names it already exports.
 """
 
-import importlib as _importlib
-import warnings as _warnings
-
+from repro._surface import narrow as _narrow
 from repro.net.events import Simulator, Event
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import (
@@ -104,39 +102,8 @@ __all__ = [
     "MisrouteAttack",
 ]
 
-#: Internal implementation modules, deprecated as import targets.
-_INTERNAL_MODULES = (
-    "adversary",
-    "events",
-    "packet",
-    "queues",
-    "router",
-    "routing",
-    "tcp",
-    "topology",
-    "traffic",
-)
-
-# Drop the submodule bindings the re-exports above created on the
-# package, so attribute access routes through __getattr__ (PEP 562)
-# and carries a deprecation warning.
-for _name in _INTERNAL_MODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _INTERNAL_MODULES:
-        _warnings.warn(
-            f"repro.net.{name} is an internal module; import the "
-            f"supported names from the repro.net package instead "
-            f"(see repro.net.__all__)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _importlib.import_module(f"repro.net.{name}")
-    raise AttributeError(f"module 'repro.net' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_INTERNAL_MODULES))
+# Internal implementation modules stay reachable through the package,
+# with a deprecation warning.
+_narrow(globals(),
+        internal=("adversary", "events", "packet", "queues", "router",
+                  "routing", "tcp", "topology", "traffic"))

@@ -351,6 +351,11 @@ class CombinedCompromise(Compromise):
         super().__init__()
         self.parts = list(parts)
 
+    def activate_between(self, start: float, end: float = float("inf")) -> "Compromise":
+        for part in self.parts:
+            part.activate_between(start, end)
+        return super().activate_between(start, end)
+
     def on_forward(self, router, packet, in_nbr, out_nbr, iface) -> ForwardAction:
         for part in self.parts:
             action = part.on_forward(router, packet, in_nbr, out_nbr, iface)

@@ -25,9 +25,7 @@ submodules are internal: reaching them through the package emits a
 names it already exports.
 """
 
-import importlib as _importlib
-import warnings as _warnings
-
+from repro._surface import narrow as _narrow
 from repro.obs.diff import DiffReport, diff_sweeps
 from repro.obs.forensics import (
     RouterExplanation,
@@ -73,43 +71,9 @@ __all__ = [
     "trace_files",
 ]
 
-#: Public submodules — importable through the package without warning.
-_PUBLIC_MODULES = ("profile", "telemetry")
-
-#: Internal implementation modules, deprecated as import targets.
-_INTERNAL_MODULES = (
-    "cli",
-    "diff",
-    "forensics",
-    "metrics",
-    "query",
-    "record",
-    "sinks",
-    "trace",
-)
-
-# Drop the submodule bindings the re-exports above created on the
-# package, so attribute access routes through __getattr__ (PEP 562)
-# and carries a deprecation warning for the internal modules.
-for _name in _INTERNAL_MODULES:
-    globals().pop(_name, None)
-del _name
-
-
-def __getattr__(name: str):
-    if name in _PUBLIC_MODULES:
-        return _importlib.import_module(f"repro.obs.{name}")
-    if name in _INTERNAL_MODULES:
-        _warnings.warn(
-            f"repro.obs.{name} is an internal module; import the "
-            f"supported names from the repro.obs package instead "
-            f"(see repro.obs.__all__)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _importlib.import_module(f"repro.obs.{name}")
-    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_INTERNAL_MODULES))
+# Internal implementation modules stay reachable through the package,
+# with a deprecation warning; public submodules import silently.
+_narrow(globals(),
+        internal=("cli", "diff", "forensics", "metrics", "query",
+                  "record", "sinks", "trace"),
+        public=("profile", "telemetry"))

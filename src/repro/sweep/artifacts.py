@@ -1,10 +1,10 @@
 """Structured sweep artifacts: a JSON manifest plus per-run/aggregate CSV.
 
-Artifact schema (``sweep.json``, ``schema: repro.sweep/v3``; the merge
-path also still reads ``repro.sweep/v2`` manifests)::
+Artifact schema (``sweep.json``, ``schema: repro.sweep/v4``, the only
+one ``repro merge`` reads)::
 
     {
-      "schema": "repro.sweep/v3",
+      "schema": "repro.sweep/v4",
       "experiment": "fig6_6",
       "root_seed": 0,
       "params": {...},            # fixed parameters
@@ -26,7 +26,8 @@ path also still reads ``repro.sweep/v2`` manifests)::
                  "result_type", "result": {...} | null,
                  "error": {kind, type, message}?} , ... ],
       "aggregate": { "<dotted.field>": {n, mean, median, std,
-                                        min, max, ci95}, ... }
+                                        min, max, ci95}, ... },
+      "telemetry": {...}          # wall-clock section, repro.obs.telemetry
     }
 
 ``runs.csv`` holds one row per run with the flattened numeric result

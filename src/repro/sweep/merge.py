@@ -22,14 +22,12 @@ from typing import Dict, List, Optional, Sequence
 from repro.obs.telemetry import merge_telemetry
 from repro.sweep.aggregate import aggregate_records
 from repro.sweep.grid import RunSpec, expand_grid
-from repro.sweep.runner import SweepResult
+from repro.sweep.runner import MANIFEST_SCHEMA, SweepResult
 
-MERGEABLE_SCHEMAS = ("repro.sweep/v2", "repro.sweep/v3",
-                     "repro.sweep/v4")
+MERGEABLE_SCHEMAS = (MANIFEST_SCHEMA,)
 
 #: Manifest fields that must agree across every shard of one sweep.
-#: The schema version is checked separately (with a per-shard error
-#: message) before these are compared.
+#: The schema version is checked per shard, as each manifest is loaded.
 COORDINATE_FIELDS = ("experiment", "root_seed", "seeds",
                      "params", "grid", "n_total", "code_version")
 
@@ -49,12 +47,16 @@ def load_manifest(directory: str) -> dict:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
         raise MergeError(f"{path}: unreadable manifest "
                          f"({error})") from None
-    if not isinstance(manifest, dict) \
-            or manifest.get("schema") not in MERGEABLE_SCHEMAS:
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema not in MERGEABLE_SCHEMAS:
         raise MergeError(
-            f"{path}: schema {manifest.get('schema')!r} is not "
-            f"mergeable; expected one of "
+            f"{path}: schema {schema!r} is not mergeable; expected "
             f"{', '.join(MERGEABLE_SCHEMAS)}")
+    missing = [name for name in COORDINATE_FIELDS + ("runs",)
+               if name not in manifest]
+    if missing:
+        raise MergeError(
+            f"{path}: manifest is missing {', '.join(missing)}")
     manifest["_source"] = path
     return manifest
 
@@ -76,14 +78,6 @@ def merge_manifests(manifests: Sequence[dict]) -> SweepResult:
     if not manifests:
         raise MergeError("nothing to merge")
     first = manifests[0]
-    for manifest in manifests[1:]:
-        if manifest.get("schema") != first.get("schema"):
-            raise MergeError(
-                f"mixed manifest schemas: {manifest['_source']} has "
-                f"schema {manifest.get('schema')!r} but "
-                f"{first['_source']} has {first.get('schema')!r}; "
-                f"re-run the divergent shard so all shards share one "
-                f"schema version")
     reference = _coordinates(first)
     for manifest in manifests[1:]:
         coords = _coordinates(manifest)
@@ -96,7 +90,7 @@ def merge_manifests(manifests: Sequence[dict]) -> SweepResult:
 
     by_key: Dict[str, dict] = {}
     for manifest in manifests:
-        for record in manifest.get("runs", []):
+        for record in manifest["runs"]:
             key = _record_key(record)
             if key in by_key:
                 raise MergeError(

@@ -50,8 +50,8 @@ from repro.sweep.grid import RunSpec, expand_grid, shard_specs
 from repro.sweep.retry import RetryPolicy, ShardRetryPolicy, SweepError
 from repro.obs.telemetry import build_telemetry
 
-#: Manifest schema written by this version; the merge path still reads
-#: v2 and v3.  v4 adds the wall-domain ``telemetry`` section.
+#: Manifest schema written by this version, and the only one
+#: ``repro merge`` reads.
 MANIFEST_SCHEMA = "repro.sweep/v4"
 
 Progress = Optional[Callable[[str], None]]
@@ -61,10 +61,9 @@ Progress = Optional[Callable[[str], None]]
 class SweepConfig:
     """Everything that defines one sweep, minus the experiment name.
 
-    Replaces the former ``run_sweep`` keyword pile; old keywords are
-    still accepted for one release through a ``DeprecationWarning``
-    shim.  ``shard`` marks this process as one ``i/n`` slice (the
-    shard-worker role); ``shard_retry``/``shard_dir`` only matter when
+    ``run_sweep`` takes this and nothing else.  ``shard`` marks this
+    process as one ``i/n`` slice (the shard-worker role);
+    ``shard_retry``/``shard_dir`` only matter when
     an executor dispatches the sweep (``shard_dir`` is where per-shard
     artifact directories and heartbeats live — default: a temporary
     directory removed after the merge).

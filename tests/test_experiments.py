@@ -6,7 +6,7 @@ exercised at reduced size so the harness itself stays correct.
 
 import pytest
 
-from repro.eval import experiments as ex
+from repro.eval import AdversarySpec, droptail_spec, experiments as ex
 from repro.eval.metrics import score_round_findings
 from repro.core.chi import RoundFinding
 
@@ -98,21 +98,19 @@ class TestBaselineDemos:
 class TestDropTailScenariosFast:
     """Reduced-duration versions of Figs 6.5/6.6 (full runs in benches)."""
 
+    SCHEDULE = dict(learning_until=14.0, first_round=7, rounds=19,
+                    attack_at=20.0, end=42.0)
+
     def test_no_attack_silent(self):
-        result = ex._run_droptail("fast-benign", None,
-                                  learning_until=14.0,
-                                  monitor_rounds=(7, 19),
-                                  attack_at=20.0, end=42.0)
+        result = ex.run_testbed("fast-benign",
+                                droptail_spec(**self.SCHEDULE))
         assert result.false_positives == 0
 
     def test_attack_detected(self):
-        from repro.net.adversary import DropFlowAttack
-        result = ex._run_droptail(
-            "fast-attack",
-            lambda s: DropFlowAttack(["tcp1"], fraction=0.25, seed=1),
-            learning_until=14.0, monitor_rounds=(7, 19),
-            attack_at=20.0, end=42.0,
-        )
+        result = ex.run_testbed("fast-attack", droptail_spec(
+            adversary=AdversarySpec("drop", 0.25,
+                                    options={"flows": ["tcp1"]}),
+            **self.SCHEDULE))
         assert result.detected
         assert result.false_positives == 0
         assert result.malicious_drops_truth > 0

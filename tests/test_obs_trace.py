@@ -11,9 +11,9 @@ import json
 
 import pytest
 
-from repro.eval.experiments import _run_droptail
+from repro.eval import AdversarySpec, droptail_spec
+from repro.eval.experiments import run_testbed
 from repro.eval.results import serialize_result
-from repro.net.adversary import DropFlowAttack
 from repro.net.events import Simulator
 from repro.obs.record import recorder
 from repro.obs.sinks import JsonlSink, MemorySink
@@ -22,11 +22,11 @@ from repro.obs.trace import TraceTap, _reason_token
 
 def mini_scenario(seed=0):
     """A shrunken Fig 6.6 attack: full pipeline, fraction of the cost."""
-    return _run_droptail(
-        "obs-mini",
-        lambda s: DropFlowAttack(["tcp1"], fraction=0.3, seed=seed + 1),
-        learning_until=5.0, monitor_rounds=(3, 10), attack_at=10.0,
-        end=22.0, n_sources=2, seed=seed)
+    return run_testbed("obs-mini", droptail_spec(
+        n_sources=2, seed=seed,
+        adversary=AdversarySpec("drop", 0.3, options={"flows": ["tcp1"]}),
+        learning_until=5.0, first_round=3, rounds=10, attack_at=10.0,
+        end=22.0))
 
 
 @pytest.fixture

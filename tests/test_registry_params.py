@@ -128,6 +128,26 @@ class TestExperimentSpecTable:
             ExperimentSpec("t", typed_experiment, report,
                            params=(ParamSpec("bogus", int),))
 
+    def test_declared_params_accepted_when_fn_takes_kwargs(self):
+        def open_ended(seed: int = 0, **flat):
+            return dict(flat, seed=seed)
+
+        spec = ExperimentSpec("t", open_ended, report,
+                              params=(ParamSpec("depth", int, 2),))
+        assert spec.param_names == ("seed", "depth")
+        assert spec.run(depth="5") == {"depth": 5, "seed": 0}
+        with pytest.raises(ParamError, match="does not accept"):
+            spec.coerce_params({"width": 1})
+
+    def test_defaults_fold_into_the_table(self):
+        spec = ExperimentSpec("t", typed_experiment, report,
+                              defaults=(("label", "registered"),))
+        assert spec.param_spec("label").default == "registered"
+        assert "label: str = 'registered'" in spec.param_spec(
+            "label").describe()
+        assert spec.param_spec("count").default == \
+            params_from_signature(typed_experiment)[0].default
+
     def test_param_spec_lists_accepted_names(self):
         spec = ExperimentSpec("t", untyped_experiment, report)
         with pytest.raises(ParamError, match="accepted: values, mode"):
@@ -159,6 +179,19 @@ class TestRegisteredSpecs:
                 assert param.describe()
                 assert spec.param_spec(param.name) is param
         assert seen_any
+
+    def test_listed_defaults_are_the_effective_ones(self):
+        # fig5_2 registers topology='ebone' over a 'sprintlink' signature.
+        assert registry.get("fig5_2").param_spec("topology").default == \
+            "ebone"
+        assert registry.get("fig6_13").param_spec("n_sources").default == 12
+
+    def test_sweep_rejects_unexposed_param_before_workers(self, tmp_path):
+        from repro.sweep.runner import SweepConfig, run_sweep
+
+        with pytest.raises(ParamError, match="does not accept"):
+            run_sweep("fig6_5", SweepConfig(
+                params={"fraction": 0.3}, cache_dir=str(tmp_path)))
 
     def test_sweep_rejects_bad_value_before_workers(self, tmp_path):
         from repro.sweep.runner import SweepConfig, run_sweep

