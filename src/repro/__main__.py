@@ -13,9 +13,6 @@
     python -m repro sweep fig6_6 --executor ssh --hosts fast:8,spare:2
     python -m repro lint                 # static invariant checks
     python -m repro lint --list-rules    # the rule catalogue
-    python -m repro bench list           # benchmark workload catalogue
-    python -m repro bench run --suite smoke --out BENCH.json
-    python -m repro bench compare floor.json BENCH.json --fail-below 0.9
 
 ``run`` prints the same series its bench writes to
 ``benchmarks/results/`` (see EXPERIMENTS.md for the paper-vs-measured
@@ -27,10 +24,8 @@ locally, as supervised child processes, or across ssh hosts — and
 auto-merges (see "Distributed sweeps" in EXPERIMENTS.md); ``lint`` runs
 the repo's AST-based invariant checks — determinism in simulation code,
 pickle safety across the sweep dispatch boundary, registry contracts —
-(see "Static analysis" in EXPERIMENTS.md); ``bench`` runs the
-registered benchmark workloads, records ``BENCH.json`` history and
-A/B-compares runs for the CI regression gate (see "Benchmarking" in
-README.md).
+(see "Static analysis" in EXPERIMENTS.md).  Performance is measured by
+``python3 benchmarks/ledger/run.py`` (see "Benchmarking" in README.md).
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from typing import List
 
 def main(argv: List[str]) -> int:
     from repro.analysis.cli import add_lint_parser, cmd_lint
-    from repro.bench.cli import add_bench_parser
     from repro.eval import registry
     from repro.obs.cli import add_obs_parser
     from repro.sweep.cli import (
@@ -78,7 +72,6 @@ def main(argv: List[str]) -> int:
     add_merge_parser(sub)
     add_lint_parser(sub)
     add_obs_parser(sub)
-    add_bench_parser(sub)
     args = parser.parse_args(argv)
 
     if args.command == "sweep":
@@ -87,7 +80,7 @@ def main(argv: List[str]) -> int:
         return cmd_merge(args)
     if args.command == "lint":
         return cmd_lint(args)
-    if args.command in ("obs", "bench"):
+    if args.command == "obs":
         return args.func(args)
 
     if args.command == "list":

@@ -85,8 +85,8 @@ class Simulator:
     """
 
     #: Process-wide cumulative dispatch count across every Simulator
-    #: instance.  ``repro.bench`` reads the delta around a workload run
-    #: to get events/sec without instrumenting (or slowing) the loop.
+    #: instance.  ``benchmarks/ledger`` reads the delta around a workload
+    #: run to count events without instrumenting (or slowing) the loop.
     dispatched_total: int = 0
 
     def __init__(self) -> None:
@@ -95,8 +95,8 @@ class Simulator:
         self.now: float = 0.0
         self._running = False
         #: Cumulative count of events dispatched by this simulator across
-        #: all :meth:`run` calls — the denominator of every events/sec
-        #: benchmark (see :mod:`repro.bench`).
+        #: all :meth:`run` calls (summed process-wide in
+        #: ``dispatched_total``).
         self.events_dispatched: int = 0
 
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:

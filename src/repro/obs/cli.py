@@ -29,10 +29,6 @@ Subcommands:
     aggregates, telemetry).  Exit 0 = no gating drift beyond
     ``--threshold``, 1 = regression, 2 = usage error.  Telemetry is
     informational unless ``--gate-telemetry``.
-
-The former ``obs bench`` alias has been removed: sweep distillation
-lives at ``python -m repro bench sweep`` (:mod:`repro.bench.sweep`).
-Invoking ``obs bench`` exits with status 2 and a pointer.
 """
 
 from __future__ import annotations
@@ -247,12 +243,6 @@ def add_obs_parser(subparsers) -> None:
                       default="text")
     diff.set_defaults(func=cmd_diff)
 
-    bench = obs_sub.add_parser(
-        "bench",
-        help="[removed] sweep distillation moved to `repro bench sweep`")
-    bench.add_argument("args", nargs=argparse.REMAINDER)
-    bench.set_defaults(func=cmd_bench_removed)
-
 
 def cmd_summarize(args: argparse.Namespace) -> int:
     summary = summarize_paths(args.paths)
@@ -366,10 +356,3 @@ def cmd_diff(args: argparse.Namespace) -> int:
         for line in format_diff(report):
             print(line)
     return report.exit_code
-
-
-def cmd_bench_removed(args: argparse.Namespace) -> int:
-    print("error: `repro obs bench` has been removed; use "
-          "`python -m repro bench sweep SWEEP_DIR --out BENCH_obs.json` "
-          "instead (see `python -m repro bench --help`)", file=sys.stderr)
-    return 2

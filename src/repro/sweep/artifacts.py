@@ -32,7 +32,9 @@ one ``repro merge`` reads)::
 
 ``runs.csv`` holds one row per run with the flattened numeric result
 fields as columns (blank for failed runs); ``aggregate.csv`` one row per
-aggregated field, computed over successful runs only.
+aggregated field, computed over successful runs only.  Each file is
+written whole (temp file + rename) and ``sweep.json`` last, so a
+manifest's presence means the directory is complete.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import os
 from typing import Dict, List
 
 from repro.sweep.aggregate import flatten_numeric
+from repro.sweep.cache import _atomic_open
 from repro.sweep.runner import MANIFEST_SCHEMA
 
 __all__ = ["MANIFEST_SCHEMA", "write_sweep_artifacts"]
@@ -61,10 +64,6 @@ def write_sweep_artifacts(sweep, out_dir: str) -> Dict[str, str]:
         "aggregate.csv": os.path.join(out_dir, "aggregate.csv"),
     }
 
-    with open(paths["sweep.json"], "w") as handle:
-        json.dump(sweep.manifest(), handle, indent=2, default=str)
-        handle.write("\n")
-
     flat_runs: List[Dict[str, object]] = []
     numeric_columns: List[str] = []
     for record in sweep.records:
@@ -74,7 +73,7 @@ def write_sweep_artifacts(sweep, out_dir: str) -> Dict[str, str]:
             if column not in numeric_columns:
                 numeric_columns.append(column)
         flat_runs.append(flat)
-    with open(paths["runs.csv"], "w", newline="") as handle:
+    with _atomic_open(paths["runs.csv"], newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["experiment", "seed_index", "seed", "params",
                          "cached", "status", "elapsed_s"]
@@ -88,7 +87,7 @@ def write_sweep_artifacts(sweep, out_dir: str) -> Dict[str, str]:
                  f"{record.get('elapsed_s', 0.0):.4f}"]
                 + [flat.get(column, "") for column in numeric_columns])
 
-    with open(paths["aggregate.csv"], "w", newline="") as handle:
+    with _atomic_open(paths["aggregate.csv"], newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["field", "n", "mean", "median", "std",
                          "min", "max", "ci95"])
@@ -96,4 +95,9 @@ def write_sweep_artifacts(sweep, out_dir: str) -> Dict[str, str]:
             writer.writerow([field, stats["n"], stats["mean"],
                              stats["median"], stats["std"], stats["min"],
                              stats["max"], stats["ci95"]])
+
+    # Last: supervisors treat sweep.json as the shard's "done" marker.
+    with _atomic_open(paths["sweep.json"]) as handle:
+        json.dump(sweep.manifest(), handle, indent=2, default=str)
+        handle.write("\n")
     return paths

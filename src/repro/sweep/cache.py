@@ -23,10 +23,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, IO, Iterator, List, Optional
 
 from repro.sweep.grid import RunSpec
 
@@ -65,6 +64,21 @@ def code_version() -> str:
     version = digest.hexdigest()[:16]
     _code_version_memo[root] = version
     return version
+
+
+@contextmanager
+def _atomic_open(path: str, newline: Optional[str] = None
+                 ) -> Iterator[IO[str]]:
+    """Open a temp file beside ``path`` for writing and rename it over
+    ``path`` on clean exit: a killed writer never leaves a torn file."""
+    tmp_path = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp_path, "x", newline=newline) as handle:
+            yield handle
+        os.replace(tmp_path, path)
+    except BaseException:
+        ResultCache._discard(tmp_path)
+        raise
 
 
 class ResultCache:
@@ -140,15 +154,8 @@ class ResultCache:
             "code_version": self.version,
             "record": record,
         }
-        fd, tmp_path = tempfile.mkstemp(
-            dir=os.path.dirname(path), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, default=str)
-            os.replace(tmp_path, path)
-        except BaseException:
-            self._discard(tmp_path)
-            raise
+        with _atomic_open(path) as handle:
+            json.dump(entry, handle, default=str)
         self._record_use(path)
         self.stats["stores"] += 1
 
@@ -180,14 +187,8 @@ class ResultCache:
         return index if isinstance(index, dict) else {}
 
     def _write_index(self, index: Dict[str, Dict[str, float]]) -> None:
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(index, handle)
-            os.replace(tmp_path, self.index_path)
-        except BaseException:
-            self._discard(tmp_path)
-            raise
+        with _atomic_open(self.index_path) as handle:
+            json.dump(index, handle)
 
     def _record_use(self, path: str) -> None:
         """Bump one entry's last-use row; evict if over the size cap."""

@@ -138,8 +138,9 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser
                                "seconds and mark it lost")
     dispatch.add_argument("--heartbeat-timeout", type=float, default=None,
                           metavar="S",
-                          help="subprocess executor: kill a shard whose "
-                               "heartbeat file is older than S seconds")
+                          help="subprocess executor and --transport local: "
+                               "kill a shard whose heartbeat file is older "
+                               "than S seconds")
     # Internal: executors pass --heartbeat to their shard children; the
     # child touches the file twice a second for liveness supervision.
     dispatch.add_argument("--heartbeat", default=None,
@@ -201,8 +202,7 @@ def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
     from repro.sweep.executors import (
         LocalCommandTransport,
         LocalPoolExecutor,
-        SSHExecutor,
-        SubprocessShardExecutor,
+        SupervisedChildExecutor,
         load_hostfile,
         parse_hosts,
     )
@@ -210,7 +210,7 @@ def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
     if args.executor == "local":
         return LocalPoolExecutor(shards=args.shards or 1)
     if args.executor == "subprocess":
-        return SubprocessShardExecutor(
+        return SupervisedChildExecutor.on_localhost(
             shards=args.shards or 2,
             heartbeat_timeout_s=args.heartbeat_timeout,
             shard_timeout_s=args.shard_timeout)
@@ -222,8 +222,10 @@ def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
         raise ValueError("--executor ssh needs --hosts or --hostfile")
     transport = (LocalCommandTransport() if args.transport == "local"
                  else None)
-    return SSHExecutor(hosts, transport=transport, shards=args.shards,
-                       shard_timeout_s=args.shard_timeout)
+    return SupervisedChildExecutor(
+        hosts, transport=transport, shards=args.shards,
+        heartbeat_timeout_s=args.heartbeat_timeout,
+        shard_timeout_s=args.shard_timeout)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -4,15 +4,14 @@ The :class:`~repro.sweep.executors.base.Executor` protocol turns a
 sweep's deterministic ``--shard i/n`` slices into running shards and
 collects their artifact directories for the merge path; see
 ``base.py`` for the contract and EXPERIMENTS.md ("Distributed sweeps")
-for usage.  Three backends ship:
+for usage.  Two backends ship:
 
 * :class:`LocalPoolExecutor` — shards run in this process on the
-  classic pool (``--executor local``);
-* :class:`SubprocessShardExecutor` — shards are supervised child
-  ``python -m repro sweep`` processes with heartbeat/timeout kill
-  detection (``--executor subprocess``);
-* :class:`SSHExecutor` — shards run on remote hosts over
-  ``ssh``/``scp`` or any injected transport (``--executor ssh``).
+  classic pool (``--executor local``), the in-process reference;
+* :class:`SupervisedChildExecutor` — shards are supervised child
+  processes started through a :class:`CommandTransport`: local
+  children (``--executor subprocess``), or ``ssh`` clients and ``scp``
+  fetches across :class:`Host` entries (``--executor ssh``).
 """
 
 from repro.sweep.executors.base import Executor, ShardHandle, ShardSpec
@@ -22,11 +21,10 @@ from repro.sweep.executors.ssh import (
     Host,
     LocalCommandTransport,
     SSHCommandTransport,
-    SSHExecutor,
+    SupervisedChildExecutor,
     load_hostfile,
     parse_hosts,
 )
-from repro.sweep.executors.subprocess_shard import SubprocessShardExecutor
 
 __all__ = [
     "CommandTransport",
@@ -35,10 +33,9 @@ __all__ = [
     "LocalCommandTransport",
     "LocalPoolExecutor",
     "SSHCommandTransport",
-    "SSHExecutor",
     "ShardHandle",
     "ShardSpec",
-    "SubprocessShardExecutor",
+    "SupervisedChildExecutor",
     "load_hostfile",
     "parse_hosts",
 ]

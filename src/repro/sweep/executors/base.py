@@ -6,8 +6,9 @@ computes everywhere).  Each slice becomes a :class:`ShardSpec`; an
 :class:`Executor` turns specs into running shards and reports on them
 through :class:`ShardHandle` objects:
 
-* ``submit(spec) -> ShardHandle`` — start one shard (may block for
-  in-process executors, must not for remote ones);
+* ``submit(spec, attempts=, excluded_hosts=) -> ShardHandle`` — start
+  one shard (may block for in-process executors, must not for child
+  processes); the handle is complete before anything is launched;
 * ``poll() -> [ShardHandle]`` — refresh and return every live handle's
   status (``running`` / ``ok`` / ``failed`` / ``lost``);
 * ``collect() -> [artifact dir]`` — the per-shard artifact directories,
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sweep.runner import SweepConfig
@@ -56,13 +57,11 @@ class ShardSpec:
     heartbeat: Optional[str] = None
 
     def command(self, python: str = sys.executable, *,
-                out_dir: Optional[str] = None,
-                heartbeat: Optional[str] = None) -> List[str]:
+                out_dir: Optional[str] = None) -> List[str]:
         """The ``python -m repro sweep`` argv that runs this shard.
 
-        ``out_dir``/``heartbeat`` override the spec's local paths for
-        executors whose shard runs on another filesystem (ssh) and is
-        fetched back afterwards.
+        ``out_dir`` overrides the spec's local path for a shard that
+        runs in a workdir (ssh) and is fetched back afterwards.
         """
         cfg = self.config
         argv = [python, "-m", "repro", "sweep", self.experiment,
@@ -96,9 +95,8 @@ class ShardSpec:
             if cfg.cache_max_bytes is not None:
                 argv += ["--cache-max-mb",
                          str(cfg.cache_max_bytes / (1024 * 1024))]
-        beat = heartbeat if heartbeat is not None else self.heartbeat
-        if beat:
-            argv += ["--heartbeat", beat]
+        if self.heartbeat:
+            argv += ["--heartbeat", self.heartbeat]
         return argv
 
 
@@ -126,8 +124,9 @@ class ShardHandle:
     excluded_hosts: Tuple[str, ...] = ()
     #: Wall-clock seconds of the successful attempt (telemetry).
     wall_s: Optional[float] = None
-    #: Executor-private worker state (process, thread, ...).
-    worker: object = field(default=None, repr=False, compare=False)
+    #: Executor-private worker state: the supervised child process and
+    #: its start time, None while the shard waits for a host slot.
+    worker: Any = field(default=None, repr=False, compare=False)
 
     @property
     def index(self) -> int:
@@ -146,48 +145,49 @@ class ShardHandle:
 
 
 class Executor:
-    """Pluggable shard dispatch backend (see module docstring)."""
+    """Pluggable shard dispatch backend (see module docstring).
+
+    The base class keeps the latest handle per shard index.  A backend
+    implements ``submit`` (registering its handle with ``_track``) and,
+    when its shards outlive ``submit``, ``poll`` and ``cancel``.
+    """
 
     #: Backend name recorded in the manifest's ``dispatch`` section.
     name = "abstract"
     #: Whether shards should maintain a heartbeat file for supervision.
     wants_heartbeat = False
 
-    @property
-    def n_shards(self) -> int:
-        raise NotImplementedError
+    def __init__(self, shards: int = 1) -> None:
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        self.n_shards = shards
+        self._handles: Dict[int, ShardHandle] = {}
 
-    def submit(self, spec: ShardSpec, *,
+    @property
+    def handles(self) -> List[ShardHandle]:
+        """The latest handle of every shard, in shard-index order."""
+        return [self._handles[index] for index in sorted(self._handles)]
+
+    def _track(self, handle: ShardHandle) -> ShardHandle:
+        self._handles[handle.index] = handle
+        return handle
+
+    def submit(self, spec: ShardSpec, *, attempts: int = 1,
                excluded_hosts: Tuple[str, ...] = ()) -> ShardHandle:
         raise NotImplementedError
 
     def poll(self) -> List[ShardHandle]:
-        raise NotImplementedError
+        return self.handles
 
     def collect(self) -> List[str]:
-        raise NotImplementedError
+        return [handle.spec.out_dir for handle in self.handles
+                if handle.status == SHARD_OK]
 
     def cancel(self) -> None:
-        raise NotImplementedError
+        """Nothing asynchronous to stop unless a backend says so."""
 
     def resubmit(self, handle: ShardHandle) -> ShardHandle:
         """Re-dispatch a lost shard, avoiding hosts that lost it before."""
-        excluded = handle.excluded_hosts + (handle.host,)
-        fresh = self.submit(handle.spec, excluded_hosts=excluded)
-        fresh.attempts = handle.attempts + 1
-        fresh.excluded_hosts = excluded
-        return fresh
-
-
-class _HandleRegistry:
-    """Shared bookkeeping: the latest handle per shard index."""
-
-    def __init__(self) -> None:
-        self.handles: dict = {}
-
-    def track(self, handle: ShardHandle) -> ShardHandle:
-        self.handles[handle.index] = handle
-        return handle
-
-    def ordered(self) -> List[ShardHandle]:
-        return [self.handles[index] for index in sorted(self.handles)]
+        return self.submit(
+            handle.spec, attempts=handle.attempts + 1,
+            excluded_hosts=handle.excluded_hosts + (handle.host,))

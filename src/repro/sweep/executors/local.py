@@ -41,7 +41,6 @@ from repro.sweep.executors.base import (
     Executor,
     ShardHandle,
     ShardSpec,
-    _HandleRegistry,
 )
 
 # ---------------------------------------------------------------------------
@@ -341,21 +340,13 @@ class LocalPoolExecutor(Executor):
 
     name = "local"
 
-    def __init__(self, shards: int = 1) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._n_shards = shards
-        self._registry = _HandleRegistry()
-
-    @property
-    def n_shards(self) -> int:
-        return self._n_shards
-
-    def submit(self, spec: ShardSpec, *, excluded_hosts=()) -> ShardHandle:
+    def submit(self, spec: ShardSpec, *, attempts: int = 1,
+               excluded_hosts=()) -> ShardHandle:
         from repro.sweep.artifacts import write_sweep_artifacts
         from repro.sweep.runner import run_sweep
 
-        handle = ShardHandle(spec, host="inprocess")
+        handle = ShardHandle(spec, attempts=attempts, host="inprocess",
+                             excluded_hosts=tuple(excluded_hosts))
         started = time.perf_counter()
         try:
             config = replace(spec.config,
@@ -370,14 +361,4 @@ class LocalPoolExecutor(Executor):
             handle.status = SHARD_FAILED
             handle.error = f"{type(error).__name__}: {error}"
         handle.wall_s = time.perf_counter() - started
-        return self._registry.track(handle)
-
-    def poll(self) -> List[ShardHandle]:
-        return self._registry.ordered()
-
-    def collect(self) -> List[str]:
-        return [handle.spec.out_dir for handle in self._registry.ordered()
-                if handle.status == SHARD_OK]
-
-    def cancel(self) -> None:  # nothing asynchronous to stop
-        pass
+        return self._track(handle)

@@ -1,34 +1,37 @@
-"""Cross-host shard dispatch over ``ssh``/``scp`` (or a fake transport).
+"""The supervised-child shard executor, its hosts and its transports.
+
+:class:`SupervisedChildExecutor` is the only code that starts, watches,
+classifies, kills or collects a shard child process.  It is built from
+:class:`Host` entries and a :class:`CommandTransport`, in two
+configurations:
+
+* ``--executor subprocess`` (:meth:`SupervisedChildExecutor.on_localhost`):
+  one implicit ``localhost`` host with ``shards`` slots over
+  :class:`LocalCommandTransport`, children writing straight into their
+  artifact directories;
+* ``--executor ssh``: the given hosts over :class:`SSHCommandTransport`,
+  each shard run in a per-dispatch remote workdir and fetched back on a
+  clean exit.  ``--transport local`` swaps in
+  :class:`LocalCommandTransport` — the whole remote path (preflight,
+  workdir, fetch, cleanup, multi-host scheduling) with no sshd.
 
 Hosts come from ``--hosts host1,host2:8`` (``name:slots``) or a TOML
-hostfile::
+hostfile (format: EXPERIMENTS.md, "Distributed sweeps").
 
-    # defaults applied to every host
-    python = "/usr/bin/python3"
-    cwd = "~/repro"                    # where `python -m repro` works
+Supervision is the same for every transport, on each ``poll()``: exit
+status, then ``shard_timeout_s``, then — when the transport shares this
+filesystem, so the shard's heartbeat file is visible — heartbeat age
+against ``heartbeat_timeout_s``.  The exit-status policy:
 
-    [[hosts]]
-    name = "fast-box"
-    slots = 8                          # concurrent shards on this host
+* exit 0 **and** ``sweep.json`` present -> ``ok``;
+* exit 1 or 2 -> ``failed`` (the only codes ``cmd_sweep`` returns for a
+  bad config, a ``--strict`` abort or a ``SweepError``), never re-run;
+* death by signal, any other status, transport error, timeout, stale
+  heartbeat, or exit 0 without a manifest after the fetch -> ``lost``,
+  re-dispatched by the driver on a host that has not lost it before.
 
-    [[hosts]]
-    name = "spare-box"
-    slots = 2
-    python = "/opt/py311/bin/python3"
-    env = { PYTHONPATH = "src" }
-
-Each shard becomes one remote ``python -m repro sweep --shard i/n``
-invocation; its artifact directory is produced under a per-dispatch
-remote workdir and fetched back with ``scp -r`` once the shard exits 0.
-All remote I/O goes through a :class:`CommandTransport`, so tests (and
-``--transport local``) swap the real ``ssh``/``scp`` for
-:class:`LocalCommandTransport`, which runs the same argv in a local
-subprocess and "fetches" with a directory copy — the whole dispatch
-path exercised end-to-end with no sshd.
-
-A shard whose transport dies (connection refused, killed remote
-process) is ``lost``; the driver re-dispatches it, and ``submit``
-prefers hosts that have not already lost that shard.
+Known trade: a remote shard's ``fetch`` runs inline in ``poll()``, so
+sibling fetches do not overlap.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import shlex
 import shutil
 import subprocess
 import sys
-import threading
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -48,10 +51,10 @@ from repro.sweep.executors.base import (
     SHARD_FAILED,
     SHARD_LOST,
     SHARD_OK,
+    SHARD_RUNNING,
     Executor,
     ShardHandle,
     ShardSpec,
-    _HandleRegistry,
 )
 
 
@@ -92,7 +95,7 @@ def parse_hosts(text: str, python: str = "python3") -> List[Host]:
 
 
 def load_hostfile(path: str) -> List[Host]:
-    """Read a TOML hostfile (see module docstring for the format)."""
+    """Read a TOML hostfile (format: EXPERIMENTS.md, "Distributed sweeps")."""
     try:
         import tomllib
     except ImportError:  # pragma: no cover - Python < 3.11
@@ -124,14 +127,32 @@ class TransportError(RuntimeError):
 
 
 class CommandTransport:
-    """How shard commands run on a host and artifacts come back."""
+    """How shard commands start on a host and artifacts come back."""
 
-    name = "abstract"
+    #: Whether a path named to the host is the same file here — if so
+    #: the executor can watch the shard's heartbeat file.
+    shares_filesystem = False
+
+    def launch(self, host: Host, argv: Sequence[str],
+               log_path: str) -> subprocess.Popen:
+        """Start ``argv`` for ``host`` without waiting; return the local
+        child, whose combined output is appended to ``log_path``."""
+        raise NotImplementedError
 
     def run(self, host: Host, argv: Sequence[str],
             timeout: Optional[float] = None) -> Tuple[int, str]:
-        """Run ``argv`` on ``host``; return (returncode, combined output)."""
-        raise NotImplementedError
+        """Launch ``argv`` and wait: (returncode, combined output)."""
+        with tempfile.NamedTemporaryFile(suffix=".log") as log:
+            process = self.launch(host, argv, log.name)
+            try:
+                returncode = process.wait(timeout)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+                raise TransportError(
+                    f"command on {host.name} timed out after {timeout} s"
+                ) from None
+            return returncode, log.read().decode(errors="replace")
 
     def fetch(self, host: Host, remote_dir: str, local_dir: str) -> None:
         """Copy a remote directory's contents to a local directory."""
@@ -140,11 +161,22 @@ class CommandTransport:
     def remove(self, host: Host, remote_dir: str) -> None:
         """Best-effort cleanup of a remote workdir."""
 
+    @staticmethod
+    def _spawn(command: Sequence[str], log_path: str,
+               **popen_kwargs) -> subprocess.Popen:
+        """``Popen`` with output appended to ``log_path`` and no stdin."""
+        with open(log_path, "ab") as log:  # the child keeps its own copy
+            try:
+                return subprocess.Popen(
+                    list(command), stdin=subprocess.DEVNULL, stdout=log,
+                    stderr=subprocess.STDOUT, **popen_kwargs)
+            except OSError as error:
+                raise TransportError(
+                    f"cannot run {command[0]}: {error}") from error
+
 
 class SSHCommandTransport(CommandTransport):
     """The real thing: ``ssh`` to run, ``scp -r`` to fetch."""
-
-    name = "ssh"
 
     def __init__(self, ssh_options: Sequence[str] = ("-o", "BatchMode=yes"),
                  connect_timeout_s: float = 10.0) -> None:
@@ -161,24 +193,13 @@ class SSHCommandTransport(CommandTransport):
         parts.append(" ".join(shlex.quote(arg) for arg in argv))
         return " ".join(parts)
 
-    def run(self, host: Host, argv: Sequence[str],
-            timeout: Optional[float] = None) -> Tuple[int, str]:
-        command = (["ssh"] + self.ssh_options
-                   + [host.name, self._shell_line(host, argv)])
-        try:
-            proc = subprocess.run(
-                command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                timeout=timeout, text=True, errors="replace")
-        except subprocess.TimeoutExpired as error:
-            raise TransportError(
-                f"ssh to {host.name} timed out after {timeout} s"
-            ) from error
-        except OSError as error:
-            raise TransportError(f"cannot run ssh: {error}") from error
-        if proc.returncode == 255:  # ssh's own failure, not the command's
-            raise TransportError(
-                f"ssh to {host.name} failed: {proc.stdout.strip()}")
-        return proc.returncode, proc.stdout
+    def launch(self, host: Host, argv: Sequence[str],
+               log_path: str) -> subprocess.Popen:
+        # ssh's own failures exit 255, which the executor's policy
+        # already classes as lost (and preflight as a bad host).
+        return self._spawn(
+            ["ssh"] + self.ssh_options
+            + [host.name, self._shell_line(host, argv)], log_path)
 
     def fetch(self, host: Host, remote_dir: str, local_dir: str) -> None:
         os.makedirs(local_dir, exist_ok=True)
@@ -203,38 +224,23 @@ class SSHCommandTransport(CommandTransport):
 
 
 class LocalCommandTransport(CommandTransport):
-    """Run shard commands locally — the injectable ssh stand-in.
+    """Run shard commands as local children — also the ssh stand-in.
 
     ``host.name`` is ignored for execution (everything runs on this
     machine) but kept for status display, so ``--hosts a,b --transport
     local`` exercises multi-host scheduling, exclusion and retry logic
-    with real subprocesses and no sshd.  ``python`` (default: this
-    interpreter) overrides the command's interpreter so ``Host`` entries
-    written for remote machines still run here.
+    with real subprocesses and no sshd.  This interpreter replaces the
+    command's, so ``Host`` entries written for remote machines still
+    run here.
     """
 
-    name = "local"
+    shares_filesystem = True
 
-    def __init__(self, python: Optional[str] = None) -> None:
-        self.python = python or sys.executable
-
-    def run(self, host: Host, argv: Sequence[str],
-            timeout: Optional[float] = None) -> Tuple[int, str]:
-        argv = [self.python] + list(argv[1:])
-        env = dict(os.environ)
-        env.update(dict(host.env))
-        try:
-            proc = subprocess.run(
-                argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                timeout=timeout, text=True, errors="replace",
-                cwd=host.cwd, env=env)
-        except subprocess.TimeoutExpired as error:
-            raise TransportError(
-                f"shard on {host.name} timed out after {timeout} s"
-            ) from error
-        except OSError as error:
-            raise TransportError(f"cannot run shard: {error}") from error
-        return proc.returncode, proc.stdout
+    def launch(self, host: Host, argv: Sequence[str],
+               log_path: str) -> subprocess.Popen:
+        return self._spawn(
+            [sys.executable] + list(argv[1:]), log_path,
+            cwd=host.cwd, env={**os.environ, **dict(host.env)})
 
     def fetch(self, host: Host, remote_dir: str, local_dir: str) -> None:
         if not os.path.isdir(remote_dir):
@@ -245,14 +251,14 @@ class LocalCommandTransport(CommandTransport):
         shutil.rmtree(remote_dir, ignore_errors=True)
 
 
-class SSHExecutor(Executor):
-    """Dispatch shards across hosts through a :class:`CommandTransport`.
+class SupervisedChildExecutor(Executor):
+    """Dispatch shards as supervised children through a transport.
 
-    Every shard submission takes one slot on its host (a host with
-    ``slots=8`` runs up to 8 shards concurrently); submission threads
-    block on the host's slot semaphore, so over-submission just queues.
-    ``shards`` defaults to the total slot count — one busy slot per
-    shard at full fan-out.
+    Every launched shard takes one slot on its host (a host with
+    ``slots=8`` runs up to 8 shards concurrently); a shard submitted to
+    a full host stays queued (``handle.worker is None``) and is launched
+    from ``poll()`` when a slot frees.  ``shards`` defaults to the total
+    slot count — one busy slot per shard at full fan-out.
     """
 
     name = "ssh"
@@ -261,55 +267,57 @@ class SSHExecutor(Executor):
                  transport: Optional[CommandTransport] = None,
                  shards: Optional[int] = None,
                  shard_timeout_s: Optional[float] = None,
+                 heartbeat_timeout_s: Optional[float] = None,
                  remote_root: Optional[str] = None,
                  preflight: bool = True,
                  preflight_timeout_s: float = 30.0) -> None:
         if not hosts:
-            raise ValueError("SSHExecutor needs at least one host")
+            raise ValueError("the executor needs at least one host")
         names = [host.name for host in hosts]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate host names: {', '.join(names)}")
+        if heartbeat_timeout_s is not None and heartbeat_timeout_s <= 0:
+            raise ValueError("heartbeat_timeout_s must be positive")
+        if shard_timeout_s is not None and shard_timeout_s <= 0:
+            raise ValueError("shard_timeout_s must be positive")
+        super().__init__(shards if shards is not None
+                         else sum(host.slots for host in hosts))
         self.hosts = list(hosts)
+        self._hosts = {host.name: host for host in hosts}
         self.transport = transport or SSHCommandTransport()
-        self._n_shards = (shards if shards is not None
-                          else sum(host.slots for host in hosts))
-        if self._n_shards < 1:
-            raise ValueError("shards must be >= 1")
+        self.wants_heartbeat = self.transport.shares_filesystem
         self.shard_timeout_s = shard_timeout_s
-        self.remote_root = remote_root or posixpath.join(
-            ".repro-sweep-remote", f"dispatch-{os.getpid()}-{os.urandom(4).hex()}")
-        self._slots: Dict[str, threading.Semaphore] = {
-            host.name: threading.Semaphore(host.slots) for host in hosts}
-        self._inflight: Dict[str, int] = {host.name: 0 for host in hosts}
-        self._lock = threading.Lock()
-        self._cancelled = threading.Event()
-        self._registry = _HandleRegistry()
-        self.preflight = preflight
+        self.heartbeat_timeout_s = heartbeat_timeout_s
+        #: Per-dispatch workdir on each host, fetched from after a clean
+        #: exit; None means children write straight into their shard's
+        #: ``out_dir`` (nothing to fetch or remove).
+        self.remote_root: Optional[str] = remote_root or posixpath.join(
+            ".repro-sweep-remote",
+            f"dispatch-{os.getpid()}-{os.urandom(4).hex()}")
         self.preflight_timeout_s = preflight_timeout_s
         #: Hosts dropped by the preflight check, name -> reason.
         self.preflight_failures: Dict[str, str] = {}
         self._preflight_done = not preflight
-        self._preflight_lock = threading.Lock()
 
-    @property
-    def n_shards(self) -> int:
-        return self._n_shards
-
-    @property
-    def handles(self) -> List[ShardHandle]:
-        return self._registry.ordered()
-
-    def _pick_host(self, excluded: Sequence[str]) -> Host:
-        with self._lock:
-            usable = [host for host in self.hosts
-                      if host.name not in excluded]
-            if not usable:  # every host lost this shard once: start over
-                usable = self.hosts
-            # Least in-flight relative to capacity keeps wide hosts busy.
-            chosen = min(usable, key=lambda host:
-                         self._inflight[host.name] / host.slots)
-            self._inflight[chosen.name] += 1
-            return chosen
+    @classmethod
+    def on_localhost(cls, shards: int = 2,
+                     transport: Optional[CommandTransport] = None,
+                     heartbeat_timeout_s: Optional[float] = None,
+                     shard_timeout_s: Optional[float] = None,
+                     ) -> "SupervisedChildExecutor":
+        """The ``--executor subprocess`` configuration: ``shards`` slots
+        on this machine and interpreter.  No preflight (the running
+        interpreter has already imported ``repro``) and no workdir, so
+        exactly ``shards`` child processes and no artifact copy."""
+        slots = max(1, shards)  # __init__ rejects shards < 1 by name
+        executor = cls(
+            [Host("localhost", slots, python=sys.executable)],
+            transport or LocalCommandTransport(), shards=shards,
+            shard_timeout_s=shard_timeout_s,
+            heartbeat_timeout_s=heartbeat_timeout_s, preflight=False)
+        executor.name = "subprocess"
+        executor.remote_root = None
+        return executor
 
     def _check_host(self, host: Host) -> Optional[str]:
         """One host's preflight; returns a failure reason or None."""
@@ -338,99 +346,170 @@ class SSHExecutor(Executor):
         elsewhere); only when *no* host survives does the sweep itself
         fail, with every host's reason in the message.
         """
-        with self._preflight_lock:
-            if self._preflight_done:
-                return
-            for host in self.hosts:
-                reason = self._check_host(host)
-                if reason is not None:
-                    self.preflight_failures[host.name] = reason
-            usable = [host for host in self.hosts
-                      if host.name not in self.preflight_failures]
-            if not usable:
-                details = "; ".join(
-                    f"{name}: {reason}" for name, reason
-                    in sorted(self.preflight_failures.items()))
-                raise TransportError(
-                    f"preflight failed on all "
-                    f"{len(self.hosts)} host(s) — {details}")
-            self.hosts = usable
-            self._preflight_done = True
+        if self._preflight_done:
+            return
+        for host in self.hosts:
+            reason = self._check_host(host)
+            if reason is not None:
+                self.preflight_failures[host.name] = reason
+        usable = [host for host in self.hosts
+                  if host.name not in self.preflight_failures]
+        if not usable:
+            details = "; ".join(
+                f"{name}: {reason}" for name, reason
+                in sorted(self.preflight_failures.items()))
+            raise TransportError(
+                f"preflight failed on all "
+                f"{len(self.hosts)} host(s) — {details}")
+        self.hosts = usable
+        self._preflight_done = True
 
-    def submit(self, spec: ShardSpec, *, excluded_hosts=()) -> ShardHandle:
+    def _load(self, host: Host, launched_only: bool = False) -> int:
+        """Unfinished shards on ``host``: its busy slots, plus the
+        queued ones unless ``launched_only``."""
+        return sum(1 for handle in self.handles
+                   if handle.host == host.name
+                   and handle.status == SHARD_RUNNING
+                   and not (launched_only and handle.worker is None))
+
+    def submit(self, spec: ShardSpec, *, attempts: int = 1,
+               excluded_hosts=()) -> ShardHandle:
         self._ensure_preflight()
-        host = self._pick_host(excluded_hosts)
-        handle = ShardHandle(spec, host=host.name)
-        thread = threading.Thread(
-            target=self._run_shard, args=(handle, host), daemon=True)
-        handle.worker = thread
-        self._registry.track(handle)
-        thread.start()
+        usable = [host for host in self.hosts
+                  if host.name not in excluded_hosts]
+        if not usable:  # every host lost this shard once: start over
+            usable = self.hosts
+        # Least load relative to capacity keeps wide hosts busy.
+        host = min(usable, key=lambda host: self._load(host) / host.slots)
+        handle = self._track(ShardHandle(
+            spec, attempts=attempts, host=host.name,
+            excluded_hosts=tuple(excluded_hosts)))
+        self._start_queued()
         return handle
 
-    def _run_shard(self, handle: ShardHandle, host: Host) -> None:
+    def _start_queued(self) -> None:
+        for handle in self.handles:
+            host = self._hosts[handle.host]
+            if handle.status == SHARD_RUNNING and handle.worker is None \
+                    and self._load(host, launched_only=True) < host.slots:
+                self._launch(handle, host)
+
+    def _workdir(self, handle: ShardHandle) -> str:
+        """Where the attempt writes: a directory no earlier attempt
+        used, or the shard's own ``out_dir`` when there is no workdir."""
+        if self.remote_root is None:
+            return handle.spec.out_dir
+        return posixpath.join(
+            self.remote_root, f"shard-{handle.index}-try{handle.attempts}")
+
+    def _launch(self, handle: ShardHandle, host: Host) -> None:
         spec = handle.spec
-        remote_out = posixpath.join(
-            self.remote_root, f"shard-{spec.index}-try{handle.attempts}")
-        argv = spec.command(host.python, out_dir=remote_out, heartbeat="")
-        with self._slots[host.name]:
-            started = time.monotonic()
-            try:
-                if self._cancelled.is_set():
-                    raise TransportError("dispatch cancelled")
-                returncode, output = self.transport.run(
-                    host, argv, timeout=self.shard_timeout_s)
-                if returncode == 0:
-                    self.transport.fetch(host, remote_out, spec.out_dir)
-                    if not os.path.exists(
-                            os.path.join(spec.out_dir, "sweep.json")):
-                        raise TransportError(
-                            f"shard fetched without sweep.json from "
-                            f"{host.name}:{remote_out}")
-                    self.transport.remove(host, remote_out)
-                    handle.status = SHARD_OK
-                else:
-                    tail = output.strip().splitlines()[-1:] or [""]
-                    handle.status = SHARD_FAILED if returncode in (1, 2) \
-                        else SHARD_LOST
-                    handle.error = (f"shard on {host.name} exited "
-                                    f"{returncode}: {tail[0]}")
-            except TransportError as error:
-                handle.status = SHARD_LOST
-                handle.error = str(error)
-            except Exception as error:  # pragma: no cover - defensive
-                handle.status = SHARD_LOST
-                handle.error = f"{type(error).__name__}: {error}"
-            finally:
-                handle.wall_s = time.monotonic() - started
-                with self._lock:
-                    self._inflight[host.name] -= 1
+        os.makedirs(spec.out_dir, exist_ok=True)
+        # A killed attempt's manifest must not pass for this one's, nor
+        # its last heartbeat count against this one.
+        for stale in (os.path.join(spec.out_dir, "sweep.json"),
+                      spec.heartbeat):
+            if stale and os.path.exists(stale):
+                os.unlink(stale)
+        argv = spec.command(host.python, out_dir=self._workdir(handle))
+        started = time.monotonic()
+        try:
+            process = self.transport.launch(
+                host, argv, os.path.join(spec.out_dir, "shard.log"))
+        except TransportError as error:
+            handle.status, handle.error = SHARD_LOST, str(error)
+            return
+        handle.pid = process.pid
+        handle.worker = (process, started)
 
     def poll(self) -> List[ShardHandle]:
-        return self._registry.ordered()
+        for handle in self.handles:
+            if handle.status == SHARD_RUNNING and handle.worker is not None:
+                self._check(handle)
+        self._start_queued()
+        return self.handles
+
+    def _check(self, handle: ShardHandle) -> None:
+        process, started = handle.worker
+        returncode = process.poll()
+        if returncode is None:
+            stale = self._stale_reason(handle, started)
+            if stale:
+                self._kill(handle, stale)
+            return
+        # The exit-status policy (see the module docstring).
+        spec, where = handle.spec, f"shard on {handle.host}"
+        handle.wall_s = time.monotonic() - started
+        handle.status = SHARD_LOST
+        if returncode == 0:
+            try:
+                if self.remote_root is not None:
+                    self.transport.fetch(self._hosts[handle.host],
+                                         self._workdir(handle), spec.out_dir)
+            except TransportError as error:
+                handle.error = str(error)
+            else:
+                if os.path.exists(os.path.join(spec.out_dir, "sweep.json")):
+                    handle.status = SHARD_OK
+                else:
+                    handle.error = f"{where} exited 0 without a sweep.json"
+        elif returncode in (1, 2):
+            log_path = os.path.join(spec.out_dir, "shard.log")
+            with open(log_path, errors="replace") as log:
+                tail = log.read().strip().splitlines()[-1:] or [""]
+            handle.status = SHARD_FAILED
+            handle.error = (f"{where} exited {returncode}: {tail[0]} "
+                            f"(see {log_path})")
+        elif returncode < 0:
+            handle.error = f"{where} killed by signal {-returncode}"
+        else:
+            handle.error = f"{where} exited with status {returncode}"
+
+    def _stale_reason(self, handle: ShardHandle,
+                      started: float) -> Optional[str]:
+        now = time.monotonic()
+        if self.shard_timeout_s is not None \
+                and now - started > self.shard_timeout_s:
+            return (f"shard exceeded timeout of "
+                    f"{self.shard_timeout_s} s")
+        if self.heartbeat_timeout_s is None or not handle.spec.heartbeat:
+            return None
+        try:
+            age = time.time() - os.path.getmtime(handle.spec.heartbeat)
+        except OSError:
+            # No heartbeat yet: measure from process start so a child
+            # that wedges before its first beat is still caught.
+            age = now - started
+        if age > self.heartbeat_timeout_s:
+            return (f"shard heartbeat stale for {age:.1f} s "
+                    f"(limit {self.heartbeat_timeout_s} s)")
+        return None
+
+    def _kill(self, handle: ShardHandle, reason: str) -> None:
+        """Kill a launched shard's child and mark the shard lost."""
+        process, started = handle.worker
+        process.kill()
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            pass
+        handle.wall_s = time.monotonic() - started
+        handle.status, handle.error = SHARD_LOST, reason
 
     def collect(self) -> List[str]:
-        handles = self._registry.ordered()
-        if all(handle.status == SHARD_OK for handle in handles):
-            # Dispatch is over, nothing races: drop the per-dispatch
-            # workdir on every host that ran a shard.
-            used = {handle.host for handle in handles}
-            for host in self.hosts:
-                if host.name in used:
-                    self.transport.remove(host, self.remote_root)
-        return [handle.spec.out_dir for handle in handles
-                if handle.status == SHARD_OK]
+        if self.remote_root is not None \
+                and all(handle.status == SHARD_OK for handle in self.handles):
+            # Dispatch is over: drop the workdir on every host it used.
+            for name in sorted({handle.host for handle in self.handles}):
+                self.transport.remove(self._hosts[name], self.remote_root)
+        return super().collect()
 
     def cancel(self) -> None:
-        # Threads blocked on a slot abort on wake; in-flight remote
-        # commands run to completion (their results are ignored).
-        self._cancelled.set()
-
-
-def wait_idle(executor: SSHExecutor, timeout_s: float = 60.0) -> None:
-    """Join all submission threads — test helper, not part of dispatch."""
-    deadline = time.monotonic() + timeout_s
-    for handle in executor.handles:
-        thread = handle.worker
-        if isinstance(thread, threading.Thread):
-            thread.join(max(0.0, deadline - time.monotonic()))
+        """Kill every in-flight child (for ssh: the ``ssh`` client)."""
+        for handle in self.handles:
+            if handle.status != SHARD_RUNNING:
+                continue
+            if handle.worker is None:  # still queued for a slot
+                handle.status, handle.error = SHARD_LOST, "cancelled"
+            else:
+                self._kill(handle, "cancelled")

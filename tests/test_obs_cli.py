@@ -1,8 +1,7 @@
 """CLI surface of the observability subsystem.
 
 ``repro sweep --trace --profile``, ``repro run --trace --profile``, and
-the ``repro obs summarize`` aggregator and the ``repro bench sweep``
-distillation (the successor of the removed ``repro obs bench``).
+the ``repro obs summarize`` aggregator.
 """
 
 import glob
@@ -98,18 +97,6 @@ class TestObsCommands:
         summary = json.loads(capsys.readouterr().out)
         assert summary["traces"] == 2
         assert summary["telemetry"]["runs"]["total"] == 2
-
-    def test_bench_writes_artifact(self, toy_registered, tmp_path, capsys):
-        out = self._traced_sweep(tmp_path)
-        bench_path = tmp_path / "BENCH_obs.json"
-        assert main(["bench", "sweep", str(out),
-                     "--out", str(bench_path)]) == 0
-        with open(bench_path) as fh:
-            bench = json.load(fh)
-        assert bench["schema"] == "repro.obs.bench/v1"
-        assert bench["wall_s"] > 0
-        assert bench["runs"]["total"] == 2
-        assert "wrote" in capsys.readouterr().out
 
     def test_trace_files_resolution(self, toy_registered, tmp_path):
         out = self._traced_sweep(tmp_path)

@@ -2,19 +2,20 @@
 
 The load-bearing properties:
 
-* every executor (in-process, subprocess, ssh-with-fake-transport)
-  produces an ``aggregate.csv`` byte-identical to an undispatched run
-  of the same sweep;
-* a shard whose process is SIGKILLed mid-run is re-dispatched and the
-  sweep still completes, with the ``repro.sweep/v4`` manifest recording
-  the extra attempt;
-* a wedged shard (SIGSTOP) is detected through its stale heartbeat,
-  killed, and marked ``lost``;
-* deterministic shard failures abort the sweep instead of being
-  re-dispatched.
+* every executor configuration (in-process, ``subprocess``, ``ssh`` over
+  the local transport) produces an ``aggregate.csv`` byte-identical to
+  an undispatched run of the same sweep;
+* one class supervises every shard child, so the supervision suite runs
+  once per configuration: a SIGKILLed shard is re-dispatched, a wedged
+  one (SIGSTOP) is caught through its stale heartbeat, ``shard_timeout_s``
+  kills an overlong one, deterministic failures abort the sweep, and
+  ``cancel()`` leaves no child alive;
+* the exit-status policy is one table (0+manifest ok, 1/2 failed,
+  everything else lost).
 
-Subprocess/ssh shards run real ``python -m repro sweep`` children; the
-test experiments reach them via the ``REPRO_PLUGINS`` registry hook.
+Shards run real ``python -m repro sweep`` children; the test experiments
+reach them via the ``REPRO_PLUGINS`` registry hook.  Fake transports
+swap the launched command for a ``python -c`` stub (see ``_stub``).
 """
 
 import os
@@ -30,15 +31,16 @@ from repro.eval import registry
 from repro.sweep.executors import (
     LocalCommandTransport,
     LocalPoolExecutor,
-    SSHExecutor,
-    SubprocessShardExecutor,
+    SupervisedChildExecutor,
     load_hostfile,
     parse_hosts,
 )
 from repro.sweep.executors.ssh import TransportError
 from repro.sweep.executors.base import (
+    SHARD_FAILED,
     SHARD_LOST,
     SHARD_OK,
+    SHARD_RUNNING,
     ShardSpec,
     _cli_value,
 )
@@ -122,6 +124,51 @@ def _aggregate_bytes(sweep, out_dir):
         return handle.read()
 
 
+def _stub(code, output="", touch=None):
+    """``python -c`` argv tail for a stand-in child: print ``output``,
+    optionally create the file ``touch``, then exit with ``code`` (or,
+    for a negative ``code``, die by that signal)."""
+    lines = ["import os, sys", f"print({output!r})"]
+    if touch:
+        lines += [f"os.makedirs(os.path.dirname({touch!r}), exist_ok=True)",
+                  f"open({touch!r}, 'w').close()"]
+    lines.append(f"os.kill(os.getpid(), {-code})" if code < 0
+                 else f"sys.exit({code})")
+    return ["-c", "\n".join(lines)]
+
+
+def _is_shard(argv):
+    """A shard launch, as opposed to a preflight probe."""
+    return list(argv[1:4]) == ["-m", "repro", "sweep"]
+
+
+def _out_dir(argv):
+    return argv[argv.index("--out") + 1]
+
+
+def _poll_until(executor, done, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and not done():
+        executor.poll()
+        time.sleep(0.05)
+    assert done(), "condition not reached while polling"
+
+
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _ssh_local(tmp_path, hosts, **kwargs):
+    """The ``--executor ssh --transport local`` configuration."""
+    kwargs.setdefault("transport", LocalCommandTransport())
+    return SupervisedChildExecutor(
+        parse_hosts(hosts), remote_root=str(tmp_path / "remote"), **kwargs)
+
+
 class TestExecutorEquivalence:
     def test_all_executors_bit_identical_to_direct_run(self, plugin,
                                                        tmp_path):
@@ -136,22 +183,25 @@ class TestExecutorEquivalence:
 
         executors = {
             "local": LocalPoolExecutor(shards=2),
-            "subprocess": SubprocessShardExecutor(shards=2),
-            "ssh": SSHExecutor(
-                parse_hosts("alpha,beta"),
-                transport=LocalCommandTransport(),
-                remote_root=str(tmp_path / "remote")),
+            "subprocess": SupervisedChildExecutor.on_localhost(shards=2),
+            "ssh": _ssh_local(tmp_path, "alpha,beta"),
         }
         for name, executor in executors.items():
-            merged = run_sweep(
-                TOY, config(shard_dir=str(tmp_path / f"{name}-shards")),
-                executor=executor)
+            shard_dir = tmp_path / f"{name}-shards"
+            merged = run_sweep(TOY, config(shard_dir=str(shard_dir)),
+                               executor=executor)
             assert merged.dispatch["executor"] == name
             assert merged.dispatch["n_shards"] == 2
             assert all(row["status"] == SHARD_OK
                        for row in merged.dispatch["shards"])
             assert merged.manifest()["schema"] == "repro.sweep/v4"
             assert _aggregate_bytes(merged, tmp_path / name) == reference
+            expected = {"sweep.json", "runs.csv", "aggregate.csv"}
+            if name != "local":  # every child shard keeps its output
+                expected.add("shard.log")
+            for index in range(2):
+                assert set(os.listdir(shard_dir / f"shard-{index}")) \
+                    == expected
 
     def test_shard_artifacts_kept_in_shard_dir(self, plugin, tmp_path):
         shard_dir = tmp_path / "shards"
@@ -163,11 +213,31 @@ class TestExecutorEquivalence:
 
 
 class TestSubprocessSupervision:
+    """The supervision suite against ``--executor subprocess``.
+
+    :class:`TestSSHLocalSupervision` re-runs every test here against
+    ``--executor ssh --transport local`` — same class, other
+    configuration.
+    """
+
+    @staticmethod
+    def make_executor(tmp_path, shards=1, **kwargs):
+        return SupervisedChildExecutor.on_localhost(shards=shards, **kwargs)
+
+    @staticmethod
+    def slow_spec(tmp_path, **kwargs):
+        """One never-finishing shard (until ``flag`` appears)."""
+        return ShardSpec(
+            SLOW,
+            SweepConfig(seeds=1, jobs=1, use_cache=False,
+                        params={"flag": str(tmp_path / "flag")}),
+            index=0, count=1, out_dir=str(tmp_path / "out"), **kwargs)
+
     def test_sigkilled_shard_is_redispatched(self, plugin, tmp_path):
         flag = tmp_path / "flag"
         markers = tmp_path / "markers"
         markers.mkdir()
-        executor = SubprocessShardExecutor(shards=2)
+        executor = self.make_executor(tmp_path, shards=2)
         config = SweepConfig(
             seeds=2, jobs=1,
             params={"flag": str(flag), "marker_dir": str(markers)},
@@ -213,7 +283,7 @@ class TestSubprocessSupervision:
     def test_lost_shard_exhausts_attempts(self, plugin, tmp_path):
         markers = tmp_path / "markers"
         markers.mkdir()
-        executor = SubprocessShardExecutor(shards=1)
+        executor = self.make_executor(tmp_path)
         config = SweepConfig(
             seeds=1, jobs=1,
             params={"flag": str(tmp_path / "never"),
@@ -238,71 +308,260 @@ class TestSubprocessSupervision:
         thread.join(timeout=60)
 
     def test_stale_heartbeat_marks_shard_lost(self, plugin, tmp_path):
-        executor = SubprocessShardExecutor(shards=1,
-                                           heartbeat_timeout_s=1.0)
+        executor = self.make_executor(tmp_path, heartbeat_timeout_s=1.0)
         heartbeat = tmp_path / "heartbeat"
-        spec = ShardSpec(
-            SLOW,
-            SweepConfig(seeds=1, jobs=1, use_cache=False,
-                        params={"flag": str(tmp_path / "never")}),
-            index=0, count=1, out_dir=str(tmp_path / "out"),
-            heartbeat=str(heartbeat))
-        handle = executor.submit(spec)
+        handle = executor.submit(
+            self.slow_spec(tmp_path, heartbeat=str(heartbeat)))
         try:
             deadline = time.monotonic() + 60
             while time.monotonic() < deadline and not heartbeat.exists():
                 time.sleep(0.05)
             assert heartbeat.exists(), "shard never started its heartbeat"
             os.kill(handle.pid, signal.SIGSTOP)
-            while time.monotonic() < deadline \
-                    and handle.status != SHARD_LOST:
-                executor.poll()
-                time.sleep(0.1)
+            _poll_until(executor, lambda: handle.status == SHARD_LOST)
+        finally:
+            executor.cancel()
+        assert "heartbeat stale" in handle.error
+        assert not _pid_alive(handle.pid)
+
+    def test_lost_attempts_heartbeat_does_not_count_against_retry(
+            self, plugin, tmp_path):
+        # What a heartbeat-killed attempt leaves behind: a beat far
+        # older than the limit.  The retry must start with a clean file.
+        heartbeat = tmp_path / "heartbeat"
+        heartbeat.touch()
+        os.utime(heartbeat, (time.time() - 1000, time.time() - 1000))
+        executor = self.make_executor(tmp_path, heartbeat_timeout_s=60.0)
+        handle = executor.submit(
+            self.slow_spec(tmp_path, heartbeat=str(heartbeat)))
+        try:
+            executor.poll()
+            assert handle.status == SHARD_RUNNING, handle.error
+        finally:
+            executor.cancel()
+
+    def test_shard_timeout_marks_shard_lost(self, plugin, tmp_path):
+        executor = self.make_executor(tmp_path, shard_timeout_s=0.5)
+        handle = executor.submit(self.slow_spec(tmp_path))
+        try:
+            _poll_until(executor, lambda: handle.status != SHARD_RUNNING)
         finally:
             executor.cancel()
         assert handle.status == SHARD_LOST
-        assert "heartbeat stale" in handle.error
+        assert "exceeded timeout" in handle.error
+        assert not _pid_alive(handle.pid)
 
     def test_deterministic_failure_aborts_without_redispatch(
             self, plugin, tmp_path):
-        executor = SubprocessShardExecutor(shards=1)
+        executor = self.make_executor(tmp_path)
         config = SweepConfig(seeds=1, jobs=1, strict=True,
                              params={"marker_dir": str(tmp_path / "gone")},
                              use_cache=False,
                              shard_dir=str(tmp_path / "shards"))
         # marker_dir doesn't exist -> the run raises -> --strict exits 1.
-        with pytest.raises(SweepError, match="failed"):
+        with pytest.raises(SweepError, match="failed.*sweep aborted"):
             run_sweep(SLOW, config, executor=executor)
         assert executor.handles[0].attempts == 1
 
+    def test_cancel_leaves_no_live_child(self, plugin, tmp_path):
+        executor = self.make_executor(tmp_path, shards=2)
+        config = SweepConfig(seeds=2, jobs=1, use_cache=False,
+                             params={"flag": str(tmp_path / "never")})
+        handles = [executor.submit(ShardSpec(
+            SLOW, config, index=index, count=2,
+            out_dir=str(tmp_path / f"out-{index}"))) for index in range(2)]
+        pids = [handle.pid for handle in handles]
+        assert all(pids) and all(_pid_alive(pid) for pid in pids)
+        executor.cancel()
+        assert not any(_pid_alive(pid) for pid in pids)
+        assert [handle.status for handle in handles] == [SHARD_LOST] * 2
+        assert [handle.error for handle in handles] == ["cancelled"] * 2
+
+    @pytest.mark.parametrize("code, manifest, expected", [
+        (0, True, SHARD_OK),
+        (0, False, SHARD_LOST),
+        (1, False, SHARD_FAILED),
+        (2, False, SHARD_FAILED),
+        (3, False, SHARD_LOST),
+        (137, False, SHARD_LOST),
+        (-9, False, SHARD_LOST),
+    ])
+    def test_exit_status_policy(self, tmp_path, code, manifest, expected):
+        class ExitsWith(LocalCommandTransport):
+            def launch(self, host, argv, log_path):
+                if _is_shard(argv):
+                    touch = (os.path.join(_out_dir(argv), "sweep.json")
+                             if manifest else None)
+                    argv = [argv[0]] + _stub(code, "bye", touch=touch)
+                return super().launch(host, argv, log_path)
+
+        executor = self.make_executor(tmp_path, transport=ExitsWith())
+        handle = executor.submit(self.slow_spec(tmp_path))
+        _poll_until(executor, lambda: handle.status != SHARD_RUNNING)
+        assert handle.status == expected, handle.error
+        assert (handle.error is None) == (expected == SHARD_OK)
+        assert handle.wall_s > 0
+        with open(tmp_path / "out" / "shard.log") as log:
+            assert "bye" in log.read()
+
+
+class TestSSHLocalSupervision(TestSubprocessSupervision):
+    """The same suite against ``--executor ssh --transport local``."""
+
+    @staticmethod
+    def make_executor(tmp_path, shards=1, **kwargs):
+        return _ssh_local(tmp_path, f"alpha:{shards}", shards=shards,
+                          **kwargs)
+
+
+class TestSubprocessConfiguration:
+    def test_clean_sweep_launches_exactly_n_shards_children(self, plugin,
+                                                            tmp_path):
+        calls = []
+
+        class Counting(LocalCommandTransport):
+            def launch(self, host, argv, log_path):
+                calls.append(("launch", _is_shard(argv)))
+                return super().launch(host, argv, log_path)
+
+            def fetch(self, host, remote_dir, local_dir):
+                calls.append(("fetch", remote_dir))
+
+            def remove(self, host, remote_dir):
+                calls.append(("remove", remote_dir))
+
+        executor = SupervisedChildExecutor.on_localhost(
+            shards=3, transport=Counting())
+        merged = run_sweep(
+            TOY, SweepConfig(seeds=3, jobs=1, use_cache=False,
+                             shard_dir=str(tmp_path / "shards")),
+            executor=executor)
+        assert merged.n_runs == 3
+        # No preflight probe, no fetch, no cleanup: one child per shard.
+        assert calls == [("launch", True)] * 3
+        assert {row["host"] for row in merged.dispatch["shards"]} \
+            == {"localhost"}
+        assert merged.dispatch["executor"] == "subprocess"
+
 
 class TestSSHExecutor:
+    def _config(self, tmp_path, seeds=1):
+        return SweepConfig(
+            seeds=seeds, jobs=1, use_cache=False,
+            shard_retry=ShardRetryPolicy(max_attempts=2,
+                                         poll_interval_s=0.05),
+            shard_dir=str(tmp_path / "shards"))
+
     def test_lost_shard_retries_on_other_host(self, plugin, tmp_path):
         calls = []
 
         class FlakyTransport(LocalCommandTransport):
-            def run(self, host, argv, timeout=None):
+            def launch(self, host, argv, log_path):
                 calls.append(host.name)
-                if len(calls) == 1:
-                    return -9, ""  # first dispatch: killed remotely
-                return super().run(host, argv, timeout)
+                if len(calls) == 1:  # first dispatch: killed remotely
+                    argv = [argv[0]] + _stub(-9)
+                return super().launch(host, argv, log_path)
 
-        executor = SSHExecutor(
-            parse_hosts("alpha,beta"), transport=FlakyTransport(),
-            shards=1, remote_root=str(tmp_path / "remote"),
+        executor = _ssh_local(
+            tmp_path, "alpha,beta", transport=FlakyTransport(), shards=1,
             preflight=False)  # FlakyTransport counts raw dispatch calls
-        merged = run_sweep(
-            SLOW,
-            SweepConfig(seeds=1, jobs=1, use_cache=False,
-                        params={"flag": str(tmp_path / "flag.missing")},
-                        shard_retry=ShardRetryPolicy(max_attempts=2,
-                                                     poll_interval_s=0.05),
-                        shard_dir=str(tmp_path / "shards")),
-            executor=executor)
+        merged = run_sweep(TOY, self._config(tmp_path), executor=executor)
         # Hosts must differ across attempts: the loser is excluded.
         assert len(calls) == 2 and calls[0] != calls[1]
         row = merged.dispatch["shards"][0]
         assert row["status"] == SHARD_OK and row["attempts"] == 2
+
+    def test_redispatch_on_one_host_runs_in_a_fresh_workdir(self, plugin,
+                                                            tmp_path):
+        workdirs = []
+
+        class DiesMidWrite(LocalCommandTransport):
+            def launch(self, host, argv, log_path):
+                workdirs.append(_out_dir(argv))
+                if len(workdirs) == 1:  # leaves debris, then is killed
+                    argv = [argv[0]] + _stub(-9, touch=os.path.join(
+                        workdirs[0], "debris"))
+                return super().launch(host, argv, log_path)
+
+        executor = _ssh_local(tmp_path, "alpha", shards=1, preflight=False,
+                              transport=DiesMidWrite())
+        merged = run_sweep(TOY, self._config(tmp_path), executor=executor)
+        assert merged.dispatch["shards"][0]["attempts"] == 2
+        # The attempt number was on the handle before the child started,
+        # so the retry got its own directory and fetched none of the
+        # lost attempt's files.
+        assert len(set(workdirs)) == 2
+        assert workdirs[1].endswith("shard-0-try2")
+        assert not (tmp_path / "shards" / "shard-0" / "debris").exists()
+
+    def test_oversubscribed_host_runs_one_shard_per_slot(self, plugin,
+                                                         tmp_path):
+        children = []
+        concurrent = []
+
+        class Watching(LocalCommandTransport):
+            def launch(self, host, argv, log_path):
+                concurrent.append(
+                    sum(1 for child in children if child.poll() is None))
+                children.append(super().launch(host, argv, log_path))
+                return children[-1]
+
+        executor = _ssh_local(tmp_path, "alpha:1", shards=3,
+                              preflight=False, transport=Watching())
+        merged = run_sweep(
+            TOY, self._config(tmp_path, seeds=3), executor=executor)
+        assert merged.n_runs == 3
+        # The queued shards started from poll(), each into a free slot.
+        assert concurrent == [0, 0, 0]
+
+
+FAKE_SSH = """#!/bin/sh
+# ssh [options] HOST LINE: run LINE here; the host "down" is unreachable.
+while [ $# -gt 2 ]; do shift; done
+if [ "$1" = down ]; then
+    echo "ssh: connect to host down port 22: Connection refused" >&2
+    exit 255
+fi
+exec sh -c "$2"
+"""
+
+FAKE_SCP = """#!/bin/sh
+# scp [options] HOST:DIR/* LOCAL: copy DIR's contents here.
+while [ $# -gt 2 ]; do shift; done
+cp -r ${1#*:} "$2"
+"""
+
+
+class TestSSHCommandTransport:
+    """The real transport's argv, driven through stand-in binaries."""
+
+    def test_sweep_over_ssh_and_scp(self, plugin, tmp_path, monkeypatch):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        for name, script in (("ssh", FAKE_SSH), ("scp", FAKE_SCP)):
+            (bin_dir / name).write_text(script)
+            (bin_dir / name).chmod(0o755)
+        monkeypatch.setenv(
+            "PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+
+        config = SweepConfig(seeds=2, jobs=1, use_cache=False)
+        reference = _aggregate_bytes(run_sweep(TOY, config),
+                                     tmp_path / "direct")
+        remote = tmp_path / "remote"
+        executor = SupervisedChildExecutor(
+            parse_hosts("up:2,down", python=sys.executable), shards=2,
+            remote_root=str(remote))
+        merged = run_sweep(
+            TOY, SweepConfig(seeds=2, jobs=1, use_cache=False,
+                             shard_dir=str(tmp_path / "shards")),
+            executor=executor)
+        assert _aggregate_bytes(merged, tmp_path / "merged") == reference
+        # ssh's own failure (255) drops the host at preflight, with
+        # ssh's message as the reason.
+        assert "Connection refused" in executor.preflight_failures["down"]
+        assert {row["host"] for row in merged.dispatch["shards"]} == {"up"}
+        assert (tmp_path / "shards" / "shard-0" / "shard.log").is_file()
+        assert not remote.exists()  # fetched, then removed over ssh
 
 
 class TestDispatchedTracing:
@@ -338,14 +597,14 @@ class TestSSHPreflight:
 
     def test_bad_host_dropped_sweep_completes(self, plugin, tmp_path):
         class NoPythonOnAlpha(LocalCommandTransport):
-            def run(self, host, argv, timeout=None):
+            def launch(self, host, argv, log_path):
                 if host.name == "alpha" and list(argv[1:2]) == ["-V"]:
-                    return 127, "sh: python: command not found"
-                return super().run(host, argv, timeout)
+                    argv = [argv[0]] + _stub(
+                        127, "sh: python: command not found")
+                return super().launch(host, argv, log_path)
 
-        executor = SSHExecutor(
-            parse_hosts("alpha,beta"), transport=NoPythonOnAlpha(),
-            shards=2, remote_root=str(tmp_path / "remote"))
+        executor = _ssh_local(tmp_path, "alpha,beta", shards=2,
+                              transport=NoPythonOnAlpha())
         merged = run_sweep(
             TOY, SweepConfig(seeds=2, jobs=1, use_cache=False,
                              shard_dir=str(tmp_path / "shards")),
@@ -361,16 +620,15 @@ class TestSSHPreflight:
 
     def test_unimportable_repro_reported(self, plugin, tmp_path):
         class NoRepro(LocalCommandTransport):
-            def run(self, host, argv, timeout=None):
+            def launch(self, host, argv, log_path):
                 if list(argv[1:2]) == ["-c"]:
-                    return 1, ("Traceback (most recent call last):\n"
-                               "ModuleNotFoundError: "
-                               "No module named 'repro'")
-                return super().run(host, argv, timeout)
+                    argv = [argv[0]] + _stub(
+                        1, "Traceback (most recent call last):\n"
+                           "ModuleNotFoundError: No module named 'repro'")
+                return super().launch(host, argv, log_path)
 
-        executor = SSHExecutor(
-            parse_hosts("alpha"), transport=NoRepro(), shards=1,
-            remote_root=str(tmp_path / "remote"))
+        executor = _ssh_local(tmp_path, "alpha", shards=1,
+                              transport=NoRepro())
         with pytest.raises(TransportError,
                            match="preflight failed on all 1 host"):
             executor.submit(self._spec(tmp_path))
@@ -381,13 +639,12 @@ class TestSSHPreflight:
     def test_all_hosts_failing_aborts_with_every_reason(self, plugin,
                                                         tmp_path):
         class Unreachable(LocalCommandTransport):
-            def run(self, host, argv, timeout=None):
+            def launch(self, host, argv, log_path):
                 raise TransportError(f"ssh to {host.name}: "
                                      f"connection refused")
 
-        executor = SSHExecutor(
-            parse_hosts("alpha,beta"), transport=Unreachable(), shards=1,
-            remote_root=str(tmp_path / "remote"))
+        executor = _ssh_local(tmp_path, "alpha,beta", shards=1,
+                              transport=Unreachable())
         with pytest.raises(TransportError,
                            match="preflight failed on all 2 host"):
             executor.submit(self._spec(tmp_path))
@@ -398,9 +655,9 @@ class TestSSHPreflight:
         calls = []
 
         class Counting(LocalCommandTransport):
-            def run(self, host, argv, timeout=None):
+            def launch(self, host, argv, log_path):
                 calls.append(list(argv[1:2]))
-                return super().run(host, argv, timeout)
+                return super().launch(host, argv, log_path)
 
         def dispatch(executor, name):
             return run_sweep(
@@ -408,19 +665,18 @@ class TestSSHPreflight:
                                  shard_dir=str(tmp_path / name)),
                 executor=executor)
 
-        merged = dispatch(SSHExecutor(
-            parse_hosts("alpha"), transport=Counting(), shards=2,
-            remote_root=str(tmp_path / "r1")), "checked")
+        merged = dispatch(_ssh_local(
+            tmp_path / "r1", "alpha", transport=Counting(), shards=2),
+            "checked")
         assert merged.n_runs == 2
         # One -V and one import probe for the host, not one per shard.
         assert calls.count(["-V"]) == 1 and calls.count(["-c"]) == 1
         assert "preflight_failures" not in merged.dispatch
 
         calls.clear()
-        dispatch(SSHExecutor(
-            parse_hosts("alpha"), transport=Counting(), shards=2,
-            remote_root=str(tmp_path / "r2"), preflight=False),
-            "unchecked")
+        dispatch(_ssh_local(
+            tmp_path / "r2", "alpha", transport=Counting(), shards=2,
+            preflight=False), "unchecked")
         assert ["-V"] not in calls and ["-c"] not in calls
 
 

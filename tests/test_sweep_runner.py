@@ -162,3 +162,25 @@ class TestArtifacts:
             rows = list(csv.reader(handle))
         fields = {row[0] for row in rows[1:]}
         assert "value" in fields
+
+    def test_interrupted_write_leaves_no_manifest_and_no_torn_file(
+            self, tmp_path, toy_registered):
+        # sweep.json is a supervisor's "shard done" marker: it is
+        # written last, and every file appears whole or not at all.
+        sweep = run_sweep(toy_registered, seeds=2, jobs=1, use_cache=False)
+        out_dir = tmp_path / "out"
+        before = write_sweep_artifacts(sweep, str(out_dir))
+        old = {name: (out_dir / name).read_bytes() for name in before}
+
+        sweep.aggregate["value"].pop("ci95")  # aggregate.csv dies mid-row
+        with pytest.raises(KeyError):
+            write_sweep_artifacts(sweep, str(out_dir))
+        # The interrupted files are still the old, whole ones.
+        for name in ("aggregate.csv", "sweep.json"):
+            assert (out_dir / name).read_bytes() == old[name]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(old)
+
+        fresh = tmp_path / "fresh"
+        with pytest.raises(KeyError):
+            write_sweep_artifacts(sweep, str(fresh))
+        assert [p.name for p in fresh.iterdir()] == ["runs.csv"]
