@@ -26,36 +26,72 @@ the repo's AST-based invariant checks — determinism in simulation code,
 pickle safety across the sweep dispatch boundary, registry contracts —
 (see "Static analysis" in EXPERIMENTS.md).  Performance is measured by
 ``python3 benchmarks/ledger/run.py`` (see "Benchmarking" in README.md).
+
+Start-up is pay-for-what-you-run: a command imports its own module
+(``COMMANDS`` below is the only list of commands, and ``main`` imports
+the selected one's module and no other), and heavy third-party imports
+(``networkx``, process pools) live at their point of use, not at module
+top.  ``tests/test_main_cli.py``'s import-budget test is the contract: a
+new subcommand is a row in ``COMMANDS``, never an import in ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from typing import List
 
+#: command -> (one-line help, ``module:function`` registering its subparser
+#: and handler; an empty module means this one).
+COMMANDS = {
+    "list": ("list runnable experiments", ":add_list_parser"),
+    "run": ("run one or more experiments", ":add_run_parser"),
+    "sweep": ("Monte-Carlo sweep an experiment across seeds and parameters",
+              "repro.sweep.cli:add_sweep_parser"),
+    "merge": ("merge sharded sweep outputs into one aggregate",
+              "repro.sweep.cli:add_merge_parser"),
+    "lint": ("static invariant checks (determinism, payload safety, "
+             "registry contracts, cache-key hygiene, time domains)",
+             "repro.analysis.cli:add_lint_parser"),
+    "obs": ("inspect, query and diff observability artifacts",
+            "repro.obs.cli:add_obs_parser"),
+}
+
 
 def main(argv: List[str]) -> int:
-    from repro.analysis.cli import add_lint_parser, cmd_lint
-    from repro.eval import registry
-    from repro.obs.cli import add_obs_parser
-    from repro.sweep.cli import (
-        add_merge_parser,
-        add_sweep_parser,
-        cmd_merge,
-        cmd_sweep,
-    )
-
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the paper's experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    lister = sub.add_parser("list", help="list runnable experiments")
+    # The top-level parser has no options but -h, so the command, when
+    # there is one, is argv[0].  Every other command is registered by name
+    # and help only: --help, the usage line and the "invalid choice" error
+    # list all six without importing their modules.
+    selected = argv[0] if argv else None
+    for name, (help_text, target) in COMMANDS.items():
+        if name != selected:
+            sub.add_parser(name, help=help_text)
+            continue
+        module, _, function = target.partition(":")
+        namespace = (vars(importlib.import_module(module)) if module
+                     else globals())
+        namespace[function](sub, help=help_text)
+    args = parser.parse_args(argv)
+    return args.func(args)
+
+
+def add_list_parser(sub, help: str) -> None:
+    lister = sub.add_parser("list", help=help)
     lister.add_argument("--params", action="store_true",
                         help="also print each experiment's typed "
                              "parameter table")
-    run = sub.add_parser("run", help="run one or more experiments")
+    lister.set_defaults(func=cmd_list)
+
+
+def add_run_parser(sub, help: str) -> None:
+    run = sub.add_parser("run", help=help)
     run.add_argument("names", nargs="+",
                      help="experiment names (or 'all')")
     run.add_argument("--seed", type=int, default=None,
@@ -68,30 +104,24 @@ def main(argv: List[str]) -> int:
                           "profile-<name>.json")
     run.add_argument("--profile-out", default=".", metavar="DIR",
                      help="directory for profile artifacts (default: .)")
-    add_sweep_parser(sub)
-    add_merge_parser(sub)
-    add_lint_parser(sub)
-    add_obs_parser(sub)
-    args = parser.parse_args(argv)
+    run.set_defaults(func=cmd_run)
 
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "merge":
-        return cmd_merge(args)
-    if args.command == "lint":
-        return cmd_lint(args)
-    if args.command == "obs":
-        return args.func(args)
 
-    if args.command == "list":
-        width = max(len(name) for name in registry.names())
-        for name, spec in registry.registry().items():
-            seeded = " [seeded]" if spec.accepts_seed else ""
-            print(f"{name:<{width}}  {spec.description}{seeded}")
-            if args.params:
-                for param in spec.params:
-                    print(f"{'':<{width}}    --param {param.describe()}")
-        return 0
+def cmd_list(args: argparse.Namespace) -> int:
+    from repro.eval import registry
+
+    width = max(len(name) for name in registry.names())
+    for name, spec in registry.registry().items():
+        seeded = " [seeded]" if spec.accepts_seed else ""
+        print(f"{name:<{width}}  {spec.description}{seeded}")
+        if args.params:
+            for param in spec.params:
+                print(f"{'':<{width}}    --param {param.describe()}")
+    return 0
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    from repro.eval import registry
 
     names = (registry.names() if "all" in args.names else args.names)
     unknown = [n for n in names if n not in registry.names()]

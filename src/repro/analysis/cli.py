@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Optional
 
 from repro.analysis.baseline import (
     DEFAULT_BASELINE,
@@ -18,11 +18,10 @@ from repro.analysis.findings import RULES
 from repro.analysis.fixes import apply_fixes, fixes_by_path, unified_diff
 
 
-def add_lint_parser(sub) -> argparse.ArgumentParser:
+def add_lint_parser(sub, help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(
         "lint",
-        help="static invariant checks (determinism, payload safety, "
-             "registry contracts, cache-key hygiene, time domains)",
+        help=help,
         description=(
             "AST-based linter for the reproduction's correctness "
             "invariants: no hidden nondeterminism in simulation code "
@@ -72,7 +71,7 @@ def add_lint_parser(sub) -> argparse.ArgumentParser:
                         metavar="DIR",
                         help=f"incremental result cache location "
                              f"(default {DEFAULT_CACHE_DIR})")
-    parser.set_defaults(_handler=cmd_lint)
+    parser.set_defaults(func=cmd_lint)
     return parser
 
 
@@ -197,14 +196,3 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     return _render_report(report, args.format)
 
-
-def main(argv: List[str]) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro.analysis")
-    sub = parser.add_subparsers(dest="command", required=True)
-    add_lint_parser(sub)
-    args = parser.parse_args(argv)
-    return args._handler(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -191,6 +190,8 @@ def lint_paths(
     analyzed_paths = {info.path for info in to_analyze}
     report.files_analyzed = len(to_analyze)
     if jobs > 1 and len(to_analyze) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
                 max_workers=min(jobs, len(to_analyze)),
                 initializer=_init_worker,

@@ -21,6 +21,7 @@ import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro._params import fold_dotted_params
 from repro.eval import experiments as ex
 from repro.eval.specs import (
     BEHAVIORS,
@@ -336,8 +337,6 @@ class ExperimentSpec:
                 for name, value in values.items()}
 
     def run(self, **params):
-        from repro.sweep.grid import fold_dotted_params
-
         merged = dict(self.defaults)
         merged.update(params)
         merged = fold_dotted_params(merged)

@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.net import (
     CombinedCompromise,
     Compromise,
@@ -367,6 +365,8 @@ class PlacementSpec:
             return self.router
         if self.strategy == "seeded-random":
             return random.Random(seed).choice(pool)
+        import networkx as nx
+
         graph = topology.to_networkx()
         centrality = nx.betweenness_centrality(graph)
         if self.strategy == "articulation-point":

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 MBPS = 125_000  # bytes per second in one megabit/second
 
@@ -146,6 +147,8 @@ class Topology:
 
     def to_networkx(self) -> nx.Graph:
         """Undirected view with metric/delay/bandwidth edge attributes."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self._nodes)
         for (a, b), link in self._links.items():
@@ -158,6 +161,8 @@ class Topology:
     def is_connected(self) -> bool:
         if not self._nodes:
             return True
+        import networkx as nx
+
         return nx.is_connected(self.to_networkx())
 
     def degree_stats(self) -> Tuple[float, int]:

@@ -38,39 +38,21 @@ import glob
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs.diff import diff_sweeps, format_diff
 from repro.obs.forensics import explain_sweep, flow_timeline
 from repro.obs.metrics import merge_snapshots
 from repro.obs.query import (
     QueryFilter,
-    TRACE_DIRNAME,
+    TraceFormatError,
+    TraceReader,
+    has_torn_tail,
     scan,
     trace_files,
 )
 from repro.obs.sinks import encode_line
 from repro.obs.telemetry import merge_telemetry
-
-
-def read_trace(path: str) -> Tuple[Dict[str, int], List[dict], int]:
-    """One trace file -> (event name counts, metric snapshots, lines)."""
-    counts: Dict[str, int] = {}
-    snapshots: List[dict] = []
-    lines = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            lines += 1
-            record = json.loads(raw)
-            name = record.get("event", "?")
-            if name == "obs.metrics":
-                snapshots.append(record.get("metrics") or {})
-                continue
-            counts[name] = counts.get(name, 0) + 1
-    return counts, snapshots, lines
 
 
 def load_manifest_telemetry(path: str) -> Optional[dict]:
@@ -122,16 +104,20 @@ def summarize_paths(paths: List[str]) -> dict:
         files.extend(trace_files(path))
     events: Dict[str, int] = {}
     snapshots: List[dict] = []
-    total_lines = 0
+    records = 0
     for path in files:
-        counts, file_snapshots, lines = read_trace(path)
-        total_lines += lines
-        snapshots.extend(file_snapshots)
-        for name, count in counts.items():
-            events[name] = events.get(name, 0) + count
+        reader = TraceReader(path)
+        for name, count in reader.event_counts().items():
+            records += count
+            if name != "obs.metrics":
+                events[name] = events.get(name, 0) + count
+        snapshots.extend(
+            event.fields.get("metrics") or {}
+            for event in reader.events(
+                QueryFilter(events=("obs.metrics",))))
     return {
         "traces": len(files),
-        "records": total_lines,
+        "records": records,
         "events": {name: events[name] for name in sorted(events)},
         "metrics": merge_snapshots(snapshots),
         "telemetry": collect_telemetry(paths),
@@ -177,9 +163,9 @@ def format_summary(summary: dict) -> List[str]:
 
 # -- argparse wiring --------------------------------------------------------
 
-def add_obs_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "obs", help="inspect, query and diff observability artifacts")
+def add_obs_parser(subparsers, help: str) -> None:
+    parser = subparsers.add_parser("obs", help=help)
+    parser.set_defaults(func=cmd_obs)
     obs_sub = parser.add_subparsers(dest="obs_command", required=True)
 
     summarize = obs_sub.add_parser(
@@ -188,7 +174,7 @@ def add_obs_parser(subparsers) -> None:
                            help="trace .jsonl file(s) or sweep dir(s)")
     summarize.add_argument("--format", choices=("text", "json"),
                            default="text")
-    summarize.set_defaults(func=cmd_summarize)
+    summarize.set_defaults(obs_func=cmd_summarize)
 
     query = obs_sub.add_parser(
         "query", help="stream matching trace events as JSONL")
@@ -209,7 +195,7 @@ def add_obs_parser(subparsers) -> None:
                        help="print only the number of matches")
     query.add_argument("--no-index", action="store_true",
                        help="full scan; build no .idx.json sidecars")
-    query.set_defaults(func=cmd_query)
+    query.set_defaults(obs_func=cmd_query)
 
     flow = obs_sub.add_parser(
         "flow", help="reconstruct one flow's virtual-time timeline")
@@ -218,7 +204,7 @@ def add_obs_parser(subparsers) -> None:
                       help="trace .jsonl file(s) or sweep dir(s)")
     flow.add_argument("--format", choices=("text", "json"),
                       default="text")
-    flow.set_defaults(func=cmd_flow)
+    flow.set_defaults(obs_func=cmd_flow)
 
     explain = obs_sub.add_parser(
         "explain", help="verdict forensics for one router")
@@ -228,7 +214,7 @@ def add_obs_parser(subparsers) -> None:
                          help="trace .jsonl file(s) or sweep dir(s)")
     explain.add_argument("--format", choices=("text", "json"),
                          default="text")
-    explain.set_defaults(func=cmd_explain)
+    explain.set_defaults(obs_func=cmd_explain)
 
     diff = obs_sub.add_parser(
         "diff", help="compare two sweep outputs (exit 1 on regression)")
@@ -241,7 +227,27 @@ def add_obs_parser(subparsers) -> None:
                       help="let wall-domain telemetry drift gate too")
     diff.add_argument("--format", choices=("text", "json"),
                       default="text")
-    diff.set_defaults(func=cmd_diff)
+    diff.set_defaults(obs_func=cmd_diff)
+
+
+def cmd_obs(args: argparse.Namespace) -> int:
+    """Run the selected subcommand under the damaged-trace policy.
+
+    The readers skip a torn final line and raise on any other bad line
+    (:mod:`repro.obs.query`); this is where both reach the user, as one
+    line each on stderr.
+    """
+    paths = args.paths if "paths" in args else [args.a, args.b]
+    for path in paths:
+        for trace in trace_files(path):
+            if has_torn_tail(trace):
+                print(f"warning: {trace}: ignored torn final line",
+                      file=sys.stderr)
+    try:
+        return args.obs_func(args)
+    except TraceFormatError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 def cmd_summarize(args: argparse.Namespace) -> int:

@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._params import fold_dotted_params
 from repro.obs.query import (
     QueryFilter,
     TraceEvent,
@@ -84,7 +85,6 @@ def ground_truth_from_record(record: dict) -> Optional[dict]:
     if record.get("experiment") != "attack_matrix":
         return None
     from repro.eval import ScenarioSpec, TopologySpec, resolve_ground_truth
-    from repro.sweep.grid import fold_dotted_params
 
     # Manifest records keep grid params in dotted form
     # ("placement.router"); fold them into the nested dicts the

@@ -17,6 +17,13 @@ write-once, and size — unlike mtime — never reads a wall clock, keeping
 this module inside the sim-domain lint rules), and is rebuilt whenever
 the size disagrees.  Unwritable trace directories degrade gracefully to
 a full scan.
+
+Damaged traces have one policy, :func:`_reject_line`, run from the
+``except`` path of every read loop here (the loops themselves pay
+nothing for it): a final line with no newline that does not parse is
+what a SIGKILLed writer leaves and is skipped — :func:`has_torn_tail`
+lets a front end say so — and any other unparsable line raises
+:class:`TraceFormatError`.
 """
 
 from __future__ import annotations
@@ -133,6 +140,41 @@ class QueryFilter:
         return True
 
 
+class TraceFormatError(ValueError):
+    """A trace line that is not JSON and is not a torn final line."""
+
+
+def _reject_line(path: str, raw: bytes, offset: int) -> None:
+    """Decide about the unparsable line *raw* found at byte *offset*.
+
+    Only a file's last line can lack its newline, so returning (skip it)
+    ends the caller's loop as well.
+    """
+    if raw.endswith(b"\n"):
+        with open(path, "rb") as fh:
+            lineno = fh.read(offset).count(b"\n") + 1
+        raise TraceFormatError(
+            f"{path}:{lineno}: not valid JSON") from None
+
+
+def has_torn_tail(path: str) -> bool:
+    """Whether *path* ends in a line the readers skip as torn."""
+    with open(path, "rb") as fh:
+        if not fh.seek(0, os.SEEK_END):
+            return False
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return False
+        fh.seek(0)
+        for raw in fh:
+            pass
+    try:
+        _parse_line(raw)
+    except ValueError:
+        return True
+    return False
+
+
 def _parse_line(raw: bytes) -> Optional[TraceEvent]:
     line = raw.strip()
     if not line:
@@ -157,20 +199,23 @@ def build_index(trace_path: str) -> dict:
     routers: Dict[str, List[int]] = {}
     events: Dict[str, List[int]] = {}
     with open(trace_path, "rb") as fh:
-        while True:
-            offset = fh.tell()
-            raw = fh.readline()
-            if not raw:
-                break
-            parsed = _parse_line(raw)
-            if parsed is None:
-                continue
-            events.setdefault(parsed.event, []).append(offset)
-            flow = parsed.flow
-            if flow is not None:
-                flows.setdefault(flow, []).append(offset)
-            for name in parsed.routers:
-                routers.setdefault(name, []).append(offset)
+        try:
+            while True:
+                offset = fh.tell()
+                raw = fh.readline()
+                if not raw:
+                    break
+                parsed = _parse_line(raw)
+                if parsed is None:
+                    continue
+                events.setdefault(parsed.event, []).append(offset)
+                flow = parsed.flow
+                if flow is not None:
+                    flows.setdefault(flow, []).append(offset)
+                for name in parsed.routers:
+                    routers.setdefault(name, []).append(offset)
+        except ValueError:
+            _reject_line(trace_path, raw, offset)
     return {
         "version": INDEX_VERSION,
         "trace_bytes": os.path.getsize(trace_path),
@@ -276,23 +321,30 @@ class TraceReader:
 
     def _scan(self, query: Optional[QueryFilter]) -> Iterator[TraceEvent]:
         with open(self.path, "rb") as fh:
-            for raw in fh:
-                parsed = _parse_line(raw)
-                if parsed is None:
-                    continue
-                if query is None or query.matches(parsed):
-                    yield parsed
+            try:
+                for raw in fh:
+                    parsed = _parse_line(raw)
+                    if parsed is None:
+                        continue
+                    if query is None or query.matches(parsed):
+                        yield parsed
+            except ValueError:
+                _reject_line(self.path, raw, fh.tell() - len(raw))
 
     def _seek(self, offsets: Sequence[int],
               query: Optional[QueryFilter]) -> Iterator[TraceEvent]:
         with open(self.path, "rb") as fh:
-            for offset in offsets:
-                fh.seek(offset)
-                parsed = _parse_line(fh.readline())
-                if parsed is None:
-                    continue
-                if query is None or query.matches(parsed):
-                    yield parsed
+            try:
+                for offset in offsets:
+                    fh.seek(offset)
+                    raw = fh.readline()
+                    parsed = _parse_line(raw)
+                    if parsed is None:
+                        continue
+                    if query is None or query.matches(parsed):
+                        yield parsed
+            except ValueError:
+                _reject_line(self.path, raw, offset)
 
 
 def scan(paths: Iterable[str], query: Optional[QueryFilter] = None,

@@ -19,10 +19,11 @@ from repro.sweep.retry import RetryPolicy, ShardRetryPolicy, SweepError
 from repro.sweep.runner import SweepConfig, run_sweep
 
 
-def add_sweep_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
+def add_sweep_parser(sub: argparse._SubParsersAction,
+                     help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(
         "sweep",
-        help="Monte-Carlo sweep an experiment across seeds and parameters",
+        help=help,
         description=(
             "Fan one experiment across N derived seeds (and an optional "
             "parameter grid) on a process pool, aggregate "
@@ -145,13 +146,15 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser
     # child touches the file twice a second for liveness supervision.
     dispatch.add_argument("--heartbeat", default=None,
                           help=argparse.SUPPRESS)
+    parser.set_defaults(func=cmd_sweep)
     return parser
 
 
-def add_merge_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser:
+def add_merge_parser(sub: argparse._SubParsersAction,
+                     help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(
         "merge",
-        help="merge sharded sweep outputs into one aggregate",
+        help=help,
         description=(
             "Union the sweep.json manifests of several --shard runs of "
             "the same sweep (validating that shards are disjoint and "
@@ -165,6 +168,7 @@ def add_merge_parser(sub: argparse._SubParsersAction) -> argparse.ArgumentParser
                         help="directory for the merged artifacts")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-shard summary lines")
+    parser.set_defaults(func=cmd_merge)
     return parser
 
 

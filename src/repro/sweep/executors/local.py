@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -249,6 +248,8 @@ def _run_cells(
             # in flight with it.  Rerun each suspect in its own
             # single-worker pool so a poisoned cell exhausts only its
             # own attempts and collateral cells complete normally.
+            from concurrent.futures import ProcessPoolExecutor
+
             for index in queue:
                 attempts[index] += 1
                 with ProcessPoolExecutor(
@@ -262,6 +263,8 @@ def _run_cells(
         else:
             # One pool per round: a crash poisons the pool, so
             # surviving cells get a clean pool on the retry round.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(
                     max_workers=min(jobs, len(queue)),
                     initializer=_init_worker,

@@ -12,14 +12,15 @@ import shutil
 
 import pytest
 
-from repro.analysis import LintCache, cli, lint_paths
+from repro.__main__ import main
+from repro.analysis import LintCache, lint_paths
 
 TESTS_DIR = os.path.dirname(__file__)
 FIXTURES = os.path.join(TESTS_DIR, "fixtures", "lint")
 
 
 def run_cli(*argv):
-    return cli.main(["lint", *argv])
+    return main(["lint", *argv])
 
 
 def snapshot(report):

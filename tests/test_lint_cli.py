@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from repro.analysis import cli
+from repro.__main__ import main
 
 TESTS_DIR = os.path.dirname(__file__)
 REPO_ROOT = os.path.dirname(TESTS_DIR)
@@ -17,7 +17,7 @@ DET_GOOD = os.path.join(FIXTURES, "det_good.py")
 
 
 def run_cli(*argv):
-    return cli.main(["lint", *argv])
+    return main(["lint", *argv])
 
 
 def test_clean_file_exits_zero(capsys):

@@ -8,7 +8,8 @@ import shutil
 
 import pytest
 
-from repro.analysis import cli, lint_paths
+from repro.__main__ import main
+from repro.analysis import lint_paths
 
 TESTS_DIR = os.path.dirname(__file__)
 REPO_ROOT = os.path.dirname(TESTS_DIR)
@@ -17,7 +18,7 @@ NET_PKG = os.path.join(REPO_ROOT, "src", "repro", "net")
 
 
 def run_cli(*argv):
-    return cli.main(["lint", *argv])
+    return main(["lint", *argv])
 
 
 @pytest.fixture

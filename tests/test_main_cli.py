@@ -1,11 +1,15 @@
 """Smoke tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import COMMANDS, main
 
 
 class TestList:
@@ -61,3 +65,180 @@ class TestSweep:
             manifest = json.load(handle)
         assert manifest["schema"] == "repro.sweep/v4"
         assert manifest["n_runs"] == 1
+
+
+# The six top-level commands and their one-line help, as `python -m repro
+# --help` printed them before dispatch became lazy.
+HELP_BEFORE_LAZY_DISPATCH = (
+    ("list", "list runnable experiments"),
+    ("run", "run one or more experiments"),
+    ("sweep", "Monte-Carlo sweep an experiment across seeds and parameters"),
+    ("merge", "merge sharded sweep outputs into one aggregate"),
+    ("lint", "static invariant checks (determinism, payload safety, "
+             "registry contracts, cache-key hygiene, time domains)"),
+    ("obs", "inspect, query and diff observability artifacts"),
+)
+
+
+class TestTopLevelSurface:
+    """`--help`, the usage line and the unknown-command error list all six
+    commands although only the selected one's module is imported."""
+
+    @pytest.fixture
+    def eager(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = argparse.ArgumentParser(
+            prog="python -m repro",
+            description="Regenerate the paper's experiments.")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for name, text in HELP_BEFORE_LAZY_DISPATCH:
+            sub.add_parser(name, help=text)
+        return parser
+
+    def test_table_is_the_help_strings(self):
+        assert tuple((name, text) for name, (text, _) in COMMANDS.items()) \
+            == HELP_BEFORE_LAZY_DISPATCH
+
+    def test_help_lists_every_command(self, eager, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == eager.format_help()
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch"], ["--", "list"]])
+    def test_no_or_unknown_command_exits_2(self, argv, eager, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        ours = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            eager.parse_args(argv)
+        assert ours == capsys.readouterr().err
+
+    def test_main_twice_in_one_process(self, capsys):
+        assert main(["list"]) == 0
+        first = capsys.readouterr().out
+        assert main(["lint", "--list-rules"]) == 0
+        assert "DET001" in capsys.readouterr().out
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == first
+
+
+# -- the import budget ------------------------------------------------------
+#
+# A command imports its own module; heavy third-party imports live at their
+# point of use.  Each case runs in a fresh interpreter and names the
+# packages that must not have been loaded by the time the command returns.
+
+SIMULATOR = ("repro.eval", "repro.net", "repro.core")
+OBS_BUDGET = SIMULATOR + ("repro.sweep", "repro.analysis", "networkx",
+                          "multiprocessing")
+
+_PROBE = """
+import json, sys
+from repro.__main__ import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as stop:
+    code = stop.code
+sys.stdout.flush()
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def _loaded(modules, package):
+    return [m for m in modules
+            if m == package or m.startswith(package + ".")]
+
+
+def run_fresh(code, *argv, cwd=None):
+    """Run *code* in a new interpreter: (its stdout, what it reports)."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout, json.loads(done.stderr.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def artefacts(tmp_path_factory):
+    """A tiny traced sweep (twice), two shard dirs and a warm cache."""
+    root = tmp_path_factory.mktemp("import-budget")
+    assert main(["sweep", "attack_matrix", "--seeds", "1", "--jobs", "1",
+                 "--no-cache", "--trace", "--quiet",
+                 "--param", "topology=line",
+                 "--param", "placement.strategy=fixed",
+                 "--param", "placement.router=r2",
+                 "--param", "adversary.behavior=drop",
+                 "--param", "adversary.rate=0.5",
+                 "--out", str(root / "traced")]) == 0
+    shutil.copytree(root / "traced", root / "traced-again")
+    for shard in ("0", "1"):
+        assert main(["sweep", "pik2_bench", "--seeds", "2", "--jobs", "1",
+                     "--no-cache", "--quiet", "--shard", f"{shard}/2",
+                     "--out", str(root / f"shard-{shard}")]) == 0
+    assert main(["sweep", "baselines", "--seeds", "1", "--jobs", "1",
+                 "--quiet", "--cache-dir", str(root / "cache"),
+                 "--out", str(root / "cold")]) == 0
+    return root
+
+
+def _cases():
+    """(argv, packages that must stay unloaded, proof the command ran)."""
+    for name, argv, says in (
+            ("obs-query-help", ["obs", "query", "--help"], "--no-index"),
+            ("obs-query", ["obs", "query", "--event", "detector.suspect",
+                           "--limit", "1", "traced"], "detector.suspect"),
+            ("obs-explain", ["obs", "explain", "r2", "traced"], "-> TP"),
+            ("obs-summarize", ["obs", "summarize", "traced"],
+             "traces: 1 file(s)"),
+            ("obs-diff", ["obs", "diff", "traced", "traced-again"],
+             "no deltas")):
+        yield pytest.param(argv, OBS_BUDGET, says, id=name)
+    no_pool = ("repro.analysis", "networkx", "multiprocessing")
+    yield pytest.param(["merge", "shard-0", "shard-1", "--out", "merged"],
+                       ("repro.eval",) + no_pool, "shard 1/2, 1 runs",
+                       id="merge")
+    yield pytest.param(["sweep", "--help"], ("repro.eval",) + no_pool,
+                       "--seeds", id="sweep-help")
+    yield pytest.param(["sweep", "baselines", "--seeds", "1", "--jobs", "2",
+                        "--cache-dir", "cache", "--out", "warm"],
+                       no_pool, "cache: 1 hits, 0 misses", id="sweep-warm")
+    not_run = ("repro.analysis", "repro.sweep", "repro.obs.cli", "networkx")
+    yield pytest.param(["list"], not_run, "fig6_6", id="list")
+    yield pytest.param(["run", "baselines"], not_run, "watchers-consorting",
+                       id="run")
+    yield pytest.param(["lint", "--list-rules"],
+                       ("repro.eval", "repro.sweep", "repro.obs",
+                        "networkx"), "DET001", id="lint")
+
+
+@pytest.mark.parametrize("argv, forbidden, says", _cases())
+def test_command_imports_only_what_it_runs(argv, forbidden, says,
+                                           artefacts):
+    out, (code, modules) = run_fresh(_PROBE, *argv, cwd=str(artefacts))
+    assert code == 0 and says in out, out
+    loaded = {package: _loaded(modules, package) for package in forbidden}
+    assert not any(loaded.values()), loaded
+
+
+def test_networkx_is_imported_where_it_is_called():
+    _, (_, modules) = run_fresh(
+        "import json, sys\n"
+        "import repro.net, repro.eval\n"
+        "print(json.dumps([0, sorted(sys.modules)]), file=sys.stderr)")
+    assert not _loaded(modules, "networkx")
+
+    from repro.eval import PlacementSpec
+    from repro.net import abilene
+
+    topology = abilene()
+    assert topology.is_connected() is True
+    for strategy in ("max-betweenness", "articulation-point"):
+        assert PlacementSpec(strategy=strategy).resolve(
+            topology, 0, topology.routers) == "KansasCity"
+    assert "networkx" in sys.modules

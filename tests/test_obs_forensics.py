@@ -7,6 +7,7 @@ arithmetic exactly.
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -247,3 +248,71 @@ class TestForensicsCli:
         assert main(["obs", "flow", "f1", str(empty)]) == 2
         assert main(["obs", "explain", "Denver", str(empty)]) == 2
         assert "no trace files" in capsys.readouterr().err
+
+
+class TestDamagedTraces:
+    """One policy for every ``obs`` reader: a torn tail is skipped with a
+    warning, any other unparsable line is a one-line error and exit 2."""
+
+    COMMANDS = (
+        ["obs", "query", "--event", "net.drop", "--count"],
+        ["obs", "query", "--count", "--no-index"],
+        ["obs", "summarize"],
+        ["obs", "explain", "Denver"],
+        ["obs", "flow", "f1"],
+    )
+
+    @staticmethod
+    def _damaged_copy(drop_sweep, tmp_path, damage):
+        copy = tmp_path / "damaged"
+        shutil.copytree(drop_sweep, copy,
+                        ignore=shutil.ignore_patterns("*.idx.json"))
+        trace, = trace_files(str(copy))
+        with open(trace, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        with open(trace, "wb") as fh:
+            fh.writelines(damage(lines))
+        return str(copy), trace
+
+    def test_torn_final_line_warns_and_keeps_the_count(self, drop_sweep,
+                                                       tmp_path, capsys):
+        # What a SIGKILLed worker leaves: the last record cut mid-line.
+        damaged, trace = self._damaged_copy(
+            drop_sweep, tmp_path,
+            lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]])
+        assert main(["obs", "query", "--event", "net.drop", "--count",
+                     drop_sweep]) == 0
+        intact_drops = capsys.readouterr().out
+        for argv in self.COMMANDS:
+            assert main(argv + [damaged]) == 0, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"warning: {trace}: ignored torn final line\n"), argv
+            if "net.drop" in argv:
+                assert captured.out == intact_drops
+        # The torn line was the obs.metrics flush, so the metrics differ:
+        # diff says so through its normal exit status, after the warning.
+        assert main(["obs", "diff", drop_sweep, damaged]) == 1
+        assert capsys.readouterr().err == (
+            f"warning: {trace}: ignored torn final line\n")
+
+    def test_unterminated_but_valid_final_line_is_not_torn(self, drop_sweep,
+                                                           tmp_path, capsys):
+        damaged, _ = self._damaged_copy(
+            drop_sweep, tmp_path,
+            lambda lines: lines[:-1] + [lines[-1].rstrip(b"\n")])
+        assert main(["obs", "diff", drop_sweep, damaged]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_corrupt_middle_line_is_a_one_line_error(self, drop_sweep,
+                                                     tmp_path, capsys):
+        damaged, trace = self._damaged_copy(
+            drop_sweep, tmp_path,
+            lambda lines: lines[:9] + [lines[9][:15] + b"\n"] + lines[10:])
+        for argv in self.COMMANDS:
+            assert main(argv + [damaged]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                f"error: {trace}:10: not valid JSON\n"), argv
+        assert main(["obs", "diff", drop_sweep, damaged]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
