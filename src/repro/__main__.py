@@ -52,7 +52,7 @@ COMMANDS = {
     "merge": ("merge sharded sweep outputs into one aggregate",
               "repro.sweep.cli:add_merge_parser"),
     "lint": ("static invariant checks (determinism, payload safety, "
-             "registry contracts, cache-key hygiene, time domains)",
+             "registry contracts, public API surface)",
              "repro.analysis.cli:add_lint_parser"),
     "obs": ("inspect, query and diff observability artifacts",
             "repro.obs.cli:add_obs_parser"),

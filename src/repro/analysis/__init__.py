@@ -2,37 +2,27 @@
 
 The runtime can only spot-check the properties everything else rests on
 — bit-reproducible simulation, picklable sweep payloads, registry
-contracts.  This package checks them statically, before the code runs:
+contracts.  This package checks their syntactic form before the code
+runs:
 
 * determinism rules (DET001-DET004) over the simulation packages,
 * payload-safety rules (PAY001-PAY003) at every pickle boundary,
 * registry-contract rules (REG001-REG003) over experiment specs and
   result types,
-* cache-key hygiene rules (CKY001-CKY003) over the sweep key path,
-* time-domain taint rules (TDM001-TDM002) over sim-domain sinks.
+* the public-surface rule (API001) over in-repo imports.
 
-The CKY/TDM families — and DET004's escape filter — ride a shared
-flow-sensitive dataflow engine (:mod:`repro.analysis.dataflow`) that
-propagates wall-clock/entropy/environment/set-order taint through each
-function, with one-hop cross-file call summaries.
-
-Run it as ``python -m repro lint`` (see :mod:`repro.analysis.cli`) or
-call :func:`lint_paths` directly.  ``--fix`` applies the deterministic
-autofixes attached to mechanical findings; an incremental result cache
-under ``.repro-cache/lint/`` and ``--jobs N`` keep large trees fast.
+It is one in-process pass: parse every file, index top-level functions
+and classes across files, run four single-file AST visitors, apply the
+inline ``# repro-lint: disable=RULE -- reason`` pragmas.  It keeps no
+state on disk.  Run it as ``python -m repro lint`` (see
+:mod:`repro.analysis.cli`) or call :func:`lint_paths` directly.
 """
 
-from repro.analysis.baseline import Baseline, BaselineError
-from repro.analysis.cache import LintCache
 from repro.analysis.engine import LintReport, discover_files, lint_paths
-from repro.analysis.findings import RULES, Finding, Fix, Rule
+from repro.analysis.findings import RULES, Finding, Rule
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "Finding",
-    "Fix",
-    "LintCache",
     "LintReport",
     "RULES",
     "Rule",

@@ -1,17 +1,9 @@
-"""Finding and rule-catalogue types shared by every lint pass.
-
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.fingerprint` is deliberately line-number-free — it hashes
-the rule, the file, and the *text* of the offending line (plus an
-occurrence index for identical lines) — so a baseline entry keeps
-matching while unrelated edits shift the file around it.
-"""
+"""Finding and rule-catalogue types shared by every lint pass."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -23,44 +15,6 @@ class Rule:
     rationale: str = ""
 
 
-@dataclass(frozen=True)
-class Fix:
-    """A deterministic source edit attached to a finding.
-
-    A fix replaces one exact character span; ``original`` is the text
-    the span must still hold when the fix is applied, so a stale fix
-    (source drifted since analysis) is skipped instead of corrupting
-    the file.
-    """
-
-    line: int       # 1-based span start
-    col: int        # 0-based
-    end_line: int   # 1-based, inclusive line of the span end
-    end_col: int    # 0-based, exclusive
-    original: str
-    replacement: str
-    description: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-            "original": self.original,
-            "replacement": self.replacement,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Fix":
-        return cls(line=data["line"], col=data["col"],
-                   end_line=data["end_line"], end_col=data["end_col"],
-                   original=data["original"],
-                   replacement=data["replacement"],
-                   description=data.get("description", ""))
-
-
 @dataclass
 class Finding:
     """One rule violation at one location."""
@@ -70,71 +24,22 @@ class Finding:
     line: int  # 1-based
     col: int   # 0-based, ast convention
     message: str
-    source_line: str = ""  # stripped text of the offending line
-    #: occurrence index among findings with the same (rule, path, text);
-    #: keeps fingerprints distinct when one line is duplicated verbatim.
-    occurrence: int = 0
-    #: Mechanical autofix, when the rule can offer one (``--fix``).
-    fix: Optional[Fix] = None
-
-    def fingerprint(self) -> str:
-        key = f"{self.rule}|{self.path}|{self.source_line}|{self.occurrence}"
-        return hashlib.sha256(key.encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
         }
-        if self.fix is not None:
-            data["fixable"] = True
-        return data
-
-    def to_cache_dict(self) -> dict:
-        """Full round-trip form for the on-disk lint result cache."""
-        data = {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "source_line": self.source_line,
-        }
-        if self.fix is not None:
-            data["fix"] = self.fix.to_dict()
-        return data
-
-    @classmethod
-    def from_cache_dict(cls, data: dict) -> "Finding":
-        fix = data.get("fix")
-        return cls(rule=data["rule"], path=data["path"], line=data["line"],
-                   col=data["col"], message=data["message"],
-                   source_line=data.get("source_line", ""),
-                   fix=Fix.from_dict(fix) if fix else None)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 
-def assign_occurrences(findings: List[Finding]) -> None:
-    """Number findings that share (rule, path, source text) 0, 1, 2, ...
-
-    Must run before fingerprints are compared against a baseline.
-    Findings are numbered in line order so the mapping is stable.
-    """
-    counts: Dict[tuple, int] = {}
-    for finding in sorted(findings, key=lambda f: (f.path, f.line, f.col)):
-        key = (finding.rule, finding.path, finding.source_line)
-        finding.occurrence = counts.get(key, 0)
-        counts[key] = finding.occurrence + 1
-
-
-#: The rule catalogue.  IDs are stable public API: tests, suppression
-#: comments and baselines all reference them.
+#: The rule catalogue.  IDs are stable public API: tests and suppression
+#: comments reference them.
 RULES: Dict[str, Rule] = {}
 
 

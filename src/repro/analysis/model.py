@@ -1,7 +1,7 @@
 """Parsed-source model: per-file info and the cross-file project index.
 
 Rule passes never touch the filesystem; they see a :class:`ModuleInfo`
-(one parsed file: AST, source lines, dotted module name, suppressions)
+(one parsed file: AST, dotted module name, suppressions)
 and a :class:`ProjectIndex` (every linted module's top-level functions
 and classes, keyed by dotted name) so contract rules can resolve
 ``ex.fig5_2_pr_pi2`` through the importing module's aliases and check
@@ -11,10 +11,12 @@ the real signature.
 from __future__ import annotations
 
 import ast
+import io
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: ``# repro-lint: disable=DET001,REG002 -- reason`` (reason optional at
 #: parse time; the engine reports LNT001 when it is missing).
@@ -64,21 +66,12 @@ class ModuleInfo:
     path: str            # normalized path as reported in findings
     module: str          # dotted module name ("" when unknown)
     tree: ast.Module
-    lines: List[str]     # raw source lines, 0-indexed
     suppressions: List[Suppression] = field(default_factory=list)
     #: import alias -> dotted module name (``import x.y as z``,
     #: ``from x import y`` when y is a module we indexed).
     module_aliases: Dict[str, str] = field(default_factory=dict)
     #: local name -> (module, attr) for ``from x import y [as z]``.
     imported_names: Dict[str, Tuple[str, str]] = field(default_factory=dict)
-    #: Memoized dataflow result (`repro.analysis.dataflow.ModuleFlow`);
-    #: typed ``Any`` to keep the model layer free of engine imports.
-    flow_cache: Any = field(default=None, repr=False, compare=False)
-
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
     def suppressed(self, rule: str, line: int) -> Optional[Suppression]:
         for sup in self.suppressions:
@@ -94,9 +87,6 @@ class ProjectIndex:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # "mod.fn"
     classes: Dict[str, ClassInfo] = field(default_factory=dict)       # "mod.Cls"
     modules: Dict[str, ModuleInfo] = field(default_factory=dict)      # by dotted name
-    #: "mod.fn" -> taint kinds its return value carries (one-hop call
-    #: summaries, populated by ``repro.analysis.dataflow.compute_summaries``).
-    summaries: Dict[str, FrozenSet[str]] = field(default_factory=dict)
 
     def resolve_function_name(self, info: ModuleInfo,
                               node: ast.expr) -> Optional[str]:
@@ -123,6 +113,18 @@ class ProjectIndex:
         return self.functions.get(name) if name is not None else None
 
 
+def dotted_name(node: ast.expr) -> str:
+    """'a.b.c' for nested Name/Attribute chains, '' otherwise."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
 def infer_module_name(path: str) -> str:
     """Dotted module name from a file path, by walking up __init__.py."""
     path = os.path.abspath(path)
@@ -139,23 +141,32 @@ def infer_module_name(path: str) -> str:
     return ".".join(reversed(parts))
 
 
-def _parse_pragmas(info: ModuleInfo) -> None:
-    """Collect suppressions and the module-name override from comments."""
-    for index, raw in enumerate(info.lines, start=1):
-        text = raw.rstrip()
-        match = _SUPPRESS_RE.search(text)
+def _parse_pragmas(info: ModuleInfo, source: str) -> None:
+    """Collect suppressions and the module-name override from comments.
+
+    A pragma is a COMMENT token that starts with ``# repro-lint:``, so
+    neither pragma-shaped text in a string or docstring nor a prose
+    comment quoting one (``#: write `# repro-lint: ...```) counts.
+    """
+    if "repro-lint:" not in source:
+        return  # nothing to find: skip tokenising
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        line, col = token.start
+        match = _SUPPRESS_RE.match(token.string)
         if match:
             rules = tuple(part.strip() for part in match.group(1).split(",")
                           if part.strip())
             reason = (match.group(2) or "").strip()
             # A comment-only line waives the next line; a trailing
             # comment waives its own line.
-            code = text[:match.start()].strip()
-            target = index + 1 if not code else index
+            code = token.line[:col].strip()
+            target = line + 1 if not code else line
             info.suppressions.append(
                 Suppression(line=target, rules=rules, reason=reason,
-                            pragma_line=index))
-        module_match = _MODULE_RE.search(text)
+                            pragma_line=line))
+        module_match = _MODULE_RE.match(token.string)
         if module_match:
             info.module = module_match.group(1)
 
@@ -190,8 +201,8 @@ def load_module(path: str, display_path: str) -> Tuple[Optional[ModuleInfo],
     except SyntaxError as error:
         return None, f"line {error.lineno}: {error.msg}"
     info = ModuleInfo(path=display_path, module=infer_module_name(path),
-                      tree=tree, lines=source.splitlines())
-    _parse_pragmas(info)
+                      tree=tree)
+    _parse_pragmas(info, source)
     _collect_imports(info)
     return info, None
 

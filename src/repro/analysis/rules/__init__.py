@@ -12,19 +12,15 @@ from typing import Callable, Dict, List
 from repro.analysis.findings import Finding
 from repro.analysis.model import ModuleInfo, ProjectIndex
 from repro.analysis.rules.api import check_api_surface
-from repro.analysis.rules.cachekey import check_cachekey
 from repro.analysis.rules.determinism import check_determinism
 from repro.analysis.rules.payload import check_payload_safety
 from repro.analysis.rules.contracts import check_registry_contracts
-from repro.analysis.rules.timedomain import check_timedomain
 
 Pass = Callable[[ModuleInfo, ProjectIndex], List[Finding]]
 
 PASSES: Dict[str, Pass] = {
     "api-surface": check_api_surface,
-    "cache-key": check_cachekey,
     "determinism": check_determinism,
     "payload-safety": check_payload_safety,
     "registry-contracts": check_registry_contracts,
-    "time-domain": check_timedomain,
 }

@@ -25,8 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.analysis.findings import Finding, Fix, rule
-from repro.analysis.fixes import span_text
+from repro.analysis.findings import Finding, rule
 from repro.analysis.model import ModuleInfo, ProjectIndex
 
 rule("API001",
@@ -82,39 +81,10 @@ def check_api_surface(info: ModuleInfo, index: ProjectIndex) -> List[Finding]:
     home = _owning_package(info.module)
     exports = _exports_for(index)
 
-    def emit(node: ast.AST, message: str,
-             fix: "Fix | None" = None) -> None:
+    def emit(node: ast.AST, message: str) -> None:
         findings.append(Finding(
             rule="API001", path=info.path, line=node.lineno,
-            col=node.col_offset, message=message,
-            source_line=info.source_line(node.lineno), fix=fix))
-
-    def import_fix(node: ast.ImportFrom, pkg: str,
-                   public: FrozenSet[str]) -> "Fix | None":
-        """Rewrite ``from pkg.internal import X, Y`` onto the package.
-
-        Only offered when *every* imported name is publicly re-exported
-        — a partial rewrite would have to split the statement.
-        """
-        if any(alias.name not in public for alias in node.names):
-            return None
-        end_line = getattr(node, "end_lineno", None)
-        end_col = getattr(node, "end_col_offset", None)
-        if end_line is None or end_col is None:
-            return None
-        original = span_text(info.lines, node.lineno, node.col_offset,
-                             end_line, end_col)
-        if original is None:
-            return None
-        names = ", ".join(
-            alias.name if alias.asname is None
-            else f"{alias.name} as {alias.asname}"
-            for alias in node.names)
-        return Fix(line=node.lineno, col=node.col_offset,
-                   end_line=end_line, end_col=end_col,
-                   original=original,
-                   replacement=f"from {pkg} import {names}",
-                   description=f"import the public surface of {pkg}")
+            col=node.col_offset, message=message))
 
     for node in ast.walk(info.tree):
         if isinstance(node, ast.ImportFrom):
@@ -147,8 +117,7 @@ def check_api_surface(info: ModuleInfo, index: ProjectIndex) -> List[Finding]:
                     emit(node,
                          f"{alias.name!r} is part of the public {pkg} "
                          f"API; import it from {pkg}, not the internal "
-                         f"module {node.module!r}",
-                         fix=import_fix(node, pkg, public))
+                         f"module {node.module!r}")
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 owner = _owning_package(alias.name)

@@ -27,6 +27,7 @@ from repro.analysis.model import (
     ClassInfo,
     ModuleInfo,
     ProjectIndex,
+    dotted_name,
 )
 
 rule("REG001",
@@ -45,17 +46,6 @@ rule("REG003",
 #: Base classes that supply from_dict/fields (but never to_dict).
 _PROTOCOL_BASES = {"EvalResultBase"}
 _PROTOCOL_METHODS = ("to_dict", "from_dict", "fields")
-
-
-def _dotted(node: ast.expr) -> str:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 def _literal_str(node: ast.expr) -> Optional[str]:
@@ -118,8 +108,7 @@ def _check_spec_call(info: ModuleInfo, index: ProjectIndex,
     def emit(rule_id: str, node: ast.AST, message: str) -> None:
         findings.append(Finding(
             rule=rule_id, path=info.path, line=node.lineno,
-            col=node.col_offset, message=message,
-            source_line=info.source_line(node.lineno)))
+            col=node.col_offset, message=message))
 
     if fn_node is None:
         return
@@ -173,7 +162,7 @@ def _check_result_class(info: ModuleInfo, index: ProjectIndex,
            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
     provided = set(own)
     for base in node.bases:
-        base_text = _dotted(base)
+        base_text = dotted_name(base)
         if not base_text:
             continue
         if base_text.split(".")[-1] in _PROTOCOL_BASES:
@@ -189,8 +178,7 @@ def _check_result_class(info: ModuleInfo, index: ProjectIndex,
             col=node.col_offset,
             message=(f"result type {node.name!r} is registered but "
                      f"missing {', '.join(missing)} from the EvalResult "
-                     f"protocol (define them or inherit EvalResultBase)"),
-            source_line=info.source_line(node.lineno)))
+                     f"protocol (define them or inherit EvalResultBase)")))
 
 
 def check_registry_contracts(info: ModuleInfo,
@@ -200,17 +188,17 @@ def check_registry_contracts(info: ModuleInfo,
     nested.visit(info.tree)
     for node in ast.walk(info.tree):
         if isinstance(node, ast.Call):
-            callee = _dotted(node.func).split(".")[-1]
+            callee = dotted_name(node.func).split(".")[-1]
             if callee == "ExperimentSpec":
                 _check_spec_call(info, index, node, nested.names, findings)
         elif isinstance(node, ast.ClassDef):
-            decorators = {_dotted(d) if not isinstance(d, ast.Call)
-                          else _dotted(d.func)
+            decorators = {dotted_name(d) if not isinstance(d, ast.Call)
+                          else dotted_name(d.func)
                           for d in node.decorator_list}
             if any(d.split(".")[-1] == "register_result_type"
                    for d in decorators if d):
                 _check_result_class(info, index, node, findings)
-            elif any(_dotted(b).split(".")[-1] in _PROTOCOL_BASES
+            elif any(dotted_name(b).split(".")[-1] in _PROTOCOL_BASES
                      for b in node.bases):
                 _check_result_class(info, index, node, findings)
     return findings

@@ -14,28 +14,22 @@ fence off the three classic leaks inside the simulation packages
 * **DET002** — unseeded numpy RNGs (``np.random.rand()``,
   ``default_rng()`` with no seed).  ``default_rng(seed)`` /
   ``RandomState(seed)`` are fine.
-* **DET003** — wall-clock and OS entropy reads (``time.time``,
-  ``datetime.now``, ``os.urandom``, ``uuid.uuid1/uuid4``, ``secrets``)
-  in simulation code.  Key generation (``repro.crypto.keys``) is exempt
-  from the entropy half by design; the sweep-telemetry module
-  (``repro.obs.telemetry``) is exempt from the wall-clock half — it is
-  the one sanctioned wall-domain module in the observability subsystem,
-  and its output lives in the manifest, never in sim artifacts.
-* **DET004** — iterating a ``set``/``frozenset`` whose order actually
-  escapes into downstream state.  String hashing is salted per process
-  (PYTHONHASHSEED), so set order differs across the very worker
-  processes a sweep fans out to.  Wrap the iterable in ``sorted(...)``
-  or keep an ordered container.  Order-insensitive reducers
-  (``sum``/``min``/``max``/``len``/``any``/``all``/``sorted``/set
-  constructors) are recognized and not flagged, and since the
-  flow-sensitive engine landed the rule is *escape-filtered*: the
-  syntactic candidates (every set iteration/materialization site) are
-  kept only when the dataflow analysis sees an order-dependent value
-  derived from that site reach a return/yield, an output or hash sink,
-  object state, or a mutated parameter.  A loop that folds set members
-  into an order-insensitive aggregate no longer fires.  The filter is
-  an intersection, so the new rule's findings are always a subset of
-  the old syntactic rule's.
+* **DET003** — clock and OS entropy reads (``time.time``,
+  ``time.perf_counter``, ``time.monotonic``, ``datetime.now``,
+  ``os.urandom``, ``uuid.uuid1/uuid4``, ``secrets``) in simulation code.
+  No module is exempt: wall times are measured by ``repro.sweep``, and
+  a simulation module that cannot read any clock has no wall value to
+  leak into a trace.
+* **DET004** — iterating a ``set``/``frozenset``.  String hashing is
+  salted per process (PYTHONHASHSEED), so set order differs across the
+  very worker processes a sweep fans out to.  In simulation code a set
+  is iterated through ``sorted(...)`` or an order-insensitive reducer
+  (``sum``/``min``/``max``/``len``/``any``/``all``/set constructors);
+  anything else carries a pragma with a reason.
+
+The rules are syntactic; the byte-level check of the same invariant is
+``tests/test_hashseed_determinism.py``, which runs sweeps under
+different ``PYTHONHASHSEED`` values and compares results and traces.
 """
 
 from __future__ import annotations
@@ -43,15 +37,8 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from repro.analysis import dataflow
-from repro.analysis.dataflow import collect_set_names, is_set_expr
-from repro.analysis.findings import Finding, Fix, rule
-from repro.analysis.fixes import span_text as _span_text
-from repro.analysis.model import ModuleInfo, ProjectIndex
-
-# Shared AST helpers live in the dataflow engine now; keep the old
-# private names importable for in-repo users of this module.
-_dotted = dataflow.dotted_name
+from repro.analysis.findings import Finding, rule
+from repro.analysis.model import ModuleInfo, ProjectIndex, dotted_name
 
 rule("DET001",
      "call through the process-global random generator",
@@ -63,12 +50,12 @@ rule("DET002",
      "np.random.* and default_rng() without a seed draw from hidden "
      "global state; pass an explicit seed or Generator.")
 rule("DET003",
-     "wall-clock or OS-entropy read in simulation code",
-     "time.time()/datetime.now()/os.urandom() make a run depend on when "
-     "and where it executed, breaking cache keys and shard-merge "
-     "bit-identity.")
+     "clock or OS-entropy read in simulation code",
+     "time.time()/perf_counter()/datetime.now()/os.urandom() make a run "
+     "depend on when and where it executed, breaking cache keys and "
+     "shard-merge bit-identity.")
 rule("DET004",
-     "iteration over an unordered set reaches downstream state",
+     "iteration over an unordered set in simulation code",
      "set order is salted per process (PYTHONHASHSEED); iterate "
      "sorted(...) or an ordered container when order can feed "
      "scheduling, serialization, or hashing.")
@@ -76,12 +63,6 @@ rule("DET004",
 #: Packages the determinism rules police.
 SIM_PACKAGES = ("repro.net", "repro.core", "repro.dist", "repro.crypto",
                 "repro.obs")
-#: Modules allowed to read OS entropy (key generation by design).
-ENTROPY_EXEMPT = ("repro.crypto.keys",)
-#: Modules allowed to read the wall clock: sweep telemetry is the one
-#: wall-domain module in repro.obs; everything else in the package is
-#: sim-domain and must timestamp with Simulator virtual time.
-WALLCLOCK_EXEMPT = ("repro.obs.telemetry",)
 
 #: random-module attributes that are *not* global-state draws.
 _RANDOM_SAFE = {"Random", "SystemRandom", "__name__"}
@@ -93,10 +74,15 @@ _ORDER_INSENSITIVE = {"sorted", "sum", "min", "max", "len", "any", "all",
                       "set", "frozenset", "Counter"}
 #: datetime constructors that read the wall clock.
 _WALLCLOCK_DATETIME = {"now", "utcnow", "today"}
-#: time-module functions that read the wall clock.  perf_counter and
-#: monotonic are deliberately excluded: they only ever feed elapsed-time
-#: measurement, not simulated state.
-_WALLCLOCK_TIME = {"time", "time_ns", "localtime", "gmtime", "ctime"}
+#: time-module functions that read a clock.  The interval clocks count:
+#: an elapsed time is as host-dependent as a timestamp once it reaches a
+#: trace or a result.
+_WALLCLOCK_TIME = {"time", "time_ns", "localtime", "gmtime", "ctime",
+                   "perf_counter", "perf_counter_ns", "monotonic",
+                   "monotonic_ns", "process_time", "process_time_ns"}
+#: Set-type annotation spellings for within-file set inference.
+_SET_ANNOTATIONS = ("set", "Set", "FrozenSet", "frozenset", "AbstractSet",
+                    "MutableSet")
 
 
 def _in_sim_scope(module: str) -> bool:
@@ -104,19 +90,75 @@ def _in_sim_scope(module: str) -> bool:
                for pkg in SIM_PACKAGES)
 
 
-# Backward-compatible alias: set inference moved into the dataflow
-# engine so the taint analysis and the syntactic candidates agree on
-# what "is a set" means.
-_SetTracker = dataflow.SetTracker
+class _SetTracker(ast.NodeVisitor):
+    """Within-file inference of set-typed names and attributes.
+
+    Over-approximates on purpose: a name assigned from a set expression
+    or annotated ``Set[...]`` anywhere in the file is treated as
+    set-typed everywhere.  Scope-precise inference is not worth the
+    complexity for a codebase this size.
+    """
+
+    def __init__(self) -> None:
+        self.set_names: Set[str] = set()
+
+    def _is_set_annotation(self, node: ast.expr) -> bool:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value.split("[")[0].strip()
+            return text.split(".")[-1] in _SET_ANNOTATIONS
+        text = dotted_name(node)
+        return text.split(".")[-1] in _SET_ANNOTATIONS
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        target = dotted_name(node.target)
+        if target and self._is_set_annotation(node.annotation):
+            self.set_names.add(target)
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if _is_set_expr(node.value, self.set_names):
+            for target in node.targets:
+                text = dotted_name(target)
+                if text:
+                    self.set_names.add(text)
+        self.generic_visit(node)
+
+    def visit_arg(self, node: ast.arg) -> None:
+        if node.annotation is not None \
+                and self._is_set_annotation(node.annotation):
+            self.set_names.add(node.arg)
+        self.generic_visit(node)
+
+
+def _is_set_expr(node: ast.expr, set_names: Set[str]) -> bool:
+    """Is this expression certainly a set/frozenset?"""
+    if isinstance(node, (ast.SetComp, ast.Set)):
+        return True
+    if isinstance(node, ast.Call):
+        callee = dotted_name(node.func)
+        if callee in ("set", "frozenset"):
+            return True
+        if isinstance(node.func, ast.Attribute) and node.func.attr in (
+                "union", "intersection", "difference",
+                "symmetric_difference"):
+            return _is_set_expr(node.func.value, set_names)
+        return False
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitAnd, ast.BitOr, ast.Sub, ast.BitXor)):
+        return (_is_set_expr(node.left, set_names)
+                or _is_set_expr(node.right, set_names))
+    text = dotted_name(node)
+    if text:
+        return text in set_names or text.split(".", 1)[-1] in set_names
+    return False
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
-    def __init__(self, info: ModuleInfo, set_names: Set[str],
-                 entropy_ok: bool, wallclock_ok: bool = False) -> None:
+    def __init__(self, info: ModuleInfo, set_names: Set[str]) -> None:
         self.info = info
         self.set_names = set_names
-        self.entropy_ok = entropy_ok
-        self.wallclock_ok = wallclock_ok
         self.findings: List[Finding] = []
         #: comprehension nodes fed straight into an order-insensitive
         #: reducer (sum/min/max/any/all/sorted/...): exempt from DET004.
@@ -139,16 +181,14 @@ class _DeterminismVisitor(ast.NodeVisitor):
             elif module == "datetime" and name == "datetime":
                 self.datetime_aliases.add(local)
 
-    def _emit(self, rule_id: str, node: ast.AST, message: str,
-              fix: "Fix | None" = None) -> None:
+    def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(
             rule=rule_id, path=self.info.path, line=node.lineno,
-            col=node.col_offset, message=message,
-            source_line=self.info.source_line(node.lineno), fix=fix))
+            col=node.col_offset, message=message))
 
     # -- DET001 / DET002 / DET003: calls -------------------------------
     def _check_call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if not dotted:
             return
         head, _, tail = dotted.partition(".")
@@ -183,59 +223,40 @@ class _DeterminismVisitor(ast.NodeVisitor):
                            f"'{dotted}()' uses numpy's global RNG state; "
                            f"use np.random.default_rng(seed)")
 
-        # DET003: wall clock / entropy.
-        if not self.wallclock_ok:
-            if head == "time" and tail in _WALLCLOCK_TIME \
-                    and "time" in self.info.module_aliases:
-                self._emit("DET003", node,
-                           f"'{dotted}()' reads the wall clock inside "
-                           f"simulation code; derive times from the "
-                           f"simulated clock or the seed")
-            if len(parts) >= 2 and parts[-1] in _WALLCLOCK_DATETIME \
-                    and (parts[0] in self.datetime_aliases
-                         or (parts[0] == "datetime" and len(parts) == 3)):
-                self._emit("DET003", node,
-                           f"'{dotted}()' reads the wall clock inside "
-                           f"simulation code")
-        if not self.entropy_ok:
-            if dotted.endswith("os.urandom") or dotted == "os.urandom":
-                self._emit("DET003", node,
-                           "'os.urandom()' reads OS entropy inside "
-                           "simulation code; derive bytes from the seed")
-            elif head == "secrets" and tail:
-                self._emit("DET003", node,
-                           f"'{dotted}()' reads OS entropy inside "
-                           f"simulation code")
-            elif head == "uuid" and tail in ("uuid1", "uuid4"):
-                self._emit("DET003", node,
-                           f"'{dotted}()' is non-deterministic; derive "
-                           f"IDs from a counter or the seed")
+        # DET003: clock / entropy.
+        if head == "time" and tail in _WALLCLOCK_TIME \
+                and "time" in self.info.module_aliases:
+            self._emit("DET003", node,
+                       f"'{dotted}()' reads the wall clock inside "
+                       f"simulation code; derive times from the "
+                       f"simulated clock or the seed")
+        if len(parts) >= 2 and parts[-1] in _WALLCLOCK_DATETIME \
+                and (parts[0] in self.datetime_aliases
+                     or (parts[0] == "datetime" and len(parts) == 3)):
+            self._emit("DET003", node,
+                       f"'{dotted}()' reads the wall clock inside "
+                       f"simulation code")
+        if dotted.endswith("os.urandom") or dotted == "os.urandom":
+            self._emit("DET003", node,
+                       "'os.urandom()' reads OS entropy inside "
+                       "simulation code; derive bytes from the seed")
+        elif head == "secrets" and tail:
+            self._emit("DET003", node,
+                       f"'{dotted}()' reads OS entropy inside "
+                       f"simulation code")
+        elif head == "uuid" and tail in ("uuid1", "uuid4"):
+            self._emit("DET003", node,
+                       f"'{dotted}()' is non-deterministic; derive "
+                       f"IDs from a counter or the seed")
 
     # -- DET004: set iteration ------------------------------------------
-    def _sorted_fix(self, iterable: ast.expr) -> "Fix | None":
-        """Wrap the flagged iterable in ``sorted(...)`` in place."""
-        end_line = getattr(iterable, "end_lineno", None)
-        end_col = getattr(iterable, "end_col_offset", None)
-        if end_line is None or end_col is None:
-            return None
-        original = _span_text(self.info.lines, iterable.lineno,
-                              iterable.col_offset, end_line, end_col)
-        if original is None:
-            return None
-        return Fix(line=iterable.lineno, col=iterable.col_offset,
-                   end_line=end_line, end_col=end_col,
-                   original=original, replacement=f"sorted({original})",
-                   description="wrap set iterable in sorted(...)")
-
     def _check_iteration(self, iterable: ast.expr, node: ast.AST) -> None:
-        if is_set_expr(iterable, self.set_names):
-            text = _dotted(iterable) or ast.unparse(iterable)
+        if _is_set_expr(iterable, self.set_names):
+            text = dotted_name(iterable) or ast.unparse(iterable)
             self._emit("DET004", node,
                        f"iteration over set {text!r} has "
-                       f"PYTHONHASHSEED-dependent order and escapes into "
-                       f"downstream state; wrap in sorted(...) or use an "
-                       f"ordered container",
-                       fix=self._sorted_fix(iterable))
+                       f"PYTHONHASHSEED-dependent order; wrap in "
+                       f"sorted(...) or use an ordered container")
 
     def visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter, node)
@@ -262,7 +283,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self._check_call(node)
         # list(someset) / tuple(someset) materialize unordered state;
         # sorted(someset) / sum(...) etc. do not.
-        callee = _dotted(node.func)
+        callee = dotted_name(node.func)
         if callee.split(".")[-1] in _ORDER_INSENSITIVE:
             self._exempt.update(
                 id(arg) for arg in node.args
@@ -281,36 +302,12 @@ class _DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _syntactic_findings(info: ModuleInfo) -> List[Finding]:
-    set_names = collect_set_names(info.tree)
-    entropy_ok = any(info.module == m or info.module.startswith(m + ".")
-                     for m in ENTROPY_EXEMPT)
-    wallclock_ok = any(info.module == m or info.module.startswith(m + ".")
-                       for m in WALLCLOCK_EXEMPT)
-    visitor = _DeterminismVisitor(info, set_names, entropy_ok,
-                                  wallclock_ok)
-    visitor.visit(info.tree)
-    return visitor.findings
-
-
-def det004_candidates(info: ModuleInfo) -> List[Finding]:
-    """The PR-4-era syntactic DET004: every set iteration site.
-
-    Kept (a) so tests can prove the flow-sensitive rule is a strict
-    subset, and (b) as the candidate generator the escape filter prunes.
-    """
-    return [f for f in _syntactic_findings(info) if f.rule == "DET004"]
-
-
 def check_determinism(info: ModuleInfo,
                       index: ProjectIndex) -> List[Finding]:
     if not _in_sim_scope(info.module):
         return []
-    findings = _syntactic_findings(info)
-    # DET004 escape filter: keep a syntactic candidate only when the
-    # dataflow engine saw an order-dependent value from that exact site
-    # escape (return/yield, output/hash/trace sink, object state, or a
-    # mutated parameter).  Intersection ⇒ new findings ⊆ old findings.
-    escaped = dataflow.module_flow(info, index).escaped_set_sites
-    return [f for f in findings
-            if f.rule != "DET004" or (f.line, f.col) in escaped]
+    tracker = _SetTracker()
+    tracker.visit(info.tree)
+    visitor = _DeterminismVisitor(info, tracker.set_names)
+    visitor.visit(info.tree)
+    return visitor.findings

@@ -26,7 +26,11 @@ import ast
 from typing import Dict, List, Set
 
 from repro.analysis.findings import Finding, rule
-from repro.analysis.model import ModuleInfo, ProjectIndex
+from repro.analysis.model import (
+    ModuleInfo,
+    ProjectIndex,
+    dotted_name,
+)
 
 rule("PAY001",
      "lambda or nested function crosses the pickle boundary",
@@ -53,17 +57,6 @@ _RESOURCE_CALLS = {"open", "Lock", "RLock", "Condition", "Semaphore",
                    "multiprocessing.RLock"}
 _THREAD_POOLS = {"ThreadPoolExecutor", "futures.ThreadPoolExecutor",
                  "concurrent.futures.ThreadPoolExecutor"}
-
-
-def _dotted(node: ast.expr) -> str:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
 
 
 class _BindingCollector(ast.NodeVisitor):
@@ -95,9 +88,9 @@ class _BindingCollector(ast.NodeVisitor):
     def _record(self, targets, value: ast.expr) -> None:
         if not isinstance(value, ast.Call):
             return
-        callee = _dotted(value.func)
+        callee = dotted_name(value.func)
         for target in targets:
-            name = _dotted(target)
+            name = dotted_name(target)
             if not name:
                 continue
             if callee in _THREAD_POOLS:
@@ -130,8 +123,7 @@ class _PayloadVisitor(ast.NodeVisitor):
     def _emit(self, rule_id: str, node: ast.AST, message: str) -> None:
         self.findings.append(Finding(
             rule=rule_id, path=self.info.path, line=node.lineno,
-            col=node.col_offset, message=message,
-            source_line=self.info.source_line(node.lineno)))
+            col=node.col_offset, message=message))
 
     def _check_value(self, value: ast.expr, boundary: str) -> None:
         if isinstance(value, ast.Lambda):
@@ -143,13 +135,13 @@ class _PayloadVisitor(ast.NodeVisitor):
                        f"generator expression passed to {boundary} "
                        f"cannot be pickled; materialize a list first")
         elif isinstance(value, ast.Call):
-            callee = _dotted(value.func)
+            callee = dotted_name(value.func)
             if callee in _RESOURCE_CALLS:
                 self._emit("PAY002", value,
                            f"'{callee}(...)' result passed to {boundary} "
                            f"is process-local and cannot be pickled")
         else:
-            name = _dotted(value)
+            name = dotted_name(value)
             if name in self.bindings.nested_defs:
                 self._emit("PAY001", value,
                            f"nested function {name!r} passed to "
@@ -163,11 +155,11 @@ class _PayloadVisitor(ast.NodeVisitor):
                            f"cannot be pickled")
 
     def visit_Call(self, node: ast.Call) -> None:
-        callee = _dotted(node.func)
+        callee = dotted_name(node.func)
         # Executor.submit(...) boundary.
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr == "submit":
-            receiver = _dotted(node.func.value)
+            receiver = dotted_name(node.func.value)
             if receiver not in self.bindings.thread_pools:
                 for arg in list(node.args) + [kw.value
                                               for kw in node.keywords]:

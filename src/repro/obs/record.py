@@ -8,8 +8,8 @@ tap object or format an event do so only inside that guard.
 
 Time-domain rule: every ``t=`` passed to :meth:`Recorder.event` must be
 simulator virtual time (``sim.now``) or an interval bound derived from
-it — never a wall clock.  Wall-clock measurement lives exclusively in
-:mod:`repro.obs.telemetry`.
+it — never a wall clock.  Wall times are measured by ``repro.sweep`` and
+only stored and merged by :mod:`repro.obs.telemetry`.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
-# repro-lint: module=repro.obs.telemetry
 """Wall-domain sweep telemetry.
 
-This is the **only** module in the observability subsystem allowed to
-touch the wall clock: it measures how long real execution took — per-run
-wall time, cache effectiveness, retries and crashes, worker utilization,
-shard dispatch latency — and records it in the ``telemetry`` section of
-a ``repro.sweep/v4`` manifest.  None of it feeds back into simulated
-behaviour, so determinism of results is untouched; the DET003 lint
-exemption is scoped to exactly this module.
+How long real execution took — per-run wall time, cache effectiveness,
+retries and crashes, worker utilization, shard dispatch latency — as
+the ``telemetry`` section of a ``repro.sweep/v4`` manifest.  The wall
+times are measured by ``repro.sweep``; this module only stores and
+merges them and, like everything DET003 polices, reads no clock.  None
+of it feeds back into simulated behaviour, so determinism of results is
+untouched.
 
 Sim-domain quantities (event counts, virtual-time horizons) belong in
 :mod:`repro.obs.metrics` / :mod:`repro.obs.trace`, never here.
@@ -15,16 +14,10 @@ Sim-domain quantities (event counts, virtual-time horizons) belong in
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence
 
 #: Schema tag for the manifest ``telemetry`` section.
 TELEMETRY_SCHEMA = "repro.obs.telemetry/v1"
-
-
-def now_wall() -> float:
-    """Monotonic wall-clock reading for interval measurement."""
-    return time.perf_counter()
 
 
 def _error_kinds(records: Sequence[dict]) -> Dict[str, int]:

@@ -1,9 +1,9 @@
 # repro-lint: module=repro.obs.trace_fixture
-"""Wall-clock fixture: the sim-domain side of repro.obs.
+"""Clock fixture: no module under repro.obs may read a clock or entropy.
 
-Identical clock reads to obs_telemetry_good.py, but scoped to a
-non-telemetry obs module — every one must fire DET003.  Entropy reads
-are also policed (no obs module is entropy-exempt).
+Every read below must fire DET003 — the timestamp clocks, the interval
+clocks (perf_counter/monotonic: an elapsed time is as host-dependent as
+a timestamp once it reaches a trace) and OS entropy alike.
 """
 
 import os
@@ -21,3 +21,13 @@ def started() -> str:
 
 def token() -> bytes:
     return os.urandom(8)  # DET003 (line 23)
+
+
+def stamp_event(rec):
+    t0 = time.perf_counter()  # DET003 (line 27)
+    rec.event("tick", t=t0)
+
+
+def stamp_metric(rec):
+    elapsed = time.monotonic() - 5.0  # DET003 (line 32)
+    rec.metrics.counter("repro.obs.lag").inc(elapsed)

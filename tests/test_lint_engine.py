@@ -1,128 +1,26 @@
-"""Engine-level tests: baselines, fingerprints, report structure."""
+"""Engine-level tests: report structure, discovery, error paths."""
 
-import json
 import os
 
 import pytest
 
-from repro.analysis import Baseline, BaselineError, lint_paths
-from repro.analysis.baseline import BASELINE_SCHEMA
+from repro.analysis import lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
 DET_BAD = os.path.join(FIXTURES, "det_bad.py")
 
 
-def test_baseline_round_trip(tmp_path):
-    # First run: everything is new.
-    first = lint_paths([DET_BAD])
-    assert first.new and first.exit_code == 1
-
-    baseline = Baseline(path=str(tmp_path / "baseline.json"))
-    baseline.save(first.new, reason="fixture: grandfathered for the test")
-
-    # Second run against the freshly written baseline: nothing new.
-    reloaded = Baseline.load(baseline.path)
-    second = lint_paths([DET_BAD], baseline=reloaded)
-    assert second.new == []
-    assert len(second.baselined) == len(first.new)
-    assert second.exit_code == 0
-    assert second.stale_baseline == {}
-
-
-def test_baseline_save_preserves_existing_reasons(tmp_path):
-    report = lint_paths([DET_BAD])
-    baseline = Baseline(path=str(tmp_path / "baseline.json"))
-    baseline.save(report.new, reason="original reason")
-    # Re-saving the same findings must not clobber the recorded reasons.
-    baseline.save(report.new, reason="a different default")
-    for entry in Baseline.load(baseline.path).entries.values():
-        assert entry["reason"] == "original reason"
-
-
-def test_baseline_stale_entries_reported(tmp_path):
-    report = lint_paths([DET_BAD])
-    baseline = Baseline(path=str(tmp_path / "baseline.json"))
-    baseline.save(report.new, reason="fixture")
-    # Inject a fingerprint that matches nothing on disk.
-    data = json.loads(open(baseline.path).read())
-    data["findings"]["feedfacefeedface"] = {
-        "rule": "DET001", "path": "gone.py",
-        "message": "was fixed", "reason": "stale on purpose"}
-    with open(baseline.path, "w") as handle:
-        json.dump(data, handle)
-
-    stale_report = lint_paths([DET_BAD], baseline=Baseline.load(baseline.path))
-    assert list(stale_report.stale_baseline) == ["feedfacefeedface"]
-    # Stale entries are advisory: they do not fail the run.
-    assert stale_report.exit_code == 0
-
-
-def test_baseline_rejects_entries_without_reason(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({
-        "schema": BASELINE_SCHEMA,
-        "findings": {"deadbeefdeadbeef": {
-            "rule": "DET001", "path": "x.py", "message": "m", "reason": ""}},
-    }))
-    with pytest.raises(BaselineError, match="has no\\s+reason"):
-        Baseline.load(str(path))
-
-
-def test_baseline_rejects_wrong_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"schema": "bogus/v9", "findings": {}}))
-    with pytest.raises(BaselineError, match="expected schema"):
-        Baseline.load(str(path))
-
-
-def test_baseline_missing_file_is_empty(tmp_path):
-    baseline = Baseline.load(str(tmp_path / "nope.json"))
-    assert baseline.entries == {}
-
-
-def test_fingerprints_survive_line_shifts(tmp_path):
-    body = (
-        "# repro-lint: module=repro.net.shifty\n"
-        "import random\n"
-        "def f():\n"
-        "    return random.random()\n")
-    target = tmp_path / "shifty.py"
-    target.write_text(body)
-    before = lint_paths([str(target)]).new
-    # Prepend unrelated lines: the finding moves but its identity doesn't.
-    target.write_text(body.replace(
-        "import random\n", "import random\n\nX = 1\nY = 2\n"))
-    after = lint_paths([str(target)]).new
-    assert [f.fingerprint() for f in before] == \
-        [f.fingerprint() for f in after]
-    assert before[0].line != after[0].line
-
-
-def test_identical_lines_get_distinct_fingerprints(tmp_path):
-    target = tmp_path / "twice.py"
-    target.write_text(
-        "# repro-lint: module=repro.net.twice\n"
-        "import random\n"
-        "def f():\n"
-        "    return random.random()\n"
-        "def g():\n"
-        "    return random.random()\n")
-    report = lint_paths([str(target)])
-    prints = [f.fingerprint() for f in report.new]
-    assert len(prints) == 2
-    assert prints[0] != prints[1]
-
-
 def test_report_to_dict_schema():
     report = lint_paths([DET_BAD])
     payload = report.to_dict()
-    assert payload["schema"] == "repro.lint/v1"
+    assert payload["schema"] == "repro.lint/v2"
+    assert set(payload) == {"schema", "files_checked", "exit_code", "new",
+                            "suppressed", "rules"}
     assert payload["files_checked"] == 1
     assert payload["exit_code"] == 1
     assert {f["rule"] for f in payload["new"]} >= {"DET001", "DET004"}
     for entry in payload["new"]:
-        assert set(entry) >= {"rule", "path", "line", "message",
-                              "fingerprint"}
+        assert set(entry) == {"rule", "path", "line", "col", "message"}
 
 
 def test_discovery_skips_hidden_and_cache_dirs(tmp_path):

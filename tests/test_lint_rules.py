@@ -10,9 +10,12 @@ import os
 
 import pytest
 
-from repro.analysis import RULES, lint_paths
+from repro.analysis import RULES, discover_files, lint_paths
+from repro.analysis.model import load_module
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
+TESTS_DIR = os.path.dirname(__file__)
+FIXTURES = os.path.join(TESTS_DIR, "fixtures", "lint")
+SRC = os.path.join(os.path.dirname(TESTS_DIR), "src")
 
 
 def fixture(name: str) -> str:
@@ -25,11 +28,13 @@ def findings_for(name: str):
 
 
 def test_rule_catalogue_has_all_families():
-    ids = set(RULES)
-    assert {"DET001", "DET002", "DET003", "DET004"} <= ids
-    assert {"PAY001", "PAY002", "PAY003"} <= ids
-    assert {"REG001", "REG002", "REG003"} <= ids
-    assert {"LNT001", "LNT002"} <= ids
+    assert sorted(RULES) == [
+        "API001",
+        "DET001", "DET002", "DET003", "DET004",
+        "LNT001", "LNT002",
+        "PAY001", "PAY002", "PAY003",
+        "REG001", "REG002", "REG003",
+    ]
     for rule in RULES.values():
         assert rule.summary
 
@@ -53,21 +58,33 @@ def test_determinism_good_fixture_is_clean():
     assert findings_for("det_good.py") == []
 
 
-def test_obs_telemetry_wallclock_exempt():
-    # repro.obs.telemetry is the one sanctioned wall-domain module:
-    # clock reads there are by design, not leaks.
-    assert findings_for("obs_telemetry_good.py") == []
-
-
 def test_obs_sim_domain_wallclock_flagged():
-    # Identical calls in any other repro.obs module must fire DET003 —
-    # this pair pins the sim/wall time-domain boundary.
+    # No repro.obs module reads a clock: timestamps, the interval
+    # clocks (perf_counter, monotonic) and entropy all fire DET003.
     got = findings_for("obs_bad.py")
     assert got == [
         ("DET003", 15),
         ("DET003", 19),
         ("DET003", 23),
+        ("DET003", 27),
+        ("DET003", 32),
     ]
+
+
+def test_det003_has_no_exempt_module(tmp_path):
+    # The former exemptions (entropy in repro.crypto.keys, clocks in
+    # repro.obs.telemetry) are gone: the same reads fire there too.
+    for module in ("repro.crypto.keys", "repro.obs.telemetry"):
+        target = tmp_path / (module.replace(".", "_") + ".py")
+        target.write_text(
+            f"# repro-lint: module={module}\n"
+            "import os\n"
+            "import time\n"
+            "def f():\n"
+            "    return os.urandom(8), time.process_time()\n")
+        report = lint_paths([str(target)])
+        assert [(f.rule, f.line) for f in report.new] == [
+            ("DET003", 5), ("DET003", 5)]
 
 
 def test_determinism_rules_scoped_to_sim_packages(tmp_path):
@@ -146,6 +163,53 @@ def test_suppression_without_reason_is_lnt001_and_does_not_suppress():
     assert ("LNT001", 19) in new
     # A pragma for a different rule does not suppress DET001.
     assert ("DET001", 24) in new
+
+
+def _net_module(tmp_path, body: str):
+    target = tmp_path / "pragma_case.py"
+    target.write_text("# repro-lint: module=repro.net.pragma_case\n"
+                      "import random\n" + body)
+    return lint_paths([str(target)])
+
+
+def test_pragma_inside_string_literal_is_not_a_pragma(tmp_path):
+    report = _net_module(
+        tmp_path,
+        "HELP = \"write '# repro-lint: disable=DET001 -- why'\"; "
+        "v = random.random()\n")
+    assert [(f.rule, f.line) for f in report.new] == [("DET001", 3)]
+    assert report.suppressed == []
+
+
+def test_pragma_inside_docstring_is_not_a_pragma(tmp_path):
+    report = _net_module(
+        tmp_path,
+        'def f():\n'
+        '    """Example::\n'
+        '\n'
+        '        x = f()  # repro-lint: disable=DET001\n'
+        '    """\n'
+        '    return random.random()\n')
+    # No phantom LNT001 for the reasonless "pragma" in the docstring.
+    assert [(f.rule, f.line) for f in report.new] == [("DET001", 8)]
+
+
+def test_prose_comment_quoting_a_pragma_is_not_a_pragma(tmp_path):
+    report = _net_module(
+        tmp_path,
+        "v = random.random()  "
+        "#: waive with ``# repro-lint: disable=DET001 -- reason``\n")
+    assert [(f.rule, f.line) for f in report.new] == [("DET001", 3)]
+    assert report.suppressed == []
+
+
+def test_source_tree_records_no_suppressions():
+    # Fix, don't suppress: src/ carries no pragma at all (and none of
+    # the pragma-shaped text in the linter's own help and docstrings
+    # is mistaken for one).
+    modules = [load_module(path, display_path=path)[0]
+               for path in discover_files([SRC])]
+    assert sum(len(m.suppressions) for m in modules) == 0
 
 
 def test_rule_filter_restricts_to_requested_rules():

@@ -75,7 +75,7 @@ HELP_BEFORE_LAZY_DISPATCH = (
     ("sweep", "Monte-Carlo sweep an experiment across seeds and parameters"),
     ("merge", "merge sharded sweep outputs into one aggregate"),
     ("lint", "static invariant checks (determinism, payload safety, "
-             "registry contracts, cache-key hygiene, time domains)"),
+             "registry contracts, public API surface)"),
     ("obs", "inspect, query and diff observability artifacts"),
 )
 
@@ -212,9 +212,12 @@ def _cases():
     yield pytest.param(["list"], not_run, "fig6_6", id="list")
     yield pytest.param(["run", "baselines"], not_run, "watchers-consorting",
                        id="run")
-    yield pytest.param(["lint", "--list-rules"],
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    yield pytest.param(["lint", src],
                        ("repro.eval", "repro.sweep", "repro.obs",
-                        "networkx"), "DET001", id="lint")
+                        "networkx", "multiprocessing",
+                        "concurrent.futures"),
+                       "0 new, 0 suppressed", id="lint")
 
 
 @pytest.mark.parametrize("argv, forbidden, says", _cases())
