@@ -64,10 +64,13 @@ def discover_files(paths: Sequence[str]) -> List[str]:
             found.append(target)
         elif os.path.isdir(target):
             for root, dirs, names in os.walk(target):
-                dirs[:] = sorted(d for d in dirs
-                                 if not d.startswith(".")
-                                 and d not in ("__pycache__",
-                                               "build", "dist"))
+                # build/ and dist/ are packaging output unless they are
+                # packages themselves (repro.dist is).
+                dirs[:] = sorted(
+                    d for d in dirs
+                    if not d.startswith(".") and d != "__pycache__"
+                    and (d not in ("build", "dist") or os.path.isfile(
+                        os.path.join(root, d, "__init__.py"))))
                 found.extend(os.path.join(root, name)
                              for name in sorted(names)
                              if name.endswith(".py"))

@@ -2,8 +2,8 @@
 
 Rule passes never touch the filesystem; they see a :class:`ModuleInfo`
 (one parsed file: AST, dotted module name, suppressions)
-and a :class:`ProjectIndex` (every linted module's top-level functions
-and classes, keyed by dotted name) so contract rules can resolve
+and a :class:`ProjectIndex` (every linted module's top-level
+functions, keyed by dotted name) so contract rules can resolve
 ``ex.fig5_2_pr_pi2`` through the importing module's aliases and check
 the real signature.
 """
@@ -16,9 +16,9 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-#: ``# repro-lint: disable=DET001,REG002 -- reason`` (reason optional at
+#: ``# repro-lint: disable=DET001,REG003 -- reason`` (reason optional at
 #: parse time; the engine reports LNT001 when it is missing).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+?)"
@@ -49,17 +49,6 @@ class FunctionInfo:
 
 
 @dataclass
-class ClassInfo:
-    """A class's methods, base names and decorator names."""
-
-    name: str
-    methods: Set[str]
-    bases: Tuple[str, ...]      # source text of each base expression
-    decorators: Tuple[str, ...]  # source text of each decorator
-    lineno: int
-
-
-@dataclass
 class ModuleInfo:
     """One parsed lint target."""
 
@@ -85,7 +74,6 @@ class ProjectIndex:
     """Cross-file lookup tables for contract rules."""
 
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # "mod.fn"
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)       # "mod.Cls"
     modules: Dict[str, ModuleInfo] = field(default_factory=dict)      # by dotted name
 
     def resolve_function_name(self, info: ModuleInfo,
@@ -208,7 +196,7 @@ def load_module(path: str, display_path: str) -> Tuple[Optional[ModuleInfo],
 
 
 def index_module(info: ModuleInfo, index: ProjectIndex) -> None:
-    """Add one module's top-level functions/classes to the index."""
+    """Add one module's top-level functions to the index."""
     index.modules[info.module] = info
     for node in info.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -218,13 +206,3 @@ def index_module(info: ModuleInfo, index: ProjectIndex) -> None:
             index.functions[f"{info.module}.{node.name}"] = FunctionInfo(
                 name=node.name, params=params,
                 has_kwargs=args.kwarg is not None, lineno=node.lineno)
-        elif isinstance(node, ast.ClassDef):
-            methods = {item.name for item in node.body
-                       if isinstance(item, (ast.FunctionDef,
-                                            ast.AsyncFunctionDef))}
-            index.classes[f"{info.module}.{node.name}"] = ClassInfo(
-                name=node.name, methods=methods,
-                bases=tuple(ast.unparse(base) for base in node.bases),
-                decorators=tuple(ast.unparse(dec)
-                                 for dec in node.decorator_list),
-                lineno=node.lineno)

@@ -1,17 +1,13 @@
-"""Registry-contract rules: specs, signatures and result protocols agree.
+"""Registry-contract rules: specs and signatures agree.
 
 The experiment registry promises two things the runtime only enforces
-late (at registration import time, or when a worker tries to serialize a
-result).  These rules move both to lint time, resolving callables
+late (at registration import time, or when a sweep ships an experiment
+to a worker).  These rules move both to lint time, resolving callables
 *across files* through the project index:
 
 * **REG001** — an ``ExperimentSpec``'s declared ``defaults`` /
   ``params`` name a parameter the experiment function's signature does
   not accept.
-* **REG002** — a result type registered via ``@register_result_type``
-  (or subclassing ``EvalResultBase``) is missing part of the
-  ``EvalResult`` protocol: its own ``to_dict``, or ``from_dict`` /
-  ``fields`` (own or inherited).
 * **REG003** — the callable handed to ``ExperimentSpec`` is a lambda or
   a nested function, which cannot be named by string or pickled into a
   sweep worker.
@@ -23,29 +19,16 @@ import ast
 from typing import List, Optional, Set
 
 from repro.analysis.findings import Finding, rule
-from repro.analysis.model import (
-    ClassInfo,
-    ModuleInfo,
-    ProjectIndex,
-    dotted_name,
-)
+from repro.analysis.model import ModuleInfo, ProjectIndex, dotted_name
 
 rule("REG001",
      "ExperimentSpec parameter not in the experiment's signature",
      "defaults/params must match the callable's signature or sweeps "
      "fail at dispatch time with a TypeError deep in a worker.")
-rule("REG002",
-     "registered result type missing the EvalResult protocol",
-     "every result type must speak to_dict/from_dict/fields so sweep "
-     "records serialize and rehydrate without per-type switches.")
 rule("REG003",
      "experiment callable is not a module-level function",
      "specs reference module-level callables only: the registry ships "
      "experiments to workers by name.")
-
-#: Base classes that supply from_dict/fields (but never to_dict).
-_PROTOCOL_BASES = {"EvalResultBase"}
-_PROTOCOL_METHODS = ("to_dict", "from_dict", "fields")
 
 
 def _literal_str(node: ast.expr) -> Optional[str]:
@@ -139,48 +122,6 @@ def _check_spec_call(info: ModuleInfo, index: ProjectIndex,
                  f"{', '.join(fn_info.params) or 'no parameters'})")
 
 
-def _resolve_base(info: ModuleInfo, index: ProjectIndex,
-                  base_text: str) -> Optional[ClassInfo]:
-    tail = base_text.split(".")[-1]
-    target = info.imported_names.get(base_text)
-    if target is not None:
-        return index.classes.get(f"{target[0]}.{target[1]}")
-    found = index.classes.get(f"{info.module}.{base_text}")
-    if found is not None:
-        return found
-    # Attribute base like results.EvalResultBase.
-    for key, cls in index.classes.items():
-        if key.endswith("." + tail):
-            return cls
-    return None
-
-
-def _check_result_class(info: ModuleInfo, index: ProjectIndex,
-                        node: ast.ClassDef,
-                        findings: List[Finding]) -> None:
-    own = {item.name for item in node.body
-           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
-    provided = set(own)
-    for base in node.bases:
-        base_text = dotted_name(base)
-        if not base_text:
-            continue
-        if base_text.split(".")[-1] in _PROTOCOL_BASES:
-            provided.update(("from_dict", "fields"))
-            continue
-        base_info = _resolve_base(info, index, base_text)
-        if base_info is not None:
-            provided.update(base_info.methods)
-    missing = [m for m in _PROTOCOL_METHODS if m not in provided]
-    if missing:
-        findings.append(Finding(
-            rule="REG002", path=info.path, line=node.lineno,
-            col=node.col_offset,
-            message=(f"result type {node.name!r} is registered but "
-                     f"missing {', '.join(missing)} from the EvalResult "
-                     f"protocol (define them or inherit EvalResultBase)")))
-
-
 def check_registry_contracts(info: ModuleInfo,
                              index: ProjectIndex) -> List[Finding]:
     findings: List[Finding] = []
@@ -191,14 +132,4 @@ def check_registry_contracts(info: ModuleInfo,
             callee = dotted_name(node.func).split(".")[-1]
             if callee == "ExperimentSpec":
                 _check_spec_call(info, index, node, nested.names, findings)
-        elif isinstance(node, ast.ClassDef):
-            decorators = {dotted_name(d) if not isinstance(d, ast.Call)
-                          else dotted_name(d.func)
-                          for d in node.decorator_list}
-            if any(d.split(".")[-1] == "register_result_type"
-                   for d in decorators if d):
-                _check_result_class(info, index, node, findings)
-            elif any(dotted_name(b).split(".")[-1] in _PROTOCOL_BASES
-                     for b in node.bases):
-                _check_result_class(info, index, node, findings)
     return findings

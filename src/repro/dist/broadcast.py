@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set
 
-from repro.net.router import Network
+from repro.net import Network
 
 _flood_ids = itertools.count(1)
 

@@ -237,7 +237,7 @@ def reconcile(
     """
     rng = random.Random(seed)
     local_images = {}
-    for value in local:
+    for value in sorted(local):
         local_images.setdefault(_to_field(value), value)
     points = _sample_points(max_diff + 1)
     if len(remote.evaluations) < len(points):

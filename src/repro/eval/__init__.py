@@ -19,10 +19,7 @@ flags in-repo imports that bypass the package for exported names.
 from repro._surface import narrow as _narrow
 from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import (
-    EvalResult,
     EvalResultBase,
-    deserialize_result,
-    register_result_type,
     result_type_name,
     serialize_result,
 )
@@ -51,10 +48,7 @@ __all__ = [
     "experiments",
     "registry",
     "DetectionMetrics",
-    "EvalResult",
     "EvalResultBase",
-    "deserialize_result",
-    "register_result_type",
     "result_type_name",
     "score_round_findings",
     "serialize_result",

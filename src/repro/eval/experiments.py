@@ -50,14 +50,14 @@ from repro.core.segments import pik2_counter_count, watchers_counter_count
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.sync import RoundSchedule
 from repro.eval.metrics import DetectionMetrics, score_round_findings
-from repro.eval.results import EvalResultBase, register_result_type
+from repro.eval.results import EvalResultBase
 from repro.eval.scenarios import (
     AttackScenario,
     build_scenario,
     droptail_spec,
     red_spec,
 )
-from repro.eval.specs import AdversarySpec, ScenarioSpec, TopologySpec
+from repro.eval.specs import AdversarySpec, ScenarioSpec
 from repro.net import (
     CBRSource,
     LinkStateRouting,
@@ -86,7 +86,6 @@ def _topology(name: str) -> Topology:
 # Figures 5.2 / 5.4 — |P_r| vs k
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class PrCurve(EvalResultBase):
     topology: str
@@ -96,19 +95,6 @@ class PrCurve(EvalResultBase):
     def rows(self) -> List[Tuple[int, float, float, float]]:
         return [(k, s["max"], s["mean"], s["median"])
                 for k, s in sorted(self.series.items())]
-
-    def to_dict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "protocol": self.protocol,
-            "series": {str(k): dict(s) for k, s in sorted(self.series.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PrCurve":
-        return cls(topology=data["topology"], protocol=data["protocol"],
-                   series={int(k): dict(s)
-                           for k, s in data["series"].items()})
 
 
 def fig5_2_pr_pi2(topology: str = "sprintlink",
@@ -135,7 +121,6 @@ def fig5_4_pr_pik2(topology: str = "sprintlink",
     return curve
 
 
-@register_result_type
 @dataclass
 class StateOverheadResult(EvalResultBase):
     topology: str
@@ -151,25 +136,6 @@ class StateOverheadResult(EvalResultBase):
                 f"max {stats['max']:.0f}"
             )
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "watchers_mean": self.watchers_mean,
-            "watchers_max": self.watchers_max,
-            "pik2_counters": {str(k): dict(s)
-                              for k, s in sorted(self.pik2_counters.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StateOverheadResult":
-        return cls(
-            topology=data["topology"],
-            watchers_mean=data["watchers_mean"],
-            watchers_max=data["watchers_max"],
-            pik2_counters={int(k): dict(s)
-                           for k, s in data["pik2_counters"].items()},
-        )
 
 
 def state_overhead(topology: str = "sprintlink",
@@ -200,7 +166,6 @@ def state_overhead(topology: str = "sprintlink",
 # Fig 5.7 — Fatih in progress
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class FatihTimelineResult(EvalResultBase):
     convergence_time: Optional[float]
@@ -211,6 +176,8 @@ class FatihTimelineResult(EvalResultBase):
     rtt_after: Optional[float]
     suspected_segments: List[Tuple[str, ...]]
     probes_lost: int
+
+    derived = ("detection_latency", "response_latency")
 
     @property
     def detection_latency(self) -> Optional[float]:
@@ -223,34 +190,6 @@ class FatihTimelineResult(EvalResultBase):
         if self.reroute_time is None:
             return None
         return self.reroute_time - self.attack_time
-
-    def to_dict(self) -> dict:
-        return {
-            "convergence_time": self.convergence_time,
-            "attack_time": self.attack_time,
-            "first_detection": self.first_detection,
-            "reroute_time": self.reroute_time,
-            "rtt_before": self.rtt_before,
-            "rtt_after": self.rtt_after,
-            "suspected_segments": [list(s) for s in self.suspected_segments],
-            "probes_lost": self.probes_lost,
-            "detection_latency": self.detection_latency,
-            "response_latency": self.response_latency,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FatihTimelineResult":
-        return cls(
-            convergence_time=data["convergence_time"],
-            attack_time=data["attack_time"],
-            first_detection=data["first_detection"],
-            reroute_time=data["reroute_time"],
-            rtt_before=data["rtt_before"],
-            rtt_after=data["rtt_after"],
-            suspected_segments=[tuple(s)
-                                for s in data["suspected_segments"]],
-            probes_lost=data["probes_lost"],
-        )
 
 
 def fig5_7_fatih(
@@ -313,27 +252,12 @@ def fig5_7_fatih(
 # Fig 6.2 — single-loss confidence curve
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class ConfidenceCurve(EvalResultBase):
     q_limit: float
     mu: float
     sigma: float
     points: List[Tuple[float, float]]  # (q_pred, confidence)
-
-    def to_dict(self) -> dict:
-        return {
-            "q_limit": self.q_limit,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "points": [list(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConfidenceCurve":
-        return cls(q_limit=data["q_limit"], mu=data["mu"],
-                   sigma=data["sigma"],
-                   points=[tuple(p) for p in data["points"]])
 
 
 def fig6_2_confidence_curve(q_limit: float = 30_000.0,
@@ -353,7 +277,6 @@ def fig6_2_confidence_curve(q_limit: float = 30_000.0,
 # The χ testbed — Figs 6.3, 6.5-6.9, 6.11-6.16, benches, χ vs static threshold
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class ScenarioResult(EvalResultBase):
     name: str
@@ -367,6 +290,8 @@ class ScenarioResult(EvalResultBase):
     malicious_by_round: Dict[int, int] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 
+    derived = ("detected",)
+
     @property
     def detected(self) -> bool:
         return self.metrics.detected
@@ -374,36 +299,6 @@ class ScenarioResult(EvalResultBase):
     @property
     def false_positives(self) -> int:
         return self.metrics.false_positive_rounds
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "metrics": self.metrics.to_dict(),
-            "total_drops": self.total_drops,
-            "congestive_drops": self.congestive_drops,
-            "malicious_drops_truth": self.malicious_drops_truth,
-            "candidate_drops": self.candidate_drops,
-            "rounds": [list(r) for r in self.rounds],
-            "malicious_by_round": {str(k): v for k, v
-                                   in sorted(self.malicious_by_round.items())},
-            "extra": dict(self.extra),
-            "detected": self.detected,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioResult":
-        return cls(
-            name=data["name"],
-            metrics=DetectionMetrics.from_dict(data["metrics"]),
-            total_drops=data["total_drops"],
-            congestive_drops=data["congestive_drops"],
-            malicious_drops_truth=data["malicious_drops_truth"],
-            candidate_drops=data["candidate_drops"],
-            rounds=[tuple(r) for r in data["rounds"]],
-            malicious_by_round={int(k): v for k, v
-                                in data["malicious_by_round"].items()},
-            extra=dict(data["extra"]),
-        )
 
 
 def run_testbed(name: str, spec: ScenarioSpec) -> ScenarioResult:
@@ -597,7 +492,6 @@ TESTBED_ROWS: Tuple[TestbedRow, ...] = (
 )
 
 
-@register_result_type
 @dataclass
 class NsSimPoint(EvalResultBase):
     drop_rate: float
@@ -605,15 +499,6 @@ class NsSimPoint(EvalResultBase):
     detection_latency_rounds: Optional[int]
     false_positive_rounds: int
     malicious_drops: int
-
-    def to_dict(self) -> dict:
-        return {
-            "drop_rate": self.drop_rate,
-            "detected": self.detected,
-            "detection_latency_rounds": self.detection_latency_rounds,
-            "false_positive_rounds": self.false_positive_rounds,
-            "malicious_drops": self.malicious_drops,
-        }
 
 
 def fig6_3_ns_simulation(
@@ -636,7 +521,6 @@ def fig6_3_ns_simulation(
     return points
 
 
-@register_result_type
 @dataclass
 class ThresholdComparison(EvalResultBase):
     """§6.4.3: χ vs static thresholds on the same pair of traces.
@@ -664,39 +548,6 @@ class ThresholdComparison(EvalResultBase):
                 if self.static_fp_rounds[t] > 0
                 or not self.static_detected[t]
                 or self.static_free_drops[t] > 0]
-
-    def to_dict(self) -> dict:
-        return {
-            "thresholds": list(self.thresholds),
-            "static_fp_rounds": {str(k): v for k, v
-                                 in self.static_fp_rounds.items()},
-            "static_detected": {str(k): v for k, v
-                                in self.static_detected.items()},
-            "static_free_drops": {str(k): v for k, v
-                                  in self.static_free_drops.items()},
-            "chi_fp_rounds": self.chi_fp_rounds,
-            "chi_detected": self.chi_detected,
-            "total_malicious_drops": self.total_malicious_drops,
-            "benign_max_losses": self.benign_max_losses,
-            "attack_mean_losses": self.attack_mean_losses,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ThresholdComparison":
-        return cls(
-            thresholds=list(data["thresholds"]),
-            static_fp_rounds={int(k): v for k, v
-                              in data["static_fp_rounds"].items()},
-            static_detected={int(k): v for k, v
-                             in data["static_detected"].items()},
-            static_free_drops={int(k): v for k, v
-                               in data["static_free_drops"].items()},
-            chi_fp_rounds=data["chi_fp_rounds"],
-            chi_detected=data["chi_detected"],
-            total_malicious_drops=data["total_malicious_drops"],
-            benign_max_losses=data["benign_max_losses"],
-            attack_mean_losses=data["attack_mean_losses"],
-        )
 
 
 def chi_vs_static_threshold(
@@ -746,7 +597,6 @@ def chi_vs_static_threshold(
 # Packet-plane protocol benches — Π2 / Πk+2
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class ProtocolBenchResult(EvalResultBase):
     """Result of a seeded packet-plane protocol run (Π2 / Πk+2).
@@ -766,19 +616,6 @@ class ProtocolBenchResult(EvalResultBase):
     precision: int
     sim_events: int
     extra: Dict[str, float] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "protocol": self.protocol,
-            "bad_router": self.bad_router,
-            "total_suspicions": self.total_suspicions,
-            "accurate": self.accurate,
-            "complete": self.complete,
-            "precision": self.precision,
-            "sim_events": self.sim_events,
-            "extra": dict(self.extra),
-        }
 
 
 def _run_protocol_bench(name: str, protocol_name: str, *,
@@ -852,7 +689,6 @@ def pik2_bench(seed: int = 0, bad_router: str = "r3",
 # Attack matrices — topology x placement x behavior x rate grid cells
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class AttackMatrixResult(EvalResultBase):
     """One attack-matrix cell: Π2 detection scored against ground truth.
@@ -881,23 +717,6 @@ class AttackMatrixResult(EvalResultBase):
     segment_precision: int
     sim_events: int
 
-    def to_dict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "behavior": self.behavior,
-            "placement_strategy": self.placement_strategy,
-            "adversary_router": self.adversary_router,
-            "rate": self.rate,
-            "detected": self.detected,
-            "precision": self.precision,
-            "recall": self.recall,
-            "latency": self.latency,
-            "total_suspicions": self.total_suspicions,
-            "false_suspicions": self.false_suspicions,
-            "segment_precision": self.segment_precision,
-            "sim_events": self.sim_events,
-        }
-
 
 def attack_matrix(topology: str = "abilene",
                   adversary: Optional[dict] = None,
@@ -913,11 +732,9 @@ def attack_matrix(topology: str = "abilene",
     ``adversary.rate``), runs the armed Π2 detector and scores
     detection precision/recall/latency against the placed adversary.
     """
-    spec = ScenarioSpec(
-        topology=(TopologySpec(name=topology)
-                  if isinstance(topology, str) else topology),
-        adversary=adversary, placement=placement, traffic=traffic,
-        tau=tau, rounds=rounds, seed=seed)
+    spec = ScenarioSpec(topology=topology, adversary=adversary,
+                        placement=placement, traffic=traffic,
+                        tau=tau, rounds=rounds, seed=seed)
     scenario = build_scenario(spec)
     if not isinstance(scenario, AttackScenario):
         raise ValueError(
@@ -972,25 +789,11 @@ def attack_matrix(topology: str = "abilene",
 # Baseline demonstrations (Ch. 3 figures)
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class BaselineDemo(EvalResultBase):
     name: str
     description: str
     values: Dict[str, object] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        def jsonable(value):
-            if isinstance(value, (list, tuple)):
-                return [jsonable(v) for v in value]
-            if isinstance(value, dict):
-                return {str(k): jsonable(v) for k, v in value.items()}
-            return value
-        return {
-            "name": self.name,
-            "description": self.description,
-            "values": {k: jsonable(v) for k, v in self.values.items()},
-        }
 
 
 def watchers_flaw_demo() -> BaselineDemo:
@@ -1089,19 +892,11 @@ def awerbuch_localization_demo(path_length: int = 9) -> BaselineDemo:
 # §6.1.2 — why traffic modeling is not enough
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class ModelingComparison(EvalResultBase):
     predicted_loss_prob: float
     observed_loss_rate: float
     relative_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "predicted_loss_prob": self.predicted_loss_prob,
-            "observed_loss_rate": self.observed_loss_rate,
-            "relative_error": self.relative_error,
-        }
 
 
 def traffic_modeling_comparison(seed: int = 0) -> ModelingComparison:
@@ -1130,21 +925,12 @@ def traffic_modeling_comparison(seed: int = 0) -> ModelingComparison:
 # §2.4.3 — response strategy ablation
 # ---------------------------------------------------------------------------
 
-@register_result_type
 @dataclass
 class ResponseImpact(EvalResultBase):
     strategy: str  # "segment" | "router"
     unreachable_pairs: int
     mean_stretch: float  # constrained/unconstrained shortest-path cost
     max_stretch: float
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "unreachable_pairs": self.unreachable_pairs,
-            "mean_stretch": self.mean_stretch,
-            "max_stretch": self.max_stretch,
-        }
 
 
 def response_strategy_ablation(

@@ -6,10 +6,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.chi import RoundFinding
-from repro.eval.results import EvalResultBase, register_result_type
+from repro.eval.results import EvalResultBase
 
 
-@register_result_type
 @dataclass
 class DetectionMetrics(EvalResultBase):
     """Round-level confusion for a detector on one experiment."""
@@ -20,6 +19,8 @@ class DetectionMetrics(EvalResultBase):
     false_positive_rounds: int = 0
     detection_round: Optional[int] = None  # first alarmed attack round
     detection_latency_rounds: Optional[int] = None
+
+    derived = ("detected", "false_positive_rate", "recall")
 
     @property
     def detected(self) -> bool:
@@ -36,30 +37,6 @@ class DetectionMetrics(EvalResultBase):
         if self.attack_rounds == 0:
             return 0.0
         return self.true_positive_rounds / self.attack_rounds
-
-    def to_dict(self) -> dict:
-        return {
-            "attack_rounds": self.attack_rounds,
-            "benign_rounds": self.benign_rounds,
-            "true_positive_rounds": self.true_positive_rounds,
-            "false_positive_rounds": self.false_positive_rounds,
-            "detection_round": self.detection_round,
-            "detection_latency_rounds": self.detection_latency_rounds,
-            "detected": self.detected,
-            "false_positive_rate": self.false_positive_rate,
-            "recall": self.recall,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectionMetrics":
-        return cls(
-            attack_rounds=data["attack_rounds"],
-            benign_rounds=data["benign_rounds"],
-            true_positive_rounds=data["true_positive_rounds"],
-            false_positive_rounds=data["false_positive_rounds"],
-            detection_round=data["detection_round"],
-            detection_latency_rounds=data["detection_latency_rounds"],
-        )
 
 
 def score_round_findings(

@@ -18,15 +18,18 @@ instead of deep inside a process pool.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro._params import fold_dotted_params
 from repro.eval import experiments as ex
 from repro.eval.specs import (
+    AdversarySpec,
     BEHAVIORS,
     PLACEMENT_STRATEGIES,
+    PlacementSpec,
     TRAFFIC_KINDS,
+    TrafficSpec,
     topology_names,
 )
 
@@ -271,6 +274,17 @@ def params_from_signature(fn: Callable[..., object]) -> Tuple[ParamSpec, ...]:
     return tuple(specs)
 
 
+def params_from_fields(cls: type, **choices) -> Tuple[ParamSpec, ...]:
+    """One ParamSpec per field of a spec dataclass.
+
+    Name, type and default are read off the field; only ``choices``
+    (``field=values``) is the caller's to decide.
+    """
+    return tuple(ParamSpec(f.name, _ANNOTATION_TYPES.get(f.type), f.default,
+                           choices.get(f.name))
+                 for f in dataclass_fields(cls))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One runnable experiment: a picklable function, reporter, params.
@@ -425,24 +439,13 @@ for _spec in (
             ParamSpec("topology", str, "abilene",
                       choices=tuple(n for n in topology_names()
                                     if n != "simple")),
-            ParamSpec("adversary", None, None, fields=(
-                ParamSpec("behavior", str, "drop", choices=BEHAVIORS),
-                ParamSpec("rate", float, 1.0),
-                ParamSpec("targeting", str, "flows",
-                          choices=("flows", "all")),
-                ParamSpec("options", None, ()),
-            )),
-            ParamSpec("placement", None, None, fields=(
-                ParamSpec("strategy", str, "seeded-random",
-                          choices=PLACEMENT_STRATEGIES),
-                ParamSpec("router", str, ""),
-            )),
-            ParamSpec("traffic", None, None, fields=(
-                ParamSpec("kind", str, "cbr", choices=TRAFFIC_KINDS),
-                ParamSpec("flows", int, 2),
-                ParamSpec("rate_bps", float, 600_000.0),
-                ParamSpec("duration", float, 4.0),
-            )),
+            ParamSpec("adversary", None, None, fields=params_from_fields(
+                AdversarySpec, behavior=BEHAVIORS,
+                targeting=("flows", "all"))),
+            ParamSpec("placement", None, None, fields=params_from_fields(
+                PlacementSpec, strategy=PLACEMENT_STRATEGIES)),
+            ParamSpec("traffic", None, None, fields=params_from_fields(
+                TrafficSpec, kind=TRAFFIC_KINDS)),
         )),
 ):
     register(_spec)

@@ -1,78 +1,49 @@
-"""The ``EvalResult`` protocol: one serialization contract for all results.
+"""One serialization contract for every experiment result.
 
-Every experiment result type (``ScenarioResult``, ``DetectionMetrics``,
-``PrCurve``, ...) speaks the same three-method protocol — ``to_dict()``,
-``from_dict()`` and ``fields()`` — so sweeps, artifacts and figure
-scripts can serialize and rehydrate any result without per-type
-switches.  :func:`serialize_result` is the single generic encoder
-(protocol first, then dataclass/container fallbacks);
-:func:`deserialize_result` rehydrates a record whose producing type was
-stamped into it by the sweep worker.
+A result type is a dataclass deriving :class:`EvalResultBase`; its
+schema is its dataclass fields, in declaration order, followed by the
+computed properties the class names in ``derived``.  Nothing is written
+per type: :meth:`EvalResultBase.to_dict` walks the fields and
+:func:`serialize_result` is the single encoder (results first, then
+dataclass/container fallbacks) that sweeps, artifacts and figure scripts
+share.  Serialization is one-way — a sweep record is plain data stamped
+with the name of the type that produced it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Protocol, Type, runtime_checkable
-
-@runtime_checkable
-class EvalResult(Protocol):
-    """What every experiment result type must implement."""
-
-    def to_dict(self) -> dict: ...
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EvalResult": ...
-
-    @classmethod
-    def fields(cls) -> List[str]: ...
+from typing import ClassVar, Mapping, Tuple
 
 
 class EvalResultBase:
-    """Mixin giving dataclass results the :class:`EvalResult` protocol.
+    """Base of the dataclass result types; supplies their ``to_dict``."""
 
-    ``fields()`` enumerates the dataclass fields; ``from_dict`` pulls
-    exactly those keys back out (types whose ``to_dict`` mangles keys —
-    int-keyed maps, tuple rows — override it).  ``to_dict`` stays the
-    responsibility of each type: what a result exports is part of its
-    public schema, not boilerplate.
-    """
+    #: Computed properties exported after the dataclass fields.
+    derived: ClassVar[Tuple[str, ...]] = ()
 
-    @classmethod
-    def fields(cls) -> List[str]:
-        return [f.name for f in dataclasses.fields(cls)]
-
-    @classmethod
-    def from_dict(cls, data: Mapping):
-        return cls(**{name: data[name] for name in cls.fields()})
-
-
-#: Registered result types, by class name — the deserialization table.
-RESULT_TYPES: Dict[str, Type] = {}
-
-
-def register_result_type(cls: Type) -> Type:
-    """Class decorator: make ``cls`` rehydratable by name."""
-    RESULT_TYPES[cls.__name__] = cls
-    return cls
+    def to_dict(self) -> dict:
+        names = [f.name for f in dataclasses.fields(self)]
+        return {name: serialize_result(getattr(self, name))
+                for name in (*names, *self.derived)}
 
 
 def result_type_name(result) -> str:
-    """The registered type name of ``result``, or '' if unregistered.
+    """The class name of a result object, '' for anything else.
 
-    Only protocol-speaking registered types get a name; plain dicts,
-    lists of results, and ad-hoc returns serialize fine but rehydrate
-    as plain data.
+    Plain dicts, lists of results and ad-hoc returns serialize fine but
+    carry no type name in their sweep record.
     """
-    name = type(result).__name__
-    return name if name in RESULT_TYPES else ""
+    return (type(result).__name__ if isinstance(result, EvalResultBase)
+            else "")
 
 
 def serialize_result(result) -> object:
     """Serialize any experiment result to JSON-safe plain data.
 
-    Prefers the protocol's ``to_dict``; falls back to dataclass fields,
-    containers, then ``repr`` for anything exotic.
+    Prefers an object's ``to_dict``; falls back to dataclass fields,
+    containers (mapping keys become ``str`` in insertion order, tuples
+    become lists, sets are sorted), then ``repr`` for anything exotic.
     """
     if hasattr(result, "to_dict"):
         return serialize_result(result.to_dict())
@@ -88,16 +59,3 @@ def serialize_result(result) -> object:
     if isinstance(result, (str, int, float, bool)) or result is None:
         return result
     return repr(result)
-
-
-def deserialize_result(type_name: str, data):
-    """Rehydrate a serialized result via its registered type.
-
-    An empty/unknown ``type_name`` returns ``data`` unchanged — sweep
-    records always stay readable even when the producing type has been
-    renamed or was never registered.
-    """
-    cls = RESULT_TYPES.get(type_name)
-    if cls is None or not isinstance(data, Mapping):
-        return data
-    return cls.from_dict(data)

@@ -12,9 +12,11 @@ WedgeTail-style attack matrices) vary independently:
   ``seeded-random``, ``max-betweenness``, ``articulation-point``);
 * :class:`TrafficSpec` — the offered load crossing it.
 
-Every spec serializes with ``to_dict``/``from_dict`` so it can flow
-through the sweep engine's ``ParamSpec``/``--grid``/cache-key machinery:
-``to_dict`` output is plain JSON data whose canonical dump
+A spec field, its default and its coercion are each written once, on
+the dataclass; the one ``to_dict``/``from_dict`` pair (:class:`_SpecDict`)
+is derived from the fields, so every spec can flow through the sweep
+engine's ``ParamSpec``/``--grid``/cache-key machinery.  ``to_dict``
+output is plain JSON data whose canonical dump
 (``json.dumps(..., sort_keys=True)``) is byte-stable across a
 round-trip, which is what makes grid cells cacheable and mergeable.
 Construction is deterministic — placement resolution and adversary
@@ -24,8 +26,10 @@ builds draw only from seeds handed in explicitly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import (
+    Callable, ClassVar, Dict, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.net import (
     CombinedCompromise,
@@ -92,6 +96,43 @@ def _lookup(options: Options, key: str, default: object = None) -> object:
     return default
 
 
+class _SpecDict:
+    """``to_dict``/``from_dict`` of a spec dataclass, read off its fields.
+
+    A spec field is declared once, on the dataclass.  ``to_dict`` walks
+    the fields in declaration order (a nested spec through its own
+    ``to_dict``, ``options`` as a plain dict); ``from_dict`` accepts
+    exactly the field names, leaves absent keys to the dataclass
+    defaults, and leaves all coercion and validation to
+    ``__post_init__``.
+    """
+
+    #: Names the spec in ``from_dict``'s unknown-key error.
+    label: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        data = {}
+        for spec_field in fields(self):
+            value = getattr(self, spec_field.name)
+            if isinstance(value, _SpecDict):
+                value = value.to_dict()
+            elif spec_field.name == "options":
+                value = dict(value)
+            data[spec_field.name] = value
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping):
+        allowed = [spec_field.name for spec_field in fields(cls)]
+        unknown = sorted(set(data) - set(allowed))
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.label} key(s) "
+                f"{', '.join(repr(k) for k in unknown)}; "
+                f"accepted: {', '.join(allowed)}")
+        return cls(**data)
+
+
 # ---------------------------------------------------------------------------
 # Topology catalogue
 # ---------------------------------------------------------------------------
@@ -140,8 +181,10 @@ del _name, _factory
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(_SpecDict):
     """Which network to build, by catalogue name plus factory options."""
+
+    label = "topology"
 
     name: str = "abilene"
     options: Options = ()
@@ -162,23 +205,13 @@ class TopologySpec:
                 f"{', '.join(topology_names())}") from None
         return factory(**{key: value for key, value in self.options})
 
-    def to_dict(self) -> dict:
-        return {"name": self.name,
-                "options": {key: value for key, value in self.options}}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TopologySpec":
-        _check_keys("topology", data, ("name", "options"))
-        return cls(name=data.get("name", "abilene"),
-                   options=_canonical_options(data.get("options", ())))
-
 
 # ---------------------------------------------------------------------------
 # Adversary
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(_SpecDict):
     """What the compromised router does to traffic crossing it.
 
     ``rate`` is the behavior's intensity: the fraction of matched packets
@@ -198,6 +231,8 @@ class AdversarySpec:
     default 1) and ``also`` (a second adversary, in ``to_dict`` form,
     composed behind this one).
     """
+
+    label = "adversary"
 
     behavior: str = "drop"
     rate: float = 1.0
@@ -302,27 +337,13 @@ class AdversarySpec:
             flow_id=str(self.option("flow_id", f"forged-{router}")),
             rate_pps=rate_pps, seed=seed)
 
-    def to_dict(self) -> dict:
-        return {"behavior": self.behavior, "rate": self.rate,
-                "targeting": self.targeting,
-                "options": {key: value for key, value in self.options}}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AdversarySpec":
-        _check_keys("adversary", data,
-                    ("behavior", "rate", "targeting", "options"))
-        return cls(behavior=data.get("behavior", "drop"),
-                   rate=data.get("rate", 1.0),
-                   targeting=data.get("targeting", "flows"),
-                   options=_canonical_options(data.get("options", ())))
-
 
 # ---------------------------------------------------------------------------
 # Placement
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PlacementSpec:
+class PlacementSpec(_SpecDict):
     """Where the compromised router sits.
 
     * ``fixed`` — the named ``router`` (must be a transit candidate);
@@ -333,6 +354,8 @@ class PlacementSpec:
       point among the candidates, falling back to ``max-betweenness``
       when the candidate set contains no cut vertex.
     """
+
+    label = "placement"
 
     strategy: str = "seeded-random"
     router: str = ""
@@ -377,23 +400,16 @@ class PlacementSpec:
         # tie-break and a deterministic pick.
         return max(pool, key=lambda name: centrality.get(name, 0.0))
 
-    def to_dict(self) -> dict:
-        return {"strategy": self.strategy, "router": self.router}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PlacementSpec":
-        _check_keys("placement", data, ("strategy", "router"))
-        return cls(strategy=data.get("strategy", "seeded-random"),
-                   router=data.get("router", ""))
-
 
 # ---------------------------------------------------------------------------
 # Traffic
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrafficSpec:
+class TrafficSpec(_SpecDict):
     """Offered load: how many flows, how fast, for how long."""
+
+    label = "traffic"
 
     kind: str = "cbr"
     flows: int = 2
@@ -417,19 +433,6 @@ class TrafficSpec:
         object.__setattr__(self, "flows", flows)
         object.__setattr__(self, "rate_bps", rate_bps)
         object.__setattr__(self, "duration", duration)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "flows": self.flows,
-                "rate_bps": self.rate_bps, "duration": self.duration}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TrafficSpec":
-        _check_keys("traffic", data,
-                    ("kind", "flows", "rate_bps", "duration"))
-        return cls(kind=data.get("kind", "cbr"),
-                   flows=data.get("flows", 2),
-                   rate_bps=data.get("rate_bps", 600_000.0),
-                   duration=data.get("duration", 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +480,7 @@ def resolve_ground_truth(spec: "ScenarioSpec") -> dict:
     return dict(base, router=bad, attack_at=spec.tau)
 
 
-def _as_spec(value: object, cls: type, label: str):
+def _as_spec(value: object, cls: type):
     if value is None:
         return cls()
     if isinstance(value, cls):
@@ -485,21 +488,15 @@ def _as_spec(value: object, cls: type, label: str):
     if isinstance(value, Mapping):
         return cls.from_dict(value)
     raise ValueError(
-        f"{label} must be a {cls.__name__} or a mapping, "
+        f"{cls.label} must be a {cls.__name__} or a mapping, "
         f"got {type(value).__name__}")
 
 
-def _check_keys(label: str, data: Mapping, allowed: Tuple[str, ...]) -> None:
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"unknown {label} key(s) {', '.join(repr(k) for k in unknown)}; "
-            f"accepted: {', '.join(allowed)}")
-
-
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_SpecDict):
     """A complete, serializable description of one evaluation cell."""
+
+    label = "scenario"
 
     topology: TopologySpec = TopologySpec()
     adversary: AdversarySpec = AdversarySpec()
@@ -511,16 +508,17 @@ class ScenarioSpec:
     options: Options = ()
 
     def __post_init__(self) -> None:
+        topology = self.topology
+        if isinstance(topology, str):  # a catalogue name
+            topology = TopologySpec(name=topology)
         object.__setattr__(self, "topology",
-                           _as_spec(self.topology, TopologySpec, "topology"))
+                           _as_spec(topology, TopologySpec))
         object.__setattr__(self, "adversary",
-                           _as_spec(self.adversary, AdversarySpec,
-                                    "adversary"))
+                           _as_spec(self.adversary, AdversarySpec))
         object.__setattr__(self, "placement",
-                           _as_spec(self.placement, PlacementSpec,
-                                    "placement"))
+                           _as_spec(self.placement, PlacementSpec))
         object.__setattr__(self, "traffic",
-                           _as_spec(self.traffic, TrafficSpec, "traffic"))
+                           _as_spec(self.traffic, TrafficSpec))
         tau = float(self.tau)
         rounds = int(self.rounds)
         if tau <= 0.0:
@@ -534,34 +532,3 @@ class ScenarioSpec:
 
     def option(self, key: str, default: object = None) -> object:
         return _lookup(self.options, key, default)
-
-    def to_dict(self) -> dict:
-        return {
-            "topology": self.topology.to_dict(),
-            "adversary": self.adversary.to_dict(),
-            "placement": self.placement.to_dict(),
-            "traffic": self.traffic.to_dict(),
-            "tau": self.tau,
-            "rounds": self.rounds,
-            "seed": self.seed,
-            "options": {key: value for key, value in self.options},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioSpec":
-        _check_keys("scenario", data,
-                    ("topology", "adversary", "placement", "traffic",
-                     "tau", "rounds", "seed", "options"))
-        return cls(
-            topology=_as_spec(data.get("topology"), TopologySpec,
-                              "topology"),
-            adversary=_as_spec(data.get("adversary"), AdversarySpec,
-                               "adversary"),
-            placement=_as_spec(data.get("placement"), PlacementSpec,
-                               "placement"),
-            traffic=_as_spec(data.get("traffic"), TrafficSpec, "traffic"),
-            tau=data.get("tau", 1.0),
-            rounds=data.get("rounds", 3),
-            seed=data.get("seed", 0),
-            options=_canonical_options(data.get("options", ())),
-        )

@@ -41,7 +41,11 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.obs.diff import diff_sweeps, format_diff
-from repro.obs.forensics import explain_sweep, flow_timeline
+from repro.obs.forensics import (
+    explain_sweep,
+    flow_timeline,
+    load_manifest,
+)
 from repro.obs.metrics import merge_snapshots
 from repro.obs.query import (
     QueryFilter,
@@ -55,18 +59,6 @@ from repro.obs.sinks import encode_line
 from repro.obs.telemetry import merge_telemetry
 
 
-def load_manifest_telemetry(path: str) -> Optional[dict]:
-    """The telemetry section of *path*'s sweep.json, if either exists."""
-    manifest_path = (path if os.path.isfile(path)
-                     else os.path.join(path, "sweep.json"))
-    if not os.path.exists(manifest_path) \
-            or not manifest_path.endswith(".json"):
-        return None
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return manifest.get("telemetry")
-
-
 def collect_telemetry(paths: List[str]) -> Optional[dict]:
     """Summed telemetry across every manifest the paths cover.
 
@@ -76,14 +68,16 @@ def collect_telemetry(paths: List[str]) -> Optional[dict]:
     Multiple paths sum rather than first-one-wins, so summarizing two
     shard directories together reports their combined telemetry.
     """
+    def telemetry_of(path: str) -> Optional[dict]:
+        return (load_manifest(path) or {}).get("telemetry")
+
     sections: List[dict] = []
     for path in paths:
-        telemetry = load_manifest_telemetry(path)
+        telemetry = telemetry_of(path)
         if telemetry is None and os.path.isdir(path):
             shard_manifests = sorted(glob.glob(
                 os.path.join(path, "shards", "*", "sweep.json")))
-            shard_sections = [load_manifest_telemetry(p)
-                              for p in shard_manifests]
+            shard_sections = [telemetry_of(p) for p in shard_manifests]
             shard_present = [s for s in shard_sections if s]
             if shard_present:
                 sections.extend(shard_present)

@@ -37,6 +37,7 @@ from repro._params import fold_dotted_params
 from repro.obs.query import (
     QueryFilter,
     TraceEvent,
+    TraceFormatError,
     TraceReader,
     trace_files,
 )
@@ -48,13 +49,29 @@ EVIDENCE_EVENTS = ("net.drop", "net.fabricate", "net.misroute")
 # -- sweep manifest joins ---------------------------------------------------
 
 def load_manifest(path: str) -> Optional[dict]:
-    """The sweep manifest at *path* (a sweep dir or sweep.json file)."""
+    """The sweep manifest at *path* (a sweep dir or a ``.json`` file).
+
+    None when there is none to read: a trace file, or a directory
+    without ``sweep.json``.  A manifest that is there but is not a JSON
+    object (torn, empty, ``[1, 2]``) raises :class:`TraceFormatError`,
+    which ``repro obs`` reports as one ``error:`` line and exit 2.
+    """
     manifest_path = (path if os.path.isfile(path)
                      else os.path.join(path, "sweep.json"))
-    if not os.path.isfile(manifest_path):
+    if not manifest_path.endswith(".json") \
+            or not os.path.isfile(manifest_path):
         return None
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as error:
+        raise TraceFormatError(
+            f"{manifest_path}: not a sweep manifest ({error})") from None
+    if not isinstance(manifest, dict):
+        raise TraceFormatError(
+            f"{manifest_path}: not a sweep manifest (top level is "
+            f"{type(manifest).__name__}, not an object)")
+    return manifest
 
 
 def trace_run_records(path: str) -> Dict[str, dict]:
@@ -84,26 +101,15 @@ def ground_truth_from_record(record: dict) -> Optional[dict]:
     """
     if record.get("experiment") != "attack_matrix":
         return None
-    from repro.eval import ScenarioSpec, TopologySpec, resolve_ground_truth
+    from repro.eval import ScenarioSpec, resolve_ground_truth
 
     # Manifest records keep grid params in dotted form
     # ("placement.router"); fold them into the nested dicts the
     # experiment itself receives before rebuilding the spec.
     params = fold_dotted_params(record.get("params") or {})
-    topology = params.get("topology", "abilene")
-    seed = record.get("seed")
-    if seed is None:
-        seed = params.get("seed", 0)
-    spec = ScenarioSpec(
-        topology=(TopologySpec(name=topology)
-                  if isinstance(topology, str) else topology),
-        adversary=params.get("adversary"),
-        placement=params.get("placement"),
-        traffic=params.get("traffic"),
-        tau=float(params.get("tau", 1.0)),
-        rounds=int(params.get("rounds", 3)),
-        seed=int(seed))
-    return resolve_ground_truth(spec)
+    if record.get("seed") is not None:
+        params["seed"] = record["seed"]
+    return resolve_ground_truth(ScenarioSpec.from_dict(params))
 
 
 def ground_truth_for_trace(trace_path: str,

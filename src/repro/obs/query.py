@@ -141,7 +141,8 @@ class QueryFilter:
 
 
 class TraceFormatError(ValueError):
-    """A trace line that is not JSON and is not a torn final line."""
+    """Damaged ``repro obs`` input: a trace line that is not JSON and is
+    not a torn final line, or a ``sweep.json`` that is not a JSON object."""
 
 
 def _reject_line(path: str, raw: bytes, offset: int) -> None:

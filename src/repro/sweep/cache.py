@@ -8,14 +8,14 @@ entries without bookkeeping.  A corrupted or mismatched entry is deleted
 and treated as a miss — the cache is a pure accelerator, never a source
 of truth.
 
-A sidecar ``index.json`` tracks each entry's size and last-use time so
-the cache can be size-capped (``max_bytes``): when a store pushes the
-total over the cap, least-recently-used entries are deleted until it
-fits.  Index updates happen under an ``fcntl`` file lock with
-write-temp-then-rename, so concurrent sweep processes sharing one cache
-directory (e.g. two shards on one host) never corrupt it; losing a race
-at worst re-records a timestamp.  ``max_bytes=None`` (the default)
-keeps the historical unbounded behavior.
+An entry's mtime is its last use (a hit touches the file), so the cache
+can be size-capped (``max_bytes``) with no sidecar: when a store pushes
+the total over the cap, the entries with the oldest mtimes are deleted
+until it fits.  Nothing is locked — entries are written
+write-temp-then-rename and eviction only unlinks, so concurrent sweep
+processes sharing one cache directory (e.g. two shards on one host) at
+worst evict a little more than they had to.  ``max_bytes=None`` (the
+default) keeps the cache unbounded.
 """
 
 from __future__ import annotations
@@ -23,21 +23,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from contextlib import contextmanager
 from typing import Dict, IO, Iterator, List, Optional
 
 from repro.sweep.grid import RunSpec
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None  # type: ignore[assignment]
-
 DEFAULT_CACHE_DIR = ".repro-cache"
 ENTRY_SCHEMA = "repro.sweep.cache/v1"
-INDEX_NAME = "index.json"
-LOCK_NAME = "index.lock"
 
 _code_version_memo: Dict[str, str] = {}
 
@@ -159,50 +151,15 @@ class ResultCache:
         self._record_use(path)
         self.stats["stores"] += 1
 
-    # -- LRU index ---------------------------------------------------------
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, INDEX_NAME)
-
-    @contextmanager
-    def _index_lock(self):
-        """Serialize index read-modify-write across processes."""
-        os.makedirs(self.root, exist_ok=True)
-        with open(os.path.join(self.root, LOCK_NAME), "w") as lock:
-            if fcntl is not None:
-                fcntl.flock(lock, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(lock, fcntl.LOCK_UN)
-
-    def _read_index(self) -> Dict[str, Dict[str, float]]:
-        try:
-            with open(self.index_path, "r") as handle:
-                index = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return {}
-        return index if isinstance(index, dict) else {}
-
-    def _write_index(self, index: Dict[str, Dict[str, float]]) -> None:
-        with _atomic_open(self.index_path) as handle:
-            json.dump(index, handle)
+    # -- LRU eviction ------------------------------------------------------
 
     def _record_use(self, path: str) -> None:
-        """Bump one entry's last-use row; evict if over the size cap."""
-        with self._index_lock():
-            index = self._read_index()
-            try:
-                size = os.path.getsize(path)
-            except OSError:
-                return
-            index[os.path.relpath(path, self.root)] = {
-                "size": size, "used": time.time()}
-            if self.max_bytes is not None:
-                self.stats["evictions"] += len(self._evict_locked(index))
-            self._write_index(index)
+        """Make ``path`` the most recently used; evict if over the cap."""
+        try:
+            os.utime(path)
+        except OSError:
+            return  # evicted under us by another process
+        self.evict()
 
     def _entries_on_disk(self) -> Dict[str, os.stat_result]:
         entries: Dict[str, os.stat_result] = {}
@@ -211,48 +168,27 @@ class ResultCache:
                 if not filename.endswith(".json"):
                     continue
                 path = os.path.join(dirpath, filename)
-                if os.path.abspath(path) == os.path.abspath(self.index_path):
-                    continue
                 try:
                     entries[os.path.relpath(path, self.root)] = os.stat(path)
                 except OSError:
                     continue
         return entries
 
-    def _evict_locked(self, index: Dict[str, Dict[str, float]]) -> List[str]:
-        """Delete LRU entries until the cache fits ``max_bytes``.
-
-        Reconciles the index against the directory first: rows for
-        vanished files are dropped, untracked entry files (pre-index
-        caches, racing writers) are adopted with their mtime as the
-        last-use time.
-        """
+    def evict(self) -> List[str]:
+        """Delete least-recently-used entries until the cache fits
+        ``max_bytes``; returns the evicted entry paths."""
+        if self.max_bytes is None or not self.enabled:
+            return []
         on_disk = self._entries_on_disk()
-        for rel in list(index):
-            if rel not in on_disk:
-                del index[rel]
-        for rel, stat in on_disk.items():
-            if rel not in index:
-                index[rel] = {"size": stat.st_size, "used": stat.st_mtime}
-        total = sum(row["size"] for row in index.values())
+        total = sum(stat.st_size for stat in on_disk.values())
         evicted: List[str] = []
-        for rel in sorted(index, key=lambda r: index[r]["used"]):
+        for rel in sorted(on_disk,
+                          key=lambda r: (on_disk[r].st_mtime_ns, r)):
             if total <= self.max_bytes:
                 break
             self._discard(os.path.join(self.root, rel))
-            total -= index[rel]["size"]
-            del index[rel]
+            total -= on_disk[rel].st_size
             evicted.append(rel)
-        return evicted
-
-    def evict(self) -> List[str]:
-        """Run one eviction cycle now; returns evicted entry paths."""
-        if self.max_bytes is None or not self.enabled:
-            return []
-        with self._index_lock():
-            index = self._read_index()
-            evicted = self._evict_locked(index)
-            self._write_index(index)
         self.stats["evictions"] += len(evicted)
         return evicted
 

@@ -1,7 +1,6 @@
 """Registry-contract fixture: every REG rule fires in this file."""
 
 from repro.eval.registry import ExperimentSpec, ParamSpec
-from repro.eval.results import EvalResultBase, register_result_type
 
 
 def experiment(alpha: int = 1, beta: float = 0.5):
@@ -10,29 +9,20 @@ def experiment(alpha: int = 1, beta: float = 0.5):
 
 SPEC_BAD_DEFAULT = ExperimentSpec(
     "fixture", experiment, print,
-    defaults=(("gamma", 3),),  # REG001 (line 13): gamma not in signature
+    defaults=(("gamma", 3),),  # REG001 (line 12): gamma not in signature
 )
 
 SPEC_BAD_PARAM = ExperimentSpec(
     "fixture2", experiment, print,
-    params=(ParamSpec("delta"),),  # REG001 (line 18): delta not in signature
+    params=(ParamSpec("delta"),),  # REG001 (line 17): delta not in signature
 )
 
-SPEC_LAMBDA = ExperimentSpec("fixture3", lambda: 0, print)  # REG003 (line 21)
+SPEC_LAMBDA = ExperimentSpec("fixture3", lambda: 0, print)  # REG003 (line 20)
 
 
 def outer():
     def inner():
         return 0
 
-    return ExperimentSpec("fixture4", inner, print)  # REG003 (line 28)
+    return ExperimentSpec("fixture4", inner, print)  # REG003 (line 27)
 
-
-@register_result_type
-class NoProtocol:
-    """REG002 (line 32): registered but speaks no protocol at all."""
-
-
-@register_result_type
-class HalfProtocol(EvalResultBase):
-    """REG002 (line 37): inherits from_dict/fields but lacks to_dict."""

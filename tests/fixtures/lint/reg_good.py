@@ -1,7 +1,6 @@
 """Registry-contract fixture: clean twin of reg_bad.py — zero findings."""
 
 from repro.eval.registry import ExperimentSpec, ParamSpec
-from repro.eval.results import EvalResultBase, register_result_type
 
 
 def experiment(alpha: int = 1, beta: float = 0.5):
@@ -24,10 +23,3 @@ SPEC_KWARGS = ExperimentSpec(
     defaults=(("anything", 1),),  # **kwargs accepts it: fine
 )
 
-
-@register_result_type
-class FullProtocol(EvalResultBase):
-    """Defines to_dict itself, inherits from_dict/fields: fine."""
-
-    def to_dict(self) -> dict:
-        return {}

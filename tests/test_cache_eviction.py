@@ -1,6 +1,5 @@
 """LRU size-capped eviction and concurrent safety of ResultCache."""
 
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -92,56 +91,6 @@ class TestLruEviction:
         assert capped.size_bytes() <= 2 * size
 
 
-class TestIndexRobustness:
-    def test_corrupt_index_recovers(self, tmp_path):
-        root = str(tmp_path / "c")
-        size = entry_size(tmp_path)
-        cache = ResultCache(root, version="v", max_bytes=4 * size)
-        cache.store(make_spec(0), make_record(0))
-        with open(cache.index_path, "w") as handle:
-            handle.write("{ not json")
-        # Cache keeps working; reconciliation readopts disk entries.
-        cache.store(make_spec(1), make_record(1))
-        assert cache.load(make_spec(0)) is not None
-        assert cache.load(make_spec(1)) is not None
-        with open(cache.index_path) as handle:
-            assert isinstance(json.load(handle), dict)
-
-    def test_vanished_files_dropped_from_index(self, tmp_path):
-        root = str(tmp_path / "c")
-        size = entry_size(tmp_path)
-        cache = ResultCache(root, version="v", max_bytes=4 * size)
-        for i in range(3):
-            cache.store(make_spec(i), make_record(i))
-        os.unlink(cache.path(make_spec(1)))
-        cache.evict()
-        with open(cache.index_path) as handle:
-            index = json.load(handle)
-        assert len(index) == 2
-        assert cache.size_bytes() == 2 * size
-
-    def test_untracked_entries_adopted_by_mtime(self, tmp_path):
-        root = str(tmp_path / "c")
-        size = entry_size(tmp_path)
-        # Entries written by an older, index-less cache...
-        legacy = ResultCache(root, version="v")
-        for i in range(4):
-            legacy.store(make_spec(i), make_record(i))
-        os.unlink(legacy.index_path)
-        # ...are adopted and evicted oldest-mtime-first once capped.
-        capped = ResultCache(root, version="v", max_bytes=2 * size)
-        capped.evict()
-        assert capped.size_bytes() <= 2 * size
-
-    def test_disabled_cache_never_touches_index(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"), version="v",
-                            enabled=False, max_bytes=1024)
-        cache.store(make_spec(0), make_record(0))
-        assert cache.load(make_spec(0)) is None
-        assert cache.evict() == []
-        assert not os.path.exists(cache.index_path)
-
-
 def _hammer(args):
     root, worker, count, max_bytes = args
     cache = ResultCache(root, version="v", max_bytes=max_bytes)
@@ -164,8 +113,12 @@ class TestConcurrentWriters:
         # One entry of slack: a writer may land between the final
         # eviction and the end of the race.
         assert cache.size_bytes() <= cap + size
-        with open(cache.index_path) as handle:
-            index = json.load(handle)
-        assert isinstance(index, dict)
-        for row in index.values():
-            assert set(row) == {"size", "used"}
+        # No torn or half-evicted survivors: every entry left loads
+        # (through an uncapped handle, so loading evicts nothing).
+        reader = ResultCache(root, version="v")
+        survivors = [n for worker in range(4)
+                     for n in range(worker * 1000, worker * 1000 + 20)
+                     if os.path.exists(reader.path(make_spec(n)))]
+        assert survivors
+        for n in survivors:
+            assert reader.load(make_spec(n)) == make_record(n)

@@ -4,9 +4,10 @@ import os
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis import discover_files, lint_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "lint")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 DET_BAD = os.path.join(FIXTURES, "det_bad.py")
 
 
@@ -31,6 +32,29 @@ def test_discovery_skips_hidden_and_cache_dirs(tmp_path):
     (tmp_path / "real.py").write_text("X = 1\n")
     report = lint_paths([str(tmp_path)])
     assert report.files_checked == 1
+
+
+def test_discovery_prunes_dist_and_build_unless_they_are_packages(tmp_path):
+    for name in ("dist", "build"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "wheel_junk.py").write_text("import random\n")
+    (tmp_path / "pkg" / "dist").mkdir(parents=True)
+    (tmp_path / "pkg" / "dist" / "__init__.py").write_text("")
+    (tmp_path / "pkg" / "dist" / "mod.py").write_text("X = 1\n")
+    found = [os.path.relpath(p, str(tmp_path))
+             for p in discover_files([str(tmp_path)])]
+    assert found == [os.path.join("pkg", "dist", "__init__.py"),
+                     os.path.join("pkg", "dist", "mod.py")]
+
+
+def test_discovery_sees_every_source_file_including_repro_dist():
+    found = {os.path.normpath(p) for p in discover_files([SRC])}
+    assert os.path.normpath(os.path.join(
+        SRC, "repro", "dist", "consensus.py")) in found
+    on_disk = {os.path.normpath(os.path.join(root, name))
+               for root, _dirs, names in os.walk(SRC)
+               for name in names if name.endswith(".py")}
+    assert found == on_disk
 
 
 def test_missing_path_raises():

@@ -33,7 +33,7 @@ def test_rule_catalogue_has_all_families():
         "DET001", "DET002", "DET003", "DET004",
         "LNT001", "LNT002",
         "PAY001", "PAY002", "PAY003",
-        "REG001", "REG002", "REG003",
+        "REG001", "REG003",
     ]
     for rule in RULES.values():
         assert rule.summary
@@ -118,12 +118,10 @@ def test_payload_good_fixture_is_clean():
 def test_registry_bad_fixture():
     got = findings_for("reg_bad.py")
     assert got == [
-        ("REG001", 13),
-        ("REG001", 18),
-        ("REG003", 21),
-        ("REG003", 28),
-        ("REG002", 32),
-        ("REG002", 37),
+        ("REG001", 12),
+        ("REG001", 17),
+        ("REG003", 20),
+        ("REG003", 27),
     ]
 
 

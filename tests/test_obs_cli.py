@@ -139,6 +139,52 @@ class TestObsCommands:
         assert summary["telemetry"]["wall_s"] == pytest.approx(5.0)
 
 
+class TestDamagedManifest:
+    """``forensics.load_manifest`` is the one obs-side ``sweep.json``
+    reader: a manifest that is not a JSON object is one ``error:`` line
+    and exit 2 from every command that reads it; a trace file is never
+    mistaken for one."""
+
+    DAMAGE = {"torn": '{"schema": "repro.sweep/v4", "runs": [',
+              "non-object": "[1,2]",
+              "empty": ""}
+
+    @pytest.fixture
+    def swept(self, toy_registered, tmp_path):
+        out = tmp_path / "swept"
+        assert main(["sweep", TOY, "--seeds", "2", "--jobs", "1",
+                     "--no-cache", "--trace", "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    @pytest.mark.parametrize("command", ["explain", "diff", "summarize"])
+    def test_exit_2_with_one_error_line(self, swept, capsys, command,
+                                        damage):
+        (swept / "sweep.json").write_text(self.DAMAGE[damage])
+        argv = {"explain": ["obs", "explain", "r3", str(swept)],
+                "diff": ["obs", "diff", str(swept), str(swept)],
+                "summarize": ["obs", "summarize", str(swept)]}[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(
+            f"error: {swept / 'sweep.json'}: not a sweep manifest (")
+
+    def test_a_trace_file_is_not_a_manifest(self, tmp_path, capsys):
+        trace = str(tmp_path / "x.jsonl")
+        with open(trace, "w") as fh:
+            for t in (1.0, 2.0):
+                fh.write(json.dumps(
+                    {"event": "net.drop", "t": t, "router": "r3",
+                     "out_nbr": "r4", "flow": "f1", "src": "r1",
+                     "dst": "r6", "reason": "x"}) + "\n")
+        assert main(["obs", "explain", "r3", trace]) == 0
+        assert main(["obs", "diff", trace, trace]) == 0
+        assert main(["obs", "summarize", trace]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestProfileCall:
     def test_returns_result_and_schema(self):
         result, stats = profile_call(sorted, [3, 1, 2])

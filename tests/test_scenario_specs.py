@@ -9,10 +9,13 @@ folding/validation, and an end-to-end
 runs with the same root seed.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.eval import (
@@ -39,6 +42,7 @@ from repro.net import (
     ring,
 )
 from repro.sweep.grid import fold_dotted_params
+from tests.strategies import scenario_specs
 
 
 def canonical(spec) -> str:
@@ -81,6 +85,17 @@ class TestSpecRoundTrip:
             PlacementSpec.from_dict({"strateggy": "fixed"})
         with pytest.raises(ValueError, match="behaviour"):
             AdversarySpec.from_dict({"behaviour": "drop"})
+        with pytest.raises(ValueError) as error:
+            TrafficSpec.from_dict({"x": 1})
+        assert str(error.value) == ("unknown traffic key(s) 'x'; accepted: "
+                                    "kind, flows, rate_bps, duration")
+
+    def test_topology_may_be_given_by_catalogue_name(self):
+        by_name = ScenarioSpec(topology="line")
+        assert by_name == ScenarioSpec(topology=TopologySpec("line"))
+        assert ScenarioSpec.from_dict({"topology": "line"}) == by_name
+        assert by_name.to_dict()["topology"] == {"name": "line",
+                                                 "options": {}}
 
     def test_validation_rejects_unknown_enums(self):
         with pytest.raises(ValueError):
@@ -104,6 +119,53 @@ class TestSpecRoundTrip:
         for expected in ("abilene", "sprintlink_like", "ebone_like",
                          "line", "ring", "grid", "simple"):
             assert expected in names
+
+
+_NESTED = ("topology", "adversary", "placement", "traffic")
+_generated = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+class TestGeneratedSpecs:
+    """Properties of the fields-derived ``to_dict``/``from_dict`` pair."""
+
+    @_generated
+    @given(scenario_specs())
+    def test_from_dict_inverts_to_dict(self, spec):
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+
+    @_generated
+    @given(scenario_specs())
+    def test_canonical_dump_survives_json(self, spec):
+        once = canonical(spec)
+        assert canonical(ScenarioSpec.from_dict(json.loads(once))) == once
+
+    @_generated
+    @given(scenario_specs(), st.sampled_from((None,) + _NESTED))
+    def test_unknown_key_at_any_level_is_named(self, spec, level):
+        data = spec.to_dict()
+        (data if level is None else data[level])["bogus_key"] = 1
+        with pytest.raises(ValueError, match="bogus_key"):
+            ScenarioSpec.from_dict(data)
+
+    @_generated
+    @given(scenario_specs(), st.data())
+    def test_deleted_keys_fall_back_to_dataclass_defaults(self, spec, data):
+        # Fails if from_dict (or anything else) restates a default.
+        def drop(spec_dict, value):
+            gone = data.draw(st.sets(st.sampled_from(sorted(spec_dict))))
+            for key in gone:
+                del spec_dict[key]
+            defaults = {f.name: f.default
+                        for f in dataclasses.fields(value)}
+            return dataclasses.replace(
+                value, **{key: defaults[key] for key in gone})
+
+        dumped = spec.to_dict()
+        expected = dataclasses.replace(spec, **{
+            name: drop(dumped[name], getattr(spec, name))
+            for name in _NESTED})
+        expected = drop(dumped, expected)
+        assert ScenarioSpec.from_dict(dumped) == expected
 
 
 class TestPlacement:
