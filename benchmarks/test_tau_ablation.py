@@ -42,12 +42,9 @@ def run_tau(tau: float):
     while end < horizon:
         end = min(horizon, end + 1.0)
         net.run(end)
-        # A deployed router garbage-collects rounds once validated; keep
-        # a small pipeline of recent rounds (settle + exchange timeout)
-        # so conclusions still find their summaries.  Peak live state is
-        # then proportional to tau.
-        current_round = schedule.round_of(net.sim.now)
-        monitor.drop_rounds_before(current_round - 3)
+        # The protocol retires a round once its last exchange has
+        # concluded (settle + exchange timeout after the round ends), so
+        # peak live state is proportional to tau.
         peak_state = max(peak_state, monitor.state_units("r1"))
     detection = None
     for state in protocol.states.values():

@@ -93,6 +93,9 @@ class ProtocolPi2:
     def evaluate_round(self, round_index: int) -> None:
         for segment in self.segments:
             self._evaluate_segment(segment, round_index)
+        # Rounds are evaluated in order and every segment has now read
+        # this one: per-round state (§5.1.1) ends with the round.
+        self.monitor.drop_rounds_before(round_index + 1)
 
     def _evaluate_segment(self, segment: PathSegment, round_index: int) -> None:
         members = list(segment)

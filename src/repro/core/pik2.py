@@ -154,6 +154,15 @@ class ProtocolPiK2:
         self._mailbox[(tuple(segment), round_index, sink)] = signed.payload
 
     def _conclude(self, segment: PathSegment, round_index: int) -> None:
+        self._validate_exchange(segment, round_index)
+        if segment == self.segments[-1]:
+            # A round's conclusions fire at one instant in segment order,
+            # and rounds conclude in round order whatever µ is against τ:
+            # nothing reads this round or an earlier one again.
+            self.monitor.drop_rounds_before(round_index + 1)
+
+    def _validate_exchange(self, segment: PathSegment,
+                           round_index: int) -> None:
         sink = segment[-1]
         # A compromised sink is a faulty *validator*: it simply stays
         # silent.  This is why AdjacentFault(k) forces monitored segments

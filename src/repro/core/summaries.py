@@ -41,6 +41,8 @@ from repro.dist.sync import ClockModel, RoundSchedule
 from repro.net import MonitorTap, Network, Packet, Router
 
 PathSegment = Tuple[str, ...]
+#: (direction, router, neighbor): one side of a link some segment watches.
+WatchedLink = Tuple[str, str, str]
 
 
 class SummaryPolicy(enum.Enum):
@@ -83,16 +85,20 @@ class SummaryBuilder:
         self._fingerprints: Set[int] = set()
         self._ordered: List[int] = []
         self._timestamps: List[Tuple[int, float]] = []
+        # What this policy keeps per packet, decided once (§2.4.1 table).
+        self._keeps_set = policy is not SummaryPolicy.FLOW
+        self._keeps_order = policy in (SummaryPolicy.ORDER,
+                                       SummaryPolicy.TIMELINESS)
+        self._keeps_times = policy is SummaryPolicy.TIMELINESS
 
     def observe(self, fp: int, size: int, when: float) -> None:
         self.count += 1
         self.byte_count += size
-        if self.policy in (SummaryPolicy.CONTENT, SummaryPolicy.ORDER,
-                           SummaryPolicy.TIMELINESS):
+        if self._keeps_set:
             self._fingerprints.add(fp)
-        if self.policy in (SummaryPolicy.ORDER, SummaryPolicy.TIMELINESS):
+        if self._keeps_order:
             self._ordered.append(fp)
-        if self.policy is SummaryPolicy.TIMELINESS:
+        if self._keeps_times:
             self._timestamps.append((fp, when))
 
     def freeze(self) -> TrafficSummary:
@@ -105,12 +111,10 @@ class SummaryBuilder:
             count=self.count,
             byte_count=self.byte_count,
             fingerprints=(frozenset(self._fingerprints)
-                          if self.policy is not SummaryPolicy.FLOW else None),
-            ordered=(tuple(self._ordered)
-                     if self.policy in (SummaryPolicy.ORDER,
-                                        SummaryPolicy.TIMELINESS) else None),
+                          if self._keeps_set else None),
+            ordered=tuple(self._ordered) if self._keeps_order else None,
             timestamps=(tuple(self._timestamps)
-                        if self.policy is SummaryPolicy.TIMELINESS else None),
+                        if self._keeps_times else None),
         )
 
     def state_size(self) -> int:
@@ -274,12 +278,15 @@ class SegmentMonitor(MonitorTap):
         # segment -> member -> role bookkeeping
         self._segments: Set[PathSegment] = set()
         self._monitors: Dict[PathSegment, Set[str]] = {}
-        # Watch index: (router, neighbor) -> [(segment, member position)].
-        # The member's index inside the segment is fixed at watch time, so
-        # it is precomputed here instead of ``segment.index(...)`` per
-        # packet on the tap hot path.
-        self._send_watch: Dict[Tuple[str, str], List[Tuple[PathSegment, int]]] = defaultdict(list)
-        self._recv_watch: Dict[Tuple[str, str], List[Tuple[PathSegment, int]]] = defaultdict(list)
+        # Watch index: (direction, router, neighbor) -> [(segment, member
+        # position)].  The member's index inside the segment is fixed at
+        # watch time, so it is precomputed here instead of
+        # ``segment.index(...)`` per packet on the tap hot path.
+        self._watch: Dict[WatchedLink, List[Tuple[PathSegment, int]]] = defaultdict(list)
+        # (watched link, path) -> the segments a packet on ``path`` is
+        # following there; see ``_following``.
+        self._followed: Dict[Tuple[WatchedLink, Tuple[str, ...]],
+                             Tuple[PathSegment, ...]] = {}
         # (segment, router, direction, round) -> SummaryBuilder
         self._builders: Dict[Tuple[PathSegment, str, str, int], SummaryBuilder] = {}
 
@@ -296,30 +303,68 @@ class SegmentMonitor(MonitorTap):
             if router not in members:
                 continue
             if i + 1 < len(segment):
-                self._send_watch[(router, segment[i + 1])].append((segment, i))
+                self._watch[("sent", router, segment[i + 1])].append((segment, i))
             if i > 0:
-                self._recv_watch[(router, segment[i - 1])].append((segment, i))
+                self._watch[("received", router, segment[i - 1])].append((segment, i))
+        self._followed.clear()
 
     @property
     def segments(self) -> Set[PathSegment]:
         return set(self._segments)
 
     # -- observation ----------------------------------------------------------
-    def _record(self, segment: PathSegment, router: str, direction: str,
-                packet: Packet, left_upstream_at: float) -> None:
-        sampler = self.samplers.get(segment)
-        if sampler is not None and not sampler.sampled(packet):
-            return
+    def _following(self, link: WatchedLink,
+                   packet: Packet) -> Tuple[PathSegment, ...]:
+        """The watched segments ``packet`` is following at ``link``.
+
+        One oracle lookup per packet.  Which of the link's watch entries
+        a path matches depends only on (link, path), so it is worked out
+        once per distinct path crossing the link; a reroute shows up as
+        a different path and therefore a different key.
+        """
+        watches = self._watch.get(link)
+        if not watches:
+            return ()
+        path = self.oracle.packet_path(packet)
+        if path is None:
+            return ()
+        segments = self._followed.get((link, path))
+        if segments is None:
+            router = link[1]
+            matched = []
+            for segment, pos in watches:
+                idx = self._segment_at(path, segment)
+                # The packet must actually be at our position of the segment.
+                if idx is not None and path[idx + pos] == router:
+                    matched.append(segment)
+            segments = self._followed[(link, path)] = tuple(matched)
+        return segments
+
+    def _record(self, segments: Tuple[PathSegment, ...], router: str,
+                direction: str, packet: Packet,
+                left_upstream_at: float) -> None:
+        """File ``packet`` under every segment in ``segments``.
+
+        The round and the fingerprint belong to (router, packet, instant),
+        not to a segment: one clock read, one fingerprint however many
+        segments share the link — and none if every sampler declines.
+        """
         local = self.clock.local_time(router, left_upstream_at)
         round_index = self.schedule.round_of(local)
-        key = (segment, router, direction, round_index)
-        builder = self._builders.get(key)
-        if builder is None:
-            builder = SummaryBuilder(router, segment, round_index,
-                                     direction, self.policy)
-            self._builders[key] = builder
-        fp = fingerprint(packet, self.fingerprint_key)
-        builder.observe(fp, packet.size, local)
+        fp = None
+        for segment in segments:
+            sampler = self.samplers.get(segment)
+            if sampler is not None and not sampler.sampled(packet):
+                continue
+            key = (segment, router, direction, round_index)
+            builder = self._builders.get(key)
+            if builder is None:
+                builder = SummaryBuilder(router, segment, round_index,
+                                         direction, self.policy)
+                self._builders[key] = builder
+            if fp is None:
+                fp = fingerprint(packet, self.fingerprint_key)
+            builder.observe(fp, packet.size, local)
 
     @staticmethod
     def _segment_at(path: Tuple[str, ...], segment: PathSegment) -> Optional[int]:
@@ -332,38 +377,19 @@ class SegmentMonitor(MonitorTap):
 
     def on_transmit(self, router: Router, out_nbr: str, packet: Packet,
                     time: float) -> None:
-        watches = self._send_watch.get((router.name, out_nbr))
-        if not watches:
-            return
-        # One oracle lookup per packet; each watch entry carries the
-        # member's precomputed position inside the segment.
-        path = self.oracle.packet_path(packet)
-        if path is None:
-            return
         name = router.name
-        for segment, pos in watches:
-            idx = self._segment_at(path, segment)
-            # The packet must actually be at our position of the segment.
-            if idx is None or path[idx + pos] != name:
-                continue
-            self._record(segment, name, "sent", packet, time)
+        segments = self._following(("sent", name, out_nbr), packet)
+        if segments:
+            self._record(segments, name, "sent", packet, time)
 
     def on_receive(self, router: Router, from_nbr: str, packet: Packet,
                    time: float) -> None:
-        watches = self._recv_watch.get((router.name, from_nbr))
-        if not watches:
-            return
-        path = self.oracle.packet_path(packet)
-        if path is None:
-            return
-        link = self.network.topology.link(from_nbr, router.name)
-        left_upstream = time - link.delay
         name = router.name
-        for segment, pos in watches:
-            idx = self._segment_at(path, segment)
-            if idx is None or path[idx + pos] != name:
-                continue
-            self._record(segment, name, "received", packet, left_upstream)
+        segments = self._following(("received", name, from_nbr), packet)
+        if segments:
+            link = self.network.topology.link(from_nbr, name)
+            self._record(segments, name, "received", packet,
+                         time - link.delay)
 
     # -- retrieval -------------------------------------------------------------
     def summary(self, segment: PathSegment, router: str, direction: str,

@@ -14,11 +14,55 @@ import enum
 import hashlib
 import hmac
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable, Dict, Tuple
 
 
 class SignatureError(Exception):
     """A signature failed to verify."""
+
+
+def _encode_str(obj: str) -> bytes:
+    raw = obj.encode()
+    return b"S%d:%b" % (len(raw), raw)
+
+
+def _encode_sequence(obj: Any) -> bytes:
+    return b"L(" + b"".join([canonical_bytes(x) for x in obj]) + b")"
+
+
+def _encode_set(obj: Any) -> bytes:
+    return b"E(" + b"".join(sorted([canonical_bytes(x) for x in obj])) + b")"
+
+
+def _encode_dict(obj: Any) -> bytes:
+    keyed = sorted([(canonical_bytes(key), key) for key in obj],
+                   key=itemgetter(0))
+    return b"D(" + b"".join([encoded + b"=" + canonical_bytes(obj[key])
+                             for encoded, key in keyed]) + b")"
+
+
+#: Encoders for values whose class is *exactly* one of these.  A subclass
+#: (``IntEnum``, a namedtuple, ``OrderedDict``) is not in the table and
+#: takes the ``isinstance`` ladder below, whose order decides its bytes.
+_EXACT: Dict[type, Callable[[Any], bytes]] = {
+    type(None): lambda obj: b"N",
+    bool: lambda obj: b"B1" if obj else b"B0",
+    int: lambda obj: b"I%d" % obj,
+    float: lambda obj: b"F" + repr(obj).encode(),
+    str: _encode_str,
+    bytes: lambda obj: b"Y%d:%b" % (len(obj), obj),
+    tuple: _encode_sequence,
+    list: _encode_sequence,
+    set: _encode_set,
+    frozenset: _encode_set,
+    dict: _encode_dict,
+}
+
+#: Field names, in field order, of every dataclass the ladder has
+#: encoded.  An instance of a class in here failed every ``isinstance``
+#: test ahead of the dataclass branch, and so does any other instance.
+_DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
 
 def canonical_bytes(obj: Any) -> bytes:
@@ -28,38 +72,39 @@ def canonical_bytes(obj: Any) -> bytes:
     primitives, bytes, tuples/lists, sets/frozensets (sorted), dicts
     (key-sorted) and dataclasses (field order).
     """
-    if obj is None:
-        return b"N"
-    if isinstance(obj, bool):
-        return b"B1" if obj else b"B0"
-    if isinstance(obj, int):
-        return b"I" + str(obj).encode()
-    if isinstance(obj, float):
-        return b"F" + repr(obj).encode()
-    if isinstance(obj, str):
-        raw = obj.encode()
-        return b"S" + str(len(raw)).encode() + b":" + raw
-    if isinstance(obj, bytes):
-        return b"Y" + str(len(obj)).encode() + b":" + obj
-    if isinstance(obj, (tuple, list)):
-        inner = b"".join(canonical_bytes(x) for x in obj)
-        return b"L(" + inner + b")"
-    if isinstance(obj, (set, frozenset)):
-        parts = sorted(canonical_bytes(x) for x in obj)
-        return b"E(" + b"".join(parts) + b")"
-    if isinstance(obj, dict):
-        parts = []
-        for key in sorted(obj, key=lambda k: canonical_bytes(k)):
-            parts.append(canonical_bytes(key) + b"=" + canonical_bytes(obj[key]))
-        return b"D(" + b"".join(parts) + b")"
-    if isinstance(obj, enum.Enum):
-        return b"M" + canonical_bytes(type(obj).__name__) + canonical_bytes(obj.name)
-    if is_dataclass(obj) and not isinstance(obj, type):
-        parts = [canonical_bytes(type(obj).__name__)]
-        for f in fields(obj):
-            parts.append(canonical_bytes(getattr(obj, f.name)))
-        return b"C(" + b"".join(parts) + b")"
-    raise TypeError(f"cannot canonicalize {type(obj)!r} for signing")
+    kind = obj.__class__
+    encode = _EXACT.get(kind)
+    if encode is not None:
+        return encode(obj)
+    names = _DATACLASS_FIELDS.get(kind)
+    if names is None:
+        # NOTE: bool before int, and the int / str mix-in enums before
+        # ``Enum``: reordering would silently change every signature.
+        if isinstance(obj, bool):
+            return b"B1" if obj else b"B0"
+        if isinstance(obj, int):
+            return b"I" + str(obj).encode()
+        if isinstance(obj, float):
+            return b"F" + repr(obj).encode()
+        if isinstance(obj, str):
+            return _encode_str(obj)
+        if isinstance(obj, bytes):
+            return b"Y%d:%b" % (len(obj), obj)
+        if isinstance(obj, (tuple, list)):
+            return _encode_sequence(obj)
+        if isinstance(obj, (set, frozenset)):
+            return _encode_set(obj)
+        if isinstance(obj, dict):
+            return _encode_dict(obj)
+        if isinstance(obj, enum.Enum):
+            return (b"M" + canonical_bytes(type(obj).__name__)
+                    + canonical_bytes(obj.name))
+        if not is_dataclass(obj) or isinstance(obj, type):
+            raise TypeError(f"cannot canonicalize {type(obj)!r} for signing")
+        names = _DATACLASS_FIELDS[kind] = tuple(f.name for f in fields(obj))
+    return (b"C(" + _encode_str(kind.__name__)
+            + b"".join([canonical_bytes(getattr(obj, name)) for name in names])
+            + b")")
 
 
 def _mac(key: bytes, payload: Any) -> bytes:

@@ -176,8 +176,11 @@ class SignedConsensus:
             for member in correct:
                 newly: List[ChainedValue] = []
                 for cv in inbox[member]:
-                    if not cv.valid(self.keys, round_index):
-                        continue
+                    # The three rejections that need no signature come
+                    # first.  They only ``continue`` (an empty slot left
+                    # behind still decides "silent"), so whatever the
+                    # inbox holds, checking validity last accepts the
+                    # same values as checking it first would.
                     if member in cv.signers():
                         continue
                     slot = accepted[member].setdefault(cv.origin, {})
@@ -185,13 +188,17 @@ class SignedConsensus:
                         continue
                     if len(slot) >= 2:
                         continue  # already have equivocation proof
+                    if not cv.valid(self.keys, round_index):
+                        continue
                     slot[key_of(cv)] = cv
                     newly.append(cv)
                 inbox[member] = []
-                receivers = [m for m in self.members if m != member]
+                if round_index == self.f:
+                    continue  # last round: nothing sent now is delivered
+                # One relay signature per value, shared by every receiver.
+                relays = [cv.extend(member, self.keys) for cv in newly]
                 outgoing[member] = {
-                    r: [cv.extend(member, self.keys) for cv in newly]
-                    for r in receivers
+                    r: relays for r in self.members if r != member
                 }
             # faulty members may relay per their behaviour
             for member, behavior in faulty.items():

@@ -17,7 +17,20 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _unit_offset(seed: int, router: str) -> float:
+    """The [0, 1) position of ``router``'s clock under ``seed``.
+
+    Keyed on both (``typed``: the seed is hashed by its text, and ``1``
+    and ``1.0`` print differently), so an instance whose ``seed`` or
+    ``epsilon`` is changed later is never served a stale offset.
+    """
+    digest = hashlib.sha256(f"{seed}|{router}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 class ClockModel:
@@ -33,11 +46,7 @@ class ClockModel:
         """Deterministic offset in [-epsilon, +epsilon] for ``router``."""
         if self.epsilon == 0:
             return 0.0
-        digest = hashlib.sha256(
-            f"{self.seed}|{router}".encode()
-        ).digest()
-        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)  # [0,1)
-        return (2.0 * unit - 1.0) * self.epsilon
+        return (2.0 * _unit_offset(self.seed, router) - 1.0) * self.epsilon
 
     def local_time(self, router: str, true_time: float) -> float:
         return true_time + self.offset(router)

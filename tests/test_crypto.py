@@ -1,5 +1,9 @@
 """Unit tests for fingerprints, keys, signatures, hash chains."""
 
+import json
+import os
+import sys
+
 import pytest
 
 from repro.crypto.fingerprint import FingerprintSampler, fingerprint, fingerprint_bytes
@@ -7,6 +11,7 @@ from repro.crypto.hashchain import HashChain
 from repro.crypto.keys import KeyInfrastructure
 from repro.crypto.signatures import Signed, SignatureError, canonical_bytes
 from repro.net.packet import Packet
+from tests.canonical_vectors import NAMESPACE
 
 
 class TestFingerprint:
@@ -126,6 +131,60 @@ class TestCanonicalBytes:
         assert isinstance(canonical_bytes(summary), bytes)
 
 
+def _canonical_goldens():
+    path = os.path.join(os.path.dirname(__file__), "goldens",
+                        "canonical_bytes.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestCanonicalGoldens:
+    """``canonical_bytes`` is a wire format: every MAC hangs off its bytes.
+
+    ``goldens/canonical_bytes.json`` was written by the ``isinstance``
+    ladder at commit 2313335, before the exact-type table existed, under
+    CPython 3.9 and 3.11.  Where the two disagree (``IntEnum.__str__``
+    became the value in 3.11) the entry holds both, and this interpreter
+    must produce its own.
+    """
+
+    def test_vectors(self):
+        tag = "py311" if sys.version_info >= (3, 11) else "py39"
+        wrong = {}
+        for entry in _canonical_goldens()["vectors"]:
+            expected = entry["hex"]
+            if isinstance(expected, dict):
+                expected = expected[tag]
+            try:
+                got = canonical_bytes(eval(entry["expr"], dict(NAMESPACE))).hex()
+            except TypeError:
+                got = "TypeError"
+            if got != expected:
+                wrong[entry["expr"]] = (got, expected)
+        assert wrong == {}
+
+    def test_every_branch_has_a_vector(self):
+        kinds = {type(eval(entry["expr"], dict(NAMESPACE))).__name__
+                 for entry in _canonical_goldens()["vectors"]}
+        assert kinds >= {
+            "NoneType", "bool", "int", "float", "str", "bytes", "tuple",
+            "list", "set", "frozenset", "dict",       # the exact-type table
+            "Level", "Tag", "Wrapped", "Point", "OrderedDict",  # subclasses
+            "Colour", "SummaryPolicy", "TrafficSummary", "Claim", "Signed",
+            "object", "type", "complex", "bytearray",  # rejected
+        }
+
+    def test_sets_sort_by_encoded_bytes_not_by_value(self):
+        assert canonical_bytes(frozenset({9, 10, 100})) == b"E(I10I100I9)"
+
+    def test_pinned_mac(self):
+        pinned = _canonical_goldens()["signed"]
+        signed = Signed.sign(eval(pinned["payload"], dict(NAMESPACE)),
+                             pinned["signer"], bytes.fromhex(pinned["key"]))
+        assert signed.mac.hex() == pinned["mac"]
+        assert signed.verify(bytes.fromhex(pinned["key"]))
+
+
 class TestSigned:
     def test_sign_and_verify(self):
         keys = KeyInfrastructure()
@@ -146,6 +205,17 @@ class TestSigned:
         signed = Signed.sign("x", "r1", keys.signing_key("r1"))
         stolen = Signed(payload="x", signer="r2", mac=signed.mac)
         assert not stolen.verify(keys.signing_key("r2"))
+
+    def test_mutating_a_signed_payload_breaks_verification(self):
+        """Nothing about a payload is remembered between sign and verify."""
+        keys = KeyInfrastructure()
+        payload = {"count": 5, "seen": [1, 2]}
+        signed = Signed.sign(payload, "r1", keys.signing_key("r1"))
+        assert signed.verify(keys.signing_key("r1"))
+        payload["seen"].append(3)
+        assert not signed.verify(keys.signing_key("r1"))
+        payload["seen"].pop()
+        assert signed.verify(keys.signing_key("r1"))
 
     def test_cannot_sign_without_key(self):
         """Structural security: forging needs the victim's key object."""

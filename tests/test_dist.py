@@ -15,6 +15,14 @@ from repro.crypto.signatures import Signed
 from repro.net.adversary import ControlSuppressionAttack
 from repro.net.router import Network
 from repro.net.topology import chain, diamond
+from tests.consensus_adversaries import (
+    FORGED,
+    Forger,
+    Replayer,
+    SelectiveRelay,
+    decisions,
+    reference_decisions,
+)
 
 
 class TestClockModel:
@@ -43,6 +51,18 @@ class TestClockModel:
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             ClockModel(epsilon=-1.0)
+
+    def test_offset_follows_seed_and_epsilon_changes(self):
+        """The per-router hash is remembered; what it is keyed on is not
+        allowed to go stale."""
+        clock = ClockModel(epsilon=0.01, seed=1)
+        first = clock.offset("r")
+        assert ClockModel(epsilon=0.01, seed=2).offset("r") != first
+        clock.seed = 2
+        assert clock.offset("r") == ClockModel(epsilon=0.01, seed=2).offset("r")
+        clock.seed, clock.epsilon = 1, 0.02
+        assert clock.offset("r") == pytest.approx(2 * first)
+        assert ClockModel(epsilon=0.01, seed=1.0).offset("r") != first
 
 
 class TestRoundSchedule:
@@ -185,3 +205,94 @@ class TestSignedConsensus:
         honest = Signed.sign("v", "a", keys.signing_key("a"))
         cv = ChainedValue(honest).extend("b", keys).extend("b", keys)
         assert not cv.valid(keys, round_index=2)
+
+
+class TestConsensusUnderRelayingAdversaries:
+    """Hostile inboxes: ``run`` rejects on the signer chain and the slot
+    before it verifies a signature, and must decide what validate-first
+    decides."""
+
+    members = ["a", "b", "c", "d"]
+    inputs = {"a": 1, "b": 2, "c": 3}
+
+    def run_both(self, faulty, members=None, max_faults=1):
+        members = members or self.members
+        keys = KeyInfrastructure()
+        inputs = {m: v for m, v in self.inputs.items() if m not in faulty}
+        results = SignedConsensus(members, keys, max_faults).run(
+            inputs, faulty=faulty)
+        assert decisions(results) == reference_decisions(
+            members, keys, max_faults, inputs, faulty)
+        return results
+
+    @pytest.mark.parametrize("members", [["d", "a", "b", "c"],
+                                         ["a", "b", "c", "d"]],
+                             ids=["forgery-lands-first", "forgery-lands-last"])
+    def test_forged_payload_under_an_honest_mac_is_never_decided(self, members):
+        results = self.run_both({"d": Forger(dict(self.inputs))},
+                                members=members)
+        for r in results.values():
+            assert r.values == {"a": 1, "b": 2, "c": 3, "d": None}
+            assert r.silent == {"d"} and not r.equivocators
+            assert FORGED not in r.values.values()
+
+    def test_forger_cannot_frame_an_honest_member_as_equivocator(self):
+        results = self.run_both(
+            {"c": Forger({"a": 1, "b": 2}), "d": Forger({"a": 1, "b": 2})},
+            max_faults=2)
+        for r in results.values():
+            assert r.values["a"] == 1 and r.values["b"] == 2
+            assert not r.equivocators
+
+    def test_replayed_duplicate_and_self_including_chains_change_nothing(self):
+        results = self.run_both({"d": Replayer(4)})
+        for r in results.values():
+            assert r.values == {"a": 1, "b": 2, "c": 3, "d": 4}
+            assert not r.equivocators and not r.silent
+
+    def test_selective_sender_is_heard_by_everyone_through_relays(self):
+        results = self.run_both({"d": SelectiveRelay(4, favoured={"a"})})
+        for r in results.values():
+            assert r.values["d"] == 4
+
+    def test_selective_equivocation_needs_the_relay_round(self):
+        """d tells a one thing and b another; only relays expose it."""
+
+        class SplitBrain(SelectiveRelay):
+            def initial_values(self, member, receivers, keys):
+                key = keys.signing_key(member)
+                return {"a": [ChainedValue(Signed.sign("x", member, key))],
+                        "b": [ChainedValue(Signed.sign("y", member, key))],
+                        "c": []}
+
+        results = self.run_both({"d": SplitBrain(None, favoured=set())})
+        for r in results.values():
+            assert r.values["d"] is None and r.equivocators == {"d"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("max_faults", [0, 1, 2])
+    def test_all_honest_work_is_one_sign_per_message_one_verify_per_value(
+            self, n, max_faults, monkeypatch):
+        """n originals + one relay signature per accepted value, and each
+        of the n(n-1) delivered originals verified exactly once: 9 + 6 for
+        the three-member segments Π2 runs (it was 15 + 30)."""
+        calls = {"sign": 0, "verify": 0}
+        sign, verify = Signed.sign.__func__, Signed.verify
+
+        def counted_sign(cls, *args):
+            calls["sign"] += 1
+            return sign(cls, *args)
+
+        def counted_verify(self, key):
+            calls["verify"] += 1
+            return verify(self, key)
+
+        monkeypatch.setattr(Signed, "sign", classmethod(counted_sign))
+        monkeypatch.setattr(Signed, "verify", counted_verify)
+        members = [f"r{i}" for i in range(n)]
+        results = SignedConsensus(members, KeyInfrastructure(), max_faults).run(
+            {m: i for i, m in enumerate(members)})
+        assert all(r.values == {m: i for i, m in enumerate(members)}
+                   for r in results.values())
+        relays = n * (n - 1) if max_faults else 0
+        assert calls == {"sign": n + relays, "verify": n * (n - 1)}

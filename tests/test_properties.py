@@ -23,6 +23,14 @@ from repro.dist.reconcile import (
 from repro.dist.sync import ClockModel
 from repro.net.packet import Packet
 from repro.net.queues import DropTailQueue, REDParams, red_drop_probability
+from tests.consensus_adversaries import (
+    FORGED,
+    Forger,
+    Replayer,
+    SelectiveRelay,
+    decisions,
+    reference_decisions,
+)
 
 
 # -- set reconciliation -------------------------------------------------------
@@ -253,3 +261,51 @@ def test_consensus_agreement_random_faults(n_faulty, rng):
     for member in members:
         if member not in faulty:  # validity for correct members
             assert decided.values[member] == inputs[member]
+
+
+@st.composite
+def hostile_consensus_cases(draw):
+    """(members, max_faults, inputs, faulty): 3..6 members in any order,
+    f <= n - 2, at most f of them faulty, each with any behaviour."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    members = draw(st.permutations([f"m{i}" for i in range(n)]))
+    max_faults = draw(st.integers(min_value=0, max_value=n - 2))
+    bad = draw(st.lists(st.sampled_from(members), unique=True,
+                        max_size=max_faults))
+    inputs = {m: f"value-{m}" for m in members if m not in bad}
+    faulty = {}
+    for name in bad:
+        kind = draw(st.sampled_from(
+            ["silent", "equivocator", "forger", "replayer", "selective"]))
+        if kind == "silent":
+            faulty[name] = Silent()
+        elif kind == "equivocator":
+            faulty[name] = Equivocator(f"{name}-x", f"{name}-y")
+        elif kind == "forger":
+            faulty[name] = Forger(dict(inputs))
+        elif kind == "replayer":
+            faulty[name] = Replayer(f"own-{name}")
+        else:
+            favoured = draw(st.sets(st.sampled_from(members)))
+            faulty[name] = SelectiveRelay(f"own-{name}", favoured)
+    return members, max_faults, inputs, faulty
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hostile_consensus_cases())
+def test_consensus_properties_under_relaying_adversaries(case):
+    members, max_faults, inputs, faulty = case
+    keys = KeyInfrastructure()
+    results = SignedConsensus(members, keys, max_faults).run(
+        inputs, faulty=faulty)
+    assert set(results) == set(inputs)
+    assert len({r.agreed_vector() for r in results.values()}) == 1  # agreement
+    for r in results.values():
+        for member, value in inputs.items():  # validity
+            assert r.values[member] == value
+        assert r.equivocators <= set(faulty)
+        assert r.silent <= set(faulty)
+        assert FORGED not in r.values.values()
+    # ...and, inbox for inbox, what validate-first would have decided.
+    assert decisions(results) == reference_decisions(
+        members, keys, max_faults, inputs, faulty)

@@ -1,19 +1,33 @@
 """Unit tests for traffic summaries and the segment monitor."""
 
+import hashlib
+import sys
+from collections import defaultdict
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, reject, settings
 
 from repro.core.summaries import (
+    EcmpPathOracle,
     PathOracle,
     SegmentMonitor,
     SummaryBuilder,
     SummaryPolicy,
+    TrafficSummary,
 )
-from repro.crypto.fingerprint import FingerprintSampler
+from repro.crypto.fingerprint import FingerprintSampler, fingerprint
 from repro.dist.sync import ClockModel, RoundSchedule
+from repro.eval import BEHAVIORS, build_scenario
+from repro.eval.registry import run_experiment
+from repro.net import MonitorTap
+from repro.net.adversary import MisrouteAttack
 from repro.net.packet import Packet
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
 from repro.net.topology import MBPS, chain
+from tests.strategies import scenario_specs
+from tests.test_ecmp_oracle import ecmp_net
 
 
 class TestSummaryBuilder:
@@ -207,3 +221,258 @@ class TestSegmentMonitor:
             for r in range(6)
         )
         assert mismatched
+
+
+class ReferenceSummariser(MonitorTap):
+    """info(r, π, τ) by brute force, straight from the documented rules.
+
+    For every tap call, every watched segment, nothing remembered: the
+    packet follows π if π is a contiguous run of its predicted path *now*;
+    rᵢ files what it transmits to rᵢ₊₁ under the round of its own clock
+    at the transmit instant, and what it receives from rᵢ₋₁ under the
+    round of its clock at ``arrival - link delay``.  Clock offsets are
+    recomputed from the formula, not read from the ``ClockModel``.
+    """
+
+    def __init__(self, network, oracle, schedule, epsilon=0.0, clock_seed=0,
+                 samplers=None, fingerprint_key=b""):
+        self.network, self.oracle, self.schedule = network, oracle, schedule
+        self.epsilon, self.clock_seed = epsilon, clock_seed
+        self.samplers, self.key = samplers or {}, fingerprint_key
+        self.watched = []  # (segment, monitoring members)
+        self.filed = defaultdict(list)  # (π, r, direction, τ) -> [(fp, size, t)]
+
+    def watch(self, segment, monitors=None):
+        self.watched.append((tuple(segment), set(monitors or segment)))
+
+    def _file(self, direction, step, router, nbr, packet, when):
+        path = self.oracle.packet_path(packet) or ()
+        digest = hashlib.sha256(f"{self.clock_seed}|{router}".encode()).digest()
+        unit = int.from_bytes(digest[:8], "big") / float(1 << 64)
+        local = when + (2.0 * unit - 1.0) * self.epsilon
+        for segment, members in self.watched:
+            n = len(segment)
+            if (router not in members or router not in segment
+                    or not any(path[i:i + n] == segment
+                               for i in range(len(path) - n + 1))):
+                continue
+            at = segment.index(router) + step
+            if not 0 <= at < n or segment[at] != nbr:
+                continue
+            sampler = self.samplers.get(segment)
+            if sampler is not None and not sampler.sampled(packet):
+                continue
+            self.filed[(segment, router, direction,
+                        self.schedule.round_of(local))].append(
+                (fingerprint(packet, self.key), packet.size, local))
+
+    def on_transmit(self, router, out_nbr, packet, time):
+        self._file("sent", +1, router.name, out_nbr, packet, time)
+
+    def on_receive(self, router, from_nbr, packet, time):
+        delay = self.network.topology.link(from_nbr, router.name).delay
+        self._file("received", -1, router.name, from_nbr, packet, time - delay)
+
+    def summary(self, segment, router, direction, round_index):
+        seen = self.filed.get((segment, router, direction, round_index), [])
+        return TrafficSummary(
+            router=router, segment=segment, round_index=round_index,
+            direction=direction, policy=SummaryPolicy.TIMELINESS,
+            count=len(seen), byte_count=sum(size for _, size, _ in seen),
+            fingerprints=frozenset(fp for fp, _, _ in seen),
+            ordered=tuple(fp for fp, _, _ in seen),
+            timestamps=tuple((fp, t) for fp, _, t in seen))
+
+    def assert_matches(self, monitor, last_round):
+        """Every (segment, member, direction, round), empty ones included."""
+        assert self.filed, "the case recorded nothing: it proves nothing"
+        for segment, _ in self.watched:
+            for router in segment:
+                for direction in ("sent", "received"):
+                    for r in range(-1, last_round + 2):
+                        assert (monitor.summary(segment, router, direction, r)
+                                == self.summary(segment, router, direction, r))
+
+
+def monitored_pair(net, oracle, tau, epsilon=0.0, clock_seed=0, samplers=None):
+    """A TIMELINESS monitor (it keeps everything) and its reference."""
+    schedule = RoundSchedule(tau=tau)
+    monitor = SegmentMonitor(
+        net, oracle, schedule, policy=SummaryPolicy.TIMELINESS,
+        clock=ClockModel(epsilon=epsilon, seed=clock_seed), samplers=samplers)
+    reference = ReferenceSummariser(net, oracle, schedule, epsilon,
+                                    clock_seed, samplers)
+    net.add_tap(monitor)
+    net.add_tap(reference)
+    return monitor, reference
+
+
+def paced(net, src, dst, flow_id, count, gap, start=0.0):
+    for i in range(count):
+        net.sim.schedule_at(start + i * gap, net.routers[src].originate,
+                            Packet(src=src, dst=dst, flow_id=flow_id, seq=i))
+
+
+def runnable_pi2_cells():
+    """``scenario_specs()`` cut to cells a unit test can afford: no
+    315-router topology, half-second rounds, and 1.5 s of constant-rate
+    traffic (a bulk TCP flow on these links is 600k events)."""
+    return scenario_specs().filter(
+        lambda spec: spec.topology.name != "sprintlink_like"
+        and spec.adversary.behavior in BEHAVIORS
+    ).map(lambda spec: replace(
+        spec, tau=0.5, rounds=min(spec.rounds, 3), options=(),
+        adversary=replace(spec.adversary, options=(),
+                          rate=min(spec.adversary.rate, 1.0)),
+        traffic=replace(spec.traffic, kind="cbr", rate_bps=300_000.0,
+                        duration=1.5)))
+
+
+class TestSegmentMonitorAgainstReference:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(runnable_pi2_cells())
+    def test_generated_cells(self, spec):
+        try:
+            scenario = build_scenario(spec)
+        except ValueError:
+            reject()  # e.g. a fixed placement this topology does not have
+        # A second monitor over the scenario's own segments, traffic and
+        # adversary: Π2's retires its rounds, this one keeps them.
+        monitor, reference = monitored_pair(
+            scenario.network, scenario.oracle, spec.tau, epsilon=0.004,
+            clock_seed=spec.seed)
+        for segment in scenario.protocol.segments:
+            monitor.watch_segment(segment)
+            reference.watch(segment)
+        scenario.run()
+        reference.assert_matches(
+            monitor, scenario.schedule.round_of(scenario.end_time))
+
+    def test_segment_watched_after_traffic_has_flowed(self):
+        net = Network(chain(4, bandwidth=10 * MBPS, delay=0.001))
+        monitor, reference = monitored_pair(
+            net, PathOracle(install_static_routes(net)), tau=0.25)
+        early, late = ("r1", "r2", "r3"), ("r2", "r3", "r4")
+        monitor.watch_segment(early)
+        reference.watch(early)
+        paced(net, "r1", "r4", "f", count=80, gap=0.01)
+        net.run(0.4)
+        monitor.watch_segment(late, monitors=("r2", "r4"))
+        reference.watch(late, monitors=("r2", "r4"))
+        net.run(1.0)
+        assert monitor.summary(late, "r2", "sent", 2).count > 0
+        reference.assert_matches(monitor, last_round=4)
+
+    def test_reroute_and_invalidate_mid_run(self):
+        net = ecmp_net()
+        net.routers["s"].forwarding_table["t"] = ["a"]
+        oracle = EcmpPathOracle(net)
+        monitor, reference = monitored_pair(net, oracle, tau=0.25)
+        for segment in (("s", "a", "m"), ("s", "b", "m"), ("a", "m", "t"),
+                        ("b", "m", "t")):
+            monitor.watch_segment(segment)
+            reference.watch(segment)
+        paced(net, "s", "t", "f", count=80, gap=0.01)
+
+        def reroute():
+            net.routers["s"].forwarding_table["t"] = ["b"]
+            oracle.invalidate()
+
+        net.sim.schedule_at(0.405, reroute)
+        net.run(1.5)
+        via_a = sum(monitor.summary(("s", "a", "m"), "s", "sent", r).count
+                    for r in range(6))
+        via_b = sum(monitor.summary(("s", "b", "m"), "s", "sent", r).count
+                    for r in range(6))
+        assert via_a > 0 and via_b > 0 and via_a + via_b == 80
+        reference.assert_matches(monitor, last_round=6)
+
+    def test_misrouted_packet_coming_back_over_the_link_it_left_by(self):
+        """r3 bounces half of r2's packets straight back: what r2 *sends*
+        to r3 along a path says nothing about what it *receives* from r3
+        on that path."""
+        net = Network(chain(4, bandwidth=10 * MBPS, delay=0.001))
+        monitor, reference = monitored_pair(
+            net, PathOracle(install_static_routes(net)), tau=0.25)
+        for segment in (("r1", "r2", "r3"), ("r2", "r3", "r4"),
+                        ("r4", "r3", "r2"), ("r3", "r2", "r1")):
+            monitor.watch_segment(segment)
+            reference.watch(segment)
+        net.routers["r3"].compromise = MisrouteAttack("r2", fraction=0.5,
+                                                      seed=4)
+        paced(net, "r1", "r4", "f", count=60, gap=0.01)
+        net.run(1.0)
+        assert net.routers["r3"].compromise.misrouted
+        reference.assert_matches(monitor, last_round=4)
+
+    def test_segments_sharing_a_link_with_different_samplers(self):
+        net = Network(chain(5, bandwidth=10 * MBPS, delay=0.001))
+        long, short = ("r1", "r2", "r3", "r4"), ("r2", "r3", "r4")
+        samplers = {long: FingerprintSampler(rate=0.5, key=b"long"),
+                    short: FingerprintSampler(rate=0.3, key=b"short")}
+        monitor, reference = monitored_pair(
+            net, PathOracle(install_static_routes(net)), tau=0.25,
+            samplers=samplers)
+        for segment in (long, short, ("r3", "r4", "r5")):  # last: unsampled
+            monitor.watch_segment(segment)
+            reference.watch(segment)
+        paced(net, "r1", "r5", "f", count=120, gap=0.005)
+        net.run(1.5)
+        kept = [sum(monitor.summary(seg, "r3", "sent", r).count
+                    for r in range(6))
+                for seg in (long, short, ("r3", "r4", "r5"))]
+        assert 0 < kept[1] < kept[0] < kept[2] == 120
+        reference.assert_matches(monitor, last_round=6)
+
+    def test_clock_skew_straddling_a_round_edge(self):
+        """Same traffic, two clock seeds: each monitor files by *its*
+        routers' offsets (a second ClockModel is not served the first's)."""
+        filed = []
+        for clock_seed in (1, 2):
+            net = Network(chain(4, bandwidth=10 * MBPS, delay=0.001))
+            monitor, reference = monitored_pair(
+                net, PathOracle(install_static_routes(net)), tau=0.1,
+                epsilon=0.03, clock_seed=clock_seed)
+            for segment in (("r1", "r2", "r3"), ("r2", "r3", "r4")):
+                monitor.watch_segment(segment)
+                reference.watch(segment)
+            # Bursts around every round edge, where 30 ms of skew decides.
+            for edge in range(1, 6):
+                paced(net, "r1", "r4", f"f{edge}", count=12, gap=0.005,
+                      start=edge * 0.1 - 0.03)
+            net.run(1.0)
+            reference.assert_matches(monitor, last_round=10)
+            filed.append({key: len(seen)
+                          for key, seen in reference.filed.items()})
+        assert filed[0] != filed[1]
+
+
+def test_one_fingerprint_per_recording_tap_call(monkeypatch):
+    """Work pin on a small Π2 cell (the 6-chain bench, seed 0).
+
+    A packet is fingerprinted once per tap call that records it, however
+    many segments share the link, and the number of observations is what
+    it was before the per-tap bookkeeping existed (7318, counted at
+    commit 2313335).  The ledger only *reports* count drift; this fails.
+    """
+    calls = {"fingerprint": 0}
+    observed = []
+    observe = SummaryBuilder.observe
+
+    def counted_fingerprint(packet, key=b""):
+        calls["fingerprint"] += 1
+        return fingerprint(packet, key)
+
+    def logged_observe(self, fp, size, when):
+        observed.append((self.router, self.direction, fp, when))
+        observe(self, fp, size, when)
+
+    monkeypatch.setattr(sys.modules[SegmentMonitor.__module__],
+                        "fingerprint", counted_fingerprint)
+    monkeypatch.setattr(SummaryBuilder, "observe", logged_observe)
+    run_experiment("pi2_bench", {"seed": 0})
+    assert len(observed) == 7318
+    # One router sees one packet once per direction per instant.
+    recording_tap_calls = len(set(observed))
+    assert recording_tap_calls < len(observed)  # segments do share links
+    assert calls["fingerprint"] == recording_tap_calls
