@@ -14,13 +14,10 @@ Fatih's alert dissemination.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Set
 
 from repro.net import Network
-
-_flood_ids = itertools.count(1)
 
 
 @dataclass
@@ -50,7 +47,6 @@ def robust_flood(
     altered copy cannot crowd out the authentic one.  Returns a live
     :class:`FloodResult` populated as the simulation runs.
     """
-    flood_id = next(_flood_ids)
     result = FloodResult(origin=origin)
     seen: Set[str] = set()
 

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro._params import fold_dotted_params
 from repro.obs.query import (
@@ -121,7 +122,11 @@ def ground_truth_for_trace(trace_path: str,
     the run-record fallback re-derives the same answer for traces that
     predate the event.
     """
-    reader = TraceReader(trace_path)
+    return _ground_truth(TraceReader(trace_path), record)
+
+
+def _ground_truth(reader: TraceReader,
+                  record: Optional[dict]) -> Optional[dict]:
     for event in reader.events(
             QueryFilter(events=("scenario.ground_truth",))):
         truth = dict(event.fields)
@@ -202,19 +207,53 @@ class RouterExplanation:
         }
 
 
-def _evidence_counts(evidence: List[TraceEvent],
-                     segment: Tuple[str, ...],
-                     interval: Tuple[float, float]) -> Dict[str, int]:
-    """Evidence events whose actor is in *segment* during *interval*."""
-    lo, hi = interval
-    counts: Dict[str, int] = {}
-    for event in evidence:
-        if event.t is None or not lo <= event.t < hi:
-            continue
-        if event.fields.get("router") not in segment:
-            continue
-        counts[event.event] = counts.get(event.event, 0) + 1
-    return counts
+class _EvidenceIndex:
+    """Evidence events by acting router in time order, so the events of
+    a verdict's (segment, window) are found by bisection — and found
+    once: detectors flood a failed check to every router, so many
+    verdicts of a trace share one (segment, window)."""
+
+    def __init__(self, events: Iterable[TraceEvent]) -> None:
+        #: Acting router -> ([t, ...] ascending, [event kind, ...]).
+        self._by_router: Dict[str, Tuple[List[float], List[str]]] = {}
+        self._memo: Dict[tuple, Dict[str, int]] = {}
+        unsorted = False
+        for event in events:
+            actor = event.fields.get("router")
+            t = event.t
+            # No window contains a missing or NaN time, and segments
+            # name routers by string.
+            if t is None or t != t or not isinstance(actor, str):
+                continue
+            times, kinds = self._by_router.setdefault(actor, ([], []))
+            if times and t < times[-1]:
+                unsorted = True
+            times.append(t)
+            kinds.append(event.event)
+        if unsorted:
+            # Traces are emitted in virtual-time order; a hand-written
+            # one need not be.
+            for times, kinds in self._by_router.values():
+                order = sorted(range(len(times)), key=times.__getitem__)
+                times[:] = [times[i] for i in order]
+                kinds[:] = [kinds[i] for i in order]
+
+    def counts(self, segment: Tuple[str, ...],
+               interval: Tuple[float, float]) -> Dict[str, int]:
+        """Evidence kind -> events whose actor is in *segment* during
+        the half-open *interval*; a fresh dict for every caller."""
+        key = (segment, interval)
+        counts = self._memo.get(key)
+        if counts is None:
+            counts = self._memo[key] = {}
+            lo, hi = interval
+            if lo < hi:
+                for actor in dict.fromkeys(segment):
+                    times, kinds = self._by_router.get(actor, ((), ()))
+                    for kind in kinds[bisect_left(times, lo):
+                                      bisect_left(times, hi)]:
+                        counts[kind] = counts.get(kind, 0) + 1
+        return dict(counts)
 
 
 def explain_router(trace_path: str, router: Optional[str] = None,
@@ -228,14 +267,15 @@ def explain_router(trace_path: str, router: Optional[str] = None,
     anyway, TN = correct router never suspected.
     """
     reader = TraceReader(trace_path)
-    truth = ground_truth_for_trace(trace_path, record)
+    truth = _ground_truth(reader, record)
     adversary = (truth or {}).get("router")
     attack_at = (truth or {}).get("attack_at")
     target = router if router is not None else adversary
 
     suspicions = list(reader.events(
         QueryFilter(events=("detector.suspect",))))
-    evidence = list(reader.events(QueryFilter(events=EVIDENCE_EVENTS)))
+    evidence = _EvidenceIndex(
+        reader.events(QueryFilter(events=EVIDENCE_EVENTS)))
 
     verdicts: List[VerdictReport] = []
     for event in suspicions:
@@ -255,7 +295,7 @@ def explain_router(trace_path: str, router: Optional[str] = None,
             reason=str(event.get("reason", "")),
             confidence=float(event.get("confidence", 1.0) or 1.0),
             true_positive=is_tp,
-            evidence=_evidence_counts(evidence, segment, interval),
+            evidence=evidence.counts(segment, interval),
         ))
 
     suspected = bool(verdicts)

@@ -11,18 +11,23 @@ For repeated queries against the same trace, :class:`TraceReader`
 maintains a *lazy index sidecar* — ``<trace>.idx.json`` next to the
 trace — mapping flow ids, router names and event kinds to the byte
 offsets of the lines that mention them.  A filtered query seeks straight
-to candidate lines instead of scanning.  The sidecar is built on first
-indexed query, is keyed to the trace's byte size (traces are
-write-once, and size — unlike mtime — never reads a wall clock, keeping
-this module inside the sim-domain lint rules), and is rebuilt whenever
-the size disagrees.  Unwritable trace directories degrade gracefully to
-a full scan.
+to candidate lines instead of scanning.  The first indexed query builds
+the sidecar in the same pass that answers it.  A sidecar is fresh when
+its recorded ``trace_bytes`` and ``trace_digest`` (blake2b of the file)
+match the trace — content, unlike mtime, never reads a wall clock,
+keeping this module inside the sim-domain lint rules — and is rebuilt
+otherwise.  It is written temp + ``os.replace``, so a killed or
+concurrent writer never leaves a torn one; unwritable trace directories
+degrade gracefully to a full scan.
 
+There are two read loops: :func:`_scan_file` reads a trace front to
+back (plain scans, and the pass that builds an index), and
+:meth:`TraceReader._seek` reads the candidate lines an index names.
 Damaged traces have one policy, :func:`_reject_line`, run from the
-``except`` path of every read loop here (the loops themselves pay
-nothing for it): a final line with no newline that does not parse is
-what a SIGKILLed writer leaves and is skipped — :func:`has_torn_tail`
-lets a front end say so — and any other unparsable line raises
+``except`` path of both (the loops themselves pay nothing for it): a
+final line with no newline that does not parse is what a SIGKILLed
+writer leaves and is skipped — :func:`has_torn_tail` lets a front end
+say so — and any other unparsable line raises
 :class:`TraceFormatError`.
 """
 
@@ -32,6 +37,7 @@ import glob
 import json
 import os
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -40,7 +46,7 @@ from typing import (
 TRACE_DIRNAME = "traces"
 
 #: Sidecar format version; bump on layout changes to force rebuilds.
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 def trace_files(path: str) -> List[str]:
@@ -194,36 +200,114 @@ def index_path(trace_path: str) -> str:
     return (stem if ext == ".jsonl" else trace_path) + ".idx.json"
 
 
+class _IndexCollector:
+    """What one front-to-back pass learns for a trace's index."""
+
+    def __init__(self) -> None:
+        self.flows: Dict[str, List[int]] = {}
+        self.routers: Dict[str, List[int]] = {}
+        self.events: Dict[str, List[int]] = {}
+        self.digest = blake2b(digest_size=16)
+        #: Set when the pass reaches the end of the file.
+        self.trace_bytes = 0
+
+    def add(self, parsed: TraceEvent, offset: int) -> None:
+        self.events.setdefault(parsed.event, []).append(offset)
+        flow = parsed.flow
+        if flow is not None:
+            self.flows.setdefault(flow, []).append(offset)
+        for name in parsed.routers:
+            self.routers.setdefault(name, []).append(offset)
+
+    def index(self) -> dict:
+        return {
+            "version": INDEX_VERSION,
+            "trace_bytes": self.trace_bytes,
+            "trace_digest": self.digest.hexdigest(),
+            "events": {k: self.events[k] for k in sorted(self.events)},
+            "flows": {k: self.flows[k] for k in sorted(self.flows)},
+            "routers": {k: self.routers[k] for k in sorted(self.routers)},
+        }
+
+
+def _scan_file(path: str, query: Optional[QueryFilter] = None,
+               collector: Optional[_IndexCollector] = None
+               ) -> Iterator[TraceEvent]:
+    """Read a trace front to back, parsing each line once.
+
+    Yields what matches *query* (everything when None) and tells
+    *collector* where every line started.  The only sequential read
+    loop: an index build and the query that needed it are one pass.
+    """
+    offset = 0
+    with open(path, "rb") as fh:
+        try:
+            for raw in fh:
+                if collector is not None:
+                    collector.digest.update(raw)
+                parsed = _parse_line(raw)
+                if parsed is not None:
+                    if collector is not None:
+                        collector.add(parsed, offset)
+                    if query is None or query.matches(parsed):
+                        yield parsed
+                offset += len(raw)
+        except ValueError:
+            _reject_line(path, raw, offset)
+        if collector is not None:
+            collector.trace_bytes = fh.tell()
+
+
 def build_index(trace_path: str) -> dict:
     """Scan a trace once, producing its offset index (not yet written)."""
-    flows: Dict[str, List[int]] = {}
-    routers: Dict[str, List[int]] = {}
-    events: Dict[str, List[int]] = {}
+    collector = _IndexCollector()
+    for _ in _scan_file(trace_path, collector=collector):
+        pass
+    return collector.index()
+
+
+def _load_sidecar(trace_path: str) -> Optional[dict]:
+    """The trace's sidecar index if there is one and it is fresh.
+
+    Fresh means the version, the trace's size and — only when both
+    match — a digest of its bytes are what the sidecar recorded, so a
+    same-length rewrite is caught too.  Anything else (no sidecar, an
+    older version, torn JSON) is None and gets rebuilt silently.
+    """
+    try:
+        with open(index_path(trace_path), "r", encoding="utf-8") as fh:
+            index = json.load(fh)
+    except (ValueError, OSError):
+        return None
+    if (not isinstance(index, dict)
+            or index.get("version") != INDEX_VERSION
+            or index.get("trace_bytes") != os.path.getsize(trace_path)):
+        return None
+    digest = blake2b(digest_size=16)
     with open(trace_path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return index if index.get("trace_digest") == digest.hexdigest() else None
+
+
+def _write_sidecar(trace_path: str, index: dict) -> None:
+    """Persist *index* atomically, best-effort.
+
+    A read-only trace directory just means the next reader rebuilds in
+    memory again.
+    """
+    sidecar = index_path(trace_path)
+    tmp = f"{sidecar}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(index, sort_keys=True,
+                                separators=(",", ":")))
+        os.replace(tmp, sidecar)
+    except OSError:
         try:
-            while True:
-                offset = fh.tell()
-                raw = fh.readline()
-                if not raw:
-                    break
-                parsed = _parse_line(raw)
-                if parsed is None:
-                    continue
-                events.setdefault(parsed.event, []).append(offset)
-                flow = parsed.flow
-                if flow is not None:
-                    flows.setdefault(flow, []).append(offset)
-                for name in parsed.routers:
-                    routers.setdefault(name, []).append(offset)
-        except ValueError:
-            _reject_line(trace_path, raw, offset)
-    return {
-        "version": INDEX_VERSION,
-        "trace_bytes": os.path.getsize(trace_path),
-        "events": {k: events[k] for k in sorted(events)},
-        "flows": {k: flows[k] for k in sorted(flows)},
-        "routers": {k: routers[k] for k in sorted(routers)},
-    }
+            os.remove(tmp)
+        except OSError:
+            pass
 
 
 def _candidate_offsets(index: dict, query: QueryFilter) -> Optional[List[int]]:
@@ -260,37 +344,16 @@ class TraceReader:
     def index(self, create: bool = True) -> Optional[dict]:
         """The trace's offset index, loading or (re)building lazily.
 
-        A sidecar is fresh iff its recorded ``trace_bytes`` matches the
-        trace's current size (traces are write-once; a size match after
-        a rewrite is out of scope).  With ``create`` the rebuilt index
-        is persisted best-effort — a read-only trace directory just
-        means the next reader rebuilds in memory again.
+        With ``create`` a rebuilt index is persisted as the sidecar
+        (see :func:`_load_sidecar` for when one is fresh).
         """
-        if self._index is not None:
-            return self._index
-        sidecar = index_path(self.path)
-        size = os.path.getsize(self.path)
-        index = None
-        if os.path.isfile(sidecar):
-            try:
-                with open(sidecar, "r", encoding="utf-8") as fh:
-                    candidate = json.load(fh)
-                if (candidate.get("version") == INDEX_VERSION
-                        and candidate.get("trace_bytes") == size):
-                    index = candidate
-            except (ValueError, OSError):
-                index = None
-        if index is None:
-            index = build_index(self.path)
+        if self._index is None:
+            self._index = _load_sidecar(self.path)
+        if self._index is None:
+            self._index = build_index(self.path)
             if create:
-                try:
-                    with open(sidecar, "w", encoding="utf-8") as fh:
-                        json.dump(index, fh, sort_keys=True,
-                                  separators=(",", ":"))
-                except OSError:
-                    pass
-        self._index = index
-        return index
+                _write_sidecar(self.path, self._index)
+        return self._index
 
     def flows(self) -> List[str]:
         """Flow ids the trace mentions, sorted."""
@@ -309,40 +372,39 @@ class TraceReader:
 
     def events(self, query: Optional[QueryFilter] = None,
                use_index: bool = True) -> Iterator[TraceEvent]:
-        """Stream matching events in file (= emission) order."""
-        offsets: Optional[List[int]] = None
-        if query is not None and use_index:
-            index = self.index()
-            if index is not None:
-                offsets = _candidate_offsets(index, query)
+        """Stream matching events in file (= emission) order.
+
+        An indexed query with no fresh sidecar is answered by the pass
+        that builds the index, which is adopted and written when that
+        pass reaches the end of the trace: a consumer that stops early
+        leaves no sidecar behind.
+        """
+        if query is None or not use_index:
+            yield from _scan_file(self.path, query)
+            return
+        if self._index is None:
+            self._index = _load_sidecar(self.path)
+        if self._index is None:
+            collector = _IndexCollector()
+            yield from _scan_file(self.path, query, collector)
+            self._index = collector.index()
+            _write_sidecar(self.path, self._index)
+            return
+        offsets = _candidate_offsets(self._index, query)
         if offsets is None:
-            yield from self._scan(query)
+            yield from _scan_file(self.path, query)
         else:
             yield from self._seek(sorted(offsets), query)
 
-    def _scan(self, query: Optional[QueryFilter]) -> Iterator[TraceEvent]:
-        with open(self.path, "rb") as fh:
-            try:
-                for raw in fh:
-                    parsed = _parse_line(raw)
-                    if parsed is None:
-                        continue
-                    if query is None or query.matches(parsed):
-                        yield parsed
-            except ValueError:
-                _reject_line(self.path, raw, fh.tell() - len(raw))
-
     def _seek(self, offsets: Sequence[int],
-              query: Optional[QueryFilter]) -> Iterator[TraceEvent]:
+              query: QueryFilter) -> Iterator[TraceEvent]:
         with open(self.path, "rb") as fh:
             try:
                 for offset in offsets:
                     fh.seek(offset)
                     raw = fh.readline()
                     parsed = _parse_line(raw)
-                    if parsed is None:
-                        continue
-                    if query is None or query.matches(parsed):
+                    if parsed is not None and query.matches(parsed):
                         yield parsed
             except ValueError:
                 _reject_line(self.path, raw, offset)

@@ -8,8 +8,12 @@ arithmetic exactly.
 import json
 import os
 import shutil
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.__main__ import main
 from repro.obs import explain_router, explain_sweep, flow_timeline
@@ -20,7 +24,7 @@ from repro.obs.forensics import (
     load_manifest,
     trace_run_records,
 )
-from repro.obs.query import trace_files
+from repro.obs.query import TraceReader, trace_files
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +198,137 @@ class TestClassification:
     def test_evidence_events_are_the_faulty_trio(self):
         assert EVIDENCE_EVENTS == ("net.drop", "net.fabricate",
                                    "net.misroute")
+
+
+def reference_counts(evidence, segment, interval):
+    """The loop ``explain_router`` ran once per verdict before it indexed
+    the evidence (O(verdicts x evidence)), kept as the reference."""
+    lo, hi = interval
+    counts = {}
+    for event in evidence:
+        if event.t is None or not lo <= event.t < hi:
+            continue
+        if event.fields.get("router") not in segment:
+            continue
+        counts[event.event] = counts.get(event.event, 0) + 1
+    return counts
+
+
+def explain_checked(trace, router):
+    """``explain_router`` with every verdict's evidence compared against
+    the brute-force reference."""
+    evidence = [event
+                for event in TraceReader(trace).events(use_index=False)
+                if event.event in EVIDENCE_EVENTS]
+    explanation = explain_router(trace, router)
+    for verdict in explanation.verdicts:
+        assert verdict.evidence == reference_counts(
+            evidence, verdict.segment, verdict.interval), verdict
+    return explanation
+
+
+ROUTERS = ("R1", "R2", "R3", "R4")
+NAN = float("nan")
+ABSENT = object()  # a field the record does not carry at all
+#: Half-steps over [0, 4]: ties and hits exactly on a window edge are
+#: the common case, not the rare one.
+grid_times = st.integers(0, 8).map(lambda i: i / 2)
+
+
+def mostly(strategy, *odd):
+    """Three draws in four from *strategy*, else one of the *odd* values."""
+    return st.one_of(strategy, strategy, strategy, st.sampled_from(odd))
+
+
+def without_absent(record):
+    return {k: v for k, v in record.items() if v is not ABSENT}
+
+
+evidence_records = st.fixed_dictionaries({
+    "event": st.sampled_from(EVIDENCE_EVENTS),
+    "t": mostly(grid_times, None, NAN, ABSENT),
+    # Odd ones: outside every segment, not a name at all, missing.
+    "router": mostly(st.sampled_from(ROUTERS), "Rx", 7, ["R1"], ABSENT),
+}).map(without_absent)
+
+#: [lo, lo + width) with a positive width, as a detector's round is.
+round_windows = st.tuples(grid_times, st.integers(1, 4)).map(
+    lambda pair: [pair[0], pair[0] + pair[1] / 2])
+#: Any two edges: lo >= hi and NaN edges are empty windows.
+odd_windows = st.tuples(mostly(grid_times, NAN),
+                        mostly(grid_times, NAN)).map(list)
+
+suspect_records = st.fixed_dictionaries({
+    "event": st.just("detector.suspect"), "t": grid_times,
+    "by": st.sampled_from(ROUTERS),
+    # Repeats allowed: a router named twice must not count twice.
+    "segment": st.lists(st.sampled_from(ROUTERS), min_size=1, max_size=4),
+    # No interval at all is the zero-width window [t, t).
+    "interval": st.one_of(round_windows, round_windows, round_windows,
+                          odd_windows, st.just(ABSENT)),
+}).map(without_absent)
+
+
+class TestEvidenceJoin:
+    """The indexed, memoised join against its brute-force reference."""
+
+    def test_real_sweep_adversary_bystander_and_stranger(self, drop_trace):
+        suspects = TraceReader(drop_trace).events(use_index=False)
+        bystander = next(
+            name for event in suspects if event.event == "detector.suspect"
+            for name in event.get("segment") if name != "Denver")
+        adversary = explain_checked(drop_trace, "Denver")
+        assert any(v.evidence for v in adversary.verdicts)
+        assert explain_checked(drop_trace, bystander).verdicts
+        assert explain_checked(drop_trace, "Nowhere").verdicts == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(evidence=st.lists(evidence_records, min_size=8, max_size=30),
+           suspicions=st.lists(suspect_records, min_size=1, max_size=8),
+           in_time_order=st.booleans())
+    def test_synthetic_traces(self, evidence, suspicions, in_time_order):
+        if in_time_order:  # what a real run emits; else hand-written
+            def timed(record):
+                return record.get("t") is not None \
+                    and record["t"] == record["t"]
+            evidence = sorted(evidence, key=lambda r: (
+                not timed(r), r["t"] if timed(r) else 0.0))
+        with tempfile.TemporaryDirectory() as tmp:
+            trace = write_trace(
+                os.path.join(tmp, "t.jsonl"),
+                [ground_truth_record()] + evidence + suspicions)
+            for router in ROUTERS:
+                explain_checked(trace, router)
+
+    def test_shared_window_gives_equal_but_distinct_dicts(self, tmp_path):
+        trace = write_trace(tmp_path / "t.jsonl", [
+            ground_truth_record(), drop_record(1.2),
+            *[suspect_record(2.0, ["R2", "R3"], [1.0, 2.0], by=f"R{i}")
+              for i in range(11)]])
+        verdicts = explain_checked(trace, "R2").verdicts
+        assert [v.evidence for v in verdicts] == [{"net.drop": 1}] * 11
+        assert len({id(v.evidence) for v in verdicts}) == 11
+        verdicts[0].evidence["net.drop"] += 1  # a caller's own copy
+        assert verdicts[1].evidence == {"net.drop": 1}
+
+    def test_join_does_not_rescan_evidence_per_verdict(self, tmp_path):
+        # 5,000 distinct windows over 50,000 evidence events: 250 M loop
+        # steps for the per-verdict rescan (11 s where bisection takes
+        # 0.45 s).  The bound sits several times away from both; it is
+        # a complexity guard, not a stopwatch race.
+        records = [ground_truth_record()]
+        records += [drop_record(i / 10, router=ROUTERS[i % 4])
+                    for i in range(50_000)]
+        records += [suspect_record(k + 1.0, ["R2", "R3"], [k, k + 1.0])
+                    for k in range(5_000)]
+        trace = write_trace(tmp_path / "big.jsonl", records)
+        started = time.perf_counter()
+        explanation = explain_router(trace, "R2")
+        elapsed = time.perf_counter() - started
+        assert len(explanation.verdicts) == 5_000
+        assert all(v.evidence == {"net.drop": 5}
+                   for v in explanation.verdicts)
+        assert elapsed < 3.0, f"explain took {elapsed:.1f} s"
 
 
 class TestRealSweep:

@@ -6,19 +6,24 @@ event kind the instrumentation can emit; unit tests for the filter and
 index layers use small synthetic traces.
 """
 
+import hashlib
 import json
 import os
+import sys
 
 import pytest
 
 from repro.__main__ import main
-from repro.obs import QueryFilter, TraceEvent, TraceReader, trace_files
+from repro.obs import (QueryFilter, TraceEvent, TraceReader, explain_router,
+                       trace_files)
 from repro.obs.query import (
     INDEX_VERSION,
     build_index,
     index_path,
     scan,
 )
+
+query_module = sys.modules[build_index.__module__]
 
 BEHAVIORS = ("drop", "misroute", "fabricate")
 
@@ -53,6 +58,30 @@ def write_trace(path, records):
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return str(path)
+
+
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.blake2b(fh.read(), digest_size=16).hexdigest()
+
+
+def read_sidecar(trace):
+    with open(index_path(trace)) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Raw lines handed to ``_parse_line`` while the test runs."""
+    calls = []
+    parse = query_module._parse_line
+
+    def counting(raw):
+        calls.append(raw)
+        return parse(raw)
+
+    monkeypatch.setattr(query_module, "_parse_line", counting)
+    return calls
 
 
 SYNTHETIC = [
@@ -138,8 +167,9 @@ class TestIndex:
         assert os.path.isfile(sidecar)
         with open(sidecar) as fh:
             index = json.load(fh)
-        assert index["version"] == INDEX_VERSION
+        assert index["version"] == INDEX_VERSION == 2
         assert index["trace_bytes"] == os.path.getsize(trace)
+        assert index["trace_digest"] == file_digest(trace)
         assert sorted(index["events"]) == sorted(
             {r["event"] for r in SYNTHETIC})
         assert index["flows"] == {"f1": [0, index["events"]["net.drop"][0]]}
@@ -171,6 +201,39 @@ class TestIndex:
         with open(index_path(trace)) as fh:
             assert json.load(fh)["trace_bytes"] == os.path.getsize(trace)
 
+    def test_same_length_rewrite_is_not_served_stale(self, tmp_path):
+        hop, drop = SYNTHETIC[:2]
+        swapped = [dict(hop, event="net.drop"),
+                   dict(drop, event="net.flow_hop")]
+        trace = write_trace(tmp_path / "t.jsonl", [hop, drop])
+        query = QueryFilter(events=("net.drop",))
+        assert [e.t for e in TraceReader(trace).events(query)] == [1.0]
+        size = os.path.getsize(trace)
+        write_trace(tmp_path / "t.jsonl", swapped)
+        assert os.path.getsize(trace) == size  # only the digest can tell
+        assert [e.t for e in TraceReader(trace).events(query)] == [0.5]
+        assert read_sidecar(trace)["trace_digest"] == file_digest(trace)
+
+    def test_v1_sidecar_is_ignored_and_replaced(self, tmp_path):
+        trace = write_trace(tmp_path / "t.jsonl", SYNTHETIC)
+        with open(index_path(trace), "w") as fh:
+            json.dump({"version": 1,
+                       "trace_bytes": os.path.getsize(trace),
+                       "events": {}, "flows": {}, "routers": {}}, fh)
+        drops = list(TraceReader(trace).events(
+            QueryFilter(events=("net.drop",))))
+        assert len(drops) == 1
+        assert read_sidecar(trace) == build_index(trace)
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "{", ""])
+    def test_sidecar_that_is_not_an_index_is_rebuilt(self, tmp_path,
+                                                     content):
+        trace = write_trace(tmp_path / "t.jsonl", SYNTHETIC)
+        with open(index_path(trace), "w") as fh:
+            fh.write(content)
+        assert TraceReader(trace).event_counts()["net.drop"] == 1
+        assert read_sidecar(trace) == build_index(trace)
+
     def test_unwritable_sidecar_degrades_to_in_memory(self, tmp_path):
         trace = write_trace(tmp_path / "t.jsonl", SYNTHETIC)
         # A directory squatting the sidecar path makes the write raise
@@ -180,6 +243,13 @@ class TestIndex:
         drops = list(reader.events(QueryFilter(events=("net.drop",))))
         assert len(drops) == 1
         assert os.path.isdir(index_path(trace))  # still not a file
+        # ... and the failed atomic write removed its temp file.
+        assert sorted(os.listdir(tmp_path)) == ["t.idx.json", "t.jsonl"]
+
+    def test_sidecar_write_leaves_no_temp_file(self, tmp_path):
+        trace = write_trace(tmp_path / "t.jsonl", SYNTHETIC)
+        TraceReader(trace).index()
+        assert sorted(os.listdir(tmp_path)) == ["t.idx.json", "t.jsonl"]
 
     def test_reader_summaries_come_from_index(self, tmp_path):
         trace = write_trace(tmp_path / "t.jsonl", SYNTHETIC)
@@ -202,11 +272,106 @@ class TestIndexedVsScan:
         QueryFilter(),
     ])
     def test_same_events_same_order(self, drop_trace, query):
-        reader = TraceReader(drop_trace)
-        indexed = list(reader.events(query, use_index=True))
-        scanned = list(reader.events(query, use_index=False))
-        assert indexed == scanned
+        if os.path.exists(index_path(drop_trace)):
+            os.remove(index_path(drop_trace))
+        # Cold: the pass that builds the index answers the query.
+        cold = list(TraceReader(drop_trace).events(query))
+        assert os.path.isfile(index_path(drop_trace))
+        # Warm: a new reader seeks through the sidecar just written.
+        warm = list(TraceReader(drop_trace).events(query))
+        scanned = list(TraceReader(drop_trace).events(query,
+                                                      use_index=False))
+        assert cold == warm == scanned
         assert scanned, "fixture queries must all be non-empty"
+
+
+class TestReadPathWork:
+    """Host-independent work counts: each line and each sidecar is
+    touched once per command."""
+
+    DROPS = QueryFilter(events=("net.drop",))
+
+    def test_cold_indexed_query_parses_each_line_once(self, drop_trace,
+                                                      tmp_path,
+                                                      parse_calls):
+        trace = str(tmp_path / "t.jsonl")
+        with open(drop_trace, "rb") as src, open(trace, "wb") as dst:
+            lines = src.readlines()
+            dst.writelines(lines)
+        drops = list(TraceReader(trace).events(self.DROPS))
+        assert drops and len(drops) < len(lines)
+        assert len(parse_calls) == len(lines)  # not lines + matches
+        assert read_sidecar(trace) == build_index(trace)
+
+    def test_early_stop_leaves_no_sidecar(self, tmp_path):
+        records = [dict(SYNTHETIC[1], t=float(i)) for i in range(8)]
+        trace = write_trace(tmp_path / "t.jsonl", records)
+        events = TraceReader(trace).events(self.DROPS)
+        assert [next(events).t for _ in range(3)] == [0.0, 1.0, 2.0]
+        events.close()
+        assert not os.path.exists(index_path(trace))
+        # The next query that runs to the end writes a correct one.
+        assert len(list(TraceReader(trace).events(self.DROPS))) == 8
+        assert read_sidecar(trace) == build_index(trace)
+
+    def test_explain_reads_what_it_joins_and_one_sidecar(self, drop_trace,
+                                                         parse_calls,
+                                                         monkeypatch):
+        counts = TraceReader(drop_trace).event_counts()  # sidecar present
+        loads = []
+        load = json.load
+        monkeypatch.setattr(
+            query_module.json, "load",
+            lambda fh, **kw: loads.append(fh.name) or load(fh, **kw))
+        parse_calls.clear()
+        explanation = explain_router(drop_trace, "Denver")
+        assert explanation.verdicts
+        joined = sum(counts.get(kind, 0) for kind in (
+            "detector.suspect", "net.drop", "net.fabricate", "net.misroute"))
+        assert len(parse_calls) == joined + 1  # + scenario.ground_truth
+        assert loads == [index_path(drop_trace)]
+
+
+class TestDamagedTracesColdAndWarm:
+    """The damaged-line policy is the same whichever loop meets the line:
+    the sequential pass (cold, no sidecar) or the seek loop (warm)."""
+
+    RECORDS = [dict(SYNTHETIC[1], t=float(i)) for i in range(6)]
+    ARGV = ["obs", "query", "--event", "net.drop", "--count"]
+
+    def test_torn_tail_warns_once_on_both_paths(self, tmp_path, capsys):
+        trace = write_trace(tmp_path / "t.jsonl", self.RECORDS)
+        with open(trace, "rb+") as fh:
+            fh.truncate(os.path.getsize(trace) - 20)
+        for sidecar_before in (False, True):  # cold, then warm
+            assert os.path.exists(index_path(trace)) == sidecar_before
+            assert main(self.ARGV + [trace]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == "5\n"
+            assert captured.err == (
+                f"warning: {trace}: ignored torn final line\n")
+
+    def test_corrupt_middle_line_errors_on_both_paths(self, tmp_path,
+                                                      capsys):
+        trace = write_trace(tmp_path / "t.jsonl", self.RECORDS)
+        index = build_index(trace)
+        # Same length, so the intact trace's offsets still name line 4.
+        with open(trace, "rb+") as fh:
+            fh.seek(index["events"]["net.drop"][3])
+            fh.write(b"#")
+        expected = f"error: {trace}:4: not valid JSON\n"
+        # Cold: the indexing pass meets the line and writes no sidecar.
+        assert main(self.ARGV + [trace]) == 2
+        assert capsys.readouterr().err == expected
+        assert not os.path.exists(index_path(trace))
+        # Warm: plant a sidecar that is fresh for the damaged bytes, so
+        # it is the seek loop that meets the line.
+        index["trace_digest"] = file_digest(trace)
+        with open(index_path(trace), "w") as fh:
+            json.dump(index, fh)
+        assert main(self.ARGV + [trace]) == 2
+        assert capsys.readouterr().err == expected
+        assert read_sidecar(trace) == index  # it was reused, not rebuilt
 
 
 class TestScan:
