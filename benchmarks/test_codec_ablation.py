@@ -9,11 +9,7 @@ on the same attack and compares wire bytes and detection.
 
 from conftest import save_series
 
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.segments import monitored_segments_pik2
-from repro.core.summaries import PathOracle, SegmentMonitor
-from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
+from repro.core import PiK2Config, arm_protocol
 from repro.net.adversary import DropFlowAttack
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
@@ -23,17 +19,10 @@ from repro.net.traffic import CBRSource
 
 def run_codec(codec: str):
     net = Network(chain(5))
-    paths = install_static_routes(net)
-    monitor = SegmentMonitor(net, PathOracle(paths), RoundSchedule(tau=1.0))
-    net.add_tap(monitor)
-    segments = set().union(*monitored_segments_pik2(
-        [tuple(p) for p in paths.values()], k=1).values())
-    protocol = ProtocolPiK2(
-        net, monitor, segments, KeyInfrastructure(), RoundSchedule(tau=1.0),
+    protocol = arm_protocol(
+        net, install_static_routes(net), "pik2", last_round=5,
         config=PiK2Config(codec=codec, codec_max_diff=12,
-                          codec_bloom_bits=2048),
-    )
-    protocol.schedule_rounds(0, 5)
+                          codec_bloom_bits=2048))
     CBRSource(net, "r1", "r5", "f1", rate_bps=800_000, duration=6.0)
     net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.1,
                                                   seed=1)

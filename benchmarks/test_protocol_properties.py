@@ -10,13 +10,7 @@ import random
 
 from conftest import save_series
 
-from repro.core.detector import accuracy_report, completeness_report
-from repro.core.pi2 import Pi2Config, ProtocolPi2
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.segments import monitored_segments_pi2, monitored_segments_pik2
-from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
-from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
+from repro.core import accuracy_report, arm_protocol, completeness_report
 from repro.net.adversary import (
     CombinedCompromise,
     ControlSuppressionAttack,
@@ -31,27 +25,8 @@ from repro.net.traffic import CBRSource
 
 def _run_case(protocol_name, bad_router, behavior, seed):
     net = Network(chain(6, bandwidth=10 * MBPS, delay=0.001))
-    paths = install_static_routes(net)
-    oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=1.0)
-    keys = KeyInfrastructure()
-    monitor = SegmentMonitor(net, oracle, schedule,
-                             policy=SummaryPolicy.CONTENT)
-    net.add_tap(monitor)
-    segments = set()
-    enum = (monitored_segments_pi2 if protocol_name == "pi2"
-            else monitored_segments_pik2)
-    for segs in enum([tuple(p) for p in paths.values()], k=1).values():
-        segments |= segs
-    if protocol_name == "pi2":
-        protocol = ProtocolPi2(net, monitor, segments, keys, schedule,
-                               config=Pi2Config(k=1))
-        max_precision = 2
-    else:
-        protocol = ProtocolPiK2(net, monitor, segments, keys, schedule,
-                                config=PiK2Config(k=1))
-        max_precision = 3
-    protocol.schedule_rounds(0, 3)
+    protocol = arm_protocol(net, install_static_routes(net), protocol_name)
+    max_precision = 2 if protocol_name == "pi2" else 3
 
     if behavior == "drop":
         attack = DropFlowAttack(["f1", "f2"], fraction=0.5, seed=seed)

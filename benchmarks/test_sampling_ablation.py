@@ -8,12 +8,7 @@ evidence per round shrinks).
 
 from conftest import save_series
 
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.segments import monitored_segments_pik2
-from repro.core.summaries import PathOracle, SegmentMonitor
-from repro.crypto.fingerprint import FingerprintSampler
-from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
+from repro.core import arm_protocol
 from repro.net.adversary import DropFlowAttack
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
@@ -22,23 +17,9 @@ from repro.net.traffic import CBRSource
 
 
 def run_rate(rate: float):
-    keys = KeyInfrastructure()
     net = Network(chain(5))
-    paths = install_static_routes(net)
-    schedule = RoundSchedule(tau=1.0)
-    segments = set().union(*monitored_segments_pik2(
-        [tuple(p) for p in paths.values()], k=1).values())
-    samplers = None
-    if rate < 1.0:
-        samplers = {seg: FingerprintSampler(
-            rate=rate, key=keys.sampling_key(seg[0], seg[-1]))
-            for seg in segments}
-    monitor = SegmentMonitor(net, PathOracle(paths), schedule,
-                             samplers=samplers)
-    net.add_tap(monitor)
-    protocol = ProtocolPiK2(net, monitor, segments, keys, schedule,
-                            config=PiK2Config())
-    protocol.schedule_rounds(0, 8)
+    protocol = arm_protocol(net, install_static_routes(net), "pik2",
+                            last_round=8, sampling=rate)
     CBRSource(net, "r1", "r5", "f1", rate_bps=800_000, duration=8.0)
     net.run(4.0)
     net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.3,
@@ -46,7 +27,7 @@ def run_rate(rate: float):
     peak_state = 0
     for step in range(4, 12):
         net.run(float(step + 1))
-        peak_state = max(peak_state, monitor.state_units("r1"))
+        peak_state = max(peak_state, protocol.monitor.state_units("r1"))
     detected = any("r3" in s for s in
                    protocol.states["r1"].suspected_segments())
     return detected, peak_state
@@ -68,3 +49,9 @@ def test_sampling_ablation(benchmark):
     assert all(detected for detected, _ in results.values())
     states = [results[rate][1] for rate in rates]
     assert states[-1] < states[0] / 4
+
+
+def test_sampled_run_repeats_in_one_process():
+    # A sampled summary keeps a packet by its fingerprint, which covers
+    # the packet's uid: uids numbered per network make the run repeat.
+    assert run_rate(0.5) == run_rate(0.5)

@@ -8,11 +8,7 @@ Sweep τ for the same Πk+2 deployment and attack.
 
 from conftest import save_series
 
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.segments import monitored_segments_pik2
-from repro.core.summaries import PathOracle, SegmentMonitor
-from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
+from repro.core import arm_protocol
 from repro.net.adversary import DropFlowAttack
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
@@ -22,16 +18,9 @@ from repro.net.traffic import CBRSource
 
 def run_tau(tau: float):
     net = Network(chain(5))
-    paths = install_static_routes(net)
-    schedule = RoundSchedule(tau=tau)
-    monitor = SegmentMonitor(net, PathOracle(paths), schedule)
-    net.add_tap(monitor)
-    segments = set().union(*monitored_segments_pik2(
-        [tuple(p) for p in paths.values()], k=1).values())
-    protocol = ProtocolPiK2(net, monitor, segments, KeyInfrastructure(),
-                            schedule, config=PiK2Config())
     horizon = 24.0
-    protocol.schedule_rounds(0, max(1, int(horizon / tau)) - 1)
+    protocol = arm_protocol(net, install_static_routes(net), "pik2", tau=tau,
+                            last_round=max(1, int(horizon / tau)) - 1)
     CBRSource(net, "r1", "r5", "f1", rate_bps=600_000, duration=horizon - 4)
     attack_at = 8.0
     net.run(attack_at)
@@ -45,7 +34,7 @@ def run_tau(tau: float):
         # The protocol retires a round once its last exchange has
         # concluded (settle + exchange timeout after the round ends), so
         # peak live state is proportional to tau.
-        peak_state = max(peak_state, monitor.state_units("r1"))
+        peak_state = max(peak_state, protocol.monitor.state_units("r1"))
     detection = None
     for state in protocol.states.values():
         for suspicion in state.suspicions:

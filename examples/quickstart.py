@@ -8,11 +8,7 @@ the middle router so it silently drops 30% of the flow, and lets Πk+2
 Run:  python examples/quickstart.py
 """
 
-from repro.crypto import KeyInfrastructure
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.segments import monitored_segments_pik2
-from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
-from repro.dist.sync import RoundSchedule
+from repro.core import arm_protocol
 from repro.net import chain
 from repro.net.adversary import DropFlowAttack
 from repro.net.router import Network
@@ -25,23 +21,11 @@ def main() -> None:
     topology = chain(5)
     network = Network(topology)
     paths = install_static_routes(network)
-    oracle = PathOracle(paths)
 
-    # 2. Detection plumbing: a summary generator (tap), agreed rounds,
-    #    keys, and the Πk+2 protocol over every monitored segment.
-    schedule = RoundSchedule(tau=1.0)
-    keys = KeyInfrastructure()
-    monitor = SegmentMonitor(network, oracle, schedule,
-                             policy=SummaryPolicy.CONTENT)
-    network.add_tap(monitor)
-
-    segments = set()
-    for segs in monitored_segments_pik2(
-            [tuple(p) for p in paths.values()], k=1).values():
-        segments |= segs
-    protocol = ProtocolPiK2(network, monitor, segments, keys, schedule,
-                            config=PiK2Config(k=1, threshold=0))
-    protocol.schedule_rounds(0, 4)
+    # 2. Detection plumbing: a summary generator (tap), agreed 1 s rounds,
+    #    keys, and Πk+2 (PiK2Config defaults: k = 1, zero loss threshold)
+    #    over every monitored segment, for rounds 0-4.
+    protocol = arm_protocol(network, paths, "pik2", last_round=4)
 
     # 3. Traffic plus a compromised router.
     flow = CBRSource(network, "r1", "r5", "webflow",

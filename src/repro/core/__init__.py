@@ -2,10 +2,10 @@
 
 * traffic summaries and conservation-of-traffic validation (§2.4.1, §4.2.1)
 * the failure-detector specification (§4.2.2)
-* Protocol Π2 (Fig 5.1) and Protocol Πk+2 (Fig 5.3)
+* Protocol Π2 (Fig 5.1) and Protocol Πk+2 (Fig 5.3), armed on a network
+  by :func:`arm_protocol`
 * Protocol χ with droptail queue prediction and RED validation (Ch. 6)
-* the static-threshold baseline (§6.1.1) and the rejected traffic-modeling
-  approach (§6.1.2)
+* the rejected traffic-modeling approach (§6.1.2)
 * the Fatih prototype system (§5.3)
 
 The supported surface is exactly ``__all__``; the submodules behind it
@@ -45,11 +45,11 @@ from repro.core.segments import (
     monitored_segments_pi2,
     monitored_segments_pik2,
     pr_statistics,
+    arm_protocol,
 )
 from repro.core.pi2 import Pi2Config, ProtocolPi2
 from repro.core.pik2 import PiK2Config, ProtocolPiK2
 from repro.core.chi import ProtocolChi, ChiConfig, QueueValidator
-from repro.core.static_threshold import StaticThresholdDetector
 from repro.core.qmodel import (
     tcp_square_root_throughput,
     appenzeller_sigma,
@@ -82,6 +82,7 @@ __all__ = [
     "monitored_segments_pi2",
     "monitored_segments_pik2",
     "pr_statistics",
+    "arm_protocol",
     "Pi2Config",
     "ProtocolPi2",
     "PiK2Config",
@@ -89,7 +90,6 @@ __all__ = [
     "ProtocolChi",
     "ChiConfig",
     "QueueValidator",
-    "StaticThresholdDetector",
     "tcp_square_root_throughput",
     "appenzeller_sigma",
     "appenzeller_loss_probability",
@@ -106,5 +106,5 @@ __all__ = [
 # with a deprecation warning.
 _narrow(globals(),
         internal=("chi", "codecs", "detector", "fatih", "pi2", "pik2",
-                  "qmodel", "replica", "segments", "static_threshold",
-                  "summaries", "validation"))
+                  "qmodel", "replica", "segments", "summaries",
+                  "validation"))

@@ -178,7 +178,7 @@ class RTTMonitor:
         self._outstanding[seq] = now
         probe = Packet(src=self.src, dst=self.dst, size=100,
                        kind=PacketKind.PROBE, flow_id=self.flow_id, seq=seq,
-                       payload=b"ping")
+                       payload=b"ping", uid=next(self.network.packet_ids))
         self.network.routers[self.src].originate(probe)
         # Probes unanswered after 5 intervals count as lost.
         self.network.sim.schedule(5 * self.interval, self._expire, seq)
@@ -188,7 +188,7 @@ class RTTMonitor:
         pong = Packet(src=self.dst, dst=self.src, size=100,
                       kind=PacketKind.PROBE,
                       flow_id=self.flow_id + ":back", seq=packet.seq,
-                      payload=b"pong")
+                      payload=b"pong", uid=next(self.network.packet_ids))
         self.network.routers[self.dst].originate(pong)
 
     def _pong(self, packet: Packet, now: float) -> None:

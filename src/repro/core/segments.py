@@ -12,6 +12,9 @@ any run of ≤k faulty routers is flanked by correct ones — length k+2.
 Segments are derived from the actual routing paths (a link-state protocol
 chooses one path per pair, which is why the empirical counts are far
 below the O(R^{k+1}) worst case — §5.1.1).
+
+:func:`arm_protocol` is the one place a Π2 or Πk+2 detector is put on a
+network: it pairs each protocol with its own enumerator above.
 """
 
 from __future__ import annotations
@@ -19,9 +22,15 @@ from __future__ import annotations
 import heapq
 import statistics
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.net import Topology
+from repro.core.pi2 import Pi2Config, ProtocolPi2
+from repro.core.pik2 import PiK2Config, ProtocolPiK2
+from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
+from repro.crypto.fingerprint import FingerprintSampler
+from repro.crypto.keys import KeyInfrastructure
+from repro.dist.sync import RoundSchedule
+from repro.net import Network, Topology
 
 PathSegment = Tuple[str, ...]
 
@@ -132,6 +141,61 @@ def monitored_segments_pik2(
                 by_router[segment[0]].add(segment)
                 by_router[segment[-1]].add(segment)
     return dict(by_router)
+
+
+#: Each Π protocol with its configuration and the P_r enumerator it monitors.
+_PROTOCOLS = {
+    "pi2": (ProtocolPi2, Pi2Config, monitored_segments_pi2),
+    "pik2": (ProtocolPiK2, PiK2Config, monitored_segments_pik2),
+}
+
+
+def arm_protocol(
+    network: Network,
+    paths: Dict[Tuple[str, str], Tuple[str, ...]],
+    protocol: str = "pi2",
+    *,
+    config: Union[Pi2Config, PiK2Config, None] = None,
+    tau: float = 1.0,
+    last_round: int = 3,
+    policy: SummaryPolicy = SummaryPolicy.CONTENT,
+    over: Optional[Iterable[Tuple[str, ...]]] = None,
+    sampling: float = 1.0,
+) -> Union[ProtocolPi2, ProtocolPiK2]:
+    """Put a Π2 (``"pi2"``) or Πk+2 (``"pik2"``) detector on ``network``.
+
+    ``paths`` is the routing ``install_static_routes`` returned; it backs
+    the path oracle.  Segments are enumerated over ``over`` (default:
+    every routed path) with the protocol's own enumerator and
+    ``config.k``.  A ``SegmentMonitor`` tap records them in rounds of
+    ``tau`` seconds, keyed per segment to a ``sampling`` share of the
+    traffic when below 1 (§5.2.1); rounds 0..``last_round`` are
+    scheduled.  The armed protocol is returned; its ``monitor``,
+    ``schedule`` and ``keys`` reach the rest.
+    """
+    try:
+        protocol_cls, config_cls, enumerate_pr = _PROTOCOLS[protocol]
+    except KeyError:
+        raise ValueError(f"unknown protocol {protocol!r}; "
+                         f"one of {', '.join(_PROTOCOLS)}") from None
+    config = config or config_cls()
+    schedule = RoundSchedule(tau=tau)
+    keys = KeyInfrastructure()
+    routed = paths.values() if over is None else over
+    segments: Set[PathSegment] = set().union(
+        *enumerate_pr([tuple(p) for p in routed], config.k).values())
+    samplers = None
+    if sampling < 1.0:
+        samplers = {segment: FingerprintSampler(
+            rate=sampling, key=keys.sampling_key(segment[0], segment[-1]))
+            for segment in sorted(segments)}
+    monitor = SegmentMonitor(network, PathOracle(paths), schedule,
+                             policy=policy, samplers=samplers)
+    network.add_tap(monitor)
+    armed = protocol_cls(network, monitor, segments, keys, schedule,
+                         config=config)
+    armed.schedule_rounds(0, last_round)
+    return armed
 
 
 def pr_statistics(by_router: Dict[str, Set[PathSegment]],

@@ -202,7 +202,8 @@ class EcmpPathOracle(PathOracle):
 
     def path(self, src: str, dst: str) -> Optional[Tuple[str, ...]]:
         # Flow-less prediction: trace with an anonymous flow.
-        probe = Packet(src=src, dst=dst, flow_id="")
+        probe = Packet(src=src, dst=dst, flow_id="",
+                       uid=next(self.network.packet_ids))
         return self._trace(probe)
 
     def _trace(self, packet: Packet) -> Optional[Tuple[str, ...]]:

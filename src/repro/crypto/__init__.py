@@ -2,7 +2,7 @@
 
 Real hash primitives (BLAKE2) over the packet's invariant identity, an
 administratively seeded key infrastructure (pairwise secret keys and
-per-router signing keys), HMAC-style signatures, and hash chains.  The
+per-router signing keys) and HMAC-style signatures.  The
 detection protocols need authenticity and integrity, not confidentiality
 (§2.1.5 n.2); these modules provide exactly that surface.
 """
@@ -14,7 +14,6 @@ from repro.crypto.fingerprint import (
 )
 from repro.crypto.keys import KeyInfrastructure
 from repro.crypto.signatures import Signed, SignatureError, canonical_bytes
-from repro.crypto.hashchain import HashChain
 
 __all__ = [
     "fingerprint",
@@ -24,5 +23,4 @@ __all__ = [
     "Signed",
     "SignatureError",
     "canonical_bytes",
-    "HashChain",
 ]

@@ -26,6 +26,7 @@ from repro.eval.results import (
 from repro.eval.specs import (
     AdversarySpec,
     BEHAVIORS,
+    DETECTORS,
     PLACEMENT_STRATEGIES,
     PlacementSpec,
     ScenarioSpec,
@@ -54,6 +55,7 @@ __all__ = [
     "serialize_result",
     "AdversarySpec",
     "BEHAVIORS",
+    "DETECTORS",
     "PLACEMENT_STRATEGIES",
     "PlacementSpec",
     "ScenarioSpec",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.pathmodel import FaultyNode, PathModel
 from repro.baselines.perlman import perlman_per_hop_acks, perlman_route_setup
@@ -28,17 +28,12 @@ from repro.baselines.watchers import (
 from repro.core import (
     FatihConfig,
     FatihSystem,
-    PathOracle,
-    Pi2Config,
-    PiK2Config,
     ProtocolPi2,
-    ProtocolPiK2,
-    SegmentMonitor,
-    SummaryPolicy,
     accuracy_report,
     all_routing_paths,
     appenzeller_loss_probability,
     appenzeller_sigma,
+    arm_protocol,
     completeness_report,
     monitored_segments_pi2,
     monitored_segments_pik2,
@@ -47,8 +42,6 @@ from repro.core import (
 from repro.core.chi import single_loss_confidence
 from repro.core.fatih import RTTMonitor
 from repro.core.segments import pik2_counter_count, watchers_counter_count
-from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
 from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import EvalResultBase
 from repro.eval.scenarios import (
@@ -618,6 +611,11 @@ class ProtocolBenchResult(EvalResultBase):
     extra: Dict[str, float] = field(default_factory=dict)
 
 
+def _precision_bound(protocol) -> int:
+    """Appendix B: Π2 suspects 2-segments, Πk+2 whole (k+2)-segments."""
+    return 2 if isinstance(protocol, ProtocolPi2) else protocol.config.k + 2
+
+
 def _run_protocol_bench(name: str, protocol_name: str, *,
                         seed: int = 0,
                         bad_router: str = "r3",
@@ -626,34 +624,14 @@ def _run_protocol_bench(name: str, protocol_name: str, *,
                         duration: float = 4.0,
                         end: float = 7.0) -> ProtocolBenchResult:
     net = Network(chain(6, bandwidth=10 * MBPS, delay=0.001))
-    paths = install_static_routes(net)
-    oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=1.0)
-    keys = KeyInfrastructure()
-    monitor = SegmentMonitor(net, oracle, schedule,
-                             policy=SummaryPolicy.CONTENT)
-    net.add_tap(monitor)
-    enum = (monitored_segments_pi2 if protocol_name == "pi2"
-            else monitored_segments_pik2)
-    segments: Set[Tuple[str, ...]] = set()
-    for segs in enum([tuple(p) for p in paths.values()], k=1).values():
-        segments |= segs
-    if protocol_name == "pi2":
-        protocol = ProtocolPi2(net, monitor, segments, keys, schedule,
-                               config=Pi2Config(k=1))
-        max_precision = 2
-    else:
-        protocol = ProtocolPiK2(net, monitor, segments, keys, schedule,
-                                config=PiK2Config(k=1))
-        max_precision = 3
-    protocol.schedule_rounds(0, 3)
+    protocol = arm_protocol(net, install_static_routes(net), protocol_name)
     net.routers[bad_router].compromise = AdversarySpec(
         "drop", fraction).build(net, bad_router, ["f1", "f2"], seed)
     CBRSource(net, "r1", "r6", "f1", rate_bps=rate_bps, duration=duration)
     CBRSource(net, "r6", "r1", "f2", rate_bps=rate_bps, duration=duration)
     net.run(end)
     acc = accuracy_report(protocol.states, {bad_router},
-                          max_precision=max_precision)
+                          max_precision=_precision_bound(protocol))
     comp = completeness_report(protocol.states, {bad_router}, mode="FI")
     return ProtocolBenchResult(
         name=name,
@@ -691,7 +669,7 @@ def pik2_bench(seed: int = 0, bad_router: str = "r3",
 
 @dataclass
 class AttackMatrixResult(EvalResultBase):
-    """One attack-matrix cell: Π2 detection scored against ground truth.
+    """One attack-matrix cell: Π detection scored against ground truth.
 
     ``precision`` is the fraction of suspicions (across correct routers)
     that actually cover the compromised router; ``recall`` the fraction
@@ -722,6 +700,7 @@ def attack_matrix(topology: str = "abilene",
                   adversary: Optional[dict] = None,
                   placement: Optional[dict] = None,
                   traffic: Optional[dict] = None,
+                  detector: str = "pi2",
                   tau: float = 1.0,
                   rounds: int = 3,
                   seed: int = 0) -> AttackMatrixResult:
@@ -729,12 +708,13 @@ def attack_matrix(topology: str = "abilene",
 
     Builds the :class:`~repro.eval.specs.ScenarioSpec` the parameters
     describe (nested dicts arrive from dotted ``--grid`` keys such as
-    ``adversary.rate``), runs the armed Π2 detector and scores
-    detection precision/recall/latency against the placed adversary.
+    ``adversary.rate``), runs the armed Π2 or Πk+2 ``detector`` and
+    scores detection precision/recall/latency against the placed
+    adversary.
     """
     spec = ScenarioSpec(topology=topology, adversary=adversary,
                         placement=placement, traffic=traffic,
-                        tau=tau, rounds=rounds, seed=seed)
+                        detector=detector, tau=tau, rounds=rounds, seed=seed)
     scenario = build_scenario(spec)
     if not isinstance(scenario, AttackScenario):
         raise ValueError(
@@ -745,7 +725,8 @@ def attack_matrix(topology: str = "abilene",
     states = scenario.protocol.states
     bad = scenario.adversary_router
     truth = set() if spec.adversary.behavior == "none" else {bad}
-    acc = accuracy_report(states, truth, max_precision=2)
+    acc = accuracy_report(states, truth,
+                          max_precision=_precision_bound(scenario.protocol))
     comp = completeness_report(states, truth, mode="FI")
 
     total = acc.total_suspicions

@@ -26,6 +26,7 @@ from repro.eval import experiments as ex
 from repro.eval.specs import (
     AdversarySpec,
     BEHAVIORS,
+    DETECTORS,
     PLACEMENT_STRATEGIES,
     PlacementSpec,
     TRAFFIC_KINDS,
@@ -446,6 +447,7 @@ for _spec in (
                 PlacementSpec, strategy=PLACEMENT_STRATEGIES)),
             ParamSpec("traffic", None, None, fields=params_from_fields(
                 TrafficSpec, kind=TRAFFIC_KINDS)),
+            ParamSpec("detector", str, "pi2", choices=DETECTORS),
         )),
 ):
     register(_spec)

@@ -11,27 +11,28 @@ Two families live here:
   a :class:`BottleneckScenario` with a χ detector on the bottleneck.
 * WedgeTail-style attack matrices: :func:`build_scenario` on any other
   catalogued :class:`~repro.eval.specs.ScenarioSpec` resolves adversary
-  placement, routes monitored flows across the bad router and arms a
-  Π2 detector over their segments, returning an :class:`AttackScenario`.
+  placement, routes monitored flows across the bad router and arms the
+  spec's Π2 or Πk+2 detector over their segments, returning an
+  :class:`AttackScenario`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core import (
     ChiConfig,
     PathOracle,
     Pi2Config,
+    PiK2Config,
     ProtocolChi,
     ProtocolPi2,
-    SegmentMonitor,
+    ProtocolPiK2,
     SummaryPolicy,
-    monitored_segments_pi2,
+    arm_protocol,
 )
-from repro.crypto.keys import KeyInfrastructure
 from repro.dist.sync import RoundSchedule
 from repro.net import (
     CBRSource,
@@ -285,21 +286,25 @@ def red_spec(
 
 # -- attack-matrix scenarios ------------------------------------------------
 
+#: The summary policy a behavior needs to be visible (content otherwise).
+_POLICIES = {"reorder": SummaryPolicy.ORDER,
+             "delay": SummaryPolicy.TIMELINESS}
+
+
 @dataclass
 class AttackScenario:
-    """A built attack-matrix cell: network, armed Π2 detector, traffic.
+    """A built attack-matrix cell: network, armed Π detector, traffic.
 
-    ``run()`` drives the simulator to :attr:`end_time`; detector output
-    is then in ``protocol.states`` (score it with
+    ``protocol`` is the spec's ``detector`` (Π2 or Πk+2); its
+    ``monitor``, ``schedule`` and path oracle hang off it.  ``run()``
+    drives the simulator to :attr:`end_time`; detector output is then in
+    ``protocol.states`` (score it with
     :func:`repro.core.accuracy_report` / ``completeness_report``).
     """
 
     spec: ScenarioSpec
     network: Network
-    protocol: ProtocolPi2
-    monitor: SegmentMonitor
-    schedule: RoundSchedule
-    oracle: PathOracle
+    protocol: Union[ProtocolPi2, ProtocolPiK2]
     flows: Dict[str, object]
     flow_paths: Dict[str, Tuple[str, ...]]
     adversary_router: str
@@ -321,23 +326,11 @@ class AttackScenario:
 
 
 def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
-    """Resolve placement, route flows across the bad router, arm Π2."""
+    """Resolve placement, route flows across the bad router, arm the
+    spec's detector over their paths."""
     topo = spec.topology.build()
     net = Network(topo, seed=spec.seed)
     paths = install_static_routes(net)
-    oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=spec.tau)
-    keys = KeyInfrastructure()
-
-    behavior = spec.adversary.behavior
-    if behavior == "reorder":
-        policy = SummaryPolicy.ORDER
-    elif behavior == "delay":
-        policy = SummaryPolicy.TIMELINESS
-    else:
-        policy = SummaryPolicy.CONTENT
-    monitor = SegmentMonitor(net, oracle, schedule, policy=policy)
-    net.add_tap(monitor)
 
     # Transit candidates: routers that are interior to at least one
     # shortest path, so traffic can actually cross the adversary.  The
@@ -355,19 +348,17 @@ def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
     flow_paths = {f"f{i + 1}": tuple(paths[ends])
                   for i, ends in enumerate(chosen)}
 
-    segments: Set[Tuple[str, ...]] = set()
-    enumerated = monitored_segments_pi2(sorted(flow_paths.values()), k=1)
-    for segs in enumerated.values():
-        segments |= segs
-    config = Pi2Config(k=1)
+    behavior = spec.adversary.behavior
+    policy = _POLICIES.get(behavior, SummaryPolicy.CONTENT)
+    max_delay = None
     if policy is SummaryPolicy.TIMELINESS:
         attack_delay = float(spec.adversary.option("delay", 0.05))
-        config = Pi2Config(
-            k=1, max_delay=float(spec.option("max_delay",
-                                             attack_delay / 2.0)))
-    protocol = ProtocolPi2(net, monitor, segments, keys, schedule,
-                           config=config)
-    protocol.schedule_rounds(0, spec.rounds)
+        max_delay = float(spec.option("max_delay", attack_delay / 2.0))
+    config_cls = Pi2Config if spec.detector == "pi2" else PiK2Config
+    protocol = arm_protocol(
+        net, paths, spec.detector, config=config_cls(k=1, max_delay=max_delay),
+        tau=spec.tau, last_round=spec.rounds, policy=policy,
+        over=flow_paths.values())
 
     flows: Dict[str, object] = {}
     for i, (src, dst) in enumerate(chosen):
@@ -416,7 +407,6 @@ def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
         )
 
     return AttackScenario(spec=spec, network=net, protocol=protocol,
-                          monitor=monitor, schedule=schedule, oracle=oracle,
                           flows=flows, flow_paths=flow_paths,
                           adversary_router=bad, attack=attack)
 

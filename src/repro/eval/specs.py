@@ -72,6 +72,9 @@ PLACEMENT_STRATEGIES = (
 #: Offered-load shapes a :class:`TrafficSpec` can request.
 TRAFFIC_KINDS = ("cbr", "tcp")
 
+#: Detectors an attack-matrix cell can arm: Π2 (Fig 5.1) or Πk+2 (Fig 5.3).
+DETECTORS = ("pi2", "pik2")
+
 #: Canonical option storage: a sorted tuple of (key, value) pairs.
 Options = Tuple[Tuple[str, object], ...]
 
@@ -494,7 +497,11 @@ def _as_spec(value: object, cls: type):
 
 @dataclass(frozen=True)
 class ScenarioSpec(_SpecDict):
-    """A complete, serializable description of one evaluation cell."""
+    """A complete, serializable description of one evaluation cell.
+
+    ``detector`` names the protocol an attack-matrix cell arms, one of
+    :data:`DETECTORS`; the χ testbed ignores it.
+    """
 
     label = "scenario"
 
@@ -502,6 +509,7 @@ class ScenarioSpec(_SpecDict):
     adversary: AdversarySpec = AdversarySpec()
     placement: PlacementSpec = PlacementSpec()
     traffic: TrafficSpec = TrafficSpec()
+    detector: str = "pi2"
     tau: float = 1.0
     rounds: int = 3
     seed: int = 0
@@ -519,6 +527,12 @@ class ScenarioSpec(_SpecDict):
                            _as_spec(self.placement, PlacementSpec))
         object.__setattr__(self, "traffic",
                            _as_spec(self.traffic, TrafficSpec))
+        detector = str(self.detector)
+        if detector not in DETECTORS:
+            raise ValueError(
+                f"unknown detector {detector!r}; one of "
+                f"{', '.join(DETECTORS)}")
+        object.__setattr__(self, "detector", detector)
         tau = float(self.tau)
         rounds = int(self.rounds)
         if tau <= 0.0:

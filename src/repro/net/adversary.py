@@ -293,7 +293,8 @@ class FabricateAttack(Compromise):
             return
         packet = Packet(src=self.forged_src, dst=self.forged_dst,
                         kind=PacketKind.DATA, flow_id=self.flow_id,
-                        seq=self._seq, payload=b"forged")
+                        seq=self._seq, payload=b"forged",
+                        uid=next(self.network.packet_ids))
         self._seq += 1
         self.fabricated.append(packet)
         self.network.routers[self.router_name].inject_fabricated(

@@ -14,13 +14,20 @@ is summed once (``_hdr_sum``) since those fields are invariant along the
 path; per-hop recomputation then reduces to one add and one mask, which is
 arithmetically identical to the per-character loop because addition mod
 2**16 can be masked once at the end.
+
+A packet's ``uid`` comes from the network it is sent into: every source
+in the simulator passes ``uid=next(network.packet_ids)``, so a network
+numbers its packets from 1 whatever ran earlier in the process, and a
+uid — hence a fingerprint, hence a sampled summary — is reproducible.
+A bare ``Packet(...)`` built outside any network (unit tests, the
+replica detector) draws from this module's own counter instead.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 _packet_ids = itertools.count(1)
 
@@ -157,11 +164,12 @@ class Packet:
     def expired(self) -> bool:
         return self.ttl <= 0
 
-    def fragment(self, mtu: int) -> list:
+    def fragment(self, mtu: int, ids: Iterator[int] = _packet_ids) -> list:
         """Split into MTU-sized fragments (§7.4.4).
 
-        Each fragment gets a fresh uid and therefore a fresh fingerprint
-        — faithfully modelling why fingerprints computed upstream of the
+        Each fragment gets a fresh uid from ``ids`` (a router passes its
+        network's ``packet_ids``) and therefore a fresh fingerprint —
+        faithfully modelling why fingerprints computed upstream of the
         fragmenting router stop matching downstream observations.
         """
         if mtu <= 0:
@@ -177,7 +185,7 @@ class Packet:
             frag = Packet(
                 src=self.src, dst=self.dst, size=piece, kind=self.kind,
                 flow_id=self.flow_id, seq=self.seq,
-                payload=self.payload, ttl=self.ttl,
+                payload=self.payload, ttl=self.ttl, uid=next(ids),
             )
             frag.fragment_of = self.uid
             frag.fragment_index = index
@@ -204,8 +212,8 @@ class Packet:
             seq=self.seq,
             payload=payload,
             ttl=self.ttl,
+            uid=self.uid,
         )
-        twin.uid = self.uid
         twin.created_at = self.created_at
         twin.hops = self.hops
         return twin

@@ -21,6 +21,7 @@ Three cross-cutting hooks make the rest of the library possible:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -312,7 +313,7 @@ class Router:
             # In-network fragmentation (§7.4.4): split and enqueue each
             # piece.  Fragments carry fresh identities, so any upstream
             # fingerprint of the original packet is now unmatchable.
-            for fragment in packet.fragment(mtu):
+            for fragment in packet.fragment(mtu, self.network.packet_ids):
                 if self.proc_jitter > 0:
                     delay = self._rng.uniform(0.0, self.proc_jitter)
                     self.network.sim.schedule(
@@ -357,6 +358,8 @@ class Network:
     ) -> None:
         self.topology = topology
         self.sim = sim or Simulator()
+        # Packet uids, numbered per network (see repro.net.packet).
+        self.packet_ids = itertools.count(1)
         self.taps: List[MonitorTap] = []
         rec = recorder()
         if rec.active:

@@ -111,7 +111,7 @@ class TCPFlow:
             return
         syn = Packet(src=self.src, dst=self.dst, size=SYN_SIZE,
                      kind=PacketKind.SYN, flow_id=self.flow_id, seq=0,
-                     payload=b"SYN")
+                     payload=b"SYN", uid=next(self.network.packet_ids))
         self.network.routers[self.src].originate(syn)
         self._syn_event = self.network.sim.schedule(
             self._syn_rto, self._syn_timeout
@@ -129,7 +129,8 @@ class TCPFlow:
         if packet.kind == PacketKind.SYN:
             synack = Packet(src=self.dst, dst=self.src, size=SYN_SIZE,
                             kind=PacketKind.SYN_ACK, flow_id=self.flow_id,
-                            seq=0, payload=b"SYNACK")
+                            seq=0, payload=b"SYNACK",
+                            uid=next(self.network.packet_ids))
             self.network.routers[self.dst].originate(synack)
             return
         if packet.kind != PacketKind.DATA:
@@ -145,7 +146,8 @@ class TCPFlow:
             self._out_of_order.add(seq)
         ack = Packet(src=self.dst, dst=self.src, size=ACK_SIZE,
                      kind=PacketKind.ACK, flow_id=self.flow_id,
-                     seq=self._recv_next, payload=b"ACK")
+                     seq=self._recv_next, payload=b"ACK",
+                     uid=next(self.network.packet_ids))
         self.network.routers[self.dst].originate(ack)
 
     # -- sender side -----------------------------------------------------------
@@ -223,7 +225,8 @@ class TCPFlow:
         now = self.network.sim.now
         packet = Packet(src=self.src, dst=self.dst, size=self.mss,
                         kind=PacketKind.DATA, flow_id=self.flow_id, seq=seq,
-                        payload=f"{self.flow_id}:{seq}".encode())
+                        payload=f"{self.flow_id}:{seq}".encode(),
+                        uid=next(self.network.packet_ids))
         self.network.routers[self.src].originate(packet)
         self.data_sent += 1
         if retransmission:

@@ -58,6 +58,7 @@ class _SourceBase:
             flow_id=self.flow_id,
             seq=seq,
             payload=f"{self.flow_id}:{seq}".encode(),
+            uid=next(self.network.packet_ids),
         )
         self.network.routers[self.src].originate(packet)
         self.sent += 1

@@ -2,9 +2,9 @@
 
 ``scenario_specs()`` generates valid :class:`~repro.eval.ScenarioSpec`
 values over the whole spec surface: every catalogue topology except the
-``simple`` emulation testbed, every behavior, placement strategy and
-traffic kind, and JSON-scalar ``options``.  Specs are typed and
-round-trip through ``to_dict``/``from_dict``, so failing examples
+``simple`` emulation testbed, every behavior, placement strategy,
+traffic kind and detector, and JSON-scalar ``options``.  Specs are typed
+and round-trip through ``to_dict``/``from_dict``, so failing examples
 shrink to a small spec that can be pasted into a test.
 """
 
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.eval import (
     AdversarySpec,
     BEHAVIORS,
+    DETECTORS,
     PLACEMENT_STRATEGIES,
     PlacementSpec,
     ScenarioSpec,
@@ -73,5 +74,6 @@ def scenario_specs() -> st.SearchStrategy:
         ScenarioSpec,
         topology=topology_specs(), adversary=adversary_specs(),
         placement=placement_specs(), traffic=traffic_specs(),
-        tau=_positive, rounds=st.integers(1, 6), seed=st.integers(0, 2**31),
+        detector=st.sampled_from(DETECTORS), tau=_positive,
+        rounds=st.integers(1, 6), seed=st.integers(0, 2**31),
         options=_options)

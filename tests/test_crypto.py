@@ -1,4 +1,4 @@
-"""Unit tests for fingerprints, keys, signatures, hash chains."""
+"""Unit tests for fingerprints, keys and signatures."""
 
 import json
 import os
@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from repro.crypto.fingerprint import FingerprintSampler, fingerprint, fingerprint_bytes
-from repro.crypto.hashchain import HashChain
 from repro.crypto.keys import KeyInfrastructure
 from repro.crypto.signatures import Signed, SignatureError, canonical_bytes
 from repro.net.packet import Packet
@@ -224,39 +223,3 @@ class TestSigned:
         forged = Signed.sign("lie", "r1", attacker_keys.signing_key("r1"))
         assert not forged.verify(keys.signing_key("r1"))
 
-
-class TestHashChain:
-    def test_release_verifies_against_anchor(self):
-        chain = HashChain(b"seed", length=10)
-        anchor = chain.anchor
-        value = chain.release()
-        assert HashChain.verify(value, anchor, max_steps=1)
-
-    def test_later_releases_need_more_steps(self):
-        chain = HashChain(b"seed", length=10)
-        anchor = chain.anchor
-        chain.release()
-        second = chain.release()
-        assert not HashChain.verify(second, anchor, max_steps=1)
-        assert HashChain.verify(second, anchor, max_steps=2)
-
-    def test_wrong_value_rejected(self):
-        chain = HashChain(b"seed", length=5)
-        assert not HashChain.verify(b"junk", chain.anchor, max_steps=5)
-
-    def test_exhaustion(self):
-        chain = HashChain(b"seed", length=2)
-        chain.release()
-        chain.release()
-        with pytest.raises(RuntimeError):
-            chain.release()
-
-    def test_remaining(self):
-        chain = HashChain(b"seed", length=3)
-        assert chain.remaining == 3
-        chain.release()
-        assert chain.remaining == 2
-
-    def test_length_validated(self):
-        with pytest.raises(ValueError):
-            HashChain(b"seed", length=0)

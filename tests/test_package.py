@@ -33,12 +33,12 @@ class TestDocstrings:
         "repro.net.routing", "repro.net.traffic", "repro.net.tcp",
         "repro.net.adversary", "repro.crypto.fingerprint",
         "repro.crypto.keys", "repro.crypto.signatures",
-        "repro.crypto.hashchain", "repro.dist.sync",
+        "repro.dist.sync",
         "repro.dist.broadcast", "repro.dist.consensus",
         "repro.dist.reconcile", "repro.core.summaries",
         "repro.core.validation", "repro.core.detector",
         "repro.core.segments", "repro.core.pi2", "repro.core.pik2",
-        "repro.core.chi", "repro.core.static_threshold",
+        "repro.core.chi",
         "repro.core.qmodel", "repro.core.fatih", "repro.core.replica",
         "repro.core.codecs", "repro.baselines.pathmodel",
         "repro.baselines.watchers", "repro.baselines.herzberg",

@@ -91,3 +91,50 @@ class TestModifiedClone:
         p = Packet(src="a", dst="b", payload=b"orig")
         evil = p.clone_modified(b"tampered")
         assert evil.invariant_fields() != p.invariant_fields()
+
+
+class TestNumberedPerNetwork:
+    """A network numbers its packets; the process history does not."""
+
+    @staticmethod
+    def line_with_flow(mtu=None):
+        from repro.net import CBRSource, Network, install_static_routes
+        from repro.net.topology import MBPS, Topology
+
+        topo = Topology("line")
+        topo.add_link("r1", "r2", bandwidth=10 * MBPS, delay=0.001)
+        topo.add_link("r2", "r3", bandwidth=10 * MBPS, delay=0.001, mtu=mtu)
+        net = Network(topo)
+        install_static_routes(net)
+        CBRSource(net, "r1", "r3", "f", rate_bps=800_000, duration=0.1)
+        uids = []  # replaces the source's own delivery counter
+        net.routers["r3"].register_flow("f", lambda p, t: uids.append(p.uid))
+        return net, uids
+
+    def test_two_networks_number_from_the_same_start(self):
+        first, first_uids = self.line_with_flow()
+        first.run(1.0)
+        for _ in range(5):
+            Packet(src="a", dst="b")  # bare packets use their own counter
+        second, second_uids = self.line_with_flow()
+        second.run(1.0)
+        assert first_uids == second_uids == list(range(1, 12))
+
+    def test_interleaved_networks_keep_uids_unique(self):
+        a, a_uids = self.line_with_flow(mtu=600)
+        b, b_uids = self.line_with_flow(mtu=600)
+        for step in range(1, 11):
+            a.run(step * 0.02)
+            b.run(step * 0.02)
+        # 11 packets of 1000 bytes arrive as 22 fragments, whose fresh
+        # uids come from their network's counter too.
+        assert len(set(a_uids)) == len(a_uids) == 22
+        assert a_uids == b_uids
+
+    def test_fragment_and_clone_uid_rules(self):
+        ids = iter(range(100, 200))
+        p = Packet(src="a", dst="b", size=2500, uid=7)
+        fragments = p.fragment(1000, ids)
+        assert [f.uid for f in fragments] == [100, 101, 102]
+        assert {f.fragment_of for f in fragments} == {7}
+        assert p.clone_modified(b"x").uid == 7

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.core.chi import single_loss_confidence
 from repro.core.validation import reorder_metric
 from repro.crypto.fingerprint import fingerprint
-from repro.crypto.hashchain import HashChain
 from repro.crypto.keys import KeyInfrastructure
 from repro.crypto.signatures import Signed
 from repro.dist.consensus import Equivocator, Silent, SignedConsensus
@@ -175,17 +174,6 @@ def test_signature_roundtrip(payload):
     signed = Signed.sign(payload, "r", keys.signing_key("r"))
     assert signed.verify(keys.signing_key("r"))
     assert not signed.verify(keys.signing_key("other"))
-
-
-@settings(max_examples=50)
-@given(st.binary(min_size=1, max_size=16),
-       st.integers(min_value=1, max_value=20))
-def test_hash_chain_releases_verify_in_order(seed, length):
-    chain = HashChain(seed, length)
-    anchor = chain.anchor
-    for step in range(1, length + 1):
-        value = chain.release()
-        assert HashChain.verify(value, anchor, max_steps=step)
 
 
 @settings(max_examples=50)

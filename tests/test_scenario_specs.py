@@ -18,10 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.__main__ import main
+from repro.core import ProtocolPi2, ProtocolPiK2
 from repro.eval import (
     AdversarySpec,
     BEHAVIORS,
     BottleneckScenario,
+    DETECTORS,
     PLACEMENT_STRATEGIES,
     PlacementSpec,
     ScenarioSpec,
@@ -239,7 +241,7 @@ REGISTRY_AT_PARENT = [
     ("baselines", ()),
     ("modeling", ("seed",)),
     ("attack_matrix", ("topology", "adversary", "placement", "traffic",
-                       "tau", "rounds", "seed")),
+                       "detector", "tau", "rounds", "seed")),
 ]
 
 
@@ -399,6 +401,42 @@ class TestAttackScenarioBuild:
 
     def test_abilene_matches_paper_scale(self):
         assert len(abilene().routers) == 11
+
+
+class TestDetectorAxis:
+    """``ScenarioSpec.detector`` arms Π2 or Πk+2 on an attack-matrix cell."""
+
+    def test_unknown_detector_names_the_choices(self):
+        with pytest.raises(ValueError, match="'pi3'; one of pi2, pik2"):
+            ScenarioSpec(detector="pi3")
+        with pytest.raises(ValueError, match="one of pi2, pik2"):
+            ScenarioSpec.from_dict({"detector": "chi"})
+        assert DETECTORS == ("pi2", "pik2")
+        assert ScenarioSpec().detector == "pi2"
+
+    def test_detector_is_a_registry_param(self):
+        param = get_experiment("attack_matrix").param_spec("detector")
+        assert (param.default, param.choices) == ("pi2", DETECTORS)
+        with pytest.raises(ParamError, match="'pi2', 'pik2'"):
+            param.coerce("pi3")
+
+    @pytest.mark.parametrize("detector", DETECTORS)
+    def test_scenario_arms_the_named_protocol(self, detector):
+        scenario = build_scenario(ScenarioSpec(
+            topology="line", detector=detector, rounds=1))
+        assert type(scenario.protocol) is {
+            "pi2": ProtocolPi2, "pik2": ProtocolPiK2}[detector]
+
+    def test_pik2_drop_cell_detected_with_precision_three(self):
+        cell = dict(topology="line", detector="pik2",
+                    placement={"strategy": "max-betweenness"})
+        result = ex.attack_matrix(adversary={"behavior": "drop"}, **cell)
+        assert result.detected
+        assert (result.precision, result.recall) == (1.0, 1.0)
+        assert result.segment_precision == 3
+        control = ex.attack_matrix(adversary={"behavior": "none"}, **cell)
+        assert control.total_suspicions == 0
+        assert not control.detected
 
 
 class TestAttackMatrixSweepE2E:

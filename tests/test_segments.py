@@ -1,7 +1,16 @@
-"""Unit tests for path-segment enumeration and P_r (§5.1/§5.2)."""
+"""Unit tests for path-segment enumeration, P_r (§5.1/§5.2) and arming."""
 
 import pytest
 
+from repro.core import (
+    PathOracle,
+    Pi2Config,
+    PiK2Config,
+    ProtocolPi2,
+    ProtocolPiK2,
+    SegmentMonitor,
+    arm_protocol,
+)
 from repro.core.segments import (
     all_routing_paths,
     enumerate_segments,
@@ -11,6 +20,9 @@ from repro.core.segments import (
     pr_statistics,
     watchers_counter_count,
 )
+from repro.crypto.keys import KeyInfrastructure
+from repro.dist.sync import RoundSchedule
+from repro.net import CBRSource, DropFlowAttack, Network, install_static_routes
 from repro.net.topology import abilene, chain, diamond, ebone_like
 
 
@@ -146,3 +158,98 @@ class TestPrStatistics:
     def test_empty(self):
         stats = pr_statistics({})
         assert stats == {"max": 0, "mean": 0.0, "median": 0.0}
+
+
+
+def hand_armed(net, paths, protocol, k, over=None):
+    """The assembly every caller wrote out before ``arm_protocol``."""
+    schedule = RoundSchedule(tau=1.0)
+    keys = KeyInfrastructure()
+    monitor = SegmentMonitor(net, PathOracle(paths), schedule)
+    net.add_tap(monitor)
+    if protocol == "pi2":
+        enum, cls, config = monitored_segments_pi2, ProtocolPi2, Pi2Config(k=k)
+    else:
+        enum, cls, config = (monitored_segments_pik2, ProtocolPiK2,
+                             PiK2Config(k=k))
+    routed = paths.values() if over is None else over
+    segments = set()
+    for segs in enum([tuple(p) for p in routed], k=k).values():
+        segments |= segs
+    armed = cls(net, monitor, segments, keys, schedule, config=config)
+    armed.schedule_rounds(0, 3)
+    return armed
+
+
+def by_arm_protocol(net, paths, protocol, k, over=None):
+    config = (Pi2Config if protocol == "pi2" else PiK2Config)(k=k)
+    return arm_protocol(net, paths, protocol, config=config, over=over)
+
+
+#: Per topology: two opposite flows' ends and the router between them.
+TWO_FLOWS = {
+    "chain6": (chain(6), ("r1", "r6"), "r3"),
+    "abilene": (abilene(), ("Sunnyvale", "NewYork"), "KansasCity"),
+}
+
+
+class TestArmProtocol:
+    """``arm_protocol`` against the hand assembly it replaced."""
+
+    @staticmethod
+    def drop_run(topology, protocol, k, two_flows, arm):
+        """Arm, then run two CBR flows through a dropping router."""
+        topo, (a, b), bad = TWO_FLOWS[topology]
+        net = Network(topo)
+        paths = install_static_routes(net)
+        over = [paths[(a, b)], paths[(b, a)]] if two_flows else None
+        armed = arm(net, paths, protocol, k, over)
+        scheduled = sorted((when, event.fn.__name__, event.args)
+                           for when, _, event in net.sim._heap)
+        assert armed.monitor in net.taps
+        assert any(bad in segment for segment in armed.segments)
+        net.routers[bad].compromise = DropFlowAttack(
+            ["f1", "f2"], fraction=0.5, seed=1)
+        CBRSource(net, a, b, "f1", rate_bps=600_000, duration=3.0)
+        CBRSource(net, b, a, "f2", rate_bps=600_000, duration=3.0)
+        net.run(6.0)
+        return (type(armed), armed.segments, dict(armed.monitor._monitors),
+                scheduled, {router: state.suspicions
+                            for router, state in armed.states.items()})
+
+    @pytest.mark.parametrize("two_flows", [False, True],
+                             ids=["all-paths", "two-flows"])
+    # At k = 1 both enumerators yield the same 3-segments; k = 2 tells
+    # them apart (Π2: 4-segments; Πk+2: 3- and 4-segments).
+    @pytest.mark.parametrize("k", [1, 2], ids=["k1", "k2"])
+    @pytest.mark.parametrize("protocol", ["pi2", "pik2"])
+    @pytest.mark.parametrize("topology", sorted(TWO_FLOWS))
+    def test_same_detector_as_hand_assembly(self, topology, protocol, k,
+                                            two_flows):
+        got = self.drop_run(topology, protocol, k, two_flows,
+                            by_arm_protocol)
+        want = self.drop_run(topology, protocol, k, two_flows, hand_armed)
+        kind, segments, watched, scheduled, suspicions = got
+        assert kind is want[0]
+        assert segments == want[1]
+        assert watched == want[2]  # the monitors recording each segment
+        assert scheduled == want[3]  # one evaluation per round end
+        assert suspicions == want[4]
+        assert any(suspicions.values())  # the drop run is not vacuous
+
+    def test_sampling_keys_a_sampler_per_segment(self):
+        net = Network(chain(5))
+        keys = KeyInfrastructure()
+        protocol = arm_protocol(net, install_static_routes(net), "pik2",
+                                sampling=0.25)
+        samplers = protocol.monitor.samplers
+        assert set(samplers) == set(protocol.segments)
+        for segment, sampler in samplers.items():
+            assert sampler.rate == 0.25
+            assert sampler.key == keys.sampling_key(segment[0], segment[-1])
+
+    def test_unknown_protocol_names_the_choices(self):
+        net = Network(chain(3))
+        with pytest.raises(ValueError, match="pi2, pik2"):
+            arm_protocol(net, install_static_routes(net), "pi3")
+        assert net.taps == []

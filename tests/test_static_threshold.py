@@ -1,72 +1,4 @@
-"""Tests for the static-threshold baseline and its §6.4.3 unsoundness."""
-
-import pytest
-
-from repro.core.static_threshold import StaticThresholdDetector
-from repro.core.summaries import SummaryPolicy, TrafficSummary
-
-
-def summary(fps, direction="sent"):
-    fps = frozenset(fps)
-    return TrafficSummary(
-        router="r", segment=("a", "b", "c"), round_index=0,
-        direction=direction, policy=SummaryPolicy.CONTENT,
-        count=len(fps), byte_count=1000 * len(fps), fingerprints=fps,
-    )
-
-
-class TestStaticThreshold:
-    def test_requires_some_threshold(self):
-        with pytest.raises(ValueError):
-            StaticThresholdDetector()
-
-    def test_count_threshold(self):
-        det = StaticThresholdDetector(loss_threshold=2)
-        verdict = det.observe_round(("a", "b", "c"), 0,
-                                    summary(range(10)), summary(range(7)))
-        assert verdict.losses == 3
-        assert verdict.alarmed
-
-    def test_below_threshold_silent(self):
-        det = StaticThresholdDetector(loss_threshold=5)
-        verdict = det.observe_round(("a", "b", "c"), 0,
-                                    summary(range(10)), summary(range(7)))
-        assert not verdict.alarmed
-
-    def test_rate_threshold(self):
-        det = StaticThresholdDetector(rate_threshold=0.2)
-        verdict = det.observe_round(("a", "b", "c"), 0,
-                                    summary(range(10)), summary(range(7)))
-        assert verdict.rate == pytest.approx(0.3)
-        assert verdict.alarmed
-
-    def test_alarms_listing(self):
-        det = StaticThresholdDetector(loss_threshold=0)
-        det.observe_round(("a", "b", "c"), 0, summary(range(5)),
-                          summary(range(5)))
-        det.observe_round(("a", "b", "c"), 1, summary(range(5)),
-                          summary(range(4)))
-        assert len(det.alarms()) == 1
-        assert det.alarms()[0].round_index == 1
-
-    def test_counter_fallback_without_fingerprints(self):
-        det = StaticThresholdDetector(loss_threshold=1)
-        up = TrafficSummary(router="r", segment=("a", "b"), round_index=0,
-                            direction="sent", policy=SummaryPolicy.FLOW,
-                            count=10, byte_count=10_000)
-        down = TrafficSummary(router="r", segment=("a", "b"), round_index=0,
-                              direction="received", policy=SummaryPolicy.FLOW,
-                              count=7, byte_count=7_000)
-        verdict = det.observe_round(("a", "b"), 0, up, down)
-        assert verdict.losses == 3
-
-    def test_false_positive_accounting(self):
-        det = StaticThresholdDetector(loss_threshold=0)
-        det.observe_round(("a", "b"), 0, summary(range(3)), summary(range(2)))
-        det.observe_round(("a", "b"), 1, summary(range(3)), summary(range(2)))
-        fps = det.false_positive_rounds(malicious_rounds={(("a", "b"), 1)})
-        assert len(fps) == 1
-        assert fps[0].round_index == 0
+"""The §6.4.3 unsoundness of static loss thresholds."""
 
 
 class TestUnsoundnessDemonstration:

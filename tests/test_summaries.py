@@ -339,14 +339,14 @@ class TestSegmentMonitorAgainstReference:
         # A second monitor over the scenario's own segments, traffic and
         # adversary: Π2's retires its rounds, this one keeps them.
         monitor, reference = monitored_pair(
-            scenario.network, scenario.oracle, spec.tau, epsilon=0.004,
-            clock_seed=spec.seed)
+            scenario.network, scenario.protocol.monitor.oracle, spec.tau,
+            epsilon=0.004, clock_seed=spec.seed)
         for segment in scenario.protocol.segments:
             monitor.watch_segment(segment)
             reference.watch(segment)
         scenario.run()
         reference.assert_matches(
-            monitor, scenario.schedule.round_of(scenario.end_time))
+            monitor, scenario.protocol.schedule.round_of(scenario.end_time))
 
     def test_segment_watched_after_traffic_has_flowed(self):
         net = Network(chain(4, bandwidth=10 * MBPS, delay=0.001))
