@@ -10,7 +10,6 @@
     python -m repro sweep fig6_6 --seeds 8 --shard 0/2 --out /tmp/s0
     python -m repro merge /tmp/s0 /tmp/s1 --out /tmp/merged
     python -m repro sweep fig6_6 --seeds 8 --executor subprocess --shards 2
-    python -m repro sweep fig6_6 --executor ssh --hosts fast:8,spare:2
     python -m repro lint                 # static invariant checks
     python -m repro lint --list-rules    # the rule catalogue
 
@@ -19,9 +18,9 @@
 reading guide); ``sweep`` Monte-Carlos an experiment across derived
 seeds/parameter grids with caching, retry/timeout fault tolerance and
 JSON/CSV artifacts; ``merge`` unions the outputs of ``--shard`` runs
-back into one aggregate; ``--executor`` dispatches the shards itself —
-locally, as supervised child processes, or across ssh hosts — and
-auto-merges (see "Distributed sweeps" in EXPERIMENTS.md); ``lint`` runs
+back into one aggregate; ``--executor subprocess`` runs the shards
+itself as supervised child processes and auto-merges (see "Dispatched
+sweeps" in EXPERIMENTS.md); ``lint`` runs
 the repo's AST-based invariant checks — determinism in simulation code,
 pickle safety across the sweep dispatch boundary, registry contracts —
 (see "Static analysis" in EXPERIMENTS.md).  Performance is measured by

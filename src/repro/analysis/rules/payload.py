@@ -1,10 +1,10 @@
 """Payload-safety rules: keep pickle-boundary payloads picklable.
 
 PR 3's executor redesign established a contract: everything that crosses
-``Executor.submit`` or rides on a :class:`~repro.sweep.runner.SweepConfig`
-/ :class:`~repro.sweep.executors.base.ShardSpec` /
-:class:`~repro.sweep.grid.RunSpec` must pickle, because shard dispatch
-may serialize it into a child process or onto another host.  These rules
+a pool's ``submit`` or rides on a :class:`~repro.sweep.runner.SweepConfig`
+/ :class:`~repro.sweep.executors.ShardSpec` /
+:class:`~repro.sweep.grid.RunSpec` must pickle, because sweep execution
+may serialize it into a worker or shard child process.  These rules
 catch the classic violations at the call site instead of at 2 a.m. in a
 worker traceback:
 

@@ -21,7 +21,6 @@ abreast of routing changes" (§5.3.1).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -148,9 +147,12 @@ class FatihSystem:
 
 
 class RTTMonitor:
-    """Round-trip probes between two routers (the Fig 5.7 latency trace)."""
+    """Round-trip probes between two routers (the Fig 5.7 latency trace).
 
-    _ids = itertools.count(1)
+    Probe flows are named ``rtt-<n>``, numbered per network: a flow id is
+    part of every probe's fingerprint, so it must not depend on what else
+    ran in the process.
+    """
 
     def __init__(self, network: Network, src: str, dst: str,
                  interval: float = 1.0, start: float = 0.0,
@@ -160,7 +162,7 @@ class RTTMonitor:
         self.dst = dst
         self.interval = interval
         self.stop = stop
-        self.flow_id = f"rtt-{next(self._ids)}"
+        self.flow_id = f"rtt-{next(network.rtt_flow_ids)}"
         self.samples: List[Tuple[float, float]] = []  # (send time, rtt)
         self.lost = 0
         self._outstanding: Dict[int, float] = {}

@@ -360,6 +360,8 @@ class Network:
         self.sim = sim or Simulator()
         # Packet uids, numbered per network (see repro.net.packet).
         self.packet_ids = itertools.count(1)
+        # RTT probe flow numbers, per network (see repro.core.fatih).
+        self.rtt_flow_ids = itertools.count(1)
         self.taps: List[MonitorTap] = []
         rec = recorder()
         if rec.active:

@@ -7,32 +7,25 @@ deterministically from a root seed, finished runs cached on disk under
 timed-out runs retried with exponential backoff and worker crashes
 survived, per-sweep JSON/CSV artifacts plus mean/median/CI aggregates
 emitted per sweep.  ``--shard i/n`` runs one deterministic slice of the
-run list; ``--executor {local,subprocess,ssh}`` dispatches the shards
-(in this process, or as supervised children here or on remote hosts)
-and auto-merges them; ``python -m repro merge`` unions shard outputs back
-into one aggregate identical to an unsharded run.  See the "Sweeps"
-sections of README.md and EXPERIMENTS.md.
+run list; ``--executor subprocess`` runs every shard as a supervised
+child process here and auto-merges them; ``python -m repro merge``
+unions shard outputs back into one aggregate identical to an unsharded
+run.  See the "Sweeps" sections of README.md and EXPERIMENTS.md.
 
 The public surface is intentionally small: :func:`run_sweep` driven by
 a :class:`SweepConfig`, the :class:`SweepResult` it returns, the
-:class:`Executor` protocol with its two backends, and
+:class:`SupervisedChildExecutor` that dispatches shards, and
 :func:`merge_sweeps`.  Everything else (grid expansion, the result
 cache, retry classification, artifact writers) is an implementation
 detail — reachable under its submodule for tests and power users, but
 not part of the supported API.
 """
 
-from repro.sweep.executors import (
-    Executor,
-    LocalPoolExecutor,
-    SupervisedChildExecutor,
-)
+from repro.sweep.executors import SupervisedChildExecutor
 from repro.sweep.merge import merge_sweeps
 from repro.sweep.runner import SweepConfig, SweepResult, run_sweep
 
 __all__ = [
-    "Executor",
-    "LocalPoolExecutor",
     "SupervisedChildExecutor",
     "SweepConfig",
     "SweepResult",

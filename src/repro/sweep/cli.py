@@ -9,7 +9,7 @@ from typing import List, Optional
 
 from repro.sweep.artifacts import write_sweep_artifacts
 from repro.sweep.cache import DEFAULT_CACHE_DIR
-from repro.sweep.executors.base import Executor
+from repro.sweep.executors import SupervisedChildExecutor
 from repro.sweep.grid import (
     parse_grid_assignments,
     parse_param_assignments,
@@ -32,8 +32,8 @@ def add_sweep_parser(sub: argparse._SubParsersAction,
             "until code or parameters change.  Failed or timed-out runs "
             "are retried with exponential backoff, then marked failed; "
             "--shard i/n runs one deterministic slice of the sweep for "
-            "later `repro merge`, and --executor dispatches all shards "
-            "(child processes or ssh hosts) and auto-merges them."),
+            "later `repro merge`, and --executor subprocess runs every "
+            "shard as a supervised child process and auto-merges them."),
     )
     parser.add_argument("experiment", help="registered experiment name")
     parser.add_argument("--seeds", type=int, default=8, metavar="N",
@@ -105,33 +105,19 @@ def add_sweep_parser(sub: argparse._SubParsersAction,
 
     dispatch = parser.add_argument_group(
         "shard dispatch",
-        "split the sweep into shards, run them through an executor, and "
-        "auto-merge the results (see EXPERIMENTS.md, 'Distributed "
-        "sweeps')")
+        "split the sweep into shards, run each as a supervised child "
+        "process, and auto-merge the results (see EXPERIMENTS.md, "
+        "'Dispatched sweeps')")
     dispatch.add_argument("--executor", default=None,
-                          choices=("local", "subprocess", "ssh"),
-                          help="dispatch shards in-process (local), as "
-                               "supervised child processes (subprocess), "
-                               "or across hosts (ssh)")
+                          choices=("subprocess",),
+                          help="run the shards as supervised child "
+                               "processes on this machine")
     dispatch.add_argument("--shards", type=int, default=None, metavar="N",
-                          help="shard count (default: 1 for local, 2 for "
-                               "subprocess, total host slots for ssh)")
-    dispatch.add_argument("--hosts", default=None, metavar="H1,H2:SLOTS",
-                          help="ssh hosts as name or name:slots, "
-                               "comma-separated")
-    dispatch.add_argument("--hostfile", default=None, metavar="PATH",
-                          help="TOML hostfile (see EXPERIMENTS.md for the "
-                               "format); overrides --hosts")
-    dispatch.add_argument("--transport", default="ssh",
-                          choices=("ssh", "local"),
-                          help="how ssh shards reach their hosts: real "
-                               "ssh/scp, or local subprocesses (smoke "
-                               "tests; host names become labels)")
+                          help="shard count (default 2)")
     dispatch.add_argument("--shard-attempts", type=int, default=2,
                           metavar="N",
                           help="dispatch attempts per shard before the "
-                               "sweep fails; lost shards are re-run, on "
-                               "another host when there is one "
+                               "sweep fails; a lost shard is re-run "
                                "(default 2)")
     dispatch.add_argument("--shard-timeout", type=float, default=None,
                           metavar="S",
@@ -139,10 +125,9 @@ def add_sweep_parser(sub: argparse._SubParsersAction,
                                "seconds and mark it lost")
     dispatch.add_argument("--heartbeat-timeout", type=float, default=None,
                           metavar="S",
-                          help="subprocess executor and --transport local: "
-                               "kill a shard whose heartbeat file is older "
-                               "than S seconds")
-    # Internal: executors pass --heartbeat to their shard children; the
+                          help="kill a shard whose heartbeat file is older "
+                               "than S seconds and mark it lost")
+    # Internal: the executor passes --heartbeat to its shard children; the
     # child touches the file twice a second for liveness supervision.
     dispatch.add_argument("--heartbeat", default=None,
                           help=argparse.SUPPRESS)
@@ -190,46 +175,21 @@ def _start_heartbeat(path: str) -> None:
                      name="sweep-heartbeat").start()
 
 
-def _build_executor(args: argparse.Namespace) -> Optional[Executor]:
-    """Construct the requested dispatch backend, or None for --shard/plain."""
+def _build_executor(
+        args: argparse.Namespace) -> Optional[SupervisedChildExecutor]:
+    """The shard executor for --executor, or None for --shard/plain."""
     if args.executor is None:
-        for flag, name in ((args.hosts, "--hosts"),
-                           (args.hostfile, "--hostfile"),
-                           (args.shards, "--shards")):
-            if flag is not None:
-                raise ValueError(f"{name} needs --executor")
+        if args.shards is not None:
+            raise ValueError("--shards needs --executor")
         return None
     if args.shard is not None:
         raise ValueError(
             "--shard marks this process as one shard of a dispatched "
             "sweep; it cannot be combined with --executor")
-    from repro.sweep.executors import (
-        LocalCommandTransport,
-        LocalPoolExecutor,
-        SupervisedChildExecutor,
-        load_hostfile,
-        parse_hosts,
-    )
-
-    if args.executor == "local":
-        return LocalPoolExecutor(shards=args.shards or 1)
-    if args.executor == "subprocess":
-        return SupervisedChildExecutor.on_localhost(
-            shards=args.shards or 2,
-            heartbeat_timeout_s=args.heartbeat_timeout,
-            shard_timeout_s=args.shard_timeout)
-    if args.hostfile:
-        hosts = load_hostfile(args.hostfile)
-    elif args.hosts:
-        hosts = parse_hosts(args.hosts)
-    else:
-        raise ValueError("--executor ssh needs --hosts or --hostfile")
-    transport = (LocalCommandTransport() if args.transport == "local"
-                 else None)
     return SupervisedChildExecutor(
-        hosts, transport=transport, shards=args.shards,
-        heartbeat_timeout_s=args.heartbeat_timeout,
-        shard_timeout_s=args.shard_timeout)
+        2 if args.shards is None else args.shards,
+        shard_timeout_s=args.shard_timeout,
+        heartbeat_timeout_s=args.heartbeat_timeout)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -1,13 +1,9 @@
-"""In-process execution: the cell engine and :class:`LocalPoolExecutor`.
+"""In-process execution: the cell engine.
 
-Two layers live here.  The *cell engine* (:func:`_run_cells`) is the
-round-based retry loop over a ``ProcessPoolExecutor`` that every
-single-process sweep uses — it was ``runner._execute_pending`` before
-the executor API existed.  :class:`LocalPoolExecutor` is the shard-level
-backend built on it: ``submit`` runs the shard's slice in this process
-through :func:`repro.sweep.runner.run_sweep` (so ``--executor local``
-artifacts are byte-identical to a plain sweep of the same slice) and
-writes its artifact directory, synchronously.
+:func:`_run_cells` is the round-based retry loop over a
+``ProcessPoolExecutor`` that every sweep process runs its cells on — a
+plain sweep, a ``--shard i/n`` slice, and so every dispatched shard
+child.
 
 Worker payloads are split into an invariant *context* (experiment name,
 timeout, the parameters every cell shares) shipped once per worker via
@@ -21,7 +17,6 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.sweep.cache import ResultCache
@@ -33,13 +28,6 @@ from repro.sweep.retry import (
     classify_error,
     error_summary,
     run_deadline,
-)
-from repro.sweep.executors.base import (
-    SHARD_FAILED,
-    SHARD_OK,
-    Executor,
-    ShardHandle,
-    ShardSpec,
 )
 
 # ---------------------------------------------------------------------------
@@ -325,43 +313,3 @@ def _run_cells(
         queue = retry_queue
         retry_round += 1
     return results
-
-
-# ---------------------------------------------------------------------------
-# Shard-level backend
-# ---------------------------------------------------------------------------
-
-class LocalPoolExecutor(Executor):
-    """Run every shard in this process, on the classic process pool.
-
-    ``submit`` is synchronous: the shard's slice runs to completion via
-    :func:`repro.sweep.runner.run_sweep` before the handle is returned,
-    so artifacts are byte-identical to running the same ``--shard i/n``
-    command by hand.  ``shards=1`` makes the dispatched sweep equivalent
-    to an undispatched one.
-    """
-
-    name = "local"
-
-    def submit(self, spec: ShardSpec, *, attempts: int = 1,
-               excluded_hosts=()) -> ShardHandle:
-        from repro.sweep.artifacts import write_sweep_artifacts
-        from repro.sweep.runner import run_sweep
-
-        handle = ShardHandle(spec, attempts=attempts, host="inprocess",
-                             excluded_hosts=tuple(excluded_hosts))
-        started = time.perf_counter()
-        try:
-            config = replace(spec.config,
-                             shard=(spec.index, spec.count))
-            if config.trace_dir is not None:
-                config = replace(config, trace_dir=os.path.join(
-                    spec.out_dir, "traces"))
-            sweep = run_sweep(spec.experiment, config)
-            write_sweep_artifacts(sweep, spec.out_dir)
-            handle.status = SHARD_OK
-        except Exception as error:  # deterministic: never re-dispatch
-            handle.status = SHARD_FAILED
-            handle.error = f"{type(error).__name__}: {error}"
-        handle.wall_s = time.perf_counter() - started
-        return self._track(handle)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 KIND_EXCEPTION = "exception"  # the experiment function raised
 KIND_TIMEOUT = "timeout"      # the per-run timeout expired
 KIND_CRASH = "crash"          # the worker process died (SIGKILL/OOM)
-KIND_LOST = "lost"            # a dispatched shard's process/host died
 
 
 class RunTimeoutError(Exception):
@@ -76,16 +75,15 @@ NO_RETRY = RetryPolicy(max_attempts=1)
 class ShardRetryPolicy:
     """How the dispatch driver supervises *shards* (not cells).
 
-    A shard is one ``--shard i/n`` slice dispatched through an
-    :class:`~repro.sweep.executors.base.Executor`.  When a shard is
-    ``lost`` — its process killed, its host unreachable, its heartbeat
-    stale — the driver re-dispatches it (on another host where the
-    executor has one) up to ``max_attempts`` total dispatches; cells the
-    lost attempt already finished are answered from the result cache on
-    the retry.  A shard that *fails* (nonzero exit from a config error
-    or ``--strict``) is never re-dispatched: retrying a deterministic
-    failure elsewhere cannot help.  ``poll_interval_s`` paces the
-    driver's supervision loop.
+    A shard is one ``--shard i/n`` slice run as a child by the
+    :class:`~repro.sweep.executors.SupervisedChildExecutor`.  When a
+    shard is ``lost`` — its process killed, its heartbeat stale, its
+    timeout exceeded — the driver re-dispatches it up to
+    ``max_attempts`` total dispatches; cells the lost attempt already
+    finished are answered from the result cache on the retry.  A shard
+    that *fails* (exit 1 or 2 from a config error or ``--strict``) is
+    never re-dispatched: retrying a deterministic failure cannot help.
+    ``poll_interval_s`` paces the driver's supervision loop.
     """
 
     max_attempts: int = 2

@@ -8,10 +8,11 @@ bit-identical to the pool path since every run is fully determined by
 its :class:`RunSpec`), honoring ``config.shard`` so one process can run
 a single ``--shard i/n`` slice.
 
-With an ``executor`` (see :mod:`repro.sweep.executors`) the sweep is
+With an ``executor`` (a
+:class:`~repro.sweep.executors.SupervisedChildExecutor`) the sweep is
 instead *dispatched*: split into ``executor.n_shards`` deterministic
-slices, each submitted as a shard, supervised until every shard reports
-``ok`` — a ``lost`` shard (killed process, dead host, stale heartbeat)
+slices, each run as a supervised shard child until every shard reports
+``ok`` — a ``lost`` shard (killed process, stale heartbeat, timeout)
 is re-dispatched under :class:`~repro.sweep.retry.ShardRetryPolicy`,
 reusing cached cells from the lost attempt — and finally auto-merged
 through the validated merge path, so the returned
@@ -38,14 +39,14 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 from repro.sweep.aggregate import aggregate_records
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.sweep.executors.base import (
+from repro.sweep.executors.local import _run_cells
+from repro.sweep.executors.supervised import (
     SHARD_FAILED,
     SHARD_LOST,
     SHARD_OK,
-    Executor,
     ShardSpec,
+    SupervisedChildExecutor,
 )
-from repro.sweep.executors.local import _run_cells
 from repro.sweep.grid import RunSpec, expand_grid, shard_specs
 from repro.sweep.retry import RetryPolicy, ShardRetryPolicy, SweepError
 from repro.obs.telemetry import build_telemetry
@@ -220,7 +221,7 @@ def run_sweep(
     experiment: str,
     config: Optional[SweepConfig] = None,
     *,
-    executor: Optional[Executor] = None,
+    executor: Optional[SupervisedChildExecutor] = None,
     progress: Progress = None,
 ) -> SweepResult:
     """Run ``experiment`` across (grid x seeds), cached and in parallel.
@@ -316,16 +317,17 @@ def run_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Dispatched execution: shards through an Executor, merged at the end
+# Dispatched execution: supervised shard children, merged at the end
 # ---------------------------------------------------------------------------
 
 def _run_dispatched(experiment: str, config: SweepConfig,
-                    executor: Executor, progress: Progress) -> SweepResult:
+                    executor: SupervisedChildExecutor,
+                    progress: Progress) -> SweepResult:
     """Split the sweep into shards, supervise them, merge the artifacts."""
     from repro.sweep.merge import merge_sweep_dirs
 
     # Validate everything up front so a typo fails here, not inside a
-    # child process on another host; children re-coerce identically.
+    # child process; children re-coerce identically.
     params, grid, _n_seeds, all_specs = _validated_inputs(
         experiment, config, progress=progress)
     count = executor.n_shards
@@ -351,8 +353,7 @@ def _run_dispatched(experiment: str, config: SweepConfig,
             index=index,
             count=count,
             out_dir=os.path.join(workdir, f"shard-{index}"),
-            heartbeat=(os.path.join(workdir, f"shard-{index}.heartbeat")
-                       if executor.wants_heartbeat else None),
+            heartbeat=os.path.join(workdir, f"shard-{index}.heartbeat"),
         )
         for index in range(count)
     ]
@@ -360,43 +361,34 @@ def _run_dispatched(experiment: str, config: SweepConfig,
         progress(f"dispatching {len(all_specs)} runs as {count} shard(s) "
                  f"via {executor.name}")
 
-    handles = {}
     submit_started = time.perf_counter()
     try:
         for spec in shard_list:
-            handles[spec.index] = executor.submit(spec)
+            executor.submit(spec)
         submit_s = time.perf_counter() - submit_started
-        preflight_failures = dict(
-            getattr(executor, "preflight_failures", None) or {})
-        if preflight_failures and progress is not None:
-            for host in sorted(preflight_failures):
-                progress(f"host {host} dropped by preflight: "
-                         f"{preflight_failures[host]}")
         while True:
-            executor.poll()
             busy = False
-            for index in sorted(handles):
-                handle = handles[index]
+            for handle in executor.poll():
+                index = handle.index
                 if handle.status == SHARD_OK:
                     continue
                 if handle.status == SHARD_LOST:
                     if not policy.allows_retry(handle.attempts):
                         raise SweepError(
                             f"shard {index}/{count} lost after "
-                            f"{handle.attempts} dispatch attempt(s) "
-                            f"(last host {handle.host}): {handle.error}")
+                            f"{handle.attempts} dispatch attempt(s): "
+                            f"{handle.error}")
                     if progress is not None:
                         progress(
-                            f"shard {index}/{count} lost on "
-                            f"{handle.host} ({handle.error}); "
+                            f"shard {index}/{count} lost "
+                            f"({handle.error}); "
                             f"re-dispatching (attempt "
                             f"{handle.attempts + 1}/{policy.max_attempts})")
-                    handles[index] = executor.resubmit(handle)
+                    executor.resubmit(handle)
                     busy = True
                 elif handle.status == SHARD_FAILED:
                     raise SweepError(
-                        f"shard {index}/{count} failed on {handle.host}: "
-                        f"{handle.error}")
+                        f"shard {index}/{count} failed: {handle.error}")
                 else:
                     busy = True
             if not busy:
@@ -406,9 +398,7 @@ def _run_dispatched(experiment: str, config: SweepConfig,
         executor.cancel()
         raise
     finally:
-        if cleanup and any(
-                handles.get(i) is None or handles[i].status != SHARD_OK
-                for i in range(count)):
+        if cleanup and len(executor.collect()) < count:
             shutil.rmtree(workdir, ignore_errors=True)
 
     collect_started = time.perf_counter()
@@ -419,10 +409,8 @@ def _run_dispatched(experiment: str, config: SweepConfig,
     merged.dispatch = {
         "executor": executor.name,
         "n_shards": count,
-        "shards": [handles[index].describe() for index in sorted(handles)],
+        "shards": [handle.describe() for handle in executor.handles],
     }
-    if preflight_failures:
-        merged.dispatch["preflight_failures"] = preflight_failures
     if merged.telemetry is not None:
         # Shard telemetry was merged from the surviving attempts'
         # manifests (a lost attempt left no manifest, so its partial
@@ -434,14 +422,12 @@ def _run_dispatched(experiment: str, config: SweepConfig,
             "wall_s": merged.elapsed_s,
             "submit_s": submit_s,
             "collect_s": collect_s,
-            "shards": [handles[index].describe()
-                       for index in sorted(handles)],
+            "shards": [handle.describe() for handle in executor.handles],
         }
     if progress is not None:
-        for index in sorted(handles):
-            handle = handles[index]
-            progress(f"shard {index}/{count}: {handle.status} on "
-                     f"{handle.host} after {handle.attempts} attempt(s)")
+        for handle in executor.handles:
+            progress(f"shard {handle.index}/{count}: {handle.status} after "
+                     f"{handle.attempts} attempt(s)")
     if cleanup:
         shutil.rmtree(workdir, ignore_errors=True)
     return merged

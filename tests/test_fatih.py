@@ -105,3 +105,13 @@ class TestRTTMonitor:
         net.run(10.0)
         assert rtt.samples == []
         assert rtt.lost > 0
+
+    def test_flows_are_numbered_per_network(self):
+        # A flow id is part of every probe's fingerprint, so a network's
+        # probes must not depend on what else ran in this process.
+        def flow_ids():
+            net = Network(abilene(bandwidth=10 * MBPS))
+            return [RTTMonitor(net, "NewYork", "Sunnyvale").flow_id,
+                    RTTMonitor(net, "Seattle", "Atlanta").flow_id]
+
+        assert flow_ids() == flow_ids() == ["rtt-1", "rtt-2"]
