@@ -30,8 +30,13 @@ Start-up is pay-for-what-you-run: a command imports its own module
 (``COMMANDS`` below is the only list of commands, and ``main`` imports
 the selected one's module and no other), and heavy third-party imports
 (``networkx``, process pools) live at their point of use, not at module
-top.  ``tests/test_main_cli.py``'s import-budget test is the contract: a
-new subcommand is a row in ``COMMANDS``, never an import in ``main``.
+top.  The same holds inside packages: the experiment registry and the
+``repro.eval`` / ``repro.obs`` surfaces import no simulator code, so
+``list``, ``merge`` and a sweep whose cells are all cached load nothing
+under ``repro.net``, ``core``, ``crypto``, ``dist`` or ``baselines``;
+an experiment imports those when it runs.  ``tests/test_main_cli.py``'s
+import-budget test is the contract: a new subcommand is a row in
+``COMMANDS``, never an import in ``main``.
 """
 
 from __future__ import annotations

@@ -8,6 +8,12 @@ and built with :func:`build_scenario` — an :class:`AttackScenario` on a
 routed topology, a :class:`BottleneckScenario` on the χ testbed, whose
 figures are rows of ``experiments.TESTBED_ROWS`` over one runner.
 
+Only ``scenarios`` imports the simulator at its top; the registry,
+specs, results and metrics are metadata, and an experiment imports what
+it simulates when it runs.  Each name below is imported from its
+submodule on first access, so looking an experiment up (``repro list``,
+a warm ``repro sweep``) loads no simulator code.
+
 The supported surface is exactly ``__all__``.  The ``experiments`` and
 ``registry`` submodules are part of that promise (they are how sweeps
 and plugins address experiment functions); the remaining submodules are
@@ -17,33 +23,6 @@ flags in-repo imports that bypass the package for exported names.
 """
 
 from repro._surface import narrow as _narrow
-from repro.eval.metrics import DetectionMetrics, score_round_findings
-from repro.eval.results import (
-    EvalResultBase,
-    result_type_name,
-    serialize_result,
-)
-from repro.eval.specs import (
-    AdversarySpec,
-    BEHAVIORS,
-    DETECTORS,
-    PLACEMENT_STRATEGIES,
-    PlacementSpec,
-    ScenarioSpec,
-    TopologySpec,
-    TrafficSpec,
-    register_topology,
-    resolve_ground_truth,
-    topology_names,
-    transit_candidates,
-)
-from repro.eval.scenarios import (
-    AttackScenario,
-    BottleneckScenario,
-    build_scenario,
-    droptail_spec,
-    red_spec,
-)
 
 __all__ = [
     "experiments",
@@ -76,4 +55,17 @@ __all__ = [
 # with a deprecation warning; public submodules import silently.
 _narrow(globals(),
         internal=("metrics", "results", "scenarios", "specs"),
-        public=("experiments", "registry"))
+        public=("experiments", "registry"),
+        exports={
+            "metrics": ("DetectionMetrics", "score_round_findings"),
+            "results": ("EvalResultBase", "result_type_name",
+                        "serialize_result"),
+            "specs": ("AdversarySpec", "BEHAVIORS", "DETECTORS",
+                      "PLACEMENT_STRATEGIES", "PlacementSpec",
+                      "ScenarioSpec", "TopologySpec", "TrafficSpec",
+                      "register_topology", "resolve_ground_truth",
+                      "topology_names", "transit_candidates",
+                      "droptail_spec", "red_spec"),
+            "scenarios": ("AttackScenario", "BottleneckScenario",
+                          "build_scenario"),
+        })

@@ -8,64 +8,35 @@ along queue discipline, attack, load and schedule, so Figs 6.5-6.9,
 name, result label, :class:`~repro.eval.specs.ScenarioSpec`, exposed
 flat parameters), all run by :func:`run_testbed`.  Benches, tests and
 examples address experiments through :mod:`repro.eval.registry`.
+
+The registry holds these functions (it derives each parameter table from
+a signature), so this module imports no simulator code at its top: a
+function imports the simulator, detectors and baselines it runs, when it
+runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.baselines.pathmodel import FaultyNode, PathModel
-from repro.baselines.perlman import perlman_per_hop_acks, perlman_route_setup
-from repro.baselines.sectrace import secure_traceroute
-from repro.baselines.awerbuch import awerbuch_binary_search
-from repro.baselines.watchers import (
-    WatchersFault,
-    WatchersFlow,
-    WatchersProtocol,
-)
-from repro.core import (
-    FatihConfig,
-    FatihSystem,
-    ProtocolPi2,
-    accuracy_report,
-    all_routing_paths,
-    appenzeller_loss_probability,
-    appenzeller_sigma,
-    arm_protocol,
-    completeness_report,
-    monitored_segments_pi2,
-    monitored_segments_pik2,
-    pr_statistics,
-)
-from repro.core.chi import single_loss_confidence
-from repro.core.fatih import RTTMonitor
-from repro.core.segments import pik2_counter_count, watchers_counter_count
 from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import EvalResultBase
-from repro.eval.scenarios import (
-    AttackScenario,
-    build_scenario,
+from repro.eval.specs import (
+    AdversarySpec,
+    ScenarioSpec,
     droptail_spec,
     red_spec,
 )
-from repro.eval.specs import AdversarySpec, ScenarioSpec
-from repro.net import (
-    CBRSource,
-    LinkStateRouting,
-    MBPS,
-    Network,
-    Topology,
-    abilene,
-    chain,
-    ebone_like,
-    install_static_routes,
-    sprintlink_like,
-)
+
+if TYPE_CHECKING:
+    from repro.net import Topology
 
 
 def _topology(name: str) -> Topology:
+    from repro.net import abilene, ebone_like, sprintlink_like
+
     if name == "sprintlink":
         return sprintlink_like()
     if name == "ebone":
@@ -93,6 +64,9 @@ class PrCurve(EvalResultBase):
 def fig5_2_pr_pi2(topology: str = "sprintlink",
                   ks: Sequence[int] = range(1, 9)) -> PrCurve:
     """Fig 5.2: segments monitored per router under Π2."""
+    from repro.core import (all_routing_paths, monitored_segments_pi2,
+                            pr_statistics)
+
     topo = _topology(topology)
     paths = all_routing_paths(topo)
     curve = PrCurve(topology=topology, protocol="pi2")
@@ -105,6 +79,9 @@ def fig5_2_pr_pi2(topology: str = "sprintlink",
 def fig5_4_pr_pik2(topology: str = "sprintlink",
                    ks: Sequence[int] = range(1, 9)) -> PrCurve:
     """Fig 5.4: segments monitored per router under Πk+2."""
+    from repro.core import (all_routing_paths, monitored_segments_pik2,
+                            pr_statistics)
+
     topo = _topology(topology)
     paths = all_routing_paths(topo)
     curve = PrCurve(topology=topology, protocol="pik2")
@@ -134,6 +111,10 @@ class StateOverheadResult(EvalResultBase):
 def state_overhead(topology: str = "sprintlink",
                    ks: Sequence[int] = (2, 7)) -> StateOverheadResult:
     """§5.1.1/§5.2.1: per-router counter state, WATCHERS vs Πk+2."""
+    from repro.core import all_routing_paths, monitored_segments_pik2
+    from repro.core.segments import (pik2_counter_count,
+                                     watchers_counter_count)
+
     topo = _topology(topology)
     paths = all_routing_paths(topo)
     watchers = watchers_counter_count(topo)
@@ -194,6 +175,10 @@ def fig5_7_fatih(
     """Fig 5.7: OSPF convergence, attack at Kansas City, detection,
     alert flooding, SPF delay+hold, rerouting; New York <-> Sunnyvale RTT
     goes from ~50 ms to ~56 ms."""
+    from repro.core import FatihConfig, FatihSystem
+    from repro.core.fatih import RTTMonitor
+    from repro.net import MBPS, CBRSource, LinkStateRouting, Network, abilene
+
     topo = abilene(bandwidth=10 * MBPS)
     net = Network(topo, proc_jitter=0.0002)
     routing = LinkStateRouting(net, spf_delay=5.0, spf_hold=10.0,
@@ -258,6 +243,8 @@ def fig6_2_confidence_curve(q_limit: float = 30_000.0,
                             mu: float = 0.0, sigma: float = 1_000.0,
                             steps: int = 60) -> ConfidenceCurve:
     """Fig 6.2: c_single as the predicted queue approaches the limit."""
+    from repro.core.chi import single_loss_confidence
+
     points = []
     for i in range(steps + 1):
         q_pred = q_limit * i / steps
@@ -302,6 +289,8 @@ def run_testbed(name: str, spec: ScenarioSpec) -> ScenarioResult:
     confidence and its extras report the attack's damage; RED needs no
     learning and its rows carry the combined confidence.
     """
+    from repro.eval.scenarios import build_scenario
+
     scenario = build_scenario(spec)
     net, chi, attack = scenario.network, scenario.chi, scenario.attack
     schedule, tau = scenario.options, spec.tau
@@ -613,6 +602,8 @@ class ProtocolBenchResult(EvalResultBase):
 
 def _precision_bound(protocol) -> int:
     """Appendix B: Π2 suspects 2-segments, Πk+2 whole (k+2)-segments."""
+    from repro.core import ProtocolPi2
+
     return 2 if isinstance(protocol, ProtocolPi2) else protocol.config.k + 2
 
 
@@ -623,6 +614,10 @@ def _run_protocol_bench(name: str, protocol_name: str, *,
                         rate_bps: int = 600_000,
                         duration: float = 4.0,
                         end: float = 7.0) -> ProtocolBenchResult:
+    from repro.core import accuracy_report, arm_protocol, completeness_report
+    from repro.net import (MBPS, CBRSource, Network, chain,
+                           install_static_routes)
+
     net = Network(chain(6, bandwidth=10 * MBPS, delay=0.001))
     protocol = arm_protocol(net, install_static_routes(net), protocol_name)
     net.routers[bad_router].compromise = AdversarySpec(
@@ -712,6 +707,9 @@ def attack_matrix(topology: str = "abilene",
     scores detection precision/recall/latency against the placed
     adversary.
     """
+    from repro.core import accuracy_report, completeness_report
+    from repro.eval.scenarios import AttackScenario, build_scenario
+
     spec = ScenarioSpec(topology=topology, adversary=adversary,
                         placement=placement, traffic=traffic,
                         detector=detector, tau=tau, rounds=rounds, seed=seed)
@@ -779,6 +777,10 @@ class BaselineDemo(EvalResultBase):
 
 def watchers_flaw_demo() -> BaselineDemo:
     """Fig 3.3: consorting routers evade WATCHERS; the fix catches them."""
+    from repro.baselines.watchers import (WatchersFault, WatchersFlow,
+                                          WatchersProtocol)
+    from repro.net import chain
+
     topo = chain(5)
     flows = [WatchersFlow(("r1", "r2", "r3", "r4", "r5"), 10_000.0)]
 
@@ -807,6 +809,10 @@ def watchers_flaw_demo() -> BaselineDemo:
 
 def perlman_collusion_demo() -> BaselineDemo:
     """Fig 3.8: colluding b, e frame the correct link ⟨c, d⟩ in PERLMANd."""
+    from repro.baselines.pathmodel import FaultyNode, PathModel
+    from repro.baselines.perlman import (perlman_per_hop_acks,
+                                         perlman_route_setup)
+
     path = ["a", "b", "c", "d", "e", "f"]
     faulty = {
         # e drops the data packet so it never reaches f.
@@ -832,6 +838,9 @@ def perlman_collusion_demo() -> BaselineDemo:
 
 def sectrace_framing_demo() -> BaselineDemo:
     """Fig 3.7: b attacks only after being validated, framing ⟨c, d⟩."""
+    from repro.baselines.pathmodel import FaultyNode, PathModel
+    from repro.baselines.sectrace import secure_traceroute
+
     path = ["a", "b", "c", "d", "e"]
     faulty = {
         # b is validated in round 1 (its own validation round) and begins
@@ -852,6 +861,9 @@ def sectrace_framing_demo() -> BaselineDemo:
 
 def awerbuch_localization_demo(path_length: int = 9) -> BaselineDemo:
     """§3.5: binary search localizes a persistent dropper in log M rounds."""
+    from repro.baselines.awerbuch import awerbuch_binary_search
+    from repro.baselines.pathmodel import FaultyNode, PathModel
+
     path = [f"n{i}" for i in range(path_length)]
     bad = path[path_length // 2 + 1]
     model = PathModel(path, {bad: FaultyNode(drop_data=lambda r, p: True)})
@@ -886,6 +898,10 @@ def traffic_modeling_comparison(seed: int = 0) -> ModelingComparison:
     The paper verified Q's normality but found (µ, σ) predictions too
     rough for detection; this experiment quantifies the gap on our
     testbed."""
+    from repro.core import appenzeller_loss_probability, appenzeller_sigma
+    from repro.eval.scenarios import build_scenario
+    from repro.net import MBPS
+
     scenario = build_scenario(droptail_spec(n_sources=3, seed=seed))
     scenario.network.run(120.0)
     queue = scenario.bottleneck_queue

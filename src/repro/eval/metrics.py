@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.chi import RoundFinding
 from repro.eval.results import EvalResultBase
+
+if TYPE_CHECKING:
+    from repro.core.chi import RoundFinding
 
 
 @dataclass

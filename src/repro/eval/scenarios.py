@@ -1,14 +1,17 @@
 """Canned experiment scenarios, built from typed :mod:`repro.eval.specs`.
 
-Two families live here:
+This is the one :mod:`repro.eval` module that imports the simulator at
+its top: it is where a spec becomes a running network.  Two families
+live here:
 
 * the emulation chapter's "simple topology" testbed (Fig 6.4): several
   source routers feeding one router ``r`` whose output link to ``rd`` is
   the bottleneck; TCP flows congest the bottleneck queue and a victim
-  flow is what the compromised ``r`` attacks.  Spec helpers
-  :func:`droptail_spec` / :func:`red_spec` describe it (queue
-  discipline, load, adversary, schedule); :func:`build_scenario` returns
-  a :class:`BottleneckScenario` with a χ detector on the bottleneck.
+  flow is what the compromised ``r`` attacks.  The spec helpers
+  :func:`~repro.eval.specs.droptail_spec` /
+  :func:`~repro.eval.specs.red_spec` describe it (queue discipline,
+  load, adversary, schedule); :func:`build_scenario` returns a
+  :class:`BottleneckScenario` with a χ detector on the bottleneck.
 * WedgeTail-style attack matrices: :func:`build_scenario` on any other
   catalogued :class:`~repro.eval.specs.ScenarioSpec` resolves adversary
   placement, routes monitored flows across the bad router and arms the
@@ -44,16 +47,11 @@ from repro.net import (
     REDParams,
     REDQueue,
     TCPFlow,
-    Topology,
     install_static_routes,
 )
 from repro.eval.specs import (
-    AdversarySpec,
-    PlacementSpec,
     ScenarioSpec,
-    TopologySpec,
-    TrafficSpec,
-    register_topology,
+    _simple_topology,
     transit_candidates,
 )
 from repro.obs import recorder
@@ -106,24 +104,6 @@ class RepeatedConnector:
 
     def syn_retry_count(self) -> int:
         return sum(f.syn_retries for f in self.connections)
-
-
-def _simple_topology(n_sources: int = 3,
-                     bottleneck_bw: float = 1.0 * MBPS,
-                     queue_limit: int = 60_000,
-                     with_victim_sink: bool = False) -> Topology:
-    topo = Topology("fig6.4-simple")
-    for i in range(int(n_sources)):
-        topo.add_link(f"s{i}", "r", bandwidth=80 * MBPS, delay=0.002)
-    topo.add_link("r", "rd", bandwidth=float(bottleneck_bw), delay=0.005,
-                  queue_limit=int(queue_limit))
-    topo.add_link("rd", "sink", bandwidth=80 * MBPS, delay=0.002)
-    if with_victim_sink:
-        topo.add_link("rd", "vsink", bandwidth=80 * MBPS, delay=0.002)
-    return topo
-
-
-register_topology("simple", _simple_topology)
 
 
 # RED parameters calibrated so that, under the default 8-flow load on a
@@ -218,70 +198,6 @@ def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
         network=net, chi=chi, flows=flows, target=("r", "rd"),
         red_params=red_params, connector=connector, attack=attack,
         options=options)
-
-
-# -- spec constructors for the simple testbed -------------------------------
-
-def _testbed_spec(queue: str, n_sources: int, bottleneck_bw: float,
-                  queue_limit: int, tau: float, seed: int,
-                  adversary: Optional[AdversarySpec], rounds: int,
-                  options: Dict[str, object]) -> ScenarioSpec:
-    return ScenarioSpec(
-        topology=TopologySpec("simple", options={
-            "bottleneck_bw": float(bottleneck_bw),
-            "queue_limit": int(queue_limit),
-        }),
-        adversary=adversary or AdversarySpec(behavior="none"),
-        placement=PlacementSpec(strategy="fixed", router="r"),
-        traffic=TrafficSpec(kind="tcp", flows=n_sources,
-                            rate_bps=float(bottleneck_bw)),
-        tau=tau, rounds=rounds, seed=seed,
-        options=dict(options, queue=queue),
-    )
-
-
-def droptail_spec(
-    n_sources: int = 3,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 60_000,
-    tau: float = 2.0,
-    proc_jitter: float = 0.0004,
-    with_connector: bool = False,
-    seed: int = 0,
-    adversary: Optional[AdversarySpec] = None,
-    rounds: int = 3,
-    **schedule: float,
-) -> ScenarioSpec:
-    """Spec form of the droptail testbed (Figs 6.5-6.9).
-
-    ``adversary`` compromises router ``r``; ``rounds`` is the last
-    monitored round; ``schedule`` overrides the ``learning_until``,
-    ``first_round``, ``attack_at`` and ``end`` scenario options.
-    """
-    return _testbed_spec(
-        "droptail", n_sources, bottleneck_bw, queue_limit, tau, seed,
-        adversary, rounds,
-        dict(schedule, proc_jitter=float(proc_jitter),
-             with_connector=bool(with_connector)))
-
-
-def red_spec(
-    n_sources: int = 8,
-    bottleneck_bw: float = 1.0 * MBPS,
-    queue_limit: int = 120_000,
-    tau: float = 5.0,
-    with_connector: bool = False,
-    seed: int = 0,
-    adversary: Optional[AdversarySpec] = None,
-    rounds: int = 3,
-    **schedule: float,
-) -> ScenarioSpec:
-    """Spec form of the RED testbed (Figs 6.11-6.16); see
-    :func:`droptail_spec` (RED validation has no learning period)."""
-    return _testbed_spec(
-        "red", n_sources, bottleneck_bw, queue_limit, tau, seed,
-        adversary, rounds,
-        dict(schedule, with_connector=bool(with_connector)))
 
 
 # -- attack-matrix scenarios ------------------------------------------------

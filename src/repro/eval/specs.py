@@ -5,7 +5,8 @@ WedgeTail-style attack matrices) vary independently:
 
 * :class:`TopologySpec` — which network, from a registered catalogue
   (``abilene``, ``sprintlink_like``, ``ebone_like``, ``line``, ``ring``,
-  ``grid``, plus anything added via :func:`register_topology`);
+  ``grid``, the χ testbed's ``simple``, plus anything added via
+  :func:`register_topology`);
 * :class:`AdversarySpec` — what the compromised router does (behavior
   kind, intensity/rate, flow targeting);
 * :class:`PlacementSpec` — where the compromised router sits (``fixed``,
@@ -21,6 +22,12 @@ output is plain JSON data whose canonical dump
 round-trip, which is what makes grid cells cacheable and mergeable.
 Construction is deterministic — placement resolution and adversary
 builds draw only from seeds handed in explicitly.
+
+:func:`droptail_spec` and :func:`red_spec` describe the χ testbed's two
+queue disciplines as a :class:`ScenarioSpec`.  Specs are data: this
+module imports :mod:`repro.net` only inside the functions that build a
+topology or an adversary, so the experiment registry and the sweep
+engine can hold specs without the simulator.
 """
 
 from __future__ import annotations
@@ -28,31 +35,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields, replace
 from typing import (
-    Callable, ClassVar, Dict, Mapping, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, ClassVar, Dict, Mapping, Optional, Sequence,
+    Tuple,
 )
 
-from repro.net import (
-    CombinedCompromise,
-    Compromise,
-    DelayAttack,
-    DropFlowAttack,
-    DropFractionAttack,
-    FabricateAttack,
-    MisrouteAttack,
-    ModifyAttack,
-    Network,
-    QueueConditionalDropAttack,
-    REDAverageConditionalDropAttack,
-    ReorderAttack,
-    SynDropAttack,
-    Topology,
-    abilene,
-    chain,
-    ebone_like,
-    grid,
-    ring,
-    sprintlink_like,
-)
+if TYPE_CHECKING:
+    from repro.net import Compromise, Network, Topology
+
+#: Bytes per second in one megabit/second (``repro.net.MBPS``).
+_MBPS = 125_000
 
 #: Adversarial behaviors an :class:`AdversarySpec` can request (the
 #: paper's traffic-faulty taxonomy, §2.2, plus "none" for control cells).
@@ -159,25 +150,59 @@ def topology_names() -> Tuple[str, ...]:
     return tuple(sorted(_TOPOLOGY_CATALOGUE))
 
 
+def _net_topology(name: str) -> Callable[..., Topology]:
+    """The ``repro.net`` factory ``name``, imported when first built."""
+    def build(**options) -> Topology:
+        import repro.net
+
+        return getattr(repro.net, name)(**options)
+    return build
+
+
 def _line_topology(n: int = 6, **link_kwargs) -> Topology:
+    from repro.net import chain
+
     return chain(int(n), **link_kwargs)
 
 
 def _ring_topology(n: int = 8, **link_kwargs) -> Topology:
+    from repro.net import ring
+
     return ring(int(n), **link_kwargs)
 
 
 def _grid_topology(rows: int = 3, cols: int = 3, **link_kwargs) -> Topology:
+    from repro.net import grid
+
     return grid(int(rows), int(cols), **link_kwargs)
 
 
+def _simple_topology(n_sources: int = 3,
+                     bottleneck_bw: float = 1.0 * _MBPS,
+                     queue_limit: int = 60_000,
+                     with_victim_sink: bool = False) -> Topology:
+    """The emulation chapter's testbed (Fig 6.4): sources -> r -> rd."""
+    from repro.net import Topology
+
+    topo = Topology("fig6.4-simple")
+    for i in range(int(n_sources)):
+        topo.add_link(f"s{i}", "r", bandwidth=80 * _MBPS, delay=0.002)
+    topo.add_link("r", "rd", bandwidth=float(bottleneck_bw), delay=0.005,
+                  queue_limit=int(queue_limit))
+    topo.add_link("rd", "sink", bandwidth=80 * _MBPS, delay=0.002)
+    if with_victim_sink:
+        topo.add_link("rd", "vsink", bandwidth=80 * _MBPS, delay=0.002)
+    return topo
+
+
 for _name, _factory in (
-    ("abilene", abilene),
-    ("sprintlink_like", sprintlink_like),
-    ("ebone_like", ebone_like),
+    ("abilene", _net_topology("abilene")),
+    ("sprintlink_like", _net_topology("sprintlink_like")),
+    ("ebone_like", _net_topology("ebone_like")),
     ("line", _line_topology),
     ("ring", _ring_topology),
     ("grid", _grid_topology),
+    ("simple", _simple_topology),
 ):
     register_topology(_name, _factory)
 del _name, _factory
@@ -284,6 +309,20 @@ class AdversarySpec(_SpecDict):
         returned object to ``network.routers[router].compromise`` (and
         calls ``start`` for fabricate, which is an active behaviour).
         """
+        from repro.net import (
+            CombinedCompromise,
+            DelayAttack,
+            DropFlowAttack,
+            DropFractionAttack,
+            FabricateAttack,
+            MisrouteAttack,
+            ModifyAttack,
+            QueueConditionalDropAttack,
+            REDAverageConditionalDropAttack,
+            ReorderAttack,
+            SynDropAttack,
+        )
+
         also = self.option("also")
         if also is not None:
             alone = replace(self, options=[
@@ -546,3 +585,67 @@ class ScenarioSpec(_SpecDict):
 
     def option(self, key: str, default: object = None) -> object:
         return _lookup(self.options, key, default)
+
+
+# -- spec constructors for the simple testbed -------------------------------
+
+def _testbed_spec(queue: str, n_sources: int, bottleneck_bw: float,
+                  queue_limit: int, tau: float, seed: int,
+                  adversary: Optional[AdversarySpec], rounds: int,
+                  options: Dict[str, object]) -> ScenarioSpec:
+    return ScenarioSpec(
+        topology=TopologySpec("simple", options={
+            "bottleneck_bw": float(bottleneck_bw),
+            "queue_limit": int(queue_limit),
+        }),
+        adversary=adversary or AdversarySpec(behavior="none"),
+        placement=PlacementSpec(strategy="fixed", router="r"),
+        traffic=TrafficSpec(kind="tcp", flows=n_sources,
+                            rate_bps=float(bottleneck_bw)),
+        tau=tau, rounds=rounds, seed=seed,
+        options=dict(options, queue=queue),
+    )
+
+
+def droptail_spec(
+    n_sources: int = 3,
+    bottleneck_bw: float = 1.0 * _MBPS,
+    queue_limit: int = 60_000,
+    tau: float = 2.0,
+    proc_jitter: float = 0.0004,
+    with_connector: bool = False,
+    seed: int = 0,
+    adversary: Optional[AdversarySpec] = None,
+    rounds: int = 3,
+    **schedule: float,
+) -> ScenarioSpec:
+    """Spec form of the droptail testbed (Figs 6.5-6.9).
+
+    ``adversary`` compromises router ``r``; ``rounds`` is the last
+    monitored round; ``schedule`` overrides the ``learning_until``,
+    ``first_round``, ``attack_at`` and ``end`` scenario options.
+    """
+    return _testbed_spec(
+        "droptail", n_sources, bottleneck_bw, queue_limit, tau, seed,
+        adversary, rounds,
+        dict(schedule, proc_jitter=float(proc_jitter),
+             with_connector=bool(with_connector)))
+
+
+def red_spec(
+    n_sources: int = 8,
+    bottleneck_bw: float = 1.0 * _MBPS,
+    queue_limit: int = 120_000,
+    tau: float = 5.0,
+    with_connector: bool = False,
+    seed: int = 0,
+    adversary: Optional[AdversarySpec] = None,
+    rounds: int = 3,
+    **schedule: float,
+) -> ScenarioSpec:
+    """Spec form of the RED testbed (Figs 6.11-6.16); see
+    :func:`droptail_spec` (RED validation has no learning period)."""
+    return _testbed_spec(
+        "red", n_sources, bottleneck_bw, queue_limit, tau, seed,
+        adversary, rounds,
+        dict(schedule, with_connector=bool(with_connector)))

@@ -14,7 +14,9 @@ Two strictly separated time domains:
 
 The global recorder is disabled by default; every instrumentation site
 guards on ``recorder().active`` so the subsystem costs one attribute
-read + branch when off.
+read + branch when off.  Each name below is imported from its submodule
+on first access: a simulation's ``from repro.obs import recorder`` and a
+sweep's ``repro.obs.telemetry`` load no trace analytics.
 
 The supported surface is exactly ``__all__`` — which includes the two
 wall-domain modules ``telemetry`` and ``profile`` as *public modules*
@@ -26,24 +28,6 @@ names it already exports.
 """
 
 from repro._surface import narrow as _narrow
-from repro.obs.diff import DiffReport, diff_sweeps
-from repro.obs.forensics import (
-    RouterExplanation,
-    VerdictReport,
-    explain_router,
-    explain_sweep,
-    flow_timeline,
-)
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               merge_snapshots)
-from repro.obs.query import (
-    QueryFilter,
-    TraceEvent,
-    TraceReader,
-    trace_files,
-)
-from repro.obs.record import Recorder, recorder
-from repro.obs.sinks import JsonlSink, MemorySink, NullSink
 
 __all__ = [
     "profile",
@@ -76,4 +60,16 @@ __all__ = [
 _narrow(globals(),
         internal=("cli", "diff", "forensics", "metrics", "query",
                   "record", "sinks", "trace"),
-        public=("profile", "telemetry"))
+        public=("profile", "telemetry"),
+        exports={
+            "diff": ("DiffReport", "diff_sweeps"),
+            "forensics": ("RouterExplanation", "VerdictReport",
+                          "explain_router", "explain_sweep",
+                          "flow_timeline"),
+            "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                        "merge_snapshots"),
+            "query": ("QueryFilter", "TraceEvent", "TraceReader",
+                      "trace_files"),
+            "record": ("Recorder", "recorder"),
+            "sinks": ("JsonlSink", "MemorySink", "NullSink"),
+        })

@@ -175,6 +175,36 @@ def _start_heartbeat(path: str) -> None:
                      name="sweep-heartbeat").start()
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Reject a count flag below the least value it means anything at."""
+    for flag, value, least in (("--jobs", args.jobs, 1),
+                               ("--retries", args.retries, 0),
+                               ("--shard-attempts", args.shard_attempts, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
+
+
+def _unusable_dir(paths: List[str]) -> Optional[str]:
+    """``"PATH: why"`` for the first path that cannot hold output, or None.
+
+    A path qualifies if it is a directory this process may write into,
+    or can be created as one; nothing is created here, so a sweep that
+    then fails validation leaves no directory behind.
+    """
+    for path in paths:
+        existing = os.path.normpath(path)
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        existing = existing or "."
+        if not os.path.isdir(existing):
+            if existing == os.path.normpath(path):
+                return f"{path}: not a directory"
+            return f"{path}: {existing} is not a directory"
+        if not os.access(existing, os.W_OK | os.X_OK):
+            return f"{path}: permission denied"
+    return None
+
+
 def _build_executor(
         args: argparse.Namespace) -> Optional[SupervisedChildExecutor]:
     """The shard executor for --executor, or None for --shard/plain."""
@@ -196,24 +226,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import sys
 
     try:
+        _check_counts(args)
         params = parse_param_assignments(args.param)
         grid = parse_grid_assignments(args.grid)
         shard = parse_shard(args.shard) if args.shard else None
-        retry = RetryPolicy(max_attempts=max(1, args.retries + 1),
+        retry = RetryPolicy(max_attempts=args.retries + 1,
                             timeout_s=args.timeout,
                             backoff_s=args.retry_backoff)
         executor = _build_executor(args)
-        shard_retry = ShardRetryPolicy(
-            max_attempts=max(1, args.shard_attempts))
+        shard_retry = ShardRetryPolicy(max_attempts=args.shard_attempts)
     except (OSError, ValueError) as error:
         print(error, file=sys.stderr)
+        return 2
+    out_dir = args.out or os.path.join("sweeps", args.experiment)
+    unusable = _unusable_dir(
+        [out_dir] + ([] if args.no_cache else [args.cache_dir]))
+    if unusable:
+        print(f"error: {unusable}", file=sys.stderr)
         return 2
     if args.heartbeat:
         _start_heartbeat(args.heartbeat)
     progress = None if args.quiet else (lambda line: print(line, flush=True))
     cache_max_bytes = (int(args.cache_max_mb * 1024 * 1024)
                        if args.cache_max_mb is not None else None)
-    out_dir = args.out or os.path.join("sweeps", args.experiment)
     config = SweepConfig(
         seeds=args.seeds,
         jobs=args.jobs,
@@ -280,6 +315,10 @@ def cmd_merge(args: argparse.Namespace) -> int:
         shard_summary,
     )
 
+    unusable = _unusable_dir([args.out])
+    if unusable:
+        print(f"error: {unusable}", file=sys.stderr)
+        return 2
     try:
         manifests = [load_manifest(d) for d in args.dirs]
         if not args.quiet:

@@ -66,6 +66,61 @@ class TestSweep:
         assert manifest["schema"] == "repro.sweep/v4"
         assert manifest["n_runs"] == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "--jobs must be >= 1, got 0"),
+        ("--jobs", "-2", "--jobs must be >= 1, got -2"),
+        ("--retries", "-5", "--retries must be >= 0, got -5"),
+        ("--shard-attempts", "0", "--shard-attempts must be >= 1, got 0"),
+    ])
+    def test_count_below_its_least_exits_2(self, flag, value, message,
+                                           tmp_path, capsys):
+        # These used to run: --jobs 0 inline with "jobs": 0 in sweep.json,
+        # --retries/--shard-attempts clamped to one attempt.
+        assert main(["sweep", "baselines", "--seeds", "1", flag, value,
+                     "--out", str(tmp_path / "out"),
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("out, cache, culprit", [
+        ("file", "cache", "file: not a directory"),
+        ("file/sub", "cache", "file/sub: file is not a directory"),
+        ("out", "file", "file: not a directory"),
+    ])
+    def test_unusable_directory_fails_before_any_run(
+            self, out, cache, culprit, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("not a directory\n")
+        assert main(["sweep", "baselines", "--seeds", "1", "--jobs", "1",
+                     "--out", out, "--cache-dir", cache]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {culprit}\n"
+        assert captured.out == ""
+        # Nothing ran, so neither the cache nor the output was created.
+        assert sorted(os.listdir(str(tmp_path))) == ["file"]
+
+    def test_no_cache_ignores_the_cache_dir(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("not a directory\n")
+        assert main(["sweep", "baselines", "--seeds", "1", "--jobs", "1",
+                     "--no-cache", "--cache-dir", "file", "--out",
+                     "out"]) == 0
+        assert "cache: 0 hits, 1 misses (disabled)" in capsys.readouterr().out
+
+    def test_merge_into_a_file_exits_2(self, tmp_path, capsys):
+        shard = str(tmp_path / "shard")
+        assert main(["sweep", "baselines", "--seeds", "1", "--jobs", "1",
+                     "--quiet", "--out", shard,
+                     "--cache-dir", str(tmp_path / "cache")]) == 0
+        capsys.readouterr()
+        target = tmp_path / "merged"
+        target.write_text("not a directory\n")
+        assert main(["merge", shard, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {target}: not a directory\n"
+        assert captured.out == ""
+
 
 # The six top-level commands and their one-line help, as `python -m repro
 # --help` printed them before dispatch became lazy.
@@ -127,12 +182,17 @@ class TestTopLevelSurface:
 # -- the import budget ------------------------------------------------------
 #
 # A command imports its own module; heavy third-party imports live at their
-# point of use.  Each case runs in a fresh interpreter and names the
-# packages that must not have been loaded by the time the command returns.
+# point of use; and within a package, looking an experiment up or reading
+# a sweep imports no simulator code.  Each case runs in a fresh interpreter
+# and names the packages that must not have been loaded by the time the
+# command returns.
 
-SIMULATOR = ("repro.eval", "repro.net", "repro.core")
-OBS_BUDGET = SIMULATOR + ("repro.sweep", "repro.analysis", "networkx",
-                          "multiprocessing")
+SIMULATOR = ("repro.net", "repro.core", "repro.crypto", "repro.dist",
+             "repro.baselines")
+TRACE_ANALYTICS = ("repro.obs.query", "repro.obs.forensics",
+                   "repro.obs.diff")
+OBS_BUDGET = ("repro.eval",) + SIMULATOR + (
+    "repro.sweep", "repro.analysis", "networkx", "multiprocessing")
 
 _PROBE = """
 import json, sys
@@ -199,17 +259,28 @@ def _cases():
             ("obs-diff", ["obs", "diff", "traced", "traced-again"],
              "no deltas")):
         yield pytest.param(argv, OBS_BUDGET, says, id=name)
-    no_pool = ("repro.analysis", "networkx", "multiprocessing")
+    no_pool = SIMULATOR + TRACE_ANALYTICS + (
+        "repro.analysis", "networkx", "multiprocessing")
     yield pytest.param(["merge", "shard-0", "shard-1", "--out", "merged"],
                        ("repro.eval",) + no_pool, "shard 1/2, 1 runs",
                        id="merge")
     yield pytest.param(["sweep", "--help"], ("repro.eval",) + no_pool,
                        "--seeds", id="sweep-help")
-    yield pytest.param(["sweep", "baselines", "--seeds", "1", "--jobs", "2",
-                        "--cache-dir", "cache", "--out", "warm"],
+    warm = ["sweep", "baselines", "--seeds", "1", "--cache-dir", "cache"]
+    yield pytest.param(warm + ["--jobs", "2", "--out", "warm"],
                        no_pool, "cache: 1 hits, 0 misses", id="sweep-warm")
+    yield pytest.param(warm + ["--jobs", "2", "--shard", "0/2",
+                               "--out", "warm-shard"],
+                       no_pool, "cache: 1 hits, 0 misses",
+                       id="sweep-warm-shard")
+    # The driver's own modules: its shard children import what they run.
+    yield pytest.param(warm + ["--jobs", "1", "--executor", "subprocess",
+                               "--shards", "2", "--out", "dispatched"],
+                       no_pool, "dispatched 2 shard(s) via subprocess",
+                       id="sweep-dispatch-driver")
     not_run = ("repro.analysis", "repro.sweep", "repro.obs.cli", "networkx")
-    yield pytest.param(["list"], not_run, "fig6_6", id="list")
+    yield pytest.param(["list"], not_run + SIMULATOR + TRACE_ANALYTICS,
+                       "fig6_6", id="list")
     yield pytest.param(["run", "baselines"], not_run, "watchers-consorting",
                        id="run")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -227,6 +298,14 @@ def test_command_imports_only_what_it_runs(argv, forbidden, says,
     assert code == 0 and says in out, out
     loaded = {package: _loaded(modules, package) for package in forbidden}
     assert not any(loaded.values()), loaded
+
+
+def test_run_imports_the_simulator_it_runs():
+    out, (code, modules) = run_fresh(_PROBE, "run", "pik2_bench")
+    assert code == 0 and "pik2 on r3" in out, out
+    for package in ("repro.net", "repro.core", "repro.crypto",
+                    "repro.dist"):
+        assert _loaded(modules, package), package
 
 
 def test_networkx_is_imported_where_it_is_called():
