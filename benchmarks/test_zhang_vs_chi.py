@@ -8,6 +8,7 @@ bursty TCP) goes unseen by ZHANG but is caught by χ's queue replay.
 from conftest import save_series
 
 from repro.baselines.zhang import ZhangDetector
+from repro.core.chi import QueueTap
 from repro.eval import build_scenario, droptail_spec
 from repro.net import MBPS, QueueConditionalDropAttack
 
@@ -15,7 +16,10 @@ from repro.net import MBPS, QueueConditionalDropAttack
 def run_face_off():
     scenario = build_scenario(droptail_spec(tau=2.0))
     net, chi = scenario.network, scenario.chi
-    tap = chi.taps[scenario.target]
+    # χ takes its tap's records every round; ZHANG reads the whole trace
+    # afterwards, so it gets a tap of its own on the same queue.
+    tap = QueueTap(net, chi.oracle, *scenario.target)
+    net.add_tap(tap)
     net.run(20.0)
     chi.calibrate(scenario.target)
     chi.schedule_rounds(10, 44)

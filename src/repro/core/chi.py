@@ -144,6 +144,9 @@ class QueueTap(MonitorTap):
     completion + propagation delay, §6.2.1); the downstream router's
     records carry exit times (arrival minus propagation).  Ground-truth
     occupancy samples are recorded too, used **only** by calibration.
+
+    The record lists hold what has not been taken yet: :class:`ProtocolChi`
+    takes them every round and hands them to its validator.
     """
 
     def __init__(self, network: Network, oracle: PathOracle, router: str,
@@ -156,6 +159,9 @@ class QueueTap(MonitorTap):
         self.records_in: List[TrafficRecord] = []
         self.records_out: List[TrafficRecord] = []
         self.truth_occupancy: List[Tuple[float, int]] = []
+        # Off for queues that are never calibrated (RED) and once
+        # calibration has read the samples.
+        self._samples_truth = True
         self._in_link_delay: Dict[str, float] = {}
         out_link = network.topology.link(router, downstream)
         self._out_link_delay = out_link.delay
@@ -197,8 +203,25 @@ class QueueTap(MonitorTap):
 
     def on_enqueue(self, router: Router, out_nbr: str, packet: Packet,
                    time: float, occupancy: int) -> None:
-        if router.name == self.router and out_nbr == self.downstream:
+        if (self._samples_truth and router.name == self.router
+                and out_nbr == self.downstream):
             self.truth_occupancy.append((time, occupancy))
+
+
+def _redeem(counts: Dict[int, int], fp: int) -> bool:
+    """Take one unit of ``fp``'s count; False if it has none.
+
+    A count that reaches zero is deleted, so ``counts`` holds only the
+    packets still in flight.
+    """
+    n = counts.get(fp)
+    if not n:
+        return False
+    if n == 1:
+        del counts[fp]
+    else:
+        counts[fp] = n - 1
+    return True
 
 
 class QueueValidator:
@@ -222,9 +245,13 @@ class QueueValidator:
         self._pending_out: List[TrafficRecord] = []
         # Multiset bookkeeping: a diverted-and-returned packet can appear
         # twice on the arrival side; each departure redeems exactly one
-        # predicted arrival, the surplus is a genuine loss.
+        # predicted arrival, the surplus is a genuine loss.  Counts are
+        # positive: an entry is deleted when its packet is accounted for.
         self._out_credits: Dict[int, int] = {}
         self._added: Dict[int, int] = {}
+        # The q_pred history calibration reads; kept only until
+        # :meth:`calibrate` ends the learning period.
+        self._learning = True
         self.timeline: List[Tuple[float, float]] = [(0.0, 0.0)]
         # Times column of ``timeline``, kept in lockstep so q_pred_at
         # can bisect without rebuilding the list per query (calibration
@@ -259,8 +286,7 @@ class QueueValidator:
         verdicts: List[DropVerdict] = []
         for when, kind, rec in events:
             if kind == 1:  # departure
-                if self._added.get(rec.fp, 0) > 0:
-                    self._added[rec.fp] -= 1
+                if _redeem(self._added, rec.fp):
                     self.q_pred = max(0.0, self.q_pred - rec.size)
                 else:
                     # Unexpected departure: nothing we enqueued.  Count it
@@ -269,16 +295,17 @@ class QueueValidator:
                     # the prediction untouched.
                     self.unmatched_out += 1
                     self.unmatched_records.append(rec)
-                self.timeline.append((when, self.q_pred))
-                self._timeline_times.append(when)
-            else:  # arrival (kind == 0)
-                self.processed_arrivals += 1
-                if self._out_credits.get(rec.fp, 0) > 0:
-                    self._out_credits[rec.fp] -= 1
-                    self.q_pred += rec.size
-                    self._added[rec.fp] = self._added.get(rec.fp, 0) + 1
+                if self._learning:
                     self.timeline.append((when, self.q_pred))
                     self._timeline_times.append(when)
+            else:  # arrival (kind == 0)
+                self.processed_arrivals += 1
+                if _redeem(self._out_credits, rec.fp):
+                    self.q_pred += rec.size
+                    self._added[rec.fp] = self._added.get(rec.fp, 0) + 1
+                    if self._learning:
+                        self.timeline.append((when, self.q_pred))
+                        self._timeline_times.append(when)
                 else:
                     congestive = self.q_pred + rec.size > self.queue_limit
                     confidence = 0.0
@@ -304,8 +331,16 @@ class QueueValidator:
 
     def calibrate(self, truth_samples: Sequence[Tuple[float, int]],
                   min_sigma: float = 1.0) -> Tuple[float, float]:
-        """Fit (µ, σ) of X = q_act − q_pred from a trusted learning run."""
+        """Fit (µ, σ) of X = q_act − q_pred from a trusted learning run.
+
+        This ends the learning period: the q_pred timeline is released
+        and no longer recorded, so a later call has nothing to fit and
+        returns the current (µ, σ).
+        """
         errors = [occ - self.q_pred_at(t) for t, occ in truth_samples]
+        self._learning = False
+        self.timeline = []
+        self._timeline_times = []
         if not errors:
             return (self.mu, self.sigma)
         mu = sum(errors) / len(errors)
@@ -375,8 +410,7 @@ class REDQueueValidator:
         verdicts: List[DropVerdict] = []
         for when, kind, rec in events:
             if kind == 1:
-                if self._added.get(rec.fp, 0) > 0:
-                    self._added[rec.fp] -= 1
+                if _redeem(self._added, rec.fp):
                     self.occupancy = max(0.0, self.occupancy - rec.size)
                 else:
                     self.unmatched_out += 1
@@ -387,9 +421,7 @@ class REDQueueValidator:
             self._update_average(when)
             prob = red_packet_drop_probability(self.avg, self.params,
                                                self.count, rec.size)
-            transmitted = self._out_credits.get(rec.fp, 0) > 0
-            if transmitted:
-                self._out_credits[rec.fp] -= 1
+            if _redeem(self._out_credits, rec.fp):  # transmitted
                 if prob > 0.0:
                     self.count += 1
                 else:
@@ -505,6 +537,12 @@ class ProtocolChi:
     the downstream router.  Per round, the downstream router evaluates
     the queue and — on alarm — floods a signed suspicion of the 2-segment
     ⟨r, r_d⟩ (χ is accurate with precision 2, §6.3.1).
+
+    Live state is proportional to the packets in flight, not to the
+    length of the run: records move from tap to validator every round,
+    credits live while their packet is in flight, and truth samples and
+    the q_pred timeline only during learning.  ``findings`` (and the
+    cumulative tests' evidence) are kept for the whole run.
     """
 
     def __init__(
@@ -529,7 +567,6 @@ class ProtocolChi:
         self.states: Dict[str, DetectorState] = {
             name: DetectorState(name) for name in network.topology.routers
         }
-        self._consumed: Dict[Tuple[str, str], Tuple[int, int]] = {}
         self._flow_streak: Dict[Tuple[Tuple[str, str], str], int] = {}
         # (target, flow) -> [cum_obs, cum_exp, cum_var]
         self._flow_cum: Dict[Tuple[Tuple[str, str], str], List[float]] = {}
@@ -550,6 +587,7 @@ class ProtocolChi:
                     link.queue_limit, link.bandwidth, self.config.red_params,
                     wait_slack=self.config.wait_slack,
                 )
+                tap._samples_truth = False  # RED is never calibrated
             else:
                 validator = QueueValidator(
                     link.queue_limit, link.bandwidth,
@@ -558,7 +596,6 @@ class ProtocolChi:
             key = (router, downstream)
             self.taps[key] = tap
             self.validators[key] = validator
-            self._consumed[key] = (0, 0)
 
     # -- calibration -------------------------------------------------------------
     def calibrate(self, target: Tuple[str, str],
@@ -567,7 +604,9 @@ class ProtocolChi:
 
         Must be run on attack-free traffic; uses trusted occupancy
         telemetry from the monitored router.  Only meaningful for
-        droptail validators.
+        droptail validators.  The learning period ends here: the tap
+        stops sampling occupancy and both the samples and the
+        validator's q_pred timeline are released.
         """
         tap = self.taps[target]
         validator = self.validators[target]
@@ -575,7 +614,10 @@ class ProtocolChi:
             raise TypeError("calibration applies to droptail validation")
         self._feed(target)
         validator.advance(self.network.sim.now)
-        return validator.calibrate(tap.truth_occupancy, min_sigma=min_sigma)
+        fitted = validator.calibrate(tap.truth_occupancy, min_sigma=min_sigma)
+        tap._samples_truth = False
+        tap.truth_occupancy = []
+        return fitted
 
     # -- round scheduling -----------------------------------------------------------
     def schedule_rounds(self, first_round: int, last_round: int) -> None:
@@ -586,10 +628,10 @@ class ProtocolChi:
     def _feed(self, target: Tuple[str, str]) -> None:
         tap = self.taps[target]
         validator = self.validators[target]
-        used_in, used_out = self._consumed[target]
-        new_in = tap.records_in[used_in:]
-        new_out = tap.records_out[used_out:]
-        self._consumed[target] = (len(tap.records_in), len(tap.records_out))
+        # Take the tap's records: from here on the validator holds them
+        # until they are processed.
+        new_in, tap.records_in = tap.records_in, []
+        new_out, tap.records_out = tap.records_out, []
         # Protocol-faulty neighbours may misreport their Tinfo.
         if self.reporters:
             filtered = []

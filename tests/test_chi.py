@@ -1,9 +1,14 @@
 """Tests for Protocol χ: queue validators, confidence tests, protocol."""
 
 
+from typing import List, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chi import (
+    DropVerdict,
     ProtocolChi,
     QueueValidator,
     REDQueueValidator,
@@ -15,8 +20,9 @@ from repro.core.chi import (
 )
 from repro.core.summaries import PathOracle
 from repro.dist.sync import RoundSchedule
+from repro.eval.experiments import TESTBED_ROWS, run_testbed
 from repro.net.adversary import DropFlowAttack
-from repro.net.queues import REDParams
+from repro.net.queues import REDParams, red_packet_drop_probability
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
 from repro.net.tcp import TCPFlow
@@ -314,3 +320,261 @@ class TestMisrouteDetection:
         CBRSource(net, "s1", "sink2", "g", rate_bps=400_000, duration=5.0)
         net.run(8.0)
         assert all(not f.alarmed for f in chi.findings)
+
+
+# -- bounded state -------------------------------------------------------------
+
+def live_state(chi) -> int:
+    """Entries χ holds for its taps and validators (findings excluded)."""
+    size = 0
+    for target, tap in chi.taps.items():
+        v = chi.validators[target]
+        size += (len(tap.records_in) + len(tap.records_out)
+                 + len(tap.truth_occupancy)
+                 + len(v._pending_in) + len(v._pending_out)
+                 + len(v._out_credits) + len(v._added)
+                 + len(v.unmatched_records)
+                 + len(getattr(v, "timeline", ()))
+                 + len(getattr(v, "arrival_probs", ())))
+    return size
+
+
+class TestBoundedState:
+    """χ's live state follows the packets in flight, not the run length."""
+
+    @pytest.mark.parametrize("name", ["chi", "adversary_heavy"])
+    def test_state_is_bounded_by_packets_in_flight(self, name, monkeypatch):
+        row = next(r for r in TESTBED_ROWS if r.name == name)
+        sizes: List[int] = []
+        in_flight: List[int] = []
+        calibrated: List[Tuple[str, str]] = []
+        evaluate_round, calibrate = (ProtocolChi.evaluate_round,
+                                     ProtocolChi.calibrate)
+
+        def check_calibrated(chi):
+            for target in calibrated:
+                assert chi.taps[target].truth_occupancy == []
+                assert chi.validators[target].timeline == []
+
+        def calibrate_and_check(chi, target, *args, **kwargs):
+            fitted = calibrate(chi, target, *args, **kwargs)
+            calibrated.append(target)
+            check_calibrated(chi)
+            return fitted
+
+        def evaluate_and_check(chi, round_index):
+            findings = evaluate_round(chi, round_index)
+            for target, tap in chi.taps.items():
+                v = chi.validators[target]
+                # Everything the tap recorded has been handed over.
+                assert tap.records_in == [] and tap.records_out == []
+                if isinstance(v, REDQueueValidator):
+                    assert tap.truth_occupancy == []
+                # One credit unit per departure fed and not yet redeemed,
+                # and no entry sits at zero: so neither dict is larger
+                # than the pending departures plus the unmatched ones.
+                counts = list(v._out_credits.values()) + list(v._added.values())
+                assert all(c > 0 for c in counts)
+                assert sum(counts) == len(v._pending_out) + v.unmatched_out
+                in_flight.append(len(v._pending_in) + len(v._pending_out))
+            check_calibrated(chi)
+            sizes.append(live_state(chi))
+            return findings
+
+        monkeypatch.setattr(ProtocolChi, "calibrate", calibrate_and_check)
+        monkeypatch.setattr(ProtocolChi, "evaluate_round", evaluate_and_check)
+        result = run_testbed(row.label, row.spec)
+
+        assert result.detected and len(sizes) > 30
+        assert calibrated == ([] if name == "adversary_heavy" else [("r", "rd")])
+        slack = 2 * max(in_flight)
+        for n in range(1, len(sizes) // 2 + 1):
+            assert sizes[2 * n - 1] <= sizes[n - 1] + slack, (n, sizes)
+
+
+# -- the validators against the count-keeping reference ------------------------
+
+class ReferenceQueueValidator(QueueValidator):
+    """``advance`` as it was before counts were deleted at zero."""
+
+    def advance(self, watermark: float) -> List[DropVerdict]:
+        horizon = watermark - self.max_wait
+        ready_in = [r for r in self._pending_in if r.time <= horizon]
+        ready_out = [r for r in self._pending_out if r.time <= horizon]
+        self._pending_in = [r for r in self._pending_in if r.time > horizon]
+        self._pending_out = [r for r in self._pending_out if r.time > horizon]
+        events: List[Tuple[float, int, TrafficRecord]] = []
+        for rec in ready_in:
+            events.append((rec.time, 0, rec))  # arrivals first on ties
+        for rec in ready_out:
+            events.append((rec.time, 1, rec))
+        events.sort(key=lambda e: (e[0], e[1]))
+
+        verdicts: List[DropVerdict] = []
+        for when, kind, rec in events:
+            if kind == 1:  # departure
+                if self._added.get(rec.fp, 0) > 0:
+                    self._added[rec.fp] -= 1
+                    self.q_pred = max(0.0, self.q_pred - rec.size)
+                else:
+                    self.unmatched_out += 1
+                    self.unmatched_records.append(rec)
+                self.timeline.append((when, self.q_pred))
+                self._timeline_times.append(when)
+            else:  # arrival (kind == 0)
+                self.processed_arrivals += 1
+                if self._out_credits.get(rec.fp, 0) > 0:
+                    self._out_credits[rec.fp] -= 1
+                    self.q_pred += rec.size
+                    self._added[rec.fp] = self._added.get(rec.fp, 0) + 1
+                    self.timeline.append((when, self.q_pred))
+                    self._timeline_times.append(when)
+                else:
+                    congestive = self.q_pred + rec.size > self.queue_limit
+                    confidence = 0.0
+                    if not congestive:
+                        confidence = single_loss_confidence(
+                            self.queue_limit, self.q_pred, rec.size,
+                            self.mu, self.sigma,
+                        )
+                    verdicts.append(DropVerdict(
+                        record=rec, q_pred=self.q_pred,
+                        congestive=congestive, confidence=confidence,
+                    ))
+        return verdicts
+
+
+class ReferenceREDQueueValidator(REDQueueValidator):
+    """``advance`` as it was before counts were deleted at zero."""
+
+    def advance(self, watermark: float) -> List[DropVerdict]:
+        horizon = watermark - self.max_wait
+        ready_in = [r for r in self._pending_in if r.time <= horizon]
+        ready_out = [r for r in self._pending_out if r.time <= horizon]
+        self._pending_in = [r for r in self._pending_in if r.time > horizon]
+        self._pending_out = [r for r in self._pending_out if r.time > horizon]
+        events: List[Tuple[float, int, TrafficRecord]] = []
+        for rec in ready_in:
+            events.append((rec.time, 0, rec))  # arrivals first on ties
+        for rec in ready_out:
+            events.append((rec.time, 1, rec))
+        events.sort(key=lambda e: (e[0], e[1]))
+
+        verdicts: List[DropVerdict] = []
+        for when, kind, rec in events:
+            if kind == 1:
+                if self._added.get(rec.fp, 0) > 0:
+                    self._added[rec.fp] -= 1
+                    self.occupancy = max(0.0, self.occupancy - rec.size)
+                else:
+                    self.unmatched_out += 1
+                    self.unmatched_records.append(rec)
+                if self.occupancy == 0:
+                    self._idle_since = when
+                continue
+            self._update_average(when)
+            prob = red_packet_drop_probability(self.avg, self.params,
+                                               self.count, rec.size)
+            transmitted = self._out_credits.get(rec.fp, 0) > 0
+            if transmitted:
+                self._out_credits[rec.fp] -= 1
+                if prob > 0.0:
+                    self.count += 1
+                else:
+                    self.count = -1
+                self.occupancy += rec.size
+                self._added[rec.fp] = self._added.get(rec.fp, 0) + 1
+                self._idle_since = None
+                self.arrival_probs.append((rec, prob, False))
+            else:
+                forced = (self.occupancy + rec.size > self.queue_limit
+                          or prob >= 1.0)
+                self.count = 0 if not forced else -1
+                effective = 1.0 if forced else prob
+                self.arrival_probs.append((rec, effective, True))
+                verdicts.append(DropVerdict(
+                    record=rec, q_pred=self.occupancy,
+                    congestive=forced,
+                    confidence=max(0.0, 1.0 - effective),
+                    red_drop_prob=effective,
+                ))
+        return verdicts
+
+
+@st.composite
+def chunked_record_streams(draw):
+    """One queue's Tinfo cut into round-sized chunks.
+
+    Few fingerprints, so packets repeat (diverted and returned); some
+    arrivals never depart, some departures were never claimed; times sit
+    on a 10 ms grid, so arrivals and departures tie.  Returns
+    ``[(records_in, records_out, watermark), ...]``; the last watermark
+    flushes every pending record.
+    """
+    ins: List[TrafficRecord] = []
+    outs: List[TrafficRecord] = []
+    for _ in range(draw(st.integers(0, 40))):
+        fp = draw(st.integers(0, 5))
+        size = draw(st.sampled_from((40, 576, 1000, 1500)))
+        flow = draw(st.sampled_from(("a", "b")))
+        enter = draw(st.integers(0, 60))
+        shape = draw(st.sampled_from(("forwarded", "forwarded", "lost",
+                                      "unclaimed")))
+        if shape != "unclaimed":
+            ins.append(TrafficRecord(fp=fp, size=size, time=enter / 100,
+                                     flow_id=flow, dst="d" + flow))
+        if shape != "lost":
+            leave = enter + draw(st.integers(0, 8))
+            outs.append(TrafficRecord(fp=fp, size=size, time=leave / 100,
+                                      flow_id=flow, dst="d" + flow))
+    ins.sort(key=lambda r: r.time)
+    outs.sort(key=lambda r: r.time)
+    n_rounds = draw(st.integers(1, 6))
+
+    def cuts(records):
+        inner = sorted(draw(st.lists(st.integers(0, len(records)),
+                                     min_size=n_rounds - 1,
+                                     max_size=n_rounds - 1)))
+        edges = [0] + inner + [len(records)]
+        return [records[a:b] for a, b in zip(edges, edges[1:])]
+
+    marks = sorted(draw(st.lists(st.integers(0, 100), min_size=n_rounds - 1,
+                                 max_size=n_rounds - 1)))
+    watermarks = [m / 100 for m in marks] + [10.0]
+    return list(zip(cuts(ins), cuts(outs), watermarks))
+
+
+def positive_counts(counts):
+    return {fp: n for fp, n in counts.items() if n > 0}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chunked_record_streams())
+def test_validators_match_count_keeping_reference(rounds):
+    red = REDParams(min_th=1_000, max_th=4_000, max_p=0.5, weight=0.5,
+                    byte_mode=False)
+    pairs = [
+        (QueueValidator(4_000, 1 * MBPS, mu=0.0, sigma=500.0),
+         ReferenceQueueValidator(4_000, 1 * MBPS, mu=0.0, sigma=500.0)),
+        (REDQueueValidator(4_000, 1 * MBPS, red),
+         ReferenceREDQueueValidator(4_000, 1 * MBPS, red)),
+    ]
+    for new, ref in pairs:
+        for records_in, records_out, watermark in rounds:
+            for v in (new, ref):
+                v.feed(records_in, records_out)
+            assert new.advance(watermark) == ref.advance(watermark)
+            assert new.unmatched_out == ref.unmatched_out
+            assert new.unmatched_records == ref.unmatched_records
+            assert new._out_credits == positive_counts(ref._out_credits)
+            assert new._added == positive_counts(ref._added)
+            if isinstance(new, REDQueueValidator):
+                assert ((new.occupancy, new.avg, new.count, new._idle_since)
+                        == (ref.occupancy, ref.avg, ref.count,
+                            ref._idle_since))
+                assert new.drain_arrival_probs() == ref.drain_arrival_probs()
+            else:
+                assert new.q_pred == ref.q_pred
+                assert new.processed_arrivals == ref.processed_arrivals
+                assert new.timeline == ref.timeline
+        assert not new._pending_in and not new._pending_out
