@@ -28,9 +28,9 @@ pickle safety across the sweep dispatch boundary, registry contracts —
 
 Start-up is pay-for-what-you-run: a command imports its own module
 (``COMMANDS`` below is the only list of commands, and ``main`` imports
-the selected one's module and no other), and heavy third-party imports
-(``networkx``, process pools) live at their point of use, not at module
-top.  The same holds inside packages: the experiment registry and the
+the selected one's module and no other), the runtime imports no
+third-party package, and process pools are imported where one is
+started, not at module top.  The same holds inside packages: the experiment registry and the
 ``repro.eval`` / ``repro.obs`` surfaces import no simulator code, so
 ``list``, ``merge`` and a sweep whose cells are all cached load nothing
 under ``repro.net``, ``core``, ``crypto``, ``dist`` or ``baselines``;

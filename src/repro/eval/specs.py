@@ -430,12 +430,9 @@ class PlacementSpec(_SpecDict):
             return self.router
         if self.strategy == "seeded-random":
             return random.Random(seed).choice(pool)
-        import networkx as nx
-
-        graph = topology.to_networkx()
-        centrality = nx.betweenness_centrality(graph)
+        centrality = topology.betweenness()
         if self.strategy == "articulation-point":
-            cut = sorted(set(nx.articulation_points(graph)) & set(pool))
+            cut = sorted(topology.articulation_points() & set(pool))
             if cut:
                 pool = cut
         # max() keeps the first of equals, so sorted pool => lexicographic

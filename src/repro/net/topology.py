@@ -22,11 +22,9 @@ Besides hand-built test topologies (chain, diamond) this module provides:
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
-
-if TYPE_CHECKING:
-    import networkx as nx
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 MBPS = 125_000  # bytes per second in one megabit/second
 
@@ -62,6 +60,9 @@ class Topology:
         self._node_set: set = set()
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, List[str]] = {}
+        # Undirected neighbours, each router's in order of first appearance
+        # over ``_links``: the graph the undirected queries below read.
+        self._undirected: Dict[str, List[str]] = {}
         #: Monotone structural revision.  Bumped whenever the router/link
         #: structure changes; :mod:`repro.net.routing` keys its SPF caches
         #: on it.  Callers that mutate :class:`Link` fields that feed path
@@ -79,6 +80,7 @@ class Topology:
         self._nodes.append(name)
         self._node_set.add(name)
         self._adjacency[name] = []
+        self._undirected[name] = []
         self.version += 1
 
     def add_link(
@@ -92,17 +94,25 @@ class Topology:
         mtu: Optional[int] = None,
         bidirectional: bool = True,
     ) -> None:
-        """Add a link a->b (and b->a unless ``bidirectional`` is False)."""
+        """Add a link a->b (and b->a unless ``bidirectional`` is False).
+
+        Every direction is checked before any is inserted, so a call that
+        raises leaves the topology unchanged.
+        """
         if a == b:
             raise ValueError(f"self-link on {a!r}")
-        self.add_router(a)
-        self.add_router(b)
-        if metric is None:
-            metric = delay * 1000.0  # default: cost proportional to delay (ms)
         pairs = [(a, b), (b, a)] if bidirectional else [(a, b)]
         for src, dst in pairs:
             if (src, dst) in self._links:
                 raise ValueError(f"duplicate link {src}->{dst}")
+        self.add_router(a)
+        self.add_router(b)
+        if metric is None:
+            metric = delay * 1000.0  # default: cost proportional to delay (ms)
+        for src, dst in pairs:
+            if (dst, src) not in self._links:
+                self._undirected[src].append(dst)
+                self._undirected[dst].append(src)
             self._links[(src, dst)] = Link(
                 src, dst, bandwidth=bandwidth, delay=delay, metric=metric,
                 queue_limit=queue_limit, mtu=mtu,
@@ -139,34 +149,109 @@ class Topology:
     def links(self) -> Iterator[Link]:
         return iter(self._links.values())
 
+    # -- undirected structure -------------------------------------------
+    # These read the cables, not the directed links: a one-way link joins
+    # its two routers like a two-way one.
+
     def undirected_link_count(self) -> int:
-        seen = set()
-        for (a, b) in self._links:
-            seen.add(frozenset((a, b)))
-        return len(seen)
-
-    def to_networkx(self) -> nx.Graph:
-        """Undirected view with metric/delay/bandwidth edge attributes."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._nodes)
-        for (a, b), link in self._links.items():
-            graph.add_edge(
-                a, b,
-                metric=link.metric, delay=link.delay, bandwidth=link.bandwidth,
-            )
-        return graph
+        return sum(map(len, self._undirected.values())) // 2
 
     def is_connected(self) -> bool:
+        """Whether every router reaches every other (True when empty)."""
         if not self._nodes:
             return True
-        import networkx as nx
+        seen = {self._nodes[0]}
+        queue = deque(seen)
+        while queue:
+            for w in self._undirected[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return len(seen) == len(self._nodes)
 
-        return nx.is_connected(self.to_networkx())
+    def articulation_points(self) -> Set[str]:
+        """Routers whose removal disconnects the rest of their component."""
+        cut: Set[str] = set()
+        discovery: Dict[str, int] = {}
+        low: Dict[str, int] = {}
+        for root in self._nodes:
+            if root in discovery:
+                continue
+            discovery[root] = low[root] = len(discovery)
+            root_children = 0
+            stack = [(root, root, iter(self._undirected[root]))]
+            while stack:
+                parent, v, children = stack[-1]
+                for w in children:
+                    if w not in discovery:
+                        discovery[w] = low[w] = len(discovery)
+                        stack.append((v, w, iter(self._undirected[w])))
+                        break
+                    if w != parent:
+                        low[v] = min(low[v], discovery[w])
+                else:
+                    stack.pop()
+                    if v == root:
+                        continue
+                    low[parent] = min(low[parent], low[v])
+                    if parent == root:
+                        root_children += 1
+                    elif low[v] >= discovery[parent]:
+                        cut.add(parent)
+            if root_children > 1:
+                cut.add(root)
+        return cut
+
+    def betweenness(self) -> Dict[str, float]:
+        """Normalised shortest-path betweenness of every router.
+
+        Brandes (2001) over unweighted hops, endpoints excluded, scaled by
+        ``1 / ((n-1)(n-2))``.  Placement breaks exact ties by these floats,
+        so the sums keep one order to the bit: sources in router order,
+        predecessors in discovery order, dependencies in reverse BFS order
+        (``tests/test_topology.py`` holds them equal to the reference
+        implementation's).
+        """
+        centrality = dict.fromkeys(self._nodes, 0.0)
+        for s in self._nodes:
+            order: List[str] = []
+            preds: Dict[str, List[str]] = {s: []}
+            sigma = {s: 1.0}
+            dist = {s: 0}
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                order.append(v)
+                dv = dist[v] + 1
+                sigma_v = sigma[v]
+                for w in self._undirected[v]:
+                    if w not in dist:
+                        queue.append(w)
+                        dist[w] = dv
+                        sigma[w] = 0.0
+                        preds[w] = []
+                    if dist[w] == dv:
+                        sigma[w] += sigma_v
+                        preds[w].append(v)
+            delta = dict.fromkeys(order, 0.0)
+            while order:
+                w = order.pop()
+                coeff = (1 + delta[w]) / sigma[w]
+                for v in preds[w]:
+                    delta[v] += sigma[v] * coeff
+                if w != s:
+                    centrality[w] += delta[w]
+        n = len(self._nodes)
+        if n >= 3:
+            scale = 1 / ((n - 1) * (n - 2))
+            for v in centrality:
+                centrality[v] *= scale
+        return centrality
 
     def degree_stats(self) -> Tuple[float, int]:
-        """(mean degree, max degree) over all routers."""
+        """(mean degree, max degree) over all routers; (0.0, 0) if none."""
+        if not self._nodes:
+            return (0.0, 0)
         degrees = [self.degree(n) for n in self._nodes]
         return (sum(degrees) / len(degrees), max(degrees))
 

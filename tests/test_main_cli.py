@@ -181,8 +181,8 @@ class TestTopLevelSurface:
 
 # -- the import budget ------------------------------------------------------
 #
-# A command imports its own module; heavy third-party imports live at their
-# point of use; and within a package, looking an experiment up or reading
+# A command imports its own module, the runtime imports no third-party
+# package at all, and within a package, looking an experiment up or reading
 # a sweep imports no simulator code.  Each case runs in a fresh interpreter
 # and names the packages that must not have been loaded by the time the
 # command returns.
@@ -308,19 +308,19 @@ def test_run_imports_the_simulator_it_runs():
         assert _loaded(modules, package), package
 
 
-def test_networkx_is_imported_where_it_is_called():
-    _, (_, modules) = run_fresh(
-        "import json, sys\n"
-        "import repro.net, repro.eval\n"
-        "print(json.dumps([0, sorted(sys.modules)]), file=sys.stderr)")
+_CENTRALITY_CELLS = """
+import json, sys
+from repro.eval import registry
+picks = [registry.get("attack_matrix").run(
+             seed=0, topology="abilene",
+             **{"placement.strategy": strategy}).adversary_router
+         for strategy in ("max-betweenness", "articulation-point")]
+print(json.dumps(picks))
+print(json.dumps([0, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def test_centrality_placement_imports_no_networkx():
+    out, (_, modules) = run_fresh(_CENTRALITY_CELLS)
+    assert json.loads(out) == ["KansasCity", "KansasCity"]
     assert not _loaded(modules, "networkx")
-
-    from repro.eval import PlacementSpec
-    from repro.net import abilene
-
-    topology = abilene()
-    assert topology.is_connected() is True
-    for strategy in ("max-betweenness", "articulation-point"):
-        assert PlacementSpec(strategy=strategy).resolve(
-            topology, 0, topology.routers) == "KansasCity"
-    assert "networkx" in sys.modules

@@ -31,6 +31,7 @@ from repro.eval import (
     TrafficSpec,
     build_scenario,
     topology_names,
+    transit_candidates,
 )
 from repro.eval import experiments as ex, registry
 from repro.eval.registry import ParamError, get as get_experiment
@@ -170,6 +171,22 @@ class TestGeneratedSpecs:
         assert ScenarioSpec.from_dict(dumped) == expected
 
 
+#: The router each centrality strategy resolves to at seed 0, per catalogue
+#: topology, over (all routers, the attack matrix's transit candidates):
+#: (max-betweenness x 2, articulation-point x 2), captured when placement
+#: still ran on networkx.
+PICKS_AT_PARENT = [
+    ("abilene", (), ("KansasCity",) * 4),
+    ("ebone_like", (), ("ebone-0", "ebone-0", "ebone-21", "ebone-21")),
+    ("grid", (), ("r2x2",) * 4),
+    ("grid", (("cols", 4), ("rows", 2)), ("r1x2",) * 4),
+    ("line", (), ("r3",) * 4),
+    ("ring", (), ("r1",) * 4),
+    ("simple", (), ("r",) * 4),
+    ("sprintlink_like", (), ("sprintlink-1",) * 4),
+]
+
+
 class TestPlacement:
     def test_fixed_requires_member_router(self):
         spec = PlacementSpec("fixed", router="r2")
@@ -201,8 +218,26 @@ class TestPlacement:
         # A cycle has no articulation points: fall back to betweenness
         # over the full pool instead of failing.
         spec = PlacementSpec("articulation-point")
-        picked = spec.resolve(ring(6), 0, ["r2", "r3", "r4"])
-        assert picked in {"r2", "r3", "r4"}
+        assert spec.resolve(ring(6), 0, ["r2", "r3", "r4"]) == "r2"
+
+    @pytest.mark.parametrize("name, options, picks", PICKS_AT_PARENT)
+    def test_centrality_picks_are_pinned(self, name, options, picks):
+        topo = TopologySpec(name, options).build()
+        pools = (topo.routers, list(transit_candidates(topo)))
+        assert tuple(PlacementSpec(strategy).resolve(topo, 0, pool)
+                     for strategy in ("max-betweenness", "articulation-point")
+                     for pool in pools) == picks
+
+    def test_pinned_picks_cover_the_catalogue(self):
+        assert {name for name, _, _ in PICKS_AT_PARENT} \
+            == set(topology_names())
+
+    def test_exact_ties_break_by_float_noise(self):
+        # grid 3x3 scores r2x1 0.17857142857142852 and r3x2 ...55: the
+        # betweenness sums' rounding, not the name, decides between them.
+        spec = PlacementSpec("max-betweenness")
+        assert spec.resolve(TopologySpec("grid").build(), 0,
+                            ["r2x1", "r3x2"]) == "r3x2"
 
     def test_strategies_constant_matches_spec(self):
         assert set(PLACEMENT_STRATEGIES) == {

@@ -1,6 +1,8 @@
 """Unit tests for topologies and generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.topology import (
     MBPS,
@@ -10,6 +12,8 @@ from repro.net.topology import (
     chain,
     diamond,
     ebone_like,
+    grid,
+    ring,
     sprintlink_like,
 )
 
@@ -38,6 +42,21 @@ class TestTopologyBasics:
         with pytest.raises(ValueError):
             topo.add_link("a", "b")
 
+    def test_failed_add_link_leaves_topology_unchanged(self):
+        topo = Topology()
+        topo.add_link("a", "b", bidirectional=False)
+        version = topo.version
+        with pytest.raises(ValueError, match="duplicate link a->b"):
+            topo.add_link("b", "a")
+        assert not topo.has_link("b", "a")
+        assert topo.neighbors("b") == []
+        assert topo.version == version
+        topo.add_link("b", "a", bidirectional=False)
+        assert topo.has_link("b", "a")
+
+    def test_degree_stats_of_empty_topology(self):
+        assert Topology().degree_stats() == (0.0, 0)
+
     def test_missing_link_raises(self):
         topo = chain(3)
         with pytest.raises(KeyError):
@@ -61,11 +80,6 @@ class TestTopologyBasics:
         assert "r1" in topo
         assert "nope" not in topo
         assert len(topo) == 3
-
-    def test_networkx_roundtrip(self):
-        graph = abilene().to_networkx()
-        assert graph.number_of_nodes() == 11
-        assert graph.number_of_edges() == 14
 
     def test_transmission_delay(self):
         link = Link("a", "b", bandwidth=1 * MBPS)
@@ -137,3 +151,86 @@ class TestGeneratedTopologies:
         a = {(l.src, l.dst) for l in ebone_like(seed=1).links()}
         b = {(l.src, l.dst) for l in ebone_like(seed=2).links()}
         assert a != b
+
+
+class TestGraphQueries:
+    def test_chain_betweenness(self):
+        assert chain(5).betweenness() == {
+            "r1": 0.0, "r2": 0.5, "r3": 2 / 3, "r4": 0.5, "r5": 0.0}
+
+    def test_articulation_points(self):
+        assert chain(5).articulation_points() == {"r2", "r3", "r4"}
+        assert ring(6).articulation_points() == set()
+        assert abilene().articulation_points() == set()
+
+    def test_one_way_links_join_routers(self):
+        topo = Topology()
+        topo.add_link("a", "b", bidirectional=False)
+        topo.add_link("c", "b", bidirectional=False)
+        assert topo.is_connected()
+        assert topo.articulation_points() == {"b"}
+        topo.add_router("d")
+        assert not topo.is_connected()
+
+    def test_empty_and_tiny_topologies(self):
+        assert Topology().is_connected()
+        assert Topology().betweenness() == {}
+        pair = chain(2)
+        assert pair.betweenness() == {"r1": 0.0, "r2": 0.0}
+        assert pair.articulation_points() == set()
+
+
+@pytest.fixture(scope="module")
+def nx():
+    """The oracle: ``networkx``, a test-only dependency."""
+    return pytest.importorskip("networkx")
+
+
+def _networkx_view(nx, topo):
+    """The undirected ``nx.Graph`` of *topo*: routers, then links, in order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.routers)
+    graph.add_edges_from(link.ends for link in topo.links())
+    return graph
+
+
+@st.composite
+def topologies(draw):
+    """1-30 routers, one- and two-way links, isolated routers and islands."""
+    n = draw(st.integers(1, 30))
+    names = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=3),
+                          min_size=n, max_size=n, unique=True))
+    topo = Topology()
+    for name in names:
+        topo.add_router(name)
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names),
+                      st.booleans())
+    for a, b, both_ways in draw(st.lists(pairs, max_size=3 * n)):
+        if a == b or topo.has_link(a, b) or topo.has_link(b, a):
+            continue
+        topo.add_link(a, b, bidirectional=both_ways)
+    return topo
+
+
+class TestNetworkxOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(topologies())
+    def test_graph_queries_match_networkx(self, nx, topo):
+        graph = _networkx_view(nx, topo)
+        expected = nx.betweenness_centrality(graph)
+        got = topo.betweenness()
+        assert got == expected
+        assert list(got) == list(expected)
+        assert topo.articulation_points() == set(nx.articulation_points(graph))
+        assert topo.is_connected() == nx.is_connected(graph)
+
+    @pytest.mark.parametrize("build", [
+        abilene, ebone_like, sprintlink_like, lambda: grid(3, 3),
+        lambda: grid(2, 4), lambda: ring(8)])
+    def test_catalogue_topologies_match_networkx(self, nx, build):
+        topo = build()
+        graph = _networkx_view(nx, topo)
+        assert graph.number_of_edges() == topo.undirected_link_count()
+        assert topo.betweenness() == nx.betweenness_centrality(graph)
+        assert topo.articulation_points() == set(nx.articulation_points(graph))
+        assert topo.is_connected() is True
