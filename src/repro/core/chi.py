@@ -31,11 +31,10 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.detector import DetectorState, Suspicion
+from repro.core.detector import RoundDetector, Suspicion
 from repro.core.summaries import PathOracle
 from repro.crypto.fingerprint import fingerprint
 from repro.crypto.keys import KeyInfrastructure
-from repro.dist.broadcast import robust_flood
 from repro.dist.sync import RoundSchedule
 from repro.net import MonitorTap, Network, Packet, REDParams, Router
 from repro.net.queues import red_packet_drop_probability
@@ -529,7 +528,7 @@ class ChiConfig:
     red_params: Optional[REDParams] = None  # None => droptail validation
 
 
-class ProtocolChi:
+class ProtocolChi(RoundDetector):
     """Distributed χ over a simulated network.
 
     ``targets`` lists the monitored output interfaces as (router,
@@ -555,18 +554,13 @@ class ProtocolChi:
         config: Optional[ChiConfig] = None,
         reporters: Optional[Dict[str, Callable[[List[TrafficRecord]], List[TrafficRecord]]]] = None,
     ) -> None:
-        self.network = network
+        super().__init__(network, schedule, config or ChiConfig())
         self.oracle = oracle
-        self.schedule = schedule
-        self.config = config or ChiConfig()
         self.keys = keys or KeyInfrastructure()
         self.reporters = reporters or {}
         self.taps: Dict[Tuple[str, str], QueueTap] = {}
         self.validators: Dict[Tuple[str, str], object] = {}
         self.findings: List[RoundFinding] = []
-        self.states: Dict[str, DetectorState] = {
-            name: DetectorState(name) for name in network.topology.routers
-        }
         self._flow_streak: Dict[Tuple[Tuple[str, str], str], int] = {}
         # (target, flow) -> [cum_obs, cum_exp, cum_var]
         self._flow_cum: Dict[Tuple[Tuple[str, str], str], List[float]] = {}
@@ -619,12 +613,7 @@ class ProtocolChi:
         tap.truth_occupancy = []
         return fitted
 
-    # -- round scheduling -----------------------------------------------------------
-    def schedule_rounds(self, first_round: int, last_round: int) -> None:
-        for r in range(first_round, last_round + 1):
-            when = self.schedule.round_end(r) + self.config.settle_delay
-            self.network.sim.schedule_at(when, self.evaluate_round, r)
-
+    # -- rounds -----------------------------------------------------------------
     def _feed(self, target: Tuple[str, str]) -> None:
         tap = self.taps[target]
         validator = self.validators[target]
@@ -651,7 +640,7 @@ class ProtocolChi:
             self.findings.append(finding)
             out.append(finding)
             if finding.alarmed:
-                self._announce(target, round_index, finding)
+                self._alarm(target, round_index, finding)
         return out
 
     def _evaluate_target(self, target: Tuple[str, str],
@@ -830,8 +819,8 @@ class ProtocolChi:
         finding.misrouted_or_fabricated = misrouted
         finding.misroute_alarm = misrouted > self.config.misreport_threshold
 
-    def _announce(self, target: Tuple[str, str], round_index: int,
-                  finding: RoundFinding) -> None:
+    def _alarm(self, target: Tuple[str, str], round_index: int,
+               finding: RoundFinding) -> None:
         router, downstream = target
         interval = self.schedule.interval(round_index)
         reasons = []
@@ -867,22 +856,14 @@ class ProtocolChi:
             segments.append((router, downstream))
         for neighbor in finding.misreporting_neighbors:
             segments.append((neighbor, router))
-        compromised = {name for name, r in self.network.routers.items()
-                       if r.compromise is not None}
         for segment in segments:
-            suspicion = Suspicion(
+            self.announce(Suspicion(
                 segment=segment, interval=interval,
                 suspected_by=downstream,
                 reason="; ".join(reasons),
                 confidence=max(finding.max_single_confidence,
                                finding.combined_confidence, 0.0),
-            )
-            if downstream not in compromised:
-                self.states[downstream].suspect(suspicion)
-            robust_flood(
-                self.network, downstream, suspicion,
-                on_deliver=lambda at, msg, t: self.states[at].suspect(msg),
-            )
+            ), (downstream,))
 
     # -- reporting ----------------------------------------------------------------
     def alarmed_rounds(self, target: Optional[Tuple[str, str]] = None) -> List[RoundFinding]:

@@ -11,13 +11,20 @@ actually had a compromise attached and what it actually did):
   appears in (FI) or is fault-connected to (FC) a suspected segment at
   every correct router.
 * **Precision** — the longest suspected segment.
+
+:class:`RoundDetector` is the round step Π2, Πk+2 and χ share: the
+router → :class:`DetectorState` table, one evaluation per round end,
+and :meth:`RoundDetector.announce`, which spreads a suspicion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.codecs import EncodedSummary, validate_encoded
+from repro.core.validation import TVResult, validate
+from repro.dist.broadcast import robust_flood
 from repro.obs import recorder
 
 PathSegment = Tuple[str, ...]
@@ -91,6 +98,66 @@ class DetectorState:
         if not self.suspicions:
             return 0
         return max(len(s.segment) for s in self.suspicions)
+
+
+class RoundDetector:
+    """The round step of Π2, Πk+2 and χ.
+
+    A subclass defines ``evaluate_round(round_index)``; its ``config``
+    has a ``settle_delay``, the wait after a round's end for packets
+    still in flight.
+    """
+
+    def __init__(self, network, schedule, config,
+                 on_suspicion: Optional[Callable[[Suspicion], None]] = None,
+                 ) -> None:
+        self.network = network
+        self.schedule = schedule
+        self.config = config
+        self.on_suspicion = on_suspicion
+        self.states: Dict[str, DetectorState] = {
+            name: DetectorState(name) for name in network.topology.routers
+        }
+
+    def schedule_rounds(self, first_round: int, last_round: int) -> None:
+        for r in range(first_round, last_round + 1):
+            when = self.schedule.round_end(r) + self.config.settle_delay
+            self.network.sim.schedule_at(when, self.evaluate_round, r)
+
+    def announce(self, suspicion: Suspicion, origins: Sequence[str]) -> None:
+        """Each correct origin adopts ``suspicion`` and floods it.
+
+        The evidence is reliably broadcast, so every correct router in
+        the network converges on the same detections (strong
+        completeness).  A compromised origin stays silent.
+        """
+        for origin in origins:
+            if self.network.routers[origin].compromise is not None:
+                continue
+            self.states[origin].suspect(suspicion)
+            robust_flood(self.network, origin, suspicion,
+                         on_deliver=self._adopt)
+        if self.on_suspicion is not None:
+            self.on_suspicion(suspicion)
+
+    def _adopt(self, router: str, suspicion: Suspicion, _now: float) -> None:
+        self.states[router].suspect(suspicion)
+
+
+def run_tv(upstream, downstream, config) -> TVResult:
+    """TV of one summary pair under a Π protocol's ``config``.
+
+    An :class:`EncodedSummary` (only Πk+2 ships one, §2.4.1) is checked
+    against its codec; a plain summary by its policy's predicate.
+    """
+    if isinstance(upstream, EncodedSummary):
+        return validate_encoded(upstream, downstream,
+                                threshold=config.threshold,
+                                bloom_bits=config.codec_bloom_bits,
+                                bloom_hashes=config.codec_bloom_hashes)
+    return validate(upstream, downstream, threshold=config.threshold,
+                    reorder_threshold=config.reorder_threshold,
+                    max_delay=config.max_delay)
 
 
 @dataclass

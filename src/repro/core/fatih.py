@@ -26,12 +26,14 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.detector import Suspicion
 from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.segments import monitored_segments_pik2
-from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
-from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import ClockModel, RoundSchedule
+from repro.core.segments import arm_protocol
+from repro.core.summaries import SummaryPolicy
+from repro.dist.sync import ClockModel
 from repro.net import LinkStateRouting, Network, Packet, PacketKind
 from repro.net.routing import compute_all_paths
+
+#: NTP-grade clocks (§5.3): each router is off true time by at most 2 ms.
+_CLOCK = ClockModel(epsilon=0.002)
 
 
 @dataclass
@@ -52,22 +54,16 @@ class FatihSystem:
         self,
         network: Network,
         routing: LinkStateRouting,
-        keys: Optional[KeyInfrastructure] = None,
         config: Optional[FatihConfig] = None,
-        clock: Optional[ClockModel] = None,
     ) -> None:
         self.network = network
         self.routing = routing
-        self.keys = keys or KeyInfrastructure()
         self.config = config or FatihConfig()
-        self.clock = clock or ClockModel(epsilon=0.002)
         self.protocol: Optional[ProtocolPiK2] = None
-        self.monitor: Optional[SegmentMonitor] = None
         self.suspicions: List[Suspicion] = []
         self.detection_times: List[Tuple[float, Suspicion]] = []
         self._rebuild_pending = False
         self._monitor_until: Optional[float] = None
-        self._schedule: Optional[RoundSchedule] = None
 
     # -- lifecycle --------------------------------------------------------------
     def start_monitoring(self, at: float, until: float) -> None:
@@ -76,40 +72,22 @@ class FatihSystem:
         self.network.sim.schedule_at(at, self._arm, at, until)
 
     def _arm(self, start: float, until: float) -> None:
-        suspected = {tuple(s.segment) for s in self.suspicions}
-        paths = compute_all_paths(self.network.topology, suspected)
-        oracle = PathOracle(paths)
-        schedule = RoundSchedule(tau=self.config.tau, start=start)
-        self._schedule = schedule
-        monitor = SegmentMonitor(
-            self.network, oracle, schedule,
-            policy=self.config.policy, clock=self.clock,
-        )
-        segments_by_router = monitored_segments_pik2(
-            [tuple(p) for p in paths.values()], self.config.k
-        )
-        segments: Set[Tuple[str, ...]] = set()
-        for segs in segments_by_router.values():
-            segments.update(segs)
-        # Never re-monitor segments already excluded from the fabric.
-        segments = {s for s in segments if s not in suspected}
-        protocol = ProtocolPiK2(
-            self.network, monitor, segments, self.keys, schedule,
-            config=PiK2Config(
-                k=self.config.k,
-                threshold=self.config.threshold,
-                settle_delay=self.config.settle_delay,
-                exchange_timeout=self.config.exchange_timeout,
-            ),
-            on_suspicion=self._on_suspicion,
-        )
-        self.network.add_tap(monitor)
-        if self.monitor is not None:
-            self.network.remove_tap(self.monitor)
-        self.monitor = monitor
+        # The paths avoid every suspected segment, so none of them is
+        # monitored again.
+        paths = compute_all_paths(self.network.topology,
+                                  self.suspected_segments())
+        cfg = self.config
+        protocol = arm_protocol(
+            self.network, paths, "pik2",
+            config=PiK2Config(k=cfg.k, threshold=cfg.threshold,
+                              settle_delay=cfg.settle_delay,
+                              exchange_timeout=cfg.exchange_timeout),
+            tau=cfg.tau, last_round=max(0, int((until - start) / cfg.tau) - 1),
+            policy=cfg.policy, start=start, clock=_CLOCK)
+        protocol.on_suspicion = self._on_suspicion
+        if self.protocol is not None:
+            self.network.remove_tap(self.protocol.monitor)
         self.protocol = protocol
-        n_rounds = max(0, int((until - start) / self.config.tau) - 1)
-        protocol.schedule_rounds(0, n_rounds)
 
     # -- detection & response ------------------------------------------------------
     def _on_suspicion(self, suspicion: Suspicion) -> None:
@@ -133,9 +111,6 @@ class FatihSystem:
 
     def _rearm(self, start: float) -> None:
         self._rebuild_pending = False
-        if self.protocol is not None:
-            # Drop the old instance: its oracle predates the reroute.
-            self.protocol = None
         self._arm(start, self._monitor_until or start)
 
     # -- reporting --------------------------------------------------------------------

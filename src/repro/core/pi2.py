@@ -26,11 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.detector import DetectorState, Suspicion
+from repro.core.detector import RoundDetector, Suspicion, run_tv
 from repro.core.summaries import PathSegment, SegmentMonitor, TrafficSummary
-from repro.core.validation import TVResult, validate
 from repro.crypto.keys import KeyInfrastructure
-from repro.dist.broadcast import robust_flood
 from repro.dist.consensus import Equivocator, FaultyBehavior, Silent, SignedConsensus
 from repro.dist.sync import RoundSchedule
 from repro.net import Network
@@ -54,8 +52,11 @@ class Pi2Config:
     max_delay: Optional[float] = None  # for timeliness policy
 
 
-class ProtocolPi2:
+class ProtocolPi2(RoundDetector):
     """Distributed Π2 over a simulated network."""
+
+    #: Appendix B: Π2 suspects 2-segments.
+    precision = 2
 
     def __init__(
         self,
@@ -68,26 +69,14 @@ class ProtocolPi2:
         reporters: Optional[Dict[str, Reporter]] = None,
         on_suspicion: Optional[Callable[[Suspicion], None]] = None,
     ) -> None:
-        self.network = network
+        super().__init__(network, schedule, config or Pi2Config(),
+                         on_suspicion)
         self.monitor = monitor
         self.keys = keys
-        self.schedule = schedule
-        self.config = config or Pi2Config()
         self.reporters = reporters or {}
-        self.on_suspicion = on_suspicion
         self.segments: List[PathSegment] = sorted(set(tuple(s) for s in segments))
         for segment in self.segments:
             monitor.watch_segment(segment)  # every member records
-        self.states: Dict[str, DetectorState] = {
-            name: DetectorState(name) for name in network.topology.routers
-        }
-        self.tv_log: List[Tuple[int, PathSegment, str, TVResult]] = []
-
-    # -- scheduling ------------------------------------------------------------
-    def schedule_rounds(self, first_round: int, last_round: int) -> None:
-        for r in range(first_round, last_round + 1):
-            when = self.schedule.round_end(r) + self.config.settle_delay
-            self.network.sim.schedule_at(when, self.evaluate_round, r)
 
     # -- one round --------------------------------------------------------------
     def evaluate_round(self, round_index: int) -> None:
@@ -160,10 +149,7 @@ class ProtocolPi2:
             a, b = members[i], members[i + 1]
             if agreed[a] is None or agreed[b] is None:
                 continue
-            sent_a = agreed[a][1]
-            recv_b = agreed[b][0]
-            result = self._tv(sent_a, recv_b)
-            self.tv_log.append((round_index, segment, f"link {a}->{b}", result))
+            result = run_tv(agreed[a][1], agreed[b][0], self.config)
             if not result.ok:
                 suspicions.append(Suspicion(
                     segment=(a, b), interval=interval, suspected_by=a,
@@ -174,9 +160,7 @@ class ProtocolPi2:
             if agreed[member] is None:
                 continue
             received, sent = agreed[member]
-            result = self._tv(received, sent)
-            self.tv_log.append((round_index, segment,
-                                f"transit {member}", result))
+            result = run_tv(received, sent, self.config)
             if not result.ok:
                 suspicions.append(Suspicion(
                     segment=(member, members[i + 1]), interval=interval,
@@ -184,34 +168,10 @@ class ProtocolPi2:
                     reason=f"transit TV failed at {member}: {result.detail}",
                 ))
 
-        if not suspicions:
-            return
-        # 4. All correct members adopt the suspicions; evidence is
-        #    reliably broadcast so every correct router in the network
-        #    converges on the same detections (strong completeness).
-        compromised = {name for name, r in self.network.routers.items()
-                       if r.compromise is not None}
+        # 4. All correct members adopt the suspicions and flood the signed
+        #    evidence.  Flooding from *each* member matters: a
+        #    protocol-faulty router may suppress relays, and only the
+        #    members on its far side can reach the routers there.
         unique = {(s.segment, s.reason): s for s in suspicions}
         for suspicion in unique.values():
-            # Every correct member adopts the suspicion and floods the
-            # signed evidence.  Flooding from *each* member matters: a
-            # protocol-faulty router may suppress relays, and only the
-            # members on its far side can reach the routers there.
-            for member in members:
-                if member in compromised:
-                    continue
-                self.states[member].suspect(suspicion)
-                robust_flood(
-                    self.network, member, suspicion,
-                    on_deliver=lambda at, msg, t: self.states[at].suspect(msg),
-                )
-            if self.on_suspicion is not None:
-                self.on_suspicion(suspicion)
-
-    def _tv(self, upstream: TrafficSummary, downstream: TrafficSummary) -> TVResult:
-        return validate(
-            upstream, downstream,
-            threshold=self.config.threshold,
-            reorder_threshold=self.config.reorder_threshold,
-            max_delay=self.config.max_delay,
-        )
+            self.announce(suspicion, members)

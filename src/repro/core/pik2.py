@@ -16,20 +16,18 @@ cannot confine its attack to unmonitored packets (§5.2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from repro.core.detector import DetectorState, Suspicion
-from repro.core.codecs import EncodedSummary, encode_summary, validate_encoded
+from repro.core.codecs import encode_summary
+from repro.core.detector import RoundDetector, Suspicion, run_tv
 from repro.core.summaries import (
     PathSegment,
     SegmentMonitor,
     SummaryPolicy,
     TrafficSummary,
 )
-from repro.core.validation import TVResult, validate
 from repro.crypto.keys import KeyInfrastructure
 from repro.crypto.signatures import Signed
-from repro.dist.broadcast import robust_flood
 from repro.dist.sync import RoundSchedule
 from repro.net import Network
 
@@ -56,7 +54,7 @@ class PiK2Config:
 EndReporter = Callable[[TrafficSummary], Optional[TrafficSummary]]
 
 
-class ProtocolPiK2:
+class ProtocolPiK2(RoundDetector):
     """Distributed Πk+2 over a simulated network."""
 
     def __init__(
@@ -70,31 +68,26 @@ class ProtocolPiK2:
         reporters: Optional[Dict[str, EndReporter]] = None,
         on_suspicion: Optional[Callable[[Suspicion], None]] = None,
     ) -> None:
-        self.network = network
+        super().__init__(network, schedule, config or PiK2Config(),
+                         on_suspicion)
         self.monitor = monitor
         self.keys = keys
-        self.schedule = schedule
-        self.config = config or PiK2Config()
         self.reporters = reporters or {}
-        self.on_suspicion = on_suspicion
         self.segments = sorted(set(tuple(s) for s in segments))
         for segment in self.segments:
             # Only the two ends record traffic for this segment.
             monitor.watch_segment(segment,
                                   monitors=(segment[0], segment[-1]))
-        self.states: Dict[str, DetectorState] = {
-            name: DetectorState(name) for name in network.topology.routers
-        }
-        self.tv_log: List[Tuple[int, PathSegment, TVResult]] = []
         self.stopped = False
         self.exchange_bytes = 0  # summary bandwidth (ablation metric)
-        # (segment, round) -> received remote summary at the sink end
-        self._mailbox: Dict[Tuple[PathSegment, int, str], TrafficSummary] = {}
+        # (segment, round) of each open exchange -> the remote summary
+        # the sink has received for it, None until one arrives.
+        self._mailbox: Dict[Tuple[PathSegment, int], object] = {}
 
-    def schedule_rounds(self, first_round: int, last_round: int) -> None:
-        for r in range(first_round, last_round + 1):
-            when = self.schedule.round_end(r) + self.config.settle_delay
-            self.network.sim.schedule_at(when, self._start_exchanges, r)
+    @property
+    def precision(self) -> int:
+        """Appendix B: Πk+2 suspects whole (k+2)-segments."""
+        return self.config.k + 2
 
     # -- exchange phase -----------------------------------------------------
     def stop(self) -> None:
@@ -106,7 +99,7 @@ class ProtocolPiK2:
         """
         self.stopped = True
 
-    def _start_exchanges(self, round_index: int) -> None:
+    def evaluate_round(self, round_index: int) -> None:
         if self.stopped:
             return
         for segment in self.segments:
@@ -114,6 +107,7 @@ class ProtocolPiK2:
 
     def _exchange_segment(self, segment: PathSegment, round_index: int) -> None:
         source, sink = segment[0], segment[-1]
+        self._mailbox[(segment, round_index)] = None
         # The source sends its "sent into π" summary to the sink, through π.
         honest = self.monitor.summary(segment, source, "sent", round_index)
         claim = self.reporters.get(source, lambda s: s)(honest)
@@ -131,9 +125,13 @@ class ProtocolPiK2:
             elif isinstance(claim, TrafficSummary):
                 fps = claim.fingerprints
                 self.exchange_bytes += 16 + 8 * (len(fps) if fps else 0)
-            signed = Signed.sign(claim, source, self.keys.signing_key(source))
+            # The signature covers the segment and the round, so an
+            # on-path router cannot replay one round's summary as
+            # another's.
+            signed = Signed.sign((segment, round_index, claim), source,
+                                 self.keys.signing_key(source))
             self.network.send_control(
-                source, sink, (segment, round_index, signed),
+                source, sink, signed,
                 on_deliver=self._deliver_summary,
                 via_path=segment,
             )
@@ -142,73 +140,48 @@ class ProtocolPiK2:
             self.config.exchange_timeout, self._conclude, segment, round_index
         )
 
-    def _deliver_summary(self, message) -> None:
-        segment, round_index, signed = message
-        sink = segment[-1]
+    def _deliver_summary(self, signed) -> None:
         if not isinstance(signed, Signed):
             return
         if not signed.verify(self.keys.signing_key(signed.signer)):
             return  # tampered in transit; timeout will fire
-        if signed.signer != segment[0]:
-            return
-        self._mailbox[(tuple(segment), round_index, sink)] = signed.payload
+        segment, round_index, claim = signed.payload
+        # Filed only under the pair the signature covers, and only while
+        # that exchange is open: a replay or a late delivery is dropped.
+        if (signed.signer == segment[0]
+                and (segment, round_index) in self._mailbox):
+            self._mailbox[(segment, round_index)] = claim
 
     def _conclude(self, segment: PathSegment, round_index: int) -> None:
-        self._validate_exchange(segment, round_index)
+        remote = self._mailbox.pop((segment, round_index), None)
+        self._validate_exchange(segment, round_index, remote)
         if segment == self.segments[-1]:
             # A round's conclusions fire at one instant in segment order,
             # and rounds conclude in round order whatever µ is against τ:
             # nothing reads this round or an earlier one again.
             self.monitor.drop_rounds_before(round_index + 1)
 
-    def _validate_exchange(self, segment: PathSegment,
-                           round_index: int) -> None:
+    def _validate_exchange(self, segment: PathSegment, round_index: int,
+                           remote) -> None:
         sink = segment[-1]
         # A compromised sink is a faulty *validator*: it simply stays
         # silent.  This is why AdjacentFault(k) forces monitored segments
         # of length k+2 — only then is some segment spanning the faulty
         # run guaranteed two correct ends (§5.2, Appendix B).
         if self.network.routers[sink].compromise is not None:
-            self._mailbox.pop((tuple(segment), round_index, sink), None)
             return
-        interval = self.schedule.interval(round_index)
-        remote = self._mailbox.pop((tuple(segment), round_index, sink), None)
         if remote is None:
-            self._suspect(segment, interval, sink,
-                          "summary exchange timed out")
+            self._suspect(segment, round_index, "summary exchange timed out")
             return
         local = self.monitor.summary(segment, sink, "received", round_index)
-        if isinstance(remote, EncodedSummary):
-            result = validate_encoded(
-                remote, local, threshold=self.config.threshold,
-                bloom_bits=self.config.codec_bloom_bits,
-                bloom_hashes=self.config.codec_bloom_hashes,
-            )
-        else:
-            result = validate(
-                remote, local,
-                threshold=self.config.threshold,
-                reorder_threshold=self.config.reorder_threshold,
-                max_delay=self.config.max_delay,
-            )
-        self.tv_log.append((round_index, segment, result))
+        result = run_tv(remote, local, self.config)
         if not result.ok:
-            self._suspect(segment, interval, sink,
-                          f"TV failed: {result.detail}")
+            self._suspect(segment, round_index, f"TV failed: {result.detail}")
 
-    def _suspect(self, segment: PathSegment, interval, origin: str,
+    def _suspect(self, segment: PathSegment, round_index: int,
                  reason: str) -> None:
-        suspicion = Suspicion(segment=tuple(segment), interval=interval,
-                              suspected_by=origin, reason=reason)
-        compromised = {name for name, r in self.network.routers.items()
-                       if r.compromise is not None}
-        if origin not in compromised:
-            self.states[origin].suspect(suspicion)
-        # Strong completeness: the signed suspicion is reliably broadcast;
-        # every correct router adopts it (§5.2: announce [π]_r).
-        robust_flood(
-            self.network, origin, suspicion,
-            on_deliver=lambda at, msg, t: self.states[at].suspect(msg),
-        )
-        if self.on_suspicion is not None:
-            self.on_suspicion(suspicion)
+        # §5.2: the sink announces the signed suspicion [π]_r.
+        self.announce(Suspicion(segment=segment,
+                                interval=self.schedule.interval(round_index),
+                                suspected_by=segment[-1], reason=reason),
+                      (segment[-1],))

@@ -29,7 +29,7 @@ from repro.core.pik2 import PiK2Config, ProtocolPiK2
 from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
 from repro.crypto.fingerprint import FingerprintSampler
 from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
+from repro.dist.sync import ClockModel, RoundSchedule
 from repro.net import Network, Topology
 
 PathSegment = Tuple[str, ...]
@@ -161,6 +161,8 @@ def arm_protocol(
     policy: SummaryPolicy = SummaryPolicy.CONTENT,
     over: Optional[Iterable[Tuple[str, ...]]] = None,
     sampling: float = 1.0,
+    start: float = 0.0,
+    clock: Optional[ClockModel] = None,
 ) -> Union[ProtocolPi2, ProtocolPiK2]:
     """Put a Π2 (``"pi2"``) or Πk+2 (``"pik2"``) detector on ``network``.
 
@@ -168,8 +170,9 @@ def arm_protocol(
     the path oracle.  Segments are enumerated over ``over`` (default:
     every routed path) with the protocol's own enumerator and
     ``config.k``.  A ``SegmentMonitor`` tap records them in rounds of
-    ``tau`` seconds, keyed per segment to a ``sampling`` share of the
-    traffic when below 1 (§5.2.1); rounds 0..``last_round`` are
+    ``tau`` seconds from ``start``, read on each router's ``clock``
+    (default: no skew), keyed per segment to a ``sampling`` share of
+    the traffic when below 1 (§5.2.1); rounds 0..``last_round`` are
     scheduled.  The armed protocol is returned; its ``monitor``,
     ``schedule`` and ``keys`` reach the rest.
     """
@@ -179,7 +182,7 @@ def arm_protocol(
         raise ValueError(f"unknown protocol {protocol!r}; "
                          f"one of {', '.join(_PROTOCOLS)}") from None
     config = config or config_cls()
-    schedule = RoundSchedule(tau=tau)
+    schedule = RoundSchedule(tau=tau, start=start)
     keys = KeyInfrastructure()
     routed = paths.values() if over is None else over
     segments: Set[PathSegment] = set().union(
@@ -190,7 +193,7 @@ def arm_protocol(
             rate=sampling, key=keys.sampling_key(segment[0], segment[-1]))
             for segment in sorted(segments)}
     monitor = SegmentMonitor(network, PathOracle(paths), schedule,
-                             policy=policy, samplers=samplers)
+                             policy=policy, clock=clock, samplers=samplers)
     network.add_tap(monitor)
     armed = protocol_cls(network, monitor, segments, keys, schedule,
                          config=config)

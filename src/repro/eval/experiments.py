@@ -600,13 +600,6 @@ class ProtocolBenchResult(EvalResultBase):
     extra: Dict[str, float] = field(default_factory=dict)
 
 
-def _precision_bound(protocol) -> int:
-    """Appendix B: Π2 suspects 2-segments, Πk+2 whole (k+2)-segments."""
-    from repro.core import ProtocolPi2
-
-    return 2 if isinstance(protocol, ProtocolPi2) else protocol.config.k + 2
-
-
 def _run_protocol_bench(name: str, protocol_name: str, *,
                         seed: int = 0,
                         bad_router: str = "r3",
@@ -626,7 +619,7 @@ def _run_protocol_bench(name: str, protocol_name: str, *,
     CBRSource(net, "r6", "r1", "f2", rate_bps=rate_bps, duration=duration)
     net.run(end)
     acc = accuracy_report(protocol.states, {bad_router},
-                          max_precision=_precision_bound(protocol))
+                          max_precision=protocol.precision)
     comp = completeness_report(protocol.states, {bad_router}, mode="FI")
     return ProtocolBenchResult(
         name=name,
@@ -724,7 +717,7 @@ def attack_matrix(topology: str = "abilene",
     bad = scenario.adversary_router
     truth = set() if spec.adversary.behavior == "none" else {bad}
     acc = accuracy_report(states, truth,
-                          max_precision=_precision_bound(scenario.protocol))
+                          max_precision=scenario.protocol.precision)
     comp = completeness_report(states, truth, mode="FI")
 
     total = acc.total_suspicions

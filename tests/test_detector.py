@@ -2,10 +2,14 @@
 
 from repro.core.detector import (
     DetectorState,
+    RoundDetector,
     Suspicion,
     accuracy_report,
     completeness_report,
 )
+from repro.dist.sync import RoundSchedule
+from repro.net import Compromise, Network
+from repro.net.topology import chain
 
 
 def susp(segment, by="x", lo=0.0, hi=1.0, reason=""):
@@ -47,6 +51,35 @@ class TestDetectorState:
 
     def test_empty_precision(self):
         assert DetectorState("r").precision() == 0
+
+
+class TestAnnounce:
+    """The one adopt-and-flood step Π2, Πk+2 and χ share."""
+
+    @staticmethod
+    def announced(origins, compromised=()):
+        net = Network(chain(4))
+        for name in compromised:
+            net.routers[name].compromise = Compromise()
+        seen = []
+        detector = RoundDetector(net, RoundSchedule(tau=1.0), config=None,
+                                 on_suspicion=seen.append)
+        suspicion = susp(("r2", "r3"), by=origins[0])
+        detector.announce(suspicion, origins)
+        net.run(1.0)
+        held = {name for name, state in detector.states.items()
+                if suspicion in state.suspicions}
+        return held, seen, suspicion
+
+    def test_flood_reaches_every_router_and_calls_back_once(self):
+        held, seen, suspicion = self.announced(("r1", "r4"))
+        assert held == {"r1", "r2", "r3", "r4"}
+        assert seen == [suspicion]
+
+    def test_compromised_origin_stays_silent(self):
+        held, seen, suspicion = self.announced(("r3",), compromised=("r3",))
+        assert held == set()
+        assert seen == [suspicion]
 
 
 class TestAccuracyReport:

@@ -1,7 +1,8 @@
 """Integration tests for Protocol Π2 (Fig 5.1)."""
 
+from importlib import import_module
 
-from repro.core.detector import accuracy_report, completeness_report
+from repro.core.detector import accuracy_report, completeness_report, run_tv
 from repro.core.pi2 import Pi2Config, ProtocolPi2
 from repro.core.segments import monitored_segments_pi2
 from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
@@ -53,11 +54,28 @@ class TestCleanRuns:
         for state in protocol.states.values():
             assert state.suspicions == []
 
-    def test_tv_log_populated(self):
+    def test_every_check_runs_and_passes(self, monkeypatch):
+        checks = []
+
+        def spy(upstream, downstream, config):
+            result = run_tv(upstream, downstream, config)
+            checks.append((upstream, downstream, result))
+            return result
+
+        monkeypatch.setattr(import_module("repro.core.pi2"), "run_tv", spy)
         net, protocol = build()
         drive(net)
-        assert protocol.tv_log
-        assert all(result.ok for _, _, _, result in protocol.tv_log)
+        ran = [(up.round_index, up.segment, up.router, up.direction,
+                down.router, down.direction) for up, down, _ in checks]
+        want = set()
+        for r in range(4):  # rounds 0..3 are scheduled
+            for seg in protocol.segments:
+                for a, b in zip(seg, seg[1:]):  # link checks
+                    want.add((r, seg, a, "sent", b, "received"))
+                for m in seg[1:-1]:  # transit checks
+                    want.add((r, seg, m, "received", m, "sent"))
+        assert sorted(ran) == sorted(want)  # each check once per round
+        assert all(result.ok for _, _, result in checks)
 
 
 class TestTrafficFaults:

@@ -1,15 +1,18 @@
 """Integration tests for Protocol Πk+2 (Fig 5.3)."""
 
+from importlib import import_module
 
-from repro.core.detector import accuracy_report, completeness_report
+from repro.core.detector import accuracy_report, completeness_report, run_tv
 from repro.core.pik2 import PiK2Config, ProtocolPiK2
 from repro.core.segments import monitored_segments_pik2
 from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
 from repro.crypto.fingerprint import FingerprintSampler
 from repro.crypto.keys import KeyInfrastructure
+from repro.crypto.signatures import Signed
 from repro.dist.sync import RoundSchedule
 from repro.net.adversary import (
     CombinedCompromise,
+    Compromise,
     ControlSuppressionAttack,
     DropFlowAttack,
     ModifyAttack,
@@ -40,6 +43,35 @@ def build(n=5, k=1, config=None, samplers=None, rounds=3):
     return net, protocol
 
 
+def spy_tv(monkeypatch):
+    """Record every (remote, local, result) Πk+2 validates."""
+    checks = []
+
+    def spy(upstream, downstream, config):
+        result = run_tv(upstream, downstream, config)
+        checks.append((upstream, downstream, result))
+        return result
+
+    monkeypatch.setattr(import_module("repro.core.pik2"), "run_tv", spy)
+    return checks
+
+
+class Replayer(Compromise):
+    """Relays each exchange's previous signed summary in place of the
+    current one (a protocol-faulty intermediate replaying old claims)."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = {}
+
+    def on_control(self, router, src, dst, message):
+        if not isinstance(message, Signed):
+            return message  # suspicion floods pass untouched
+        previous = self.held.get((src, dst))
+        self.held[(src, dst)] = message
+        return message if previous is None else previous
+
+
 def drive(net, duration=7.0):
     src = CBRSource(net, "r1", f"r{len(net.topology)}", "f1",
                     rate_bps=800_000, duration=4.0)
@@ -53,11 +85,16 @@ class TestCleanRuns:
         drive(net)
         assert all(not s.suspicions for s in protocol.states.values())
 
-    def test_all_exchanges_validate(self):
+    def test_all_exchanges_validate(self, monkeypatch):
+        checks = spy_tv(monkeypatch)
         net, protocol = build()
         drive(net)
-        assert protocol.tv_log
-        assert all(r.ok for _, _, r in protocol.tv_log)
+        ran = [(up.round_index, up.segment, up.router, up.direction,
+                down.router, down.direction) for up, down, _ in checks]
+        want = [(r, seg, seg[0], "sent", seg[-1], "received")
+                for r in range(4) for seg in protocol.segments]
+        assert sorted(ran) == sorted(want)  # each exchange once per round
+        assert all(result.ok for _, _, result in checks)
 
 
 class TestTrafficFaults:
@@ -129,6 +166,23 @@ class TestProtocolFaults:
         suspected = {seg for st in protocol.states.values()
                      for seg in st.suspected_segments()}
         assert any("r1" in seg for seg in suspected)
+
+    def test_replayed_summary_is_not_validated(self, monkeypatch):
+        """A summary replayed into a later round is never validated as
+        that round's: the exchange times out, as under suppression."""
+        checks = spy_tv(monkeypatch)
+        net, protocol = build(k=1, config=PiK2Config(k=1,
+                                                     exchange_timeout=0.5))
+        net.routers["r2"].compromise = Replayer()
+        drive(net)
+        assert checks
+        for remote, local, _ in checks:
+            assert remote.round_index == local.round_index
+        through_r2 = {seg for seg in protocol.segments if "r2" in seg[1:-1]}
+        reasons = {s.reason for s in protocol.states["r3"].suspicions
+                   if s.segment in through_r2}
+        assert reasons == {"summary exchange timed out"}
+        assert protocol._mailbox == {}
 
     def test_drop_and_suppress_combined(self):
         net, protocol = build(k=1)

@@ -21,7 +21,7 @@ from repro.core.segments import (
     watchers_counter_count,
 )
 from repro.crypto.keys import KeyInfrastructure
-from repro.dist.sync import RoundSchedule
+from repro.dist.sync import ClockModel, RoundSchedule
 from repro.net import CBRSource, DropFlowAttack, Network, install_static_routes
 from repro.net.topology import abilene, chain, diamond, ebone_like
 
@@ -247,6 +247,28 @@ class TestArmProtocol:
         for segment, sampler in samplers.items():
             assert sampler.rate == 0.25
             assert sampler.key == keys.sampling_key(segment[0], segment[-1])
+
+    @pytest.mark.parametrize("protocol,k,precision", [
+        ("pi2", 1, 2), ("pi2", 2, 2), ("pik2", 1, 3), ("pik2", 2, 4)])
+    def test_precision_is_the_protocols(self, protocol, k, precision):
+        """Appendix B: Π2 suspects 2-segments, Πk+2 (k+2)-segments."""
+        config = (Pi2Config if protocol == "pi2" else PiK2Config)(k=k)
+        net = Network(chain(5))
+        armed = arm_protocol(net, install_static_routes(net), protocol,
+                             config=config)
+        assert armed.precision == precision
+
+    def test_start_and_clock_reach_the_monitor(self):
+        net = Network(chain(4))
+        clock = ClockModel(epsilon=0.002)
+        armed = arm_protocol(net, install_static_routes(net), "pik2",
+                             tau=5.0, start=60.0, clock=clock,
+                             last_round=1)
+        assert armed.schedule == RoundSchedule(tau=5.0, start=60.0)
+        assert armed.monitor.schedule is armed.schedule
+        assert armed.monitor.clock is clock
+        assert sorted(when for when, _, _ in net.sim._heap) == [
+            65.0 + armed.config.settle_delay, 70.0 + armed.config.settle_delay]
 
     def test_unknown_protocol_names_the_choices(self):
         net = Network(chain(3))

@@ -308,9 +308,12 @@ def monitored_pair(net, oracle, tau, epsilon=0.0, clock_seed=0, samplers=None):
 
 
 def paced(net, src, dst, flow_id, count, gap, start=0.0):
+    # Uids from the network, as every in-simulator source draws them: a
+    # sampled count must not depend on what ran earlier in the process.
     for i in range(count):
         net.sim.schedule_at(start + i * gap, net.routers[src].originate,
-                            Packet(src=src, dst=dst, flow_id=flow_id, seq=i))
+                            Packet(src=src, dst=dst, flow_id=flow_id, seq=i,
+                                   uid=next(net.packet_ids)))
 
 
 def runnable_pi2_cells():
