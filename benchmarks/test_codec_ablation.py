@@ -10,11 +10,13 @@ on the same attack and compares wire bytes and detection.
 from conftest import save_series
 
 from repro.core import PiK2Config, arm_protocol
-from repro.net.adversary import DropFlowAttack
-from repro.net.router import Network
-from repro.net.routing import install_static_routes
-from repro.net.topology import chain
-from repro.net.traffic import CBRSource
+from repro.net import (
+    CBRSource,
+    DropFlowAttack,
+    Network,
+    chain,
+    install_static_routes,
+)
 
 
 def run_codec(codec: str):

@@ -8,14 +8,14 @@ directly (true per-op timings, unlike the figure benches).
 
 import pytest
 
-from repro.core.summaries import SummaryBuilder, SummaryPolicy
+from repro.core import SummaryBuilder, SummaryPolicy
 from repro.crypto.fingerprint import fingerprint
 from repro.dist.reconcile import (
     BloomFilter,
     CharacteristicPolynomialSet,
     reconcile,
 )
-from repro.net.packet import Packet
+from repro.net import Packet
 
 
 def test_fingerprint_per_packet(benchmark):
@@ -59,7 +59,7 @@ def test_disabled_recorder_guard(benchmark):
     pays while tracing is off.  Must stay in the nanoseconds — the
     observability subsystem's contract is that it is free when unused.
     """
-    from repro.obs.record import recorder
+    from repro.obs import recorder
 
     rec = recorder()
     assert not rec.active

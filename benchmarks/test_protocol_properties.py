@@ -11,16 +11,17 @@ import random
 from conftest import save_series
 
 from repro.core import accuracy_report, arm_protocol, completeness_report
-from repro.net.adversary import (
+from repro.net import (
+    CBRSource,
     CombinedCompromise,
     ControlSuppressionAttack,
     DropFlowAttack,
+    MBPS,
     ModifyAttack,
+    Network,
+    chain,
+    install_static_routes,
 )
-from repro.net.router import Network
-from repro.net.routing import install_static_routes
-from repro.net.topology import MBPS, chain
-from repro.net.traffic import CBRSource
 
 
 def _run_case(protocol_name, bad_router, behavior, seed):

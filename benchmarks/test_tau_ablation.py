@@ -9,11 +9,13 @@ Sweep τ for the same Πk+2 deployment and attack.
 from conftest import save_series
 
 from repro.core import arm_protocol
-from repro.net.adversary import DropFlowAttack
-from repro.net.router import Network
-from repro.net.routing import install_static_routes
-from repro.net.topology import chain
-from repro.net.traffic import CBRSource
+from repro.net import (
+    CBRSource,
+    DropFlowAttack,
+    Network,
+    chain,
+    install_static_routes,
+)
 
 
 def run_tau(tau: float):

@@ -17,13 +17,18 @@ Run:  python examples/active_replication.py
 
 import random
 
-from repro.core.replica import ReplicaDetector
-from repro.net.adversary import ModifyAttack
-from repro.net.queues import DropTailQueue, REDParams, REDQueue
-from repro.net.router import Network
-from repro.net.routing import install_static_routes
-from repro.net.topology import MBPS, Topology
-from repro.net.traffic import PoissonSource
+from repro.core import ReplicaDetector
+from repro.net import (
+    DropTailQueue,
+    MBPS,
+    ModifyAttack,
+    Network,
+    PoissonSource,
+    REDParams,
+    REDQueue,
+    Topology,
+    install_static_routes,
+)
 
 
 def bottleneck_net(red=False, red_seed=42):

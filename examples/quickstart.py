@@ -9,11 +9,13 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core import arm_protocol
-from repro.net import chain
-from repro.net.adversary import DropFlowAttack
-from repro.net.router import Network
-from repro.net.routing import install_static_routes
-from repro.net.traffic import CBRSource
+from repro.net import (
+    CBRSource,
+    DropFlowAttack,
+    Network,
+    chain,
+    install_static_routes,
+)
 
 
 def main() -> None:

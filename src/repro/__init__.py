@@ -16,8 +16,8 @@ Package map
 ``repro.core``       the paper's contribution: traffic summaries, TV
                      predicates, the failure-detector spec, protocols Π2 /
                      Πk+2 / χ, Fatih, the §2.3 replica detector
-``repro.baselines``  WATCHERS, HERZBERG, PERLMAN, SecTrace, AWERBUCH,
-                     HSER, StealthProbing, ZHANG, SATS
+``repro.baselines``  the Ch. 3 protocols the evaluation compares against:
+                     WATCHERS, PERLMAN, SecTrace, AWERBUCH, ZHANG
 ``repro.eval``       metrics, scenario specs, the paper's experiments
 
 Quick start: see ``examples/quickstart.py`` or run

@@ -22,8 +22,8 @@ back into one aggregate; ``--executor subprocess`` runs the shards
 itself as supervised child processes and auto-merges (see "Dispatched
 sweeps" in EXPERIMENTS.md); ``lint`` runs
 the repo's AST-based invariant checks — determinism in simulation code,
-pickle safety across the sweep dispatch boundary, registry contracts —
-(see "Static analysis" in EXPERIMENTS.md).  Performance is measured by
+imports that stay on the packages' public surface — (see "Static
+analysis" in EXPERIMENTS.md).  Performance is measured by
 ``python3 benchmarks/ledger/run.py`` (see "Benchmarking" in README.md).
 
 Start-up is pay-for-what-you-run: a command imports its own module
@@ -55,8 +55,7 @@ COMMANDS = {
               "repro.sweep.cli:add_sweep_parser"),
     "merge": ("merge sharded sweep outputs into one aggregate",
               "repro.sweep.cli:add_merge_parser"),
-    "lint": ("static invariant checks (determinism, payload safety, "
-             "registry contracts, public API surface)",
+    "lint": ("static invariant checks (determinism, public API surface)",
              "repro.analysis.cli:add_lint_parser"),
     "obs": ("inspect, query and diff observability artifacts",
             "repro.obs.cli:add_obs_parser"),

@@ -17,12 +17,9 @@ def add_lint_parser(sub, help: str) -> argparse.ArgumentParser:
         description=(
             "AST-based linter for the reproduction's correctness "
             "invariants: no hidden nondeterminism in simulation code "
-            "(DET*), nothing unpicklable across the sweep dispatch "
-            "boundary (PAY*), experiment specs and result types that "
-            "honor the registry contracts (REG*), and in-repo imports "
-            "that stay on the packages' public surface (API*).  Exits 1 "
-            "on any finding that is not suppressed inline "
-            "(# repro-lint: disable=RULE -- reason)."),
+            "(DET*) and in-repo imports that stay on the packages' "
+            "public surface (API*).  Exits 1 on any finding that is not "
+            "suppressed inline (# repro-lint: disable=RULE -- reason)."),
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files/directories to lint (default: src)")

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, RULES
-from repro.analysis.model import (
-    ModuleInfo,
-    ProjectIndex,
-    index_module,
-    load_module,
-)
+from repro.analysis.model import ModuleInfo, ProjectIndex, load_module
 from repro.analysis.rules import PASSES
 
 
@@ -113,7 +108,7 @@ def lint_paths(
                 message=f"file does not parse: {syntax_error}"))
             continue
         modules.append(info)
-        index_module(info, index)
+        index.modules[info.module] = info
     report.files_checked = len(modules)
 
     raw: List[Finding] = []

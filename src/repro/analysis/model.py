@@ -1,11 +1,10 @@
 """Parsed-source model: per-file info and the cross-file project index.
 
 Rule passes never touch the filesystem; they see a :class:`ModuleInfo`
-(one parsed file: AST, dotted module name, suppressions)
-and a :class:`ProjectIndex` (every linted module's top-level
-functions, keyed by dotted name) so contract rules can resolve
-``ex.fig5_2_pr_pi2`` through the importing module's aliases and check
-the real signature.
+(one parsed file: AST, dotted module name, suppressions) and a
+:class:`ProjectIndex` (every linted module by dotted name) so the
+public-surface rule can read a package's ``__all__`` from its
+``__init__``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-#: ``# repro-lint: disable=DET001,REG003 -- reason`` (reason optional at
+#: ``# repro-lint: disable=DET001,DET003 -- reason`` (reason optional at
 #: parse time; the engine reports LNT001 when it is missing).
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+?)"
@@ -36,16 +35,6 @@ class Suppression:
     rules: Tuple[str, ...]
     reason: str
     pragma_line: int  # where the comment physically sits
-
-
-@dataclass
-class FunctionInfo:
-    """A top-level function's signature, as contract rules need it."""
-
-    name: str
-    params: Tuple[str, ...]  # positional-or-keyword + keyword-only names
-    has_kwargs: bool
-    lineno: int
 
 
 @dataclass
@@ -71,34 +60,9 @@ class ModuleInfo:
 
 @dataclass
 class ProjectIndex:
-    """Cross-file lookup tables for contract rules."""
+    """Cross-file lookup table: every linted module by dotted name."""
 
-    functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # "mod.fn"
-    modules: Dict[str, ModuleInfo] = field(default_factory=dict)      # by dotted name
-
-    def resolve_function_name(self, info: ModuleInfo,
-                              node: ast.expr) -> Optional[str]:
-        """Resolve a Name/Attribute call target to its indexed dotted name."""
-        if isinstance(node, ast.Name):
-            target = info.imported_names.get(node.id)
-            if target is not None:
-                name = f"{target[0]}.{target[1]}"
-                if name in self.functions:
-                    return name
-            name = f"{info.module}.{node.id}"
-            return name if name in self.functions else None
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            module = info.module_aliases.get(node.value.id)
-            if module is not None:
-                name = f"{module}.{node.attr}"
-                return name if name in self.functions else None
-        return None
-
-    def resolve_function(self, info: ModuleInfo,
-                         node: ast.expr) -> Optional[FunctionInfo]:
-        """Resolve a Name/Attribute expression to an indexed function."""
-        name = self.resolve_function_name(info, node)
-        return self.functions.get(name) if name is not None else None
+    modules: Dict[str, ModuleInfo] = field(default_factory=dict)
 
 
 def dotted_name(node: ast.expr) -> str:
@@ -194,15 +158,3 @@ def load_module(path: str, display_path: str) -> Tuple[Optional[ModuleInfo],
     _collect_imports(info)
     return info, None
 
-
-def index_module(info: ModuleInfo, index: ProjectIndex) -> None:
-    """Add one module's top-level functions to the index."""
-    index.modules[info.module] = info
-    for node in info.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            params = tuple(a.arg for a in args.posonlyargs + args.args
-                           + args.kwonlyargs)
-            index.functions[f"{info.module}.{node.name}"] = FunctionInfo(
-                name=node.name, params=params,
-                has_kwargs=args.kwarg is not None, lineno=node.lineno)

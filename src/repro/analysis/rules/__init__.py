@@ -13,14 +13,10 @@ from repro.analysis.findings import Finding
 from repro.analysis.model import ModuleInfo, ProjectIndex
 from repro.analysis.rules.api import check_api_surface
 from repro.analysis.rules.determinism import check_determinism
-from repro.analysis.rules.payload import check_payload_safety
-from repro.analysis.rules.contracts import check_registry_contracts
 
 Pass = Callable[[ModuleInfo, ProjectIndex], List[Finding]]
 
 PASSES: Dict[str, Pass] = {
     "api-surface": check_api_surface,
     "determinism": check_determinism,
-    "payload-safety": check_payload_safety,
-    "registry-contracts": check_registry_contracts,
 }

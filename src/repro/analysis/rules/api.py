@@ -2,19 +2,17 @@
 
 ``repro.net``, ``repro.core``, ``repro.eval`` and ``repro.obs`` export
 their supported surface through an explicit ``__all__``; behind it is an
-implementation module that may be reorganized freely.  The runtime
-enforces this softly (PEP 562 ``__getattr__`` deprecation warnings on
-package attribute access); this pass enforces it at lint time for
-in-repo code:
+implementation module that may be reorganized freely.  This pass is the
+one enforcer of that promise, and ``__all__`` is what it reads:
 
 * **API001** — code outside the owning package imports a name from an
   internal module (``from repro.net.queues import REDQueue``) when the
   package itself exports that name (``from repro.net import REDQueue``),
-  imports an internal module wholesale (``import repro.net.queues``,
-  ``from repro.net import queues``), or reaches one via package
-  attribute access.  Names *without* a public re-export are exempt:
-  importing them from the implementation module is the only way and is
-  an accepted, visible signal that the dependency is on internals.
+  or imports an internal module wholesale (``import repro.net.queues``,
+  ``from repro.net import queues``).  Names *without* a public re-export
+  are exempt: importing them from the implementation module is the only
+  way and is an accepted, visible signal that the dependency is on
+  internals.
   A submodule whose name is itself in the package's ``__all__`` (e.g.
   ``repro.eval.registry``) is a public module: importing it — or names
   from it — is part of the promised surface and never flagged.

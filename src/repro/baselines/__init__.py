@@ -1,12 +1,10 @@
 """Literature comparators (Chapter 3).
 
 Faithful (and where the paper says so, faithfully *flawed*) models of the
-prior detection protocols the dissertation reviews:
+prior detection protocols the evaluation compares against:
 
 * :mod:`repro.baselines.watchers` — WATCHERS conservation-of-flow
   detection, including the consorting-router flaw of Fig 3.3 and its fix.
-* :mod:`repro.baselines.herzberg` — end-to-end and hop-by-hop ack/timeout
-  fault detection on a path (§3.3).
 * :mod:`repro.baselines.perlman` — route-setup acks with Byzantine
   detection, and the PERLMANd per-hop-ack variant whose colluding-router
   inaccuracy (Fig 3.8) motivated the paper's specification work.
@@ -14,45 +12,31 @@ prior detection protocols the dissertation reviews:
   attack-after-validation framing scenario of Fig 3.7.
 * :mod:`repro.baselines.awerbuch` — binary-search adaptive probing
   (log M rounds to a 2-segment).
-* :mod:`repro.baselines.hser` — HSER (§3.2) per-segment-nodes validation
-  and StealthProbing (§3.8) availability checks.
 * :mod:`repro.baselines.zhang` — ZHANG (§3.12) Poisson-model loss
   thresholds, χ's closest prior.
-* :mod:`repro.baselines.sats` — SATS (§3.9) centralized secret-split
-  trajectory sampling.
 
-These run on the shared abstract :mod:`repro.baselines.pathmodel` so the
-comparison benches can sweep adversaries cheaply.
+PERLMAN, SecTrace and AWERBUCH run on the shared abstract
+:mod:`repro.baselines.pathmodel` so the comparison benches can sweep
+adversaries cheaply.  The other protocols Ch. 3 reviews are not part of
+the evaluation and are not modelled here.
 """
 
 from repro.baselines.pathmodel import FaultyNode, PathModel
 from repro.baselines.watchers import WatchersProtocol, WatchersReport
-from repro.baselines.herzberg import (
-    herzberg_end_to_end,
-    herzberg_hop_by_hop,
-)
 from repro.baselines.perlman import perlman_route_setup, perlman_per_hop_acks
 from repro.baselines.sectrace import secure_traceroute
 from repro.baselines.awerbuch import awerbuch_binary_search
-from repro.baselines.hser import hser_round, stealth_probe
 from repro.baselines.zhang import ZhangDetector, mm1k_loss_probability
-from repro.baselines.sats import SATSBackend, SATSSuspicion
 
 __all__ = [
     "FaultyNode",
     "PathModel",
     "WatchersProtocol",
     "WatchersReport",
-    "herzberg_end_to_end",
-    "herzberg_hop_by_hop",
     "perlman_route_setup",
     "perlman_per_hop_acks",
     "secure_traceroute",
     "awerbuch_binary_search",
-    "hser_round",
-    "stealth_probe",
     "ZhangDetector",
     "mm1k_loss_probability",
-    "SATSBackend",
-    "SATSSuspicion",
 ]

@@ -1,6 +1,6 @@
 """An abstract single-path network for probing-protocol baselines.
 
-HERZBERG, PERLMAN, SecTrace and AWERBUCH all reason about one fixed path
+PERLMAN, SecTrace and AWERBUCH all reason about one fixed path
 ⟨r0 … rn⟩ in a synchronous model.  :class:`PathModel` simulates message
 walks along such a path with per-router Byzantine behaviours:
 
@@ -18,7 +18,7 @@ goes undetected*, which is a pure information-flow question.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -51,10 +51,6 @@ class FaultyNode:
         return self.corrupt(payload)
 
 
-def always(round_index: int, *_: object) -> bool:
-    return True
-
-
 class PathModel:
     """A fixed path with per-node Byzantine behaviours."""
 
@@ -67,22 +63,8 @@ class PathModel:
         self.path = list(path)
         self.faulty = faulty or {}
 
-    @property
-    def source(self) -> str:
-        return self.path[0]
-
-    @property
-    def destination(self) -> str:
-        return self.path[-1]
-
-    def index(self, router: str) -> int:
-        return self.path.index(router)
-
     def is_faulty(self, router: str) -> bool:
         return router in self.faulty
-
-    def faulty_set(self) -> Set[str]:
-        return set(self.faulty)
 
     # -- message walks ---------------------------------------------------------
     def send_data(self, round_index: int, payload: object,

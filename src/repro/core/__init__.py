@@ -9,13 +9,10 @@
 * the Fatih prototype system (§5.3)
 
 The supported surface is exactly ``__all__``; the submodules behind it
-are internal.  Reaching them through the package emits a
-:class:`DeprecationWarning` naming the supported import path, and the
-``API001`` lint rule flags in-repo imports that bypass the package for
-names it already exports.
+are internal, and the ``API001`` lint rule flags in-repo imports that
+bypass the package for names it already exports.
 """
 
-from repro._surface import narrow as _narrow
 from repro.core.summaries import (
     SummaryPolicy,
     TrafficSummary,
@@ -50,11 +47,7 @@ from repro.core.segments import (
 from repro.core.pi2 import Pi2Config, ProtocolPi2
 from repro.core.pik2 import PiK2Config, ProtocolPiK2
 from repro.core.chi import ProtocolChi, ChiConfig, QueueValidator
-from repro.core.qmodel import (
-    tcp_square_root_throughput,
-    appenzeller_sigma,
-    appenzeller_loss_probability,
-)
+from repro.core.qmodel import appenzeller_sigma, appenzeller_loss_probability
 from repro.core.fatih import FatihSystem, FatihConfig
 from repro.core.replica import ReplicaDetector, ReplicaDiscrepancy
 from repro.core.codecs import EncodedSummary, encode_summary, validate_encoded
@@ -90,7 +83,6 @@ __all__ = [
     "ProtocolChi",
     "ChiConfig",
     "QueueValidator",
-    "tcp_square_root_throughput",
     "appenzeller_sigma",
     "appenzeller_loss_probability",
     "FatihSystem",
@@ -101,10 +93,3 @@ __all__ = [
     "encode_summary",
     "validate_encoded",
 ]
-
-# Internal implementation modules stay reachable through the package,
-# with a deprecation warning.
-_narrow(globals(),
-        internal=("chi", "codecs", "detector", "fatih", "pi2", "pik2",
-                  "qmodel", "replica", "segments", "summaries",
-                  "validation"))

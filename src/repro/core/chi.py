@@ -92,10 +92,6 @@ class DropVerdict:
     confidence: float  # probability of malice (c_single or 1 - p_red)
     red_drop_prob: float = 0.0
 
-    @property
-    def malicious_candidate(self) -> bool:
-        return not self.congestive
-
 
 @dataclass
 class RoundFinding:
@@ -865,7 +861,3 @@ class ProtocolChi(RoundDetector):
                                finding.combined_confidence, 0.0),
             ), (downstream,))
 
-    # -- reporting ----------------------------------------------------------------
-    def alarmed_rounds(self, target: Optional[Tuple[str, str]] = None) -> List[RoundFinding]:
-        return [f for f in self.findings if f.alarmed
-                and (target is None or f.target == target)]

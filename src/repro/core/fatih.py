@@ -177,9 +177,6 @@ class RTTMonitor:
         if self._outstanding.pop(seq, None) is not None:
             self.lost += 1
 
-    def rtt_series(self) -> List[Tuple[float, float]]:
-        return list(self.samples)
-
     def mean_rtt(self, since: float = 0.0, until: float = float("inf")) -> Optional[float]:
         window = [rtt for t, rtt in self.samples if since <= t < until]
         if not window:

@@ -1,12 +1,9 @@
 """Traffic-modeling formulas (§6.1.2) — the approach the paper rejects.
 
-Two classic analytic models are implemented both as library utilities and
-as the straw-man congestion predictors whose imprecision motivates χ:
-
-* the TCP "square root formula"  B = (1/RTT)·√(3/(2 b p));
-* Appenzeller et al.'s buffer-occupancy model: the bottleneck queue is
-  ~normal with σ_Q = (2 T_p C + B)/(3√3 · √n)  (Eq. 6.1), giving a loss
-  probability  p = (1 − erf(B/2 / (√2 σ_Q)))/2  (Eq. 6.2).
+Appenzeller et al.'s buffer-occupancy model is the straw-man congestion
+predictor whose imprecision motivates χ: the bottleneck queue is ~normal
+with σ_Q = (2 T_p C + B)/(3√3 · √n)  (Eq. 6.1), giving a loss probability
+p = (1 − erf(B/2 / (√2 σ_Q)))/2  (Eq. 6.2).
 
 The paper verified the normality of Q but found the (µ, σ) prediction too
 rough to drive detection — our benches reproduce that comparison.
@@ -15,25 +12,6 @@ rough to drive detection — our benches reproduce that comparison.
 from __future__ import annotations
 
 import math
-
-
-def tcp_square_root_throughput(rtt: float, loss_prob: float, b: int = 1) -> float:
-    """Steady-state long-lived TCP throughput in packets/second.
-
-    ``rtt`` seconds, ``loss_prob`` in (0, 1], ``b`` packets per ACK.
-    """
-    if rtt <= 0:
-        raise ValueError("rtt must be positive")
-    if not (0 < loss_prob <= 1):
-        raise ValueError("loss probability must be in (0, 1]")
-    return (1.0 / rtt) * math.sqrt(3.0 / (2.0 * b * loss_prob))
-
-
-def tcp_loss_from_throughput(rtt: float, throughput_pps: float, b: int = 1) -> float:
-    """Invert the square-root formula: the loss rate implied by a rate."""
-    if throughput_pps <= 0:
-        raise ValueError("throughput must be positive")
-    return 3.0 / (2.0 * b * (throughput_pps * rtt) ** 2)
 
 
 def appenzeller_sigma(
@@ -65,10 +43,3 @@ def appenzeller_loss_probability(
         raise ValueError("sigma must be positive")
     return (1.0 - math.erf((buffer_packets / 2.0) / (math.sqrt(2.0) * sigma_q))) / 2.0
 
-
-def required_buffer(propagation_delay: float, capacity_pps: float,
-                    n_flows: int) -> float:
-    """The √n rule of thumb: delay-bandwidth product over √n, packets."""
-    if n_flows <= 0:
-        raise ValueError("need at least one flow")
-    return (2.0 * propagation_delay * capacity_pps) / math.sqrt(n_flows)

@@ -166,9 +166,6 @@ class PathOracle:
             return None
         return path[idx + 1]
 
-    def all_paths(self) -> List[Tuple[str, ...]]:
-        return list(self._paths.values())
-
 
 class EcmpPathOracle(PathOracle):
     """Path prediction that honours ECMP and policy routing (§7.4.1).

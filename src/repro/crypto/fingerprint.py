@@ -124,5 +124,3 @@ class FingerprintSampler:
     def sampled(self, packet: Packet) -> bool:
         return fingerprint(packet, self.key) < self._threshold
 
-    def expected_fraction(self) -> float:
-        return self.rate

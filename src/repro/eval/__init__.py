@@ -17,12 +17,11 @@ a warm ``repro sweep``) loads no simulator code.
 The supported surface is exactly ``__all__``.  The ``experiments`` and
 ``registry`` submodules are part of that promise (they are how sweeps
 and plugins address experiment functions); the remaining submodules are
-internal — reaching them through the package still works for one release
-but emits a :class:`DeprecationWarning`, and the ``API001`` lint rule
-flags in-repo imports that bypass the package for exported names.
+internal, and the ``API001`` lint rule flags in-repo imports that bypass
+the package for exported names.
 """
 
-from repro._surface import narrow as _narrow
+from repro._surface import lazy_exports as _lazy_exports
 
 __all__ = [
     "experiments",
@@ -51,21 +50,13 @@ __all__ = [
     "red_spec",
 ]
 
-# Internal implementation modules stay reachable through the package,
-# with a deprecation warning; public submodules import silently.
-_narrow(globals(),
-        internal=("metrics", "results", "scenarios", "specs"),
-        public=("experiments", "registry"),
-        exports={
-            "metrics": ("DetectionMetrics", "score_round_findings"),
-            "results": ("EvalResultBase", "result_type_name",
-                        "serialize_result"),
-            "specs": ("AdversarySpec", "BEHAVIORS", "DETECTORS",
-                      "PLACEMENT_STRATEGIES", "PlacementSpec",
-                      "ScenarioSpec", "TopologySpec", "TrafficSpec",
-                      "register_topology", "resolve_ground_truth",
-                      "topology_names", "transit_candidates",
-                      "droptail_spec", "red_spec"),
-            "scenarios": ("AttackScenario", "BottleneckScenario",
-                          "build_scenario"),
-        })
+_lazy_exports(globals(), {
+    "metrics": ("DetectionMetrics", "score_round_findings"),
+    "results": ("EvalResultBase", "result_type_name", "serialize_result"),
+    "specs": ("AdversarySpec", "BEHAVIORS", "DETECTORS",
+              "PLACEMENT_STRATEGIES", "PlacementSpec", "ScenarioSpec",
+              "TopologySpec", "TrafficSpec", "register_topology",
+              "resolve_ground_truth", "topology_names", "transit_candidates",
+              "droptail_spec", "red_spec"),
+    "scenarios": ("AttackScenario", "BottleneckScenario", "build_scenario"),
+})

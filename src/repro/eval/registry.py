@@ -316,9 +316,14 @@ class ExperimentSpec:
                 f"{', '.join(unknown)} not in {self.fn.__name__}'s "
                 f"signature")
         table.update((p.name, p) for p in self.params)
+        unknown = sorted(name for name, _ in self.defaults
+                         if name not in table)
+        if unknown:
+            raise ValueError(
+                f"experiment {self.name!r} has default(s) for "
+                f"{', '.join(unknown)}, which it has no parameter for")
         for name, value in self.defaults:
-            if name in table:
-                table[name] = replace(table[name], default=value)
+            table[name] = replace(table[name], default=value)
         object.__setattr__(self, "params", tuple(table.values()))
 
     @property

@@ -8,14 +8,10 @@ RED queues; monitors can tap enqueue/transmit/drop/receive events to build
 the traffic summaries that the detection protocols consume.
 
 The supported surface is exactly ``__all__``; the submodules behind it
-are internal.  Reaching them through the package (``repro.net.events``,
-``from repro.net import events``) still works but emits a
-:class:`DeprecationWarning` naming the supported import path, and the
-``API001`` lint rule flags in-repo imports that bypass the package for
-names it already exports.
+are internal, and the ``API001`` lint rule flags in-repo imports that
+bypass the package for names it already exports.
 """
 
-from repro._surface import narrow as _narrow
 from repro.net.events import Simulator, Event
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import (
@@ -32,12 +28,8 @@ from repro.net.topology import (
 )
 from repro.net.queues import DropTailQueue, REDParams, REDQueue, QueueEvent
 from repro.net.router import ForwardAction, MonitorTap, Network, Router
-from repro.net.routing import (
-    LinkStateRouting,
-    ForwardingTable,
-    install_static_routes,
-)
-from repro.net.traffic import CBRSource, PoissonSource, OnOffSource
+from repro.net.routing import LinkStateRouting, install_static_routes
+from repro.net.traffic import CBRSource, PoissonSource
 from repro.net.tcp import TCPFlow
 from repro.net.adversary import (
     CombinedCompromise,
@@ -81,10 +73,8 @@ __all__ = [
     "MonitorTap",
     "ForwardAction",
     "LinkStateRouting",
-    "ForwardingTable",
     "CBRSource",
     "PoissonSource",
-    "OnOffSource",
     "TCPFlow",
     "Compromise",
     "CombinedCompromise",
@@ -101,9 +91,3 @@ __all__ = [
     "FabricateAttack",
     "MisrouteAttack",
 ]
-
-# Internal implementation modules stay reachable through the package,
-# with a deprecation warning.
-_narrow(globals(),
-        internal=("adversary", "events", "packet", "queues", "router",
-                  "routing", "tcp", "topology", "traffic"))

@@ -83,10 +83,6 @@ class Compromise:
         """Relayed protocol message; return it (possibly altered) or None."""
         return message
 
-    @property
-    def malicious_drop_count(self) -> int:
-        return len(self.dropped)
-
 
 class DropAllAttack(Compromise):
     """Black-hole every transit packet."""

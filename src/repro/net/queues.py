@@ -237,9 +237,6 @@ class REDQueue:
         self.avg = (1.0 - w) * self.avg + w * self.occupancy
         return self.avg
 
-    def current_drop_prob(self) -> float:
-        return red_drop_probability(self.avg, self.params, self.count)
-
     def offer(self, packet: Packet, now: float) -> Tuple[bool, Optional[DropReason], float]:
         self.update_average(now)
         params = self.params

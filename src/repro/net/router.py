@@ -440,11 +440,5 @@ class Network:
                           on_deliver, message, )
 
     # -- convenience -------------------------------------------------------
-    def set_forwarding_tables(self, tables: Dict[str, Dict[str, List[str]]]) -> None:
-        for name, table in tables.items():
-            self.routers[name].forwarding_table = {
-                dst: list(hops) for dst, hops in table.items()
-            }
-
     def run(self, until: float) -> None:
         self.sim.run(until=until)

@@ -34,10 +34,6 @@ from repro.net.topology import Topology
 PathSegment = Tuple[str, ...]
 
 
-class ForwardingTable(dict):
-    """dst -> list of next hops.  A thin dict subclass for clarity."""
-
-
 # -- cached single-source SPF ----------------------------------------------
 #
 # Unconstrained shortest paths dominate route installation:
@@ -113,21 +109,6 @@ def _single_source_spf(
                 cleaned.append(hop)
         paths[dst] = cleaned
     return paths
-
-
-def spf_paths(
-    topology: Topology,
-    src: str,
-    link_up: Optional[Set[Tuple[str, str]]] = None,
-) -> Dict[str, List[str]]:
-    """Cached unconstrained shortest paths from ``src``.
-
-    The cache lives per :class:`Topology` instance (weakly referenced)
-    and is dropped wholesale when ``topology.version`` changes.  Returned
-    lists are fresh copies — callers may mutate them freely.
-    """
-    tree = _cached_tree(topology, src, link_up)
-    return {dst: list(path) for dst, path in tree.items()}
 
 
 def _cached_tree(

@@ -129,57 +129,3 @@ class PoissonSource(_SourceBase):
             self.rng.expovariate(self.rate_pps), self._tick, seq + 1
         )
 
-
-class OnOffSource(_SourceBase):
-    """Bursty on/off source: CBR during exponential on-periods.
-
-    This is the classic bursty cross-traffic shape that fills router
-    buffers and produces the congestive losses χ must explain away.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        src: str,
-        dst: str,
-        flow_id: str,
-        rate_bps: float,
-        mean_on: float = 0.5,
-        mean_off: float = 0.5,
-        packet_size: int = 1000,
-        start: float = 0.0,
-        duration: Optional[float] = None,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(network, src, dst, flow_id, packet_size)
-        self.interval = packet_size * 8.0 / rate_bps
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.rng = random.Random(seed)
-        self.end_time = None if duration is None else start + duration
-        self._seq = 0
-        self._on_until = 0.0
-        network.sim.schedule_at(start, self._start_burst)
-
-    def _start_burst(self) -> None:
-        if self._stopped:
-            return
-        now = self.network.sim.now
-        if self.end_time is not None and now >= self.end_time:
-            return
-        self._on_until = now + self.rng.expovariate(1.0 / self.mean_on)
-        self._tick()
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        now = self.network.sim.now
-        if self.end_time is not None and now >= self.end_time:
-            return
-        if now >= self._on_until:
-            off = self.rng.expovariate(1.0 / self.mean_off)
-            self.network.sim.schedule(off, self._start_burst)
-            return
-        self._emit(self._seq)
-        self._seq += 1
-        self.network.sim.schedule(self.interval, self._tick)

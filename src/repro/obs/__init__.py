@@ -21,13 +21,11 @@ sweep's ``repro.obs.telemetry`` load no trace analytics.
 The supported surface is exactly ``__all__`` — which includes the two
 wall-domain modules ``telemetry`` and ``profile`` as *public modules*
 (sweep machinery addresses their schemas directly).  The remaining
-submodules are internal: reaching them through the package emits a
-:class:`DeprecationWarning` naming the supported import path, and the
-``API001`` lint rule flags in-repo imports that bypass the package for
-names it already exports.
+submodules are internal, and the ``API001`` lint rule flags in-repo
+imports that bypass the package for names it already exports.
 """
 
-from repro._surface import narrow as _narrow
+from repro._surface import lazy_exports as _lazy_exports
 
 __all__ = [
     "profile",
@@ -55,21 +53,13 @@ __all__ = [
     "trace_files",
 ]
 
-# Internal implementation modules stay reachable through the package,
-# with a deprecation warning; public submodules import silently.
-_narrow(globals(),
-        internal=("cli", "diff", "forensics", "metrics", "query",
-                  "record", "sinks", "trace"),
-        public=("profile", "telemetry"),
-        exports={
-            "diff": ("DiffReport", "diff_sweeps"),
-            "forensics": ("RouterExplanation", "VerdictReport",
-                          "explain_router", "explain_sweep",
-                          "flow_timeline"),
-            "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
-                        "merge_snapshots"),
-            "query": ("QueryFilter", "TraceEvent", "TraceReader",
-                      "trace_files"),
-            "record": ("Recorder", "recorder"),
-            "sinks": ("JsonlSink", "MemorySink", "NullSink"),
-        })
+_lazy_exports(globals(), {
+    "diff": ("DiffReport", "diff_sweeps"),
+    "forensics": ("RouterExplanation", "VerdictReport", "explain_router",
+                  "explain_sweep", "flow_timeline"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                "merge_snapshots"),
+    "query": ("QueryFilter", "TraceEvent", "TraceReader", "trace_files"),
+    "record": ("Recorder", "recorder"),
+    "sinks": ("JsonlSink", "MemorySink", "NullSink"),
+})

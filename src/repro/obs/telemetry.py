@@ -14,7 +14,7 @@ Sim-domain quantities (event counts, virtual-time horizons) belong in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 #: Schema tag for the manifest ``telemetry`` section.
 TELEMETRY_SCHEMA = "repro.obs.telemetry/v1"
@@ -150,19 +150,3 @@ def merge_telemetry(sections: Sequence[Optional[dict]]) -> Optional[dict]:
         "dispatch": None,
     }
 
-
-class DispatchTimer:
-    """Accumulates shard submit/collect wall times for one dispatch."""
-
-    def __init__(self, executor_name: str) -> None:
-        self.executor = executor_name
-        self.submit_s = 0.0
-        self.collect_s = 0.0
-
-    def dispatch_section(self, shard_rows: List[dict]) -> dict:
-        return {
-            "executor": self.executor,
-            "submit_s": self.submit_s,
-            "collect_s": self.collect_s,
-            "shards": shard_rows,
-        }

@@ -1,10 +1,10 @@
-"""The narrowed public surface of repro.net / repro.core / repro.eval / repro.obs.
+"""The public surface of repro.net / repro.core / repro.eval / repro.obs.
 
-Two enforcement layers, both covered here:
+``__all__`` is the promise and the API001 lint pass is its one enforcer:
 
-* runtime — PEP 562 package ``__getattr__`` raises a DeprecationWarning
-  when an internal submodule is reached through package attribute
-  access, while every ``__all__`` name keeps working;
+* runtime — every ``__all__`` name resolves, a submodule resolves by
+  package attribute access or import without a warning, and any other
+  name is an AttributeError;
 * lint — the API001 pass flags in-repo imports that bypass the package
   surface (``from repro.net.packet import Packet``), and the shipped
   ``src`` tree itself must be clean under it.
@@ -23,93 +23,32 @@ import repro.obs
 from repro.analysis import lint_paths
 
 SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src"))
+PACKAGES = (repro.net, repro.core, repro.eval, repro.obs)
 
 
 class TestRuntimeSurface:
     def test_public_names_importable(self):
-        for name in repro.net.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert getattr(repro.net, name) is not None
-        for name in repro.core.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert getattr(repro.core, name) is not None
-        for name in repro.eval.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert getattr(repro.eval, name) is not None
-        for name in repro.obs.__all__:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert getattr(repro.obs, name) is not None
-
-    def test_eval_public_submodules_stay_quiet(self):
-        # ``experiments`` and ``registry`` are promised surface: package
-        # attribute access must resolve them without any warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert repro.eval.registry.__name__ == "repro.eval.registry"
-            assert (repro.eval.experiments.__name__
-                    == "repro.eval.experiments")
+            for package in PACKAGES:
+                for name in package.__all__:
+                    assert getattr(package, name) is not None, (
+                        package.__name__, name)
 
-    def test_obs_public_submodules_stay_quiet(self):
-        # The wall-domain modules are promised surface for the sweep
-        # machinery: package attribute access must not warn.
+    @pytest.mark.parametrize("package, submodule", [
+        (repro.obs, "query"), (repro.core, "chi")])
+    def test_submodule_attribute_access_is_quiet(self, package, submodule):
+        name = f"{package.__name__}.{submodule}"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert (repro.obs.telemetry.__name__
-                    == "repro.obs.telemetry")
-            assert repro.obs.profile.__name__ == "repro.obs.profile"
-
-    @pytest.mark.parametrize("package,submodule", [
-        (repro.net, "events"),
-        (repro.net, "queues"),
-        (repro.core, "chi"),
-        (repro.core, "summaries"),
-        (repro.eval, "scenarios"),
-        (repro.eval, "results"),
-        (repro.eval, "specs"),
-        (repro.eval, "metrics"),
-        (repro.obs, "record"),
-        (repro.obs, "query"),
-        (repro.obs, "forensics"),
-        (repro.obs, "sinks"),
-    ])
-    def test_internal_module_access_warns(self, package, submodule):
-        with pytest.warns(DeprecationWarning, match="internal module"):
             module = getattr(package, submodule)
-        assert module.__name__ == f"{package.__name__}.{submodule}"
-
-    def test_from_package_import_submodule_warns(self):
-        with pytest.warns(DeprecationWarning, match="internal module"):
-            from repro.net import events  # noqa: F401
-
-    def test_direct_submodule_import_stays_quiet(self):
-        # ``from repro.net.events import Simulator`` is the accepted,
-        # visible way to depend on internals — no warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            module = importlib.import_module("repro.net.events")
-        assert hasattr(module, "Simulator")
+            assert importlib.import_module(name) is module
+        assert module.__name__ == name
 
     def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError, match="no_such_thing"):
-            repro.net.no_such_thing
-        with pytest.raises(AttributeError, match="no_such_thing"):
-            repro.core.no_such_thing
-        with pytest.raises(AttributeError, match="no_such_thing"):
-            repro.eval.no_such_thing
-        with pytest.raises(AttributeError, match="no_such_thing"):
-            repro.obs.no_such_thing
-
-    def test_dir_lists_public_and_internal(self):
-        listing = dir(repro.net)
-        assert "Packet" in listing and "events" in listing
-        listing = dir(repro.core)
-        assert "ProtocolChi" in listing and "chi" in listing
-        listing = dir(repro.obs)
-        assert "TraceReader" in listing and "record" in listing
+        for package in PACKAGES:
+            with pytest.raises(AttributeError, match="no_such_thing"):
+                package.no_such_thing
 
 
 def _lint(tmp_path, source, package="net"):

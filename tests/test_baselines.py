@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.awerbuch import awerbuch_binary_search
-from repro.baselines.herzberg import herzberg_end_to_end, herzberg_hop_by_hop
 from repro.baselines.pathmodel import FaultyNode, PathModel
 from repro.baselines.perlman import perlman_per_hop_acks, perlman_route_setup
 from repro.baselines.sectrace import secure_traceroute
@@ -63,43 +62,6 @@ class TestPathModel:
             PathModel(["a"])
         with pytest.raises(ValueError):
             PathModel(["a", "b", "a"])
-
-
-class TestHerzberg:
-    def test_end_to_end_clean(self):
-        outcome = herzberg_end_to_end(PathModel(["a", "b", "c", "d"]))
-        assert outcome.delivered
-        assert outcome.detected_link is None
-
-    def test_end_to_end_localizes_dropper(self):
-        model = PathModel(["a", "b", "c", "d"], {"c": dropper()})
-        outcome = herzberg_end_to_end(model)
-        assert not outcome.delivered
-        assert "c" in outcome.detected_link
-
-    def test_end_to_end_ack_suppression_implicates_suppressor(self):
-        model = PathModel(["a", "b", "c", "d"], {
-            "b": FaultyNode(drop_protocol=lambda r, o, k: k == "ack")})
-        outcome = herzberg_end_to_end(model)
-        assert outcome.detected_link is not None
-        assert "b" in outcome.detected_link
-
-    def test_hop_by_hop_clean(self):
-        outcome = herzberg_hop_by_hop(PathModel(["a", "b", "c", "d"]))
-        assert outcome.detected_link is None
-        assert outcome.acks_sent == 4
-
-    def test_hop_by_hop_localizes_quickly(self):
-        model = PathModel(["a", "b", "c", "d", "e"], {"d": dropper()})
-        outcome = herzberg_hop_by_hop(model)
-        assert "d" in outcome.detected_link
-        assert outcome.rounds_to_detect <= 1
-
-    def test_hop_by_hop_costs_more_acks(self):
-        model = PathModel(["a", "b", "c", "d", "e", "f"])
-        cheap = herzberg_end_to_end(model)
-        costly = herzberg_hop_by_hop(model)
-        assert costly.acks_sent > cheap.acks_sent
 
 
 class TestPerlman:

@@ -1,85 +1,16 @@
-"""Tests for the second wave of Chapter 3 baselines: HSER,
-StealthProbing, ZHANG, SATS."""
+"""Tests for ZHANG (§3.12), χ's closest prior: the M/M/1/K loss model
+and the threshold detector built on it."""
 
 import pytest
 
-from repro.baselines.hser import hser_round, stealth_probe
-from repro.baselines.pathmodel import FaultyNode, PathModel
-from repro.baselines.sats import SATSBackend
 from repro.baselines.zhang import ZhangDetector, mm1k_loss_probability
 from repro.core.chi import QueueTap
 from repro.core.summaries import PathOracle
 from repro.net.adversary import DropFlowAttack
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
-from repro.net.topology import MBPS, Topology, chain
-from repro.net.traffic import CBRSource, PoissonSource
-
-
-def dropper():
-    return FaultyNode(drop_data=lambda r, p: True)
-
-
-class TestHSER:
-    def test_clean_delivery(self):
-        outcome = hser_round(PathModel(["a", "b", "c", "d"]))
-        assert outcome.delivered
-        assert outcome.detected_link is None
-
-    def test_dropper_localized_to_its_link(self):
-        model = PathModel(["a", "b", "c", "d", "e"], {"c": dropper()})
-        outcome = hser_round(model)
-        assert not outcome.delivered
-        assert "c" in outcome.detected_link
-        assert outcome.announcements
-
-    def test_corrupter_localized(self):
-        model = PathModel(["a", "b", "c", "d", "e"],
-                          {"c": FaultyNode(corrupt=lambda p: "evil")})
-        outcome = hser_round(model)
-        assert outcome.detected_link is not None
-        assert "c" in outcome.detected_link
-
-    def test_announcement_suppressor_implicates_itself(self):
-        """Unlike PERLMANd, collusion cannot frame a correct link: the
-        suppressor sits on the working prefix and gets implicated."""
-        model = PathModel(["a", "b", "c", "d", "e"], {
-            "d": dropper(),
-            "b": FaultyNode(drop_protocol=lambda r, o, k: k == "announce"),
-        })
-        outcome = hser_round(model)
-        assert outcome.detected_link is not None
-        detected = set(outcome.detected_link)
-        assert detected & {"b", "d"}  # a faulty router is inside
-
-    def test_ack_suppression_detected(self):
-        model = PathModel(["a", "b", "c", "d"], {
-            "b": FaultyNode(drop_protocol=lambda r, o, k: k == "ack")})
-        outcome = hser_round(model)
-        assert outcome.detected_link is not None
-        assert "b" in outcome.detected_link
-
-
-class TestStealthProbing:
-    def test_clean_path_available(self):
-        available, rate = stealth_probe(PathModel(["a", "b", "c"]))
-        assert available
-        assert rate == 1.0
-
-    def test_dropper_kills_availability_but_no_localization(self):
-        model = PathModel(["a", "b", "c", "d"], {"b": dropper()})
-        available, rate = stealth_probe(model)
-        assert not available
-        assert rate == 0.0
-        # the return type has no "which link" — that's the point (§3.8)
-
-    def test_probes_indistinguishable_from_data(self):
-        """A dropper that only drops 'probe-looking' payloads sees only
-        opaque tuples, so it cannot spare the probes."""
-        model = PathModel(["a", "b", "c"], {
-            "b": FaultyNode(drop_data=lambda r, p: p == "probe")})
-        available, rate = stealth_probe(model)
-        assert available  # the discriminator never matches
+from repro.net.topology import MBPS, Topology
+from repro.net.traffic import PoissonSource
 
 
 class TestMM1K:
@@ -184,54 +115,3 @@ class TestZhangDetector:
             headrooms.append(verdict.threshold - verdict.observed_losses)
         # ...but the attacker-exploitable slack is wide.
         assert sum(headrooms) / len(headrooms) > 5.0
-
-
-class TestSATS:
-    def build(self, rate=0.5, misreporters=None):
-        net = Network(chain(5, bandwidth=10 * MBPS))
-        paths = install_static_routes(net)
-        backend = SATSBackend(net, PathOracle(paths), rate=rate,
-                              misreporters=misreporters)
-        net.add_tap(backend)
-        return net, backend
-
-    def test_clean_network_no_suspicions(self):
-        net, backend = self.build()
-        CBRSource(net, "r1", "r5", "f", rate_bps=800_000, duration=2.0)
-        net.run(4.0)
-        assert backend.analyze() == []
-
-    def test_dropper_suspected(self):
-        net, backend = self.build()
-        net.routers["r3"].compromise = DropFlowAttack(["f"], fraction=0.5,
-                                                      seed=2)
-        CBRSource(net, "r1", "r5", "f", rate_bps=800_000, duration=2.0)
-        net.run(4.0)
-        assert "r3" in backend.suspected_routers()
-
-    def test_localization_narrows_with_pair_coverage(self):
-        net, backend = self.build()
-        net.routers["r3"].compromise = DropFlowAttack(["f"], fraction=0.5,
-                                                      seed=2)
-        CBRSource(net, "r1", "r5", "f", rate_bps=800_000, duration=2.0)
-        net.run(4.0)
-        core = backend.localized_routers()
-        assert "r3" in core
-        assert len(core) <= 3
-
-    def test_silent_misreporter_implicates_itself(self):
-        net, backend = self.build(misreporters={"r3": "silent"})
-        CBRSource(net, "r1", "r5", "f", rate_bps=800_000, duration=2.0)
-        net.run(4.0)
-        # r3 reports nothing, so every pair range involving r3 shows it
-        # "losing" everything — r3 lands in the suspected set.
-        assert "r3" in backend.suspected_routers()
-
-    def test_secret_ranges_cover_disjoint_slices(self):
-        net, backend = self.build(rate=0.3)
-        CBRSource(net, "r1", "r5", "f", rate_bps=800_000, duration=1.0)
-        net.run(3.0)
-        # Different pairs sample different subsets (secret split).
-        r2 = backend.reports["r2"]
-        sampled_sets = [frozenset(v) for v in r2.values() if v]
-        assert len(set(sampled_sets)) > 1

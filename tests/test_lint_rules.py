@@ -32,8 +32,6 @@ def test_rule_catalogue_has_all_families():
         "API001",
         "DET001", "DET002", "DET003", "DET004",
         "LNT001", "LNT002",
-        "PAY001", "PAY002", "PAY003",
-        "REG001", "REG003",
     ]
     for rule in RULES.values():
         assert rule.summary
@@ -96,53 +94,6 @@ def test_determinism_rules_scoped_to_sim_packages(tmp_path):
     unscoped.write_text(text)
     report = lint_paths([str(unscoped)])
     assert [f for f in report.new if f.rule.startswith("DET")] == []
-
-
-def test_payload_bad_fixture():
-    got = findings_for("pay_bad.py")
-    assert got == [
-        ("PAY001", 10),
-        ("PAY001", 15),
-        ("PAY002", 17),
-        ("PAY002", 19),
-        ("PAY003", 20),
-    ]
-
-
-def test_payload_good_fixture_is_clean():
-    # Thread pools have no pickle boundary; module-level callables and
-    # plain data are fine.
-    assert findings_for("pay_good.py") == []
-
-
-def test_registry_bad_fixture():
-    got = findings_for("reg_bad.py")
-    assert got == [
-        ("REG001", 12),
-        ("REG001", 17),
-        ("REG003", 20),
-        ("REG003", 27),
-    ]
-
-
-def test_registry_good_fixture_is_clean():
-    assert findings_for("reg_good.py") == []
-
-
-def test_registry_contract_resolves_cross_module(tmp_path):
-    # The fn lives in one module, the spec in another; REG001 must
-    # resolve the signature through the import.
-    (tmp_path / "exps.py").write_text(
-        "def my_exp(alpha: int = 1):\n    return alpha\n")
-    (tmp_path / "specs.py").write_text(
-        "from exps import my_exp\n"
-        "from repro.eval.registry import ExperimentSpec\n"
-        "SPEC = ExperimentSpec('x', my_exp, print,\n"
-        "                      defaults=(('nope', 2),))\n")
-    report = lint_paths([str(tmp_path)])
-    assert [(f.rule, os.path.basename(f.path)) for f in report.new] == [
-        ("REG001", "specs.py")]
-    assert "my_exp" in report.new[0].message
 
 
 def test_suppression_with_reason_suppresses():

@@ -129,8 +129,7 @@ HELP_BEFORE_LAZY_DISPATCH = (
     ("run", "run one or more experiments"),
     ("sweep", "Monte-Carlo sweep an experiment across seeds and parameters"),
     ("merge", "merge sharded sweep outputs into one aggregate"),
-    ("lint", "static invariant checks (determinism, payload safety, "
-             "registry contracts, public API surface)"),
+    ("lint", "static invariant checks (determinism, public API surface)"),
     ("obs", "inspect, query and diff observability artifacts"),
 )
 

@@ -41,10 +41,9 @@ class TestDocstrings:
         "repro.core.chi",
         "repro.core.qmodel", "repro.core.fatih", "repro.core.replica",
         "repro.core.codecs", "repro.baselines.pathmodel",
-        "repro.baselines.watchers", "repro.baselines.herzberg",
-        "repro.baselines.perlman", "repro.baselines.sectrace",
-        "repro.baselines.awerbuch", "repro.baselines.hser",
-        "repro.baselines.zhang", "repro.baselines.sats",
+        "repro.baselines.watchers", "repro.baselines.perlman",
+        "repro.baselines.sectrace", "repro.baselines.awerbuch",
+        "repro.baselines.zhang",
         "repro.eval.metrics", "repro.eval.scenarios",
         "repro.eval.experiments",
     ])

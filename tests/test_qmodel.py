@@ -1,41 +1,8 @@
 """Tests for the §6.1.2 traffic-modeling formulas."""
 
-import math
-
 import pytest
 
-from repro.core.qmodel import (
-    appenzeller_loss_probability,
-    appenzeller_sigma,
-    required_buffer,
-    tcp_loss_from_throughput,
-    tcp_square_root_throughput,
-)
-
-
-class TestSquareRootFormula:
-    def test_known_value(self):
-        # B = (1/RTT) sqrt(3/(2 b p)); RTT=0.1, p=0.015, b=1
-        expected = 10 * math.sqrt(3 / 0.03)
-        assert tcp_square_root_throughput(0.1, 0.015) == \
-            pytest.approx(expected)
-
-    def test_throughput_falls_with_loss(self):
-        low = tcp_square_root_throughput(0.1, 0.001)
-        high = tcp_square_root_throughput(0.1, 0.1)
-        assert low > high
-
-    def test_roundtrip_with_inverse(self):
-        rate = tcp_square_root_throughput(0.05, 0.01)
-        assert tcp_loss_from_throughput(0.05, rate) == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            tcp_square_root_throughput(0, 0.1)
-        with pytest.raises(ValueError):
-            tcp_square_root_throughput(0.1, 0)
-        with pytest.raises(ValueError):
-            tcp_loss_from_throughput(0.1, 0)
+from repro.core import appenzeller_loss_probability, appenzeller_sigma
 
 
 class TestAppenzellerModel:
@@ -54,10 +21,6 @@ class TestAppenzellerModel:
         sigma = appenzeller_sigma(0.05, 1000, 50, 8)
         p = appenzeller_loss_probability(50, sigma)
         assert 0.0 <= p <= 0.5
-
-    def test_required_buffer_rule(self):
-        # 2 T_p C / sqrt(n)
-        assert required_buffer(0.05, 1000, 25) == pytest.approx(20.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

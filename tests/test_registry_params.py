@@ -128,6 +128,13 @@ class TestExperimentSpecTable:
             ExperimentSpec("t", typed_experiment, report,
                            params=(ParamSpec("bogus", int),))
 
+    def test_unknown_default_rejected(self):
+        # A default the table cannot show would make `repro list`
+        # disagree with what a bare run does.
+        with pytest.raises(ValueError, match="typo"):
+            ExperimentSpec("t", typed_experiment, report,
+                           defaults=(("typo", 3),))
+
     def test_declared_params_accepted_when_fn_takes_kwargs(self):
         def open_ended(seed: int = 0, **flat):
             return dict(flat, seed=seed)

@@ -5,7 +5,7 @@ import pytest
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
 from repro.net.topology import MBPS, chain
-from repro.net.traffic import CBRSource, OnOffSource, PoissonSource
+from repro.net.traffic import CBRSource, PoissonSource
 
 
 def net():
@@ -30,6 +30,7 @@ class TestCBR:
         network.run(2.0)
         assert src.received == src.sent
         assert src.loss_count == 0
+        assert len(src.delivery_times) == src.received
 
     def test_stop(self):
         network = net()
@@ -77,21 +78,3 @@ class TestPoisson:
         with pytest.raises(ValueError):
             PoissonSource(net(), "r1", "r3", "f", rate_pps=0)
 
-
-class TestOnOff:
-    def test_produces_bursts(self):
-        network = net()
-        src = OnOffSource(network, "r1", "r3", "f", rate_bps=2_000_000,
-                          mean_on=0.2, mean_off=0.2, duration=5.0, seed=2)
-        network.run(6.0)
-        assert src.sent > 0
-        # With 50% duty cycle the count is well below the always-on count.
-        always_on = 2_000_000 / 8000 * 5
-        assert src.sent < always_on
-
-    def test_delivery_times_recorded(self):
-        network = net()
-        src = OnOffSource(network, "r1", "r3", "f", rate_bps=1_000_000,
-                          duration=1.0, seed=3)
-        network.run(3.0)
-        assert len(src.delivery_times) == src.received
