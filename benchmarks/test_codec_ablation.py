@@ -9,7 +9,7 @@ on the same attack and compares wire bytes and detection.
 
 from conftest import save_series
 
-from repro.core import PiK2Config, arm_protocol
+from repro.core import PiConfig, arm_protocol
 from repro.net import (
     CBRSource,
     DropFlowAttack,
@@ -23,8 +23,7 @@ def run_codec(codec: str):
     net = Network(chain(5))
     protocol = arm_protocol(
         net, install_static_routes(net), "pik2", last_round=5,
-        config=PiK2Config(codec=codec, codec_max_diff=12,
-                          codec_bloom_bits=2048))
+        config=PiConfig(codec=codec))
     CBRSource(net, "r1", "r5", "f1", rate_bps=800_000, duration=6.0)
     net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.1,
                                                   seed=1)

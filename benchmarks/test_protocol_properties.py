@@ -46,7 +46,7 @@ def _run_case(protocol_name, bad_router, behavior, seed):
 
     acc = accuracy_report(protocol.states, {bad_router},
                           max_precision=max_precision)
-    comp = completeness_report(protocol.states, {bad_router}, mode="FI")
+    comp = completeness_report(protocol.states, {bad_router})
     return acc, comp
 
 

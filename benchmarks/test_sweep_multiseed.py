@@ -4,7 +4,8 @@ The per-figure benches regenerate each result at one seed; this bench
 uses the sweep engine to replicate Fig 6.6's attack across derived seeds
 and asserts the paper's qualitative claims hold in distribution —
 detected at every seed, zero false positives at every seed — writing
-mean/median/CI aggregates alongside the single-seed series.
+mean/median/CI aggregates alongside the single-seed series.  It sweeps
+against a fresh cache, so every run misses and writes the same file.
 """
 
 from conftest import save_series
@@ -22,11 +23,11 @@ FIELDS = (
 )
 
 
-def test_fig6_6_multiseed_sweep(benchmark):
-    sweep = benchmark.pedantic(
-        lambda: run_sweep("fig6_6", SweepConfig(seeds=3, jobs=2,
-                                                root_seed=0)),
-        rounds=1, iterations=1)
+def test_fig6_6_multiseed_sweep(benchmark, tmp_path):
+    config = SweepConfig(seeds=3, jobs=2, root_seed=0,
+                         cache_dir=str(tmp_path / "cache"))
+    sweep = benchmark.pedantic(lambda: run_sweep("fig6_6", config),
+                               rounds=1, iterations=1)
     aggregate = sweep.aggregate
     lines = [
         f"sweep: fig6_6 seeds={sweep.seeds} jobs={sweep.jobs} "

@@ -25,7 +25,7 @@ def main() -> None:
     paths = install_static_routes(network)
 
     # 2. Detection plumbing: a summary generator (tap), agreed 1 s rounds,
-    #    keys, and Πk+2 (PiK2Config defaults: k = 1, zero loss threshold)
+    #    keys, and Πk+2 (PiConfig defaults: k = 1, zero loss threshold)
     #    over every monitored segment, for rounds 0-4.
     protocol = arm_protocol(network, paths, "pik2", last_round=4)
 

@@ -32,6 +32,7 @@ from repro.core.validation import (
 from repro.core.detector import (
     Suspicion,
     DetectorState,
+    PiConfig,
     accuracy_report,
     completeness_report,
     segment_id,
@@ -44,11 +45,11 @@ from repro.core.segments import (
     pr_statistics,
     arm_protocol,
 )
-from repro.core.pi2 import Pi2Config, ProtocolPi2
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
-from repro.core.chi import ProtocolChi, ChiConfig, QueueValidator
+from repro.core.pi2 import ProtocolPi2
+from repro.core.pik2 import ProtocolPiK2
+from repro.core.chi import ProtocolChi, QueueValidator
 from repro.core.qmodel import appenzeller_sigma, appenzeller_loss_probability
-from repro.core.fatih import FatihSystem, FatihConfig
+from repro.core.fatih import FatihSystem
 from repro.core.replica import ReplicaDetector, ReplicaDiscrepancy
 from repro.core.codecs import EncodedSummary, encode_summary, validate_encoded
 
@@ -67,6 +68,7 @@ __all__ = [
     "validate",
     "Suspicion",
     "DetectorState",
+    "PiConfig",
     "accuracy_report",
     "completeness_report",
     "segment_id",
@@ -76,17 +78,13 @@ __all__ = [
     "monitored_segments_pik2",
     "pr_statistics",
     "arm_protocol",
-    "Pi2Config",
     "ProtocolPi2",
-    "PiK2Config",
     "ProtocolPiK2",
     "ProtocolChi",
-    "ChiConfig",
     "QueueValidator",
     "appenzeller_sigma",
     "appenzeller_loss_probability",
     "FatihSystem",
-    "FatihConfig",
     "ReplicaDetector",
     "ReplicaDiscrepancy",
     "EncodedSummary",

@@ -9,9 +9,9 @@ malice, with a confidence derived from the learned distribution of the
 prediction error X = q_act − q_pred ≈ N(µ, σ):
 
 * **single-packet test** (Fig 6.2):
-  c_single = Φ((q_limit − q_pred(ts) − ps − µ)/σ); alarm if ≥ th_single.
+  c_single = Φ((q_limit − q_pred(ts) − ps − µ)/σ); alarm if ≥ TH_SINGLE.
 * **combined test** (Z-test over the round's n losses):
-  z₁ = (q_limit − q̄_pred − p̄s − µ)/(σ/√n); alarm if Φ(z₁) ≥ th_combined.
+  z₁ = (q_limit − q̄_pred − p̄s − µ)/(σ/√n); alarm if Φ(z₁) ≥ TH_COMBINED.
 
 For RED queues the drop decision is randomized, so exact replay is
 impossible; §6.5.2 instead reasons about the drop *probability* each
@@ -36,8 +36,43 @@ from repro.core.summaries import PathOracle
 from repro.crypto.fingerprint import fingerprint
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.sync import RoundSchedule
-from repro.net import MonitorTap, Network, Packet, REDParams, Router
+from repro.net import MonitorTap, Network, Packet, REDParams, REDQueue, Router
 from repro.net.queues import red_packet_drop_probability
+
+
+# χ's decision thresholds.  Single-packet and combined tests alarm at
+# this confidence of malice.
+TH_SINGLE = 0.999
+TH_COMBINED = 0.999
+# Wait after a round's end for packets still in flight (seconds).
+SETTLE_DELAY = 0.3
+# Slack on top of the time a full queue takes to drain before an
+# unmatched arrival counts as lost (seconds).
+WAIT_SLACK = 0.05
+# The per-flow test skips a flow with fewer arrivals than this.
+MIN_FLOW_ARRIVALS = 20
+# A flow is only suspicious if its drop excess is material: at least
+# FLOW_EFFECT_FLOOR drops above expectation and at least
+# FLOW_EXCESS_FRACTION of the expectation.
+FLOW_EFFECT_FLOOR = 6.0
+FLOW_EXCESS_FRACTION = 0.3
+# TCP burstiness correlates a flow's RED outcomes, so single-round
+# z excursions happen; demand the flow look suspicious this many
+# rounds in a row before alarming (latency traded for accuracy).
+FLOW_PERSISTENCE = 2
+# RED single-packet test: alarm once this many near-impossible drops
+# (confidence >= TH_SINGLE each) have accumulated.
+RED_SINGLE_MIN_COUNT = 2
+# A neighbour whose claimed Tinfo omits this many packets that
+# nevertheless *left* the monitored queue is protocol faulty
+# (§6.2.2: signed traffic information is cross-checked; silence about
+# forwarded traffic is as damning as lying about it).
+MISREPORT_THRESHOLD = 3
+# Cumulative (since monitoring began) per-flow and aggregate tests
+# catch sustained fine-grained attacks whose per-round excess is too
+# small to notice: z grows like sqrt(rounds) under a real attack.
+TH_CUMULATIVE = 0.99997  # ~4 sigma
+CUM_EFFECT_FLOOR = 10.0
 
 
 def _phi(x: float) -> float:
@@ -229,12 +264,11 @@ class QueueValidator:
     """
 
     def __init__(self, queue_limit: int, bandwidth: float,
-                 mu: float = 0.0, sigma: float = 1.0,
-                 wait_slack: float = 0.05) -> None:
+                 mu: float = 0.0, sigma: float = 1.0) -> None:
         self.queue_limit = queue_limit
         self.mu = mu
         self.sigma = max(sigma, 1e-9)
-        self.max_wait = queue_limit / bandwidth + wait_slack
+        self.max_wait = queue_limit / bandwidth + WAIT_SLACK
         self.q_pred = 0.0
         self._pending_in: List[TrafficRecord] = []
         self._pending_out: List[TrafficRecord] = []
@@ -354,11 +388,11 @@ class REDQueueValidator:
     observed drop pattern against it.
     """
 
-    def __init__(self, queue_limit: int, bandwidth: float, params: REDParams,
-                 wait_slack: float = 0.05) -> None:
+    def __init__(self, queue_limit: int, bandwidth: float,
+                 params: REDParams) -> None:
         self.queue_limit = queue_limit
         self.params = params
-        self.max_wait = queue_limit / bandwidth + wait_slack
+        self.max_wait = queue_limit / bandwidth + WAIT_SLACK
         self.occupancy = 0.0
         self.avg = 0.0
         self.count = -1
@@ -460,7 +494,7 @@ def red_aggregate_confidence(
 
 def red_flow_confidences(
     arrival_probs: Sequence[Tuple[TrafficRecord, float, bool]],
-    min_arrivals: int = 20,
+    min_arrivals: int = MIN_FLOW_ARRIVALS,
     key=None,
 ) -> Dict[str, Tuple[float, float, float]]:
     """Per-flow drop-count Z-tests for flow-selective attacks.
@@ -491,47 +525,17 @@ def red_flow_confidences(
     return out
 
 
-@dataclass
-class ChiConfig:
-    th_single: float = 0.999
-    th_combined: float = 0.999
-    th_definite: float = 0.999  # RED definite test uses 1 - p directly
-    settle_delay: float = 0.3
-    wait_slack: float = 0.05
-    min_flow_arrivals: int = 20
-    # A flow is only suspicious if its drop excess is material: at least
-    # ``flow_effect_floor`` drops above expectation and at least
-    # ``flow_excess_fraction`` of the expectation.
-    flow_effect_floor: float = 6.0
-    flow_excess_fraction: float = 0.3
-    # TCP burstiness correlates a flow's RED outcomes, so single-round
-    # z excursions happen; demand the flow look suspicious this many
-    # rounds in a row before alarming (latency traded for accuracy).
-    flow_persistence: int = 2
-    # RED single-packet test: alarm once this many near-impossible drops
-    # (confidence >= th_single each) have accumulated.
-    red_single_min_count: int = 2
-    # A neighbour whose claimed Tinfo omits this many packets that
-    # nevertheless *left* the monitored queue is protocol faulty
-    # (§6.2.2: signed traffic information is cross-checked; silence about
-    # forwarded traffic is as damning as lying about it).
-    misreport_threshold: int = 3
-    # Cumulative (since monitoring began) per-flow and aggregate tests
-    # catch sustained fine-grained attacks whose per-round excess is too
-    # small to notice: z grows like sqrt(rounds) under a real attack.
-    th_cumulative: float = 0.99997  # ~4 sigma
-    cum_effect_floor: float = 10.0
-    red_params: Optional[REDParams] = None  # None => droptail validation
-
-
 class ProtocolChi(RoundDetector):
     """Distributed χ over a simulated network.
 
     ``targets`` lists the monitored output interfaces as (router,
     downstream) pairs; each gets a :class:`QueueTap` and a validator at
-    the downstream router.  Per round, the downstream router evaluates
-    the queue and — on alarm — floods a signed suspicion of the 2-segment
-    ⟨r, r_d⟩ (χ is accurate with precision 2, §6.3.1).
+    the downstream router that follows its queue's discipline (§6.2): a
+    :class:`REDQueueValidator` with the queue's own parameters for a
+    :class:`~repro.net.REDQueue`, a :class:`QueueValidator` otherwise.
+    Per round, the downstream router evaluates the queue and — on alarm
+    — floods a signed suspicion of the 2-segment ⟨r, r_d⟩ (χ is accurate
+    with precision 2, §6.3.1).
 
     Live state is proportional to the packets in flight, not to the
     length of the run: records move from tap to validator every round,
@@ -547,10 +551,9 @@ class ProtocolChi(RoundDetector):
         schedule: RoundSchedule,
         targets: Sequence[Tuple[str, str]],
         keys: Optional[KeyInfrastructure] = None,
-        config: Optional[ChiConfig] = None,
         reporters: Optional[Dict[str, Callable[[List[TrafficRecord]], List[TrafficRecord]]]] = None,
     ) -> None:
-        super().__init__(network, schedule, config or ChiConfig())
+        super().__init__(network, schedule, SETTLE_DELAY)
         self.oracle = oracle
         self.keys = keys or KeyInfrastructure()
         self.reporters = reporters or {}
@@ -572,17 +575,13 @@ class ProtocolChi(RoundDetector):
             tap = QueueTap(network, oracle, router, downstream)
             network.add_tap(tap)
             link = network.topology.link(router, downstream)
-            if self.config.red_params is not None:
+            queue = network.routers[router].interfaces[downstream].queue
+            if isinstance(queue, REDQueue):
                 validator: object = REDQueueValidator(
-                    link.queue_limit, link.bandwidth, self.config.red_params,
-                    wait_slack=self.config.wait_slack,
-                )
+                    link.queue_limit, link.bandwidth, queue.params)
                 tap._samples_truth = False  # RED is never calibrated
             else:
-                validator = QueueValidator(
-                    link.queue_limit, link.bandwidth,
-                    wait_slack=self.config.wait_slack,
-                )
+                validator = QueueValidator(link.queue_limit, link.bandwidth)
             key = (router, downstream)
             self.taps[key] = tap
             self.validators[key] = validator
@@ -649,7 +648,6 @@ class ProtocolChi(RoundDetector):
                                drops=verdicts)
         finding.unmatched_out = validator.unmatched_out
         self._attribute_unmatched(target, finding, validator)
-        cfg = self.config
         if isinstance(validator, REDQueueValidator):
             arrivals = validator.drain_arrival_probs()
             finding.arrivals = len(arrivals)
@@ -664,17 +662,17 @@ class ProtocolChi(RoundDetector):
             # of malice; require a couple of them to guard the tail.
             near_impossible = [v for v in verdicts
                                if not v.congestive
-                               and v.confidence >= cfg.th_single]
+                               and v.confidence >= TH_SINGLE]
             self._red_single_count[target] = (
                 self._red_single_count.get(target, 0) + len(near_impossible)
             )
             finding.single_alarm = (
-                self._red_single_count[target] >= cfg.red_single_min_count
+                self._red_single_count[target] >= RED_SINGLE_MIN_COUNT
                 and bool(near_impossible)
             )
             finding.combined_confidence = red_aggregate_confidence(arrivals)
             finding.combined_alarm = (
-                finding.combined_confidence >= cfg.th_combined
+                finding.combined_confidence >= TH_COMBINED
                 and any(dropped for _, _, dropped in arrivals)
             )
             # Group the per-round selective test two ways: by transport
@@ -687,19 +685,17 @@ class ProtocolChi(RoundDetector):
                 ("dst", lambda rec: "dst:" + rec.dst),
             ]
             for label, key_fn in groupings:
-                flow_conf = red_flow_confidences(
-                    arrivals, min_arrivals=cfg.min_flow_arrivals, key=key_fn
-                )
+                flow_conf = red_flow_confidences(arrivals, key=key_fn)
                 n_groups = max(1, len(flow_conf))
-                bonferroni = 1.0 - (1.0 - cfg.th_combined) / n_groups
+                bonferroni = 1.0 - (1.0 - TH_COMBINED) / n_groups
                 for group, (conf, observed, expected) in flow_conf.items():
                     excess = observed - expected
                     key = (target, group)
                     if (conf >= bonferroni
-                            and excess >= cfg.flow_effect_floor
-                            and excess >= cfg.flow_excess_fraction * expected):
+                            and excess >= FLOW_EFFECT_FLOOR
+                            and excess >= FLOW_EXCESS_FRACTION * expected):
                         self._flow_streak[key] = self._flow_streak.get(key, 0) + 1
-                        if self._flow_streak[key] >= cfg.flow_persistence:
+                        if self._flow_streak[key] >= FLOW_PERSISTENCE:
                             suspicious.append(group)
                     else:
                         self._flow_streak[key] = 0
@@ -713,7 +709,7 @@ class ProtocolChi(RoundDetector):
                 (v.confidence for v in candidates), default=0.0
             )
             finding.single_alarm = any(
-                v.confidence >= cfg.th_single for v in candidates
+                v.confidence >= TH_SINGLE for v in candidates
             )
             if len(candidates) > 1 and not finding.single_alarm:
                 finding.combined_confidence = combined_loss_confidence(
@@ -723,7 +719,7 @@ class ProtocolChi(RoundDetector):
                     validator.mu, validator.sigma,
                 )
                 finding.combined_alarm = (
-                    finding.combined_confidence >= cfg.th_combined
+                    finding.combined_confidence >= TH_COMBINED
                 )
             cum = self._candidate_cum.setdefault(target, [])
             cum.extend((v.q_pred, v.record.size) for v in candidates)
@@ -735,7 +731,7 @@ class ProtocolChi(RoundDetector):
                     [q for q, _ in cum], [s for _, s in cum],
                     validator.mu, validator.sigma,
                 )
-                finding.cumulative_alarm = cum_conf >= cfg.th_cumulative
+                finding.cumulative_alarm = cum_conf >= TH_CUMULATIVE
                 if finding.cumulative_alarm:
                     finding.combined_confidence = max(
                         finding.combined_confidence, cum_conf
@@ -745,7 +741,6 @@ class ProtocolChi(RoundDetector):
     def _apply_cumulative(self, target: Tuple[str, str],
                           finding: RoundFinding, arrivals) -> None:
         """Accumulate obs/exp/var since monitoring began (RED targets)."""
-        cfg = self.config
         per_flow: Dict[str, List[float]] = {}
         agg = self._agg_cum.setdefault(target, [0.0, 0.0, 0.0])
         for rec, p, dropped in arrivals:
@@ -761,20 +756,20 @@ class ProtocolChi(RoundDetector):
         flagged: List[str] = []
         keys = [k for k in self._flow_cum if k[0] == target]
         n_flows = max(1, len(keys))
-        th = 1.0 - (1.0 - cfg.th_cumulative) / n_flows
+        th = 1.0 - (1.0 - TH_CUMULATIVE) / n_flows
         for key in keys:
             obs, exp, var = self._flow_cum[key]
             if var <= 0:
                 continue
             conf = _phi((obs - 0.5 - exp) / math.sqrt(var))
-            if conf >= th and (obs - exp) >= cfg.cum_effect_floor:
+            if conf >= th and (obs - exp) >= CUM_EFFECT_FLOOR:
                 flagged.append(key[1])
         finding.cumulative_flows = flagged
         agg_alarm = False
         if agg[2] > 0:
             agg_conf = _phi((agg[0] - 0.5 - agg[1]) / math.sqrt(agg[2]))
-            agg_alarm = (agg_conf >= cfg.th_cumulative
-                         and (agg[0] - agg[1]) >= cfg.cum_effect_floor)
+            agg_alarm = (agg_conf >= TH_CUMULATIVE
+                         and (agg[0] - agg[1]) >= CUM_EFFECT_FLOOR)
         dropped_this_round = any(dropped for _, _, dropped in arrivals)
         finding.cumulative_alarm = ((bool(flagged) or agg_alarm)
                                     and dropped_this_round)
@@ -810,10 +805,10 @@ class ProtocolChi(RoundDetector):
             by_reporter[expected] = by_reporter.get(expected, 0) + 1
         finding.misreporting_neighbors = [
             nbr for nbr, count in sorted(by_reporter.items())
-            if count > self.config.misreport_threshold
+            if count > MISREPORT_THRESHOLD
         ]
         finding.misrouted_or_fabricated = misrouted
-        finding.misroute_alarm = misrouted > self.config.misreport_threshold
+        finding.misroute_alarm = misrouted > MISREPORT_THRESHOLD
 
     def _alarm(self, target: Tuple[str, str], round_index: int,
                finding: RoundFinding) -> None:

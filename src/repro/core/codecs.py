@@ -38,6 +38,11 @@ from repro.dist.reconcile import (
 
 FINGERPRINT_WIRE_BYTES = 8
 HEADER_WIRE_BYTES = 16  # counts + round/segment identifiers
+#: The polynomial codec's default agreed difference bound d.
+POLYNOMIAL_MAX_DIFF = 12
+#: A bloom summary's filter size in bits and its number of hashes.
+BLOOM_BITS = 2048
+BLOOM_HASHES = 4
 
 
 @dataclass
@@ -51,9 +56,8 @@ class EncodedSummary:
     wire_bytes: int
 
 
-def encode_summary(summary: TrafficSummary, codec: str = "full",
-                   max_diff: int = 16, bloom_bits: int = 2048,
-                   bloom_hashes: int = 4) -> EncodedSummary:
+def encode_summary(summary: TrafficSummary, codec: str,
+                   max_diff: int = POLYNOMIAL_MAX_DIFF) -> EncodedSummary:
     if summary.policy is not SummaryPolicy.CONTENT:
         raise ValueError("codecs operate on content summaries")
     fps = summary.fingerprints or frozenset()
@@ -64,12 +68,12 @@ def encode_summary(summary: TrafficSummary, codec: str = "full",
         payload = CharacteristicPolynomialSet.from_set(fps, max_diff)
         wire = HEADER_WIRE_BYTES + FINGERPRINT_WIRE_BYTES * (max_diff + 1)
     elif codec == "bloom":
-        bloom = BloomFilter(bits=bloom_bits, hashes=bloom_hashes)
+        bloom = BloomFilter(bits=BLOOM_BITS, hashes=BLOOM_HASHES)
         for fp in fps:
             bloom.add(fp)
         # Wire (and signature) friendly representation.
-        payload = (bloom_bits, bloom_hashes, bloom.count, bloom.to_bytes())
-        wire = HEADER_WIRE_BYTES + bloom_bits // 8
+        payload = (BLOOM_BITS, BLOOM_HASHES, bloom.count, bloom.to_bytes())
+        wire = HEADER_WIRE_BYTES + BLOOM_BITS // 8
     else:
         raise ValueError(f"unknown codec {codec!r}")
     return EncodedSummary(codec=codec, count=summary.count,
@@ -78,11 +82,12 @@ def encode_summary(summary: TrafficSummary, codec: str = "full",
 
 
 def validate_encoded(encoded: EncodedSummary, local: TrafficSummary,
-                     threshold: int = 0,
-                     max_diff: int = 16,
-                     bloom_bits: int = 2048,
-                     bloom_hashes: int = 4) -> TVResult:
-    """Conservation-of-content TV against an encoded remote summary."""
+                     threshold: int = 0) -> TVResult:
+    """Conservation-of-content TV against an encoded remote summary.
+
+    The codec's parameters (the polynomial bound, the bloom filter's
+    size and hashes) travel in the payload.
+    """
     local_fps = set(local.fingerprints or frozenset())
     if encoded.codec == "full":
         remote_fps = set(encoded.payload)  # type: ignore[arg-type]

@@ -7,14 +7,14 @@ actually had a compromise attached and what it actually did):
 
 * **a-Accuracy** — every suspicion by a correct router has |π| ≤ a and
   contains a router that was faulty during τ.
-* **a-FI / a-FC Completeness** — every traffic-faulty router eventually
-  appears in (FI) or is fault-connected to (FC) a suspected segment at
-  every correct router.
+* **FI Completeness** — every traffic-faulty router eventually appears
+  in a suspected segment at every correct router.
 * **Precision** — the longest suspected segment.
 
 :class:`RoundDetector` is the round step Π2, Πk+2 and χ share: the
 router → :class:`DetectorState` table, one evaluation per round end,
 and :meth:`RoundDetector.announce`, which spreads a suspicion.
+:class:`PiConfig` holds the settings of a Π2 or Πk+2 detector.
 """
 
 from __future__ import annotations
@@ -103,17 +103,17 @@ class DetectorState:
 class RoundDetector:
     """The round step of Π2, Πk+2 and χ.
 
-    A subclass defines ``evaluate_round(round_index)``; its ``config``
-    has a ``settle_delay``, the wait after a round's end for packets
-    still in flight.
+    A subclass defines ``evaluate_round(round_index)``, which runs
+    ``settle_delay`` seconds after each round's end: the wait for
+    packets still in flight.
     """
 
-    def __init__(self, network, schedule, config,
+    def __init__(self, network, schedule, settle_delay: float,
                  on_suspicion: Optional[Callable[[Suspicion], None]] = None,
                  ) -> None:
         self.network = network
         self.schedule = schedule
-        self.config = config
+        self.settle_delay = settle_delay
         self.on_suspicion = on_suspicion
         self.states: Dict[str, DetectorState] = {
             name: DetectorState(name) for name in network.topology.routers
@@ -121,7 +121,7 @@ class RoundDetector:
 
     def schedule_rounds(self, first_round: int, last_round: int) -> None:
         for r in range(first_round, last_round + 1):
-            when = self.schedule.round_end(r) + self.config.settle_delay
+            when = self.schedule.round_end(r) + self.settle_delay
             self.network.sim.schedule_at(when, self.evaluate_round, r)
 
     def announce(self, suspicion: Suspicion, origins: Sequence[str]) -> None:
@@ -144,19 +144,35 @@ class RoundDetector:
         self.states[router].suspect(suspicion)
 
 
-def run_tv(upstream, downstream, config) -> TVResult:
+@dataclass(frozen=True)
+class PiConfig:
+    """The settings of a Π2 or Πk+2 detector.
+
+    ``k`` is the AdjacentFault(k) bound the monitored segments are
+    enumerated for; ``threshold`` the benign loss a validation allows;
+    ``settle_delay`` the wait after a round's end for packets in flight;
+    ``max_delay`` the timeliness policy's transit bound; ``codec`` how
+    Πk+2 ships a content summary (§2.4.1): ``"full"`` fingerprints,
+    ``"polynomial"`` set reconciliation or ``"bloom"`` filters.  Π2
+    agrees on full summaries only.
+    """
+
+    k: int = 1
+    threshold: int = 0
+    settle_delay: float = 0.2
+    max_delay: Optional[float] = None
+    codec: str = "full"
+
+
+def run_tv(upstream, downstream, config: PiConfig) -> TVResult:
     """TV of one summary pair under a Π protocol's ``config``.
 
     An :class:`EncodedSummary` (only Πk+2 ships one, §2.4.1) is checked
     against its codec; a plain summary by its policy's predicate.
     """
     if isinstance(upstream, EncodedSummary):
-        return validate_encoded(upstream, downstream,
-                                threshold=config.threshold,
-                                bloom_bits=config.codec_bloom_bits,
-                                bloom_hashes=config.codec_bloom_hashes)
+        return validate_encoded(upstream, downstream, config.threshold)
     return validate(upstream, downstream, threshold=config.threshold,
-                    reorder_threshold=config.reorder_threshold,
                     max_delay=config.max_delay)
 
 
@@ -189,15 +205,14 @@ def accuracy_report(
     states: Dict[str, DetectorState],
     faulty_routers: Set[str],
     max_precision: Optional[int] = None,
-    correct_only: bool = True,
 ) -> AccuracyReport:
-    """Check a-Accuracy over the suspicions of (correct) routers."""
+    """Check a-Accuracy over the suspicions of correct routers."""
     total = 0
     good = 0
     false_positives: List[Suspicion] = []
     precision = 0
     for router, state in states.items():
-        if correct_only and router in faulty_routers:
+        if router in faulty_routers:
             continue
         for suspicion in state.suspicions:
             total += 1
@@ -226,30 +241,18 @@ def accuracy_report(
 def completeness_report(
     states: Dict[str, DetectorState],
     traffic_faulty: Set[str],
-    faulty_routers: Optional[Set[str]] = None,
-    mode: str = "FC",
-    correct_only: bool = True,
 ) -> CompletenessReport:
-    """Check FI or FC completeness.
+    """Check FI completeness.
 
-    FI: each traffic-faulty router r appears in some suspicion at every
-    correct router.  FC: it suffices that a suspected segment contains a
-    faulty router fault-connected to r — i.e. reachable from r through
-    consecutive faulty routers inside a common segment.  (Trivially any
-    suspicion containing r itself satisfies both.)
+    Each traffic-faulty router r must appear in some suspicion at every
+    correct router (every router not in ``traffic_faulty``).
     """
-    faulty_routers = faulty_routers if faulty_routers is not None else set(traffic_faulty)
     report = CompletenessReport()
-    correct = [r for r in states if not (correct_only and r in faulty_routers)]
+    correct = [r for r in states if r not in traffic_faulty]
     for bad in sorted(traffic_faulty):
         seen_everywhere = True
         for router in correct:
-            state = states[router]
-            if mode == "FI":
-                hit = state.suspects(bad)
-            else:
-                hit = _fc_hit(state, bad, faulty_routers)
-            if hit:
+            if states[router].suspects(bad):
                 report.per_router_detected.setdefault(router, set()).add(bad)
             else:
                 seen_everywhere = False
@@ -264,25 +267,3 @@ def completeness_report(
         rec.metrics.counter(
             "repro.core.detector.missed").inc(len(report.missed))
     return report
-
-
-def _fc_hit(state: DetectorState, bad: str, faulty: Set[str]) -> bool:
-    """Does some suspicion contain a faulty router fault-connected to bad?"""
-    for suspicion in state.suspicions:
-        seg = suspicion.segment
-        if bad in seg:
-            return True
-        # A suspected faulty router r' is fault-connected to bad if every
-        # router between them in the segment is faulty.  If bad is not in
-        # the segment we accept any suspicion whose segment contains a
-        # faulty router adjacent (through faulty routers) to bad in the
-        # *suspected segment extended toward bad* — conservatively: any
-        # suspicion containing a faulty router counts when the segment's
-        # faulty members form a chain touching the segment boundary
-        # nearest to bad.  Lacking global path context here we use the
-        # permissive reading: a suspicion containing any faulty router
-        # whose segment-end neighbours are faulty too.
-        faulty_in_seg = [r for r in seg if r in faulty]
-        if faulty_in_seg:
-            return True
-    return False

@@ -3,8 +3,8 @@
 Fatih glues the pieces of Fig 5.5 together on a live network:
 
 * a **coordinator** per system that decides which path-segments to
-  monitor (k = 1 by default: every 3-segment, reflecting the realistic
-  attacker who controls isolated routers);
+  monitor (k = 1: every 3-segment, reflecting the realistic attacker
+  who controls isolated routers);
 * **traffic validators** — a :class:`ProtocolPiK2` instance whose
   summaries come from the in-kernel-style :class:`SegmentMonitor`;
 * the **link-state routing daemon** (:class:`LinkStateRouting`) which
@@ -21,11 +21,10 @@ abreast of routing changes" (§5.3.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.detector import Suspicion
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
+from repro.core.detector import PiConfig, Suspicion
+from repro.core.pik2 import ProtocolPiK2
 from repro.core.segments import arm_protocol
 from repro.core.summaries import SummaryPolicy
 from repro.dist.sync import ClockModel
@@ -35,30 +34,34 @@ from repro.net.routing import compute_all_paths
 #: NTP-grade clocks (§5.3): each router is off true time by at most 2 ms.
 _CLOCK = ClockModel(epsilon=0.002)
 
-
-@dataclass
-class FatihConfig:
-    k: int = 1
-    tau: float = 5.0  # validation round length (§5.3.1: 5 s)
-    threshold: int = 2  # benign loss allowance per segment-round
-    settle_delay: float = 0.3
-    exchange_timeout: float = 1.0
-    policy: SummaryPolicy = SummaryPolicy.CONTENT
-    rebuild_grace: float = 20.0  # wait for reroute before re-arming monitors
+#: §5.3's validators: Πk+2 over every 3-segment (k = 1), two benign
+#: losses allowed per segment-round, 0.3 s for packets in flight, and
+#: Πk+2's own µ of 1 s.
+_PIK2 = PiConfig(k=1, threshold=2, settle_delay=0.3)
+#: Fatih validates conservation of content.
+_POLICY = SummaryPolicy.CONTENT
 
 
 class FatihSystem:
-    """Coordinator + validators + routing response on one network."""
+    """Coordinator + validators + routing response on one network.
+
+    ``tau`` is the validation round length (§5.3.1: 5 s) and
+    ``rebuild_grace`` how long to wait for the reroute after a detection
+    before re-arming the monitors.
+    """
 
     def __init__(
         self,
         network: Network,
         routing: LinkStateRouting,
-        config: Optional[FatihConfig] = None,
+        *,
+        tau: float = 5.0,
+        rebuild_grace: float = 20.0,
     ) -> None:
         self.network = network
         self.routing = routing
-        self.config = config or FatihConfig()
+        self.tau = tau
+        self.rebuild_grace = rebuild_grace
         self.protocol: Optional[ProtocolPiK2] = None
         self.suspicions: List[Suspicion] = []
         self.detection_times: List[Tuple[float, Suspicion]] = []
@@ -76,14 +79,10 @@ class FatihSystem:
         # monitored again.
         paths = compute_all_paths(self.network.topology,
                                   self.suspected_segments())
-        cfg = self.config
         protocol = arm_protocol(
-            self.network, paths, "pik2",
-            config=PiK2Config(k=cfg.k, threshold=cfg.threshold,
-                              settle_delay=cfg.settle_delay,
-                              exchange_timeout=cfg.exchange_timeout),
-            tau=cfg.tau, last_round=max(0, int((until - start) / cfg.tau) - 1),
-            policy=cfg.policy, start=start, clock=_CLOCK)
+            self.network, paths, "pik2", config=_PIK2, tau=self.tau,
+            last_round=max(0, int((until - start) / self.tau) - 1),
+            policy=_POLICY, start=start, clock=_CLOCK)
         protocol.on_suspicion = self._on_suspicion
         if self.protocol is not None:
             self.network.remove_tap(self.protocol.monitor)
@@ -105,7 +104,7 @@ class FatihSystem:
             self.protocol.stop()
         if not self._rebuild_pending and self._monitor_until is not None:
             self._rebuild_pending = True
-            restart = now + self.config.rebuild_grace
+            restart = now + self.rebuild_grace
             if restart < self._monitor_until:
                 self.network.sim.schedule_at(restart, self._rearm, restart)
 

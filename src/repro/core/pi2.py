@@ -23,10 +23,9 @@ suspected, preserving 2-accuracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.detector import RoundDetector, Suspicion, run_tv
+from repro.core.detector import PiConfig, RoundDetector, Suspicion, run_tv
 from repro.core.summaries import PathSegment, SegmentMonitor, TrafficSummary
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.consensus import Equivocator, FaultyBehavior, Silent, SignedConsensus
@@ -43,15 +42,6 @@ def honest_reporter(value: Tuple[TrafficSummary, TrafficSummary]) -> object:
     return value
 
 
-@dataclass
-class Pi2Config:
-    k: int = 1
-    threshold: int = 0
-    reorder_threshold: int = 0
-    settle_delay: float = 0.2  # wait after round end for in-flight packets
-    max_delay: Optional[float] = None  # for timeliness policy
-
-
 class ProtocolPi2(RoundDetector):
     """Distributed Π2 over a simulated network."""
 
@@ -65,12 +55,18 @@ class ProtocolPi2(RoundDetector):
         segments: Iterable[PathSegment],
         keys: KeyInfrastructure,
         schedule: RoundSchedule,
-        config: Optional[Pi2Config] = None,
+        config: Optional[PiConfig] = None,
         reporters: Optional[Dict[str, Reporter]] = None,
         on_suspicion: Optional[Callable[[Suspicion], None]] = None,
     ) -> None:
-        super().__init__(network, schedule, config or Pi2Config(),
+        config = config or PiConfig()
+        if config.codec != "full":
+            raise ValueError(
+                f"Π2 agrees on full summaries; codec {config.codec!r} "
+                f"is Πk+2's")
+        super().__init__(network, schedule, config.settle_delay,
                          on_suspicion)
+        self.config = config
         self.monitor = monitor
         self.keys = keys
         self.reporters = reporters or {}

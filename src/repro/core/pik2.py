@@ -15,11 +15,10 @@ cannot confine its attack to unmonitored packets (§5.2.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core.codecs import encode_summary
-from repro.core.detector import RoundDetector, Suspicion, run_tv
+from repro.core.detector import PiConfig, RoundDetector, Suspicion, run_tv
 from repro.core.summaries import (
     PathSegment,
     SegmentMonitor,
@@ -32,23 +31,6 @@ from repro.dist.sync import RoundSchedule
 from repro.net import Network
 
 
-@dataclass
-class PiK2Config:
-    k: int = 1
-    threshold: int = 0
-    reorder_threshold: int = 0
-    settle_delay: float = 0.2
-    exchange_timeout: float = 1.0  # µ
-    max_delay: Optional[float] = None
-    # How content summaries travel (§2.4.1): "full" fingerprints,
-    # "polynomial" set reconciliation (exact up to codec_max_diff), or
-    # "bloom" filters (approximate, constant size).
-    codec: str = "full"
-    codec_max_diff: int = 16
-    codec_bloom_bits: int = 2048
-    codec_bloom_hashes: int = 4
-
-
 # Protocol-faulty claim hook for an *end* router: maps the honest summary
 # to what it actually sends (or None to stay silent).
 EndReporter = Callable[[TrafficSummary], Optional[TrafficSummary]]
@@ -57,6 +39,9 @@ EndReporter = Callable[[TrafficSummary], Optional[TrafficSummary]]
 class ProtocolPiK2(RoundDetector):
     """Distributed Πk+2 over a simulated network."""
 
+    #: µ: how long a sink waits for the source's summary (seconds).
+    exchange_timeout = 1.0
+
     def __init__(
         self,
         network: Network,
@@ -64,12 +49,14 @@ class ProtocolPiK2(RoundDetector):
         segments: Iterable[PathSegment],
         keys: KeyInfrastructure,
         schedule: RoundSchedule,
-        config: Optional[PiK2Config] = None,
+        config: Optional[PiConfig] = None,
         reporters: Optional[Dict[str, EndReporter]] = None,
         on_suspicion: Optional[Callable[[Suspicion], None]] = None,
     ) -> None:
-        super().__init__(network, schedule, config or PiK2Config(),
+        config = config or PiConfig()
+        super().__init__(network, schedule, config.settle_delay,
                          on_suspicion)
+        self.config = config
         self.monitor = monitor
         self.keys = keys
         self.reporters = reporters or {}
@@ -115,12 +102,7 @@ class ProtocolPiK2(RoundDetector):
             if (self.config.codec != "full"
                     and isinstance(claim, TrafficSummary)
                     and claim.policy is SummaryPolicy.CONTENT):
-                claim = encode_summary(
-                    claim, codec=self.config.codec,
-                    max_diff=self.config.codec_max_diff,
-                    bloom_bits=self.config.codec_bloom_bits,
-                    bloom_hashes=self.config.codec_bloom_hashes,
-                )
+                claim = encode_summary(claim, self.config.codec)
                 self.exchange_bytes += claim.wire_bytes
             elif isinstance(claim, TrafficSummary):
                 fps = claim.fingerprints
@@ -137,7 +119,7 @@ class ProtocolPiK2(RoundDetector):
             )
         # Timeout at the sink: if nothing verifiable arrived by µ, suspect.
         self.network.sim.schedule(
-            self.config.exchange_timeout, self._conclude, segment, round_index
+            self.exchange_timeout, self._conclude, segment, round_index
         )
 
     def _deliver_summary(self, signed) -> None:

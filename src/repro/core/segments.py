@@ -24,8 +24,9 @@ import statistics
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.core.pi2 import Pi2Config, ProtocolPi2
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
+from repro.core.detector import PiConfig
+from repro.core.pi2 import ProtocolPi2
+from repro.core.pik2 import ProtocolPiK2
 from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
 from repro.crypto.fingerprint import FingerprintSampler
 from repro.crypto.keys import KeyInfrastructure
@@ -143,10 +144,10 @@ def monitored_segments_pik2(
     return dict(by_router)
 
 
-#: Each Π protocol with its configuration and the P_r enumerator it monitors.
+#: Each Π protocol with the P_r enumerator it monitors.
 _PROTOCOLS = {
-    "pi2": (ProtocolPi2, Pi2Config, monitored_segments_pi2),
-    "pik2": (ProtocolPiK2, PiK2Config, monitored_segments_pik2),
+    "pi2": (ProtocolPi2, monitored_segments_pi2),
+    "pik2": (ProtocolPiK2, monitored_segments_pik2),
 }
 
 
@@ -155,7 +156,7 @@ def arm_protocol(
     paths: Dict[Tuple[str, str], Tuple[str, ...]],
     protocol: str = "pi2",
     *,
-    config: Union[Pi2Config, PiK2Config, None] = None,
+    config: Optional[PiConfig] = None,
     tau: float = 1.0,
     last_round: int = 3,
     policy: SummaryPolicy = SummaryPolicy.CONTENT,
@@ -177,11 +178,11 @@ def arm_protocol(
     ``schedule`` and ``keys`` reach the rest.
     """
     try:
-        protocol_cls, config_cls, enumerate_pr = _PROTOCOLS[protocol]
+        protocol_cls, enumerate_pr = _PROTOCOLS[protocol]
     except KeyError:
         raise ValueError(f"unknown protocol {protocol!r}; "
                          f"one of {', '.join(_PROTOCOLS)}") from None
-    config = config or config_cls()
+    config = config or PiConfig()
     schedule = RoundSchedule(tau=tau, start=start)
     keys = KeyInfrastructure()
     routed = paths.values() if over is None else over
@@ -194,9 +195,9 @@ def arm_protocol(
             for segment in sorted(segments)}
     monitor = SegmentMonitor(network, PathOracle(paths), schedule,
                              policy=policy, clock=clock, samplers=samplers)
-    network.add_tap(monitor)
     armed = protocol_cls(network, monitor, segments, keys, schedule,
                          config=config)
+    network.add_tap(monitor)
     armed.schedule_rounds(0, last_round)
     return armed
 

@@ -162,7 +162,7 @@ def tv_timeliness(upstream: TrafficSummary, downstream: TrafficSummary,
 
 
 def validate(upstream: TrafficSummary, downstream: TrafficSummary,
-             threshold: int = 0, reorder_threshold: int = 0,
+             threshold: int = 0,
              max_delay: Optional[float] = None) -> TVResult:
     """Dispatch to the right predicate for the summaries' policy."""
     policy = upstream.policy
@@ -171,7 +171,7 @@ def validate(upstream: TrafficSummary, downstream: TrafficSummary,
     if policy is SummaryPolicy.CONTENT:
         return tv_content(upstream, downstream, threshold)
     if policy is SummaryPolicy.ORDER:
-        return tv_order(upstream, downstream, threshold, reorder_threshold)
+        return tv_order(upstream, downstream, threshold)
     if policy is SummaryPolicy.TIMELINESS:
         if max_delay is None:
             raise ValueError("timeliness validation needs max_delay")

@@ -175,7 +175,7 @@ def fig5_7_fatih(
     """Fig 5.7: OSPF convergence, attack at Kansas City, detection,
     alert flooding, SPF delay+hold, rerouting; New York <-> Sunnyvale RTT
     goes from ~50 ms to ~56 ms."""
-    from repro.core import FatihConfig, FatihSystem
+    from repro.core import FatihSystem
     from repro.core.fatih import RTTMonitor
     from repro.net import MBPS, CBRSource, LinkStateRouting, Network, abilene
 
@@ -184,8 +184,7 @@ def fig5_7_fatih(
     routing = LinkStateRouting(net, spf_delay=5.0, spf_hold=10.0,
                                hello_interval=10.0, boot_spread=30.0)
     routing.start()
-    fatih = FatihSystem(net, routing,
-                        config=FatihConfig(tau=5.0, threshold=2))
+    fatih = FatihSystem(net, routing)
     fatih.start_monitoring(at=monitor_start, until=end_time)
 
     # Background load crossing Kansas City (and elsewhere).
@@ -620,7 +619,7 @@ def _run_protocol_bench(name: str, protocol_name: str, *,
     net.run(end)
     acc = accuracy_report(protocol.states, {bad_router},
                           max_precision=protocol.precision)
-    comp = completeness_report(protocol.states, {bad_router}, mode="FI")
+    comp = completeness_report(protocol.states, {bad_router})
     return ProtocolBenchResult(
         name=name,
         protocol=protocol_name,
@@ -718,7 +717,7 @@ def attack_matrix(topology: str = "abilene",
     truth = set() if spec.adversary.behavior == "none" else {bad}
     acc = accuracy_report(states, truth,
                           max_precision=scenario.protocol.precision)
-    comp = completeness_report(states, truth, mode="FI")
+    comp = completeness_report(states, truth)
 
     total = acc.total_suspicions
     precision = (acc.accurate_suspicions / total) if total else 1.0

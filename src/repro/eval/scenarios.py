@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core import (
-    ChiConfig,
     PathOracle,
-    Pi2Config,
-    PiK2Config,
+    PiConfig,
     ProtocolChi,
     ProtocolPi2,
     ProtocolPiK2,
@@ -130,18 +128,17 @@ _QUEUE_DEFAULTS: Dict[str, Dict[str, object]] = {
 class BottleneckScenario:
     """The built Fig 6.4 testbed: network, χ on the bottleneck, traffic.
 
-    ``red_params`` is None on a droptail bottleneck.  ``attack`` already
-    sits on router ``r``, dormant until ``options["attack_at"]``;
-    ``options`` is the spec's scenario options over the defaults of its
-    queue discipline (:func:`repro.eval.experiments.run_testbed` plays
-    the schedule they describe).
+    ``attack`` already sits on router ``r``, dormant until
+    ``options["attack_at"]``; ``options`` is the spec's scenario options
+    over the defaults of its queue discipline
+    (:func:`repro.eval.experiments.run_testbed` plays the schedule they
+    describe).
     """
 
     network: Network
     chi: ProtocolChi
     flows: Dict[str, TCPFlow]
     target: Tuple[str, str]
-    red_params: Optional[REDParams]
     connector: Optional[RepeatedConnector]
     attack: Optional[Compromise]
     options: Dict[str, object]
@@ -150,6 +147,12 @@ class BottleneckScenario:
     def bottleneck_queue(self):
         router, downstream = self.target
         return self.network.routers[router].interfaces[downstream].queue
+
+    @property
+    def red_params(self) -> Optional[REDParams]:
+        """The bottleneck's RED parameters; None on a droptail bottleneck."""
+        queue = self.bottleneck_queue
+        return queue.params if isinstance(queue, REDQueue) else None
 
 
 def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
@@ -165,7 +168,7 @@ def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
         raise ValueError(
             f"unknown queue option {queue!r}; 'droptail' or 'red'")
     options = dict(_QUEUE_DEFAULTS[queue], **dict(spec.options))
-    red_params = DEFAULT_RED_PARAMS if queue == "red" else None
+    red = queue == "red"
     with_connector = bool(options.get("with_connector", False))
     topo = _simple_topology(
         spec.traffic.flows,
@@ -175,16 +178,15 @@ def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
 
     def red_bottleneck(link):
         if link.src == "r" and link.dst == "rd":
-            return REDQueue(link.queue_limit, params=red_params,
+            return REDQueue(link.queue_limit, params=DEFAULT_RED_PARAMS,
                             rng=random.Random(spec.seed + 1))
         return DropTailQueue(link.queue_limit)
 
-    net = Network(topo, queue_factory=red_bottleneck if red_params else None,
+    net = Network(topo, queue_factory=red_bottleneck if red else None,
                   proc_jitter=options["proc_jitter"], seed=spec.seed)
     chi = ProtocolChi(net, PathOracle(install_static_routes(net)),
-                      RoundSchedule(tau=spec.tau), targets=[("r", "rd")],
-                      config=ChiConfig(red_params=red_params))
-    stagger = 0.15 if red_params else 0.1  # seconds between flow starts
+                      RoundSchedule(tau=spec.tau), targets=[("r", "rd")])
+    stagger = 0.15 if red else 0.1  # seconds between flow starts
     flows = {f"tcp{i}": TCPFlow(net, f"s{i}", "sink", f"tcp{i}",
                                 start=stagger * (i + 1))
              for i in range(spec.traffic.flows)}
@@ -196,8 +198,7 @@ def _bottleneck_scenario(spec: ScenarioSpec) -> BottleneckScenario:
         net.routers["r"].compromise = attack
     return BottleneckScenario(
         network=net, chi=chi, flows=flows, target=("r", "rd"),
-        red_params=red_params, connector=connector, attack=attack,
-        options=options)
+        connector=connector, attack=attack, options=options)
 
 
 # -- attack-matrix scenarios ------------------------------------------------
@@ -270,9 +271,8 @@ def _attack_scenario(spec: ScenarioSpec) -> AttackScenario:
     if policy is SummaryPolicy.TIMELINESS:
         attack_delay = float(spec.adversary.option("delay", 0.05))
         max_delay = float(spec.option("max_delay", attack_delay / 2.0))
-    config_cls = Pi2Config if spec.detector == "pi2" else PiK2Config
     protocol = arm_protocol(
-        net, paths, spec.detector, config=config_cls(k=1, max_delay=max_delay),
+        net, paths, spec.detector, config=PiConfig(max_delay=max_delay),
         tau=spec.tau, last_round=spec.rounds, policy=policy,
         over=flow_paths.values())
 

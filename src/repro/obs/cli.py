@@ -227,11 +227,17 @@ def add_obs_parser(subparsers, help: str) -> None:
 def cmd_obs(args: argparse.Namespace) -> int:
     """Run the selected subcommand under the damaged-trace policy.
 
-    The readers skip a torn final line and raise on any other bad line
+    A PATH that does not exist is an error for every subcommand.  The
+    readers skip a torn final line and raise on any other bad line
     (:mod:`repro.obs.query`); this is where both reach the user, as one
     line each on stderr.
     """
     paths = args.paths if "paths" in args else [args.a, args.b]
+    for path in paths:
+        if not os.path.exists(path):
+            print(f"error: no such sweep or trace file: {path}",
+                  file=sys.stderr)
+            return 2
     for path in paths:
         for trace in trace_files(path):
             if has_torn_tail(trace):
@@ -254,7 +260,18 @@ def cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _trace_files_or_error(paths: List[str]) -> List[str]:
+    """Every trace file under ``paths``; if none, say so on stderr."""
+    files = [trace for path in paths for trace in trace_files(path)]
+    if not files:
+        print(f"error: no trace files under {', '.join(paths)}",
+              file=sys.stderr)
+    return files
+
+
 def cmd_query(args: argparse.Namespace) -> int:
+    if not _trace_files_or_error(args.paths):
+        return 2
     query = QueryFilter(
         events=tuple(args.events) if args.events else None,
         flow=args.flow, router=args.router, t0=args.t0, t1=args.t1)
@@ -278,12 +295,8 @@ def _format_event_line(event) -> str:
 
 
 def cmd_flow(args: argparse.Namespace) -> int:
-    files: List[str] = []
-    for path in args.paths:
-        files.extend(trace_files(path))
+    files = _trace_files_or_error(args.paths)
     if not files:
-        print(f"error: no trace files under {', '.join(args.paths)}",
-              file=sys.stderr)
         return 2
     payload = []
     for trace in files:
@@ -344,10 +357,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    for path in (args.a, args.b):
-        if not os.path.isdir(path) and not os.path.isfile(path):
-            print(f"error: no such sweep: {path}", file=sys.stderr)
-            return 2
     report = diff_sweeps(args.a, args.b, threshold=args.threshold,
                          gate_telemetry=args.gate_telemetry)
     if args.format == "json":

@@ -177,7 +177,8 @@ def _start_heartbeat(path: str) -> None:
 
 def _check_counts(args: argparse.Namespace) -> None:
     """Reject a count flag below the least value it means anything at."""
-    for flag, value, least in (("--jobs", args.jobs, 1),
+    for flag, value, least in (("--seeds", args.seeds, 1),
+                               ("--jobs", args.jobs, 1),
                                ("--retries", args.retries, 0),
                                ("--shard-attempts", args.shard_attempts, 1)):
         if value < least:

@@ -8,7 +8,8 @@ provisioned for k = 1 and is caught by one provisioned for k = 2.
 
 
 from repro.core.detector import accuracy_report
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
+from repro.core.detector import PiConfig
+from repro.core.pik2 import ProtocolPiK2
 from repro.core.segments import monitored_segments_pik2
 from repro.core.summaries import PathOracle, SegmentMonitor
 from repro.crypto.keys import KeyInfrastructure
@@ -30,7 +31,7 @@ def run_collusion(k: int):
         [tuple(p) for p in paths.values()], k=k).values())
     protocol = ProtocolPiK2(net, monitor, segments, KeyInfrastructure(),
                             RoundSchedule(tau=1.0),
-                            config=PiK2Config(k=k))
+                            config=PiConfig(k=k))
     protocol.schedule_rounds(0, 3)
     # r3 traffic-faulty; r4 compromised (colludes by staying silent as a
     # validator — it is the sink end of every 3-segment that would

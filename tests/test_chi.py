@@ -119,8 +119,7 @@ class TestQueueValidator:
         assert v.q_pred == 0.0  # never negative
 
     def test_pending_events_held_back(self):
-        v = QueueValidator(queue_limit=10_000, bandwidth=1 * MBPS,
-                           wait_slack=0.05)
+        v = QueueValidator(queue_limit=10_000, bandwidth=1 * MBPS)
         ins = [rec(1, time=5.0)]
         v.feed(ins, [])
         assert v.advance(5.01) == []  # inside the max-wait window
@@ -319,6 +318,59 @@ class TestMisrouteDetection:
         CBRSource(net, "s1", "sink1", "f", rate_bps=400_000, duration=5.0)
         CBRSource(net, "s1", "sink2", "g", rate_bps=400_000, duration=5.0)
         net.run(8.0)
+        assert all(not f.alarmed for f in chi.findings)
+
+
+class TestPerTargetDiscipline:
+    """§6.2: each queue is validated against its own discipline, so one
+    χ watches a droptail and a RED interface at the same time."""
+
+    RED = REDParams(min_th=20_000, max_th=60_000, max_p=0.1, weight=0.01)
+
+    def build(self):
+        from repro.net.queues import DropTailQueue, REDQueue
+        topo = Topology("mixed")
+        topo.add_link("s1", "r", bandwidth=80 * MBPS, delay=0.002)
+        topo.add_link("r", "rd1", bandwidth=5 * MBPS, delay=0.005)
+        topo.add_link("r", "rd2", bandwidth=5 * MBPS, delay=0.005)
+        topo.add_link("rd1", "sink1", bandwidth=80 * MBPS, delay=0.002)
+        topo.add_link("rd2", "sink2", bandwidth=80 * MBPS, delay=0.002)
+
+        def queues(link):
+            if (link.src, link.dst) == ("r", "rd2"):
+                return REDQueue(link.queue_limit, params=self.RED)
+            return DropTailQueue(link.queue_limit)
+
+        net = Network(topo, queue_factory=queues)
+        chi = ProtocolChi(net, PathOracle(install_static_routes(net)),
+                          RoundSchedule(tau=1.0),
+                          targets=[("r", "rd1"), ("r", "rd2")])
+        return net, chi
+
+    def test_each_target_gets_its_queues_validator(self):
+        net, chi = self.build()
+        assert type(chi.validators[("r", "rd1")]) is QueueValidator
+        red = chi.validators[("r", "rd2")]
+        assert type(red) is REDQueueValidator
+        assert red.params is self.RED
+        assert red.params is net.routers["r"].interfaces["rd2"].queue.params
+
+    def test_mixed_targets_run_side_by_side(self):
+        from repro.net.traffic import CBRSource
+        net, chi = self.build()
+        CBRSource(net, "s1", "sink1", "f", rate_bps=400_000, duration=6.0)
+        CBRSource(net, "s1", "sink2", "g", rate_bps=400_000, duration=6.0)
+        net.run(3.0)
+        chi.calibrate(("r", "rd1"))
+        with pytest.raises(TypeError):
+            chi.calibrate(("r", "rd2"))
+        chi.schedule_rounds(3, 6)
+        net.run(9.0)
+        by_target = {}
+        for finding in chi.findings:
+            by_target.setdefault(finding.target, []).append(finding)
+        assert sorted(by_target) == [("r", "rd1"), ("r", "rd2")]
+        assert all(f.arrivals > 0 for f in chi.findings[:2])
         assert all(not f.alarmed for f in chi.findings)
 
 

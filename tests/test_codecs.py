@@ -27,8 +27,8 @@ class TestEncoding:
         assert small.wire_bytes == big.wire_bytes
 
     def test_bloom_size_fixed(self):
-        a = encode_summary(summary(range(10)), "bloom", bloom_bits=2048)
-        b = encode_summary(summary(range(500)), "bloom", bloom_bits=2048)
+        a = encode_summary(summary(range(10)), "bloom")
+        b = encode_summary(summary(range(500)), "bloom")
         assert a.wire_bytes == b.wire_bytes == 16 + 2048 // 8
 
     def test_unknown_codec_rejected(self):
@@ -46,8 +46,7 @@ class TestEncoding:
 class TestValidation:
     def roundtrip(self, codec, remote_fps, local_fps, threshold=0, **kw):
         encoded = encode_summary(summary(remote_fps), codec, **kw)
-        return validate_encoded(encoded, summary(local_fps),
-                                threshold=threshold, **kw)
+        return validate_encoded(encoded, summary(local_fps), threshold)
 
     def test_full_exact(self):
         result = self.roundtrip("full", range(100), range(100))
@@ -77,20 +76,19 @@ class TestValidation:
         assert "exceeds bound" in result.detail
 
     def test_bloom_detects_large_difference(self):
-        result = self.roundtrip("bloom", range(200), range(140),
-                                bloom_bits=4096)
+        result = self.roundtrip("bloom", range(200), range(140))
         assert not result.ok
         assert result.discrepancy > 30
 
     def test_bloom_passes_identical_sets(self):
-        result = self.roundtrip("bloom", range(200), range(200),
-                                bloom_bits=4096)
+        result = self.roundtrip("bloom", range(200), range(200))
         assert result.ok
 
 
 class TestPiK2Integration:
     def run_with_codec(self, codec, drop_fraction):
-        from repro.core.pik2 import PiK2Config, ProtocolPiK2
+        from repro.core.detector import PiConfig
+        from repro.core.pik2 import ProtocolPiK2
         from repro.core.segments import monitored_segments_pik2
         from repro.core.summaries import PathOracle, SegmentMonitor
         from repro.crypto.keys import KeyInfrastructure
@@ -111,7 +109,7 @@ class TestPiK2Integration:
         protocol = ProtocolPiK2(
             net, monitor, segments, KeyInfrastructure(),
             RoundSchedule(tau=1.0),
-            config=PiK2Config(codec=codec, codec_max_diff=12),
+            config=PiConfig(codec=codec),
         )
         protocol.schedule_rounds(0, 3)
         CBRSource(net, "r1", "r5", "f1", rate_bps=800_000, duration=4.0)

@@ -62,7 +62,7 @@ class TestAnnounce:
         for name in compromised:
             net.routers[name].compromise = Compromise()
         seen = []
-        detector = RoundDetector(net, RoundSchedule(tau=1.0), config=None,
+        detector = RoundDetector(net, RoundSchedule(tau=1.0), 0.0,
                                  on_suspicion=seen.append)
         suspicion = susp(("r2", "r3"), by=origins[0])
         detector.announce(suspicion, origins)
@@ -131,39 +131,25 @@ class TestCompletenessReport:
     def test_fi_complete_when_all_correct_suspect(self):
         s = susp(("a", "bad"))
         states = self.make_states({"r1": [s], "r2": [s]})
-        report = completeness_report(states, traffic_faulty={"bad"},
-                                     mode="FI")
+        report = completeness_report(states, traffic_faulty={"bad"})
         assert report.complete
         assert report.detected == {"bad"}
 
     def test_fi_incomplete_when_one_misses(self):
         s = susp(("a", "bad"))
         states = self.make_states({"r1": [s], "r2": []})
-        report = completeness_report(states, traffic_faulty={"bad"},
-                                     mode="FI")
+        report = completeness_report(states, traffic_faulty={"bad"})
         assert not report.complete
         assert report.missed == {"bad"}
 
     def test_faulty_routers_excluded_from_quorum(self):
         s = susp(("a", "bad"))
         states = self.make_states({"r1": [s], "bad": []})
-        report = completeness_report(states, traffic_faulty={"bad"},
-                                     mode="FI")
-        assert report.complete
-
-    def test_fc_mode_accepts_fault_connected(self):
-        # The suspicion names a different faulty router than the dropper.
-        s = susp(("x", "accomplice"))
-        states = self.make_states({"r1": [s]})
-        report = completeness_report(
-            states, traffic_faulty={"dropper"},
-            faulty_routers={"dropper", "accomplice"}, mode="FC",
-        )
+        report = completeness_report(states, traffic_faulty={"bad"})
         assert report.complete
 
     def test_per_router_breakdown(self):
         s = susp(("a", "bad"))
         states = self.make_states({"r1": [s], "r2": [s]})
-        report = completeness_report(states, traffic_faulty={"bad"},
-                                     mode="FI")
+        report = completeness_report(states, traffic_faulty={"bad"})
         assert report.per_router_detected["r1"] == {"bad"}

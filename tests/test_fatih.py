@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fatih import FatihConfig, FatihSystem, RTTMonitor
+from repro.core.fatih import FatihSystem, RTTMonitor
 from repro.net.adversary import DropFractionAttack
 from repro.net.router import Network
 from repro.net.routing import LinkStateRouting
@@ -10,15 +10,13 @@ from repro.net.topology import MBPS, abilene
 from repro.net.traffic import CBRSource
 
 
-def build_system(tau=2.0, threshold=2):
+def build_system(tau=2.0):
     net = Network(abilene(bandwidth=10 * MBPS), proc_jitter=0.0002)
     routing = LinkStateRouting(net, spf_delay=1.0, spf_hold=2.0,
                                hello_interval=2.0, boot_spread=4.0,
                                flood_hop_delay=0.01, lsa_refresh=4.0)
     routing.start()
-    fatih = FatihSystem(net, routing,
-                        config=FatihConfig(tau=tau, threshold=threshold,
-                                           rebuild_grace=6.0))
+    fatih = FatihSystem(net, routing, tau=tau, rebuild_grace=6.0)
     return net, routing, fatih
 
 

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from repro.core import (
     PathOracle,
-    PiK2Config,
+    PiConfig,
     ProtocolPiK2,
     SegmentMonitor,
+    SummaryPolicy,
     all_routing_paths,
     enumerate_segments,
     monitored_segments_pik2,
 )
-from repro.core.fatih import FatihConfig, FatihSystem
+from repro.core.fatih import FatihSystem
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.sync import ClockModel, RoundSchedule
 from repro.net.adversary import DropFractionAttack
@@ -29,9 +30,7 @@ def build(rebuild_grace=6.0):
                                hello_interval=2.0, boot_spread=4.0,
                                flood_hop_delay=0.01, lsa_refresh=4.0)
     routing.start()
-    fatih = FatihSystem(net, routing,
-                        config=FatihConfig(tau=2.0, threshold=2,
-                                           rebuild_grace=rebuild_grace))
+    fatih = FatihSystem(net, routing, tau=2.0, rebuild_grace=rebuild_grace)
     flows = [("Sunnyvale", "NewYork"), ("NewYork", "Sunnyvale"),
              ("LosAngeles", "Chicago"), ("Seattle", "WashingtonDC")]
     for i, (s, d) in enumerate(flows):
@@ -115,17 +114,19 @@ KEYS = KeyInfrastructure()
 def hand_arm(self, start, until):
     """``FatihSystem._arm`` as it was before it armed through
     ``arm_protocol``; the old monitor is now reached through the old
-    protocol, and ``self.keys`` / ``self.clock`` were their defaults."""
+    protocol, ``self.keys`` / ``self.clock`` were their defaults, and
+    the §5.3 validator settings are spelled out (k = 1, threshold 2,
+    settle 0.3 s, Πk+2's own µ, content summaries)."""
     suspected = {tuple(s.segment) for s in self.suspicions}
     paths = compute_all_paths(self.network.topology, suspected)
     oracle = PathOracle(paths)
-    schedule = RoundSchedule(tau=self.config.tau, start=start)
+    schedule = RoundSchedule(tau=self.tau, start=start)
     monitor = SegmentMonitor(
         self.network, oracle, schedule,
-        policy=self.config.policy, clock=ClockModel(epsilon=0.002),
+        policy=SummaryPolicy.CONTENT, clock=ClockModel(epsilon=0.002),
     )
     segments_by_router = monitored_segments_pik2(
-        [tuple(p) for p in paths.values()], self.config.k
+        [tuple(p) for p in paths.values()], 1
     )
     segments = set()
     for segs in segments_by_router.values():
@@ -134,19 +135,14 @@ def hand_arm(self, start, until):
     segments = {s for s in segments if s not in suspected}
     protocol = ProtocolPiK2(
         self.network, monitor, segments, KEYS, schedule,
-        config=PiK2Config(
-            k=self.config.k,
-            threshold=self.config.threshold,
-            settle_delay=self.config.settle_delay,
-            exchange_timeout=self.config.exchange_timeout,
-        ),
+        config=PiConfig(k=1, threshold=2, settle_delay=0.3),
         on_suspicion=self._on_suspicion,
     )
     self.network.add_tap(monitor)
     if self.protocol is not None:
         self.network.remove_tap(self.protocol.monitor)
     self.protocol = protocol
-    n_rounds = max(0, int((until - start) / self.config.tau) - 1)
+    n_rounds = max(0, int((until - start) / self.tau) - 1)
     protocol.schedule_rounds(0, n_rounds)
 
 

@@ -82,6 +82,19 @@ class TestSweep:
         assert capsys.readouterr().err == message + "\n"
         assert os.listdir(str(tmp_path)) == []
 
+    @pytest.mark.parametrize("experiment, seeds", [
+        ("overhead", "-3"), ("overhead", "0"), ("baselines", "0")])
+    def test_seeds_below_one_exits_2(self, experiment, seeds, tmp_path,
+                                     capsys):
+        # An unseeded experiment used to run; a seeded one failed in the
+        # grid expansion with a message that did not name the flag.
+        assert main(["sweep", experiment, "--seeds", seeds,
+                     "--out", str(tmp_path / "out"),
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert capsys.readouterr().err == (
+            f"--seeds must be >= 1, got {seeds}\n")
+        assert os.listdir(str(tmp_path)) == []
+
     @pytest.mark.parametrize("out, cache, culprit", [
         ("file", "cache", "file: not a directory"),
         ("file/sub", "cache", "file/sub: file is not a directory"),

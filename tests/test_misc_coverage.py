@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.chi import ChiConfig
+from repro.core.chi import TH_COMBINED, TH_CUMULATIVE, TH_SINGLE
 from repro.core.detector import DetectorState, Suspicion
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.broadcast import robust_flood
@@ -93,16 +93,17 @@ class TestKeysExtra:
 
 
 class TestChiConfig:
+    """χ's settings: its queues' disciplines and the module's thresholds."""
+
     def test_calibrate_rejects_red_targets(self):
         scenario = build_scenario(red_spec())
         with pytest.raises(TypeError):
             scenario.chi.calibrate(scenario.target)
 
     def test_thresholds_default_tight(self):
-        config = ChiConfig()
-        assert config.th_single >= 0.99
-        assert config.th_combined >= 0.99
-        assert config.th_cumulative > config.th_combined
+        assert TH_SINGLE >= 0.99
+        assert TH_COMBINED >= 0.99
+        assert TH_CUMULATIVE > TH_COMBINED
 
 
 class TestTcpLifecycle:

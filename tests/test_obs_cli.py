@@ -138,6 +138,33 @@ class TestObsCommands:
         assert summary["telemetry"]["runs"]["total"] == 2
         assert summary["telemetry"]["wall_s"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("command", [
+        ["obs", "summarize"], ["obs", "query"], ["obs", "query", "--count"],
+        ["obs", "flow", "f1"], ["obs", "explain", "r"]],
+        ids=["summarize", "query", "query-count", "flow", "explain"])
+    def test_missing_path_exits_2(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "nowhere")
+        assert main(command + [missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no such sweep or trace file: {missing}\n")
+
+    def test_diff_missing_path_exits_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere")
+        assert main(["obs", "diff", missing, missing]) == 2
+        assert "no such sweep or trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--count"]],
+                             ids=["events", "count"])
+    def test_query_without_traces_exits_2(self, tmp_path, capsys, extra):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["obs", "query", *extra, str(empty)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no trace files under" in captured.err
+
 
 class TestDamagedManifest:
     """``forensics.load_manifest`` is the one obs-side ``sweep.json``

@@ -2,8 +2,13 @@
 
 from importlib import import_module
 
-from repro.core.detector import accuracy_report, completeness_report, run_tv
-from repro.core.pi2 import Pi2Config, ProtocolPi2
+from repro.core.detector import (
+    PiConfig,
+    accuracy_report,
+    completeness_report,
+    run_tv,
+)
+from repro.core.pi2 import ProtocolPi2
 from repro.core.segments import monitored_segments_pi2
 from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
 from repro.crypto.keys import KeyInfrastructure
@@ -34,7 +39,7 @@ def build(n=4, policy=SummaryPolicy.CONTENT, k=1, config=None,
             [tuple(p) for p in paths.values()], k=k).values():
         segments |= segs
     protocol = ProtocolPi2(net, monitor, segments, keys, schedule,
-                           config=config or Pi2Config(k=k),
+                           config=config or PiConfig(k=k),
                            reporters=reporters)
     protocol.schedule_rounds(0, 3)
     return net, protocol
@@ -93,7 +98,7 @@ class TestTrafficFaults:
         net.routers["r2"].compromise = DropFlowAttack(["f1"], fraction=0.5,
                                                       seed=1)
         drive(net)
-        report = completeness_report(protocol.states, {"r2"}, mode="FI")
+        report = completeness_report(protocol.states, {"r2"})
         assert report.complete
 
     def test_modifier_detected_by_content_policy(self):
@@ -107,7 +112,7 @@ class TestTrafficFaults:
     def test_reorderer_detected_by_order_policy(self):
         net, protocol = build(
             policy=SummaryPolicy.ORDER,
-            config=Pi2Config(k=1, threshold=0, reorder_threshold=0),
+            config=PiConfig(k=1, threshold=0),
         )
         net.routers["r2"].compromise = ReorderAttack(period=3, hold=0.05)
         drive(net)
@@ -119,7 +124,7 @@ class TestTrafficFaults:
         # A small threshold absorbs round-boundary straddlers; content
         # validation then has nothing to say about pure reordering.
         net, protocol = build(policy=SummaryPolicy.CONTENT,
-                              config=Pi2Config(k=1, threshold=2))
+                              config=PiConfig(k=1, threshold=2))
         net.routers["r2"].compromise = ReorderAttack(period=3, hold=0.02)
         drive(net)
         assert protocol.states["r1"].suspicions == []
@@ -129,7 +134,7 @@ class TestTrafficFaults:
         latency is caught even though content and order are intact."""
         net, protocol = build(
             policy=SummaryPolicy.TIMELINESS,
-            config=Pi2Config(k=1, threshold=2, max_delay=0.05),
+            config=PiConfig(k=1, threshold=2, max_delay=0.05),
         )
         net.routers["r2"].compromise = DelayAttack(0.2, flows=["f1"])
         drive(net)
@@ -143,13 +148,13 @@ class TestTrafficFaults:
         # still catches it, see above; large delays eventually surface
         # even in content terms as round-boundary mass migration.)
         net, protocol = build(policy=SummaryPolicy.CONTENT,
-                              config=Pi2Config(k=1, threshold=4))
+                              config=PiConfig(k=1, threshold=4))
         net.routers["r2"].compromise = DelayAttack(0.02, flows=["f1"])
         drive(net, duration=7.0)
         assert protocol.states["r1"].suspicions == []
 
     def test_threshold_tolerates_benign_loss(self):
-        net, protocol = build(config=Pi2Config(k=1, threshold=3))
+        net, protocol = build(config=PiConfig(k=1, threshold=3))
         net.routers["r2"].compromise = DropFlowAttack(["f1"], fraction=0.005,
                                                       seed=3)
         drive(net)

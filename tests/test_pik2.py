@@ -2,8 +2,13 @@
 
 from importlib import import_module
 
-from repro.core.detector import accuracy_report, completeness_report, run_tv
-from repro.core.pik2 import PiK2Config, ProtocolPiK2
+from repro.core.detector import (
+    PiConfig,
+    accuracy_report,
+    completeness_report,
+    run_tv,
+)
+from repro.core.pik2 import ProtocolPiK2
 from repro.core.segments import monitored_segments_pik2
 from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
 from repro.crypto.fingerprint import FingerprintSampler
@@ -38,7 +43,7 @@ def build(n=5, k=1, config=None, samplers=None, rounds=3):
             [tuple(p) for p in paths.values()], k=k).values():
         segments |= segs
     protocol = ProtocolPiK2(net, monitor, segments, keys, schedule,
-                            config=config or PiK2Config(k=k))
+                            config=config or PiConfig(k=k))
     protocol.schedule_rounds(0, rounds)
     return net, protocol
 
@@ -112,7 +117,7 @@ class TestTrafficFaults:
         net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.4,
                                                       seed=1)
         drive(net)
-        report = completeness_report(protocol.states, {"r3"}, mode="FI")
+        report = completeness_report(protocol.states, {"r3"})
         assert report.complete
 
     def test_modifier_detected(self):
@@ -159,7 +164,7 @@ class TestProtocolFaults:
                            count=summary.count + 1)
 
         net, protocol = build(
-            k=1, config=PiK2Config(k=1, threshold=0))
+            k=1, config=PiConfig(k=1, threshold=0))
         protocol.reporters["r1"] = inflate
         drive(net)
         # r1's lie makes TV fail at the other end of r1-ended segments.
@@ -171,8 +176,8 @@ class TestProtocolFaults:
         """A summary replayed into a later round is never validated as
         that round's: the exchange times out, as under suppression."""
         checks = spy_tv(monkeypatch)
-        net, protocol = build(k=1, config=PiK2Config(k=1,
-                                                     exchange_timeout=0.5))
+        net, protocol = build(k=1)
+        protocol.exchange_timeout = 0.5
         net.routers["r2"].compromise = Replayer()
         drive(net)
         assert checks

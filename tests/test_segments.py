@@ -4,8 +4,7 @@ import pytest
 
 from repro.core import (
     PathOracle,
-    Pi2Config,
-    PiK2Config,
+    PiConfig,
     ProtocolPi2,
     ProtocolPiK2,
     SegmentMonitor,
@@ -168,22 +167,20 @@ def hand_armed(net, paths, protocol, k, over=None):
     monitor = SegmentMonitor(net, PathOracle(paths), schedule)
     net.add_tap(monitor)
     if protocol == "pi2":
-        enum, cls, config = monitored_segments_pi2, ProtocolPi2, Pi2Config(k=k)
+        enum, cls = monitored_segments_pi2, ProtocolPi2
     else:
-        enum, cls, config = (monitored_segments_pik2, ProtocolPiK2,
-                             PiK2Config(k=k))
+        enum, cls = monitored_segments_pik2, ProtocolPiK2
     routed = paths.values() if over is None else over
     segments = set()
     for segs in enum([tuple(p) for p in routed], k=k).values():
         segments |= segs
-    armed = cls(net, monitor, segments, keys, schedule, config=config)
+    armed = cls(net, monitor, segments, keys, schedule, config=PiConfig(k=k))
     armed.schedule_rounds(0, 3)
     return armed
 
 
 def by_arm_protocol(net, paths, protocol, k, over=None):
-    config = (Pi2Config if protocol == "pi2" else PiK2Config)(k=k)
-    return arm_protocol(net, paths, protocol, config=config, over=over)
+    return arm_protocol(net, paths, protocol, config=PiConfig(k=k), over=over)
 
 
 #: Per topology: two opposite flows' ends and the router between them.
@@ -252,10 +249,9 @@ class TestArmProtocol:
         ("pi2", 1, 2), ("pi2", 2, 2), ("pik2", 1, 3), ("pik2", 2, 4)])
     def test_precision_is_the_protocols(self, protocol, k, precision):
         """Appendix B: Π2 suspects 2-segments, Πk+2 (k+2)-segments."""
-        config = (Pi2Config if protocol == "pi2" else PiK2Config)(k=k)
         net = Network(chain(5))
         armed = arm_protocol(net, install_static_routes(net), protocol,
-                             config=config)
+                             config=PiConfig(k=k))
         assert armed.precision == precision
 
     def test_start_and_clock_reach_the_monitor(self):
@@ -268,10 +264,20 @@ class TestArmProtocol:
         assert armed.monitor.schedule is armed.schedule
         assert armed.monitor.clock is clock
         assert sorted(when for when, _, _ in net.sim._heap) == [
-            65.0 + armed.config.settle_delay, 70.0 + armed.config.settle_delay]
+            65.0 + armed.settle_delay, 70.0 + armed.settle_delay]
 
     def test_unknown_protocol_names_the_choices(self):
         net = Network(chain(3))
         with pytest.raises(ValueError, match="pi2, pik2"):
             arm_protocol(net, install_static_routes(net), "pi3")
         assert net.taps == []
+
+    def test_pi2_rejects_a_summary_codec(self):
+        """Π2 agrees on full summaries; the §2.4.1 codecs are Πk+2's."""
+        net = Network(chain(4))
+        paths = install_static_routes(net)
+        with pytest.raises(ValueError, match="'bloom'"):
+            arm_protocol(net, paths, "pi2", config=PiConfig(codec="bloom"))
+        assert net.taps == []
+        armed = arm_protocol(net, paths, "pik2", config=PiConfig(codec="bloom"))
+        assert armed.config.codec == "bloom"
