@@ -22,11 +22,20 @@ Traffic Summary Generator (§5.3.1): it watches transmit/receive events,
 attributes packets to monitored path-segments using the routing-derived
 :class:`PathOracle`, and accumulates per-round :class:`SummaryBuilder`s.
 
-**Round attribution.**  Both ends of a link attribute a packet to the
-round of the moment the packet *left the upstream router* (receivers
-subtract the known link propagation delay).  This removes the in-flight
-boundary ambiguity the paper folds into TV slack; residual disagreement
-comes only from clock skew, which the TV threshold still covers.
+**Round attribution.**  A member files a packet under the round its own
+clock reads at one of two instants:
+
+* ``sent`` — the moment it transmits the packet toward the next hop;
+* ``received`` — the moment the packet *left the upstream router*
+  (arrival time minus the known link propagation delay).
+
+So both ends of one link file a packet under the same round, and the
+*link* check (upstream ``sent(r)`` against downstream ``received(r)``)
+disagrees only by clock skew, which the TV threshold covers.  The
+*transit* check compares a member's own ``received(r)`` with its
+``sent(r)``, two different instants: a packet whose queueing and
+transmission straddle a round boundary is missing in r and extra in
+r+1.  That is an open defect (ROADMAP item 1), not TV slack.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.crypto.fingerprint import FingerprintSampler, fingerprint
+from repro.crypto.signatures import encoded_once
 from repro.dist.sync import ClockModel, RoundSchedule
 from repro.net import MonitorTap, Network, Packet, Router
 
@@ -54,9 +64,15 @@ class SummaryPolicy(enum.Enum):
     TIMELINESS = "timeliness"
 
 
+@encoded_once
 @dataclass(frozen=True)
 class TrafficSummary:
-    """Immutable info(r, π, τ) for one direction of observation."""
+    """Immutable info(r, π, τ) for one direction of observation.
+
+    Every field holds an immutable value (sets become ``frozenset``,
+    sequences ``tuple``), so the signature encoding it keeps
+    (:func:`~repro.crypto.signatures.encoded_once`) stays its encoding.
+    """
 
     router: str
     segment: PathSegment
@@ -68,6 +84,21 @@ class TrafficSummary:
     fingerprints: Optional[FrozenSet[int]] = None
     ordered: Optional[Tuple[int, ...]] = None
     timestamps: Optional[Tuple[Tuple[int, float], ...]] = None
+
+    def __post_init__(self) -> None:
+        # Same canonical bytes either way: a set and a frozenset both
+        # encode as ``E(``, a list and a tuple as ``L(``.
+        if type(self.segment) is not tuple:
+            object.__setattr__(self, "segment", tuple(self.segment))
+        if (self.fingerprints is not None
+                and type(self.fingerprints) is not frozenset):
+            object.__setattr__(self, "fingerprints",
+                               frozenset(self.fingerprints))
+        if self.ordered is not None and type(self.ordered) is not tuple:
+            object.__setattr__(self, "ordered", tuple(self.ordered))
+        if self.timestamps is not None:
+            object.__setattr__(self, "timestamps",
+                               tuple([tuple(pair) for pair in self.timestamps]))
 
 
 class SummaryBuilder:

@@ -1,8 +1,8 @@
 """Cryptographic tools and key distribution (§2.1.5).
 
 Real hash primitives (BLAKE2) over the packet's invariant identity, an
-administratively seeded key infrastructure (pairwise secret keys and
-per-router signing keys) and HMAC-style signatures.  The
+administratively seeded key infrastructure (per-router signing keys and
+per-segment sampling keys) and HMAC-style signatures.  The
 detection protocols need authenticity and integrity, not confidentiality
 (§2.1.5 n.2); these modules provide exactly that surface.
 """
@@ -13,7 +13,7 @@ from repro.crypto.fingerprint import (
     FingerprintSampler,
 )
 from repro.crypto.keys import KeyInfrastructure
-from repro.crypto.signatures import Signed, SignatureError, canonical_bytes
+from repro.crypto.signatures import Signed, canonical_bytes
 
 __all__ = [
     "fingerprint",
@@ -21,6 +21,5 @@ __all__ = [
     "FingerprintSampler",
     "KeyInfrastructure",
     "Signed",
-    "SignatureError",
     "canonical_bytes",
 ]

@@ -2,9 +2,9 @@
 
 The paper assumes "the administrative ability to assign and distribute
 shared keys to sets of nearby routers" or a PKI.  We model both with a
-deterministic derivation from an administrative master secret: pairwise
-symmetric keys for MAC-based validation, and per-router signing keys for
-the digital signatures Π2's consensus requires.
+deterministic derivation from an administrative master secret: per-router
+signing keys for the digital signatures Π2's consensus requires, and a
+secret sampling key shared by a monitored segment's two ends.
 
 Only the infrastructure object can mint keys; adversary code in this
 library never holds another router's key, so "forging" is structurally
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from typing import Dict, Tuple
+from typing import Dict
 
 
 class KeyInfrastructure:
@@ -23,26 +23,10 @@ class KeyInfrastructure:
 
     def __init__(self, master_secret: bytes = b"repro-master") -> None:
         self._master = master_secret
-        self._pair_cache: Dict[Tuple[str, str], bytes] = {}
         self._router_cache: Dict[str, bytes] = {}
 
     def _derive(self, label: bytes) -> bytes:
         return hmac.new(self._master, label, hashlib.sha256).digest()
-
-    def pair_key(self, a: str, b: str) -> bytes:
-        """Symmetric key shared by routers ``a`` and ``b`` (order-free)."""
-        lo, hi = sorted((a, b))
-        cache_key = (lo, hi)
-        if cache_key not in self._pair_cache:
-            self._pair_cache[cache_key] = self._derive(
-                b"pair|" + lo.encode() + b"|" + hi.encode()
-            )
-        return self._pair_cache[cache_key]
-
-    def group_key(self, members: Tuple[str, ...]) -> bytes:
-        """Key shared by all routers of a path-segment."""
-        label = b"group|" + b"|".join(m.encode() for m in sorted(members))
-        return self._derive(label)
 
     def signing_key(self, router: str) -> bytes:
         """Private signing key for ``router`` (PKI stand-in).

@@ -6,6 +6,11 @@ summaries ("[x]_i indicates that x is digitally signed by i", Fig 5.1);
 alerts.  We implement signature semantics with HMAC over a canonical
 serialization: a value signed by router ``i`` verifies only under ``i``'s
 key, and any mutation of the payload breaks verification.
+
+A frozen dataclass may opt in to :func:`encoded_once`: its instances
+keep their finished encoding, so signing and verifying one object again
+costs a lookup.  Nothing else is remembered: a payload that is not such
+an instance is encoded afresh at every sign and verify.
 """
 
 from __future__ import annotations
@@ -15,11 +20,9 @@ import hashlib
 import hmac
 from dataclasses import dataclass, fields, is_dataclass
 from operator import itemgetter
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Set, Tuple, TypeVar
 
-
-class SignatureError(Exception):
-    """A signature failed to verify."""
+_Class = TypeVar("_Class", bound=type)
 
 
 def _encode_str(obj: str) -> bytes:
@@ -64,6 +67,26 @@ _EXACT: Dict[type, Callable[[Any], bytes]] = {
 #: test ahead of the dataclass branch, and so does any other instance.
 _DATACLASS_FIELDS: Dict[type, Tuple[str, ...]] = {}
 
+#: Classes whose instances keep their encoding in ``__dict__[_MEMO]``.
+_ENCODED_ONCE: Set[type] = set()
+_MEMO = "_canonical_bytes"
+
+
+def encoded_once(cls: _Class) -> _Class:
+    """Class decorator: encode each instance of ``cls`` at most once.
+
+    Only a frozen dataclass whose fields hold immutable values may opt
+    in, since the stored bytes must stay the bytes of the fields.  The
+    memo lives in the instance ``__dict__``, not in a field, so it is
+    not part of the encoding, of ``==`` or of the hash.
+    """
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        raise TypeError(f"{cls.__name__} is not a frozen dataclass; "
+                        f"it cannot keep its encoding")
+    _ENCODED_ONCE.add(cls)
+    return cls
+
 
 def canonical_bytes(obj: Any) -> bytes:
     """Deterministic serialization for signing.
@@ -102,7 +125,17 @@ def canonical_bytes(obj: Any) -> bytes:
         if not is_dataclass(obj) or isinstance(obj, type):
             raise TypeError(f"cannot canonicalize {type(obj)!r} for signing")
         names = _DATACLASS_FIELDS[kind] = tuple(f.name for f in fields(obj))
-    return (b"C(" + _encode_str(kind.__name__)
+    if kind in _ENCODED_ONCE:
+        memo = obj.__dict__
+        encoded = memo.get(_MEMO)
+        if encoded is None:
+            encoded = memo[_MEMO] = _encode_fields(obj, names)
+        return encoded
+    return _encode_fields(obj, names)
+
+
+def _encode_fields(obj: Any, names: Tuple[str, ...]) -> bytes:
+    return (b"C(" + _encode_str(obj.__class__.__name__)
             + b"".join([canonical_bytes(getattr(obj, name)) for name in names])
             + b")")
 
@@ -127,8 +160,3 @@ class Signed:
     def verify(self, signing_key: bytes) -> bool:
         expected = _mac(signing_key, (self.signer, self.payload))
         return hmac.compare_digest(expected, self.mac)
-
-    def verify_or_raise(self, signing_key: bytes) -> Any:
-        if not self.verify(signing_key):
-            raise SignatureError(f"bad signature claimed by {self.signer!r}")
-        return self.payload

@@ -1,14 +1,18 @@
 """Unit tests for fingerprints, keys and signatures."""
 
+import copy
 import json
 import os
+import pickle
 import sys
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
+from repro.core.summaries import SummaryPolicy, TrafficSummary
 from repro.crypto.fingerprint import FingerprintSampler, fingerprint, fingerprint_bytes
 from repro.crypto.keys import KeyInfrastructure
-from repro.crypto.signatures import Signed, SignatureError, canonical_bytes
+from repro.crypto.signatures import Signed, canonical_bytes, encoded_once
 from repro.net.packet import Packet
 from tests.canonical_vectors import NAMESPACE
 
@@ -77,14 +81,6 @@ class TestSampler:
 
 
 class TestKeys:
-    def test_pair_key_symmetric(self):
-        keys = KeyInfrastructure()
-        assert keys.pair_key("a", "b") == keys.pair_key("b", "a")
-
-    def test_pair_keys_distinct(self):
-        keys = KeyInfrastructure()
-        assert keys.pair_key("a", "b") != keys.pair_key("a", "c")
-
     def test_signing_keys_distinct(self):
         keys = KeyInfrastructure()
         assert keys.signing_key("a") != keys.signing_key("b")
@@ -93,10 +89,6 @@ class TestKeys:
         a = KeyInfrastructure(b"net-a")
         b = KeyInfrastructure(b"net-b")
         assert a.signing_key("r") != b.signing_key("r")
-
-    def test_group_key_order_free(self):
-        keys = KeyInfrastructure()
-        assert keys.group_key(("a", "b", "c")) == keys.group_key(("c", "a", "b"))
 
 
 class TestCanonicalBytes:
@@ -121,7 +113,6 @@ class TestCanonicalBytes:
             canonical_bytes(object())
 
     def test_dataclasses_supported(self):
-        from repro.core.summaries import SummaryPolicy, TrafficSummary
         summary = TrafficSummary(
             router="r", segment=("a", "b"), round_index=0,
             direction="sent", policy=SummaryPolicy.FLOW,
@@ -189,15 +180,13 @@ class TestSigned:
         keys = KeyInfrastructure()
         signed = Signed.sign({"count": 5}, "r1", keys.signing_key("r1"))
         assert signed.verify(keys.signing_key("r1"))
-        assert signed.verify_or_raise(keys.signing_key("r1")) == {"count": 5}
+        assert signed.payload == {"count": 5}
 
     def test_tampered_payload_fails(self):
         keys = KeyInfrastructure()
         signed = Signed.sign({"count": 5}, "r1", keys.signing_key("r1"))
         forged = Signed(payload={"count": 9}, signer="r1", mac=signed.mac)
         assert not forged.verify(keys.signing_key("r1"))
-        with pytest.raises(SignatureError):
-            forged.verify_or_raise(keys.signing_key("r1"))
 
     def test_wrong_signer_fails(self):
         keys = KeyInfrastructure()
@@ -223,3 +212,92 @@ class TestSigned:
         forged = Signed.sign("lie", "r1", attacker_keys.signing_key("r1"))
         assert not forged.verify(keys.signing_key("r1"))
 
+
+
+def _summary(policy, **changes):
+    fps = (7, 3, 11)
+    keeps_order = policy in (SummaryPolicy.ORDER, SummaryPolicy.TIMELINESS)
+    values = dict(
+        router="r2", segment=("r1", "r2", "r3"), round_index=4,
+        direction="received", policy=policy, count=3, byte_count=3000,
+        fingerprints=(None if policy is SummaryPolicy.FLOW
+                      else frozenset(fps)),
+        ordered=fps if keeps_order else None,
+        timestamps=(tuple((fp, 0.5 + fp) for fp in fps)
+                    if policy is SummaryPolicy.TIMELINESS else None))
+    values.update(changes)
+    return TrafficSummary(**values)
+
+
+class TestEncodedOnce:
+    """A ``TrafficSummary`` keeps its encoding, and nothing on the wire shows it."""
+
+    def test_the_memo_is_not_a_field(self):
+        assert [f.name for f in fields(TrafficSummary)] == [
+            "router", "segment", "round_index", "direction", "policy",
+            "count", "byte_count", "fingerprints", "ordered", "timestamps"]
+
+    @pytest.mark.parametrize("policy", list(SummaryPolicy))
+    def test_bytes_equal_a_fresh_equal_summary(self, policy):
+        summary = _summary(policy)
+        first = canonical_bytes(summary)
+        assert canonical_bytes(summary) is first
+        assert canonical_bytes(_summary(policy)) == first
+        assert canonical_bytes((summary, summary)) == (
+            b"L(" + first + first + b")")
+
+    def test_a_replaced_copy_gets_its_own_bytes(self):
+        summary = _summary(SummaryPolicy.CONTENT)
+        before = canonical_bytes(summary)
+        fewer = replace(summary, fingerprints=frozenset({7}), count=1)
+        assert canonical_bytes(fewer) != before
+        assert canonical_bytes(fewer) == canonical_bytes(
+            _summary(SummaryPolicy.CONTENT, fingerprints=frozenset({7}),
+                     count=1))
+        assert canonical_bytes(summary) == before
+
+    def test_a_replaced_payload_fails_verification(self):
+        keys = KeyInfrastructure()
+        summary = _summary(SummaryPolicy.CONTENT)
+        signed = Signed.sign(summary, "r2", keys.signing_key("r2"))
+        assert signed.verify(keys.signing_key("r2"))
+        forged = Signed(payload=replace(summary, count=2), signer="r2",
+                        mac=signed.mac)
+        assert not forged.verify(keys.signing_key("r2"))
+        same = Signed(payload=replace(summary), signer="r2", mac=signed.mac)
+        assert same.verify(keys.signing_key("r2"))
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, lambda s: pickle.loads(pickle.dumps(s))],
+        ids=["copy", "pickle"])
+    def test_copies_encode_identically(self, duplicate):
+        summary = _summary(SummaryPolicy.TIMELINESS)
+        encoded = canonical_bytes(summary)
+        twin = duplicate(summary)
+        assert twin == summary and hash(twin) == hash(summary)
+        assert canonical_bytes(twin) == encoded
+
+    def test_mutable_containers_are_frozen_at_construction(self):
+        frozen = _summary(SummaryPolicy.TIMELINESS)
+        loose = _summary(
+            SummaryPolicy.TIMELINESS, segment=["r1", "r2", "r3"],
+            fingerprints={7, 3, 11}, ordered=[7, 3, 11],
+            timestamps=[[fp, 0.5 + fp] for fp in (7, 3, 11)])
+        assert type(loose.segment) is tuple
+        assert type(loose.fingerprints) is frozenset
+        assert type(loose.ordered) is tuple
+        assert all(type(pair) is tuple for pair in loose.timestamps)
+        assert loose == frozen and hash(loose) == hash(frozen)
+        assert canonical_bytes(loose) == canonical_bytes(frozen)
+
+    def test_only_a_frozen_dataclass_may_opt_in(self):
+        class Plain:
+            pass
+
+        @dataclass
+        class Mutable:
+            x: int
+
+        for cls in (Plain, Mutable):
+            with pytest.raises(TypeError):
+                encoded_once(cls)

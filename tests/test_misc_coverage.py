@@ -87,9 +87,10 @@ class TestKeysExtra:
         keys = KeyInfrastructure()
         assert keys.sampling_key("a", "b") == keys.sampling_key("b", "a")
 
-    def test_sampling_key_differs_from_pair_key(self):
+    def test_sampling_key_differs_from_signing_key(self):
         keys = KeyInfrastructure()
-        assert keys.sampling_key("a", "b") != keys.pair_key("a", "b")
+        assert keys.sampling_key("a", "b") not in (keys.signing_key("a"),
+                                                   keys.signing_key("b"))
 
 
 class TestChiConfig:

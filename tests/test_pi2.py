@@ -1,6 +1,9 @@
 """Integration tests for Protocol Π2 (Fig 5.1)."""
 
+from collections import Counter
 from importlib import import_module
+
+import pytest
 
 from repro.core.detector import (
     PiConfig,
@@ -10,7 +13,13 @@ from repro.core.detector import (
 )
 from repro.core.pi2 import ProtocolPi2
 from repro.core.segments import monitored_segments_pi2
-from repro.core.summaries import PathOracle, SegmentMonitor, SummaryPolicy
+from repro.core.summaries import (
+    PathOracle,
+    SegmentMonitor,
+    SummaryPolicy,
+    TrafficSummary,
+)
+from repro.crypto import signatures
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.sync import RoundSchedule
 from repro.net.adversary import (
@@ -194,6 +203,35 @@ class TestProtocolFaults:
         report = accuracy_report(protocol.states, {"r2"}, max_precision=2)
         assert report.total_suspicions > 0
         assert report.accurate
+
+
+class TestEncodedOnce:
+    @pytest.mark.parametrize("bench", ["pi2_bench", "pik2_bench"])
+    def test_each_summary_is_encoded_once(self, monkeypatch, bench):
+        """Every sign and verify of one summary after its first reuses its bytes."""
+        encode_fields = signatures._encode_fields
+        canonical_bytes = signatures.canonical_bytes
+        encoded, served = Counter(), Counter()
+        alive = []  # keeps each id() unique for the whole run
+
+        def spy_encode_fields(obj, names):
+            if type(obj) is TrafficSummary:
+                encoded[id(obj)] += 1
+                alive.append(obj)
+            return encode_fields(obj, names)
+
+        def spy_canonical_bytes(obj):
+            if type(obj) is TrafficSummary:
+                served[id(obj)] += 1
+            return canonical_bytes(obj)
+
+        monkeypatch.setattr(signatures, "_encode_fields", spy_encode_fields)
+        monkeypatch.setattr(signatures, "canonical_bytes", spy_canonical_bytes)
+        result = getattr(import_module("repro.eval.experiments"), bench)()
+        assert result.total_suspicions > 0
+        assert encoded and set(encoded.values()) == {1}
+        assert set(served) == set(encoded)
+        assert sum(served.values()) >= 2 * len(encoded)
 
 
 def TrafficSummaryHalver(summary):
