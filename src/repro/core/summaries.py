@@ -22,8 +22,9 @@ Traffic Summary Generator (§5.3.1): it watches transmit/receive events,
 attributes packets to monitored path-segments using the routing-derived
 :class:`PathOracle`, and accumulates per-round :class:`SummaryBuilder`s.
 
-**Round attribution.**  A member files a packet under the round its own
-clock reads at one of two instants:
+**Round attribution** (``SegmentMonitor._round_for``, the one place it is
+decided).  A member files a packet under the round its own clock reads
+at one of two instants:
 
 * ``sent`` — the moment it transmits the packet toward the next hop;
 * ``received`` — the moment the packet *left the upstream router*
@@ -369,17 +370,29 @@ class SegmentMonitor(MonitorTap):
             segments = self._followed[(link, path)] = tuple(matched)
         return segments
 
-    def _record(self, segments: Tuple[PathSegment, ...], router: str,
-                direction: str, packet: Packet,
-                left_upstream_at: float) -> None:
-        """File ``packet`` under every segment in ``segments``.
+    def _round_for(self, link: WatchedLink, packet: Packet,
+                   time: float) -> Tuple[float, int]:
+        """``(local time, round)`` a record of ``packet`` is filed under:
+        the one attribution rule.  A transmit counts at its instant, a
+        receive at ``time - link delay``, each on the member's own clock
+        (``packet`` is for a rule that reads a time the packet carries)."""
+        direction, router, neighbour = link
+        if direction == "received":
+            time -= self.network.topology.link(neighbour, router).delay
+        local = self.clock.local_time(router, time)
+        return local, self.schedule.round_of(local)
+
+    def _record(self, segments: Tuple[PathSegment, ...], link: WatchedLink,
+                packet: Packet, time: float) -> None:
+        """File ``packet``, seen on ``link`` at ``time``, under every
+        segment in ``segments``.
 
         The round and the fingerprint belong to (router, packet, instant),
         not to a segment: one clock read, one fingerprint however many
         segments share the link — and none if every sampler declines.
         """
-        local = self.clock.local_time(router, left_upstream_at)
-        round_index = self.schedule.round_of(local)
+        direction, router, _ = link
+        local, round_index = self._round_for(link, packet, time)
         fp = None
         for segment in segments:
             sampler = self.samplers.get(segment)
@@ -406,19 +419,17 @@ class SegmentMonitor(MonitorTap):
 
     def on_transmit(self, router: Router, out_nbr: str, packet: Packet,
                     time: float) -> None:
-        name = router.name
-        segments = self._following(("sent", name, out_nbr), packet)
+        link = ("sent", router.name, out_nbr)
+        segments = self._following(link, packet)
         if segments:
-            self._record(segments, name, "sent", packet, time)
+            self._record(segments, link, packet, time)
 
     def on_receive(self, router: Router, from_nbr: str, packet: Packet,
                    time: float) -> None:
-        name = router.name
-        segments = self._following(("received", name, from_nbr), packet)
+        link = ("received", router.name, from_nbr)
+        segments = self._following(link, packet)
         if segments:
-            link = self.network.topology.link(from_nbr, name)
-            self._record(segments, name, "received", packet,
-                         time - link.delay)
+            self._record(segments, link, packet, time)
 
     # -- retrieval -------------------------------------------------------------
     def summary(self, segment: PathSegment, router: str, direction: str,

@@ -88,7 +88,6 @@ def build_telemetry(
             "misses": misses,
             "hit_rate": hits / lookups if lookups else 0.0,
             "stores": int(stats.get("stores", 0)),
-            "evictions": int(stats.get("evictions", 0)),
         },
         "dispatch": dispatch,
     }
@@ -124,7 +123,7 @@ def merge_telemetry(sections: Sequence[Optional[dict]]) -> Optional[dict]:
     jobs = max((int(s.get("workers", {}).get("jobs", 1))
                 for s in present), default=1)
     cache = {key: sum(int(s.get("cache", {}).get(key, 0)) for s in present)
-             for key in ("hits", "misses", "stores", "evictions")}
+             for key in ("hits", "misses", "stores")}
     lookups = cache["hits"] + cache["misses"]
     capacity = jobs * wall_s
     return {

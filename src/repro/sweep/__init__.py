@@ -3,30 +3,27 @@
 ``python -m repro sweep <experiment> --seeds N --jobs J`` fans any
 registered experiment across a process pool — seeds derived
 deterministically from a root seed, finished runs cached on disk under
-``.repro-cache/`` (LRU size-capped via ``--cache-max-mb``), failed or
-timed-out runs retried with exponential backoff and worker crashes
-survived, per-sweep JSON/CSV artifacts plus mean/median/CI aggregates
-emitted per sweep.  ``--shard i/n`` runs one deterministic slice of the
-run list; ``--executor subprocess`` runs every shard as a supervised
-child process here and auto-merges them; ``python -m repro merge``
-unions shard outputs back into one aggregate identical to an unsharded
-run.  See the "Sweeps" sections of README.md and EXPERIMENTS.md.
+``.repro-cache/``, failed or timed-out runs retried with exponential
+backoff and worker crashes survived, per-sweep JSON/CSV artifacts plus
+mean/median/CI aggregates emitted per sweep.  ``--shard i/n`` runs one
+deterministic slice of the run list; ``--executor subprocess`` runs
+every shard as a supervised child process here and auto-merges them;
+``python -m repro merge`` unions shard outputs back into one aggregate
+identical to an unsharded run.  See the "Sweeps" sections of README.md and EXPERIMENTS.md.
 
 The public surface is intentionally small: :func:`run_sweep` driven by
-a :class:`SweepConfig`, the :class:`SweepResult` it returns, the
-:class:`SupervisedChildExecutor` that dispatches shards, and
-:func:`merge_sweeps`.  Everything else (grid expansion, the result
-cache, retry classification, artifact writers) is an implementation
-detail — reachable under its submodule for tests and power users, but
-not part of the supported API.
+a :class:`SweepConfig` (``shards=N`` dispatches it as supervised shard
+children), the :class:`SweepResult` it returns, and :func:`merge_sweeps`.
+Everything else (grid expansion, the result cache, the cell engine,
+shard dispatch, artifact writers) is an implementation detail —
+reachable under its submodule for tests and power users, but not part
+of the supported API.
 """
 
-from repro.sweep.executors import SupervisedChildExecutor
 from repro.sweep.merge import merge_sweeps
 from repro.sweep.runner import SweepConfig, SweepResult, run_sweep
 
 __all__ = [
-    "SupervisedChildExecutor",
     "SweepConfig",
     "SweepResult",
     "merge_sweeps",

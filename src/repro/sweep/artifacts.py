@@ -16,10 +16,10 @@ one ``repro merge`` reads)::
       "code_version": "deadbeef01234567",
       "cache": {"hits": 0, "misses": 8, "dir": ".repro-cache"},
       "elapsed_s": 4.2,
-      "dispatch": null | {        # executor-dispatched sweeps only
+      "dispatch": null | {        # dispatched sweeps (shards=N) only
         "executor": "subprocess", "n_shards": 2,
-        "shards": [ {"index", "status": "ok"|"failed"|"lost"|"running",
-                     "attempts", "host", "error"}, ... ]
+        "shards": [ {"index", "status": "ok", "attempts", "host",
+                     "error", "wall_s"}, ... ]
       },
       "runs": [ {"seed_index", "seed", "params", "elapsed_s", "cached",
                  "status": "ok"|"failed", "attempts",
@@ -46,9 +46,6 @@ from typing import Dict, List
 
 from repro.sweep.aggregate import flatten_numeric
 from repro.sweep.cache import _atomic_open
-from repro.sweep.runner import MANIFEST_SCHEMA
-
-__all__ = ["MANIFEST_SCHEMA", "write_sweep_artifacts"]
 
 
 def write_sweep_artifacts(sweep, out_dir: str) -> Dict[str, str]:
@@ -58,11 +55,8 @@ def write_sweep_artifacts(sweep, out_dir: str) -> Dict[str, str]:
     mapping of artifact name to written path.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "sweep.json": os.path.join(out_dir, "sweep.json"),
-        "runs.csv": os.path.join(out_dir, "runs.csv"),
-        "aggregate.csv": os.path.join(out_dir, "aggregate.csv"),
-    }
+    paths = {name: os.path.join(out_dir, name)
+             for name in ("sweep.json", "runs.csv", "aggregate.csv")}
 
     flat_runs: List[Dict[str, object]] = []
     numeric_columns: List[str] = []

@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import pathlib
+import sys
 import time
 from typing import List, Optional
 
 from repro.sweep.artifacts import write_sweep_artifacts
 from repro.sweep.cache import DEFAULT_CACHE_DIR
-from repro.sweep.executors import SupervisedChildExecutor
 from repro.sweep.grid import (
     parse_grid_assignments,
     parse_param_assignments,
     parse_shard,
 )
-from repro.sweep.retry import RetryPolicy, ShardRetryPolicy, SweepError
+from repro.sweep.retry import RetryPolicy, SweepError
 from repro.sweep.runner import SweepConfig, run_sweep
 
 
@@ -69,10 +71,6 @@ def add_sweep_parser(sub: argparse._SubParsersAction,
     parser.add_argument("--retries", type=int, default=2, metavar="R",
                         help="retries per failed run before marking it "
                              "failed (default 2)")
-    parser.add_argument("--retry-backoff", type=float, default=0.5,
-                        metavar="S",
-                        help="base backoff between retry rounds, doubled "
-                             "each round (default 0.5 s)")
     parser.add_argument("--strict", action="store_true",
                         help="fail fast: first failed run aborts the "
                              "sweep instead of being retried/recorded")
@@ -80,11 +78,6 @@ def add_sweep_parser(sub: argparse._SubParsersAction,
                         metavar="DIR",
                         help=f"result cache location "
                              f"(default {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--cache-max-mb", type=float, default=None,
-                        metavar="MB",
-                        help="cap the cache at MB megabytes, evicting "
-                             "least-recently-used entries (default: "
-                             "unbounded)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every run; do not read or write "
                              "the cache")
@@ -114,20 +107,7 @@ def add_sweep_parser(sub: argparse._SubParsersAction,
                                "processes on this machine")
     dispatch.add_argument("--shards", type=int, default=None, metavar="N",
                           help="shard count (default 2)")
-    dispatch.add_argument("--shard-attempts", type=int, default=2,
-                          metavar="N",
-                          help="dispatch attempts per shard before the "
-                               "sweep fails; a lost shard is re-run "
-                               "(default 2)")
-    dispatch.add_argument("--shard-timeout", type=float, default=None,
-                          metavar="S",
-                          help="kill a shard running longer than S "
-                               "seconds and mark it lost")
-    dispatch.add_argument("--heartbeat-timeout", type=float, default=None,
-                          metavar="S",
-                          help="kill a shard whose heartbeat file is older "
-                               "than S seconds and mark it lost")
-    # Internal: the executor passes --heartbeat to its shard children; the
+    # Internal: the driver passes --heartbeat to its shard children; the
     # child touches the file twice a second for liveness supervision.
     dispatch.add_argument("--heartbeat", default=None,
                           help=argparse.SUPPRESS)
@@ -163,12 +143,8 @@ def _start_heartbeat(path: str) -> None:
 
     def beat() -> None:
         while True:
-            try:
-                with open(path, "a"):
-                    pass
-                os.utime(path)
-            except OSError:
-                pass
+            with contextlib.suppress(OSError):
+                pathlib.Path(path).touch()
             time.sleep(0.5)
 
     threading.Thread(target=beat, daemon=True,
@@ -180,8 +156,8 @@ def _check_counts(args: argparse.Namespace) -> None:
     for flag, value, least in (("--seeds", args.seeds, 1),
                                ("--jobs", args.jobs, 1),
                                ("--retries", args.retries, 0),
-                               ("--shard-attempts", args.shard_attempts, 1)):
-        if value < least:
+                               ("--shards", args.shards, 1)):
+        if value is not None and value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
 
 
@@ -206,40 +182,35 @@ def _unusable_dir(paths: List[str]) -> Optional[str]:
     return None
 
 
-def _build_executor(
-        args: argparse.Namespace) -> Optional[SupervisedChildExecutor]:
-    """The shard executor for --executor, or None for --shard/plain."""
-    if args.executor is None:
-        if args.shards is not None:
-            raise ValueError("--shards needs --executor")
-        return None
-    if args.shard is not None:
-        raise ValueError(
-            "--shard marks this process as one shard of a dispatched "
-            "sweep; it cannot be combined with --executor")
-    return SupervisedChildExecutor(
-        2 if args.shards is None else args.shards,
-        shard_timeout_s=args.shard_timeout,
-        heartbeat_timeout_s=args.heartbeat_timeout)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    import sys
-
+    out_dir = args.out or os.path.join("sweeps", args.experiment)
     try:
         _check_counts(args)
-        params = parse_param_assignments(args.param)
-        grid = parse_grid_assignments(args.grid)
-        shard = parse_shard(args.shard) if args.shard else None
-        retry = RetryPolicy(max_attempts=args.retries + 1,
-                            timeout_s=args.timeout,
-                            backoff_s=args.retry_backoff)
-        executor = _build_executor(args)
-        shard_retry = ShardRetryPolicy(max_attempts=args.shard_attempts)
+        if args.shards is not None and args.executor is None:
+            raise ValueError("--shards needs --executor")
+        config = SweepConfig(
+            seeds=args.seeds,
+            jobs=args.jobs,
+            params=parse_param_assignments(args.param),
+            grid=parse_grid_assignments(args.grid),
+            root_seed=args.root_seed,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            shard=parse_shard(args.shard) if args.shard else None,
+            shards=((2 if args.shards is None else args.shards)
+                    if args.executor else None),
+            retry=RetryPolicy(max_attempts=args.retries + 1,
+                              timeout_s=args.timeout),
+            strict=args.strict,
+            # Keep per-shard artifacts next to the merged ones for
+            # debugging.
+            shard_dir=(os.path.join(out_dir, "shards") if args.executor
+                       else None),
+            trace_dir=(os.path.join(out_dir, "traces") if args.trace
+                       else None),
+        )
     except (OSError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
-    out_dir = args.out or os.path.join("sweeps", args.experiment)
     unusable = _unusable_dir(
         [out_dir] + ([] if args.no_cache else [args.cache_dir]))
     if unusable:
@@ -247,43 +218,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if args.heartbeat:
         _start_heartbeat(args.heartbeat)
+    from repro.eval import registry
+
+    try:
+        registry.get(args.experiment)
+    except KeyError as error:  # the one KeyError that means exit 2
+        print(error.args[0], file=sys.stderr)
+        return 2
     progress = None if args.quiet else (lambda line: print(line, flush=True))
-    cache_max_bytes = (int(args.cache_max_mb * 1024 * 1024)
-                       if args.cache_max_mb is not None else None)
-    config = SweepConfig(
-        seeds=args.seeds,
-        jobs=args.jobs,
-        params=params,
-        grid=grid,
-        root_seed=args.root_seed,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=cache_max_bytes,
-        shard=shard,
-        retry=retry,
-        strict=args.strict,
-        shard_retry=shard_retry,
-        # Keep per-shard artifacts next to the merged ones for debugging.
-        shard_dir=(os.path.join(out_dir, "shards")
-                   if executor is not None else None),
-        trace_dir=(os.path.join(out_dir, "traces") if args.trace
-                   else None),
-    )
     try:
         if args.profile:
             from repro.obs.profile import (format_profile_lines,
                                            profile_call, write_profile)
 
             sweep, profile_stats = profile_call(
-                run_sweep, args.experiment, config, executor=executor,
-                progress=progress)
+                run_sweep, args.experiment, config, progress=progress)
         else:
-            sweep = run_sweep(args.experiment, config, executor=executor,
-                              progress=progress)
+            sweep = run_sweep(args.experiment, config, progress=progress)
     except SweepError as error:
         print(f"sweep aborted: {error}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError) as error:
+    except ValueError as error:
         message = error.args[0] if error.args else str(error)
         print(message, file=sys.stderr)
         return 2
@@ -307,8 +262,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    import sys
-
     from repro.sweep.merge import (
         MergeError,
         load_manifest,

@@ -16,20 +16,12 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro._params import fold_dotted_params
-
 Params = Tuple[Tuple[str, object], ...]
 
 
 def canonical_params(params: Mapping[str, object]) -> Params:
     """Sort parameters into a hashable, order-independent form."""
     return tuple(sorted(params.items()))
-
-
-def params_token(params: Mapping[str, object]) -> str:
-    """A canonical JSON string of a parameter mapping (dict-order free)."""
-    return json.dumps(dict(params), sort_keys=True, separators=(",", ":"),
-                      default=str)
 
 
 def derive_seed(root_seed: int, run_key: str) -> int:
@@ -49,29 +41,11 @@ class RunSpec:
 
     @property
     def run_key(self) -> str:
-        return (f"{self.experiment}|{params_token(dict(self.params))}"
-                f"|seed{self.seed_index}")
-
-    def call_params(self) -> Dict[str, object]:
-        """The kwargs actually passed to the experiment function.
-
-        Dotted grid keys (``adversary.rate``) stay flat in
-        :attr:`params` — they are part of the cell's cache/run identity —
-        but are folded into nested dicts here, at the call boundary.
-        """
-        merged = fold_dotted_params(dict(self.params))
-        if self.seed is not None:
-            merged["seed"] = self.seed
-        return merged
-
-    def payload(self) -> dict:
-        """A plain-dict form safe to ship across a process boundary."""
-        return {
-            "experiment": self.experiment,
-            "params": [list(kv) for kv in self.params],
-            "seed_index": self.seed_index,
-            "seed": self.seed,
-        }
+        """The cell's identity: experiment, canonical JSON of its grid
+        point (dict-order free), seed index."""
+        params = json.dumps(dict(self.params), sort_keys=True,
+                            separators=(",", ":"), default=str)
+        return f"{self.experiment}|{params}|seed{self.seed_index}"
 
 
 def shard_specs(specs: Sequence[RunSpec], index: int,
@@ -94,11 +68,8 @@ def shard_specs(specs: Sequence[RunSpec], index: int,
 
 def parse_shard(text: str) -> Tuple[int, int]:
     """Parse a ``--shard i/n`` argument into ``(index, count)``."""
-    index_text, sep, count_text = text.partition("/")
     try:
-        if not sep:
-            raise ValueError
-        index, count = int(index_text), int(count_text)
+        index, count = (int(part) for part in text.split("/"))
     except ValueError:
         raise ValueError(
             f"bad --shard {text!r}; expected i/n, e.g. 0/4") from None

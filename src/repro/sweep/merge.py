@@ -21,15 +21,16 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.telemetry import merge_telemetry
 from repro.sweep.aggregate import aggregate_records
+from repro.sweep.artifacts import write_sweep_artifacts
 from repro.sweep.grid import RunSpec, expand_grid
 from repro.sweep.runner import MANIFEST_SCHEMA, SweepResult
-
-MERGEABLE_SCHEMAS = (MANIFEST_SCHEMA,)
 
 #: Manifest fields that must agree across every shard of one sweep.
 #: The schema version is checked per shard, as each manifest is loaded.
 COORDINATE_FIELDS = ("experiment", "root_seed", "seeds",
                      "params", "grid", "n_total", "code_version")
+#: Fields of a ``runs`` row the merge reads.
+RUN_FIELDS = ("experiment", "params", "seed_index", "seed", "result")
 
 
 class MergeError(ValueError):
@@ -48,15 +49,31 @@ def load_manifest(directory: str) -> dict:
         raise MergeError(f"{path}: unreadable manifest "
                          f"({error})") from None
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
-    if schema not in MERGEABLE_SCHEMAS:
+    if schema != MANIFEST_SCHEMA:
         raise MergeError(
             f"{path}: schema {schema!r} is not mergeable; expected "
-            f"{', '.join(MERGEABLE_SCHEMAS)}")
+            f"{MANIFEST_SCHEMA}")
     missing = [name for name in COORDINATE_FIELDS + ("runs",)
                if name not in manifest]
     if missing:
         raise MergeError(
             f"{path}: manifest is missing {', '.join(missing)}")
+    # The shapes the merge reads, so a damaged one is a MergeError.
+    if not isinstance(manifest.get("cache", {}), dict):
+        raise MergeError(f"{path}: cache is not an object")
+    runs = manifest["runs"]
+    if not isinstance(runs, list):
+        raise MergeError(f"{path}: runs is not a list "
+                         f"(got {type(runs).__name__})")
+    for at, run in enumerate(runs):
+        if not isinstance(run, dict):
+            raise MergeError(f"{path}: runs[{at}] is not an object")
+        missing = [name for name in RUN_FIELDS if name not in run]
+        if missing:
+            raise MergeError(
+                f"{path}: runs[{at}] is missing {', '.join(missing)}")
+        if not isinstance(run["params"], dict):
+            raise MergeError(f"{path}: runs[{at}].params is not an object")
     manifest["_source"] = path
     return manifest
 
@@ -101,8 +118,8 @@ def merge_manifests(manifests: Sequence[dict]) -> SweepResult:
             by_key[key] = record
 
     # Reconstruct the canonical unsharded order from the coordinates.
-    runs = list(by_key.values())
-    accepts_seed = any(record["seed"] is not None for record in runs)
+    accepts_seed = any(record["seed"] is not None
+                       for record in by_key.values())
     specs = expand_grid(first["experiment"], first["params"],
                         first["grid"], first["seeds"],
                         first["root_seed"], accepts_seed=accepts_seed)
@@ -148,27 +165,20 @@ def merge_manifests(manifests: Sequence[dict]) -> SweepResult:
     )
 
 
-def merge_sweep_dirs(directories: Sequence[str]) -> SweepResult:
-    """Load every directory's manifest and merge them."""
-    if not directories:
-        raise MergeError("no sweep directories given")
-    return merge_manifests([load_manifest(d) for d in directories])
-
-
 def merge_sweeps(directories: Sequence[str],
                  out_dir: Optional[str] = None) -> SweepResult:
-    """Programmatic merge: union shard directories, optionally write.
+    """Union shard directories into one sweep, optionally written out.
 
     The library-facing twin of ``python -m repro merge``: validates and
     merges each directory's ``sweep.json`` and, when ``out_dir`` is
     given, writes the merged ``sweep.json``/``runs.csv``/
     ``aggregate.csv`` there (paths land in ``result.artifact_paths``).
     """
-    from repro.sweep.artifacts import write_sweep_artifacts
-
-    merged = merge_sweep_dirs(directories)
+    if not directories:
+        raise MergeError("no sweep directories given")
+    merged = merge_manifests([load_manifest(d) for d in directories])
     if out_dir is not None:
-        write_sweep_artifacts(merged, out_dir)
+        merged.artifact_paths = write_sweep_artifacts(merged, out_dir)
     return merged
 
 

@@ -1,54 +1,35 @@
-"""Sweep orchestration: configuration, the classic path, shard dispatch.
+"""Sweep orchestration: configuration, results, and the one entry point.
 
 :func:`run_sweep` expands a (grid x seeds) run list from a
 :class:`SweepConfig`, answers what it can from the on-disk cache, and
-executes the rest.  Without an executor that happens in this process on
-a ``ProcessPoolExecutor`` (the *classic* path; ``jobs=1`` runs inline,
-bit-identical to the pool path since every run is fully determined by
-its :class:`RunSpec`), honoring ``config.shard`` so one process can run
-a single ``--shard i/n`` slice.
+executes the rest in this process on a ``ProcessPoolExecutor``
+(``jobs=1`` runs inline, bit-identical to the pool path since every run
+is fully determined by its :class:`RunSpec`), honoring ``config.shard``
+so one process can run a single ``--shard i/n`` slice.  The cell-level
+fault tolerance (retry with backoff, per-run timeouts, worker-crash
+isolation, ``strict`` fail-fast) lives in :mod:`repro.sweep.cells`.
 
-With an ``executor`` (a
-:class:`~repro.sweep.executors.SupervisedChildExecutor`) the sweep is
-instead *dispatched*: split into ``executor.n_shards`` deterministic
-slices, each run as a supervised shard child until every shard reports
-``ok`` — a ``lost`` shard (killed process, stale heartbeat, timeout)
-is re-dispatched under :class:`~repro.sweep.retry.ShardRetryPolicy`,
-reusing cached cells from the lost attempt — and finally auto-merged
-through the validated merge path, so the returned
-:class:`SweepResult`'s ``aggregate.csv`` is bit-identical to an
-undispatched run.  The merged manifest (schema ``repro.sweep/v4``)
-records per-shard status/attempts/host under ``dispatch`` and
-wall-domain observability data under ``telemetry``.
-
-Cell-level fault tolerance (retry with backoff, per-run timeouts,
-worker-crash isolation, ``strict`` fail-fast) is unchanged from the
-process-pool engine, which now lives in
-:mod:`repro.sweep.executors.local`.
+With ``config.shards`` set the sweep is instead *dispatched*
+(:mod:`repro.sweep.dispatch`): run as that many supervised shard
+children and auto-merged, so the returned :class:`SweepResult`'s
+``aggregate.csv`` is bit-identical to an undispatched run.  The merged
+manifest (schema ``repro.sweep/v4``) records per-shard
+status/attempts/host under ``dispatch`` and wall-domain observability
+data under ``telemetry``.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
 from repro.sweep.aggregate import aggregate_records
 from repro.sweep.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.sweep.executors.local import _run_cells
-from repro.sweep.executors.supervised import (
-    SHARD_FAILED,
-    SHARD_LOST,
-    SHARD_OK,
-    ShardSpec,
-    SupervisedChildExecutor,
-)
+from repro.sweep.cells import _run_cells
 from repro.sweep.grid import RunSpec, expand_grid, shard_specs
-from repro.sweep.retry import RetryPolicy, ShardRetryPolicy, SweepError
+from repro.sweep.retry import RetryPolicy
 from repro.obs.telemetry import build_telemetry
 
 #: Manifest schema written by this version, and the only one
@@ -62,12 +43,13 @@ Progress = Optional[Callable[[str], None]]
 class SweepConfig:
     """Everything that defines one sweep, minus the experiment name.
 
-    ``run_sweep`` takes this and nothing else.  ``shard`` marks this
-    process as one ``i/n`` slice (the shard-worker role);
-    ``shard_retry``/``shard_dir`` only matter when
-    an executor dispatches the sweep (``shard_dir`` is where per-shard
-    artifact directories and heartbeats live — default: a temporary
-    directory removed after the merge).
+    ``run_sweep`` takes this and nothing else.  ``cache_dir=None`` runs
+    without a cache; ``cache`` replaces the cache object outright (a
+    fake code version in tests).  ``shard`` marks this process as one
+    ``i/n`` slice (the shard-worker role); ``shards`` instead dispatches
+    the whole sweep as that many shard children, and ``shard_dir`` is
+    where their artifact directories and heartbeats live (default: a
+    temporary directory removed after the merge).
     """
 
     seeds: int = 8
@@ -76,19 +58,25 @@ class SweepConfig:
     grid: Optional[Mapping[str, Sequence[object]]] = None
     root_seed: int = 0
     cache: Optional[ResultCache] = None
-    use_cache: bool = True
-    cache_dir: str = DEFAULT_CACHE_DIR
-    cache_max_bytes: Optional[int] = None
+    cache_dir: Optional[str] = DEFAULT_CACHE_DIR
     shard: Optional[Tuple[int, int]] = None
+    shards: Optional[int] = None
     retry: Optional[RetryPolicy] = None
     strict: bool = False
-    shard_retry: Optional[ShardRetryPolicy] = None
     shard_dir: Optional[str] = None
     #: Directory for per-run JSONL trace files (None disables tracing).
     #: Workers enable the global recorder around each run; tracing never
     #: changes results, only observes them.
     trace_dir: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.shards is not None and self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.shards is not None and self.shard is not None:
+            raise ValueError(
+                "shard (--shard) marks this process as one shard of a "
+                "dispatched sweep; it cannot be combined with shards "
+                "(--executor)")
 
 
 @dataclass
@@ -165,12 +153,11 @@ class SweepResult:
             f"elapsed: {self.elapsed_s:.2f} s",
         ]
         if self.dispatch:
-            statuses = [row["status"] for row in self.dispatch["shards"]]
-            redispatched = sum(1 for row in self.dispatch["shards"]
-                               if row["attempts"] > 1)
-            line = (f"dispatched {len(statuses)} shard(s) via "
+            rows = self.dispatch["shards"]
+            redispatched = sum(row["attempts"] > 1 for row in rows)
+            line = (f"dispatched {len(rows)} shard(s) via "
                     f"{self.dispatch['executor']}: "
-                    f"{statuses.count('ok')} ok")
+                    f"{sum(row['status'] == 'ok' for row in rows)} ok")
             if redispatched:
                 line += f", {redispatched} re-dispatched"
             lines.append(line)
@@ -221,26 +208,21 @@ def run_sweep(
     experiment: str,
     config: Optional[SweepConfig] = None,
     *,
-    executor: Optional[SupervisedChildExecutor] = None,
     progress: Progress = None,
 ) -> SweepResult:
     """Run ``experiment`` across (grid x seeds), cached and in parallel.
 
-    Settings travel exclusively in a :class:`SweepConfig` (the keyword
-    shim that once accepted ``run_sweep(name, seeds=...)`` has been
-    removed).  With ``executor=None`` the sweep runs in this process;
-    otherwise it is dispatched as shards through the executor and
-    auto-merged (see module docstring).
+    Settings travel exclusively in a :class:`SweepConfig`.  With
+    ``config.shards`` unset the sweep runs in this process; otherwise it
+    is dispatched as shard children and auto-merged (see module
+    docstring).
     """
     if config is None:
         config = SweepConfig()
-    if executor is not None:
-        if config.shard is not None:
-            raise ValueError(
-                "config.shard marks this process as one shard of a "
-                "dispatched sweep; it cannot be combined with an "
-                "executor (use the executor's shard count instead)")
-        return _run_dispatched(experiment, config, executor, progress)
+    if config.shards is not None:
+        from repro.sweep.dispatch import dispatch_sweep
+
+        return dispatch_sweep(experiment, config, config.shards, progress)
 
     params, grid, n_seeds, all_specs = _validated_inputs(
         experiment, config, progress=progress)
@@ -253,10 +235,7 @@ def run_sweep(
         progress(f"shard {shard[0]}/{shard[1]}: {len(specs)} of "
                  f"{n_total} runs")
 
-    cache = config.cache
-    if cache is None:
-        cache = ResultCache(config.cache_dir, enabled=config.use_cache,
-                            max_bytes=config.cache_max_bytes)
+    cache = config.cache or ResultCache(config.cache_dir)
     started = time.perf_counter()
     records: List[Optional[dict]] = [None] * len(specs)
     pending: List[int] = []
@@ -264,9 +243,7 @@ def run_sweep(
     for index, spec in enumerate(specs):
         cached = cache.load(spec)
         if cached is not None:
-            record = dict(cached)
-            record["cached"] = True
-            records[index] = record
+            records[index] = dict(cached, cached=True)
             hits += 1
         else:
             pending.append(index)
@@ -279,9 +256,7 @@ def run_sweep(
                               cache=cache, progress=progress,
                               trace_dir=config.trace_dir)
         for index in pending:
-            record = dict(executed[index])
-            record["cached"] = False
-            records[index] = record
+            records[index] = dict(executed[index], cached=False)
 
     aggregate = aggregate_records(
         [record["result"] for record in records
@@ -292,8 +267,7 @@ def run_sweep(
         records=[record for record in records if record is not None],
         jobs=config.jobs,
         cache_stats={"hits": hits, "misses": len(pending),
-                     "stores": cache.stats["stores"],
-                     "evictions": cache.stats["evictions"]},
+                     "stores": cache.stores},
     )
     return SweepResult(
         experiment=experiment,
@@ -307,127 +281,10 @@ def run_sweep(
         aggregate=aggregate,
         cache_hits=hits,
         cache_misses=len(pending),
-        cache_dir=cache.root if cache.enabled else None,
+        cache_dir=cache.root,
         code_version=cache.version,
         elapsed_s=elapsed,
         shard=shard,
         n_total=n_total,
         telemetry=telemetry,
     )
-
-
-# ---------------------------------------------------------------------------
-# Dispatched execution: supervised shard children, merged at the end
-# ---------------------------------------------------------------------------
-
-def _run_dispatched(experiment: str, config: SweepConfig,
-                    executor: SupervisedChildExecutor,
-                    progress: Progress) -> SweepResult:
-    """Split the sweep into shards, supervise them, merge the artifacts."""
-    from repro.sweep.merge import merge_sweep_dirs
-
-    # Validate everything up front so a typo fails here, not inside a
-    # child process; children re-coerce identically.
-    params, grid, _n_seeds, all_specs = _validated_inputs(
-        experiment, config, progress=progress)
-    count = executor.n_shards
-    policy = (config.shard_retry if config.shard_retry is not None
-              else ShardRetryPolicy())
-    started = time.perf_counter()
-
-    workdir = config.shard_dir
-    cleanup = workdir is None
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="repro-sweep-dispatch-")
-    os.makedirs(workdir, exist_ok=True)
-
-    # Children re-derive their slice from the same coordinates, so the
-    # child config is shard-free and must not inherit process-local
-    # state (a live cache object, dispatch settings).
-    child_config = replace(config, params=params, grid=grid, shard=None,
-                           cache=None, shard_retry=None, shard_dir=None)
-    shard_list = [
-        ShardSpec(
-            experiment=experiment,
-            config=child_config,
-            index=index,
-            count=count,
-            out_dir=os.path.join(workdir, f"shard-{index}"),
-            heartbeat=os.path.join(workdir, f"shard-{index}.heartbeat"),
-        )
-        for index in range(count)
-    ]
-    if progress is not None:
-        progress(f"dispatching {len(all_specs)} runs as {count} shard(s) "
-                 f"via {executor.name}")
-
-    submit_started = time.perf_counter()
-    try:
-        for spec in shard_list:
-            executor.submit(spec)
-        submit_s = time.perf_counter() - submit_started
-        while True:
-            busy = False
-            for handle in executor.poll():
-                index = handle.index
-                if handle.status == SHARD_OK:
-                    continue
-                if handle.status == SHARD_LOST:
-                    if not policy.allows_retry(handle.attempts):
-                        raise SweepError(
-                            f"shard {index}/{count} lost after "
-                            f"{handle.attempts} dispatch attempt(s): "
-                            f"{handle.error}")
-                    if progress is not None:
-                        progress(
-                            f"shard {index}/{count} lost "
-                            f"({handle.error}); "
-                            f"re-dispatching (attempt "
-                            f"{handle.attempts + 1}/{policy.max_attempts})")
-                    executor.resubmit(handle)
-                    busy = True
-                elif handle.status == SHARD_FAILED:
-                    raise SweepError(
-                        f"shard {index}/{count} failed: {handle.error}")
-                else:
-                    busy = True
-            if not busy:
-                break
-            time.sleep(policy.poll_interval_s)
-    except BaseException:
-        executor.cancel()
-        raise
-    finally:
-        if cleanup and len(executor.collect()) < count:
-            shutil.rmtree(workdir, ignore_errors=True)
-
-    collect_started = time.perf_counter()
-    merged = merge_sweep_dirs(executor.collect())
-    collect_s = time.perf_counter() - collect_started
-    merged.jobs = config.jobs
-    merged.elapsed_s = time.perf_counter() - started  # wall clock
-    merged.dispatch = {
-        "executor": executor.name,
-        "n_shards": count,
-        "shards": [handle.describe() for handle in executor.handles],
-    }
-    if merged.telemetry is not None:
-        # Shard telemetry was merged from the surviving attempts'
-        # manifests (a lost attempt left no manifest, so its partial
-        # telemetry is naturally discarded); add the dispatch-level
-        # wall measurements only the driver can see.
-        merged.telemetry["dispatch"] = {
-            "executor": executor.name,
-            "n_shards": count,
-            "wall_s": merged.elapsed_s,
-            "submit_s": submit_s,
-            "collect_s": collect_s,
-            "shards": [handle.describe() for handle in executor.handles],
-        }
-    if progress is not None:
-        for handle in executor.handles:
-            progress(f"shard {handle.index}/{count}: {handle.status} after "
-                     f"{handle.attempts} attempt(s)")
-    if cleanup:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return merged

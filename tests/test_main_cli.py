@@ -70,12 +70,13 @@ class TestSweep:
         ("--jobs", "0", "--jobs must be >= 1, got 0"),
         ("--jobs", "-2", "--jobs must be >= 1, got -2"),
         ("--retries", "-5", "--retries must be >= 0, got -5"),
-        ("--shard-attempts", "0", "--shard-attempts must be >= 1, got 0"),
+        ("--shards", "0", "--shards must be >= 1, got 0"),
     ])
     def test_count_below_its_least_exits_2(self, flag, value, message,
                                            tmp_path, capsys):
         # These used to run: --jobs 0 inline with "jobs": 0 in sweep.json,
-        # --retries/--shard-attempts clamped to one attempt.
+        # --retries clamped to one attempt, --shards 0 refused only
+        # once a driver had been built.
         assert main(["sweep", "baselines", "--seeds", "1", flag, value,
                      "--out", str(tmp_path / "out"),
                      "--cache-dir", str(tmp_path / "cache")]) == 2

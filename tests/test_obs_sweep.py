@@ -22,7 +22,7 @@ from repro.eval import registry
 from repro.eval.registry import ExperimentSpec
 from repro.obs.telemetry import TELEMETRY_SCHEMA, merge_telemetry
 from repro.sweep.artifacts import write_sweep_artifacts
-from repro.sweep.merge import MergeError, merge_sweep_dirs
+from repro.sweep.merge import MergeError, merge_sweeps
 from repro.sweep.runner import MANIFEST_SCHEMA, SweepConfig, run_sweep
 
 TOY = "toy-obs-test"
@@ -61,8 +61,8 @@ class TestTracedSweeps:
     def test_trace_on_off_bit_identity(self, toy_registered, tmp_path):
         plain = tmp_path / "plain"
         traced = tmp_path / "traced"
-        sweep_to_dir(plain, seeds=3, jobs=1, use_cache=False)
-        sweep = sweep_to_dir(traced, seeds=3, jobs=1, use_cache=False,
+        sweep_to_dir(plain, seeds=3, jobs=1, cache_dir=None)
+        sweep = sweep_to_dir(traced, seeds=3, jobs=1, cache_dir=None,
                              trace_dir=str(traced / "traces"))
         assert aggregate_bytes(traced) == aggregate_bytes(plain)
         paths = trace_paths(traced)
@@ -75,9 +75,9 @@ class TestTracedSweeps:
             assert final["event"] == "obs.metrics"
 
     def test_trace_filenames_deterministic(self, toy_registered, tmp_path):
-        first = sweep_to_dir(tmp_path / "a", seeds=2, use_cache=False,
+        first = sweep_to_dir(tmp_path / "a", seeds=2, cache_dir=None,
                              trace_dir=str(tmp_path / "a" / "traces"))
-        second = sweep_to_dir(tmp_path / "b", seeds=2, use_cache=False,
+        second = sweep_to_dir(tmp_path / "b", seeds=2, cache_dir=None,
                               trace_dir=str(tmp_path / "b" / "traces"))
         assert [r["trace"] for r in first.records] == \
             [r["trace"] for r in second.records]
@@ -94,7 +94,7 @@ class TestTracedSweeps:
 class TestManifestTelemetry:
     def test_v4_manifest_has_telemetry(self, toy_registered, tmp_path):
         sweep = run_sweep(TOY, SweepConfig(seeds=3, jobs=1,
-                                           use_cache=False))
+                                           cache_dir=None))
         manifest = sweep.manifest()
         assert manifest["schema"] == MANIFEST_SCHEMA == "repro.sweep/v4"
         telemetry = manifest["telemetry"]
@@ -114,8 +114,7 @@ class TestManifestTelemetry:
         assert cold.telemetry["cache"]["misses"] == 2
         assert cold.telemetry["cache"]["stores"] == 2
         assert warm.telemetry["cache"] == {
-            "hits": 2, "misses": 0, "hit_rate": 1.0,
-            "stores": 0, "evictions": 0}
+            "hits": 2, "misses": 0, "hit_rate": 1.0, "stores": 0}
         assert warm.telemetry["runs"]["cached"] == 2
 
 
@@ -124,7 +123,7 @@ def _shard_dirs(tmp_path, toy, *, rewrite=None):
     dirs = []
     for index in range(2):
         out = tmp_path / f"shard-{index}"
-        sweep = run_sweep(toy, SweepConfig(seeds=4, use_cache=False,
+        sweep = run_sweep(toy, SweepConfig(seeds=4, cache_dir=None,
                                            shard=(index, 2)))
         write_sweep_artifacts(sweep, str(out))
         if rewrite is not None:
@@ -140,7 +139,7 @@ class TestMergeCompatibility:
     def test_v4_shards_merge_with_summed_telemetry(self, toy_registered,
                                                    tmp_path):
         dirs = _shard_dirs(tmp_path, toy_registered)
-        merged = merge_sweep_dirs(dirs)
+        merged = merge_sweeps(dirs)
         assert merged.n_runs == 4
         assert merged.telemetry["runs"]["total"] == 4
         assert merged.telemetry["schema"] == TELEMETRY_SCHEMA
@@ -156,7 +155,7 @@ class TestMergeCompatibility:
         dirs = _shard_dirs(tmp_path, toy_registered,
                            rewrite=downgrade_second)
         with pytest.raises(MergeError) as excinfo:
-            merge_sweep_dirs(dirs)
+            merge_sweeps(dirs)
         message = str(excinfo.value)
         assert "not mergeable" in message
         assert "shard-1" in message  # which shard diverged...
@@ -180,6 +179,8 @@ class TestMergeTelemetry:
                 "run_wall": {"total_s": wall_s, "mean_s": wall_s / 2,
                              "max_s": wall_s / 2},
                 "workers": {"jobs": 2, "utilization": 0.5},
+                # A section written before the LRU went: its
+                # ``evictions`` counter is read past, not summed.
                 "cache": {"hits": hits, "misses": misses,
                           "hit_rate": 0.0, "stores": 0, "evictions": 0},
                 "dispatch": {"executor": "local"},
@@ -192,6 +193,7 @@ class TestMergeTelemetry:
         assert merged["errors"] == {"timeout": 2}
         assert merged["cache"]["hits"] == 1
         assert merged["cache"]["hit_rate"] == 0.25
+        assert "evictions" not in merged["cache"]
         assert merged["run_wall"]["max_s"] == 1.5
         assert merged["workers"]["jobs"] == 2
         assert merged["dispatch"] is None  # the merger owns dispatch

@@ -44,7 +44,7 @@ from repro.net import (
     chain,
     ring,
 )
-from repro.sweep.grid import fold_dotted_params
+from repro._params import fold_dotted_params
 from tests.strategies import scenario_specs
 
 

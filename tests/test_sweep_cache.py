@@ -1,15 +1,17 @@
-"""Result-cache behavior: hits, invalidation, corruption tolerance."""
+"""Result-cache behavior: hits, invalidation, corruption tolerance,
+concurrent writers."""
 
 import json
 import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.eval import registry
 from repro.eval.registry import ExperimentSpec
 from repro.sweep.cache import ResultCache, code_version
-from repro.sweep.grid import RunSpec, canonical_params
+from repro.sweep.grid import RunSpec, canonical_params, expand_grid
 from repro.sweep.runner import SweepConfig
 from repro.sweep.runner import run_sweep as _run_sweep
 
@@ -41,6 +43,11 @@ def spec_for(seed=1, **params):
     return RunSpec("exp", canonical_params(params), 0, seed)
 
 
+def ok_record(**result):
+    """The smallest record a cache hit may return."""
+    return {"status": "ok", "result": result}
+
+
 class TestResultCacheUnit:
     def test_miss_on_empty(self, tmp_path):
         cache = ResultCache(str(tmp_path), version="v1")
@@ -49,8 +56,8 @@ class TestResultCacheUnit:
     def test_store_load_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path), version="v1")
         spec = spec_for(a=1)
-        cache.store(spec, {"result": {"x": 2.0}})
-        assert cache.load(spec) == {"result": {"x": 2.0}}
+        cache.store(spec, ok_record(x=2.0))
+        assert cache.load(spec) == ok_record(x=2.0)
 
     def test_key_changes_with_parameter(self, tmp_path):
         cache = ResultCache(str(tmp_path), version="v1")
@@ -64,13 +71,14 @@ class TestResultCacheUnit:
         old = ResultCache(str(tmp_path), version="v1")
         new = ResultCache(str(tmp_path), version="v2")
         spec = spec_for()
-        old.store(spec, {"result": {}})
+        old.store(spec, ok_record())
+        assert old.load(spec) == ok_record()
         assert new.load(spec) is None
 
     def test_corrupted_entry_discarded_not_crashed(self, tmp_path):
         cache = ResultCache(str(tmp_path), version="v1")
         spec = spec_for()
-        cache.store(spec, {"result": {}})
+        cache.store(spec, ok_record())
         with open(cache.path(spec), "w") as handle:
             handle.write("{ not json !!!")
         assert cache.load(spec) is None
@@ -85,12 +93,24 @@ class TestResultCacheUnit:
             json.dump({"schema": "something-else", "record": {}}, handle)
         assert cache.load(spec) is None
 
-    def test_disabled_cache_never_stores(self, tmp_path):
-        cache = ResultCache(str(tmp_path), version="v1", enabled=False)
+    @pytest.mark.parametrize("dropped", ["status", "result"])
+    def test_record_without_status_or_result_discarded(self, tmp_path,
+                                                       dropped):
+        cache = ResultCache(str(tmp_path), version="v1")
         spec = spec_for()
-        cache.store(spec, {"result": {}})
+        record = ok_record(x=1.0)
+        del record[dropped]
+        cache.store(spec, record)
         assert cache.load(spec) is None
-        assert not os.path.exists(cache.path(spec))
+        assert not os.path.exists(cache.path(spec))  # removed, will refill
+
+    def test_disabled_cache_never_stores(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = ResultCache(None, version="v1")
+        spec = spec_for()
+        cache.store(spec, ok_record())
+        assert cache.load(spec) is None
+        assert os.listdir(tmp_path) == []
 
     def test_code_version_is_stable_hex(self):
         assert code_version() == code_version()
@@ -141,10 +161,63 @@ class TestSweepCaching:
         assert ([r["result"] for r in second.records]
                 == [r["result"] for r in first.records])
 
-    def test_no_cache_mode(self, tmp_path, toy_registered):
-        kwargs = dict(seeds=2, jobs=1, cache_dir=str(tmp_path),
-                      use_cache=False)
+    def test_malformed_record_recomputed_by_the_cli(self, tmp_path,
+                                                    toy_registered, capsys):
+        """A schema-valid entry whose record lacks ``result`` is a miss:
+        the sweep exits 0 with the clean run's aggregate."""
+        from repro.__main__ import main
+
+        def sweep(out):
+            return main(["sweep", toy_registered, "--seeds", "2",
+                         "--jobs", "1", "--quiet",
+                         "--cache-dir", str(tmp_path / "cache"),
+                         "--out", str(tmp_path / out)])
+
+        assert sweep("clean") == 0
+        cache = ResultCache(str(tmp_path / "cache"))
+        victim = expand_grid(toy_registered, {}, {}, 2, 0)[0]
+        with open(cache.path(victim)) as handle:
+            entry = json.load(handle)
+        del entry["record"]["result"]
+        with open(cache.path(victim), "w") as handle:
+            json.dump(entry, handle)
+        assert sweep("again") == 0
+        assert "cache: 1 hits, 1 misses" in capsys.readouterr().out
+        assert ((tmp_path / "again" / "aggregate.csv").read_bytes()
+                == (tmp_path / "clean" / "aggregate.csv").read_bytes())
+
+    def test_no_cache_mode(self, tmp_path, toy_registered, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        kwargs = dict(seeds=2, jobs=1, cache_dir=None)
         run_sweep(toy_registered, **kwargs)
         again = run_sweep(toy_registered, **kwargs)
         assert again.cache_hits == 0
         assert again.cache_dir is None
+        assert os.listdir(tmp_path) == []
+
+
+def _hammer(args):
+    """One writer process: store then load ``count`` entries."""
+    root, worker, count = args
+    cache = ResultCache(root, version="v")
+    for i in range(count):
+        n = worker * 1000 + i
+        cache.store(spec_for(n=n), ok_record(n=n, pad="x" * 512))
+        cache.load(spec_for(n=n))
+    return worker
+
+
+class TestConcurrentWriters:
+    def test_parallel_stores_leave_no_torn_entry(self, tmp_path):
+        root = str(tmp_path / "c")
+        jobs = [(root, worker, 20) for worker in range(4)]
+        with ProcessPoolExecutor(max_workers=4) as pool:
+            assert sorted(pool.map(_hammer, jobs)) == [0, 1, 2, 3]
+        reader = ResultCache(root, version="v")
+        for worker in range(4):
+            for n in range(worker * 1000, worker * 1000 + 20):
+                assert reader.load(spec_for(n=n)) == \
+                    ok_record(n=n, pad="x" * 512)
+        leftovers = [name for _, _, names in os.walk(root)
+                     for name in names if not name.endswith(".json")]
+        assert leftovers == []  # no temp file outlives its writer

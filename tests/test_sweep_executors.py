@@ -5,21 +5,20 @@ The load-bearing properties:
 * a sweep dispatched as supervised shard children produces an
   ``aggregate.csv`` byte-identical to an undispatched run of the same
   sweep;
-* supervision: a SIGKILLed shard is re-dispatched, a wedged one
-  (SIGSTOP) is caught through its stale heartbeat, ``shard_timeout_s``
-  kills an overlong one, deterministic failures abort the sweep, and
-  ``cancel()`` leaves no child alive;
+* supervision: a SIGKILLed shard is re-dispatched until its attempts
+  run out, a wedged one (SIGSTOP) is caught through its stale
+  heartbeat, a deterministic failure aborts the sweep without a
+  re-dispatch, and an aborted sweep leaves no child alive;
 * the exit-status policy is one table (0+manifest ok, 1/2 failed,
   everything else lost).
 
 Shards run real ``python -m repro sweep`` children; the test experiments
-reach them via the ``REPRO_PLUGINS`` registry hook.  Subclasses override
-the executor's ``_spawn`` to swap the launched command for a
-``python -c`` stub (see ``_stub``).
+reach them via the ``REPRO_PLUGINS`` registry hook.  Tests monkeypatch
+``dispatch._spawn``, the one place a child starts, to watch the children
+or to swap one for a ``python -c`` stub (see ``_stub``).
 """
 
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -28,24 +27,20 @@ import time
 import pytest
 
 from repro.eval import registry
-from repro.sweep.executors.supervised import (
+from repro.sweep import dispatch
+from repro.sweep.artifacts import write_sweep_artifacts
+from repro.sweep.cells import _payload
+from repro.sweep.dispatch import (
     SHARD_FAILED,
     SHARD_LOST,
     SHARD_OK,
     SHARD_RUNNING,
-    ShardSpec,
-    SupervisedChildExecutor,
     _cli_value,
+    shard_command,
 )
-from repro.sweep.executors.local import (
-    _cell_delta,
-    _payload_from,
-    _shared_context,
-)
-from repro.sweep.artifacts import write_sweep_artifacts
 from repro.sweep.grid import expand_grid
 from repro.sweep.merge import merge_sweeps
-from repro.sweep.retry import RetryPolicy, ShardRetryPolicy, SweepError
+from repro.sweep.retry import RetryPolicy, SweepError
 from repro.sweep.runner import SweepConfig, run_sweep
 
 TOY = "exec-toy-test"
@@ -130,16 +125,8 @@ def _stub(code, output="", touch=None):
     return ["-c", "\n".join(lines)]
 
 
-def _out_dir(argv):
-    return argv[argv.index("--out") + 1]
-
-
-def _poll_until(executor, done, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline and not done():
-        executor.poll()
-        time.sleep(0.05)
-    assert done(), "condition not reached while polling"
+def _shard_index(argv):
+    return int(argv[argv.index("--shard") + 1].split("/")[0])
 
 
 def _pid_alive(pid):
@@ -150,25 +137,69 @@ def _pid_alive(pid):
     return True
 
 
+def _wait_for(done, timeout_s=60.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline and not done():
+        time.sleep(0.05)
+    assert done(), "condition not reached while waiting"
+
+
+class _Children(list):
+    """Every child ``dispatch._spawn`` started, as ``(argv, process)``."""
+
+    def __init__(self):
+        super().__init__()
+        #: shard index -> the stub argv tail (``_stub``) its children run.
+        self.replace = {}
+
+    def pids(self, index=None):
+        return [process.pid for argv, process in self
+                if index is None or _shard_index(argv) == index]
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Watch (and optionally stub) every shard child the driver starts."""
+    children = _Children()
+    real = dispatch._spawn
+
+    def spawn(argv, log_path):
+        stub = children.replace.get(_shard_index(argv))
+        process = real([argv[0]] + stub if stub else argv, log_path)
+        children.append((argv, process))
+        return process
+
+    monkeypatch.setattr(dispatch, "_spawn", spawn)
+    return children
+
+
+def _config(tmp_path, **settings):
+    """A dispatched sweep's config, shard directories under tmp_path."""
+    settings.setdefault("cache_dir", None)
+    return SweepConfig(jobs=1, shard_dir=str(tmp_path / "shards"),
+                       **settings)
+
+
 class TestExecutorEquivalence:
     def test_all_executors_bit_identical_to_direct_run(self, plugin,
                                                        tmp_path):
         def config(**extra):
             return SweepConfig(seeds=4, jobs=1, root_seed=3,
                                grid={"scale": [1.0, 2.0]},
-                               use_cache=False, **extra)
+                               cache_dir=None, **extra)
 
         direct = run_sweep(TOY, config())
         reference = _aggregate_bytes(direct, tmp_path / "direct")
         assert direct.n_runs == 8
 
         shard_dir = tmp_path / "shards"
-        merged = run_sweep(TOY, config(shard_dir=str(shard_dir)),
-                           executor=SupervisedChildExecutor(shards=2))
+        merged = run_sweep(TOY, config(shards=2, shard_dir=str(shard_dir)))
         assert merged.dispatch["executor"] == "subprocess"
         assert merged.dispatch["n_shards"] == 2
         assert all(row["status"] == SHARD_OK
                    for row in merged.dispatch["shards"])
+        assert list(merged.dispatch["shards"][0]) == [
+            "index", "status", "attempts", "host", "error", "wall_s"]
         assert merged.manifest()["schema"] == "repro.sweep/v4"
         assert _aggregate_bytes(merged, tmp_path / "merged") == reference
         for index in range(2):  # every child shard keeps its output
@@ -177,60 +208,44 @@ class TestExecutorEquivalence:
 
     def test_shard_artifacts_kept_in_shard_dir(self, plugin, tmp_path):
         shard_dir = tmp_path / "shards"
-        run_sweep(TOY, SweepConfig(seeds=2, use_cache=False,
-                                   shard_dir=str(shard_dir)),
-                  executor=SupervisedChildExecutor(shards=2))
+        run_sweep(TOY, SweepConfig(seeds=2, cache_dir=None, shards=2,
+                                   shard_dir=str(shard_dir)))
         assert (shard_dir / "shard-0" / "sweep.json").is_file()
         assert (shard_dir / "shard-1" / "sweep.json").is_file()
 
 
 class TestSubprocessSupervision:
-    """The supervision suite against ``--executor subprocess``."""
+    """Supervision, through ``run_sweep`` with ``shards`` set."""
 
-    @staticmethod
-    def slow_spec(tmp_path, **kwargs):
-        """One never-finishing shard (until ``flag`` appears)."""
-        return ShardSpec(
-            SLOW,
-            SweepConfig(seeds=1, jobs=1, use_cache=False,
-                        params={"flag": str(tmp_path / "flag")}),
-            index=0, count=1, out_dir=str(tmp_path / "out"), **kwargs)
-
-    def test_sigkilled_shard_is_redispatched(self, plugin, tmp_path):
+    def test_sigkilled_shard_is_redispatched(self, plugin, tmp_path,
+                                             spawned):
         flag = tmp_path / "flag"
         markers = tmp_path / "markers"
         markers.mkdir()
-        executor = SupervisedChildExecutor(shards=2)
-        config = SweepConfig(
-            seeds=2, jobs=1,
+        config = _config(
+            tmp_path, seeds=2, shards=2,
             params={"flag": str(flag), "marker_dir": str(markers)},
-            cache_dir=str(tmp_path / "cache"),
-            shard_retry=ShardRetryPolicy(max_attempts=2,
-                                         poll_interval_s=0.05),
-            shard_dir=str(tmp_path / "shards"))
-
+            cache_dir=str(tmp_path / "cache"))
         killed = []
 
         def assassin():
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not list(markers.iterdir()):
-                time.sleep(0.05)
-            for handle in executor.handles:
-                if handle.status == "running" and handle.pid:
-                    os.kill(handle.pid, signal.SIGKILL)
-                    killed.append(handle.index)
-                    break
+            _wait_for(lambda: list(markers.iterdir()))
+            argv, process = spawned[0]
+            os.kill(process.pid, signal.SIGKILL)
+            killed.append(_shard_index(argv))
             flag.touch()  # unblock every surviving (and re-run) cell
 
         thread = threading.Thread(target=assassin, daemon=True)
         thread.start()
-        merged = run_sweep(SLOW, config, executor=executor)
+        merged = run_sweep(SLOW, config)
         thread.join(timeout=60)
 
         assert killed, "assassin never found a running shard"
         rows = {row["index"]: row for row in merged.dispatch["shards"]}
         assert all(row["status"] == SHARD_OK for row in rows.values())
         assert rows[killed[0]]["attempts"] == 2
+        assert rows[1 - killed[0]]["attempts"] == 1
+        assert len(spawned) == 3
         assert merged.n_runs == 2 and merged.n_failed == 0
         assert merged.manifest()["schema"] == "repro.sweep/v4"
         # The SIGKILLed attempt died before writing a manifest, so its
@@ -243,102 +258,82 @@ class TestSubprocessSupervision:
         wall_times = [row["wall_s"] for row in merged.dispatch["shards"]]
         assert all(w is not None and w > 0 for w in wall_times)
 
-    def test_lost_shard_exhausts_attempts(self, plugin, tmp_path):
-        markers = tmp_path / "markers"
-        markers.mkdir()
-        executor = SupervisedChildExecutor(shards=1)
-        config = SweepConfig(
-            seeds=1, jobs=1,
-            params={"flag": str(tmp_path / "never"),
-                    "marker_dir": str(markers)},
-            use_cache=False,
-            shard_retry=ShardRetryPolicy(max_attempts=1,
-                                         poll_interval_s=0.05),
-            shard_dir=str(tmp_path / "shards"))
+    def test_lost_shard_exhausts_attempts(self, plugin, tmp_path, spawned):
+        spawned.replace[0] = _stub(-signal.SIGKILL, "doomed")
+        with pytest.raises(SweepError, match="shard 0/1 lost after 2 "
+                           "dispatch attempt.*killed by signal 9"):
+            run_sweep(TOY, _config(tmp_path, seeds=1, shards=1))
+        assert len(spawned) == dispatch.SHARD_ATTEMPTS == 2
 
-        def assassin():
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not list(markers.iterdir()):
+    def test_stale_heartbeat_marks_shard_lost(self, plugin, tmp_path,
+                                              spawned, monkeypatch):
+        monkeypatch.setattr(dispatch, "HEARTBEAT_STALE_S", 2.5)
+        flag = tmp_path / "flag"
+        heartbeat = tmp_path / "shards" / "shard-0.heartbeat"
+        lines = []
+
+        def freezer():
+            _wait_for(heartbeat.exists)
+            wedged = spawned[0][1]
+            os.kill(wedged.pid, signal.SIGSTOP)
+            deadline = time.monotonic() + 30
+            while len(spawned) < 2 and time.monotonic() < deadline:
                 time.sleep(0.05)
-            for handle in executor.handles:
-                if handle.pid:
-                    os.kill(handle.pid, signal.SIGKILL)
+            if len(spawned) < 2:
+                wedged.kill()  # supervision missed it: fail, do not hang
+            flag.touch()  # the re-dispatched attempt may finish
 
-        thread = threading.Thread(target=assassin, daemon=True)
+        thread = threading.Thread(target=freezer, daemon=True)
         thread.start()
-        with pytest.raises(SweepError, match="lost after 1"):
-            run_sweep(SLOW, config, executor=executor)
+        merged = run_sweep(SLOW, _config(tmp_path, seeds=1, shards=1,
+                                         params={"flag": str(flag)}),
+                           progress=lines.append)
         thread.join(timeout=60)
-
-    def test_stale_heartbeat_marks_shard_lost(self, plugin, tmp_path):
-        executor = SupervisedChildExecutor(shards=1, heartbeat_timeout_s=1.0)
-        heartbeat = tmp_path / "heartbeat"
-        handle = executor.submit(
-            self.slow_spec(tmp_path, heartbeat=str(heartbeat)))
-        try:
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline and not heartbeat.exists():
-                time.sleep(0.05)
-            assert heartbeat.exists(), "shard never started its heartbeat"
-            os.kill(handle.pid, signal.SIGSTOP)
-            _poll_until(executor, lambda: handle.status == SHARD_LOST)
-        finally:
-            executor.cancel()
-        assert "heartbeat stale" in handle.error
-        assert not _pid_alive(handle.pid)
+        assert any("shard 0/1 lost (shard heartbeat stale for" in line
+                   for line in lines), lines
+        assert merged.dispatch["shards"][0]["attempts"] == 2
+        assert not _pid_alive(spawned[0][1].pid)
 
     def test_lost_attempts_heartbeat_does_not_count_against_retry(
-            self, plugin, tmp_path):
+            self, plugin, tmp_path, spawned):
         # What a heartbeat-killed attempt leaves behind: a beat far
-        # older than the limit.  The retry must start with a clean file.
-        heartbeat = tmp_path / "heartbeat"
+        # older than the limit.  The next attempt must start with a
+        # clean file, or its first supervision pass would kill it.
+        heartbeat = tmp_path / "shards" / "shard-0.heartbeat"
+        heartbeat.parent.mkdir()
         heartbeat.touch()
-        os.utime(heartbeat, (time.time() - 1000, time.time() - 1000))
-        executor = SupervisedChildExecutor(shards=1, heartbeat_timeout_s=60.0)
-        handle = executor.submit(
-            self.slow_spec(tmp_path, heartbeat=str(heartbeat)))
-        try:
-            executor.poll()
-            assert handle.status == SHARD_RUNNING, handle.error
-        finally:
-            executor.cancel()
-
-    def test_shard_timeout_marks_shard_lost(self, plugin, tmp_path):
-        executor = SupervisedChildExecutor(shards=1, shard_timeout_s=0.5)
-        handle = executor.submit(self.slow_spec(tmp_path))
-        try:
-            _poll_until(executor, lambda: handle.status != SHARD_RUNNING)
-        finally:
-            executor.cancel()
-        assert handle.status == SHARD_LOST
-        assert "exceeded timeout" in handle.error
-        assert not _pid_alive(handle.pid)
+        ancient = time.time() - 10 * dispatch.HEARTBEAT_STALE_S
+        os.utime(heartbeat, (ancient, ancient))
+        merged = run_sweep(TOY, _config(tmp_path, seeds=1, shards=1))
+        assert merged.dispatch["shards"][0]["status"] == SHARD_OK
+        assert merged.dispatch["shards"][0]["attempts"] == 1
+        assert len(spawned) == 1
 
     def test_deterministic_failure_aborts_without_redispatch(
-            self, plugin, tmp_path):
-        executor = SupervisedChildExecutor(shards=1)
-        config = SweepConfig(seeds=1, jobs=1, strict=True,
-                             params={"marker_dir": str(tmp_path / "gone")},
-                             use_cache=False,
-                             shard_dir=str(tmp_path / "shards"))
+            self, plugin, tmp_path, spawned):
+        config = _config(tmp_path, seeds=1, shards=1, strict=True,
+                         params={"marker_dir": str(tmp_path / "gone")})
         # marker_dir doesn't exist -> the run raises -> --strict exits 1.
         with pytest.raises(SweepError, match="failed.*sweep aborted"):
-            run_sweep(SLOW, config, executor=executor)
-        assert executor.handles[0].attempts == 1
+            run_sweep(SLOW, config)
+        assert len(spawned) == 1
 
-    def test_cancel_leaves_no_live_child(self, plugin, tmp_path):
-        executor = SupervisedChildExecutor(shards=2)
-        config = SweepConfig(seeds=2, jobs=1, use_cache=False,
-                             params={"flag": str(tmp_path / "never")})
-        handles = [executor.submit(ShardSpec(
-            SLOW, config, index=index, count=2,
-            out_dir=str(tmp_path / f"out-{index}"))) for index in range(2)]
-        pids = [handle.pid for handle in handles]
-        assert all(pids) and all(_pid_alive(pid) for pid in pids)
-        executor.cancel()
+    def test_cancel_leaves_no_live_child(self, plugin, tmp_path, spawned):
+        # Shard 1 fails at once; shard 0 would run for a minute.  The
+        # abort must kill shard 0's child, not wait for it.
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        spawned.replace[1] = _stub(2, "bad config")
+        config = _config(tmp_path, seeds=2, shards=2,
+                         params={"flag": str(tmp_path / "never"),
+                                 "marker_dir": str(markers)})
+        started = time.monotonic()
+        with pytest.raises(SweepError, match="shard 1/2 failed"):
+            run_sweep(SLOW, config)
+        assert time.monotonic() - started < 30
+        pids = spawned.pids()
+        assert len(pids) == 2
         assert not any(_pid_alive(pid) for pid in pids)
-        assert [handle.status for handle in handles] == [SHARD_LOST] * 2
-        assert [handle.error for handle in handles] == ["cancelled"] * 2
 
     @pytest.mark.parametrize("code, manifest, expected", [
         (0, True, SHARD_OK),
@@ -350,40 +345,32 @@ class TestSubprocessSupervision:
         (-9, False, SHARD_LOST),
     ])
     def test_exit_status_policy(self, tmp_path, code, manifest, expected):
-        class ExitsWith(SupervisedChildExecutor):
-            def _spawn(self, argv, log_path):
-                touch = (os.path.join(_out_dir(argv), "sweep.json")
-                         if manifest else None)
-                return super()._spawn(
-                    [argv[0]] + _stub(code, "bye", touch=touch), log_path)
-
-        executor = ExitsWith(shards=1)
-        handle = executor.submit(self.slow_spec(tmp_path))
-        _poll_until(executor, lambda: handle.status != SHARD_RUNNING)
-        assert handle.status == expected, handle.error
-        assert (handle.error is None) == (expected == SHARD_OK)
-        assert handle.wall_s > 0
-        with open(tmp_path / "out" / "shard.log") as log:
+        out = tmp_path / "out"
+        touch = str(out / "sweep.json") if manifest else None
+        shard = dispatch._Shard(
+            0, str(out), str(tmp_path / "heartbeat"),
+            [sys.executable] + _stub(code, "bye", touch=touch))
+        dispatch._start(shard)
+        _wait_for(lambda: dispatch._check(shard)
+                  or shard.status != SHARD_RUNNING)
+        assert shard.status == expected, shard.error
+        assert (shard.error is None) == (expected == SHARD_OK)
+        assert shard.wall_s > 0
+        with open(out / "shard.log") as log:
             assert "bye" in log.read()
+        if expected == SHARD_FAILED:
+            assert f"shard exited {code}: bye (see " in shard.error
 
 
 class TestSubprocessConfiguration:
     def test_clean_sweep_launches_exactly_n_shards_children(self, plugin,
-                                                            tmp_path):
-        launched = []
-
-        class Counting(SupervisedChildExecutor):
-            def _spawn(self, argv, log_path):
-                launched.append(argv[1:4])
-                return super()._spawn(argv, log_path)
-
-        merged = run_sweep(
-            TOY, SweepConfig(seeds=3, jobs=1, use_cache=False,
-                             shard_dir=str(tmp_path / "shards")),
-            executor=Counting(shards=3))
+                                                            tmp_path,
+                                                            spawned):
+        merged = run_sweep(TOY, _config(tmp_path, seeds=3, shards=3))
         assert merged.n_runs == 3
         # No probe and no copy: one shard child per shard, writing in place.
-        assert launched == [["-m", "repro", "sweep"]] * 3
+        assert [argv[1:4] for argv, _ in spawned] == \
+            [["-m", "repro", "sweep"]] * 3
         assert {row["host"] for row in merged.dispatch["shards"]} \
             == {"localhost"}
         assert merged.dispatch["executor"] == "subprocess"
@@ -406,10 +393,11 @@ class TestDispatchedTracing:
         assert summary["traces"] == 2
         telemetry = summary["telemetry"]
         assert telemetry["runs"]["total"] == 2
-        dispatch = telemetry["dispatch"]
-        assert dispatch["executor"] == "subprocess"
-        assert dispatch["n_shards"] == 2
-        assert dispatch["submit_s"] >= 0 and dispatch["collect_s"] >= 0
+        dispatch_section = telemetry["dispatch"]
+        assert dispatch_section["executor"] == "subprocess"
+        assert dispatch_section["n_shards"] == 2
+        assert dispatch_section["submit_s"] >= 0
+        assert dispatch_section["collect_s"] >= 0
 
 
 class TestShardCommand:
@@ -422,8 +410,7 @@ class TestShardCommand:
         config = SweepConfig(seeds=3, jobs=2, root_seed=7,
                              params={"scale": 2.5},
                              grid={"mode": [1, 2]})
-        spec = ShardSpec(TOY, config, index=1, count=3, out_dir="/tmp/o")
-        argv = spec.command()
+        argv = shard_command(TOY, config, 1, 3, "/tmp/o", "/tmp/hb")
         assert argv[:5] == [sys.executable, "-m", "repro", "sweep", TOY]
         assert "--shard" in argv and argv[argv.index("--shard") + 1] == "1/3"
         param_args = [argv[i + 1] for i, a in enumerate(argv)
@@ -439,67 +426,36 @@ class TestShardCommand:
         config = SweepConfig(
             seeds=3, jobs=2, root_seed=7,
             params={"scale": 2.5, "label": "x"}, grid={"mode": [1, 2]},
-            retry=RetryPolicy(max_attempts=3, timeout_s=1.5, backoff_s=0.25),
-            trace_dir="/tmp/o/traces", cache_dir="/tmp/cache",
-            cache_max_bytes=3 * 1024 * 1024)
-        spec = ShardSpec(TOY, config, index=1, count=3, out_dir="/tmp/o",
-                         heartbeat="/tmp/shard-1.heartbeat")
-        assert spec.command() == [
+            retry=RetryPolicy(max_attempts=3, timeout_s=1.5),
+            trace_dir="/tmp/o/traces", cache_dir="/tmp/cache")
+        assert shard_command(TOY, config, 1, 3, "/tmp/o",
+                             "/tmp/shard-1.heartbeat") == [
             sys.executable, "-m", "repro", "sweep", TOY,
             "--seeds", "3", "--jobs", "2", "--root-seed", "7",
             "--shard", "1/3", "--out", "/tmp/o", "--quiet",
             "--param", "label=x", "--param", "scale=2.5",
             "--grid", "mode=1,2",
-            "--retries", "2", "--retry-backoff", "0.25", "--timeout", "1.5",
-            "--trace", "--cache-dir", "/tmp/cache", "--cache-max-mb", "3.0",
+            "--retries", "2", "--timeout", "1.5",
+            "--trace", "--cache-dir", "/tmp/cache",
             "--heartbeat", "/tmp/shard-1.heartbeat"]
+        uncached = SweepConfig(seeds=1, cache_dir=None)
+        assert shard_command(TOY, uncached, 0, 1, "/o", "/hb")[-3:] == [
+            "--no-cache", "--heartbeat", "/hb"]
 
     def test_unroundtrippable_value_rejected(self):
         config = SweepConfig(params={"label": "a,b"})
-        spec = ShardSpec(TOY, config, index=0, count=1, out_dir="/tmp/o")
         with pytest.raises(ValueError, match="label"):
-            spec.command()
+            shard_command(TOY, config, 0, 1, "/tmp/o", "/tmp/hb")
         assert _cli_value("x", 1.5) == "1.5"
         with pytest.raises(ValueError):
             _cli_value("x", " padded ")
 
 
 class TestWorkerPayloads:
-    def test_delta_excludes_invariant_params(self):
-        blob = "x" * 20000
-        specs = expand_grid("exp", {"blob": blob}, {"k": [1, 2]}, 3, 0)
-        context = _shared_context(specs, None)
-        assert len(pickle.dumps(context)) > 20000
-        for spec in specs:
-            delta = _cell_delta(spec, context)
-            # The 20 kB invariant blob must not ride along per cell.
-            assert len(pickle.dumps(delta)) < 500
-            payload = _payload_from(context, delta)
-            expected = spec.payload()
-            assert payload["experiment"] == expected["experiment"]
-            assert payload["seed_index"] == expected["seed_index"]
-            assert payload["seed"] == expected["seed"]
-            assert {k: v for k, v in payload["params"]} == \
-                {k: v for k, v in expected["params"]}
-
     def test_timeout_travels_in_context(self):
-        specs = expand_grid("exp", {}, {}, 2, 0)
-        context = _shared_context(specs, 1.5)
-        payload = _payload_from(context, _cell_delta(specs[0], context))
-        assert payload["timeout_s"] == 1.5
-
-
-class TestShardRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShardRetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            ShardRetryPolicy(poll_interval_s=0)
-
-    def test_allows_retry(self):
-        policy = ShardRetryPolicy(max_attempts=2)
-        assert policy.allows_retry(1)
-        assert not policy.allows_retry(2)
+        spec = expand_grid("exp", {}, {}, 2, 0)[0]
+        assert _payload(spec, 1.5, None)["timeout_s"] == 1.5
+        assert "timeout_s" not in _payload(spec, None, None)
 
 
 class TestConfigOnlyApi:
@@ -517,11 +473,16 @@ class TestConfigOnlyApi:
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError):
             run_sweep("baselines", bogus=1)
+        with pytest.raises(TypeError):  # SweepConfig(shards=) dispatches
+            run_sweep("baselines", SweepConfig(), executor=object())
 
     def test_shard_and_executor_mutually_exclusive(self):
+        # A shard worker (shard=) cannot also drive the dispatch of
+        # shards (shards=, what --executor sets).
         with pytest.raises(ValueError, match="cannot be combined"):
-            run_sweep("baselines", SweepConfig(shard=(0, 2)),
-                      executor=SupervisedChildExecutor())
+            SweepConfig(shard=(0, 2), shards=2)
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            SweepConfig(shards=0)
 
 
 class TestManifestCompat:
@@ -529,7 +490,7 @@ class TestManifestCompat:
         dirs = []
         for index in range(2):
             sweep = run_sweep(TOY, SweepConfig(
-                seeds=4, shard=(index, 2), use_cache=False))
+                seeds=4, shard=(index, 2), cache_dir=None))
             out = tmp_path / f"shard{index}"
             write_sweep_artifacts(sweep, str(out))
             dirs.append(str(out))
@@ -540,12 +501,12 @@ class TestManifestCompat:
     def test_mixed_schemas_rejected(self, plugin, tmp_path):
         import json
 
-        from repro.sweep.merge import MergeError, merge_sweep_dirs
+        from repro.sweep.merge import MergeError
 
         dirs = []
         for index in range(2):
             sweep = run_sweep(TOY, SweepConfig(
-                seeds=2, shard=(index, 2), use_cache=False))
+                seeds=2, shard=(index, 2), cache_dir=None))
             out = tmp_path / f"shard{index}"
             write_sweep_artifacts(sweep, str(out))
             dirs.append(str(out))
@@ -555,7 +516,7 @@ class TestManifestCompat:
         (tmp_path / "shard0" / "sweep.json").write_text(
             json.dumps(manifest))
         with pytest.raises(MergeError, match="schema"):
-            merge_sweep_dirs(dirs)
+            merge_sweeps(dirs)
 
 
 class TestCliDispatch:
@@ -597,7 +558,14 @@ class TestCliDispatch:
         ["--executor", "ssh"],
         ["--executor", "local"],
         ["--executor", "subprocess", "--shards", "0"],
-    ], ids=["hosts", "hostfile", "transport", "ssh", "local", "shards-0"])
+        ["--cache-max-mb", "1"],
+        ["--retry-backoff", "0.1"],
+        ["--executor", "subprocess", "--shard-attempts", "3"],
+        ["--executor", "subprocess", "--shard-timeout", "60"],
+        ["--executor", "subprocess", "--heartbeat-timeout", "60"],
+    ], ids=["hosts", "hostfile", "transport", "ssh", "local", "shards-0",
+            "cache-max-mb", "retry-backoff", "shard-attempts",
+            "shard-timeout", "heartbeat-timeout"])
     def test_removed_or_bad_dispatch_options_exit_2(self, tmp_path, capsys,
                                                     flags):
         from repro.__main__ import main
@@ -622,5 +590,7 @@ class TestCliDispatch:
         assert stop.value.code == 0
         text = capsys.readouterr().out.lower()
         assert "--executor {subprocess}" in text
-        for word in ("ssh", "host", "transport"):
+        for word in ("ssh", "host", "transport", "--cache-max-mb",
+                     "--retry-backoff", "--shard-attempts",
+                     "--shard-timeout", "--heartbeat-timeout"):
             assert word not in text

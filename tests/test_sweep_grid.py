@@ -82,20 +82,17 @@ class TestExpandGrid:
 
 
 class TestRunSpec:
-    def test_call_params_includes_seed(self):
-        spec = RunSpec("exp", canonical_params({"a": 1}), 0, 42)
-        assert spec.call_params() == {"a": 1, "seed": 42}
-
-    def test_call_params_seedless(self):
-        spec = RunSpec("exp", canonical_params({"a": 1}), 0, None)
-        assert spec.call_params() == {"a": 1}
-
     def test_payload_round_trip(self):
+        from repro.sweep.cells import _payload
+
         spec = RunSpec("exp", canonical_params({"a": 1}), 2, 42)
-        payload = spec.payload()
-        assert payload["experiment"] == "exp"
-        assert dict(tuple(kv) for kv in payload["params"]) == {"a": 1}
-        assert payload["seed"] == 42 and payload["seed_index"] == 2
+        payload = _payload(spec, None, None)
+        assert payload == {"experiment": "exp", "params": [["a", 1]],
+                           "seed_index": 2, "seed": 42}
+        # The per-run timeout and the trace directory ride along only
+        # when set.
+        payload = _payload(spec, 1.5, "/t")
+        assert (payload["timeout_s"], payload["trace_dir"]) == (1.5, "/t")
 
 
 class TestParsing:

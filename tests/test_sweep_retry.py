@@ -18,7 +18,8 @@ from repro.sweep.retry import (
     classify_error,
     run_deadline,
 )
-from repro.sweep.executors.local import _execute_cell
+from repro.sweep import retry
+from repro.sweep.cells import _execute_cell
 from repro.sweep.runner import SweepConfig
 from repro.sweep.runner import run_sweep as _run_sweep
 
@@ -84,18 +85,23 @@ def sleepy():
     registry.unregister("sleep-test")
 
 
-FAST_RETRY = dict(backoff_s=0.01, max_backoff_s=0.05)
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retry rounds 10 ms apart (capped at 50 ms), not 0.5 s."""
+    monkeypatch.setattr(retry, "BACKOFF_S", 0.01)
+    monkeypatch.setattr(retry, "MAX_BACKOFF_S", 0.05)
 
 
 class TestRetryPolicy:
     def test_backoff_is_exponential_and_capped(self):
-        policy = RetryPolicy(backoff_s=0.1, backoff_factor=2.0,
-                             max_backoff_s=0.5)
-        assert policy.backoff_delay(1) == pytest.approx(0.1)
-        assert policy.backoff_delay(2) == pytest.approx(0.2)
-        assert policy.backoff_delay(3) == pytest.approx(0.4)
-        assert policy.backoff_delay(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff_delay(10) == pytest.approx(0.5)
+        policy = RetryPolicy()
+        assert policy.backoff_delay(0) == 0.0
+        assert policy.backoff_delay(1) == pytest.approx(0.5)
+        assert policy.backoff_delay(2) == pytest.approx(1.0)
+        assert policy.backoff_delay(3) == pytest.approx(2.0)
+        assert policy.backoff_delay(4) == pytest.approx(4.0)
+        assert policy.backoff_delay(5) == pytest.approx(5.0)  # capped
+        assert policy.backoff_delay(10) == pytest.approx(5.0)
 
     def test_allows_retry_counts_all_attempts(self):
         policy = RetryPolicy(max_attempts=3)
@@ -107,8 +113,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(timeout_s=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
 
     def test_classify(self):
         from concurrent.futures.process import BrokenProcessPool
@@ -134,13 +138,14 @@ class TestRunDeadline:
         assert value == 2
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestFlakyRetry:
     def test_flaky_run_succeeds_after_retries(self, tmp_path, flaky):
         counter = str(tmp_path / "counter")
         sweep = run_sweep(
             flaky, seeds=1, jobs=1, cache_dir=str(tmp_path / "cache"),
             params={"counter_path": counter, "fail_times": 2},
-            retry=RetryPolicy(max_attempts=3, **FAST_RETRY))
+            retry=RetryPolicy(max_attempts=3))
         record = sweep.records[0]
         assert record["status"] == "ok"
         assert record["attempts"] == 3
@@ -151,7 +156,7 @@ class TestFlakyRetry:
         sweep = run_sweep(
             flaky, seeds=1, jobs=1, cache_dir=str(tmp_path / "cache"),
             params={"counter_path": counter, "fail_times": 10},
-            retry=RetryPolicy(max_attempts=2, **FAST_RETRY))
+            retry=RetryPolicy(max_attempts=2))
         record = sweep.records[0]
         assert record["status"] == "failed"
         assert record["attempts"] == 2
@@ -165,7 +170,7 @@ class TestFlakyRetry:
             flaky, seeds=1, jobs=1, cache_dir=str(tmp_path / "cache"),
             params={"counter_path": str(tmp_path / "counter")},
             grid={"fail_times": [0, 10]},
-            retry=RetryPolicy(max_attempts=1, **FAST_RETRY))
+            retry=RetryPolicy(max_attempts=1))
         assert sweep.n_failed == 1
         # Only the successful cell contributes to the aggregate.
         assert sweep.aggregate["attempt"]["n"] == 1
@@ -174,7 +179,7 @@ class TestFlakyRetry:
         counter = str(tmp_path / "counter")
         kwargs = dict(seeds=1, jobs=1, cache_dir=str(tmp_path / "cache"),
                       params={"counter_path": counter, "fail_times": 1},
-                      retry=RetryPolicy(max_attempts=1, **FAST_RETRY))
+                      retry=RetryPolicy(max_attempts=1))
         first = run_sweep(flaky, **kwargs)
         assert first.records[0]["status"] == "failed"
         # Second sweep must re-attempt (now past the flake) — a failure
@@ -190,19 +195,20 @@ class TestFlakyRetry:
                 flaky, seeds=1, jobs=1, cache_dir=str(tmp_path / "cache"),
                 params={"counter_path": counter, "fail_times": 5},
                 strict=True,
-                retry=RetryPolicy(max_attempts=5, **FAST_RETRY))
+                retry=RetryPolicy(max_attempts=5))
         # Fail-fast: exactly one attempt was made despite retries allowed.
         with open(counter) as handle:
             assert handle.read() == "1"
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestWorkerCrashRecovery:
     def test_sigkilled_worker_yields_completed_sweep(self, tmp_path,
                                                      crashing):
         sweep = run_sweep(
             crashing, seeds=1, jobs=2, grid={"cell": [0, 1, 2]},
             cache_dir=str(tmp_path / "cache"),
-            retry=RetryPolicy(max_attempts=2, **FAST_RETRY))
+            retry=RetryPolicy(max_attempts=2))
         by_cell = {record["params"]["cell"]: record
                    for record in sweep.records}
         assert by_cell[1]["status"] == "failed"
@@ -218,15 +224,16 @@ class TestWorkerCrashRecovery:
             run_sweep(
                 crashing, seeds=1, jobs=2, grid={"cell": [1]},
                 cache_dir=str(tmp_path / "cache"), strict=True,
-                retry=RetryPolicy(max_attempts=3, **FAST_RETRY))
+                retry=RetryPolicy(max_attempts=3))
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestTimeout:
     def test_run_past_timeout_marked_failed(self, tmp_path, sleepy):
         started = time.monotonic()
         sweep = run_sweep(
             sleepy, seeds=1, jobs=1, cache_dir=str(tmp_path / "cache"),
-            retry=RetryPolicy(max_attempts=1, timeout_s=0.3, **FAST_RETRY))
+            retry=RetryPolicy(max_attempts=1, timeout_s=0.3))
         assert time.monotonic() - started < 10.0
         record = sweep.records[0]
         assert record["status"] == "failed"
@@ -235,7 +242,7 @@ class TestTimeout:
     def test_pool_run_past_timeout_marked_failed(self, tmp_path, sleepy):
         sweep = run_sweep(
             sleepy, seeds=2, jobs=2, cache_dir=str(tmp_path / "cache"),
-            retry=RetryPolicy(max_attempts=1, timeout_s=0.3, **FAST_RETRY))
+            retry=RetryPolicy(max_attempts=1, timeout_s=0.3))
         assert all(r["status"] == "failed" for r in sweep.records)
         assert all(r["error"]["kind"] == KIND_TIMEOUT
                    for r in sweep.records)

@@ -167,7 +167,7 @@ class TestArtifacts:
             self, tmp_path, toy_registered):
         # sweep.json is a supervisor's "shard done" marker: it is
         # written last, and every file appears whole or not at all.
-        sweep = run_sweep(toy_registered, seeds=2, jobs=1, use_cache=False)
+        sweep = run_sweep(toy_registered, seeds=2, jobs=1, cache_dir=None)
         out_dir = tmp_path / "out"
         before = write_sweep_artifacts(sweep, str(out_dir))
         old = {name: (out_dir / name).read_bytes() for name in before}

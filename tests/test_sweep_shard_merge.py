@@ -19,7 +19,7 @@ from repro.sweep.merge import (
     MergeError,
     load_manifest,
     merge_manifests,
-    merge_sweep_dirs,
+    merge_sweeps,
 )
 from repro.sweep.runner import SweepConfig
 from repro.sweep.runner import run_sweep as _run_sweep
@@ -101,7 +101,7 @@ class TestMergeIdentity:
         write_sweep_artifacts(full, str(full_dir))
 
         dirs = _run_shards(toy_registered, tmp_path, 2, **kwargs)
-        merged = merge_sweep_dirs(dirs)
+        merged = merge_sweeps(dirs)
         merged_dir = tmp_path / "merged"
         write_sweep_artifacts(merged, str(merged_dir))
 
@@ -120,36 +120,64 @@ class TestMergeIdentity:
         full = run_sweep(toy_registered,
                          cache_dir=str(tmp_path / "cache-full"), **kwargs)
         dirs = _run_shards(toy_registered, tmp_path, 3, **kwargs)
-        merged = merge_sweep_dirs(dirs)
+        merged = merge_sweeps(dirs)
         assert merged.aggregate == full.aggregate
         assert merged.n_runs == full.n_runs
 
     def test_merge_order_independent(self, tmp_path, toy_registered):
         kwargs = dict(seeds=4, jobs=1)
         dirs = _run_shards(toy_registered, tmp_path, 2, **kwargs)
-        forward = merge_sweep_dirs(dirs)
-        backward = merge_sweep_dirs(list(reversed(dirs)))
+        forward = merge_sweeps(dirs)
+        backward = merge_sweeps(list(reversed(dirs)))
         assert [r["seed"] for r in forward.records] == \
             [r["seed"] for r in backward.records]
         assert forward.aggregate == backward.aggregate
 
     def test_merged_manifest_is_unsharded(self, tmp_path, toy_registered):
         dirs = _run_shards(toy_registered, tmp_path, 2, seeds=2, jobs=1)
-        manifest = merge_sweep_dirs(dirs).manifest()
+        manifest = merge_sweeps(dirs).manifest()
         assert manifest["shard"] is None
         assert manifest["n_runs"] == manifest["n_total"] == 2
+
+
+def _drop_params(manifest):
+    del manifest["runs"][0]["params"]
+
+
+def _params_not_object(manifest):
+    manifest["runs"][0]["params"] = [1, 2]
+
+
+#: (rewrite of a valid manifest, what the MergeError must say): the
+#: inputs that once crashed ``repro merge`` with a traceback.
+MALFORMED = [
+    (lambda m: m.update(runs=5), "runs is not a list"),
+    (lambda m: m.update(runs=[7]), "runs[0] is not an object"),
+    (_drop_params, "runs[0] is missing params"),
+    (_params_not_object, "runs[0].params is not an object"),
+    (lambda m: m.update(cache=3), "cache is not an object"),
+]
+
+
+def _malformed_manifest(directory, experiment, damage):
+    """A one-run sweep written to ``directory``, then damaged."""
+    sweep = run_sweep(experiment, seeds=1, cache_dir=None)
+    write_sweep_artifacts(sweep, str(directory))
+    manifest = json.loads((directory / "sweep.json").read_text())
+    damage(manifest)
+    (directory / "sweep.json").write_text(json.dumps(manifest))
 
 
 class TestMergeValidation:
     def test_overlapping_shards_rejected(self, tmp_path, toy_registered):
         dirs = _run_shards(toy_registered, tmp_path, 2, seeds=2, jobs=1)
         with pytest.raises(MergeError, match="not disjoint"):
-            merge_sweep_dirs([dirs[0], dirs[0], dirs[1]])
+            merge_sweeps([dirs[0], dirs[0], dirs[1]])
 
     def test_missing_cells_rejected(self, tmp_path, toy_registered):
         dirs = _run_shards(toy_registered, tmp_path, 2, seeds=4, jobs=1)
         with pytest.raises(MergeError, match="missing"):
-            merge_sweep_dirs([dirs[0]])
+            merge_sweeps([dirs[0]])
 
     def test_mismatched_coordinates_rejected(self, tmp_path,
                                              toy_registered):
@@ -158,7 +186,7 @@ class TestMergeValidation:
         b = _run_shards(toy_registered, tmp_path / "b", 2, seeds=2,
                         jobs=1, root_seed=9)
         with pytest.raises(MergeError, match="root_seed"):
-            merge_sweep_dirs([a[0], b[1]])
+            merge_sweeps([a[0], b[1]])
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(MergeError, match="no sweep.json"):
@@ -183,13 +211,24 @@ class TestMergeValidation:
     @pytest.mark.parametrize("dropped", ["experiment", "grid", "runs"])
     def test_manifest_missing_a_key_rejected(self, tmp_path, toy_registered,
                                              dropped):
-        sweep = run_sweep(toy_registered, seeds=1, use_cache=False)
+        sweep = run_sweep(toy_registered, seeds=1, cache_dir=None)
         write_sweep_artifacts(sweep, str(tmp_path))
         manifest = json.loads((tmp_path / "sweep.json").read_text())
         del manifest[dropped]
         (tmp_path / "sweep.json").write_text(json.dumps(manifest))
         with pytest.raises(MergeError, match=f"missing {dropped}"):
             load_manifest(str(tmp_path))
+
+    @pytest.mark.parametrize("damage, says", MALFORMED,
+                             ids=[says for _, says in MALFORMED])
+    def test_malformed_runs_or_cache_rejected(self, tmp_path,
+                                              toy_registered, damage, says):
+        _malformed_manifest(tmp_path, toy_registered, damage)
+        with pytest.raises(MergeError) as raised:
+            load_manifest(str(tmp_path))
+        assert str(raised.value).startswith(
+            f"{tmp_path / 'sweep.json'}: ")
+        assert says in str(raised.value)
 
     def test_empty_merge_rejected(self):
         with pytest.raises(MergeError, match="nothing to merge"):
@@ -222,6 +261,18 @@ class TestMergeCli:
         assert main(["merge", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "merged")]) == 2
         assert "merge failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, says", MALFORMED,
+                             ids=[says for _, says in MALFORMED])
+    def test_merge_malformed_manifest_exits_2(self, tmp_path, capsys,
+                                              toy_registered, damage, says):
+        _malformed_manifest(tmp_path / "s", toy_registered, damage)
+        assert main(["merge", str(tmp_path / "s"),
+                     "--out", str(tmp_path / "merged")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"merge failed: {tmp_path / 's' / 'sweep.json'}: {says}")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_merge_non_object_manifest_exits_2(self, tmp_path, capsys):
         (tmp_path / "sweep.json").write_text("[1, 2]")
