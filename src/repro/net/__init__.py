@@ -12,7 +12,7 @@ are internal, and the ``API001`` lint rule flags in-repo imports that
 bypass the package for names it already exports.
 """
 
-from repro.net.events import Simulator, Event
+from repro.net.events import Simulator
 from repro.net.packet import Packet, PacketKind
 from repro.net.topology import (
     MBPS,
@@ -50,7 +50,6 @@ from repro.net.adversary import (
 
 __all__ = [
     "Simulator",
-    "Event",
     "Packet",
     "PacketKind",
     "MBPS",

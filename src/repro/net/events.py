@@ -9,10 +9,19 @@ or relative times and the :meth:`Simulator.run` loop dispatches them in
 timestamp order.  Ties are broken by insertion order so runs are fully
 deterministic for a fixed seed.
 
-Hot-path notes: the heap stores flat ``(time, seq, event)`` tuples so
-``heapq`` compares plain floats/ints instead of calling a rich-comparison
-method per sift step, and :class:`Event` is a ``__slots__`` class — both
-measurably matter at millions of events per run.
+Hot-path notes: the heap entry *is* the event.  It is a flat
+``(time, seq, fn, args)`` tuple, so ``heapq`` compares plain floats/ints
+(``seq`` is unique, so ``fn`` is never compared), and scheduling builds
+that one tuple and nothing else.  :meth:`Simulator.schedule` returns it
+as the event's handle.
+
+Cancellation contract: :meth:`Simulator.cancel` takes a handle and
+records its ``seq``; the entry stays in the heap until it reaches the
+top, where :meth:`~Simulator.run` and :meth:`~Simulator.peek_time` drop
+it (and forget the ``seq``).  Cancelling twice is the same as cancelling
+once.  Cancelling a handle that already fired changes no dispatch: its
+``seq`` is never scheduled again, so it matches no later event (it does
+stay in the set).
 """
 
 from __future__ import annotations
@@ -23,53 +32,9 @@ from typing import Any, Callable, Optional, Tuple
 from repro.obs import recorder
 
 
-class Event:
-    """A scheduled callback.
-
-    Events order by ``(time, seq)`` so that simultaneous events fire in
-    the order they were scheduled.  (Inside :class:`Simulator` that key
-    lives in the heap entry itself; the comparison operators here keep
-    the historical dataclass ``order=True`` contract for external code.)
-    """
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., None],
-                 args: tuple = (), cancelled: bool = False) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = cancelled
-
-    def cancel(self) -> None:
-        """Mark the event so the dispatcher skips it."""
-        self.cancelled = True
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return (self.time, self.seq) == (other.time, other.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __le__(self, other: "Event") -> bool:
-        return (self.time, self.seq) <= (other.time, other.seq)
-
-    def __gt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) > (other.time, other.seq)
-
-    def __ge__(self, other: "Event") -> bool:
-        return (self.time, self.seq) >= (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flag = ", cancelled" if self.cancelled else ""
-        return f"Event(t={self.time}, seq={self.seq}{flag})"
-
-
-#: One heap entry: ``(time, seq, event)``.
-_HeapEntry = Tuple[float, int, Event]
+#: One heap entry, which is also the handle ``schedule`` returns:
+#: ``(time, seq, fn, args)``.
+Handle = Tuple[float, int, Callable[..., None], tuple]
 
 
 class Simulator:
@@ -80,6 +45,7 @@ class Simulator:
     >>> _ = sim.schedule(1.5, fired.append, "a")
     >>> _ = sim.schedule(0.5, fired.append, "b")
     >>> sim.run()
+    2
     >>> fired
     ['b', 'a']
     """
@@ -90,29 +56,29 @@ class Simulator:
     dispatched_total: int = 0
 
     def __init__(self) -> None:
-        self._heap: list[_HeapEntry] = []
+        self._heap: list[Handle] = []
+        #: Seqs of cancelled entries not yet popped off the heap.
+        self._cancelled: set[int] = set()
         self._seq = 0
         self.now: float = 0.0
-        self._running = False
         #: Cumulative count of events dispatched by this simulator across
         #: all :meth:`run` calls (summed process-wide in
         #: ``dispatched_total``).
         self.events_dispatched: int = 0
 
-    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> Handle:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         # Inlined schedule_at: one call frame per event matters at ~3
         # schedules per packet (delay >= 0 makes the past-check moot).
-        when = self.now + delay
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, fn, args)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
+        entry = (self.now + delay, seq, fn, args)
+        heapq.heappush(self._heap, entry)
+        return entry
 
-    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Event:
+    def schedule_at(self, when: float, fn: Callable[..., None], *args: Any) -> Handle:
         """Schedule ``fn(*args)`` at absolute simulation time ``when``."""
         if when < self.now:
             raise ValueError(
@@ -120,15 +86,20 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(when, seq, fn, args)
-        heapq.heappush(self._heap, (when, seq, event))
-        return event
+        entry = (when, seq, fn, args)
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, handle: Handle) -> None:
+        """Skip the event ``handle`` (as returned by :meth:`schedule`)."""
+        self._cancelled.add(handle[1])
 
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next pending event, or None."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        cancelled = self._cancelled
+        while heap and heap[0][1] in cancelled:
+            cancelled.discard(heapq.heappop(heap)[1])
         return heap[0][0] if heap else None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
@@ -141,24 +112,24 @@ class Simulator:
         """
         dispatched = 0
         heap = self._heap
+        cancelled = self._cancelled
         heappop = heapq.heappop
-        self._running = True
         try:
             while heap:
                 if max_events is not None and dispatched >= max_events:
                     break
-                when, _seq, event = heap[0]
-                if event.cancelled:
+                when, seq, fn, args = heap[0]
+                if seq in cancelled:
                     heappop(heap)
+                    cancelled.discard(seq)
                     continue
                 if until is not None and when > until:
                     break
                 heappop(heap)
                 self.now = when
-                event.fn(*event.args)
+                fn(*args)
                 dispatched += 1
         finally:
-            self._running = False
             self.events_dispatched += dispatched
             Simulator.dispatched_total += dispatched
         if until is not None and until > self.now:
@@ -172,4 +143,5 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _, _, e in self._heap if not e.cancelled)
+        cancelled = self._cancelled
+        return sum(1 for entry in self._heap if entry[1] not in cancelled)

@@ -9,7 +9,8 @@ Three cross-cutting hooks make the rest of the library possible:
 
 * **Monitor taps** observe receive/enqueue/transmit/drop/deliver events.
   The detection protocols' traffic summary generators are taps — they see
-  exactly what the paper's in-kernel summary generator would see.
+  exactly what the paper's in-kernel summary generator would see.  Each
+  hook calls only the taps that define it (see :meth:`Network.add_tap`).
 * **Compromise hooks** let an adversary rewrite a router's forwarding
   behaviour (drop/modify/delay/misroute/fabricate), modelling a router
   whose *data plane* is subverted while the simulator stays honest about
@@ -45,7 +46,8 @@ def _stable_hash(text: str) -> int:
 
 
 class MonitorTap:
-    """Base class for traffic observers.  Override what you need.
+    """Base class for traffic observers.  Override what you need: a hook
+    left as this class's no-op is never called.
 
     All times are simulation (true) time; protocols that model clock skew
     translate via :mod:`repro.dist.sync`.
@@ -116,25 +118,24 @@ class OutputInterface:
     def __init__(self, router: "Router", link: Link, queue) -> None:
         self.router = router
         self.link = link
+        self.neighbor = link.dst
         self.queue = queue
         self.busy = False
         self.bytes_sent = 0
         self.packets_sent = 0
 
-    @property
-    def neighbor(self) -> str:
-        return self.link.dst
-
-    def enqueue(self, packet: Packet, now: float) -> bool:
-        accepted, reason, prob = self.queue.offer(packet, now)
+    def enqueue(self, packet: Packet) -> bool:
+        """Offer ``packet`` to the queue now; start sending if idle."""
         net = self.router.network
+        now = net.sim.now
+        accepted, reason, prob = self.queue.offer(packet, now)
         if not accepted:
-            for tap in net.taps:
-                tap.on_drop(self.router, self.neighbor, packet, now, reason, prob)
+            for on_drop in net.on_drop:
+                on_drop(self.router, self.neighbor, packet, now, reason, prob)
             return False
-        for tap in net.taps:
-            tap.on_enqueue(self.router, self.neighbor, packet, now,
-                           self.queue.occupancy)
+        for on_enqueue in net.on_enqueue:
+            on_enqueue(self.router, self.neighbor, packet, now,
+                       self.queue.occupancy)
         if not self.busy:
             self._start_transmission(now)
         return True
@@ -155,11 +156,13 @@ class OutputInterface:
         now = net.sim.now
         self.bytes_sent += packet.size
         self.packets_sent += 1
-        for tap in net.taps:
-            tap.on_transmit(self.router, self.neighbor, packet, now)
+        for on_transmit in net.on_transmit:
+            on_transmit(self.router, self.neighbor, packet, now)
         if self.link.up:
-            net.sim.schedule(self.link.delay, net.arrive, self.neighbor,
-                             self.router.name, packet)
+            # After the propagation delay the neighbour receives it.
+            net.sim.schedule(self.link.delay,
+                             net.routers[self.neighbor].receive, packet,
+                             self.router.name)
         # On a dead link the bits fall on the floor; the control plane
         # notices via missed hellos, not via any magic signal.
         # Immediately begin the next packet, if any.
@@ -223,8 +226,8 @@ class Router:
         now = self.network.sim.now
         packet.created_at = now
         packet.hops = (self.name,)
-        for tap in self.network.taps:
-            tap.on_originate(self, packet, now)
+        for on_originate in self.network.on_originate:
+            on_originate(self, packet, now)
         if packet.dst == self.name:
             self._deliver(packet, now)
             return
@@ -232,8 +235,8 @@ class Router:
 
     def receive(self, packet: Packet, from_nbr: str) -> None:
         now = self.network.sim.now
-        for tap in self.network.taps:
-            tap.on_receive(self, from_nbr, packet, now)
+        for on_receive in self.network.on_receive:
+            on_receive(self, from_nbr, packet, now)
         if packet.dst == self.name:
             self._deliver(packet, now)
             return
@@ -241,8 +244,8 @@ class Router:
 
     def _deliver(self, packet: Packet, now: float) -> None:
         self.delivered += 1
-        for tap in self.network.taps:
-            tap.on_deliver(self, packet, now)
+        for on_deliver in self.network.on_deliver:
+            on_deliver(self, packet, now)
         handler = self.local_flows.get(packet.flow_id)
         if handler is not None:
             handler(packet, now)
@@ -252,14 +255,13 @@ class Router:
         now = self.network.sim.now
         out_nbr = self.next_hop(packet)
         if out_nbr is None:
-            for tap in self.network.taps:
-                tap.on_drop(self, None, packet, now,
-                            DropReason.CONGESTION, 1.0)
+            for on_drop in self.network.on_drop:
+                on_drop(self, None, packet, now, DropReason.CONGESTION, 1.0)
             return
         if packet.expired:
-            for tap in self.network.taps:
-                tap.on_drop(self, out_nbr, packet, now,
-                            DropReason.TTL_EXPIRED, 1.0)
+            for on_drop in self.network.on_drop:
+                on_drop(self, out_nbr, packet, now, DropReason.TTL_EXPIRED,
+                        1.0)
             return
 
         if allow_compromise and self.compromise is not None:
@@ -268,9 +270,9 @@ class Router:
                 self, packet, incoming, out_nbr, iface
             )
             if action.kind == ForwardAction.DROP:
-                for tap in self.network.taps:
-                    tap.on_drop(self, out_nbr, packet, now,
-                                DropReason.MALICIOUS, 0.0)
+                for on_drop in self.network.on_drop:
+                    on_drop(self, out_nbr, packet, now, DropReason.MALICIOUS,
+                            0.0)
                 return
             if action.packet is not None:
                 packet = action.packet
@@ -304,9 +306,8 @@ class Router:
         self.forwarded += 1
         iface = self.interfaces.get(out_nbr)
         if iface is None:
-            for tap in self.network.taps:
-                tap.on_drop(self, out_nbr, packet, now,
-                            DropReason.CONGESTION, 1.0)
+            for on_drop in self.network.on_drop:
+                on_drop(self, out_nbr, packet, now, DropReason.CONGESTION, 1.0)
             return
         mtu = iface.link.mtu
         if mtu is not None and packet.size > mtu:
@@ -315,20 +316,18 @@ class Router:
             # fingerprint of the original packet is now unmatchable.
             for fragment in packet.fragment(mtu, self.network.packet_ids):
                 if self.proc_jitter > 0:
-                    delay = self._rng.uniform(0.0, self.proc_jitter)
                     self.network.sim.schedule(
-                        delay, self._jittered_enqueue, iface, fragment)
+                        self.proc_jitter * self._rng.random(), iface.enqueue,
+                        fragment)
                 else:
-                    iface.enqueue(fragment, now)
+                    iface.enqueue(fragment)
             return
         if self.proc_jitter > 0:
-            delay = self._rng.uniform(0.0, self.proc_jitter)
-            self.network.sim.schedule(delay, self._jittered_enqueue, iface, packet)
+            # == rng.uniform(0.0, proc_jitter), bit for bit, one call less.
+            self.network.sim.schedule(self.proc_jitter * self._rng.random(),
+                                      iface.enqueue, packet)
             return
-        iface.enqueue(packet, now)
-
-    def _jittered_enqueue(self, iface: OutputInterface, packet: Packet) -> None:
-        iface.enqueue(packet, self.network.sim.now)
+        iface.enqueue(packet)
 
     def inject_fabricated(self, packet: Packet, out_nbr: str) -> None:
         """Adversary-only: push a fabricated packet into an output queue."""
@@ -341,7 +340,7 @@ class Router:
                       flow=packet.flow_id, src=packet.src, dst=packet.dst)
         iface = self.interfaces.get(out_nbr)
         if iface is not None:
-            iface.enqueue(packet, self.network.sim.now)
+            iface.enqueue(packet)
 
 
 class Network:
@@ -362,6 +361,7 @@ class Network:
         self.packet_ids = itertools.count(1)
         # RTT probe flow numbers, per network (see repro.core.fatih).
         self.rtt_flow_ids = itertools.count(1)
+        # Change only through add_tap/remove_tap, which re-index it.
         self.taps: List[MonitorTap] = []
         rec = recorder()
         if rec.active:
@@ -369,6 +369,7 @@ class Network:
             # adds nothing to the per-packet tap loops.
             from repro.obs.trace import TraceTap
             self.taps.append(TraceTap(rec))
+        self._index_taps()
         self.routers: Dict[str, Router] = {}
         self.control_delay = control_delay
         self.seed = seed
@@ -384,14 +385,34 @@ class Network:
         return self.routers[name]
 
     def add_tap(self, tap: MonitorTap) -> None:
+        """Attach ``tap`` after the others: it sees the next event."""
         self.taps.append(tap)
+        self._index_taps()
 
     def remove_tap(self, tap: MonitorTap) -> None:
         self.taps.remove(tap)
+        self._index_taps()
 
-    def arrive(self, at: str, from_nbr: str, packet: Packet) -> None:
-        """Link propagation completed: hand the packet to the receiver."""
-        self.routers[at].receive(packet, from_nbr)
+    def _index_taps(self) -> None:
+        """Rebuild, per hook, the list the routers call: ``on_<hook>``."""
+        self.on_receive = self._subscribers("on_receive")
+        self.on_enqueue = self._subscribers("on_enqueue")
+        self.on_transmit = self._subscribers("on_transmit")
+        self.on_drop = self._subscribers("on_drop")
+        self.on_deliver = self._subscribers("on_deliver")
+        self.on_originate = self._subscribers("on_originate")
+
+    def _subscribers(self, hook: str) -> List[Callable[..., None]]:
+        """The taps' bound ``hook`` methods, in ``taps`` order.
+
+        A tap is listed if it defines ``hook`` and that is not the
+        :class:`MonitorTap` no-op, so a hook nobody overrides costs no
+        call.  Duck-typed taps (``TraceTap``) need no base class.
+        """
+        noop = getattr(MonitorTap, hook)
+        methods = [getattr(tap, hook, None) for tap in self.taps]
+        return [method for method in methods if method is not None
+                and getattr(method, "__func__", None) is not noop]
 
     # -- link state management ----------------------------------------------
     def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:

@@ -157,7 +157,7 @@ class TCPFlow:
                 self.established = True
                 self.established_at = now
                 if self._syn_event is not None:
-                    self._syn_event.cancel()
+                    self.network.sim.cancel(self._syn_event)
                 self._try_send()
             return
         if packet.kind != PacketKind.ACK:
@@ -190,7 +190,7 @@ class TCPFlow:
                     and self.completed_at is None):
                 self.completed_at = now
                 if self._rto_event is not None:
-                    self._rto_event.cancel()
+                    self.network.sim.cancel(self._rto_event)
             self._try_send()
         elif ackno == self.send_base and self._flight() > 0:
             self.dupacks += 1
@@ -245,7 +245,7 @@ class TCPFlow:
 
     def _restart_rto(self) -> None:
         if self._rto_event is not None:
-            self._rto_event.cancel()
+            self.network.sim.cancel(self._rto_event)
         self._rto_event = None
         if self._flight() <= 0 and self.completed_at is not None:
             return

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.events import Simulator
 
@@ -104,7 +106,7 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
+        sim.cancel(event)
         sim.run()
         assert fired == []
 
@@ -113,7 +115,7 @@ class TestCancellation:
         fired = []
         keep = sim.schedule(1.0, fired.append, "keep")
         drop = sim.schedule(1.0, fired.append, "drop")
-        drop.cancel()
+        sim.cancel(drop)
         sim.run()
         assert fired == ["keep"]
 
@@ -121,15 +123,147 @@ class TestCancellation:
         sim = Simulator()
         event = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        event.cancel()
+        sim.cancel(event)
         assert sim.pending() == 1
 
     def test_peek_time_skips_cancelled(self):
         sim = Simulator()
         first = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        first.cancel()
+        sim.cancel(first)
         assert sim.peek_time() == 2.0
 
     def test_peek_time_empty(self):
         assert Simulator().peek_time() is None
+
+    def test_cancelled_seqs_are_forgotten_once_popped(self):
+        sim = Simulator()
+        sim.cancel(sim.schedule(1.0, lambda: None))
+        sim.cancel(sim.schedule(3.0, lambda: None))
+        sim.schedule(2.0, lambda: None)
+        assert sim.peek_time() == 2.0
+        assert len(sim._cancelled) == 1
+        assert sim.run() == 1
+        assert sim._cancelled == set()
+
+    def test_handle_is_the_heap_entry(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, print, "x")
+        assert handle == (1.0, 0, print, ("x",))
+        assert sim._heap == [handle]
+
+
+class ListEngine:
+    """Reference engine: a plain list, sorted on every pop."""
+
+    def __init__(self):
+        self.entries = []
+        self.cancelled = set()
+        self.seq = 0
+        self.now = 0.0
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    def schedule_at(self, when, fn, *args):
+        entry = (when, self.seq, fn, args)
+        self.seq += 1
+        self.entries.append(entry)
+        return entry
+
+    def cancel(self, handle):
+        self.cancelled.add(handle[1])
+
+    def live(self):
+        return sorted((e for e in self.entries if e[1] not in self.cancelled),
+                      key=lambda e: e[:2])
+
+    def peek_time(self):
+        live = self.live()
+        return live[0][0] if live else None
+
+    def pending(self):
+        return len(self.live())
+
+    def run(self, until=None, max_events=None):
+        dispatched = 0
+        while max_events is None or dispatched < max_events:
+            live = self.live()
+            if not live or (until is not None and live[0][0] > until):
+                break
+            when, _, fn, args = live[0]
+            self.entries.remove(live[0])
+            self.now = when
+            fn(*args)
+            dispatched += 1
+        if until is not None and until > self.now:
+            self.now = until
+        return dispatched
+
+
+#: Few distinct offsets, so exact-time ties are common.
+OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+def ops(depth, min_size=0):
+    """A program: schedule/schedule_at (with the ops their callback runs
+    when it fires) and cancel of the k-th handle made so far, which may
+    already have fired or been cancelled."""
+    children = st.just([]) if depth == 0 else ops(depth - 1)
+    schedule = st.tuples(st.sampled_from(["schedule", "schedule_at"]),
+                         OFFSETS, children)
+    cancel = st.tuples(st.just("cancel"), st.integers(0, 12))
+    return st.lists(st.one_of(schedule, schedule, cancel),
+                    min_size=min_size, max_size=5)
+
+
+UNTIL = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+MAX_EVENTS = st.integers(0, 3)
+RUN_CALLS = st.lists(st.one_of(
+    st.just({}),
+    st.builds(dict, until=UNTIL),
+    st.builds(dict, max_events=MAX_EVENTS),
+    st.builds(dict, until=UNTIL, max_events=MAX_EVENTS),
+), min_size=1, max_size=4)
+
+
+def execute(engine, program, run_calls):
+    """Run ``program`` on ``engine``; return everything it observed."""
+    fired, handles = [], []
+
+    def perform(op_list):
+        for op in op_list:
+            if op[0] == "cancel":
+                if handles:
+                    engine.cancel(handles[op[1] % len(handles)])
+                continue
+            kind, offset, children = op
+            label = len(handles)
+            if kind == "schedule":
+                handle = engine.schedule(offset, fire, label, children)
+            else:
+                handle = engine.schedule_at(engine.now + offset, fire, label,
+                                            children)
+            handles.append(handle)
+
+    def fire(label, children):
+        fired.append((label, engine.now))
+        perform(children)
+
+    perform(program)
+    observed = []
+    for call in run_calls + [{}]:
+        observed.append(("pending", engine.pending()))
+        observed.append(("run", engine.run(**call), engine.now))
+        observed.append(("peek", engine.peek_time(), engine.pending()))
+    return fired, observed, [handle[:2] for handle in handles]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(program=ops(2, min_size=1), run_calls=RUN_CALLS)
+def test_dispatch_matches_a_sorted_list_reference(program, run_calls):
+    """Pop order is (time, seq) with cancels skipped, whatever the
+    program: ties, schedules and cancels from inside dispatch, cancel
+    after fire, double cancel, and every way ``run`` can stop."""
+    assert execute(Simulator(), program, run_calls) == execute(
+        ListEngine(), program, run_calls)

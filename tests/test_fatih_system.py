@@ -155,7 +155,7 @@ class TestArmsThroughArmProtocol:
         arms = []
 
         def recorded(self, start, until):
-            before = {id(event) for _, _, event in self.network.sim._heap}
+            before = {entry[1] for entry in self.network.sim._heap}
             arm(self, start, until)
             protocol = self.protocol
             monitor = protocol.monitor
@@ -163,9 +163,9 @@ class TestArmsThroughArmProtocol:
                 self.network.sim.now, protocol.segments,
                 dict(monitor._monitors), protocol.config, protocol.schedule,
                 monitor.policy, monitor.clock.epsilon,
-                sorted((when, event.fn.__name__, event.args)
-                       for when, _, event in self.network.sim._heap
-                       if id(event) not in before),
+                sorted((when, fn.__name__, args)
+                       for when, seq, fn, args in self.network.sim._heap
+                       if seq not in before),
                 [tap is monitor for tap in self.network.taps],
             ))
 

@@ -1,5 +1,8 @@
 """Unit tests for routers, interfaces, taps and the network assembly."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.net.packet import Packet
@@ -124,6 +127,152 @@ class TestTaps:
         net.routers["r1"].originate(Packet(src="r1", dst="r3", flow_id="f"))
         net.run(1.0)
         assert tap.events == []
+
+
+class TransmitTap(MonitorTap):
+    """Overrides one hook: every other hook keeps the base no-op."""
+
+    def __init__(self, log, name="transmit"):
+        self.log = log
+        self.name = name
+
+    def on_transmit(self, router, out_nbr, packet, time):
+        self.log.append((self.name, router.name, packet.uid))
+
+
+class TransmitAndDeliverTap(TransmitTap):
+    def on_deliver(self, router, packet, time):
+        self.log.append(("deliver", router.name, packet.uid))
+
+
+class DuckTap:
+    """A tap without the base class, defining two hooks."""
+
+    def __init__(self):
+        self.log = []
+
+    def on_receive(self, router, from_nbr, packet, time):
+        self.log.append(("receive", router.name))
+
+    def on_originate(self, router, packet, time):
+        self.log.append(("originate", router.name))
+
+
+HOOKS = ("receive", "enqueue", "transmit", "drop", "deliver", "originate")
+
+
+def send(net):
+    net.routers["r1"].originate(Packet(src="r1", dst="r3", flow_id="f", uid=1))
+
+
+class TestTapIndex:
+    """``add_tap`` lists a tap only under the hooks it defines."""
+
+    def test_tap_overriding_one_hook_gets_only_that_hook(self):
+        net = small_net(3)
+        log = []
+        tap = TransmitTap(log)
+        net.add_tap(tap)
+        assert net.on_transmit == [tap.on_transmit]
+        assert net.on_receive == net.on_enqueue == net.on_drop == []
+        assert net.on_deliver == net.on_originate == []
+        send(net)
+        net.run(1.0)
+        assert log == [("transmit", "r1", 1), ("transmit", "r2", 1)]
+
+    def test_subclass_of_a_subclass_override_is_honoured(self):
+        net = small_net(3)
+        log = []
+        tap = TransmitAndDeliverTap(log)
+        net.add_tap(tap)
+        assert net.on_transmit == [tap.on_transmit]
+        assert net.on_deliver == [tap.on_deliver]
+        send(net)
+        net.run(1.0)
+        assert log == [("transmit", "r1", 1), ("transmit", "r2", 1),
+                       ("deliver", "r3", 1)]
+
+    def test_remove_tap_unsubscribes_every_hook(self):
+        net = small_net(3)
+        tap = RecordingTap()
+        net.add_tap(tap)
+        assert all(len(getattr(net, "on_" + hook)) == 1 for hook in HOOKS)
+        net.remove_tap(tap)
+        assert all(getattr(net, "on_" + hook) == [] for hook in HOOKS)
+        assert net.taps == []
+
+    def test_duck_typed_tap_gets_every_hook_it_defines(self):
+        net = small_net(3)
+        tap = DuckTap()
+        net.add_tap(tap)
+        assert net.on_receive == [tap.on_receive]
+        assert net.on_originate == [tap.on_originate]
+        assert net.on_transmit == net.on_deliver == []
+        send(net)
+        net.run(1.0)
+        assert tap.log == [("originate", "r1"), ("receive", "r2"),
+                           ("receive", "r3")]
+
+    def test_taps_on_one_hook_fire_in_add_tap_order(self):
+        net = small_net(3)
+        log = []
+        net.add_tap(TransmitTap(log, "first"))
+        net.add_tap(TransmitTap(log, "second"))
+        send(net)
+        net.run(1.0)
+        assert [entry[0] for entry in log] == ["first", "second"] * 2
+
+    def test_tap_added_mid_run_sees_the_next_event(self):
+        net = small_net(3)
+        log = []
+        late = TransmitTap(log)
+        # r1 finishes sending at 0.8 ms; r2 receives at 1.8 ms.
+        net.sim.schedule(0.001, net.add_tap, late)
+        send(net)
+        net.run(1.0)
+        assert log == [("transmit", "r2", 1)]
+
+
+class EnqueueTimes(MonitorTap):
+    def __init__(self):
+        self.times = []
+
+    def on_enqueue(self, router, out_nbr, packet, time, occupancy):
+        self.times.append((router.name, packet.uid, time))
+
+
+class TestJitterDraw:
+    """The jitter is ``proc_jitter * rng.random()``: the same float as
+    ``rng.uniform(0.0, proc_jitter)``, without the extra call."""
+
+    @pytest.mark.parametrize("jitter", [1e-6, 0.0005, 0.002, 0.003, 0.1,
+                                        1.0, 7.25])
+    def test_scaled_random_is_uniform_bit_for_bit(self, jitter):
+        for seed in range(20):
+            scaled, uniform = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert (jitter * scaled.random()).hex() == \
+                    uniform.uniform(0.0, jitter).hex()
+
+    # sha256 of repr(EnqueueTimes.times), recorded when the jitter was
+    # drawn with rng.uniform(0.0, proc_jitter).
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "a17a2fbdc30714b4c7d1e9e3071286f3945a8d117957119f46b4c83be09299c3"),
+        (7, "987d54efb6e4774789fa9da5addb9019b9d793f6c485f15433496db7a9f2f501"),
+    ])
+    def test_six_chain_enqueue_times_are_unchanged(self, seed, digest):
+        net = Network(chain(6, bandwidth=10 * MBPS, delay=0.001),
+                      proc_jitter=0.003, seed=seed)
+        install_static_routes(net)
+        tap = EnqueueTimes()
+        net.add_tap(tap)
+        for i in range(30):
+            net.sim.schedule(i * 0.0004, net.routers["r1"].originate,
+                             Packet(src="r1", dst="r6", flow_id="f", seq=i,
+                                    uid=i + 1))
+        net.run(1.0)
+        assert len(tap.times) == 150
+        assert hashlib.sha256(repr(tap.times).encode()).hexdigest() == digest
 
 
 class TestPolicyRouting:

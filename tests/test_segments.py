@@ -201,8 +201,8 @@ class TestArmProtocol:
         paths = install_static_routes(net)
         over = [paths[(a, b)], paths[(b, a)]] if two_flows else None
         armed = arm(net, paths, protocol, k, over)
-        scheduled = sorted((when, event.fn.__name__, event.args)
-                           for when, _, event in net.sim._heap)
+        scheduled = sorted((when, fn.__name__, args)
+                           for when, _, fn, args in net.sim._heap)
         assert armed.monitor in net.taps
         assert any(bad in segment for segment in armed.segments)
         net.routers[bad].compromise = DropFlowAttack(
@@ -263,7 +263,7 @@ class TestArmProtocol:
         assert armed.schedule == RoundSchedule(tau=5.0, start=60.0)
         assert armed.monitor.schedule is armed.schedule
         assert armed.monitor.clock is clock
-        assert sorted(when for when, _, _ in net.sim._heap) == [
+        assert sorted(entry[0] for entry in net.sim._heap) == [
             65.0 + armed.settle_delay, 70.0 + armed.settle_delay]
 
     def test_unknown_protocol_names_the_choices(self):
