@@ -29,7 +29,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.core.detector import RoundDetector, Suspicion
 from repro.core.summaries import PathOracle
@@ -37,7 +39,7 @@ from repro.crypto.fingerprint import fingerprint
 from repro.crypto.keys import KeyInfrastructure
 from repro.dist.sync import RoundSchedule
 from repro.net import MonitorTap, Network, Packet, REDParams, REDQueue, Router
-from repro.net.queues import red_packet_drop_probability
+from repro.net.queues import red_packet_drop_probability_unchecked
 
 
 # χ's decision thresholds.  Single-packet and combined tests alarm at
@@ -74,6 +76,10 @@ MISREPORT_THRESHOLD = 3
 TH_CUMULATIVE = 0.99997  # ~4 sigma
 CUM_EFFECT_FLOOR = 10.0
 
+# Replay order: by time, arrivals (0) before departures (1) on ties;
+# the sort is stable, so equal keys keep their feed order.
+_EVENT_ORDER = itemgetter(0, 1)
+
 
 def _phi(x: float) -> float:
     """Standard normal CDF."""
@@ -104,9 +110,12 @@ def combined_loss_confidence(q_limit: float, q_preds: Sequence[float],
     return _phi(z1)
 
 
-@dataclass(frozen=True)
-class TrafficRecord:
-    """One Tinfo entry: fingerprint, size, and queue entry/exit time."""
+class TrafficRecord(NamedTuple):
+    """One Tinfo entry: fingerprint, size, and queue entry/exit time.
+
+    A named tuple: immutable, and built once per packet per side of a
+    watched queue, so it is the cheapest immutable record to make.
+    """
 
     fp: int
     size: int
@@ -310,7 +319,7 @@ class QueueValidator:
             events.append((rec.time, 0, rec))  # arrivals first on ties
         for rec in ready_out:
             events.append((rec.time, 1, rec))
-        events.sort(key=lambda e: (e[0], e[1]))
+        events.sort(key=_EVENT_ORDER)
 
         verdicts: List[DropVerdict] = []
         for when, kind, rec in events:
@@ -390,6 +399,9 @@ class REDQueueValidator:
 
     def __init__(self, queue_limit: int, bandwidth: float,
                  params: REDParams) -> None:
+        # Validated once, as REDQueue does; the replay then takes the
+        # unchecked per-packet probability.
+        params.validate()
         self.queue_limit = queue_limit
         self.params = params
         self.max_wait = queue_limit / bandwidth + WAIT_SLACK
@@ -434,7 +446,7 @@ class REDQueueValidator:
             events.append((rec.time, 0, rec))  # arrivals first on ties
         for rec in ready_out:
             events.append((rec.time, 1, rec))
-        events.sort(key=lambda e: (e[0], e[1]))
+        events.sort(key=_EVENT_ORDER)
 
         verdicts: List[DropVerdict] = []
         for when, kind, rec in events:
@@ -448,8 +460,8 @@ class REDQueueValidator:
                     self._idle_since = when
                 continue
             self._update_average(when)
-            prob = red_packet_drop_probability(self.avg, self.params,
-                                               self.count, rec.size)
+            prob = red_packet_drop_probability_unchecked(
+                self.avg, self.params, self.count, rec.size)
             if _redeem(self._out_credits, rec.fp):  # transmitted
                 if prob > 0.0:
                     self.count += 1

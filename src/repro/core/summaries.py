@@ -201,6 +201,10 @@ class PathOracle:
         return path[idx + 1]
 
 
+#: uid of :meth:`EcmpPathOracle.path`'s probe; networks number from 1.
+_PROBE_UID = 0
+
+
 class EcmpPathOracle(PathOracle):
     """Path prediction that honours ECMP and policy routing (§7.4.1).
 
@@ -232,9 +236,11 @@ class EcmpPathOracle(PathOracle):
         return path
 
     def path(self, src: str, dst: str) -> Optional[Tuple[str, ...]]:
-        # Flow-less prediction: trace with an anonymous flow.
-        probe = Packet(src=src, dst=dst, flow_id="",
-                       uid=next(self.network.packet_ids))
+        # Flow-less prediction: trace with an anonymous flow.  The probe
+        # never enters the network, so it takes no uid from it (a query
+        # must not renumber the run's packets): ``_trace`` reads only
+        # src, dst and flow.
+        probe = Packet(src=src, dst=dst, flow_id="", uid=_PROBE_UID)
         return self._trace(probe)
 
     def _trace(self, packet: Packet) -> Optional[Tuple[str, ...]]:

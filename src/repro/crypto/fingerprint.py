@@ -11,6 +11,7 @@ an adversary cannot engineer collisions against monitors).
 from __future__ import annotations
 
 import hashlib
+import struct
 from functools import lru_cache
 
 from repro.net import Packet
@@ -65,6 +66,57 @@ def _encode_fields(fields: tuple) -> bytes:
     return b"".join(parts)
 
 
+@lru_cache(maxsize=8192, typed=True)
+def _encoded_prefix(src, dst, size, kind, flow_id):
+    """``_encode_fields((src, dst, size, kind, flow_id))``, or None.
+
+    None unless every field has its exact type (``str``/``int``), so a
+    hit — same types, equal values — always stands for the same bytes.
+    A packet's first five identity fields repeat across a flow.
+    """
+    if (type(src) is str and type(dst) is str and type(size) is int
+            and type(kind) is str and type(flow_id) is str):
+        return _encode_fields((src, dst, size, kind, flow_id))
+    return None
+
+
+# ``b"i"`` + a 16-byte big-endian signed int is a signed high half and
+# an unsigned low half; ``struct`` raises on any int that does not fit.
+_MASK64 = (1 << 64) - 1
+#: seq, then the payload's ``b"b"`` tag and length.
+_SEQ_HEAD = struct.Struct(">cqQcI")
+#: uid, fragment_of, fragment_index.
+_INT3 = struct.Struct(">cqQcqQcqQ")
+
+
+def _encode_identity(fields: tuple) -> bytes:
+    """``_encode_fields(fields)`` for a ``Packet.invariant_fields()`` tuple.
+
+    The same bytes in one step: a cached prefix and two ``struct`` packs.
+    Anything that is not an exact ``str``/``int``/``bytes``, or an int
+    out of the 16-byte range, takes :func:`_encode_fields`, the spec.
+    """
+    src, dst, size, kind, flow_id, seq, payload, uid, frag_of, frag_index = (
+        fields)
+    if (type(seq) is int and type(payload) is bytes and type(uid) is int
+            and type(frag_of) is int and type(frag_index) is int):
+        try:
+            prefix = _encoded_prefix(src, dst, size, kind, flow_id)
+            if prefix is not None:
+                return b"".join((
+                    prefix,
+                    _SEQ_HEAD.pack(b"i", seq >> 64, seq & _MASK64,
+                                   b"b", len(payload)),
+                    payload,
+                    _INT3.pack(b"i", uid >> 64, uid & _MASK64,
+                               b"i", frag_of >> 64, frag_of & _MASK64,
+                               b"i", frag_index >> 64, frag_index & _MASK64),
+                ))
+        except (struct.error, TypeError):
+            pass  # out of range or unhashable: the spec decides
+    return _encode_fields(fields)
+
+
 #: Keyed hasher prototypes.  ``blake2b(key=...)`` runs a full key-block
 #: compression on construction; ``copy()`` of a prepared prototype skips
 #: it.  Monitors use a handful of distinct keys, so this stays tiny.
@@ -82,20 +134,21 @@ def _hasher(key: bytes):
 def fingerprint_bytes(packet: Packet, key: bytes = b"") -> bytes:
     """Keyed digest of the packet's invariant identity.
 
-    The digest is cached on the packet, validated against its current
-    invariant-field tuple: packets are fingerprinted at every monitor
-    along the path (same key, same fields), but attacks and
-    fragmentation mutate identity fields after construction, so a stale
-    cache entry must never be served.
+    The digest is cached on the packet as ``(key, digest)``.  A packet's
+    identity fields are fixed when it is built (derived packets —
+    fragments, modified copies — are new ``Packet`` objects), so a cached
+    digest under the same key is served without rebuilding or comparing
+    :meth:`~repro.net.Packet.invariant_fields`.  Packets are fingerprinted
+    at every monitor along the path under the same key; a second key
+    replaces the entry.
     """
-    fields = packet.invariant_fields()
     cached = packet._fp_cache
-    if cached is not None and cached[0] == key and cached[1] == fields:
-        return cached[2]
+    if cached is not None and cached[0] == key:
+        return cached[1]
     h = _hasher(key)
-    h.update(_encode_fields(fields))
+    h.update(_encode_identity(packet.invariant_fields()))
     digest = h.digest()
-    packet._fp_cache = (key, fields, digest)
+    packet._fp_cache = (key, digest)
     return digest
 
 

@@ -33,6 +33,8 @@ from repro.net.packet import Packet, PacketKind
 from repro.net.queues import REDQueue
 from repro.net.router import ForwardAction, Network, Router
 
+_FORWARD = ForwardAction.forward()
+
 
 class Compromise:
     """Base class: a compromised router that behaves correctly.
@@ -356,12 +358,14 @@ class CombinedCompromise(Compromise):
     def on_forward(self, router, packet, in_nbr, out_nbr, iface) -> ForwardAction:
         for part in self.parts:
             action = part.on_forward(router, packet, in_nbr, out_nbr, iface)
+            if action is _FORWARD:  # the shared untouched verdict
+                continue
             if action.kind == ForwardAction.DROP:
                 self.dropped.append(packet)
                 return action
             if action.packet is not None or action.out_nbr is not None or action.delay > 0:
                 return action
-        return ForwardAction.forward()
+        return _FORWARD
 
     def on_control(self, router, src, dst, message):
         for part in self.parts:

@@ -13,7 +13,15 @@ hop touches its checksum.  The header-field contribution to the checksum
 is summed once (``_hdr_sum``) since those fields are invariant along the
 path; per-hop recomputation then reduces to one add and one mask, which is
 arithmetically identical to the per-character loop because addition mod
-2**16 can be masked once at the end.
+2**16 can be masked once at the end.  The character sum of the names
+(``src``, ``dst``, ``flow_id``) is itself cached per triple: a flow's
+packets share it.
+
+A packet's identity — the ten fields :meth:`Packet.invariant_fields`
+reads — is fixed at construction: only ``Packet.__init__`` assigns them
+(``fragment`` and ``clone_modified`` build new packets), which is what
+lets :mod:`repro.crypto.fingerprint` cache a digest on the packet without
+re-checking it.
 
 A packet's ``uid`` comes from the network it is sent into: every source
 in the simulator passes ``uid=next(network.packet_ids)``, so a network
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from functools import lru_cache
 from typing import Iterator, Optional, Tuple
 
 _packet_ids = itertools.count(1)
@@ -44,6 +53,13 @@ class PacketKind(enum.Enum):
 
 
 DEFAULT_TTL = 64
+
+
+@lru_cache(maxsize=8192)
+def _name_sum(src: str, dst: str, flow_id: str) -> int:
+    """Sum of the character codes of the three names (checksum base)."""
+    return sum(map(ord, src)) + sum(map(ord, dst)) + sum(map(ord, flow_id))
+
 
 #: Field order of ``__eq__``/``__repr__`` and keyword construction —
 #: the historical dataclass field list.
@@ -111,13 +127,12 @@ class Packet:
         self.last_fragment = last_fragment
         self.hops = hops
         self.fabricated_by = fabricated_by
-        acc = 0
-        for part in (src, dst, flow_id):
-            for ch in part:
-                acc += ord(ch)
-        self._hdr_sum = acc + seq + size
+        self._hdr_sum = _name_sum(src, dst, flow_id) + seq + size
         self.checksum = (self._hdr_sum + ttl) & 0xFFFF
-        self._fp_cache = None  # (key, invariant tuple, digest) — see crypto
+        # (key, digest) of the last fingerprint (see repro.crypto).  No
+        # identity field changes after this constructor, so the digest
+        # stays valid for the packet's life; only the key is compared.
+        self._fp_cache = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -182,17 +197,14 @@ class Packet:
         while remaining > 0:
             piece = min(mtu, remaining)
             remaining -= piece
-            frag = Packet(
+            fragments.append(Packet(
                 src=self.src, dst=self.dst, size=piece, kind=self.kind,
                 flow_id=self.flow_id, seq=self.seq,
                 payload=self.payload, ttl=self.ttl, uid=next(ids),
-            )
-            frag.fragment_of = self.uid
-            frag.fragment_index = index
-            frag.last_fragment = remaining == 0
-            frag.created_at = self.created_at
-            frag.hops = self.hops
-            fragments.append(frag)
+                created_at=self.created_at, fragment_of=self.uid,
+                fragment_index=index, last_fragment=remaining == 0,
+                hops=self.hops,
+            ))
             index += 1
         return fragments
 
@@ -203,7 +215,7 @@ class Packet:
         the position of the original; content validation distinguishes the
         two by fingerprint, not uid.
         """
-        twin = Packet(
+        return Packet(
             src=self.src,
             dst=self.dst,
             size=self.size,
@@ -213,10 +225,9 @@ class Packet:
             payload=payload,
             ttl=self.ttl,
             uid=self.uid,
+            created_at=self.created_at,
+            hops=self.hops,
         )
-        twin.created_at = self.created_at
-        twin.hops = self.hops
-        return twin
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

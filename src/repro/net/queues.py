@@ -154,8 +154,8 @@ def red_drop_probability(avg: float, params: REDParams, count: int = -1) -> floa
 
 def _red_drop_probability_unchecked(avg: float, params: REDParams,
                                     count: int) -> float:
-    # The per-arrival path: REDQueue validates its params once at
-    # construction, so the live queue skips re-validating per packet.
+    # The per-arrival path: REDQueue and χ's REDQueueValidator validate
+    # their params once at construction and skip it per packet.
     if avg < params.min_th:
         return 0.0
     if avg >= params.max_th:
@@ -178,7 +178,14 @@ def _red_drop_probability_unchecked(avg: float, params: REDParams,
 def red_packet_drop_probability(avg: float, params: REDParams, count: int,
                                 size: int) -> float:
     """Per-packet drop probability, honouring byte mode."""
-    prob = red_drop_probability(avg, params, count)
+    params.validate()
+    return red_packet_drop_probability_unchecked(avg, params, count, size)
+
+
+def red_packet_drop_probability_unchecked(avg: float, params: REDParams,
+                                          count: int, size: int) -> float:
+    """:func:`red_packet_drop_probability` for params validated earlier."""
+    prob = _red_drop_probability_unchecked(avg, params, count)
     if params.byte_mode and 0.0 < prob < 1.0:
         prob = min(1.0, prob * size / params.mean_pktsize)
     return prob
@@ -239,10 +246,8 @@ class REDQueue:
 
     def offer(self, packet: Packet, now: float) -> Tuple[bool, Optional[DropReason], float]:
         self.update_average(now)
-        params = self.params
-        prob = _red_drop_probability_unchecked(self.avg, params, self.count)
-        if params.byte_mode and 0.0 < prob < 1.0:
-            prob = min(1.0, prob * packet.size / params.mean_pktsize)
+        prob = red_packet_drop_probability_unchecked(
+            self.avg, self.params, self.count, packet.size)
         if self.occupancy + packet.size > self.limit_bytes:
             self.drops += 1
             self.count = -1

@@ -79,25 +79,34 @@ class MonitorTap:
 # -- adversary interface ----------------------------------------------------
 
 class ForwardAction:
-    """What a compromised router decides to do with a transit packet."""
+    """What a compromised router decides to do with a transit packet.
+
+    Immutable: :meth:`forward` and :meth:`drop` hand out one shared
+    value each, so the verdict on an untouched packet allocates nothing.
+    """
 
     FORWARD = "forward"
     DROP = "drop"
 
     def __init__(self, kind: str, packet: Optional[Packet] = None,
                  out_nbr: Optional[str] = None, delay: float = 0.0) -> None:
-        self.kind = kind
-        self.packet = packet
-        self.out_nbr = out_nbr
-        self.delay = delay
+        # Plain attributes, not slots: ``delay`` is also a classmethod.
+        self.__dict__.update(kind=kind, packet=packet, out_nbr=out_nbr,
+                             delay=delay)
 
-    @classmethod
-    def forward(cls) -> "ForwardAction":
-        return cls(cls.FORWARD)
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("ForwardAction is immutable")
 
-    @classmethod
-    def drop(cls) -> "ForwardAction":
-        return cls(cls.DROP)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("ForwardAction is immutable")
+
+    @staticmethod
+    def forward() -> "ForwardAction":
+        return _FORWARD
+
+    @staticmethod
+    def drop() -> "ForwardAction":
+        return _DROP
 
     @classmethod
     def modify(cls, packet: Packet) -> "ForwardAction":
@@ -110,6 +119,10 @@ class ForwardAction:
     @classmethod
     def delay(cls, seconds: float) -> "ForwardAction":
         return cls(cls.FORWARD, delay=seconds)
+
+
+_FORWARD = ForwardAction(ForwardAction.FORWARD)
+_DROP = ForwardAction(ForwardAction.DROP)
 
 
 class OutputInterface:

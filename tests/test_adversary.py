@@ -17,7 +17,7 @@ from repro.net.adversary import (
     SynDropAttack,
 )
 from repro.net.packet import Packet, PacketKind
-from repro.net.router import Network
+from repro.net.router import ForwardAction, Network
 from repro.net.routing import install_static_routes
 from repro.net.topology import MBPS, Topology, chain, diamond
 
@@ -276,3 +276,59 @@ class TestCombined:
                          via_path=("r1", "r2", "r3"))
         net.run(6.0)
         assert delivered == []
+
+
+class TestForwardActionValues:
+    """Verdicts are immutable values; forward/drop allocate nothing."""
+
+    def test_forward_and_drop_are_shared(self):
+        assert ForwardAction.forward() is ForwardAction.forward()
+        assert ForwardAction.drop() is ForwardAction.drop()
+        assert ForwardAction.forward() is not ForwardAction.drop()
+
+    def test_actions_are_immutable(self):
+        action = ForwardAction.forward()
+        with pytest.raises(AttributeError):
+            action.kind = ForwardAction.DROP
+        with pytest.raises(AttributeError):
+            action.packet = Packet(src="a", dst="b")
+        with pytest.raises(AttributeError):
+            del action.delay
+        assert (action.kind, action.packet, action.out_nbr, action.delay) == (
+            ForwardAction.FORWARD, None, None, 0.0)
+
+    def test_modify_misroute_delay_are_fresh(self):
+        packet = Packet(src="a", dst="b")
+        first, second = ForwardAction.modify(packet), ForwardAction.modify(packet)
+        assert first is not second and first.packet is packet
+        assert ForwardAction.misroute("x") is not ForwardAction.misroute("x")
+        assert ForwardAction.misroute("x").out_nbr == "x"
+        assert ForwardAction.delay(0.5) is not ForwardAction.delay(0.5)
+        assert ForwardAction.delay(0.5).delay == 0.5
+        for action in (first, ForwardAction.misroute("x"),
+                       ForwardAction.delay(0.5)):
+            assert action.kind == ForwardAction.FORWARD
+
+    def test_combined_run_leaves_the_shared_values_unchanged(self):
+        net = Network(diamond(bandwidth=10 * MBPS, delay=0.001))
+        install_static_routes(net)
+        attack = CombinedCompromise(
+            DropFlowAttack(["victim"], fraction=0.5, seed=3),
+            ModifyAttack(["tamper"]),
+            ReorderAttack(["slow"], period=2, hold=0.01),
+        )
+        net.routers["a"].compromise = attack
+        net.routers["s"].forwarding_table["t"] = ["a"]
+        for flow in ("victim", "tamper", "slow", "clean"):
+            for i in range(20):
+                net.routers["s"].originate(Packet(
+                    src="s", dst="t", flow_id=flow, seq=i, payload=b"x",
+                    uid=next(net.packet_ids)))
+        net.run(2.0)
+        assert attack.dropped and attack.parts[1].modified
+        assert attack.parts[2].delayed
+        forward, drop = ForwardAction.forward(), ForwardAction.drop()
+        assert (forward.kind, forward.packet, forward.out_nbr,
+                forward.delay) == (ForwardAction.FORWARD, None, None, 0.0)
+        assert (drop.kind, drop.packet, drop.out_nbr, drop.delay) == (
+            ForwardAction.DROP, None, None, 0.0)

@@ -161,6 +161,11 @@ class TestREDValidator:
         assert verdicts[0].red_drop_prob == 0.0
         assert verdicts[0].confidence == 1.0  # definite malice
 
+    def test_params_are_validated_at_construction(self):
+        bad = REDParams(min_th=6_000, max_th=2_000)
+        with pytest.raises(ValueError, match="min_th < max_th"):
+            REDQueueValidator(10_000, 1 * MBPS, bad)
+
     def test_forced_drop_when_over_limit(self):
         v = REDQueueValidator(2_500, 1 * MBPS, self.params())
         ins = [rec(i, time=i * 1e-5) for i in range(4)]

@@ -1,6 +1,8 @@
 """Unit tests for fingerprints, keys and signatures."""
 
 import copy
+import enum
+import hashlib
 import json
 import os
 import pickle
@@ -8,12 +10,21 @@ import sys
 from dataclasses import dataclass, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.summaries import SummaryPolicy, TrafficSummary
-from repro.crypto.fingerprint import FingerprintSampler, fingerprint, fingerprint_bytes
+from repro.crypto.fingerprint import (
+    FINGERPRINT_BYTES,
+    FingerprintSampler,
+    _encode_fields,
+    _encode_identity,
+    fingerprint,
+    fingerprint_bytes,
+)
 from repro.crypto.keys import KeyInfrastructure
 from repro.crypto.signatures import Signed, canonical_bytes, encoded_once
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketKind
 from tests.canonical_vectors import NAMESPACE
 
 
@@ -301,3 +312,117 @@ class TestEncodedOnce:
         for cls in (Plain, Mutable):
             with pytest.raises(TypeError):
                 encoded_once(cls)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2 ** 70
+
+
+#: Ints of every width the 16-byte encoding takes, and some it does not.
+_any_int = st.one_of(
+    st.integers(-2 ** 10, 2 ** 10),
+    st.integers(-2 ** 130, 2 ** 130),
+    st.sampled_from([-1, 0, 2 ** 63 - 1, 2 ** 63, 2 ** 64, -2 ** 63 - 1,
+                     2 ** 127 - 1, 2 ** 127, -2 ** 127, -2 ** 127 - 1]),
+)
+#: Values that are not exact ints and must take the generic encoder.
+_odd_int = st.sampled_from([True, False, _Level.LOW, _Level.HIGH])
+_names = st.text(max_size=6)  # non-ASCII included
+
+
+def _outcome(encode, fields):
+    try:
+        return encode(fields)
+    except Exception as error:  # the two encoders must fail alike
+        return type(error)
+
+
+class TestIdentityEncoding:
+    """The one-step encoding equals the spec, ``_encode_fields``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(src=_names, dst=_names, flow_id=_names,
+           size=st.one_of(st.integers(1, 2 ** 130),
+                          st.sampled_from([True, _Level.LOW, _Level.HIGH])),
+           kind=st.sampled_from(list(PacketKind)),
+           seq=st.one_of(_any_int, _odd_int),
+           payload=st.one_of(st.binary(max_size=24), st.just(b""),
+                             st.text(max_size=4), st.integers(0, 9)),
+           uid=st.one_of(_any_int, _odd_int),
+           fragment=st.one_of(st.none(), st.tuples(
+               st.one_of(_any_int, _odd_int),
+               st.one_of(_any_int, _odd_int))))
+    def test_fast_encoding_equals_the_spec(self, src, dst, flow_id, size,
+                                           kind, seq, payload, uid, fragment):
+        fragment_of, fragment_index = fragment or (None, 0)
+        packet = Packet(src=src, dst=dst, size=size, kind=kind,
+                        flow_id=flow_id, seq=seq, payload=payload, uid=uid,
+                        fragment_of=fragment_of, fragment_index=fragment_index)
+        fields = packet.invariant_fields()
+        expected = _outcome(_encode_fields, fields)
+        assert _outcome(_encode_identity, fields) == expected
+        # Twice: the second call reads the cached prefix.
+        assert _outcome(_encode_identity, fields) == expected
+        if isinstance(expected, bytes):
+            h = hashlib.blake2b(digest_size=FINGERPRINT_BYTES, key=b"k")
+            h.update(expected)
+            assert fingerprint_bytes(packet, b"k") == h.digest()
+
+    def test_bool_and_int_sizes_do_not_share_a_prefix(self):
+        for size in (1, True, 1, _Level.LOW, True):
+            fields = Packet(src="a", dst="b", size=size).invariant_fields()
+            assert _encode_identity(fields) == _encode_fields(fields)
+
+    def test_equal_but_differently_encoded_names_are_not_shared(self):
+        class Folded(str):  # equal ignoring case, encoded as written
+            def __eq__(self, other):
+                return self.lower() == str(other).lower()
+
+            def __hash__(self):
+                return hash(self.lower())
+
+        for flow_id in (Folded("F"), Folded("f")):
+            fields = Packet(src="a", dst="b",
+                            flow_id=flow_id).invariant_fields()
+            assert _encode_identity(fields) == _encode_fields(fields)
+
+    def test_payload_length_takes_four_bytes(self):
+        fields = Packet(src="a", dst="b",
+                        payload=b"x" * 70_000).invariant_fields()
+        assert _encode_identity(fields) == _encode_fields(fields)
+
+    def test_fragments_encode_like_the_spec(self):
+        original = Packet(src="a", dst="b", size=2500, uid=7, payload=b"p")
+        for piece in original.fragment(1000, iter(range(100, 200))):
+            fields = piece.invariant_fields()
+            assert fields[8:] == (7, piece.fragment_index)
+            assert _encode_identity(fields) == _encode_fields(fields)
+
+
+class TestFingerprintCache:
+    def test_alternating_keys_give_each_key_its_digest(self):
+        p = Packet(src="a", dst="b", payload=b"data")
+        fresh = {key: fingerprint_bytes(Packet(
+            src="a", dst="b", payload=b"data", uid=p.uid), key)
+            for key in (b"k1", b"k2")}
+        assert fresh[b"k1"] != fresh[b"k2"]
+        for _ in range(3):
+            for key in (b"k1", b"k2"):
+                assert fingerprint_bytes(p, key) == fresh[key]
+
+    def test_cache_holds_key_and_digest(self):
+        p = Packet(src="a", dst="b")
+        digest = fingerprint_bytes(p, b"k")
+        assert p._fp_cache == (b"k", digest)
+
+    def test_a_cached_digest_is_served_without_the_identity(self, monkeypatch):
+        p = Packet(src="a", dst="b")
+        digest = fingerprint_bytes(p, b"k")
+
+        def rebuilt():
+            raise AssertionError("identity rebuilt on a cache hit")
+
+        monkeypatch.setattr(p.__class__, "invariant_fields",
+                            lambda self: rebuilt())
+        assert fingerprint_bytes(p, b"k") == digest

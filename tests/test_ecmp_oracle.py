@@ -9,7 +9,7 @@ from repro.net.adversary import DropFlowAttack
 from repro.net.packet import Packet
 from repro.net.router import Network
 from repro.net.routing import install_static_routes
-from repro.net.topology import Topology, chain
+from repro.net.topology import Topology, chain, diamond
 
 
 def ecmp_net():
@@ -81,6 +81,27 @@ class TestEcmpPathOracle:
         oracle.invalidate()
         path = oracle.packet_path(Packet(src="s", dst="t", flow_id="q"))
         assert path[1] == "b"
+
+
+class TestFlowlessPathQuery:
+    def test_query_takes_no_uid_from_the_network(self):
+        net = Network(diamond())
+        install_static_routes(net)
+        oracle = EcmpPathOracle(net)
+        paths = [oracle.path("s", "t") for _ in range(3)]
+        assert next(net.packet_ids) == 1  # the run's numbering is untouched
+        expected = oracle.packet_path(Packet(src="s", dst="t", flow_id=""))
+        assert paths == [expected] * 3
+        assert expected[0] == "s" and expected[-1] == "t"
+        assert expected[1] in ("a", "b")
+
+    def test_query_uses_the_live_tables(self):
+        net = ecmp_net()
+        oracle = EcmpPathOracle(net)
+        net.routers["s"].forwarding_table["t"] = ["b"]
+        assert oracle.path("s", "t") == ("s", "b", "m", "t")
+        assert oracle.path("a", "b") is not None
+        assert next(net.packet_ids) == 1
 
 
 class TestDetectionUnderECMP:

@@ -1,6 +1,11 @@
 """Unit tests for packets and their invariant identity."""
 
+import ast
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.packet import DEFAULT_TTL, Packet, PacketKind
 
@@ -138,3 +143,130 @@ class TestNumberedPerNetwork:
         assert [f.uid for f in fragments] == [100, 101, 102]
         assert {f.fragment_of for f in fragments} == {7}
         assert p.clone_modified(b"x").uid == 7
+
+
+class TestChecksumBase:
+    """The cached name sum equals the per-character sum it replaced."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(src=st.text(max_size=12), dst=st.text(max_size=12),
+           flow_id=st.text(max_size=12), seq=st.integers(-10**6, 10**6),
+           size=st.integers(1, 10**6))
+    def test_base_is_the_per_character_sum(self, src, dst, flow_id, seq,
+                                           size):
+        p = Packet(src=src, dst=dst, flow_id=flow_id, seq=seq, size=size)
+        base = 0
+        for part in (src, dst, flow_id):
+            for ch in part:
+                base += ord(ch)
+        assert p._hdr_sum == base + seq + size
+        assert p.checksum == (base + seq + size + p.ttl) & 0xFFFF
+
+
+#: ``Packet.invariant_fields()``'s fields: fixed at construction.
+IDENTITY_FIELDS = frozenset({
+    "src", "dst", "size", "kind", "flow_id", "seq", "payload", "uid",
+    "fragment_of", "fragment_index",
+})
+
+
+def identity_assignments(path):
+    """``(line, target)`` of every identity-field write in one module.
+
+    Allowed: ``self.<field>`` in ``Packet.__init__``, and in methods of
+    classes that are not (and do not subclass) ``Packet``, where ``self``
+    is some other object.  Everything else is reported: assignment,
+    augmented or annotated assignment, loop and ``with`` targets, ``del``,
+    and ``setattr`` / ``object.__setattr__`` with a literal field name.
+    """
+    from repro.analysis.model import load_module
+
+    info, error = load_module(path, path)
+    assert error is None, (path, error)
+    found = []
+
+    def is_packet(cls):
+        return cls.name == "Packet" or any(
+            ast.unparse(base).split(".")[-1] == "Packet" for base in cls.bases)
+
+    def visit(node, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls, func = node, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node
+        for lineno, obj, name in _writes(node):
+            if name not in IDENTITY_FIELDS:
+                continue
+            own = (isinstance(obj, ast.Name) and obj.id == "self"
+                   and cls is not None and func is not None)
+            if own and not is_packet(cls):
+                continue
+            if own and func.name == "__init__" and cls.name == "Packet":
+                continue
+            found.append((lineno, f"{ast.unparse(obj)}.{name}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, func)
+
+    visit(info.tree, None, None)
+    return found
+
+
+def _writes(node):
+    """``(line, object, attribute)`` for each attribute *node* writes."""
+    if (isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("setattr", "object.__setattr__")
+            and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+        return [(node.lineno, node.args[0], node.args[1].value)]
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For,
+                           ast.AsyncFor)):
+        targets = [node.target]
+    elif isinstance(node, (ast.With, ast.AsyncWith)):
+        targets = [item.optional_vars for item in node.items
+                   if item.optional_vars is not None]
+    else:
+        return []
+    return [(sub.lineno, sub.value, sub.attr)
+            for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, (ast.Store, ast.Del))]
+
+
+class TestIdentityFixedAtConstruction:
+    """The fingerprint cache's precondition (see ``fingerprint_bytes``)."""
+
+    def test_no_module_assigns_an_identity_field_after_construction(self):
+        from repro.analysis.engine import discover_files
+
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        offenders = {path: found for path in discover_files([src])
+                     if (found := identity_assignments(path))}
+        assert offenders == {}
+
+    def test_scan_reports_each_kind_of_write(self, tmp_path):
+        bad = tmp_path / "bad.py"
+        bad.write_text(
+            "class Packet:\n"
+            "    def __init__(self):\n"
+            "        self.uid = 1\n"
+            "    def renumber(self):\n"
+            "        self.uid = 2\n"
+            "class Sender:\n"
+            "    def __init__(self):\n"
+            "        self.seq = 0\n"
+            "    def send(self, packet):\n"
+            "        self.seq += 1\n"
+            "        packet.seq = self.seq\n"
+            "        frag.fragment_of, frag.ttl = 1, 2\n"
+            "        setattr(packet, 'payload', b'')\n"
+            "        del packet.flow_id\n"
+            "        object.__setattr__(self, 'kind', 1)\n"
+            "        for packet.size in (1, 2):\n"
+            "            pass\n"
+        )
+        assert identity_assignments(str(bad)) == [
+            (5, "self.uid"), (11, "packet.seq"), (12, "frag.fragment_of"),
+            (13, "packet.payload"), (14, "packet.flow_id"),
+            (16, "packet.size")]
