@@ -9,25 +9,19 @@ on the same attack and compares wire bytes and detection.
 
 from conftest import save_series
 
-from repro.core import PiConfig, arm_protocol
-from repro.net import (
-    CBRSource,
-    DropFlowAttack,
-    Network,
-    chain,
-    install_static_routes,
-)
+from repro.eval import ScenarioSpec, build_scenario
 
 
 def run_codec(codec: str):
-    net = Network(chain(5))
-    protocol = arm_protocol(
-        net, install_static_routes(net), "pik2", last_round=5,
-        config=PiConfig(codec=codec))
-    CBRSource(net, "r1", "r5", "f1", rate_bps=800_000, duration=6.0)
-    net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.1,
-                                                  seed=1)
-    net.run(9.0)
+    scenario = build_scenario(ScenarioSpec(
+        topology={"name": "line", "options": {"n": 5}},
+        adversary={"behavior": "drop", "rate": 0.1},
+        placement={"strategy": "fixed", "router": "r3"},
+        traffic={"flows": 1, "rate_bps": 800_000, "duration": 6.0},
+        detector="pik2", rounds=5,
+        options={"endpoints": [["r1", "r5"]], "attack_at": 0.0,
+                 "monitor": "all", "codec": codec})).run()
+    protocol = scenario.protocol
     detected = any("r3" in seg
                    for seg in protocol.states["r1"].suspected_segments())
     return protocol.exchange_bytes, detected

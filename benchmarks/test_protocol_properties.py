@@ -6,46 +6,41 @@ Paper claims (Theorems B.2/B.3): Π2 is 2-accurate and 2-FC-complete;
 correct router converges on the suspicions).
 """
 
-import random
-
 from conftest import save_series
 
-from repro.core import accuracy_report, arm_protocol, completeness_report
-from repro.net import (
-    CBRSource,
-    CombinedCompromise,
-    ControlSuppressionAttack,
-    DropFlowAttack,
-    MBPS,
-    ModifyAttack,
-    Network,
-    chain,
-    install_static_routes,
-)
+from repro.core import accuracy_report, completeness_report
+from repro.eval import ScenarioSpec, build_scenario
+from repro.net import MBPS, CombinedCompromise, ControlSuppressionAttack
+
+#: Each case's adversary, from the start of the run and seeded with the
+#: case's seed.  ``combined`` drops f1 and, wrapped by hand (no spec
+#: behavior builds it), suppresses the control messages it relays.
+ADVERSARIES = {
+    "drop": {"behavior": "drop", "rate": 0.5, "options": {"seed_offset": 0}},
+    "modify": {"behavior": "modify", "rate": 0.5, "targeting": "all",
+               "options": {"seed_offset": 0}},
+    "combined": {"behavior": "drop", "rate": 0.5,
+                 "options": {"seed_offset": 0, "flows": ["f1"]}},
+}
 
 
 def _run_case(protocol_name, bad_router, behavior, seed):
-    net = Network(chain(6, bandwidth=10 * MBPS, delay=0.001))
-    protocol = arm_protocol(net, install_static_routes(net), protocol_name)
-    max_precision = 2 if protocol_name == "pi2" else 3
+    scenario = build_scenario(ScenarioSpec(
+        topology={"name": "line", "options": {
+            "n": 6, "bandwidth": 10 * MBPS, "delay": 0.001}},
+        adversary=ADVERSARIES[behavior],
+        placement={"strategy": "fixed", "router": bad_router},
+        detector=protocol_name, seed=seed,
+        options={"endpoints": [["r1", "r6"], ["r6", "r1"]],
+                 "attack_at": 0.0}))
+    if behavior == "combined":
+        scenario.network.routers[bad_router].compromise = CombinedCompromise(
+            scenario.attack, ControlSuppressionAttack())
+    scenario.run()
 
-    if behavior == "drop":
-        attack = DropFlowAttack(["f1", "f2"], fraction=0.5, seed=seed)
-    elif behavior == "modify":
-        attack = ModifyAttack(fraction=0.5, seed=seed)
-    else:
-        attack = CombinedCompromise(
-            DropFlowAttack(["f1"], fraction=0.5, seed=seed),
-            ControlSuppressionAttack(),
-        )
-    net.routers[bad_router].compromise = attack
-
-    CBRSource(net, "r1", "r6", "f1", rate_bps=600_000, duration=4.0)
-    CBRSource(net, "r6", "r1", "f2", rate_bps=600_000, duration=4.0)
-    net.run(7.0)
-
+    protocol = scenario.protocol
     acc = accuracy_report(protocol.states, {bad_router},
-                          max_precision=max_precision)
+                          max_precision=protocol.precision)
     comp = completeness_report(protocol.states, {bad_router})
     return acc, comp
 

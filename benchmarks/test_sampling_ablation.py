@@ -8,27 +8,22 @@ evidence per round shrinks).
 
 from conftest import save_series
 
-from repro.core import arm_protocol
-from repro.net import (
-    CBRSource,
-    DropFlowAttack,
-    Network,
-    chain,
-    install_static_routes,
-)
+from repro.eval import ScenarioSpec, build_scenario
 
 
 def run_rate(rate: float):
-    net = Network(chain(5))
-    protocol = arm_protocol(net, install_static_routes(net), "pik2",
-                            last_round=8, sampling=rate)
-    CBRSource(net, "r1", "r5", "f1", rate_bps=800_000, duration=8.0)
-    net.run(4.0)
-    net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.3,
-                                                  seed=1)
+    scenario = build_scenario(ScenarioSpec(
+        topology={"name": "line", "options": {"n": 5}},
+        adversary={"behavior": "drop", "rate": 0.3},
+        placement={"strategy": "fixed", "router": "r3"},
+        traffic={"flows": 1, "rate_bps": 800_000, "duration": 8.0},
+        detector="pik2", rounds=8,
+        options={"endpoints": [["r1", "r5"]], "attack_at": 4.0,
+                 "monitor": "all", "sampling": rate}))
+    protocol = scenario.protocol
     peak_state = 0
-    for step in range(4, 12):
-        net.run(float(step + 1))
+    for end in range(5, 13):
+        scenario.network.run(float(end))
         peak_state = max(peak_state, protocol.monitor.state_units("r1"))
     detected = any("r3" in s for s in
                    protocol.states["r1"].suspected_segments())

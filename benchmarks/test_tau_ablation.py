@@ -8,43 +8,33 @@ Sweep τ for the same Πk+2 deployment and attack.
 
 from conftest import save_series
 
-from repro.core import arm_protocol
-from repro.net import (
-    CBRSource,
-    DropFlowAttack,
-    Network,
-    chain,
-    install_static_routes,
-)
+from repro.eval import ScenarioSpec, build_scenario
+
+HORIZON, ATTACK_AT = 24, 8
 
 
 def run_tau(tau: float):
-    net = Network(chain(5))
-    horizon = 24.0
-    protocol = arm_protocol(net, install_static_routes(net), "pik2", tau=tau,
-                            last_round=max(1, int(horizon / tau)) - 1)
-    CBRSource(net, "r1", "r5", "f1", rate_bps=600_000, duration=horizon - 4)
-    attack_at = 8.0
-    net.run(attack_at)
-    net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.3,
-                                                  seed=1)
+    scenario = build_scenario(ScenarioSpec(
+        topology={"name": "line", "options": {"n": 5}},
+        adversary={"behavior": "drop", "rate": 0.3},
+        placement={"strategy": "fixed", "router": "r3"},
+        traffic={"flows": 1, "duration": HORIZON - 4},
+        detector="pik2", tau=tau,
+        rounds=max(1, int(HORIZON / tau)) - 1,
+        options={"endpoints": [["r1", "r5"]], "attack_at": ATTACK_AT,
+                 "monitor": "all"}))
+    protocol = scenario.protocol
     peak_state = 0
-    end = attack_at
-    while end < horizon:
-        end = min(horizon, end + 1.0)
-        net.run(end)
+    for end in range(ATTACK_AT + 1, HORIZON + 1):
+        scenario.network.run(float(end))
         # The protocol retires a round once its last exchange has
         # concluded (settle + exchange timeout after the round ends), so
         # peak live state is proportional to tau.
         peak_state = max(peak_state, protocol.monitor.state_units("r1"))
-    detection = None
-    for state in protocol.states.values():
-        for suspicion in state.suspicions:
-            if "r3" in suspicion.segment:
-                lo, hi = suspicion.interval
-                when = hi  # earliest possible announcement is round end
-                detection = when if detection is None else min(detection, when)
-    latency = None if detection is None else max(0.0, detection - attack_at)
+    # A suspicion is announced at its round's end at the earliest.
+    announced = [s.interval[1] for state in protocol.states.values()
+                 for s in state.suspicions if "r3" in s.segment]
+    latency = max(0.0, min(announced) - ATTACK_AT) if announced else None
     return latency, peak_state
 
 

@@ -9,13 +9,15 @@ from conftest import save_series
 
 from repro.baselines.zhang import ZhangDetector
 from repro.core.chi import QueueTap
-from repro.eval import build_scenario, droptail_spec
-from repro.net import MBPS, QueueConditionalDropAttack
+from repro.eval import AdversarySpec, build_scenario, droptail_spec
+from repro.net import MBPS
 
 
 def run_face_off():
-    scenario = build_scenario(droptail_spec(tau=2.0))
-    net, chi = scenario.network, scenario.chi
+    # From 50 s r drops tcp1 while its queue is 90% full.
+    scenario = build_scenario(droptail_spec(tau=2.0, adversary=AdversarySpec(
+        "queue-drop", options={"flows": ["tcp1"], "fill_threshold": 0.90})))
+    net, chi, attack = scenario.network, scenario.chi, scenario.attack
     # χ takes its tap's records every round; ZHANG reads the whole trace
     # afterwards, so it gets a tap of its own on the same queue.
     tap = QueueTap(net, chi.oracle, *scenario.target)
@@ -23,10 +25,6 @@ def run_face_off():
     net.run(20.0)
     chi.calibrate(scenario.target)
     chi.schedule_rounds(10, 44)
-    net.run(50.0)
-    attack = QueueConditionalDropAttack(["tcp1"], fill_threshold=0.90,
-                                        seed=1)
-    net.routers["r"].compromise = attack
     net.run(110.0)
 
     zhang = ZhangDetector(bandwidth=1 * MBPS, queue_limit=60_000, tau=2.0)

@@ -11,13 +11,14 @@ is 90% full* — the attack crafted to hide inside congestion (Fig 6.7).
 Run:  python examples/congestion_vs_malice.py
 """
 
-from repro.eval import build_scenario, droptail_spec
-from repro.net import QueueConditionalDropAttack
+from repro.eval import AdversarySpec, build_scenario, droptail_spec
 
 
 def main() -> None:
-    scenario = build_scenario(droptail_spec(tau=2.0))
-    network, chi = scenario.network, scenario.chi
+    # From 50 s the bottleneck router drops tcp1 while its queue is 90% full.
+    scenario = build_scenario(droptail_spec(tau=2.0, adversary=AdversarySpec(
+        "queue-drop", options={"flows": ["tcp1"], "fill_threshold": 0.90})))
+    network, chi, attack = scenario.network, scenario.chi, scenario.attack
 
     # Learning period (attack-free): fit the q_error model (µ, σ).
     network.run(20.0)
@@ -25,10 +26,7 @@ def main() -> None:
     print(f"learned q_error model: mu={mu:.0f} B, sigma={sigma:.0f} B")
 
     chi.schedule_rounds(10, 44)
-    network.run(50.0)  # pure congestion
-    attack = QueueConditionalDropAttack(["tcp1"], fill_threshold=0.90, seed=1)
-    network.routers["r"].compromise = attack
-    network.run(110.0)
+    network.run(110.0)  # pure congestion, then the attack from 50 s
 
     print(f"{'round':>5} {'drops':>5} {'cong.':>5} {'candidates':>10} "
           f"{'confidence':>10} alarm")

@@ -11,20 +11,18 @@ faced, and flags the selected flows whose losses outrun their math.
 Run:  python examples/red_stealth_attack.py
 """
 
-from repro.eval import build_scenario, red_spec
-from repro.net import REDAverageConditionalDropAttack
+from repro.eval import AdversarySpec, build_scenario, red_spec
 
 
 def main() -> None:
-    scenario = build_scenario(red_spec(tau=5.0))
-    network, chi = scenario.network, scenario.chi
+    # From 50 s the bottleneck router drops tcp1 and tcp2 while the RED
+    # average queue exceeds 45,000 bytes.
+    scenario = build_scenario(red_spec(tau=5.0, adversary=AdversarySpec(
+        "red-avg-drop", options={"flows": ["tcp1", "tcp2"],
+                                 "avg_threshold": 45_000})))
+    network, chi, attack = scenario.network, scenario.chi, scenario.attack
     chi.schedule_rounds(1, 59)
-
-    network.run(50.0)  # RED-only losses
-    attack = REDAverageConditionalDropAttack(
-        ["tcp1", "tcp2"], avg_threshold=45_000, seed=1)
-    network.routers["r"].compromise = attack
-    network.run(300.0)
+    network.run(300.0)  # RED-only losses, then the attack from 50 s
 
     queue = scenario.bottleneck_queue
     print(f"RED queue dropped {queue.drops} packets itself; the attacker "

@@ -129,10 +129,12 @@ class RoundDetector:
 
         The evidence is reliably broadcast, so every correct router in
         the network converges on the same detections (strong
-        completeness).  A compromised origin stays silent.
+        completeness).  An origin whose compromise is active stays silent.
         """
+        now = self.network.sim.now
         for origin in origins:
-            if self.network.routers[origin].compromise is not None:
+            compromise = self.network.routers[origin].compromise
+            if compromise is not None and compromise.active_at(now):
                 continue
             self.states[origin].suspect(suspicion)
             robust_flood(self.network, origin, suspicion,

@@ -146,11 +146,13 @@ class ProtocolPiK2(RoundDetector):
     def _validate_exchange(self, segment: PathSegment, round_index: int,
                            remote) -> None:
         sink = segment[-1]
-        # A compromised sink is a faulty *validator*: it simply stays
-        # silent.  This is why AdjacentFault(k) forces monitored segments
+        # A sink whose compromise is active is a faulty *validator*: it
+        # simply stays silent.  This is why AdjacentFault(k) forces monitored segments
         # of length k+2 — only then is some segment spanning the faulty
         # run guaranteed two correct ends (§5.2, Appendix B).
-        if self.network.routers[sink].compromise is not None:
+        compromise = self.network.routers[sink].compromise
+        if compromise is not None and compromise.active_at(
+                self.network.sim.now):
             return
         if remote is None:
             self._suspect(segment, round_index, "summary exchange timed out")

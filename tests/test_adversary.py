@@ -95,6 +95,8 @@ class TestDropAttacks:
         got = run_flow(net)  # runs during [0, 5]
         assert len(got) == 50
         assert attack.dropped == []
+        assert [attack.active_at(t) for t in (9.9, 10.0, 20.0, 20.1)] == [
+            False, True, True, False]
 
     def test_syn_drop_only_matches_syns(self):
         net = make_net()

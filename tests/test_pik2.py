@@ -128,6 +128,24 @@ class TestTrafficFaults:
         assert report.total_suspicions > 0
         assert report.accurate
 
+    def test_dormant_neighbour_still_validates_and_announces(self):
+        # r4 is the sink of (r2, r3, r4); a compromise that has not
+        # started yet leaves it a correct validator, so an attack built
+        # dormant at set-up equals one installed when it starts.
+        def suspicions(dormant):
+            net, protocol = build(k=1)
+            net.routers["r3"].compromise = DropFlowAttack(
+                ["f1"], fraction=0.4, seed=1)
+            if dormant:
+                net.routers["r4"].compromise = DropFlowAttack(
+                    ["f1"]).activate_between(100.0)
+            drive(net)
+            return sorted((router, s.segment, s.interval)
+                          for router, state in protocol.states.items()
+                          for s in state.suspicions)
+
+        assert suspicions(dormant=True) == suspicions(dormant=False) != []
+
     def test_precision_is_k_plus_2(self):
         net, protocol = build(k=1)
         net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.4,
