@@ -30,13 +30,16 @@ Start-up is pay-for-what-you-run: a command imports its own module
 (``COMMANDS`` below is the only list of commands, and ``main`` imports
 the selected one's module and no other), the runtime imports no
 third-party package, and process pools are imported where one is
-started, not at module top.  The same holds inside packages: the experiment registry and the
-``repro.eval`` / ``repro.obs`` surfaces import no simulator code, so
-``list``, ``merge`` and a sweep whose cells are all cached load nothing
-under ``repro.net``, ``core``, ``crypto``, ``dist`` or ``baselines``;
-an experiment imports those when it runs.  ``tests/test_main_cli.py``'s
-import-budget test is the contract: a new subcommand is a row in
-``COMMANDS``, never an import in ``main``.
+started, not at module top.  The same holds inside packages: the
+``repro.eval`` / ``repro.obs`` / ``repro.sweep`` surfaces import no
+simulator code, and a registry lookup builds only the experiment it
+names, so ``list``, ``merge`` and a sweep whose cells are all cached
+load nothing under ``repro.net``, ``core``, ``crypto``, ``dist`` or
+``baselines``, and a warm ``sweep pik2_bench`` loads neither the other
+experiments nor the scenario specs; an experiment imports what it
+simulates when it runs.  ``tests/test_main_cli.py``'s import-budget
+test is the contract: a new subcommand is a row in ``COMMANDS``, never
+an import in ``main``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """PEP 562 lazy exports for the packages that import nothing at their top.
 
-``repro.eval`` and ``repro.obs`` call :func:`lazy_exports` once instead
-of importing their re-exports, so each ``__all__`` name's submodule is
-imported on first access (``from repro.obs import recorder`` loads the
-recorder, not the trace analytics beside it).  Which names are the
+``repro.eval``, ``repro.obs`` and ``repro.sweep`` call :func:`lazy_exports`
+once instead of importing their re-exports, so each ``__all__`` name's
+submodule is imported on first access (``from repro.obs import recorder``
+loads the recorder, not the trace analytics beside it).  Which names are the
 supported surface is decided by each package's ``__all__`` and enforced
 by the ``API001`` lint rule, not here.
 """

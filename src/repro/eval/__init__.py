@@ -11,8 +11,11 @@ figures are rows of ``experiments.TESTBED_ROWS`` over one runner.
 Only ``scenarios`` imports the simulator at its top; the registry,
 specs, results and metrics are metadata, and an experiment imports what
 it simulates when it runs.  Each name below is imported from its
-submodule on first access, so looking an experiment up (``repro list``,
-a warm ``repro sweep``) loads no simulator code.
+submodule on first access, and the registry builds an experiment when
+it is first looked up, so looking one up loads its own module and no
+simulator code: a warm ``repro sweep pik2_bench`` loads the registry
+and the chain benches, not ``experiments`` or ``specs`` (``repro list``
+builds them all).
 
 The supported surface is exactly ``__all__``.  The ``experiments`` and
 ``registry`` submodules are part of that promise (they are how sweeps

@@ -9,10 +9,13 @@ name, result label, :class:`~repro.eval.specs.ScenarioSpec`, exposed
 flat parameters), all run by :func:`run_testbed`.  Benches, tests and
 examples address experiments through :mod:`repro.eval.registry`.
 
-The registry holds these functions (it derives each parameter table from
-a signature), so this module imports no simulator code at its top: a
-function imports the simulator, detectors and baselines it runs, when it
-runs.
+The registry imports this module when one of its experiments is first
+looked up (it derives each parameter table from a signature), so the
+module imports no simulator code at its top: a function imports the
+simulator, detectors and baselines it runs, when it runs, and
+:data:`TESTBED_ROWS` is built when first read.  Appendix B's chain runs
+(``pi2_bench``, ``pik2_bench``) live in :mod:`repro.eval.benches`, which
+a sweep of them loads instead of this module; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -21,6 +24,12 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.eval.benches import (  # noqa: F401 - Appendix B's chain runs
+    ProtocolBenchResult,
+    _run_protocol_bench,
+    pi2_bench,
+    pik2_bench,
+)
 from repro.eval.metrics import DetectionMetrics, score_round_findings
 from repro.eval.results import EvalResultBase
 from repro.eval.specs import (
@@ -398,66 +407,78 @@ def _red_avg(avg_threshold: int, rate: float = 1.0,
                    avg_threshold=avg_threshold, **options)
 
 
-_SYN_DROP = AdversarySpec("syn-drop", options={"victim": "vsink"})
-_LOAD = ("seed", "tau", "n_sources")
+def _testbed_rows() -> Tuple[TestbedRow, ...]:
+    """The χ experiments, in ``repro list`` order (see ``__getattr__``)."""
+    syn_drop = AdversarySpec("syn-drop", options={"victim": "vsink"})
+    load = ("seed", "tau", "n_sources")
+    return (
+        TestbedRow("fig6_5", "no-attack", "Fig 6.5: droptail, pure congestion",
+                   _droptail(), load),
+        TestbedRow("fig6_6", "attack1-drop20pct",
+                   "Fig 6.6: drop 20% of the selected flow",
+                   _droptail(_attack("drop", 0.2)),
+                   ("seed", "fraction", "tau", "n_sources")),
+        # Fig 6.6 on two sources (~2 s a run): a traced, profiled sweep of it
+        # fits a CI smoke job and still goes attack -> monitor -> detect.
+        TestbedRow("chi", "chi-bench",
+                   "bench: small, fast χ detection scenario "
+                   "(CI smoke / profiling)",
+                   _droptail(_attack("drop", 0.2), n_sources=2),
+                   ("seed", "fraction", "tau", "n_sources")),
+        TestbedRow("tcp_heavy", "tcp-heavy",
+                   "bench: TCP-heavy droptail congestion, no attack",
+                   _droptail(n_sources=6, with_connector=True),
+                   ("seed", "n_sources", "tau")),
+        TestbedRow("adversary_heavy", "adversary-heavy",
+                   "bench: RED with combined conditional-drop + SYN-drop "
+                   "adversary",
+                   _red(_red_avg(45_000, also={
+                            "behavior": "syn-drop",
+                            "options": {"victim": "vsink", "seed_offset": 2}}),
+                        end=200.0, with_connector=True),
+                   ("seed", "n_sources", "avg_threshold")),
+        TestbedRow("fig6_7", "attack2-queue90",
+                   "Fig 6.7: drop selected flow at queue 90%",
+                   _droptail(_attack("queue-drop", fill_threshold=0.90)),
+                   ("seed", "fill_threshold", "tau", "n_sources")),
+        TestbedRow("fig6_8", "attack3-queue95",
+                   "Fig 6.8: drop selected flow at queue 95%",
+                   _droptail(_attack("queue-drop", fill_threshold=0.95)),
+                   ("seed", "fill_threshold", "tau", "n_sources")),
+        TestbedRow("fig6_9", "attack4-syn",
+                   "Fig 6.9: SYN-drop a connecting host",
+                   _droptail(syn_drop, with_connector=True), load),
+        TestbedRow("fig6_11", "red-no-attack", "Fig 6.11: RED, no attack",
+                   _red(), load),
+        TestbedRow("fig6_12", "red-attack1-45k",
+                   "Fig 6.12: RED drop above 45,000 bytes",
+                   _red(_red_avg(45_000)),
+                   ("seed", "avg_threshold", "n_sources")),
+        TestbedRow("fig6_13", "red-attack2-54k",
+                   "Fig 6.13: RED drop above 54,000 bytes",
+                   _red(_red_avg(54_000), end=600.0, n_sources=12),
+                   ("seed", "avg_threshold", "n_sources")),
+        TestbedRow("fig6_14", "red-attack3-10pct",
+                   "Fig 6.14: RED drop 10% above 45,000 bytes",
+                   _red(_red_avg(45_000, 0.10), end=500.0),
+                   ("seed", "fraction", "avg_threshold")),
+        TestbedRow("fig6_15", "red-attack4-5pct",
+                   "Fig 6.15: RED drop 5% above 45,000 bytes",
+                   _red(_red_avg(45_000, 0.05), end=700.0),
+                   ("seed", "fraction", "avg_threshold")),
+        TestbedRow("fig6_16", "red-attack5-syn", "Fig 6.16: RED SYN-drop",
+                   _red(syn_drop, with_connector=True), ("seed",)),
+    )
 
-TESTBED_ROWS: Tuple[TestbedRow, ...] = (
-    TestbedRow("fig6_5", "no-attack", "Fig 6.5: droptail, pure congestion",
-               _droptail(), _LOAD),
-    TestbedRow("fig6_6", "attack1-drop20pct",
-               "Fig 6.6: drop 20% of the selected flow",
-               _droptail(_attack("drop", 0.2)),
-               ("seed", "fraction", "tau", "n_sources")),
-    # Fig 6.6 on two sources (~2 s a run): a traced, profiled sweep of it
-    # fits a CI smoke job and still goes attack -> monitor -> detect.
-    TestbedRow("chi", "chi-bench",
-               "bench: small, fast χ detection scenario "
-               "(CI smoke / profiling)",
-               _droptail(_attack("drop", 0.2), n_sources=2),
-               ("seed", "fraction", "tau", "n_sources")),
-    TestbedRow("tcp_heavy", "tcp-heavy",
-               "bench: TCP-heavy droptail congestion, no attack",
-               _droptail(n_sources=6, with_connector=True),
-               ("seed", "n_sources", "tau")),
-    TestbedRow("adversary_heavy", "adversary-heavy",
-               "bench: RED with combined conditional-drop + SYN-drop "
-               "adversary",
-               _red(_red_avg(45_000, also={
-                        "behavior": "syn-drop",
-                        "options": {"victim": "vsink", "seed_offset": 2}}),
-                    end=200.0, with_connector=True),
-               ("seed", "n_sources", "avg_threshold")),
-    TestbedRow("fig6_7", "attack2-queue90",
-               "Fig 6.7: drop selected flow at queue 90%",
-               _droptail(_attack("queue-drop", fill_threshold=0.90)),
-               ("seed", "fill_threshold", "tau", "n_sources")),
-    TestbedRow("fig6_8", "attack3-queue95",
-               "Fig 6.8: drop selected flow at queue 95%",
-               _droptail(_attack("queue-drop", fill_threshold=0.95)),
-               ("seed", "fill_threshold", "tau", "n_sources")),
-    TestbedRow("fig6_9", "attack4-syn", "Fig 6.9: SYN-drop a connecting host",
-               _droptail(_SYN_DROP, with_connector=True), _LOAD),
-    TestbedRow("fig6_11", "red-no-attack", "Fig 6.11: RED, no attack",
-               _red(), _LOAD),
-    TestbedRow("fig6_12", "red-attack1-45k",
-               "Fig 6.12: RED drop above 45,000 bytes",
-               _red(_red_avg(45_000)),
-               ("seed", "avg_threshold", "n_sources")),
-    TestbedRow("fig6_13", "red-attack2-54k",
-               "Fig 6.13: RED drop above 54,000 bytes",
-               _red(_red_avg(54_000), end=600.0, n_sources=12),
-               ("seed", "avg_threshold", "n_sources")),
-    TestbedRow("fig6_14", "red-attack3-10pct",
-               "Fig 6.14: RED drop 10% above 45,000 bytes",
-               _red(_red_avg(45_000, 0.10), end=500.0),
-               ("seed", "fraction", "avg_threshold")),
-    TestbedRow("fig6_15", "red-attack4-5pct",
-               "Fig 6.15: RED drop 5% above 45,000 bytes",
-               _red(_red_avg(45_000, 0.05), end=700.0),
-               ("seed", "fraction", "avg_threshold")),
-    TestbedRow("fig6_16", "red-attack5-syn", "Fig 6.16: RED SYN-drop",
-               _red(_SYN_DROP, with_connector=True), ("seed",)),
-)
+
+def __getattr__(name: str) -> object:
+    # TESTBED_ROWS holds a ScenarioSpec per row: they are built when it is
+    # first read (the registry's χ rows, tests), not by every import of
+    # this module for one of its other experiments.
+    if name == "TESTBED_ROWS":
+        rows = globals()[name] = _testbed_rows()
+        return rows
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -559,80 +580,6 @@ def chi_vs_static_threshold(
         attack_mean_losses=(sum(attack_round_losses) / len(attack_round_losses)
                             if attack_round_losses else 0.0),
     )
-
-
-# ---------------------------------------------------------------------------
-# Packet-plane protocol benches — Π2 / Πk+2
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ProtocolBenchResult(EvalResultBase):
-    """Result of a seeded packet-plane protocol run (Π2 / Πk+2).
-
-    Unlike the analytic ``fig5_2``/``fig5_4`` path-enumeration curves,
-    these runs drive the full simulator — sources, queues, monitor taps,
-    summary exchange and detector — so they double as sweepable golden
-    workloads for the bench suite.
-    """
-
-    name: str
-    protocol: str  # "pi2" | "pik2"
-    bad_router: str
-    total_suspicions: int
-    accurate: bool
-    complete: bool
-    precision: int
-    sim_events: int
-    extra: Dict[str, float] = field(default_factory=dict)
-
-
-def _run_protocol_bench(name: str, protocol_name: str, seed: int,
-                        bad_router: str, fraction: float,
-                        rate_bps: int) -> ProtocolBenchResult:
-    """Appendix B's chain run: r1 <-> r6 across a dropping ``bad_router``."""
-    from repro.core import accuracy_report, completeness_report
-    from repro.eval.scenarios import build_scenario
-    from repro.net import MBPS
-
-    scenario = build_scenario(ScenarioSpec(
-        topology={"name": "line", "options": {
-            "n": 6, "bandwidth": 10 * MBPS, "delay": 0.001}},
-        adversary={"behavior": "drop", "rate": fraction},
-        placement={"strategy": "fixed", "router": bad_router},
-        traffic={"rate_bps": rate_bps},
-        detector=protocol_name, seed=seed,
-        options={"endpoints": [["r1", "r6"], ["r6", "r1"]],
-                 "attack_at": 0.0})).run()
-    protocol = scenario.protocol
-    acc = accuracy_report(protocol.states, {bad_router},
-                          max_precision=protocol.precision)
-    comp = completeness_report(protocol.states, {bad_router})
-    return ProtocolBenchResult(
-        name=name,
-        protocol=protocol_name,
-        bad_router=bad_router,
-        total_suspicions=acc.total_suspicions,
-        accurate=acc.accurate,
-        complete=comp.complete,
-        precision=acc.precision,
-        sim_events=scenario.network.sim.events_dispatched,
-    )
-
-
-def pi2_bench(seed: int = 0, bad_router: str = "r3",
-              fraction: float = 0.5,
-              rate_bps: int = 600_000) -> ProtocolBenchResult:
-    """Seeded Π2 packet-plane run on a 6-router chain (Appendix B)."""
-    return _run_protocol_bench("pi2-bench", "pi2", seed, bad_router,
-                               fraction, rate_bps)
-
-
-def pik2_bench(seed: int = 0, bad_router: str = "r3",
-               fraction: float = 0.5,
-               rate_bps: int = 600_000) -> ProtocolBenchResult:
-    """Seeded Πk+2 packet-plane run on a 6-router chain (Appendix B)."""
-    return _run_protocol_bench("pik2-bench", "pik2", seed, bad_router,
-                               fraction, rate_bps)
 
 
 # ---------------------------------------------------------------------------

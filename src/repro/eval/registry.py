@@ -13,25 +13,30 @@ unless declared explicitly.  CLI ``--param``/``--grid`` values are
 coerced and validated against that table **before** any worker starts,
 so a typo'd parameter fails in milliseconds with an actionable message
 instead of deep inside a process pool.
+
+The built-in experiments are one ordered table of rows naming their
+function as a ``module:function`` target, and a row becomes a spec the
+first time :func:`get` asks for it: looking ``pik2_bench`` up imports
+its one module, not :mod:`repro.eval.experiments` nor the scenario
+specs.  The χ testbed's rows are built together, from
+``experiments.TESTBED_ROWS``.  :func:`names`, :func:`registry` and a
+failed :func:`get` build every row, in the table's order, followed by
+whatever :func:`register` added.
 """
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, fields as dataclass_fields, replace
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from operator import methodcaller
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    NamedTuple, Optional, Tuple, Union)
 
 from repro._params import fold_dotted_params
-from repro.eval import experiments as ex
-from repro.eval.specs import (
-    AdversarySpec,
-    BEHAVIORS,
-    PLACEMENT_STRATEGIES,
-    PlacementSpec,
-    TRAFFIC_KINDS,
-    TrafficSpec,
-    topology_names,
-)
+
+if TYPE_CHECKING:
+    from repro.eval.experiments import BaselineDemo
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +129,10 @@ def report_modeling(m) -> List[str]:
             f"rel err {m.relative_error:.2f}"]
 
 
-def baseline_demos() -> List[ex.BaselineDemo]:
+def baseline_demos() -> List[BaselineDemo]:
     """The Ch. 3 baseline flaw demonstrations, bundled as one experiment."""
+    from repro.eval import experiments as ex
+
     return [ex.watchers_flaw_demo(), ex.perlman_collusion_demo(),
             ex.sectrace_framing_demo(), ex.awerbuch_localization_demo()]
 
@@ -361,7 +368,128 @@ class ExperimentSpec:
         return self.reporter(result)
 
 
-_REGISTRY: Dict[str, ExperimentSpec] = {}
+class _Row(NamedTuple):
+    """One built-in experiment, held as names until it is looked up."""
+
+    target: str  # "module:function" of the experiment
+    reporter: Callable[[object], List[str]]
+    description: str
+    defaults: Tuple[Tuple[str, object], ...] = ()
+    #: Declared ParamSpecs, or a function returning them when they are
+    #: read off a module the row should not import until it is built.
+    params: Union[Tuple[ParamSpec, ...],
+                  Callable[[], Tuple[ParamSpec, ...]]] = ()
+
+
+#: The χ testbed rows' place in the table: all of them are built from
+#: this ``module:name`` (one TestbedRow each) the first time one is.
+_TESTBED = "repro.eval.experiments:TESTBED_ROWS"
+
+#: The chain runs plant their adversary on a transit router: an interior one.
+_CHAIN_BAD_ROUTER = ParamSpec("bad_router", str, "r3",
+                              choices=("r2", "r3", "r4", "r5"))
+
+
+def _attack_matrix_params() -> Tuple[ParamSpec, ...]:
+    """attack_matrix's nested tables, read off the spec dataclasses."""
+    from repro.eval.specs import (AdversarySpec, BEHAVIORS,
+                                  PLACEMENT_STRATEGIES, PlacementSpec,
+                                  TRAFFIC_KINDS, TrafficSpec, topology_names)
+
+    return (
+        ParamSpec("topology", str, "abilene",
+                  choices=tuple(n for n in topology_names()
+                                if n != "simple")),
+        ParamSpec("adversary", None, None, fields=params_from_fields(
+            AdversarySpec, behavior=BEHAVIORS,
+            targeting=("flows", "all"))),
+        ParamSpec("placement", None, None, fields=params_from_fields(
+            PlacementSpec, strategy=PLACEMENT_STRATEGIES)),
+        ParamSpec("traffic", None, None, fields=params_from_fields(
+            TrafficSpec, kind=TRAFFIC_KINDS)),
+        ParamSpec("detector", str, "pi2", choices=("pi2", "pik2")),
+    )
+
+
+#: Every built-in experiment, in ``repro list`` order.
+_ROWS: Dict[str, Union[_Row, str]] = {
+    "fig5_2": _Row("repro.eval.experiments:fig5_2_pr_pi2", report_pr_curve,
+                   "Fig 5.2: segments monitored per router, Π2",
+                   defaults=(("topology", "ebone"),)),
+    "fig5_4": _Row("repro.eval.experiments:fig5_4_pr_pik2", report_pr_curve,
+                   "Fig 5.4: segments monitored per router, Πk+2",
+                   defaults=(("topology", "ebone"),)),
+    "overhead": _Row("repro.eval.experiments:state_overhead",
+                     methodcaller("rows"),
+                     "§5.1.1/§5.2.1: counter state vs WATCHERS"),
+    "fig5_7": _Row("repro.eval.experiments:fig5_7_fatih", report_fatih,
+                   "Fig 5.7: Fatih attack/detect/reroute timeline"),
+    "fig6_3": _Row("repro.eval.experiments:fig6_3_ns_simulation",
+                   report_ns_points,
+                   "Fig 6.3: χ detection across attack rates"),
+    "fig6_5": _TESTBED,
+    "fig6_6": _TESTBED,
+    "chi": _TESTBED,
+    "pi2_bench": _Row("repro.eval.benches:pi2_bench", report_protocol_bench,
+                      "bench: Π2 packet-plane run, 6-router chain",
+                      params=(_CHAIN_BAD_ROUTER,)),
+    "pik2_bench": _Row("repro.eval.benches:pik2_bench",
+                       report_protocol_bench,
+                       "bench: Πk+2 packet-plane run, 6-router chain",
+                       params=(_CHAIN_BAD_ROUTER,)),
+    **dict.fromkeys(("tcp_heavy", "adversary_heavy", "fig6_7", "fig6_8",
+                     "fig6_9", "fig6_11", "fig6_12", "fig6_13", "fig6_14",
+                     "fig6_15", "fig6_16"), _TESTBED),
+    "threshold": _Row("repro.eval.experiments:chi_vs_static_threshold",
+                      report_threshold,
+                      "§6.4.3: χ vs static loss thresholds"),
+    "response": _Row("repro.eval.experiments:response_strategy_ablation",
+                     report_response,
+                     "§2.4.3: segment vs router removal"),
+    "baselines": _Row("repro.eval.registry:baseline_demos", report_baselines,
+                      "Ch. 3 baseline flaw demonstrations"),
+    "modeling": _Row("repro.eval.experiments:traffic_modeling_comparison",
+                     report_modeling,
+                     "§6.1.2: Appenzeller model vs simulation"),
+    "attack_matrix": _Row(
+        "repro.eval.experiments:attack_matrix", report_attack_matrix,
+        "WedgeTail-style attack-matrix cell: Π2 detection scored over "
+        "topology x placement x behavior x rate",
+        params=_attack_matrix_params),
+}
+
+#: name -> its spec, or None for a built-in row not built yet.
+_REGISTRY: Dict[str, Optional[ExperimentSpec]] = dict.fromkeys(_ROWS)
+
+
+def _resolve(target: str) -> Any:
+    """The object a ``module:name`` target names, importing its module."""
+    module, _, name = target.partition(":")
+    return getattr(importlib.import_module(module), name)
+
+
+def _build(name: str) -> ExperimentSpec:
+    """Build built-in row ``name`` (its whole group, for a testbed row)."""
+    row = _ROWS[name]
+    if isinstance(row, str):
+        # One spec per χ testbed row: the row's bound ``run`` takes the
+        # flat parameters the row exposes and maps them onto its spec.
+        for testbed in _resolve(row):
+            if testbed.name in _REGISTRY and _REGISTRY[testbed.name] is None:
+                _REGISTRY[testbed.name] = ExperimentSpec(
+                    testbed.name, testbed.run, report_scenario,
+                    description=testbed.description,
+                    params=tuple(ParamSpec(*param)
+                                 for param in testbed.params))
+    else:
+        _REGISTRY[name] = ExperimentSpec(
+            name, _resolve(row.target), row.reporter, defaults=row.defaults,
+            description=row.description,
+            params=row.params() if callable(row.params) else row.params)
+    spec = _REGISTRY[name]
+    if spec is None:
+        raise LookupError(f"{row} has no row named {name!r}")
+    return spec
 
 
 def register(spec: ExperimentSpec) -> ExperimentSpec:
@@ -374,90 +502,26 @@ def unregister(name: str) -> None:
 
 
 def names() -> List[str]:
-    return list(_REGISTRY)
+    return list(registry())
 
 
 def get(name: str) -> ExperimentSpec:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; available: "
-            f"{', '.join(_REGISTRY)}") from None
+    spec = _REGISTRY.get(name)
+    if spec is not None:
+        return spec
+    if name in _REGISTRY:
+        return _build(name)
+    raise KeyError(f"unknown experiment {name!r}; available: "
+                   f"{', '.join(names())}")
 
 
 def registry() -> Dict[str, ExperimentSpec]:
-    return dict(_REGISTRY)
+    return {name: get(name) for name in list(_REGISTRY)}
 
 
 def run_experiment(name: str, params: Mapping[str, object] = {}) -> object:
     """Look an experiment up by name and run it — the worker entry point."""
     return get(name).run(**dict(params))
-
-
-#: One spec per row of the χ testbed table: the row's bound ``run`` takes
-#: the flat parameters the row exposes and maps them onto its ScenarioSpec.
-_TESTBED = [
-    ExperimentSpec(_row.name, _row.run, report_scenario,
-                   description=_row.description,
-                   params=tuple(ParamSpec(*_param) for _param in _row.params))
-    for _row in ex.TESTBED_ROWS
-]
-
-#: The chain runs plant their adversary on a transit router: an interior one.
-_CHAIN_BAD_ROUTER = ParamSpec("bad_router", str, "r3",
-                              choices=("r2", "r3", "r4", "r5"))
-
-for _spec in (
-    ExperimentSpec("fig5_2", ex.fig5_2_pr_pi2, report_pr_curve,
-                   defaults=(("topology", "ebone"),),
-                   description="Fig 5.2: segments monitored per router, Π2"),
-    ExperimentSpec("fig5_4", ex.fig5_4_pr_pik2, report_pr_curve,
-                   defaults=(("topology", "ebone"),),
-                   description="Fig 5.4: segments monitored per router, Πk+2"),
-    ExperimentSpec("overhead", ex.state_overhead,
-                   ex.StateOverheadResult.rows,
-                   description="§5.1.1/§5.2.1: counter state vs WATCHERS"),
-    ExperimentSpec("fig5_7", ex.fig5_7_fatih, report_fatih,
-                   description="Fig 5.7: Fatih attack/detect/reroute timeline"),
-    ExperimentSpec("fig6_3", ex.fig6_3_ns_simulation, report_ns_points,
-                   description="Fig 6.3: χ detection across attack rates"),
-    *_TESTBED[:3],  # fig6_5, fig6_6, chi: `repro list` keeps its order
-    ExperimentSpec("pi2_bench", ex.pi2_bench, report_protocol_bench,
-                   description="bench: Π2 packet-plane run, 6-router chain",
-                   params=(_CHAIN_BAD_ROUTER,)),
-    ExperimentSpec("pik2_bench", ex.pik2_bench, report_protocol_bench,
-                   description="bench: Πk+2 packet-plane run, 6-router chain",
-                   params=(_CHAIN_BAD_ROUTER,)),
-    *_TESTBED[3:],
-    ExperimentSpec("threshold", ex.chi_vs_static_threshold, report_threshold,
-                   description="§6.4.3: χ vs static loss thresholds"),
-    ExperimentSpec("response", ex.response_strategy_ablation, report_response,
-                   description="§2.4.3: segment vs router removal"),
-    ExperimentSpec("baselines", baseline_demos, report_baselines,
-                   description="Ch. 3 baseline flaw demonstrations"),
-    ExperimentSpec("modeling", ex.traffic_modeling_comparison,
-                   report_modeling,
-                   description="§6.1.2: Appenzeller model vs simulation"),
-    ExperimentSpec(
-        "attack_matrix", ex.attack_matrix, report_attack_matrix,
-        description="WedgeTail-style attack-matrix cell: Π2 detection "
-                    "scored over topology x placement x behavior x rate",
-        params=(
-            ParamSpec("topology", str, "abilene",
-                      choices=tuple(n for n in topology_names()
-                                    if n != "simple")),
-            ParamSpec("adversary", None, None, fields=params_from_fields(
-                AdversarySpec, behavior=BEHAVIORS,
-                targeting=("flows", "all"))),
-            ParamSpec("placement", None, None, fields=params_from_fields(
-                PlacementSpec, strategy=PLACEMENT_STRATEGIES)),
-            ParamSpec("traffic", None, None, fields=params_from_fields(
-                TrafficSpec, kind=TRAFFIC_KINDS)),
-            ParamSpec("detector", str, "pi2", choices=("pi2", "pik2")),
-        )),
-):
-    register(_spec)
 
 
 def _load_plugins() -> None:

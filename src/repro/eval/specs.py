@@ -556,8 +556,8 @@ class ScenarioSpec(_SpecDict):
 
     ``detector`` picks the builder: χ runs on ``simple`` only, Π2, Πk+2
     and Fatih only elsewhere (rejected here otherwise, as are a droptail
-    χ attack inside χ's learning period and a Fatih run that ends before
-    :data:`FATIH_TRAFFIC_AT`).  ``rounds`` is
+    χ attack inside χ's learning period and a Fatih run that ends, or
+    attacks, before :data:`FATIH_TRAFFIC_AT`).  ``rounds`` is
     the last monitored round.  ``options`` are read by the builders of
     :mod:`repro.eval.scenarios`: ``attack_at``, ``end``, ``endpoints``
     (one ``[src, dst]`` per flow), ``monitor``, ``codec``, ``sampling``,
@@ -628,6 +628,11 @@ class ScenarioSpec(_SpecDict):
         if detector == "fatih" and self.end <= FATIH_TRAFFIC_AT:
             raise ValueError(f"a fatih run ending at {self.end} s carries no "
                              f"traffic: its flows start at {FATIH_TRAFFIC_AT} s")
+        if (detector == "fatih" and self.adversary.behavior != "none"
+                and self.attack_at < FATIH_TRAFFIC_AT):
+            raise ValueError(
+                f"attack_at {self.attack_at} s comes before a fatih run's "
+                f"traffic: its flows start at {FATIH_TRAFFIC_AT} s")
 
     def option(self, key: str, default: object = None) -> object:
         return _lookup(self.options, key, default)
@@ -641,9 +646,12 @@ class ScenarioSpec(_SpecDict):
     @property
     def attack_at(self) -> float:
         """When the adversary activates: the ``attack_at`` option, by
-        default 50 s on the χ testbed and τ (round 1's start) elsewhere.
-        The builders, the trace and :func:`resolve_ground_truth` read it."""
-        return float(self.option("attack_at", self._default("attack_at", self.tau)))
+        default 50 s on the χ testbed, :data:`FATIH_TRAFFIC_AT` under
+        Fatih and τ (round 1's start) elsewhere.  The builders, the trace
+        and :func:`resolve_ground_truth` read it."""
+        routed = FATIH_TRAFFIC_AT if self.detector == "fatih" else self.tau
+        return float(self.option("attack_at",
+                                 self._default("attack_at", routed)))
 
     @property
     def end(self) -> float:

@@ -17,11 +17,11 @@ children), the :class:`SweepResult` it returns, and :func:`merge_sweeps`.
 Everything else (grid expansion, the result cache, the cell engine,
 shard dispatch, artifact writers) is an implementation detail —
 reachable under its submodule for tests and power users, but not part
-of the supported API.
+of the supported API.  Each name is imported from its submodule on first
+access, so a sweep does not load the merge code it never runs.
 """
 
-from repro.sweep.merge import merge_sweeps
-from repro.sweep.runner import SweepConfig, SweepResult, run_sweep
+from repro._surface import lazy_exports as _lazy_exports
 
 __all__ = [
     "SweepConfig",
@@ -29,3 +29,8 @@ __all__ = [
     "merge_sweeps",
     "run_sweep",
 ]
+
+_lazy_exports(globals(), {
+    "merge": ("merge_sweeps",),
+    "runner": ("SweepConfig", "SweepResult", "run_sweep"),
+})

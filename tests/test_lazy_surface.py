@@ -1,10 +1,11 @@
-"""repro.eval and repro.obs resolve their ``__all__`` on first access.
+"""repro.eval, repro.obs and repro.sweep resolve ``__all__`` on first access.
 
 The packages import nothing themselves; each exported name is imported
 from the submodule that defines it when first read.  What must not move:
 ``__all__`` and the identity of every exported object.  Import-order
 cases run in a fresh interpreter, where nothing else has imported the
-submodules yet.
+submodules yet.  So do the registry cases: a lookup builds only the
+experiment it is asked for.
 """
 
 import json
@@ -17,6 +18,7 @@ import pytest
 
 import repro.eval
 import repro.obs
+import repro.sweep
 
 SRC = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -50,6 +52,10 @@ DEFINED_IN = {
         "profile": ("profile",),
         "telemetry": ("telemetry",),
     },
+    "repro.sweep": {
+        "merge": ("merge_sweeps",),
+        "runner": ("SweepConfig", "SweepResult", "run_sweep"),
+    },
 }
 
 #: ``__all__`` as the parent commit's eager packages had it.
@@ -69,8 +75,11 @@ ALL_AT_PARENT = {
         "TraceEvent", "TraceReader", "VerdictReport", "diff_sweeps",
         "explain_router", "explain_sweep", "flow_timeline",
         "merge_snapshots", "recorder", "trace_files"],
+    "repro.sweep": ["SweepConfig", "SweepResult", "merge_sweeps",
+                    "run_sweep"],
 }
-PACKAGES = {"repro.eval": repro.eval, "repro.obs": repro.obs}
+PACKAGES = {"repro.eval": repro.eval, "repro.obs": repro.obs,
+            "repro.sweep": repro.sweep}
 
 
 def fresh(code):
@@ -129,3 +138,68 @@ def test_specs_bandwidth_unit_is_the_simulators():
     from repro.eval.specs import _MBPS
 
     assert _MBPS == repro.net.MBPS
+
+
+#: ``repro list`` order, which a failed lookup lists in full.
+BUILT_IN = [
+    "fig5_2", "fig5_4", "overhead", "fig5_7", "fig6_3", "fig6_5", "fig6_6",
+    "chi", "pi2_bench", "pik2_bench", "tcp_heavy", "adversary_heavy",
+    "fig6_7", "fig6_8", "fig6_9", "fig6_11", "fig6_12", "fig6_13",
+    "fig6_14", "fig6_15", "fig6_16", "threshold", "response", "baselines",
+    "modeling", "attack_matrix"]
+
+
+def test_a_lookup_loads_only_its_experiments_module():
+    loaded = fresh(
+        "import json, sys\n"
+        "from repro.eval import registry\n"
+        "registry.get('pik2_bench')\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('repro.'))))\n")
+    assert loaded == ["repro._params", "repro._surface", "repro.eval",
+                      "repro.eval.benches", "repro.eval.registry",
+                      "repro.eval.results"]
+
+
+def test_only_a_testbed_lookup_builds_the_testbed_specs():
+    built = fresh(
+        "import json\n"
+        "from repro.eval import registry, specs\n"
+        "count = [0]\n"
+        "post_init = specs.ScenarioSpec.__post_init__\n"
+        "def counted(self):\n"
+        "    count[0] += 1\n"
+        "    post_init(self)\n"
+        "specs.ScenarioSpec.__post_init__ = counted\n"
+        "seen = []\n"
+        "for name in %r:\n"
+        "    registry.get(name)\n"
+        "    seen.append(count[0])\n"
+        "print(json.dumps(seen))\n"
+        % (["fig5_2", "overhead", "fig5_7", "fig6_3", "pi2_bench",
+            "threshold", "response", "baselines", "modeling",
+            "attack_matrix", "fig6_5", "fig6_16", "chi"],))
+    # One ScenarioSpec per χ testbed row, all at the first χ lookup.
+    assert built == [0] * 10 + [14] * 3
+
+
+def test_a_failed_lookup_lists_every_experiment():
+    message = fresh(
+        "import json\n"
+        "from repro.eval import registry\n"
+        "try:\n"
+        "    registry.get('nope')\n"
+        "except KeyError as error:\n"
+        "    print(json.dumps(error.args[0]))\n")
+    assert message == ("unknown experiment 'nope'; available: "
+                       + ", ".join(BUILT_IN))
+
+
+def test_a_plugin_registered_first_follows_the_built_in_rows():
+    order = fresh(
+        "import json\n"
+        "from repro.eval import registry\n"
+        "registry.register(registry.ExperimentSpec(\n"
+        "    'plugin', registry.baseline_demos, registry.report_baselines))\n"
+        "print(json.dumps([registry.get('plugin').name, registry.names()]))\n")
+    assert order == ["plugin", BUILT_IN + ["plugin"]]

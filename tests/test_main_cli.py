@@ -254,9 +254,10 @@ def artefacts(tmp_path_factory):
         assert main(["sweep", "pik2_bench", "--seeds", "2", "--jobs", "1",
                      "--no-cache", "--quiet", "--shard", f"{shard}/2",
                      "--out", str(root / f"shard-{shard}")]) == 0
-    assert main(["sweep", "baselines", "--seeds", "1", "--jobs", "1",
-                 "--quiet", "--cache-dir", str(root / "cache"),
-                 "--out", str(root / "cold")]) == 0
+    for name, seeds in (("baselines", "1"), ("pik2_bench", "2")):
+        assert main(["sweep", name, "--seeds", seeds, "--jobs", "1",
+                     "--quiet", "--cache-dir", str(root / "cache"),
+                     "--out", str(root / f"cold-{name}")]) == 0
     return root
 
 
@@ -291,6 +292,18 @@ def _cases():
                                "--shards", "2", "--out", "dispatched"],
                        no_pool, "dispatched 2 shard(s) via subprocess",
                        id="sweep-dispatch-driver")
+    # A lookup builds only the experiment it runs: the chain benches need
+    # neither the other experiments nor the scenario specs.
+    one_experiment = no_pool + ("repro.eval.experiments", "repro.eval.specs",
+                                "repro.sweep.merge")
+    pik2 = ["sweep", "pik2_bench", "--seeds", "2", "--cache-dir", "cache"]
+    yield pytest.param(pik2 + ["--jobs", "2", "--out", "warm-pik2"],
+                       one_experiment, "cache: 2 hits, 0 misses",
+                       id="sweep-warm-pik2_bench")
+    yield pytest.param(pik2 + ["--jobs", "2", "--shard", "0/2",
+                               "--out", "warm-pik2-shard"],
+                       one_experiment, "cache: 1 hits, 0 misses",
+                       id="sweep-warm-pik2_bench-shard")
     not_run = ("repro.analysis", "repro.sweep", "repro.obs.cli", "networkx")
     yield pytest.param(["list"], not_run + SIMULATOR + TRACE_ANALYTICS,
                        "fig6_6", id="list")

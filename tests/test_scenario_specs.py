@@ -518,6 +518,21 @@ class TestDetectorAxis:
         assert [flow.received > 0 for flow in scenario.flows.values()] == [
             True, True]
 
+    def test_fatih_attacks_once_its_traffic_flows(self):
+        # Fatih's flows start once link-state routing has converged; an
+        # attack dated before then would have nothing to drop.
+        spec = ScenarioSpec(topology="line", detector="fatih",
+                            options={"end": 61.0})
+        assert spec.attack_at == FATIH_TRAFFIC_AT
+        assert resolve_ground_truth(spec)["attack_at"] == FATIH_TRAFFIC_AT
+        with pytest.raises(ValueError, match="before a fatih run's traffic"):
+            ScenarioSpec(topology="line", detector="fatih",
+                         options={"attack_at": 5.0, "end": 61.0})
+        # A control cell has no attack to date.
+        ScenarioSpec(topology="line", detector="fatih",
+                     adversary={"behavior": "none"},
+                     options={"attack_at": 5.0, "end": 61.0})
+
     def test_chi_attacks_after_learning(self):
         # A hand-written chi spec attacks when the testbed rows do, after
         # droptail chi's attack-free learning period (20 s).
@@ -545,11 +560,14 @@ class TestDetectorAxis:
 
     @pytest.mark.parametrize("detector", ["pi2", "fatih"])
     def test_one_activation_time(self, detector):
-        # attack_at != tau: the adversary, the scenario, forensics'
-        # resolution and the traced ground truth all say 2.5 s.
+        # attack_at is neither tau nor the detector's default: the
+        # adversary, the scenario, forensics' resolution and the traced
+        # ground truth all say the same time (a Fatih attack comes after
+        # its traffic starts).
+        at = {"pi2": 2.5, "fatih": FATIH_TRAFFIC_AT + 0.5}[detector]
         spec = ScenarioSpec(topology="line", detector=detector,
                             placement={"strategy": "max-betweenness"},
-                            tau=1.0, options={"attack_at": 2.5, "end": 60.0})
+                            tau=1.0, options={"attack_at": at, "end": 60.0})
         scenario = build_scenario(spec)
         sink = MemorySink()
         rec = recorder()
@@ -560,9 +578,9 @@ class TestDetectorAxis:
             rec.disable()
         traced, = [record for record in sink.records
                    if record["event"] == "scenario.ground_truth"]
-        assert scenario.attack.active_from == 2.5
+        assert scenario.attack.active_from == at
         assert (scenario.attack_at == resolve_ground_truth(spec)["attack_at"]
-                == traced["attack_at"] == 2.5)
+                == traced["attack_at"] == at)
         assert (traced["router"] == resolve_ground_truth(spec)["router"]
                 == scenario.adversary_router)
 
