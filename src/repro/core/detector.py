@@ -105,7 +105,10 @@ class RoundDetector:
 
     A subclass defines ``evaluate_round(round_index)``, which runs
     ``settle_delay`` seconds after each round's end: the wait for
-    packets still in flight.
+    packets still in flight.  ``last_round`` is the last round
+    :meth:`schedule_rounds` scheduled (None before it is called); Π2
+    and Πk+2 detach their monitor after reading it, so every round is
+    scheduled before that one is evaluated.
     """
 
     def __init__(self, network, schedule, settle_delay: float,
@@ -118,11 +121,20 @@ class RoundDetector:
         self.states: Dict[str, DetectorState] = {
             name: DetectorState(name) for name in network.topology.routers
         }
+        self.last_round: Optional[int] = None
 
     def schedule_rounds(self, first_round: int, last_round: int) -> None:
         for r in range(first_round, last_round + 1):
             when = self.schedule.round_end(r) + self.settle_delay
             self.network.sim.schedule_at(when, self.evaluate_round, r)
+        if self.last_round is None or last_round > self.last_round:
+            self.last_round = last_round
+
+    def detach(self, tap) -> None:
+        """Take ``tap`` off the network, if it is on it: nothing will
+        read what it would record from now on."""
+        if tap in self.network.taps:
+            self.network.remove_tap(tap)
 
     def announce(self, suspicion: Suspicion, origins: Sequence[str]) -> None:
         """Each correct origin adopts ``suspicion`` and floods it.

@@ -84,8 +84,8 @@ class FatihSystem:
             last_round=max(0, int((until - start) / self.tau) - 1),
             policy=_POLICY, start=start, clock=_CLOCK)
         protocol.on_suspicion = self._on_suspicion
-        if self.protocol is not None:
-            self.network.remove_tap(self.protocol.monitor)
+        # A stopped instance takes its own monitor off the network once
+        # its last conclusions have read it.
         self.protocol = protocol
 
     # -- detection & response ------------------------------------------------------

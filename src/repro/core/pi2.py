@@ -79,8 +79,11 @@ class ProtocolPi2(RoundDetector):
         for segment in self.segments:
             self._evaluate_segment(segment, round_index)
         # Rounds are evaluated in order and every segment has now read
-        # this one: per-round state (§5.1.1) ends with the round.
+        # this one: per-round state (§5.1.1) ends with the round, and
+        # the monitor with the last one.
         self.monitor.drop_rounds_before(round_index + 1)
+        if round_index == self.last_round:
+            self.detach(self.monitor)
 
     def _evaluate_segment(self, segment: PathSegment, round_index: int) -> None:
         members = list(segment)

@@ -362,6 +362,10 @@ class CombinedCompromise(Compromise):
         return super().activate_between(start, end)
 
     def on_forward(self, router, packet, in_nbr, out_nbr, iface) -> ForwardAction:
+        # activate_between gives every part this window: outside it no
+        # part acts, so none is asked.
+        if not self.active_at(router.network.sim.now):
+            return _FORWARD
         for part in self.parts:
             action = part.on_forward(router, packet, in_nbr, out_nbr, iface)
             if action is _FORWARD:  # the shared untouched verdict

@@ -10,7 +10,10 @@ Three cross-cutting hooks make the rest of the library possible:
 * **Monitor taps** observe receive/enqueue/transmit/drop/deliver events.
   The detection protocols' traffic summary generators are taps — they see
   exactly what the paper's in-kernel summary generator would see.  Each
-  hook calls only the taps that define it (see :meth:`Network.add_tap`).
+  hook calls only the taps that define it, and a receive, enqueue or
+  transmit calls a tap that names the links it watches
+  (:meth:`MonitorTap.sites`) only on those links (see
+  :meth:`Network.add_tap`).
 * **Compromise hooks** let an adversary rewrite a router's forwarding
   behaviour (drop/modify/delay/misroute/fabricate), modelling a router
   whose *data plane* is subverted while the simulator stays honest about
@@ -25,7 +28,8 @@ import hashlib
 import itertools
 import random
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.net.events import Simulator
 from repro.net.packet import Packet
@@ -45,6 +49,12 @@ def _stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
 
 
+#: The hooks a tap may subscribe to per link (:meth:`MonitorTap.sites`).
+_SITE_HOOKS = ("on_receive", "on_enqueue", "on_transmit")
+#: Every hook; the last three are always called network-wide.
+_HOOKS = _SITE_HOOKS + ("on_drop", "on_deliver", "on_originate")
+
+
 class MonitorTap:
     """Base class for traffic observers.  Override what you need: a hook
     left as this class's no-op is never called.
@@ -52,6 +62,21 @@ class MonitorTap:
     All times are simulation (true) time; protocols that model clock skew
     translate via :mod:`repro.dist.sync`.
     """
+
+    def sites(self) -> Optional[Iterable[Tuple[str, str, str,
+                                              Callable[..., None]]]]:
+        """The links this tap watches, or None (this default) to have
+        its hooks called everywhere.
+
+        Each row is ``(hook, router, neighbour, fn)``: ``hook`` is
+        ``on_receive`` (the neighbour upstream), ``on_enqueue`` or
+        ``on_transmit`` (the neighbour downstream), and ``fn`` runs
+        there with the hook's arguments.  A tap that names sites is called on no other
+        link; its ``on_drop``/``on_deliver``/``on_originate`` are still
+        called everywhere.  A tap whose sites change calls
+        :meth:`Network.reindex_taps`.
+        """
+        return None
 
     def on_receive(self, router: "Router", from_nbr: str, packet: Packet,
                    time: float) -> None:
@@ -74,6 +99,17 @@ class MonitorTap:
 
     def on_originate(self, router: "Router", packet: Packet, time: float) -> None:
         """Packet injected into the network at its source router."""
+
+
+def _override(tap: Any, hook: str) -> Optional[Callable[..., None]]:
+    """``tap``'s bound ``hook`` method, or None where it has none or it
+    is the :class:`MonitorTap` no-op (so a hook nobody overrides costs
+    no call).  Duck-typed taps (``TraceTap``) need no base class."""
+    method = getattr(tap, hook, None)
+    if method is None or getattr(method, "__func__", None) is getattr(
+            MonitorTap, hook):
+        return None
+    return method
 
 
 # -- adversary interface ----------------------------------------------------
@@ -126,7 +162,11 @@ _DROP = ForwardAction(ForwardAction.DROP)
 
 
 class OutputInterface:
-    """One directed link's queue + transmitter at the sending router."""
+    """One directed link's queue + transmitter at the sending router.
+
+    ``enqueue_taps`` and ``transmit_taps`` are the callables its two
+    hooks run, set by :meth:`Network.reindex_taps`.
+    """
 
     def __init__(self, router: "Router", link: Link, queue) -> None:
         self.router = router
@@ -136,6 +176,8 @@ class OutputInterface:
         self.busy = False
         self.bytes_sent = 0
         self.packets_sent = 0
+        self.enqueue_taps: List[Callable[..., None]] = []
+        self.transmit_taps: List[Callable[..., None]] = []
 
     def enqueue(self, packet: Packet) -> bool:
         """Offer ``packet`` to the queue now; start sending if idle."""
@@ -146,7 +188,7 @@ class OutputInterface:
             for on_drop in net.on_drop:
                 on_drop(self.router, self.neighbor, packet, now, reason, prob)
             return False
-        for on_enqueue in net.on_enqueue:
+        for on_enqueue in self.enqueue_taps:
             on_enqueue(self.router, self.neighbor, packet, now,
                        self.queue.occupancy)
         if not self.busy:
@@ -169,7 +211,7 @@ class OutputInterface:
         now = net.sim.now
         self.bytes_sent += packet.size
         self.packets_sent += 1
-        for on_transmit in net.on_transmit:
+        for on_transmit in self.transmit_taps:
             on_transmit(self.router, self.neighbor, packet, now)
         if self.link.up:
             # After the propagation delay the neighbour receives it.
@@ -209,6 +251,9 @@ class Router:
         self.local_flows: Dict[str, Callable[[Packet, float], None]] = {}
         self.delivered = 0
         self.forwarded = 0
+        # upstream neighbour -> what a receive from it runs: one entry
+        # per link into this router, set by Network.reindex_taps.
+        self.receive_taps: Dict[str, List[Callable[..., None]]] = {}
 
     # -- wiring ------------------------------------------------------------
     def add_interface(self, link: Link, queue) -> None:
@@ -248,7 +293,7 @@ class Router:
 
     def receive(self, packet: Packet, from_nbr: str) -> None:
         now = self.network.sim.now
-        for on_receive in self.network.on_receive:
+        for on_receive in self.receive_taps[from_nbr]:
             on_receive(self, from_nbr, packet, now)
         if packet.dst == self.name:
             self._deliver(packet, now)
@@ -382,7 +427,6 @@ class Network:
             # adds nothing to the per-packet tap loops.
             from repro.obs.trace import TraceTap
             self.taps.append(TraceTap(rec))
-        self._index_taps()
         self.routers: Dict[str, Router] = {}
         self.control_delay = control_delay
         self.seed = seed
@@ -393,6 +437,7 @@ class Network:
                                         seed=seed)
         for link in topology.links():
             self.routers[link.src].add_interface(link, queue_factory(link))
+        self.reindex_taps()
 
     def router(self, name: str) -> Router:
         return self.routers[name]
@@ -400,32 +445,59 @@ class Network:
     def add_tap(self, tap: MonitorTap) -> None:
         """Attach ``tap`` after the others: it sees the next event."""
         self.taps.append(tap)
-        self._index_taps()
+        self.reindex_taps()
 
     def remove_tap(self, tap: MonitorTap) -> None:
         self.taps.remove(tap)
-        self._index_taps()
+        self.reindex_taps()
 
-    def _index_taps(self) -> None:
-        """Rebuild, per hook, the list the routers call: ``on_<hook>``."""
-        self.on_receive = self._subscribers("on_receive")
-        self.on_enqueue = self._subscribers("on_enqueue")
-        self.on_transmit = self._subscribers("on_transmit")
-        self.on_drop = self._subscribers("on_drop")
-        self.on_deliver = self._subscribers("on_deliver")
-        self.on_originate = self._subscribers("on_originate")
+    def reindex_taps(self) -> None:
+        """Rebuild what each hook calls, in ``taps`` order.
 
-    def _subscribers(self, hook: str) -> List[Callable[..., None]]:
-        """The taps' bound ``hook`` methods, in ``taps`` order.
-
-        A tap is listed if it defines ``hook`` and that is not the
-        :class:`MonitorTap` no-op, so a hook nobody overrides costs no
-        call.  Duck-typed taps (``TraceTap``) need no base class.
+        ``on_<hook>`` lists every tap that names no sites and defines
+        the hook.  Each interface's ``enqueue_taps``/``transmit_taps``
+        and each router's ``receive_taps`` entry add, at the sites some
+        tap names, that tap's callables; a site nobody names shares the
+        network-wide list.
         """
-        noop = getattr(MonitorTap, hook)
-        methods = [getattr(tap, hook, None) for tap in self.taps]
-        return [method for method in methods if method is not None
-                and getattr(method, "__func__", None) is not noop]
+        Row = Tuple[int, Callable[..., None]]  # (position in taps, fn)
+        everywhere: Dict[str, List[Row]] = {hook: [] for hook in _HOOKS}
+        named: Dict[Tuple[str, str, str], List[Row]] = {}
+        for order, tap in enumerate(self.taps):
+            sites = getattr(tap, "sites", None)
+            sites = None if sites is None else sites()
+            for hook in _HOOKS:
+                method = _override(tap, hook)
+                if method is not None and (sites is None
+                                           or hook not in _SITE_HOOKS):
+                    everywhere[hook].append((order, method))
+            for hook, router, nbr, fn in sites or ():
+                src, dst = (nbr, router) if hook == "on_receive" else (
+                    router, nbr)
+                if (hook not in _SITE_HOOKS or src not in self.routers
+                        or dst not in self.routers[src].interfaces):
+                    raise ValueError(f"no {hook} site at {router} "
+                                     f"(neighbour {nbr})")
+                named.setdefault((hook, router, nbr), []).append((order, fn))
+        for hook in _HOOKS:
+            setattr(self, hook, [fn for _, fn in everywhere[hook]])
+
+        def at(hook: str, router: str, nbr: str) -> List[Callable[..., None]]:
+            here = named.get((hook, router, nbr))
+            if here is None:
+                return getattr(self, hook)
+            # A stable sort keeps each tap's own rows in their order.
+            return [fn for _, fn in sorted(everywhere[hook] + here,
+                                           key=lambda row: row[0])]
+
+        for router in self.routers.values():
+            router.receive_taps = {}
+        for router in self.routers.values():
+            for nbr, iface in router.interfaces.items():
+                iface.enqueue_taps = at("on_enqueue", router.name, nbr)
+                iface.transmit_taps = at("on_transmit", router.name, nbr)
+                self.routers[nbr].receive_taps[router.name] = at(
+                    "on_receive", nbr, router.name)
 
     # -- link state management ----------------------------------------------
     def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:

@@ -280,6 +280,45 @@ class TestCombined:
         assert delivered == []
 
 
+    @staticmethod
+    def windowed_run(combined_cls):
+        """A dropper and a suppressor combined, active 10..20 ms, under
+        one packet a millisecond: (when a part was asked, its drops)."""
+        net = make_net()
+        parts = (DropFlowAttack(["f"], fraction=0.5, seed=3),
+                 ControlSuppressionAttack())
+        attack = combined_cls(*parts).activate_between(0.01, 0.02)
+        asked = []
+        for part in parts:
+            def spy(router, packet, *rest, forward=part.on_forward):
+                asked.append(router.network.sim.now)
+                return forward(router, packet, *rest)
+            part.on_forward = spy
+        net.routers["r2"].compromise = attack
+        for i in range(40):
+            net.sim.schedule_at(i * 0.001, net.routers["r1"].originate,
+                                Packet(src="r1", dst="r3", flow_id="f",
+                                       seq=i, payload=b"x"))
+        net.run(1.0)
+        drops = [([p.seq for p in part.dropped], part.drop_times)
+                 for part in parts]
+        return asked, drops, [p.seq for p in attack.dropped]
+
+    def test_parts_are_not_asked_outside_the_window(self):
+        class AlwaysAsked(CombinedCompromise):
+            def active_at(self, now):
+                return True
+
+        asked, drops, dropped = self.windowed_run(CombinedCompromise)
+        asked_before, drops_before, dropped_before = self.windowed_run(
+            AlwaysAsked)
+        assert asked and all(0.01 <= now <= 0.02 for now in asked)
+        assert len(asked_before) > len(asked)
+        # The same ground truth, part by part.
+        assert drops[0][0] and drops == drops_before
+        assert dropped == dropped_before == drops[0][0]
+
+
 class TestForwardActionValues:
     """Verdicts are immutable values; forward/drop allocate nothing."""
 

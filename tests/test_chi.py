@@ -360,6 +360,24 @@ class TestPerTargetDiscipline:
         assert red.params is self.RED
         assert red.params is net.routers["r"].interfaces["rd2"].queue.params
 
+    def test_taps_are_called_only_at_their_queues(self):
+        net, chi = self.build()
+        r = net.routers["r"]
+        droptail, red = chi.taps[("r", "rd1")], chi.taps[("r", "rd2")]
+        in_link = net.routers["s1"].interfaces["r"]
+        assert in_link.transmit_taps == [droptail._record_in,
+                                         red._record_in]
+        assert net.routers["rd1"].receive_taps["r"] == [droptail._record_out]
+        assert net.routers["rd2"].receive_taps["r"] == [red._record_out]
+        # Truth is sampled at the droptail queue until calibration, and
+        # never at the RED one.
+        assert r.interfaces["rd1"].enqueue_taps == [droptail._sample]
+        assert r.interfaces["rd2"].enqueue_taps == []
+        assert net.on_transmit == net.on_receive == net.on_enqueue == []
+        chi.calibrate(("r", "rd1"))
+        assert r.interfaces["rd1"].enqueue_taps == []
+        assert droptail.truth_occupancy == []
+
     def test_mixed_targets_run_side_by_side(self):
         from repro.net.traffic import CBRSource
         net, chi = self.build()

@@ -241,3 +241,14 @@ def TrafficSummaryHalver(summary):
     kept = frozenset(fps[: len(fps) // 2])
     return replace(summary, fingerprints=kept, count=len(kept),
                    byte_count=summary.byte_count // 2)
+
+
+def test_monitor_leaves_after_the_last_scheduled_round():
+    net, protocol = build()
+    attached = []
+    # Round 3 ends at 4 s and is evaluated at 4.2 s.
+    for when in (4.15, 4.25):
+        net.sim.schedule_at(
+            when, lambda: attached.append(protocol.monitor in net.taps))
+    drive(net)
+    assert attached == [True, False]

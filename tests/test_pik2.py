@@ -4,6 +4,7 @@ from importlib import import_module
 
 from repro.core.detector import (
     PiConfig,
+    RoundDetector,
     accuracy_report,
     completeness_report,
     run_tv,
@@ -266,3 +267,55 @@ class TestSampling:
         net.add_tap(sampled)
         drive(net, duration=2.0)
         assert sampled.state_units("r1") < full.state_units("r1")
+
+
+class TestMonitorRetires:
+    """The monitor leaves the network once no conclusion will read it."""
+
+    def test_leaves_after_the_last_scheduled_round_concludes(self):
+        net, protocol = build(rounds=3)
+        attached = []
+        # Round 3 ends at 4 s, is exchanged at 4.2 s, concludes at 5.2 s.
+        for when in (5.15, 5.25):
+            net.sim.schedule_at(
+                when, lambda: attached.append(protocol.monitor in net.taps))
+        drive(net)
+        assert attached == [True, False]
+
+    @staticmethod
+    def stopped_run(monkeypatch, retire):
+        if not retire:
+            monkeypatch.setattr(RoundDetector, "detach",
+                                lambda self, tap: None)
+        net, protocol = build(rounds=6)
+        protocol.exchange_timeout = 2.5  # µ > τ: rounds overlap
+        net.routers["r3"].compromise = DropFlowAttack(["f1"], fraction=0.4,
+                                                      seed=1)
+        attached = []
+
+        def stop():
+            protocol.stop()
+            attached.append(protocol.monitor in net.taps)
+
+        def concluded():
+            attached.append(protocol.monitor in net.taps)
+
+        # Rounds 0..2 are exchanged by 3.2 s and conclude at 3.7, 4.7
+        # and 5.7 s: all three are in flight at 3.5 s.
+        net.sim.schedule_at(3.5, stop)
+        net.sim.schedule_at(5.65, concluded)
+        net.sim.schedule_at(5.75, concluded)
+        drive(net, duration=9.0)
+        suspicions = {router: state.suspicions
+                      for router, state in protocol.states.items()}
+        return suspicions, attached
+
+    def test_stopped_with_rounds_in_flight_gives_the_same_suspicions(
+            self, monkeypatch):
+        retired, attached = self.stopped_run(monkeypatch, retire=True)
+        monkeypatch.undo()
+        kept, _ = self.stopped_run(monkeypatch, retire=False)
+        assert any(retired.values())
+        assert retired == kept
+        # Still on at stop() and before round 2 concludes; off after.
+        assert attached == [True, True, False]

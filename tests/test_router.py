@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from repro.core.summaries import PathOracle, SegmentMonitor
+from repro.dist.sync import RoundSchedule
 from repro.net.packet import Packet
 from repro.net.queues import DropReason
 from repro.net.router import MonitorTap, Network
-from repro.net.routing import install_static_routes
+from repro.net.routing import compute_all_paths, install_static_routes
 from repro.net.topology import MBPS, chain, diamond
 
 
@@ -231,6 +233,113 @@ class TestTapIndex:
         send(net)
         net.run(1.0)
         assert log == [("transmit", "r2", 1)]
+
+    def test_tap_naming_links_is_called_only_there(self):
+        net = small_net(3)
+        log = []
+        tap = SiteTap(log, [("on_transmit", "r2", "r3"),
+                            ("on_receive", "r3", "r2"),
+                            ("on_enqueue", "r1", "r2")])
+        net.add_tap(tap)
+        # Network-wide only where it is not per link.
+        assert net.on_receive == net.on_enqueue == net.on_transmit == []
+        assert net.on_deliver == [tap.on_deliver]
+        send(net)
+        net.routers["r3"].originate(Packet(src="r3", dst="r1",
+                                           flow_id="back", uid=2))
+        net.run(1.0)
+        # The reverse packet crosses none of the named sites.
+        assert log == [("on_enqueue", "r1", "r2", 1),
+                       ("on_transmit", "r2", "r3", 1),
+                       ("on_receive", "r3", "r2", 1)]
+        assert tap.delivered == [("r3", 1), ("r1", 2)]  # still everywhere
+
+    def test_site_keeps_add_tap_order_with_taps_called_everywhere(self):
+        net = small_net(3)
+        log = []
+        net.add_tap(TransmitTap(log, "first"))
+        net.add_tap(SiteTap(log, [("on_transmit", "r2", "r3")]))
+        net.add_tap(TransmitTap(log, "last"))
+        send(net)
+        net.run(1.0)
+        assert [entry[0] for entry in log] == [
+            "first", "last",  # r1 -> r2
+            "first", "on_transmit", "last"]  # r2 -> r3
+
+    def test_remove_tap_clears_every_site(self):
+        net = small_net(3)
+        log = []
+        everywhere = TransmitTap(log)
+        net.add_tap(everywhere)
+        tap = SiteTap(log, [("on_transmit", "r2", "r3"),
+                            ("on_receive", "r3", "r2"),
+                            ("on_enqueue", "r2", "r3")])
+        net.add_tap(tap)
+        net.remove_tap(tap)
+        assert net.taps == [everywhere]
+        for router in net.routers.values():
+            for iface in router.interfaces.values():
+                assert iface.transmit_taps == [everywhere.on_transmit]
+                assert iface.enqueue_taps == []
+            assert all(taps == [] for taps in router.receive_taps.values())
+        send(net)
+        net.run(1.0)
+        assert log == [("transmit", "r1", 1), ("transmit", "r2", 1)]
+
+    def test_tap_naming_no_links_is_called_everywhere(self):
+        net = small_net(3)
+        tap = RecordingTap()
+        net.add_tap(tap)
+        net.add_tap(SiteTap([], [("on_transmit", "r1", "r2")]))
+        send(net)
+        net.run(1.0)
+        assert [(e[0], e[1]) for e in tap.events] == [
+            ("originate", "r1"), ("enqueue", "r1"), ("transmit", "r1"),
+            ("receive", "r2"), ("enqueue", "r2"), ("transmit", "r2"),
+            ("receive", "r3"), ("deliver", "r3")]
+
+    def test_a_site_must_be_a_link(self):
+        net = small_net(3)
+        with pytest.raises(ValueError):
+            net.add_tap(SiteTap([], [("on_transmit", "r1", "r3")]))
+        with pytest.raises(ValueError):
+            net.add_tap(SiteTap([], [("on_drop", "r1", "r2")]))
+
+    def test_watch_segment_after_add_tap_is_seen_by_the_next_hop(self):
+        net = small_net(3)
+        paths = compute_all_paths(net.topology)
+        monitor = SegmentMonitor(net, PathOracle(paths),
+                                 RoundSchedule(tau=1.0))
+        net.add_tap(monitor)
+        # r1 finishes sending at 0.8 ms; r2 receives at 1.8 ms.
+        net.sim.schedule(0.001, monitor.watch_segment, ("r1", "r2", "r3"))
+        send(net)
+        net.run(1.0)
+        counts = {key: summary.count for key, summary in
+                  monitor.segment_summaries(("r1", "r2", "r3"), 0).items()}
+        assert counts == {("r1", "sent"): 0, ("r2", "received"): 1,
+                          ("r2", "sent"): 1, ("r3", "received"): 1}
+
+
+class SiteTap(MonitorTap):
+    """Names its links; logs what runs there, and every delivery."""
+
+    def __init__(self, log, sites):
+        self.log = log
+        self._sites = sites
+        self.delivered = []
+
+    def sites(self):
+        return [(hook, router, nbr, self._logger(hook))
+                for hook, router, nbr in self._sites]
+
+    def _logger(self, hook):
+        def log(router, nbr, packet, time, *occupancy):
+            self.log.append((hook, router.name, nbr, packet.uid))
+        return log
+
+    def on_deliver(self, router, packet, time):
+        self.delivered.append((router.name, packet.uid))
 
 
 class EnqueueTimes(MonitorTap):
