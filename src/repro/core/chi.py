@@ -211,7 +211,8 @@ class QueueTap(MonitorTap):
         self._out_link_delay = out_link.delay
         self._out_bandwidth = out_link.bandwidth
 
-    def sites(self) -> List[Tuple[str, str, str, Callable[..., None]]]:
+    def sites(self, network: Network) -> List[
+            Tuple[str, str, str, Callable[..., None]]]:
         """The queue's in-links and out-link, and the queue itself while
         it samples truth."""
         rows = [("on_transmit", upstream, self.router, self._record_in)

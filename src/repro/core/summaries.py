@@ -368,7 +368,8 @@ class SegmentMonitor(MonitorTap):
     def segments(self) -> Set[PathSegment]:
         return set(self._monitors)
 
-    def sites(self) -> List[Tuple[str, str, str, Callable[..., None]]]:
+    def sites(self, network: Network) -> List[
+            Tuple[str, str, str, Callable[..., None]]]:
         """Each watched link with :meth:`_record` bound to it."""
         return [("on_transmit" if direction == "sent" else "on_receive",
                  router, nbr, partial(self._record, link))

@@ -42,7 +42,6 @@ __all__ = [
     "ScenarioSpec",
     "TopologySpec",
     "TrafficSpec",
-    "register_topology",
     "resolve_ground_truth",
     "topology_names",
     "transit_candidates",
@@ -58,8 +57,8 @@ _lazy_exports(globals(), {
     "results": ("EvalResultBase", "result_type_name", "serialize_result"),
     "specs": ("AdversarySpec", "BEHAVIORS", "DETECTORS",
               "PLACEMENT_STRATEGIES", "PlacementSpec", "ScenarioSpec",
-              "TopologySpec", "TrafficSpec", "register_topology",
-              "resolve_ground_truth", "topology_names", "transit_candidates",
-              "droptail_spec", "red_spec"),
+              "TopologySpec", "TrafficSpec", "resolve_ground_truth",
+              "topology_names", "transit_candidates", "droptail_spec",
+              "red_spec"),
     "scenarios": ("AttackScenario", "BottleneckScenario", "build_scenario"),
 })

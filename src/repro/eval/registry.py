@@ -522,34 +522,3 @@ def registry() -> Dict[str, ExperimentSpec]:
 def run_experiment(name: str, params: Mapping[str, object] = {}) -> object:
     """Look an experiment up by name and run it — the worker entry point."""
     return get(name).run(**dict(params))
-
-
-def _load_plugins() -> None:
-    """Import the modules named in ``REPRO_PLUGINS`` so they register.
-
-    ``REPRO_PLUGINS`` is an ``os.pathsep``-separated list of importable
-    module names; each module registers its experiments at import time
-    (via :func:`register`).  This is how extra experiments reach shard
-    child processes, which only see this environment variable — a bad
-    entry fails loudly rather than silently dropping experiments.
-    """
-    import importlib
-    import os
-
-    for name in os.environ.get("REPRO_PLUGINS", "").split(os.pathsep):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            importlib.import_module(name)
-        except Exception as error:
-            # Without this, a worker on another host dies with a bare
-            # traceback that never says which plugin entry was at fault.
-            raise ImportError(
-                f"REPRO_PLUGINS: plugin module {name!r} failed to "
-                f"import/register ({type(error).__name__}: {error}); "
-                f"fix the module or drop it from REPRO_PLUGINS"
-            ) from error
-
-
-_load_plugins()

@@ -3,10 +3,9 @@
 A :class:`ScenarioSpec` bundles the axes the paper's evaluation (and
 WedgeTail-style attack matrices) vary independently:
 
-* :class:`TopologySpec` — which network, from a registered catalogue
+* :class:`TopologySpec` — which network, from a fixed catalogue
   (``abilene``, ``sprintlink_like``, ``ebone_like``, ``line``, ``ring``,
-  ``grid``, the χ testbed's ``simple``, plus anything added via
-  :func:`register_topology`);
+  ``grid``, the χ testbed's ``simple``);
 * :class:`AdversarySpec` — what the compromised router does (behavior
   kind, intensity/rate, flow targeting);
 * :class:`PlacementSpec` — where the compromised router sits (``fixed``,
@@ -149,25 +148,6 @@ class _SpecDict:
 # Topology catalogue
 # ---------------------------------------------------------------------------
 
-_TOPOLOGY_CATALOGUE: Dict[str, Callable[..., Topology]] = {}
-
-
-def register_topology(name: str, factory: Callable[..., Topology]) -> None:
-    """Register ``factory`` under ``name`` for :meth:`TopologySpec.build`.
-
-    The factory receives the spec's options as keyword arguments and must
-    be deterministic for a given option set.
-    """
-    if name in _TOPOLOGY_CATALOGUE:
-        raise ValueError(f"topology {name!r} is already registered")
-    _TOPOLOGY_CATALOGUE[name] = factory
-
-
-def topology_names() -> Tuple[str, ...]:
-    """Sorted names of every registered topology."""
-    return tuple(sorted(_TOPOLOGY_CATALOGUE))
-
-
 def _net_topology(name: str) -> Callable[..., Topology]:
     """The ``repro.net`` factory ``name``, imported when first built."""
     def build(**options) -> Topology:
@@ -213,17 +193,22 @@ def _simple_topology(n_sources: int = 3,
     return topo
 
 
-for _name, _factory in (
-    ("abilene", _net_topology("abilene")),
-    ("sprintlink_like", _net_topology("sprintlink_like")),
-    ("ebone_like", _net_topology("ebone_like")),
-    ("line", _line_topology),
-    ("ring", _ring_topology),
-    ("grid", _grid_topology),
-    ("simple", _simple_topology),
-):
-    register_topology(_name, _factory)
-del _name, _factory
+#: Name -> factory for :meth:`TopologySpec.build`.  A factory takes the
+#: spec's options as keyword arguments and is deterministic in them.
+_TOPOLOGY_CATALOGUE: Dict[str, Callable[..., Topology]] = {
+    "abilene": _net_topology("abilene"),
+    "sprintlink_like": _net_topology("sprintlink_like"),
+    "ebone_like": _net_topology("ebone_like"),
+    "line": _line_topology,
+    "ring": _ring_topology,
+    "grid": _grid_topology,
+    "simple": _simple_topology,
+}
+
+
+def topology_names() -> Tuple[str, ...]:
+    """Sorted names of every catalogued topology."""
+    return tuple(sorted(_TOPOLOGY_CATALOGUE))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ Three cross-cutting hooks make the rest of the library possible:
 
 * **Monitor taps** observe receive/enqueue/transmit/drop/deliver events.
   The detection protocols' traffic summary generators are taps — they see
-  exactly what the paper's in-kernel summary generator would see.  Each
-  hook calls only the taps that define it, and a receive, enqueue or
-  transmit calls a tap that names the links it watches
-  (:meth:`MonitorTap.sites`) only on those links (see
-  :meth:`Network.add_tap`).
+  exactly what the paper's in-kernel summary generator would see.  A
+  receive, enqueue or transmit calls a tap only on the links its
+  :meth:`MonitorTap.sites` names (by default every link, for each of
+  those hooks it defines); drop, deliver and originate call every tap
+  that defines them (see :meth:`Network.add_tap`).
 * **Compromise hooks** let an adversary rewrite a router's forwarding
   behaviour (drop/modify/delay/misroute/fabricate), modelling a router
   whose *data plane* is subverted while the simulator stays honest about
@@ -49,10 +49,10 @@ def _stable_hash(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:4], "big")
 
 
-#: The hooks a tap may subscribe to per link (:meth:`MonitorTap.sites`).
+#: The hooks a tap is called at per link (:meth:`MonitorTap.sites`).
 _SITE_HOOKS = ("on_receive", "on_enqueue", "on_transmit")
-#: Every hook; the last three are always called network-wide.
-_HOOKS = _SITE_HOOKS + ("on_drop", "on_deliver", "on_originate")
+#: The hooks a tap is called at network-wide.
+_NETWORK_HOOKS = ("on_drop", "on_deliver", "on_originate")
 
 
 class MonitorTap:
@@ -63,20 +63,29 @@ class MonitorTap:
     translate via :mod:`repro.dist.sync`.
     """
 
-    def sites(self) -> Optional[Iterable[Tuple[str, str, str,
-                                              Callable[..., None]]]]:
-        """The links this tap watches, or None (this default) to have
-        its hooks called everywhere.
+    def sites(self, network: "Network") -> Iterable[
+            Tuple[str, str, str, Callable[..., None]]]:
+        """The links this tap watches on ``network``: by default every
+        link, for each receive/enqueue/transmit hook the tap defines.
 
         Each row is ``(hook, router, neighbour, fn)``: ``hook`` is
         ``on_receive`` (the neighbour upstream), ``on_enqueue`` or
         ``on_transmit`` (the neighbour downstream), and ``fn`` runs
-        there with the hook's arguments.  A tap that names sites is called on no other
-        link; its ``on_drop``/``on_deliver``/``on_originate`` are still
-        called everywhere.  A tap whose sites change calls
-        :meth:`Network.reindex_taps`.
+        there with the hook's arguments.  The tap is called on no other
+        link; its ``on_drop``/``on_deliver``/``on_originate`` are called
+        everywhere.  A tap whose sites change calls
+        :meth:`Network.reindex_taps`.  A duck-typed tap with no
+        ``sites`` gets this default (``MonitorTap.sites(tap, network)``).
         """
-        return None
+        for hook in _SITE_HOOKS:
+            method = _override(self, hook)
+            if method is None:
+                continue
+            for router in network.routers.values():
+                for nbr in router.interfaces:
+                    yield ((hook, nbr, router.name, method)
+                           if hook == "on_receive"
+                           else (hook, router.name, nbr, method))
 
     def on_receive(self, router: "Router", from_nbr: str, packet: Packet,
                    time: float) -> None:
@@ -454,50 +463,32 @@ class Network:
     def reindex_taps(self) -> None:
         """Rebuild what each hook calls, in ``taps`` order.
 
-        ``on_<hook>`` lists every tap that names no sites and defines
-        the hook.  Each interface's ``enqueue_taps``/``transmit_taps``
-        and each router's ``receive_taps`` entry add, at the sites some
-        tap names, that tap's callables; a site nobody names shares the
-        network-wide list.
+        ``on_drop``/``on_deliver``/``on_originate`` list every tap that
+        defines the hook.  Each interface's ``enqueue_taps`` and
+        ``transmit_taps``, and each router's ``receive_taps`` entry, list
+        the callables the taps' :meth:`MonitorTap.sites` name there.
         """
-        Row = Tuple[int, Callable[..., None]]  # (position in taps, fn)
-        everywhere: Dict[str, List[Row]] = {hook: [] for hook in _HOOKS}
-        named: Dict[Tuple[str, str, str], List[Row]] = {}
-        for order, tap in enumerate(self.taps):
-            sites = getattr(tap, "sites", None)
-            sites = None if sites is None else sites()
-            for hook in _HOOKS:
-                method = _override(tap, hook)
-                if method is not None and (sites is None
-                                           or hook not in _SITE_HOOKS):
-                    everywhere[hook].append((order, method))
-            for hook, router, nbr, fn in sites or ():
-                src, dst = (nbr, router) if hook == "on_receive" else (
-                    router, nbr)
-                if (hook not in _SITE_HOOKS or src not in self.routers
-                        or dst not in self.routers[src].interfaces):
-                    raise ValueError(f"no {hook} site at {router} "
-                                     f"(neighbour {nbr})")
-                named.setdefault((hook, router, nbr), []).append((order, fn))
-        for hook in _HOOKS:
-            setattr(self, hook, [fn for _, fn in everywhere[hook]])
-
-        def at(hook: str, router: str, nbr: str) -> List[Callable[..., None]]:
-            here = named.get((hook, router, nbr))
-            if here is None:
-                return getattr(self, hook)
-            # A stable sort keeps each tap's own rows in their order.
-            return [fn for _, fn in sorted(everywhere[hook] + here,
-                                           key=lambda row: row[0])]
-
+        for hook in _NETWORK_HOOKS:
+            methods = (_override(tap, hook) for tap in self.taps)
+            setattr(self, hook, [m for m in methods if m is not None])
+        at: Dict[Tuple[str, str, str], List[Callable[..., None]]] = {}
         for router in self.routers.values():
             router.receive_taps = {}
         for router in self.routers.values():
             for nbr, iface in router.interfaces.items():
-                iface.enqueue_taps = at("on_enqueue", router.name, nbr)
-                iface.transmit_taps = at("on_transmit", router.name, nbr)
-                self.routers[nbr].receive_taps[router.name] = at(
-                    "on_receive", nbr, router.name)
+                iface.enqueue_taps = at["on_enqueue", router.name, nbr] = []
+                iface.transmit_taps = at["on_transmit", router.name, nbr] = []
+                self.routers[nbr].receive_taps[router.name] = at[
+                    "on_receive", nbr, router.name] = []
+        for tap in self.taps:
+            rows = (tap.sites(self) if hasattr(tap, "sites")
+                    else MonitorTap.sites(tap, self))
+            for hook, name, nbr, fn in rows:
+                here = at.get((hook, name, nbr))
+                if here is None:
+                    raise ValueError(f"no {hook} site at {name} "
+                                     f"(neighbour {nbr})")
+                here.append(fn)
 
     # -- link state management ----------------------------------------------
     def fail_link(self, a: str, b: str, bidirectional: bool = True) -> None:

@@ -65,13 +65,12 @@ def _execute_cell(payload: dict) -> dict:
     try:
         spec = registry.get(payload["experiment"])
     except KeyError as error:
-        # In a shard child the likeliest cause is a plugin module that
-        # is not on REPRO_PLUGINS (or failed to import there); say so
-        # instead of leaving a bare KeyError traceback in shard.log.
+        # In a shard child the likeliest cause is an experiment registered
+        # only in the parent; say so instead of leaving a bare KeyError
+        # traceback in shard.log.
         raise LookupError(
-            f"{error.args[0]} (out-of-tree experiments must be "
-            f"importable via the REPRO_PLUGINS environment variable in "
-            f"every worker/shard process)") from None
+            f"{error.args[0]} (an experiment must be registered in every "
+            f"worker/shard process)") from None
     params = {key: value for key, value in payload["params"]}
     call_params = dict(params)
     seed = payload.get("seed")

@@ -373,7 +373,12 @@ class TestPerTargetDiscipline:
         # never at the RED one.
         assert r.interfaces["rd1"].enqueue_taps == [droptail._sample]
         assert r.interfaces["rd2"].enqueue_taps == []
-        assert net.on_transmit == net.on_receive == net.on_enqueue == []
+        # Nowhere else: every callable a link runs is a row of a tap.
+        listed = [fn for router in net.routers.values()
+                  for nbr, iface in router.interfaces.items()
+                  for fn in (iface.enqueue_taps + iface.transmit_taps
+                             + net.routers[nbr].receive_taps[router.name])]
+        assert len(listed) == len(droptail.sites(net)) + len(red.sites(net))
         chi.calibrate(("r", "rd1"))
         assert r.interfaces["rd1"].enqueue_taps == []
         assert droptail.truth_occupancy == []

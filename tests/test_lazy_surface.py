@@ -31,9 +31,9 @@ DEFINED_IN = {
                     "serialize_result"),
         "specs": ("AdversarySpec", "BEHAVIORS", "DETECTORS",
                   "PLACEMENT_STRATEGIES", "PlacementSpec", "ScenarioSpec",
-                  "TopologySpec", "TrafficSpec", "register_topology",
-                  "resolve_ground_truth", "topology_names",
-                  "transit_candidates", "droptail_spec", "red_spec"),
+                  "TopologySpec", "TrafficSpec", "resolve_ground_truth",
+                  "topology_names", "transit_candidates", "droptail_spec",
+                  "red_spec"),
         "scenarios": ("AttackScenario", "BottleneckScenario",
                       "build_scenario"),
         "experiments": ("experiments",),
@@ -65,7 +65,7 @@ ALL_AT_PARENT = {
         "result_type_name", "score_round_findings", "serialize_result",
         "AdversarySpec", "BEHAVIORS", "DETECTORS", "PLACEMENT_STRATEGIES",
         "PlacementSpec", "ScenarioSpec", "TopologySpec", "TrafficSpec",
-        "register_topology", "resolve_ground_truth", "topology_names",
+        "resolve_ground_truth", "topology_names",
         "transit_candidates", "AttackScenario", "BottleneckScenario",
         "build_scenario", "droptail_spec", "red_spec"],
     "repro.obs": [

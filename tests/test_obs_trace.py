@@ -15,6 +15,10 @@ from repro.eval import AdversarySpec, droptail_spec
 from repro.eval.experiments import run_testbed
 from repro.eval.results import serialize_result
 from repro.net.events import Simulator
+from repro.net.router import MonitorTap, Network
+from repro.net.routing import install_static_routes
+from repro.net.topology import MBPS, diamond
+from repro.net.traffic import CBRSource
 from repro.obs.record import recorder
 from repro.obs.sinks import JsonlSink, MemorySink
 from repro.obs.trace import TraceTap, _reason_token
@@ -112,6 +116,40 @@ class TestTraceTap:
     def test_reason_token_handles_plain_strings(self):
         assert _reason_token("congestion") == "congestion"
         assert _reason_token(_StubReason()) == "malicious"
+
+
+class _LinkTransmits(MonitorTap):
+    """Counts transmits per link; names no sites, so runs on every one."""
+
+    def __init__(self):
+        self.sent = {}
+
+    def on_transmit(self, router, out_nbr, packet, time):
+        key = (router.name, out_nbr)
+        self.sent[key] = self.sent.get(key, 0) + 1
+
+
+class TestTraceTapOnEveryLink:
+    def test_trace_tap_counts_every_link(self, rec):
+        rec.enable(MemorySink())
+        net = Network(diamond(bandwidth=1 * MBPS, delay=0.001))
+        install_static_routes(net)
+        counter = _LinkTransmits()
+        net.add_tap(counter)
+        CBRSource(net, "s", "t", "f", rate_bps=400_000, duration=1.0)
+        CBRSource(net, "t", "s", "g", rate_bps=400_000, duration=1.0)
+        net.run(2.0)
+        snapshot = rec.disable()
+        sent = {(router.name, nbr): iface.packets_sent
+                for router in net.routers.values()
+                for nbr, iface in router.interfaces.items()}
+        assert counter.sent == {link: n for link, n in sent.items() if n}
+        assert len(counter.sent) >= 4  # both directions, two hops each
+        assert snapshot["repro.net.pkt.transmitted"]["value"] == sum(
+            sent.values()) > 0
+        # Every packet sent had landed by the end of the run.
+        assert snapshot["repro.net.pkt.received"]["value"] == sum(
+            sent.values())
 
 
 class TestScenarioTracing:

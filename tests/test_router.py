@@ -160,7 +160,27 @@ class DuckTap:
         self.log.append(("originate", router.name))
 
 
-HOOKS = ("receive", "enqueue", "transmit", "drop", "deliver", "originate")
+SITE_HOOKS = ("receive", "enqueue", "transmit")
+NETWORK_HOOKS = ("drop", "deliver", "originate")
+
+
+def per_link(net, hook):
+    """``{(router, neighbour): what hook runs there}`` for one of the
+    per-link hooks, over every link, keyed as a ``sites`` row names it."""
+    lists = {}
+    for router in net.routers.values():
+        for nbr, iface in router.interfaces.items():
+            if hook == "receive":
+                lists[nbr, router.name] = net.routers[nbr].receive_taps[
+                    router.name]
+            else:
+                lists[router.name, nbr] = getattr(iface, hook + "_taps")
+    return lists
+
+
+def at_every_link(net, hook, fns):
+    """``hook`` runs ``fns`` on each of the network's links."""
+    return all(taps == fns for taps in per_link(net, hook).values())
 
 
 def send(net):
@@ -175,9 +195,12 @@ class TestTapIndex:
         log = []
         tap = TransmitTap(log)
         net.add_tap(tap)
-        assert net.on_transmit == [tap.on_transmit]
-        assert net.on_receive == net.on_enqueue == net.on_drop == []
-        assert net.on_deliver == net.on_originate == []
+        assert at_every_link(net, "transmit", [tap.on_transmit])
+        assert at_every_link(net, "receive", [])
+        assert at_every_link(net, "enqueue", [])
+        assert net.on_drop == net.on_deliver == net.on_originate == []
+        # The per-link hooks have no network-wide list.
+        assert not any(hasattr(net, "on_" + hook) for hook in SITE_HOOKS)
         send(net)
         net.run(1.0)
         assert log == [("transmit", "r1", 1), ("transmit", "r2", 1)]
@@ -187,7 +210,7 @@ class TestTapIndex:
         log = []
         tap = TransmitAndDeliverTap(log)
         net.add_tap(tap)
-        assert net.on_transmit == [tap.on_transmit]
+        assert at_every_link(net, "transmit", [tap.on_transmit])
         assert net.on_deliver == [tap.on_deliver]
         send(net)
         net.run(1.0)
@@ -198,18 +221,23 @@ class TestTapIndex:
         net = small_net(3)
         tap = RecordingTap()
         net.add_tap(tap)
-        assert all(len(getattr(net, "on_" + hook)) == 1 for hook in HOOKS)
+        assert all(at_every_link(net, hook, [getattr(tap, "on_" + hook)])
+                   for hook in SITE_HOOKS)
+        assert all(getattr(net, "on_" + hook) == [getattr(tap, "on_" + hook)]
+                   for hook in NETWORK_HOOKS)
         net.remove_tap(tap)
-        assert all(getattr(net, "on_" + hook) == [] for hook in HOOKS)
+        assert all(at_every_link(net, hook, []) for hook in SITE_HOOKS)
+        assert all(getattr(net, "on_" + hook) == [] for hook in NETWORK_HOOKS)
         assert net.taps == []
 
     def test_duck_typed_tap_gets_every_hook_it_defines(self):
         net = small_net(3)
         tap = DuckTap()
         net.add_tap(tap)
-        assert net.on_receive == [tap.on_receive]
+        assert at_every_link(net, "receive", [tap.on_receive])
         assert net.on_originate == [tap.on_originate]
-        assert net.on_transmit == net.on_deliver == []
+        assert at_every_link(net, "transmit", [])
+        assert net.on_deliver == []
         send(net)
         net.run(1.0)
         assert tap.log == [("originate", "r1"), ("receive", "r2"),
@@ -241,8 +269,13 @@ class TestTapIndex:
                             ("on_receive", "r3", "r2"),
                             ("on_enqueue", "r1", "r2")])
         net.add_tap(tap)
-        # Network-wide only where it is not per link.
-        assert net.on_receive == net.on_enqueue == net.on_transmit == []
+        # Listed at the sites it names and nowhere else; network-wide
+        # for the hooks that are not per link.
+        listed = {(hook, site) for hook in SITE_HOOKS
+                  for site, taps in per_link(net, hook).items() if taps}
+        assert listed == {("transmit", ("r2", "r3")),
+                          ("receive", ("r3", "r2")),
+                          ("enqueue", ("r1", "r2"))}
         assert net.on_deliver == [tap.on_deliver]
         send(net)
         net.routers["r3"].originate(Packet(src="r3", dst="r1",
@@ -275,6 +308,7 @@ class TestTapIndex:
                             ("on_receive", "r3", "r2"),
                             ("on_enqueue", "r2", "r3")])
         net.add_tap(tap)
+        assert tap.network is net
         net.remove_tap(tap)
         assert net.taps == [everywhere]
         for router in net.routers.values():
@@ -285,6 +319,17 @@ class TestTapIndex:
         send(net)
         net.run(1.0)
         assert log == [("transmit", "r1", 1), ("transmit", "r2", 1)]
+
+    def test_default_sites_are_every_link_of_each_hook_defined(self):
+        net = small_net(3)
+        tap = DuckTap()
+        rows = list(MonitorTap.sites(tap, net))
+        assert {row[:3] for row in rows} == {
+            ("on_receive", "r2", "r1"), ("on_receive", "r1", "r2"),
+            ("on_receive", "r3", "r2"), ("on_receive", "r2", "r3")}
+        assert len(rows) == 4
+        assert all(row[3] == tap.on_receive for row in rows)
+        assert list(MonitorTap().sites(net)) == []
 
     def test_tap_naming_no_links_is_called_everywhere(self):
         net = small_net(3)
@@ -329,7 +374,8 @@ class SiteTap(MonitorTap):
         self._sites = sites
         self.delivered = []
 
-    def sites(self):
+    def sites(self, network):
+        self.network = network
         return [(hook, router, nbr, self._logger(hook))
                 for hook, router, nbr in self._sites]
 

@@ -13,7 +13,8 @@ The load-bearing properties:
   everything else lost).
 
 Shards run real ``python -m repro sweep`` children; the test experiments
-reach them via the ``REPRO_PLUGINS`` registry hook.  Tests monkeypatch
+reach them through a ``sitecustomize`` module on their ``PYTHONPATH``
+that imports the plugin at interpreter start.  Tests monkeypatch
 ``dispatch._spawn``, the one place a child starts, to watch the children
 or to swap one for a ``python -c`` stub (see ``_stub``).
 """
@@ -86,10 +87,15 @@ for _spec in (
 
 @pytest.fixture
 def plugin(tmp_path, monkeypatch):
-    """Register the test experiments here AND in shard child processes."""
+    """Register the test experiments here AND in shard child processes.
+
+    The children start with ``root`` on ``PYTHONPATH``, so Python's
+    ``site`` imports ``root/sitecustomize.py`` and with it the plugin.
+    """
     root = tmp_path / "plugin"
     root.mkdir()
     (root / f"{PLUGIN_MODULE}.py").write_text(PLUGIN_SOURCE)
+    (root / "sitecustomize.py").write_text(f"import {PLUGIN_MODULE}\n")
     # Absolutize inherited entries (the suite runs with PYTHONPATH=src)
     # so shard children started from another cwd still import repro.
     inherited = [os.path.abspath(entry) for entry
@@ -97,7 +103,6 @@ def plugin(tmp_path, monkeypatch):
                  if entry]
     monkeypatch.setenv(
         "PYTHONPATH", os.pathsep.join([str(root)] + inherited))
-    monkeypatch.setenv("REPRO_PLUGINS", PLUGIN_MODULE)
     monkeypatch.syspath_prepend(str(root))
     __import__(PLUGIN_MODULE)
     yield
