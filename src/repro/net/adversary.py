@@ -34,6 +34,7 @@ from repro.net.queues import REDQueue
 from repro.net.router import ForwardAction, Network, Router
 
 _FORWARD = ForwardAction.forward()
+_DROP = ForwardAction.drop()
 
 
 class Compromise:
@@ -71,12 +72,18 @@ class Compromise:
     def on_forward(self, router: Router, packet: Packet, in_nbr: Optional[str],
                    out_nbr: str, iface) -> ForwardAction:
         now = router.network.sim.now
-        if not self.active_at(now):
-            return ForwardAction.forward()
+        if not self.active_from <= now <= self.active_until:
+            return _FORWARD
+        return self.verdict(router, packet, out_nbr, iface, now)
+
+    def verdict(self, router: Router, packet: Packet, out_nbr: str, iface,
+                now: float) -> ForwardAction:
+        """What to do with ``packet`` inside the window: a drop is
+        recorded as ground truth, anything else is :meth:`transform`'s."""
         if self.should_drop(router, packet, out_nbr, iface):
             self.dropped.append(packet)
             self.drop_times.append(now)
-            return ForwardAction.drop()
+            return _DROP
         return self.transform(router, packet, out_nbr, iface)
 
     def should_drop(self, router: Router, packet: Packet, out_nbr: str,
@@ -85,7 +92,7 @@ class Compromise:
 
     def transform(self, router: Router, packet: Packet, out_nbr: str,
                   iface) -> ForwardAction:
-        return ForwardAction.forward()
+        return _FORWARD
 
     def on_control(self, router: Router, src: str, dst: str, message):
         """Relayed protocol message; return it (possibly altered) or None."""
@@ -350,24 +357,27 @@ class ControlSuppressionAttack(Compromise):
 
 
 class CombinedCompromise(Compromise):
-    """Compose several behaviours (e.g. traffic-faulty + protocol-faulty)."""
+    """Compose several behaviours (e.g. traffic-faulty + protocol-faulty).
+
+    One window, the whole's (:meth:`activate_between` sets every part's),
+    is tested once per packet; inside it each part's :meth:`verdict` is asked.
+    """
 
     def __init__(self, *parts: Compromise) -> None:
         super().__init__()
         self.parts = list(parts)
+        if any((part.active_from, part.active_until) != (0.0, float("inf"))
+               for part in parts):
+            raise ValueError("window the combined compromise, not a part")
 
     def activate_between(self, start: float, end: float = float("inf")) -> "Compromise":
         for part in self.parts:
             part.activate_between(start, end)
         return super().activate_between(start, end)
 
-    def on_forward(self, router, packet, in_nbr, out_nbr, iface) -> ForwardAction:
-        # activate_between gives every part this window: outside it no
-        # part acts, so none is asked.
-        if not self.active_at(router.network.sim.now):
-            return _FORWARD
+    def verdict(self, router, packet, out_nbr, iface, now) -> ForwardAction:
         for part in self.parts:
-            action = part.on_forward(router, packet, in_nbr, out_nbr, iface)
+            action = part.verdict(router, packet, out_nbr, iface, now)
             if action is _FORWARD:  # the shared untouched verdict
                 continue
             if action.kind == ForwardAction.DROP:

@@ -175,10 +175,6 @@ class Packet:
         self.checksum = (self._hdr_sum + ttl) & 0xFFFF
         self.hops = self.hops + (router_name,)
 
-    @property
-    def expired(self) -> bool:
-        return self.ttl <= 0
-
     def fragment(self, mtu: int, ids: Iterator[int] = _packet_ids) -> list:
         """Split into MTU-sized fragments (§7.4.4).
 

@@ -90,12 +90,9 @@ class DropTailQueue:
     def empty(self) -> bool:
         return not self._packets
 
-    def fits(self, packet: Packet) -> bool:
-        return self.occupancy + packet.size <= self.limit_bytes
-
     def offer(self, packet: Packet, now: float) -> Tuple[bool, Optional[DropReason], float]:
         """Try to enqueue.  Returns (accepted, drop_reason, drop_prob)."""
-        if not self.fits(packet):
+        if self.occupancy + packet.size > self.limit_bytes:
             self.drops += 1
             return (False, DropReason.CONGESTION, 1.0)
         self._packets.append(packet)

@@ -46,10 +46,6 @@ class Link:
     def ends(self) -> Tuple[str, str]:
         return (self.src, self.dst)
 
-    def transmission_delay(self, size: int) -> float:
-        """Serialization time for ``size`` bytes."""
-        return size / self.bandwidth
-
 
 class Topology:
     """Named routers plus directed links between them."""

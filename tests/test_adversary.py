@@ -283,17 +283,17 @@ class TestCombined:
     @staticmethod
     def windowed_run(combined_cls):
         """A dropper and a suppressor combined, active 10..20 ms, under
-        one packet a millisecond: (when a part was asked, its drops)."""
+        one packet a millisecond: (when a part gave a verdict, its drops)."""
         net = make_net()
         parts = (DropFlowAttack(["f"], fraction=0.5, seed=3),
                  ControlSuppressionAttack())
         attack = combined_cls(*parts).activate_between(0.01, 0.02)
         asked = []
         for part in parts:
-            def spy(router, packet, *rest, forward=part.on_forward):
+            def spy(router, packet, *rest, verdict=part.verdict):
                 asked.append(router.network.sim.now)
-                return forward(router, packet, *rest)
-            part.on_forward = spy
+                return verdict(router, packet, *rest)
+            part.verdict = spy
         net.routers["r2"].compromise = attack
         for i in range(40):
             net.sim.schedule_at(i * 0.001, net.routers["r1"].originate,
@@ -305,18 +305,35 @@ class TestCombined:
         return asked, drops, [p.seq for p in attack.dropped]
 
     def test_parts_are_not_asked_outside_the_window(self):
-        class AlwaysAsked(CombinedCompromise):
-            def active_at(self, now):
-                return True
+        class EachPartTestsItsWindow(CombinedCompromise):
+            """Every packet runs every part's whole ``on_forward``."""
+
+            def on_forward(self, router, packet, in_nbr, out_nbr, iface):
+                for part in self.parts:
+                    action = part.on_forward(router, packet, in_nbr,
+                                             out_nbr, iface)
+                    if action.kind == ForwardAction.DROP:
+                        self.dropped.append(packet)
+                        return action
+                return ForwardAction.forward()
 
         asked, drops, dropped = self.windowed_run(CombinedCompromise)
-        asked_before, drops_before, dropped_before = self.windowed_run(
-            AlwaysAsked)
+        asked_alone, drops_alone, dropped_alone = self.windowed_run(
+            EachPartTestsItsWindow)
         assert asked and all(0.01 <= now <= 0.02 for now in asked)
-        assert len(asked_before) > len(asked)
+        assert asked == asked_alone
         # The same ground truth, part by part.
-        assert drops[0][0] and drops == drops_before
-        assert dropped == dropped_before == drops[0][0]
+        assert drops[0][0] and drops == drops_alone
+        assert dropped == dropped_alone == drops[0][0]
+
+    def test_the_window_is_the_wholes(self):
+        parts = (DropAllAttack(), ControlSuppressionAttack())
+        combined = CombinedCompromise(*parts).activate_between(5.0, 6.0)
+        assert [(c.active_from, c.active_until)
+                for c in (combined, *parts)] == [(5.0, 6.0)] * 3
+        with pytest.raises(ValueError, match="not a part"):
+            CombinedCompromise(DropAllAttack().activate_between(5.0, 6.0),
+                               ControlSuppressionAttack())
 
 
 class TestForwardActionValues:

@@ -16,7 +16,6 @@ class TestPacketBasics:
         assert p.size == 1000
         assert p.kind is PacketKind.DATA
         assert p.ttl == DEFAULT_TTL
-        assert not p.expired
 
     def test_unique_uids(self):
         uids = {Packet(src="a", dst="b").uid for _ in range(100)}
@@ -56,7 +55,7 @@ class TestPerHopMutation:
         p = Packet(src="a", dst="b", ttl=2)
         p.hop("r1")
         p.hop("r2")
-        assert p.expired
+        assert p.ttl == 0
 
     def test_invariant_fields_stable_across_hops(self):
         p = Packet(src="a", dst="b", payload=b"data")

@@ -5,8 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.topology import (
-    MBPS,
-    Link,
     Topology,
     abilene,
     chain,
@@ -80,10 +78,6 @@ class TestTopologyBasics:
         assert "r1" in topo
         assert "nope" not in topo
         assert len(topo) == 3
-
-    def test_transmission_delay(self):
-        link = Link("a", "b", bandwidth=1 * MBPS)
-        assert link.transmission_delay(1000) == pytest.approx(0.008)
 
 
 class TestCannedTopologies:
